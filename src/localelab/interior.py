@@ -66,14 +66,17 @@ def check_interior(op: InteriorOperator) -> AxiomReport:
             passed["I1"] = False
             witnesses["I1"] = (sl.label(i), sl.label(op(i)))
             break
-    for i in range(sl.n):
-        if not passed["I2"]:
-            break
-        for j in range(sl.n):
-            if sl.le(i, j) and not sl.le(op(i), op(j)):
-                passed["I2"] = False
-                witnesses["I2"] = (sl.label(i), sl.label(j))
+    # the order is generated by its cover pairs, so I2 holds iff it holds on
+    # them; only a failure needs the all-pairs scan for the lex-first witness
+    if not all(sl.le(op(k), op(i)) for i in range(sl.n) for k in sl.lower_covers[i]):
+        for i in range(sl.n):
+            if not passed["I2"]:
                 break
+            for j in range(sl.n):
+                if sl.le(i, j) and not sl.le(op(i), op(j)):
+                    passed["I2"] = False
+                    witnesses["I2"] = (sl.label(i), sl.label(j))
+                    break
     if op(sl.top) != sl.top:
         passed["I3"] = False
         witnesses["I3"] = (sl.label(op(sl.top)),)
@@ -150,19 +153,27 @@ def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
     contractive because every g(T) <= T <= S, and monotone because the index
     sets nest. Forcing the top entry then gives I3.
     """
-    seed = []
-    for i in range(sl.n):
-        below = [j for j in range(sl.n) if sl.le(j, i)]
-        seed.append(rng.choice(below))
-    table = []
-    for i in range(sl.n):
-        acc = sl.bottom
-        for j in range(sl.n):
-            if sl.le(j, i):
-                acc = sl.join(acc, seed[j])
-        table.append(acc)
+    seed = [rng.choice(below) for below in sl.below]
+    table = monotone_closure(sl, seed)
     table[sl.top] = sl.top
     return InteriorOperator(sl, tuple(table))
+
+
+def monotone_closure(lat, seed) -> list:
+    """table[i] = join of seed[j] over every j <= i, as a new list.
+
+    One forward pass over lower covers (a subset zeta transform): index
+    order is a linear extension of the order, so every lower cover of i is
+    final before i, and every j < i lies below one of them. `lat` is a
+    SublocaleLattice or a ComplementedFragment.
+    """
+    table = list(seed)
+    for i, covers in enumerate(lat.lower_covers):
+        acc = table[i]
+        for k in covers:
+            acc = lat.join(acc, table[k])
+        table[i] = acc
+    return table
 
 
 # -- continuity ---------------------------------------------------------------
@@ -579,15 +590,8 @@ def make_continuous_op(f: LocalicMap, op_m: InteriorOperator, rng) -> InteriorOp
     for j in range(op_m.lattice.n):
         s = t.preimage_table[j]
         base[s] = sl.join(base[s], t.preimage_table[op_m(j)])
-    for i in range(sl.n):
-        below = [k for k in range(sl.n) if sl.le(k, i)]
+    for i, below in enumerate(sl.below):
         base[i] = sl.join(base[i], rng.choice(below))
-    table = []
-    for i in range(sl.n):
-        acc = sl.bottom
-        for k in range(sl.n):
-            if sl.le(k, i):
-                acc = sl.join(acc, base[k])
-        table.append(acc)
+    table = monotone_closure(sl, base)
     table[sl.top] = sl.top
     return InteriorOperator(sl, tuple(table))

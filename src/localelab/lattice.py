@@ -52,6 +52,8 @@ class Poset:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != self.n:
             raise ValueError("duplicate labels")
+        # posets and frames key the sublocale and transfer caches: hash once
+        self._hash = hash((self.labels, le.tobytes()))
 
     @staticmethod
     def from_pairs(labels, pairs) -> "Poset":
@@ -139,6 +141,8 @@ class Poset:
         return f"p{self.n}-{digest}"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Poset)
             and self.labels == other.labels
@@ -146,7 +150,7 @@ class Poset:
         )
 
     def __hash__(self):
-        return hash((self.labels, self.le_matrix.tobytes()))
+        return self._hash
 
 
 class Frame:
@@ -170,6 +174,15 @@ class Frame:
         self.arrows_into = tuple(
             mask_of(imp[x][s] for x in range(self.n)) for s in range(self.n)
         )
+        # primes (meet-irreducibles): a != top with exactly one upper cover.
+        # They are the points of the frame, and every sublocale is the
+        # meet-closure of the primes it contains (Birkhoff duality).
+        self.primes = 0
+        for a in range(self.n):
+            above = self.up[a] & ~(1 << a)
+            covers = [b for b in bits(above) if self.dn[b] & above == 1 << b]
+            if len(covers) == 1:
+                self.primes |= 1 << a
 
     # -- element operations -------------------------------------------------
     def le(self, a: int, b: int) -> bool:
@@ -213,7 +226,7 @@ class Frame:
         return "f" + self.poset.key()
 
     def __eq__(self, other):
-        return isinstance(other, Frame) and self.poset == other.poset
+        return self is other or (isinstance(other, Frame) and self.poset == other.poset)
 
     def __hash__(self):
         return hash(self.poset)

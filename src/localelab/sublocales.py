@@ -4,15 +4,21 @@ A sublocale is a subset containing the top, closed under binary meets, and
 closed under Heyting arrows from arbitrary elements. Subsets are bitmasks
 over element indices throughout; `Frame.arrows_into` makes the arrow-closure
 test one mask comparison per member.
+
+For a finite frame S_l(L) is the powerset of the points, which are the primes
+(`Frame.primes`): the sublocale of a set X of primes is the meet-closure of
+X with the top, and its primes are exactly X. S_l is built that way, and its
+order, meets, joins, complements, images and preimages are bitwise operations
+on point masks. The subset-scan definition survives as a test oracle.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import HostMismatch, NotMeetClosed, SizeLimit
-from .lattice import Frame, bits, set_label
+from .lattice import Frame, bits, mask_of, set_label
 from .maps import LocalicMap
 
 DEFAULT_SIZE_LIMIT = 12
@@ -174,10 +180,12 @@ def open_sub(frame: Frame, a: int) -> Sublocale:
 
 
 class SublocaleLattice:
-    """The coframe S_l(L), fully enumerated in (cardinality, bit pattern) order.
+    """The coframe S_l(L), every sublocale indexed in (cardinality, bit pattern) order.
 
-    Meets are intersections; joins are computed on demand and memoized, since
-    eager |S_l|^2 tables are wasteful on chain-like hosts.
+    Index i carries its element mask `masks[i]` and its point mask
+    `points[i]` (the primes it contains, as an element mask). Since S_l(L)
+    is the powerset of the points, le, meet, join and complement are single
+    bitwise operations on point masks, looked up in `by_points`.
     """
 
     def __init__(self, host: Frame, masks):
@@ -185,57 +193,59 @@ class SublocaleLattice:
         self.masks = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
         self.n = len(self.masks)
         self.index = {m: i for i, m in enumerate(self.masks)}
+        self.points = tuple(m & host.primes for m in self.masks)
+        self.by_points = {p: i for i, p in enumerate(self.points)}
+        self.labels = tuple(set_label(host.labels, m) for m in self.masks)
+        # the lower covers of a sublocale drop one of its points
+        self.lower_covers = tuple(
+            tuple(self.by_points[p & ~(1 << x)] for x in bits(p)) for p in self.points
+        )
         self.bottom = self.index[1 << host.top]
         self.top = self.index[host.full_mask]
-        self._join_memo: dict = {}
-        self._complement_memo: dict = {}
         self.open_index = {}
         self.closed_index = {}
         for a in range(host.n):
             self.open_index.setdefault(self.index[open_sub_mask(host, a)], a)
             self.closed_index.setdefault(self.index[host.up[a]], a)
 
+    @cached_property
+    def below(self) -> tuple:
+        """below[i]: every index j <= i, increasing; where contractive seeds are drawn."""
+        pts = self.points
+        return tuple(
+            tuple(j for j in range(self.n) if not pts[j] & ~pts[i]) for i in range(self.n)
+        )
+
     def sub(self, i: int) -> Sublocale:
         return Sublocale(self.host, self.masks[i])
 
     def label(self, i: int) -> str:
-        return set_label(self.host.labels, self.masks[i])
+        return self.labels[i]
 
     def le(self, i: int, j: int) -> bool:
-        return not self.masks[i] & ~self.masks[j]
+        return not self.points[i] & ~self.points[j]
 
     def meet(self, i: int, j: int) -> int:
-        return self.index[self.masks[i] & self.masks[j]]
+        return self.by_points[self.points[i] & self.points[j]]
 
     def join(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        got = self._join_memo.get((i, j))
-        if got is None:
-            got = self.index[sub_join_mask(self.host, (self.masks[i], self.masks[j]))]
-            self._join_memo[(i, j)] = got
-        return got
+        return self.by_points[self.points[i] | self.points[j]]
 
     def meet_many(self, idxs) -> int:
-        m = self.host.full_mask
+        p = self.host.primes
         for i in idxs:
-            m &= self.masks[i]
-        return self.index[m]
+            p &= self.points[i]
+        return self.by_points[p]
 
     def join_many(self, idxs) -> int:
-        return self.index[sub_join_mask(self.host, [self.masks[i] for i in idxs])]
+        p = 0
+        for i in idxs:
+            p |= self.points[i]
+        return self.by_points[p]
 
     def complement(self, i: int):
         """Index of the unique complement, or None."""
-        if i in self._complement_memo:
-            return self._complement_memo[i]
-        out = None
-        for j in range(self.n):
-            if self.meet(i, j) == self.bottom and self.join(i, j) == self.top:
-                out = j
-                break
-        self._complement_memo[i] = out
-        return out
+        return self.by_points.get(self.host.primes & ~self.points[i])
 
     def is_open(self, i: int) -> bool:
         return i in self.open_index
@@ -254,29 +264,12 @@ def _enumerate(host: Frame, bound: int) -> SublocaleLattice:
             f"|L| = {host.n} exceeds the sublocale enumeration bound {bound}",
             witness=(host.n, bound),
         )
-    top_bit = 1 << host.top
-    rest = [i for i in range(host.n) if i != host.top]
-    found = []
-    for sel in range(1 << len(rest)):
-        mask = top_bit
-        for b, i in enumerate(rest):
-            if sel >> b & 1:
-                mask |= 1 << i
-        mem = list(bits(mask))
-        ok = True
-        for ii, a in enumerate(mem):
-            if not ok:
-                break
-            if host.arrows_into[a] & ~mask:
-                ok = False
-                break
-            for b in mem[ii:]:
-                if not mask >> host.meet(a, b) & 1:
-                    ok = False
-                    break
-        if ok:
-            found.append(mask)
-    return SublocaleLattice(host, found)
+    # the meet-closure of each subset of primes with the top; adding a prime
+    # p to a subset adds p ^ c for every c already in its closure
+    closures = [1 << host.top]
+    for p in bits(host.primes):
+        closures += [c | mask_of(host.meet(p, x) for x in bits(c)) for c in closures]
+    return SublocaleLattice(host, closures)
 
 
 def enumerate_sublocales(host: Frame, limit: int | None = None) -> SublocaleLattice:
@@ -386,21 +379,27 @@ class SublocaleTransfer:
 
     @staticmethod
     def build(f: LocalicMap, limit: int | None = None) -> "SublocaleTransfer":
+        """Images and preimages as forward and inverse images of points.
+
+        A localic map sends primes to primes, f[S] is the sublocale of the
+        images of the points of S, and f_-1[T] is the sublocale of the
+        points that f sends into T.
+        """
         sl = enumerate_sublocales(f.source, limit)
         tl = enumerate_sublocales(f.target, limit)
         img = []
-        for m in sl.masks:
+        for pts in sl.points:
             out = 0
-            for x in bits(m):
-                out |= 1 << f(x)
-            img.append(tl.index[out])
+            for p in bits(pts):
+                out |= 1 << f(p)
+            img.append(tl.by_points[out])
         pre = []
-        for tm in tl.masks:
-            raw = 0
-            for x in range(f.source.n):
-                if tm >> f(x) & 1:
-                    raw |= 1 << x
-            pre.append(sl.index[sloc_core(f.source, raw).mask])
+        for pts in tl.points:
+            back = 0
+            for p in bits(f.source.primes):
+                if pts >> f(p) & 1:
+                    back |= 1 << p
+            pre.append(sl.by_points[back])
         return SublocaleTransfer(f, sl, tl, tuple(img), tuple(pre))
 
     def image_of(self, i: int) -> int:

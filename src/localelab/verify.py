@@ -304,12 +304,14 @@ class _Ctx:
     def rng(self, *tag):
         return random.Random(child_seed(self.config.seed, *tag))
 
-    def reg_hit(self, rid, witness=None):
+    def reg_hit(self, rid, build_witness=None):
+        """Count an occurrence; the witness payload is built only for the
+        first occurrence that brings one, since only that one is kept."""
         e = self.registry[rid]
         e["occurrences"] += 1
         e["status"] = "confirmed"
-        if witness is not None and e["witness"] is None:
-            e["witness"] = witness
+        if build_witness is not None and e["witness"] is None:
+            e["witness"] = build_witness()
 
     def report_unexplained(self, check_id, payload):
         self.unexplained.append({"check": check_id, "payload": payload})
@@ -735,7 +737,7 @@ def _check_initial_interior(ctx):
                     continue
                 tallies[a["kind"]] += 1
                 ctx.reg_hit(_INITIAL_REGISTRY_BY_KIND[a["kind"]],
-                            _anomaly_witness(f, op, a))
+                            lambda: _anomaly_witness(f, op, a))
     # the mandated counterexample, on the named fixtures
     f_up = localic_map(two(), chain3(), (0, 2))
     cand, rep = initial_interior(f_up, trivial_op(ctx.sl(chain3())))
@@ -795,7 +797,7 @@ def _check_initial_h(ctx):
                     continue
                 tallies[a["kind"]] += 1
                 ctx.reg_hit(_H_INITIAL_REGISTRY_BY_KIND[a["kind"]],
-                            _anomaly_witness(f, h, a))
+                            lambda: _anomaly_witness(f, h, a))
     f_up = localic_map(two(), chain3(), (0, 2))
     frag3 = complemented_fragment(ctx.sl(chain3()))
     cand, rep = initial_h(f_up, trivial_h(frag3))
@@ -809,6 +811,17 @@ def _check_initial_h(ctx):
     witness = None if status == "pass" else {
         "kind": "static", "lines": ["see the unexplained list"]}
     return status, detail, witness
+
+
+def _coarseness_witness(f, op_m, op_l, at, fragment):
+    return {
+        "kind": "coarseness-anomaly",
+        "map": _map_payload(f),
+        "op_m": _op_payload(op_m),
+        "op_l": _op_payload(op_l),
+        "at": at,
+        "fragment": fragment,
+    }
 
 
 def _check_coarseness(ctx):
@@ -832,19 +845,12 @@ def _check_coarseness(ctx):
             sl = cand.lattice
             i = next(k for k in range(sl.n) if sl.label(k) == gap)
             confirmed = t.preimage_table[t.image_table[i]] != i
-            payload = {
-                "kind": "coarseness-anomaly",
-                "map": _map_payload(f),
-                "op_m": _op_payload(opm),
-                "op_l": _op_payload(opl),
-                "at": gap,
-                "fragment": False,
-            }
             if not confirmed:
-                ctx.report_unexplained(cid, payload)
+                ctx.report_unexplained(cid, _coarseness_witness(f, opm, opl, gap, False))
             else:
                 violations += 1
-                ctx.reg_hit("initial-coarseness", payload)
+                ctx.reg_hit("initial-coarseness",
+                            lambda: _coarseness_witness(f, opm, opl, gap, False))
         # h side: same assert-and-log treatment over the fragment
         hm, hl = h_from_interior(opm), h_from_interior(opl)
         cand_h, hrep = initial_h(f, hm)
@@ -855,19 +861,12 @@ def _check_coarseness(ctx):
             i = frag.member(p)
             defaulted = any(e["at"] == hgap for e in hrep.escapes)
             confirmed = t.preimage_table[t.image_table[i]] != i or defaulted
-            payload = {
-                "kind": "coarseness-anomaly",
-                "map": _map_payload(f),
-                "op_m": _op_payload(hm),
-                "op_l": _op_payload(hl),
-                "at": hgap,
-                "fragment": True,
-            }
             if not confirmed:
-                ctx.report_unexplained(cid, payload)
+                ctx.report_unexplained(cid, _coarseness_witness(f, hm, hl, hgap, True))
             else:
                 h_violations += 1
-                ctx.reg_hit("initial-h-coarseness", payload)
+                ctx.reg_hit("initial-h-coarseness",
+                            lambda: _coarseness_witness(f, hm, hl, hgap, True))
     ctx.counts["operators"] += 2 * checked
     had_unexplained = any(u["check"] == cid for u in ctx.unexplained)
     detail = {"checked": checked, "pointwise_violations": violations,
@@ -923,11 +922,11 @@ def _check_universal_interior(ctx):
         if not rep.equivalent:
             disagreements += 1
             for a in rep.anomalies:
-                payload = _universal_witness(f, g, opm, opn, a, False)
                 if not a["confirmed"]:
-                    ctx.report_unexplained(cid, payload)
+                    ctx.report_unexplained(cid, _universal_witness(f, g, opm, opn, a, False))
                 else:
-                    ctx.reg_hit("universal-interior-anomaly", payload)
+                    ctx.reg_hit("universal-interior-anomaly",
+                                lambda: _universal_witness(f, g, opm, opn, a, False))
     ctx.counts["operators"] += 2 * checked
     had_unexplained = any(u["check"] == cid for u in ctx.unexplained)
     detail = {"checked": checked, "disagreements": disagreements}
@@ -950,11 +949,11 @@ def _check_universal_h(ctx):
         if not rep.equivalent:
             disagreements += 1
             for a in rep.anomalies:
-                payload = _universal_witness(f, g, hm, hn, a, True)
                 if not a["confirmed"]:
-                    ctx.report_unexplained(cid, payload)
+                    ctx.report_unexplained(cid, _universal_witness(f, g, hm, hn, a, True))
                 else:
-                    ctx.reg_hit("universal-h-anomaly", payload)
+                    ctx.reg_hit("universal-h-anomaly",
+                                lambda: _universal_witness(f, g, hm, hn, a, True))
     ctx.counts["operators"] += 2 * checked
     had_unexplained = any(u["check"] == cid for u in ctx.unexplained)
     detail = {"checked": checked, "disagreements": disagreements}

@@ -1,4 +1,18 @@
+import os
+
+import pytest
 from hypothesis import settings
+
+import localelab
 
 settings.register_profile("det", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("det")
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment for child interpreters: PYTHONPATH is the absolute parent of
+    the imported localelab package, so it resolves whatever the child's cwd."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(localelab.__file__)))
+    return env

@@ -95,7 +95,7 @@ def small_maps():
 
 
 @pytest.fixture(scope="module")
-def cli_reports(tmp_path_factory):
+def cli_reports(tmp_path_factory, subprocess_env):
     d = tmp_path_factory.mktemp("acceptance")
     exe = shutil.which("localelab")
     base = [exe] if exe else [sys.executable, "-m", "localelab.cli"]
@@ -114,6 +114,7 @@ def cli_reports(tmp_path_factory):
             text=True,
             timeout=280,
             cwd=run_dir,
+            env=subprocess_env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)

@@ -205,12 +205,12 @@ def test_replay_from_report_file(files, capsys):
     assert "unknown witness" in capsys.readouterr().err
 
 
-def test_console_script_is_installed(files):
+def test_console_script_is_installed(files, subprocess_env):
     exe = shutil.which("localelab")
     if exe is None:
         pytest.skip("console script not on PATH")
     proc = subprocess.run(
-        [exe, "check", files["chain3"]], capture_output=True, text=True
+        [exe, "check", files["chain3"]], capture_output=True, text=True, env=subprocess_env
     )
     assert proc.returncode == 0
     assert "all laws hold" in proc.stdout

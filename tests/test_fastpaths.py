@@ -1,0 +1,162 @@
+"""Fast paths against the brute-force definitions they replaced.
+
+S_l is built from primes, points are read off primes, transfer tables are
+images of points, I2 and h2 are decided on cover pairs, and the operator
+samplers close over lower covers. Each is compared here with the scan in
+`oracles.py` on every small frame, or on random tables.
+"""
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from localelab.corpus import chain3, chain4, corpus_frames, sierpinski, square, two
+from localelab.hops import HOperator, check_h, complemented_fragment, random_h
+from localelab.interior import InteriorOperator, check_interior, make_continuous_op, random_op
+from localelab.lattice import build_frame, frame_of_space
+from localelab.maps import FrameHom, enumerate_frame_homs, right_adjoint
+from localelab.points import points_of
+from localelab.sublocales import enumerate_sublocales, transfer_of
+from oracles import (
+    brute_continuous_table,
+    brute_h_axioms,
+    brute_image_table,
+    brute_interior_axioms,
+    brute_point_filters,
+    brute_preimage_table,
+    brute_random_table,
+    brute_sublocale_masks,
+)
+
+CORPUS4 = [fr for _, fr in corpus_frames(4)]
+CORPUS5 = [fr for _, fr in corpus_frames(5)]
+FIXTURES = [two(), chain3(), chain4(), square(), frame_of_space(sierpinski()),
+            build_frame(("0",), ())]
+
+
+def test_primes_are_meet_irreducible():
+    for fr in CORPUS4 + FIXTURES:
+        for a in range(fr.n):
+            irreducible = a != fr.top and all(
+                fr.meet(b, c) != a
+                for b in range(fr.n) for c in range(fr.n) if b != a and c != a
+            )
+            assert bool(fr.primes >> a & 1) == irreducible, (fr, a)
+
+
+def test_sublocale_lattice_matches_subset_scan():
+    frames = CORPUS4 + [fr for fr in CORPUS5 if fr.n <= 12] + FIXTURES
+    for fr in frames:
+        sl = enumerate_sublocales(fr, limit=fr.n)
+        assert list(sl.masks) == brute_sublocale_masks(fr), fr
+        for i in range(sl.n):
+            assert sl.label(i) == sl.sub(i).label()
+            below = sorted(j for j in range(sl.n) if not sl.masks[j] & ~sl.masks[i])
+            assert list(sl.below[i]) == below
+            for j in range(sl.n):
+                assert sl.le(i, j) == (not sl.masks[i] & ~sl.masks[j])
+                assert sl.masks[sl.meet(i, j)] == sl.masks[i] & sl.masks[j]
+                union = sl.masks[i] | sl.masks[j]
+                least = fr.full_mask
+                for m in sl.masks:
+                    if not union & ~m:
+                        least &= m
+                assert sl.masks[sl.join(i, j)] == least
+            covers = [j for j in below if j != i
+                      and not any(k not in (i, j) and sl.le(j, k) for k in below)]
+            assert sorted(sl.lower_covers[i]) == covers
+
+
+def test_points_match_assignment_scan():
+    frames = [fr for fr in CORPUS5 if fr.n <= 16] + FIXTURES
+    for fr in frames:
+        assert [p.filter for p in points_of(fr)] == brute_point_filters(fr), fr
+
+
+def test_trivial_frame_has_no_points():
+    assert points_of(build_frame(("0",), ())) == []
+
+
+def _maps(frames, max_candidates):
+    """Localic maps between frames within the default S_l bound, pairs with at
+    most max_candidates hom candidates."""
+    frames = [fr for fr in frames if fr.n <= 12]
+    for a in frames:
+        for b in frames:
+            if b.n ** a.n <= max_candidates:
+                for table in enumerate_frame_homs(a, b, budget=max_candidates):
+                    yield right_adjoint(FrameHom(a, b, table))
+
+
+def test_transfer_tables_match_sloc_core():
+    checked = 0
+    for f in _maps(CORPUS4, 5000):
+        t = transfer_of(f)
+        assert t.preimage_table == brute_preimage_table(t), f.describe()
+        assert t.image_table == brute_image_table(t), f.describe()
+        checked += 1
+    assert checked > 500
+
+
+# -- I2 and h2 on cover pairs ----------------------------------------------------
+
+SMALL_LATTICES = [enumerate_sublocales(fr) for fr in CORPUS4 if fr.n <= 12]
+
+
+@st.composite
+def tables(draw):
+    """A lattice and a table on it: raw, or a valid operator with a few entries
+    overwritten, so monotone, nearly monotone and wild tables all occur."""
+    sl = draw(st.sampled_from(SMALL_LATTICES))
+    entry = st.integers(0, sl.n - 1)
+    if draw(st.booleans()):
+        table = draw(st.lists(entry, min_size=sl.n, max_size=sl.n))
+    else:
+        table = list(random_op(sl, random.Random(draw(st.integers(0, 2**16)))).table)
+        for _ in range(draw(st.integers(0, 2))):
+            table[draw(entry)] = draw(entry)
+    return sl, tuple(table)
+
+
+@given(tables())
+def test_check_interior_matches_all_pairs_scan(case):
+    sl, table = case
+    op = InteriorOperator(sl, table)
+    rep = check_interior(op)
+    assert (rep.passed, rep.witnesses) == brute_interior_axioms(op)
+
+
+@given(tables())
+def test_check_h_matches_all_pairs_scan(case):
+    sl, table = case
+    h = HOperator(complemented_fragment(sl), table)
+    rep = check_h(h)
+    assert (rep.passed, rep.witnesses) == brute_h_axioms(h)
+
+
+# -- samplers: same draws, same tables as the O(n^2) loops --------------------------
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_samplers_match_quadratic_loops(seed):
+    for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
+        for sample, lat in ((random_op, sl), (random_h, complemented_fragment(sl))):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert sample(lat, fast).table == brute_random_table(lat, slow)
+            assert fast.random() == slow.random()
+
+
+def test_make_continuous_op_matches_quadratic_loop():
+    checked = 0
+    for k, f in enumerate(_maps(CORPUS4, 2000)):
+        if k % 7:
+            continue
+        rng = random.Random(k)
+        op_m = random_op(enumerate_sublocales(f.target), rng)
+        fast, slow = random.Random(k), random.Random(k)
+        op_l = make_continuous_op(f, op_m, fast)
+        assert op_l.table == brute_continuous_table(f, op_m, transfer_of(f), slow)
+        assert fast.random() == slow.random()
+        checked += 1
+    assert checked > 50

@@ -5,11 +5,13 @@ of the harness itself and double-checked against a second run; they pin the
 sampling plan, so any change to striding, budgets, or seed derivation shows
 up here first.
 """
+import hashlib
 import json
 
 import pytest
 
 from localelab.errors import UnknownWitness
+from localelab.serialize import save_json
 from localelab.verify import CHECK_ORDER, CorpusConfig, run_verification, replay
 
 ALL_CHECKS = [
@@ -104,6 +106,15 @@ def test_config_echo(default_report):
         "seed": 42,
         "checks": ALL_CHECKS,
     }
+
+
+def test_default_report_bytes_pinned(default_report, tmp_path):
+    # the bytes `localelab verify --report` writes at the defaults (seed 42);
+    # a deliberate change to them bumps ARTIFACT_VERSION and re-pins this
+    path = tmp_path / "report.json"
+    save_json(str(path), default_report)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c89f46ba12b26929fbc78c2bf3be97255f7b9f182ad635598f4e2f813ca4fd9c"
 
 
 def test_reports_are_byte_identical_for_equal_configs():
