@@ -22,6 +22,7 @@ from .corpus import (
 )
 from .dot import hasse_dot, sublocales_dot
 from .errors import (
+    BadConfig,
     DomainMismatch,
     EmptyFamily,
     HostMismatch,
@@ -106,7 +107,7 @@ __all__ = [
     "__version__",
     "LocaleLabError", "NotAPoset", "NoMeetOrJoin", "NotDistributive", "NotASpace",
     "NotMeetClosed", "NotLocalic", "NotContinuous", "DomainMismatch", "HostMismatch",
-    "EmptyFamily", "SizeLimit", "UnknownWitness",
+    "EmptyFamily", "SizeLimit", "BadConfig", "UnknownWitness",
     "Poset", "Frame", "FiniteSpace", "build_frame", "heyting", "pseudocomplement",
     "downset_frame", "frame_of_space", "order_iso",
     "two", "chain3", "chain4", "square", "sierpinski", "discrete_space",

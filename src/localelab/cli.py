@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes are scriptable: 0 pass, 1 law violation (with the first witness),
-2 I/O or parse trouble, 3 enumeration bound exceeded. The enumeration bound
-itself comes from LOCALELAB_SIZE_LIMIT when set.
+2 I/O, parse or config trouble, 3 enumeration bound exceeded. The enumeration
+bound itself comes from LOCALELAB_SIZE_LIMIT when set; a value that is not an
+integer is config trouble.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import LocaleLabError, SizeLimit, UnknownWitness
+from .errors import BadConfig, LocaleLabError, SizeLimit, UnknownWitness
 from .hops import HOperator, check_h, complemented_fragment, initial_h
 from .interior import check_interior, initial_interior
 from .points import points_of, pt_space, spatialization
@@ -210,6 +211,9 @@ def main(argv=None) -> int:
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 3
+    except BadConfig as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+        return 2
     except UnknownWitness as exc:
         print(f"unknown witness: {exc}", file=sys.stderr)
         return 1

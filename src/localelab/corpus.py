@@ -10,7 +10,12 @@ import hashlib
 from functools import lru_cache
 from itertools import permutations
 
+from .errors import SizeLimit
 from .lattice import FiniteSpace, Frame, Poset, bits, build_frame, downset_frame
+
+# all_posets scans 2^(n(n-1)/2) relations with an n!-permutation canonical
+# form each; at n = 6 that is 2^15 x 720 and does not finish
+MAX_POSET_SIZE = 5
 
 
 def child_seed(*parts) -> int:
@@ -100,7 +105,9 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     Candidates are upper-triangular relations only (every poset has a linear
     extension, so each class is hit), deduplicated by canonical form.
     Representatives are labeled "0".."n-1" and sorted by canonical key.
+    SizeLimit past MAX_POSET_SIZE.
     """
+    _admit(n)
     if n == 0:
         return ()
     labels = tuple(str(i) for i in range(n))
@@ -131,8 +138,20 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     return tuple(by_key[k] for k in sorted(by_key))
 
 
+def _admit(size: int) -> None:
+    if size > MAX_POSET_SIZE:
+        raise SizeLimit(
+            f"posets of size {size} exceed the supported maximum {MAX_POSET_SIZE}",
+            witness=(size, MAX_POSET_SIZE),
+        )
+
+
 def corpus_posets(max_size: int) -> tuple[Poset, ...]:
-    """All iso-class representatives of sizes 1..max_size, in canonical order."""
+    """All iso-class representatives of sizes 1..max_size, in canonical order.
+
+    SizeLimit past MAX_POSET_SIZE, before any poset is built.
+    """
+    _admit(max_size)
     out = []
     for n in range(1, max_size + 1):
         out.extend(all_posets(n))

@@ -54,6 +54,10 @@ class EmptyFamily(LocaleLabError):
     """Lattice operation applied to an empty family of operators."""
 
 
+class BadConfig(LocaleLabError):
+    """A setting, such as LOCALELAB_SIZE_LIMIT, has a value that cannot be used."""
+
+
 class SizeLimit(LocaleLabError):
     """Instance exceeds the configured enumeration bound."""
 

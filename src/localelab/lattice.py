@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +154,17 @@ class Poset:
         return self._hash
 
 
+def _single_cover_mask(ahead, behind) -> int:
+    """Bitmask of the elements a with exactly one cover in the direction of
+    `ahead` (up-sets for upper covers, down-sets for lower covers)."""
+    out = 0
+    for a, reach in enumerate(ahead):
+        strict = reach & ~(1 << a)
+        if sum(1 for b in bits(strict) if behind[b] & strict == 1 << b) == 1:
+            out |= 1 << a
+    return out
+
+
 class Frame:
     """A finite frame: validated distributive lattice with Heyting tables."""
 
@@ -177,12 +189,16 @@ class Frame:
         # primes (meet-irreducibles): a != top with exactly one upper cover.
         # They are the points of the frame, and every sublocale is the
         # meet-closure of the primes it contains (Birkhoff duality).
-        self.primes = 0
-        for a in range(self.n):
-            above = self.up[a] & ~(1 << a)
-            covers = [b for b in bits(above) if self.dn[b] & above == 1 << b]
-            if len(covers) == 1:
-                self.primes |= 1 << a
+        self.primes = _single_cover_mask(self.up, self.dn)
+
+    @cached_property
+    def join_irreducibles(self) -> int:
+        """Bitmask of a != bottom with exactly one lower cover, dual to `primes`.
+
+        Every element is the join of the join-irreducibles below it, so the
+        frame is the downset frame of this subposet (Birkhoff duality).
+        """
+        return _single_cover_mask(self.dn, self.up)
 
     # -- element operations -------------------------------------------------
     def le(self, a: int, b: int) -> bool:

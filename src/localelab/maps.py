@@ -3,10 +3,9 @@ continuous point maps with their open-preimage homs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DomainMismatch, NotContinuous, NotLocalic, SizeLimit
-from .lattice import FiniteSpace, Frame, frame_of_space
+from .lattice import FiniteSpace, Frame, bits, frame_of_space
 
 
 @dataclass(frozen=True)
@@ -171,19 +170,49 @@ def compose_localic(g: LocalicMap, f: LocalicMap) -> LocalicMap:
 
 
 def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):
-    """All frame homs source -> target as tables, by brute enumeration."""
+    """All frame homs source -> target as tables, in lexicographic order.
+
+    By Birkhoff duality a hom h: L -> M of finite frames is a monotone map
+    phi from the join-irreducibles of M to those of L, read back as
+    h(a) = v{q : phi(q) <= a}. The maps phi are built by backtracking over
+    J(M) in index order, a value dropped as soon as it breaks the order
+    against an element already assigned.
+
+    `budget` bounds the |M|^|L| candidate tables, the size of the
+    brute-force space the harness admits frame pairs by; past it, SizeLimit.
+    """
     total = target.n ** source.n
     if total > budget:
         raise SizeLimit(
             f"{total} candidate maps exceed the enumeration budget {budget}",
             witness=(source.n, target.n),
         )
+    jl, jm = source.join_irreducibles, target.join_irreducibles
+    qs = list(bits(jm))
+    # the target element with exactly a given set of join-irreducibles below it
+    element_of = {target.dn[x] & jm: x for x in range(target.n)}
+    phi = [0] * len(qs)
     out = []
-    for cand in product(range(target.n), repeat=source.n):
-        if cand[source.top] != target.top or cand[source.bottom] != target.bottom:
-            continue
-        if check_frame_hom(source, target, cand).ok:
-            out.append(cand)
+
+    def extend(k):
+        if k == len(qs):
+            out.append(tuple(
+                element_of[sum(1 << q for q, p in zip(qs, phi) if source.dn[a] >> p & 1)]
+                for a in range(source.n)
+            ))
+            return
+        q, allowed = qs[k], jl
+        for i in range(k):
+            if target.le(qs[i], q):
+                allowed &= source.up[phi[i]]
+            elif target.le(q, qs[i]):
+                allowed &= source.dn[phi[i]]
+        for p in bits(allowed):
+            phi[k] = p
+            extend(k + 1)
+
+    extend(0)
+    out.sort()
     return out
 
 

@@ -8,18 +8,14 @@ filters, which are exactly the complements L minus the down-set of a prime
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import SizeLimit
 from .lattice import FiniteSpace, Frame, bits, frame_of_space
 from .maps import ContinuousMap, FrameHom
+from .sublocales import size_limit
 
 POINT_SIZE_LIMIT = 16
-
-
-def _point_bound():
-    return int(os.environ.get("LOCALELAB_SIZE_LIMIT", str(POINT_SIZE_LIMIT)))
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,7 @@ class Point:
 def points_of(frame: Frame, limit=None) -> list:
     """All points of the frame, sorted by filter mask: one per prime p, sending
     exactly the elements not below p to 1."""
-    bound = limit if limit is not None else _point_bound()
+    bound = limit if limit is not None else size_limit(POINT_SIZE_LIMIT)
     if frame.n > bound:
         raise SizeLimit(
             f"|L| = {frame.n} exceeds the point enumeration bound {bound}",

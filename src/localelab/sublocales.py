@@ -17,15 +17,25 @@ import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import HostMismatch, NotMeetClosed, SizeLimit
+from .errors import BadConfig, HostMismatch, NotMeetClosed, SizeLimit
 from .lattice import Frame, bits, mask_of, set_label
 from .maps import LocalicMap
 
 DEFAULT_SIZE_LIMIT = 12
 
 
-def size_limit() -> int:
-    return int(os.environ.get("LOCALELAB_SIZE_LIMIT", str(DEFAULT_SIZE_LIMIT)))
+def size_limit(default: int = DEFAULT_SIZE_LIMIT) -> int:
+    """The enumeration bound: LOCALELAB_SIZE_LIMIT when set, else `default`."""
+    raw = os.environ.get("LOCALELAB_SIZE_LIMIT")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadConfig(
+            f"LOCALELAB_SIZE_LIMIT must be an integer, got {raw!r}",
+            witness=("LOCALELAB_SIZE_LIMIT", raw),
+        ) from None
 
 
 def as_mask(frame: Frame, members) -> int:
@@ -321,19 +331,32 @@ class AdjReport:
 
 def check_adjunction(f: LocalicMap, limit: int | None = None) -> AdjReport:
     """Verify f[S] <= T iff S <= f_-1[T] over all sublocale pairs."""
-    t = SublocaleTransfer.build(f, limit)
+    return adjunction_report(SublocaleTransfer.build(f, limit))
+
+
+def adjunction_report(t: SublocaleTransfer) -> AdjReport:
+    """Is image -| preimage a Galois connection on the transfer's tables?
+
+    It is iff both tables are monotone, which cover pairs decide, and the
+    unit S <= f_-1[f[S]] and the counit f[f_-1[T]] <= T hold. Only when one
+    of these fails are all pairs scanned, for the lex-first witness.
+    """
+    sl, tl, img, pre = t.source_lattice, t.target_lattice, t.image_table, t.preimage_table
+    if (
+        all(tl.le(img[c], img[i]) for i in range(sl.n) for c in sl.lower_covers[i])
+        and all(sl.le(pre[c], pre[j]) for j in range(tl.n) for c in tl.lower_covers[j])
+        and all(sl.le(i, pre[img[i]]) for i in range(sl.n))
+        and all(tl.le(img[pre[j]], j) for j in range(tl.n))
+    ):
+        return AdjReport(True, sl.n * tl.n)
     pairs = 0
-    for i in range(t.source_lattice.n):
-        for j in range(t.target_lattice.n):
+    for i in range(sl.n):
+        for j in range(tl.n):
             pairs += 1
-            lhs = t.target_lattice.le(t.image_table[i], j)
-            rhs = t.source_lattice.le(i, t.preimage_table[j])
+            lhs = tl.le(img[i], j)
+            rhs = sl.le(i, pre[j])
             if lhs != rhs:
-                return AdjReport(
-                    False,
-                    pairs,
-                    (t.source_lattice.label(i), t.target_lattice.label(j), lhs, rhs),
-                )
+                return AdjReport(False, pairs, (sl.label(i), tl.label(j), lhs, rhs))
     return AdjReport(True, pairs)
 
 

@@ -1,18 +1,19 @@
 """Seeded verification harness over the poset corpus.
 
-Generates every poset up to a size bound, their downset frames, and all frame
-homs that fit a candidate budget, then runs the proposition checks. Reports
-are plain dicts with no timestamps, so a fixed config reproduces them byte
-for byte. Failures that match a documented discrepancy are routed to the
-known-anomaly registry; anything else lands in `unexplained` and fails the
-check that found it.
+Generates every poset up to a size bound, their downset frames, and the frame
+homs of every pair of frames the map budget admits (an admission rule on the
+|M|^|L| candidate count, not the enumeration cost), then runs the proposition
+checks. Reports are plain dicts with no timestamps, so a fixed config
+reproduces them byte for byte. Failures that match a documented discrepancy
+are routed to the known-anomaly registry; anything else lands in
+`unexplained` and fails the check that found it.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .corpus import all_posets, chain3, child_seed, corpus_frames, square, two
+from .corpus import all_posets, chain3, child_seed, corpus_frames, corpus_posets, square, two
 from .errors import SizeLimit, UnknownWitness
 from .hops import (
     HOperator,
@@ -265,9 +266,7 @@ class _Ctx:
         self.config = config
         self.frame_cap = max(size_limit(), 1 << config.max_poset_size)
         self.map_frame_cap = size_limit()
-        self.posets = []
-        for n in range(1, config.max_poset_size + 1):
-            self.posets.extend(all_posets(n))
+        self.posets = list(corpus_posets(config.max_poset_size))
         self.frames = list(corpus_frames(config.max_poset_size))
         self.counts = {
             "posets": len(self.posets),
@@ -321,11 +320,13 @@ class _Ctx:
 
     @property
     def maps(self):
-        """Localic maps from every enumerable frame hom, cheapest pairs first.
+        """Localic maps from every admitted frame hom, cheapest pairs first.
 
-        A pair of frames is enumerated only while its candidate count fits in
-        what remains of the budget; the order is deterministic, so the same
-        budget always selects the same maps.
+        The budget is an admission rule, not the enumeration cost: a pair of
+        frames is admitted only while its |M|^|L| candidate count fits in
+        what remains of it, and `hom_candidates` sums the admitted counts.
+        The order is deterministic, so the same budget always selects the
+        same maps.
         """
         if self._maps is None:
             usable = self.eligible_frames()

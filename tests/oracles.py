@@ -4,8 +4,23 @@ Each function here is the definition the fast path replaced, kept as a scan
 over subsets, assignments or all pairs, so that property tests can compare
 the two on every small frame.
 """
+from itertools import product
+
 from localelab.lattice import bits
-from localelab.sublocales import sloc_core
+from localelab.maps import check_frame_hom
+from localelab.sublocales import AdjReport, sloc_core
+
+
+def brute_frame_homs(source, target):
+    """Every table source -> target that check_frame_hom accepts, scanned over
+    all |M|^|L| candidates in itertools.product (lexicographic) order."""
+    out = []
+    for cand in product(range(target.n), repeat=source.n):
+        if cand[source.top] != target.top or cand[source.bottom] != target.bottom:
+            continue
+        if check_frame_hom(source, target, cand).ok:
+            out.append(cand)
+    return out
 
 
 def brute_sublocale_masks(host):
@@ -89,6 +104,29 @@ def brute_image_table(t):
             img |= 1 << f(x)
         out.append(tl.index[img])
     return tuple(out)
+
+
+def brute_monotone_count(p, q):
+    """Monotone maps p -> q between posets, counted over all |q|^|p| functions."""
+    pairs = [(a, b) for a in range(p.n) for b in range(p.n) if a != b and p.leq(a, b)]
+    return sum(
+        1 for f in product(range(q.n), repeat=p.n) if all(q.leq(f[a], f[b]) for a, b in pairs)
+    )
+
+
+def brute_adjunction(t):
+    """AdjReport of a SublocaleTransfer: f[S] <= T iff S <= f_-1[T], scanned
+    over all pairs up to the lex-first failure."""
+    sl, tl = t.source_lattice, t.target_lattice
+    pairs = 0
+    for i in range(sl.n):
+        for j in range(tl.n):
+            pairs += 1
+            lhs = tl.le(t.image_table[i], j)
+            rhs = sl.le(i, t.preimage_table[j])
+            if lhs != rhs:
+                return AdjReport(False, pairs, (sl.label(i), tl.label(j), lhs, rhs))
+    return AdjReport(True, pairs)
 
 
 def brute_interior_axioms(op):

@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -182,6 +183,25 @@ def test_verify_bad_checks_is_exit_2(files, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_bad_size_limit_env_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "abc")
+    assert main(["verify", "--max-poset", "2", "--samples", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "LOCALELAB_SIZE_LIMIT" in err and "'abc'" in err
+
+
+def test_verify_max_poset_6_fails_fast(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--max-poset", "6"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "supported maximum 5" in capsys.readouterr().err
+
+
+def test_verify_max_poset_5_still_runs(capsys):
+    assert main(["verify", "--max-poset", "5", "--samples", "0", "--checks", "poset-counts"]) == 0
+    assert "pass  poset-counts" in capsys.readouterr().out
+
+
 def test_verify_reports_are_byte_identical(files, capsys):
     r1 = str(files["dir"] / "rep1.json")
     r2 = str(files["dir"] / "rep2.json")
@@ -211,6 +231,15 @@ def test_console_script_is_installed(files, subprocess_env):
         pytest.skip("console script not on PATH")
     proc = subprocess.run(
         [exe, "check", files["chain3"]], capture_output=True, text=True, env=subprocess_env
+    )
+    assert proc.returncode == 0
+    assert "all laws hold" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli(files, subprocess_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "localelab", "check", files["chain3"]],
+        capture_output=True, text=True, env=subprocess_env,
     )
     assert proc.returncode == 0
     assert "all laws hold" in proc.stdout

@@ -11,6 +11,7 @@ from itertools import permutations
 import pytest
 
 from localelab.corpus import (
+    MAX_POSET_SIZE,
     all_posets,
     canonical_poset_key,
     chain3,
@@ -25,6 +26,7 @@ from localelab.corpus import (
     square,
     two,
 )
+from localelab.errors import SizeLimit
 from localelab.lattice import Poset, downset_frame
 
 UNLABELED = {1: 1, 2: 2, 3: 5, 4: 16}
@@ -172,3 +174,11 @@ def test_posets_are_isomorphic_on_relabelings():
     assert posets_are_isomorphic(p, q)
     assert not posets_are_isomorphic(p, antichain)
     assert canonical_poset_key(p) == canonical_poset_key(q)
+
+
+def test_posets_past_the_supported_size_are_refused():
+    assert MAX_POSET_SIZE == 5
+    for build in (all_posets, corpus_posets, corpus_frames):
+        with pytest.raises(SizeLimit) as exc:
+            build(6)
+        assert exc.value.witness == (6, 5)

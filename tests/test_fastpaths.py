@@ -1,28 +1,45 @@
 """Fast paths against the brute-force definitions they replaced.
 
-S_l is built from primes, points are read off primes, transfer tables are
-images of points, I2 and h2 are decided on cover pairs, and the operator
-samplers close over lower covers. Each is compared here with the scan in
-`oracles.py` on every small frame, or on random tables.
+S_l is built from primes, points are read off primes, frame homs are monotone
+maps of join-irreducibles, transfer tables are images of points, I2 and h2 are
+decided on cover pairs, the Galois adjunction on unit, counit and covers, and
+the operator samplers close over lower covers. Each is compared here with the
+scan in `oracles.py` on every small frame, or on random tables.
 """
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localelab.corpus import chain3, chain4, corpus_frames, sierpinski, square, two
+from localelab.corpus import (
+    chain3,
+    chain4,
+    corpus_frames,
+    corpus_posets,
+    sierpinski,
+    square,
+    two,
+)
 from localelab.hops import HOperator, check_h, complemented_fragment, random_h
 from localelab.interior import InteriorOperator, check_interior, make_continuous_op, random_op
 from localelab.lattice import build_frame, frame_of_space
 from localelab.maps import FrameHom, enumerate_frame_homs, right_adjoint
 from localelab.points import points_of
-from localelab.sublocales import enumerate_sublocales, transfer_of
+from localelab.sublocales import (
+    SublocaleTransfer,
+    adjunction_report,
+    enumerate_sublocales,
+    transfer_of,
+)
 from oracles import (
+    brute_adjunction,
     brute_continuous_table,
+    brute_frame_homs,
     brute_h_axioms,
     brute_image_table,
     brute_interior_axioms,
+    brute_monotone_count,
     brute_point_filters,
     brute_preimage_table,
     brute_random_table,
@@ -31,8 +48,8 @@ from oracles import (
 
 CORPUS4 = [fr for _, fr in corpus_frames(4)]
 CORPUS5 = [fr for _, fr in corpus_frames(5)]
-FIXTURES = [two(), chain3(), chain4(), square(), frame_of_space(sierpinski()),
-            build_frame(("0",), ())]
+TRIVIAL = build_frame(("0",), ())
+FIXTURES = [two(), chain3(), chain4(), square(), frame_of_space(sierpinski()), TRIVIAL]
 
 
 def test_primes_are_meet_irreducible():
@@ -78,6 +95,45 @@ def test_trivial_frame_has_no_points():
     assert points_of(build_frame(("0",), ())) == []
 
 
+# -- frame homs by duality -----------------------------------------------------------
+
+
+def _reindexed(fr):
+    """The same frame with its element indices reversed, so that index order
+    is no longer a linear extension of the order."""
+    return build_frame(fr.labels[::-1], [(fr.labels[a], fr.labels[b]) for a, b in fr.covers()])
+
+
+def test_frame_homs_match_product_scan():
+    checked = candidates = 0
+    for a in CORPUS4 + [TRIVIAL]:
+        for b in CORPUS4 + [TRIVIAL]:
+            if b.n ** a.n <= 20_000:
+                assert enumerate_frame_homs(a, b) == brute_frame_homs(a, b), (a, b)
+                checked += 1
+                candidates += b.n ** a.n
+    assert (checked, candidates) == (238, 844_843)
+    reindexed = [_reindexed(fr) for fr in (square(), CORPUS4[4], CORPUS4[5], CORPUS4[18])]
+    for a in reindexed + [chain3()]:
+        for b in reindexed:
+            assert enumerate_frame_homs(a, b) == brute_frame_homs(a, b), (a, b)
+    assert enumerate_frame_homs(TRIVIAL, TRIVIAL) == [(0,)]
+    assert enumerate_frame_homs(TRIVIAL, two()) == []
+    assert enumerate_frame_homs(two(), TRIVIAL) == [(0, 0)]
+
+
+def test_hom_counts_are_monotone_maps():
+    """Homs D(P) -> D(Q) are the monotone maps Q -> P, on every corpus-4 pair."""
+    posets = corpus_posets(4)
+    total = 0
+    for p, a in zip(posets, CORPUS4):
+        for q, b in zip(posets, CORPUS4):
+            count = len(enumerate_frame_homs(a, b, budget=16 ** 16))
+            assert count == brute_monotone_count(q, p), (p, q)
+            total += count
+    assert total == 19_702
+
+
 def _maps(frames, max_candidates):
     """Localic maps between frames within the default S_l bound, pairs with at
     most max_candidates hom candidates."""
@@ -97,6 +153,33 @@ def test_transfer_tables_match_sloc_core():
         assert t.image_table == brute_image_table(t), f.describe()
         checked += 1
     assert checked > 500
+
+
+# -- the Galois adjunction on unit, counit and covers --------------------------------
+
+TRANSFERS = [transfer_of(f) for f in _maps(CORPUS4, 500)]
+
+
+@st.composite
+def transfers(draw):
+    """The transfer of a real map, with up to two table entries overwritten by
+    an arbitrary index or by another entry of the same table."""
+    t = draw(st.sampled_from(TRANSFERS))
+    tables = {"image_table": list(t.image_table), "preimage_table": list(t.preimage_table)}
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(tables)))
+        table = tables[name]
+        k = st.integers(0, len(table) - 1)
+        values = len(t.target_lattice if name == "image_table" else t.source_lattice)
+        table[draw(k)] = draw(st.one_of(st.integers(0, values - 1), k.map(table.__getitem__)))
+    return SublocaleTransfer(t.map, t.source_lattice, t.target_lattice,
+                             tuple(tables["image_table"]), tuple(tables["preimage_table"]))
+
+
+@given(transfers())
+@settings(max_examples=300)
+def test_adjunction_report_matches_all_pairs_scan(t):
+    assert adjunction_report(t) == brute_adjunction(t)
 
 
 # -- I2 and h2 on cover pairs ----------------------------------------------------
