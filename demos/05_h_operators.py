@@ -1,7 +1,8 @@
-"""h operators live on the complemented fragment of S_l(L).
+"""h operators are checked through their cores S cap h(S).
 
-On every corpus frame the fragment is all of S_l, so contractive h
-operators and interior operators are interchangeable through the lift and
+S_l(L) of a finite frame is Boolean, so every sublocale is complemented and
+h operators are tables over all of S_l, like interior operators. Contractive
+h operators and interior operators are interchangeable through the lift and
 its inverse. Two things are shown that the symmetric story would not
 predict: h1 holds vacuously-or-really for every table, and the discrete
 operator is not the largest h operator, only the largest contractive one.
@@ -13,21 +14,20 @@ from localelab.hops import (
     complemented_fragment,
     discrete_h,
     h_from_interior,
-    h_le,
     interior_from_h,
     trivial_h,
 )
-from localelab.interior import discrete_op
+from localelab.interior import discrete_op, op_le
 from localelab.sublocales import enumerate_sublocales
 
 
 def main():
     sl = enumerate_sublocales(chain3())
-    frag = complemented_fragment(sl)
-    print(f"fragment of S_l(CHAIN3): {frag.n} of {sl.n} sublocales (all complemented)")
+    complemented_fragment(sl)  # raises unless every sublocale is complemented
+    print(f"S_l(CHAIN3): {sl.n} sublocales, all complemented")
 
-    disc = discrete_h(frag)
-    triv = trivial_h(frag)
+    disc = discrete_h(sl)
+    triv = trivial_h(sl)
     print("discrete axioms:", check_h(disc).passed)
     print("trivial axioms:", check_h(triv).passed)
 
@@ -37,12 +37,14 @@ def main():
     print("round trip interior -> h -> interior is exact:",
           interior_from_h(lifted).table == discrete_op(sl).table)
 
-    # constant-top is a valid h operator strictly above discrete
-    const_top = HOperator(frag, tuple(frag.top for _ in range(frag.n)))
+    # constant-top is a valid h operator strictly above discrete; its core
+    # S cap L = S is the discrete interior operator
+    const_top = HOperator(sl, tuple(sl.top for _ in range(sl.n)))
     rep = check_h(const_top)
     print("\nconstant-top table axioms:", rep.passed)
-    print("discrete <= constant-top:", h_le(disc, const_top))
-    print("constant-top <= discrete:", h_le(const_top, disc))
+    print("core of constant-top equals discrete:", const_top.core.table == disc.table)
+    print("discrete <= constant-top:", op_le(disc, const_top))
+    print("constant-top <= discrete:", op_le(const_top, disc))
 
 
 if __name__ == "__main__":

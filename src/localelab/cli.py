@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import BadConfig, LocaleLabError, SizeLimit, UnknownWitness
-from .hops import HOperator, check_h, complemented_fragment, initial_h
+from .hops import HOperator, check_h, initial_h
 from .interior import check_interior, initial_interior
 from .points import points_of, pt_space, spatialization
 from .serialize import (

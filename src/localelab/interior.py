@@ -105,6 +105,7 @@ def _same_lattice(ops):
 
 
 def op_join(family) -> InteriorOperator:
+    """Pointwise join, of the same operator type as the family's first member."""
     ops = list(family)
     if not ops:
         raise EmptyFamily("join of an empty operator family")
@@ -115,10 +116,11 @@ def op_join(family) -> InteriorOperator:
         for op in ops[1:]:
             acc = sl.join(acc, op(i))
         table.append(acc)
-    return InteriorOperator(sl, tuple(table))
+    return type(ops[0])(sl, tuple(table))
 
 
 def op_meet(family) -> InteriorOperator:
+    """Pointwise meet, of the same operator type as the family's first member."""
     ops = list(family)
     if not ops:
         raise EmptyFamily("meet of an empty operator family")
@@ -129,7 +131,7 @@ def op_meet(family) -> InteriorOperator:
         for op in ops[1:]:
             acc = sl.meet(acc, op(i))
         table.append(acc)
-    return InteriorOperator(sl, tuple(table))
+    return type(ops[0])(sl, tuple(table))
 
 
 def op_le(a: InteriorOperator, b: InteriorOperator) -> bool:
@@ -159,13 +161,12 @@ def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
     return InteriorOperator(sl, tuple(table))
 
 
-def monotone_closure(lat, seed) -> list:
+def monotone_closure(lat: SublocaleLattice, seed) -> list:
     """table[i] = join of seed[j] over every j <= i, as a new list.
 
     One forward pass over lower covers (a subset zeta transform): index
     order is a linear extension of the order, so every lower cover of i is
-    final before i, and every j < i lies below one of them. `lat` is a
-    SublocaleLattice or a ComplementedFragment.
+    final before i, and every j < i lies below one of them.
     """
     table = list(seed)
     for i, covers in enumerate(lat.lower_covers):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 
-from .hops import HOperator, complemented_fragment
+from .hops import HOperator
 from .interior import InteriorOperator
 from .lattice import FiniteSpace, Frame, Poset, bits, build_frame, frame_of_space
 from .maps import ContinuousMap, LocalicMap, localic_map
@@ -110,23 +110,15 @@ def sub_mask(frame: Frame, key: str) -> int:
 
 
 def operator_to_json(op, frame_ref: str) -> dict:
-    if isinstance(op, HOperator):
-        fr = op.fragment
-        sl = fr.lattice
-        host = sl.host
-        table = {
-            sub_key(host, sl.masks[fr.member(p)]): sub_key(
-                host, sl.masks[fr.member(op(p))]
-            )
-            for p in range(fr.n)
-        }
-        return {"frame": frame_ref, "fragment": True, "table": table}
     sl = op.lattice
     host = sl.host
     table = {
         sub_key(host, sl.masks[i]): sub_key(host, sl.masks[op(i)]) for i in range(sl.n)
     }
-    return {"frame": frame_ref, "table": table}
+    out = {"frame": frame_ref, "table": table}
+    if isinstance(op, HOperator):
+        out["fragment"] = True
+    return out
 
 
 def operator_from_json(data: dict, frame: Frame, limit=None):
@@ -139,28 +131,15 @@ def operator_from_json(data: dict, frame: Frame, limit=None):
             raise ValueError(f"key {key!r} is not a sublocale of the frame")
         return index[mask]
 
-    entries = {to_index(k): to_index(v) for k, v in data["table"].items()}
-    if data.get("fragment"):
-        fr = complemented_fragment(sl)
-        table = [0] * fr.n
-        seen = set()
-        for i, v in entries.items():
-            p, q = fr.position(i), fr.position(v)
-            if p is None or q is None:
-                raise ValueError("operator table mentions a non-complemented sublocale")
-            table[p] = q
-            seen.add(p)
-        if len(seen) != fr.n:
-            raise ValueError("operator table does not cover the fragment")
-        return HOperator(fr, tuple(table))
     table = [0] * sl.n
     seen = set()
-    for i, v in entries.items():
-        table[i] = v
+    for k, v in data["table"].items():
+        i = to_index(k)
+        table[i] = to_index(v)
         seen.add(i)
     if len(seen) != sl.n:
         raise ValueError("operator table does not cover every sublocale")
-    return InteriorOperator(sl, tuple(table))
+    return (HOperator if data.get("fragment") else InteriorOperator)(sl, tuple(table))
 
 
 def sublocales_to_json(sl: SublocaleLattice) -> dict:

@@ -8,7 +8,7 @@ from itertools import product
 
 from localelab.lattice import bits
 from localelab.maps import check_frame_hom
-from localelab.sublocales import AdjReport, sloc_core
+from localelab.sublocales import AdjReport, sloc_core, transfer_of
 
 
 def brute_frame_homs(source, target):
@@ -149,27 +149,49 @@ def brute_interior_axioms(op):
     return passed, witnesses
 
 
+def _meet(sl, a, b):
+    """Meet of two sublocale indices as the intersection of their masks."""
+    return sl.index[sl.masks[a] & sl.masks[b]]
+
+
+def _le(sl, a, b):
+    return not sl.masks[a] & ~sl.masks[b]
+
+
 def brute_h_axioms(op):
-    """(passed, witnesses) of h1, h2, h3, with h2 scanned over all pairs."""
-    fr = op.fragment
-    sl = fr.lattice
+    """(passed, witnesses) of h1, h2, h3 on the cores S ^ h(S), computed here
+    from masks, with h2 scanned over all pairs."""
+    sl = op.lattice
     passed = {"h1": True, "h2": True, "h3": True}
     witnesses = {}
-    for p in range(fr.n):
-        s, hs = fr.member(p), fr.member(op(p))
-        if not sl.le(sl.meet(s, hs), s):
+    core = [_meet(sl, i, op(i)) for i in range(sl.n)]
+    for i in range(sl.n):
+        if not _le(sl, core[i], i):
             passed["h1"] = False
-            witnesses["h1"] = (fr.label(p), fr.label(op(p)))
+            witnesses["h1"] = (sl.label(i), sl.label(op(i)))
             break
-    core = [sl.meet(fr.member(p), fr.member(op(p))) for p in range(fr.n)]
-    gap = _first_gap(fr.n, fr.le, lambda p, q: sl.le(core[p], core[q]))
+    gap = _first_gap(sl.n, lambda i, j: _le(sl, i, j), lambda i, j: _le(sl, core[i], core[j]))
     if gap is not None:
         passed["h2"] = False
-        witnesses["h2"] = (fr.label(gap[0]), fr.label(gap[1]))
-    if op(fr.top) != fr.top:
+        witnesses["h2"] = (sl.label(gap[0]), sl.label(gap[1]))
+    if op(sl.top) != sl.top:
         passed["h3"] = False
-        witnesses["h3"] = (fr.label(op(fr.top)),)
+        witnesses["h3"] = (sl.label(op(sl.top)),)
     return passed, witnesses
+
+
+def brute_h_continuous(f, h_l, h_m):
+    """(ok, checked, witness, witness_index) of h-continuity of f: the first T,
+    in index order, with f_-1[T ^ h_M(T)] not below f_-1[T] ^ h_L(f_-1[T])."""
+    t = transfer_of(f)
+    sll, slm = h_l.lattice, h_m.lattice
+    for j in range(slm.n):
+        pre = t.preimage_table[j]
+        lhs = t.preimage_table[_meet(slm, j, h_m(j))]
+        rhs = _meet(sll, pre, h_l(pre))
+        if not _le(sll, lhs, rhs):
+            return False, j + 1, (slm.label(j), sll.label(lhs), sll.label(rhs)), j
+    return True, slm.n, None, None
 
 
 def _first_gap(n, le, value_le):

@@ -26,6 +26,22 @@ from localelab.serialize import (
 )
 from localelab.sublocales import enumerate_sublocales
 
+# h operator files spelled out by hand in the operator file format: the
+# "fragment" marker and sublocales keyed by their members; the second table
+# is constant-top, which is valid but not contractive
+H_OP_LITERALS = {
+    "trivial": {
+        "fragment": True,
+        "frame": "chain3.json",
+        "table": {"0,1": "1", "0,m,1": "0,m,1", "1": "1", "m,1": "1"},
+    },
+    "constant-top": {
+        "fragment": True,
+        "frame": "chain3.json",
+        "table": {"0,1": "0,m,1", "0,m,1": "0,m,1", "1": "0,m,1", "m,1": "0,m,1"},
+    },
+}
+
 M3 = {
     "elements": ["0", "x", "y", "z", "1"],
     "le": [["0", "x"], ["0", "y"], ["0", "z"], ["x", "1"], ["y", "1"], ["z", "1"]],
@@ -137,6 +153,16 @@ def test_points_lists_and_emits_space(files, capsys):
 def test_op_check_valid_tables(files, capsys):
     assert main(["op-check", files["chain3"], files["op"]]) == 0
     assert main(["op-check", files["chain3"], files["h_op"]]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(H_OP_LITERALS))
+def test_h_operator_file_literal(files, capsys, name):
+    path = files["dir"] / f"literal_{name}.json"
+    path.write_text(json.dumps(H_OP_LITERALS[name]))
+    assert main(["op-check", files["chain3"], str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["vacuous"] == ["h1"]
+    assert main(["initial", files["chain3"], files["map"], str(path)]) == 0
     capsys.readouterr()
 
 

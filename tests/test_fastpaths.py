@@ -2,9 +2,10 @@
 
 S_l is built from primes, points are read off primes, frame homs are monotone
 maps of join-irreducibles, transfer tables are images of points, I2 and h2 are
-decided on cover pairs, the Galois adjunction on unit, counit and covers, and
-the operator samplers close over lower covers. Each is compared here with the
-scan in `oracles.py` on every small frame, or on random tables.
+decided on cover pairs, h-continuity on cores, the Galois adjunction on unit,
+counit and covers, and the operator samplers close over lower covers. Each is
+compared here with the scan in `oracles.py` on every small frame, or on
+random tables.
 """
 import random
 
@@ -21,7 +22,7 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.hops import HOperator, check_h, complemented_fragment, random_h
+from localelab.hops import HOperator, check_h, is_h_continuous, random_h
 from localelab.interior import InteriorOperator, check_interior, make_continuous_op, random_op
 from localelab.lattice import build_frame, frame_of_space
 from localelab.maps import FrameHom, enumerate_frame_homs, right_adjoint
@@ -37,6 +38,7 @@ from oracles import (
     brute_continuous_table,
     brute_frame_homs,
     brute_h_axioms,
+    brute_h_continuous,
     brute_image_table,
     brute_interior_axioms,
     brute_monotone_count,
@@ -213,9 +215,38 @@ def test_check_interior_matches_all_pairs_scan(case):
 @given(tables())
 def test_check_h_matches_all_pairs_scan(case):
     sl, table = case
-    h = HOperator(complemented_fragment(sl), table)
+    h = HOperator(sl, table)
     rep = check_h(h)
     assert (rep.passed, rep.witnesses) == brute_h_axioms(h)
+
+
+# -- h-continuity as I-continuity of the cores ---------------------------------------
+
+REAL_MAPS = [t.map for t in TRANSFERS]
+
+
+@st.composite
+def h_continuity_cases(draw):
+    """A real map with an h operator on each side: a raw total table, mostly
+    non-contractive and often invalid, or the constant-top table."""
+    f = draw(st.sampled_from(REAL_MAPS))
+
+    def h_on(sl):
+        if draw(st.integers(0, 3)) == 0:
+            return HOperator(sl, (sl.top,) * sl.n)
+        entry = st.integers(0, sl.n - 1)
+        return HOperator(sl, tuple(draw(st.lists(entry, min_size=sl.n, max_size=sl.n))))
+
+    return f, h_on(enumerate_sublocales(f.source)), h_on(enumerate_sublocales(f.target))
+
+
+@given(h_continuity_cases())
+@settings(max_examples=300)
+def test_is_h_continuous_matches_inline_scan(case):
+    f, h_l, h_m = case
+    rep = is_h_continuous(f, h_l, h_m)
+    assert (rep.ok, rep.checked, rep.witness, rep.witness_index) == brute_h_continuous(
+        f, h_l, h_m)
 
 
 # -- samplers: same draws, same tables as the O(n^2) loops --------------------------
@@ -224,7 +255,7 @@ def test_check_h_matches_all_pairs_scan(case):
 @pytest.mark.parametrize("seed", range(5))
 def test_samplers_match_quadratic_loops(seed):
     for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
-        for sample, lat in ((random_op, sl), (random_h, complemented_fragment(sl))):
+        for sample, lat in ((random_op, sl), (random_h, sl)):
             fast, slow = random.Random(seed), random.Random(seed)
             assert sample(lat, fast).table == brute_random_table(lat, slow)
             assert fast.random() == slow.random()

@@ -51,7 +51,7 @@ def test_check_order_is_stable():
 
 def test_default_run_all_pass(default_report):
     assert default_report["artifact"] == "localelab-verification"
-    assert default_report["version"] == 1
+    assert default_report["version"] == 2
     assert {r["id"]: r["status"] for r in default_report["checks"]} == {
         cid: "pass" for cid in ALL_CHECKS
     }
@@ -67,7 +67,6 @@ def test_default_run_counts(default_report):
         "map_pairs_skipped": 390,
         "frames_beyond_map_bound": 1,
         "operators": 10525,
-        "escapes": 0,
     }
 
 
@@ -114,7 +113,7 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), default_report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "c89f46ba12b26929fbc78c2bf3be97255f7b9f182ad635598f4e2f813ca4fd9c"
+    assert digest == "1f4ef6f0531304c1a8696486aaa7efb8437a5303c0a2f7db5894bdb31e7fd01c"
 
 
 def test_reports_are_byte_identical_for_equal_configs():
