@@ -123,6 +123,10 @@ def cmd_initial(args) -> int:
     return 0 if not rep.unexplained else 1
 
 
+def _print_progress(row, seconds) -> None:
+    print(f"{row['status']:4s}  {row['id']}  {seconds:.2f}s", file=sys.stderr, flush=True)
+
+
 def cmd_verify(args) -> int:
     try:
         config = CorpusConfig(
@@ -135,7 +139,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
-    report = run_verification(config)
+    report = run_verification(config, progress=_print_progress)
     for row in report["checks"]:
         print(f"{row['status']:4s}  {row['id']}")
     confirmed = sum(1 for e in report["registry"] if e["status"] == "confirmed")

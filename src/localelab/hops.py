@@ -25,6 +25,11 @@ from .interior import (
     InitialReport,
     InteriorOperator,
     UniversalReport,
+    _continuity_gap,
+    _continuity_gaps,
+    _continuity_report,
+    _top_gap,
+    _universal_report,
     check_composition,
     check_interior,
     discrete_op,
@@ -32,7 +37,7 @@ from .interior import (
     random_op,
     trivial_op,
 )
-from .maps import LocalicMap, compose_localic
+from .maps import LocalicMap
 from .sublocales import SublocaleLattice, transfer_of
 
 
@@ -61,7 +66,8 @@ class HOperator(InteriorOperator):
     def core(self) -> InteriorOperator:
         """S |-> S cap h(S), the operator the interior kernels check."""
         sl = self.lattice
-        return InteriorOperator(sl, tuple(sl.meet(i, v) for i, v in enumerate(self.table)))
+        pts, by_points = sl.points, sl.by_points
+        return InteriorOperator(sl, tuple([by_points[p & pts[v]] for p, v in zip(pts, self.table)]))
 
 
 _H_AXIOMS = {"I1": "h1", "I2": "h2", "I3": "h3"}
@@ -142,42 +148,19 @@ def initial_h(f: LocalicMap, h_m: HOperator):
             witness=(h_m.lattice.host.key(), f.target.key()),
         )
     t = transfer_of(f)
-    sll, slm = t.source_lattice, t.target_lattice
-    cand = HOperator(sll, tuple(t.preimage_table[h_m(t.image_table[i])] for i in range(sll.n)))
+    sl, img, pre = t.source_lattice, t.image_table, t.preimage_table
+    th = h_m.table
+    cand = HOperator(sl, tuple([pre[th[x]] for x in img]))
     axioms = check_h(cand)
-    cont = is_h_continuous(f, cand, h_m)
+    gap = next(_continuity_gaps(pre, cand.core, h_m.core), None)
+    cont = _continuity_report(pre, cand.core, h_m.core, gap)
 
-    surjective = t.image_table[sll.top] == slm.top
+    surjective = img[sl.top] == t.target_lattice.top
     anomalies = []
     if not axioms.passed["h3"]:
-        anomalies.append(
-            {
-                "kind": "top-gap",
-                "at": sll.label(sll.top),
-                "predicate": "image-not-whole-target",
-                "confirmed": not surjective,
-            }
-        )
-    if not cont.ok:
-        u = cont.witness_index
-        if u == slm.top:
-            anomalies.append(
-                {
-                    "kind": "continuity-gap",
-                    "at": slm.label(u),
-                    "predicate": "image-not-whole-target",
-                    "confirmed": not surjective,
-                }
-            )
-        else:
-            anomalies.append(
-                {
-                    "kind": "continuity-gap",
-                    "at": slm.label(u),
-                    "predicate": "counit-gap",
-                    "confirmed": t.image_table[t.preimage_table[u]] != u,
-                }
-            )
+        anomalies.append(_top_gap(sl, surjective))
+    if gap is not None:
+        anomalies.append(_continuity_gap(t, gap, surjective))
     return cand, InitialReport(axioms, cont, tuple(anomalies))
 
 
@@ -195,32 +178,6 @@ def check_h_universal(
             "g must land in the source of f", witness=(g.target.key(), f.source.key())
         )
     cand, _ = initial_h(f, h_m)
-    a = is_h_continuous(g, h_n, cand)
-    b = is_h_continuous(compose_localic(f, g), h_n, h_m)
-    anomalies = []
-    if a.ok != b.ok:
-        t = transfer_of(f)
-        sl = cand.lattice
-        if a.ok:
-            u = b.witness_index
-            lhs = t.preimage_table[h_m.core(u)]
-            rhs = cand.core(t.preimage_table[u])
-            anomalies.append(
-                {
-                    "kind": "composite-side-only",
-                    "at": h_m.lattice.label(u),
-                    "predicate": "f-h-continuity-gap-at-witness",
-                    "confirmed": not sl.le(lhs, rhs),
-                }
-            )
-        else:
-            i = a.witness_index
-            anomalies.append(
-                {
-                    "kind": "initial-side-only",
-                    "at": sl.label(i),
-                    "predicate": "unit-gap",
-                    "confirmed": t.preimage_table[t.image_table[i]] != i,
-                }
-            )
-    return UniversalReport(a, b, tuple(anomalies))
+    return _universal_report(
+        f, g, cand.core, h_m.core, h_n.core, "f-h-continuity-gap-at-witness"
+    )

@@ -24,10 +24,10 @@ class InteriorOperator:
     table: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.lattice.n or any(
-            not 0 <= v < self.lattice.n for v in self.table
-        ):
+        table = tuple(self.table)
+        object.__setattr__(self, "table", table)
+        n = self.lattice.n
+        if len(table) != n or min(table) < 0 or max(table) >= n:
             raise ValueError("table is not total over the sublocale lattice")
 
     def __call__(self, i: int) -> int:
@@ -56,31 +56,48 @@ class AxiomReport:
         }
 
 
+def _contraction_gaps(sl: SublocaleLattice, table):
+    """Every i with table[i] not below i, in index order, as a lazy scan."""
+    pts = sl.points
+    return (i for i, v in enumerate(table) if pts[v] & ~pts[i])
+
+
+def _monotone_on_covers(sl: SublocaleLattice, table) -> bool:
+    pts = sl.points
+    for i, covers in enumerate(sl.lower_covers):
+        above = ~pts[table[i]]
+        for k in covers:
+            if pts[table[k]] & above:
+                return False
+    return True
+
+
+def _axiom_report(sl: SublocaleLattice, table, contraction_gap) -> AxiomReport:
+    """I1, I2, I3 of a table, given its first contraction gap (or None)."""
+    pts, labels = sl.points, sl.labels
+    passed = {"I1": contraction_gap is None, "I2": True, "I3": table[sl.top] == sl.top}
+    witnesses = {}
+    if contraction_gap is not None:
+        witnesses["I1"] = (labels[contraction_gap], labels[table[contraction_gap]])
+    # the order is generated by its cover pairs, so I2 holds iff it holds on
+    # them; only a failure needs the all-pairs scan for the lex-first witness
+    if not _monotone_on_covers(sl, table):
+        passed["I2"] = False
+        witnesses["I2"] = next(
+            (labels[i], labels[j])
+            for i in range(sl.n)
+            for j in range(sl.n)
+            if not pts[i] & ~pts[j] and pts[table[i]] & ~pts[table[j]]
+        )
+    if not passed["I3"]:
+        witnesses["I3"] = (labels[table[sl.top]],)
+    return AxiomReport(passed, witnesses)
+
+
 def check_interior(op: InteriorOperator) -> AxiomReport:
     """Evaluate I1 (contraction), I2 (monotonicity), I3 (top) exhaustively."""
     sl = op.lattice
-    passed = {"I1": True, "I2": True, "I3": True}
-    witnesses = {}
-    for i in range(sl.n):
-        if not sl.le(op(i), i):
-            passed["I1"] = False
-            witnesses["I1"] = (sl.label(i), sl.label(op(i)))
-            break
-    # the order is generated by its cover pairs, so I2 holds iff it holds on
-    # them; only a failure needs the all-pairs scan for the lex-first witness
-    if not all(sl.le(op(k), op(i)) for i in range(sl.n) for k in sl.lower_covers[i]):
-        for i in range(sl.n):
-            if not passed["I2"]:
-                break
-            for j in range(sl.n):
-                if sl.le(i, j) and not sl.le(op(i), op(j)):
-                    passed["I2"] = False
-                    witnesses["I2"] = (sl.label(i), sl.label(j))
-                    break
-    if op(sl.top) != sl.top:
-        passed["I3"] = False
-        witnesses["I3"] = (sl.label(op(sl.top)),)
-    return AxiomReport(passed, witnesses)
+    return _axiom_report(sl, op.table, next(_contraction_gaps(sl, op.table), None))
 
 
 def discrete_op(sl: SublocaleLattice) -> InteriorOperator:
@@ -104,47 +121,40 @@ def _same_lattice(ops):
     return first
 
 
-def op_join(family) -> InteriorOperator:
-    """Pointwise join, of the same operator type as the family's first member."""
+def _pointwise(family, combine, name) -> InteriorOperator:
     ops = list(family)
     if not ops:
-        raise EmptyFamily("join of an empty operator family")
+        raise EmptyFamily(f"{name} of an empty operator family")
     sl = _same_lattice(ops)
-    table = []
-    for i in range(sl.n):
-        acc = ops[0](i)
-        for op in ops[1:]:
-            acc = sl.join(acc, op(i))
-        table.append(acc)
-    return type(ops[0])(sl, tuple(table))
+    pts = sl.points
+    acc = [pts[v] for v in ops[0].table]
+    for op in ops[1:]:
+        acc = [combine(p, pts[v]) for p, v in zip(acc, op.table)]
+    by_points = sl.by_points
+    return type(ops[0])(sl, tuple([by_points[p] for p in acc]))
+
+
+def op_join(family) -> InteriorOperator:
+    """Pointwise join, of the same operator type as the family's first member."""
+    return _pointwise(family, int.__or__, "join")
 
 
 def op_meet(family) -> InteriorOperator:
     """Pointwise meet, of the same operator type as the family's first member."""
-    ops = list(family)
-    if not ops:
-        raise EmptyFamily("meet of an empty operator family")
-    sl = _same_lattice(ops)
-    table = []
-    for i in range(sl.n):
-        acc = ops[0](i)
-        for op in ops[1:]:
-            acc = sl.meet(acc, op(i))
-        table.append(acc)
-    return type(ops[0])(sl, tuple(table))
+    return _pointwise(family, int.__and__, "meet")
 
 
 def op_le(a: InteriorOperator, b: InteriorOperator) -> bool:
-    sl = _same_lattice([a, b])
-    return all(sl.le(a(i), b(i)) for i in range(sl.n))
+    return op_le_gap(a, b) is None
 
 
 def op_le_gap(a: InteriorOperator, b: InteriorOperator):
     """First sublocale label where a exceeds b, or None when a <= b."""
     sl = _same_lattice([a, b])
-    for i in range(sl.n):
-        if not sl.le(a(i), b(i)):
-            return sl.label(i)
+    pts = sl.points
+    for i, (x, y) in enumerate(zip(a.table, b.table)):
+        if pts[x] & ~pts[y]:
+            return sl.labels[i]
     return None
 
 
@@ -168,13 +178,15 @@ def monotone_closure(lat: SublocaleLattice, seed) -> list:
     order is a linear extension of the order, so every lower cover of i is
     final before i, and every j < i lies below one of them.
     """
-    table = list(seed)
+    pts = lat.points
+    acc = [pts[v] for v in seed]
     for i, covers in enumerate(lat.lower_covers):
-        acc = table[i]
+        p = acc[i]
         for k in covers:
-            acc = lat.join(acc, table[k])
-        table[i] = acc
-    return table
+            p |= acc[k]
+        acc[i] = p
+    by_points = lat.by_points
+    return [by_points[p] for p in acc]
 
 
 # -- continuity ---------------------------------------------------------------
@@ -203,24 +215,31 @@ def _check_hosts(f: LocalicMap, op_l: InteriorOperator, op_m: InteriorOperator):
         )
 
 
+def _continuity_gaps(pre, op_l, op_m):
+    """Every T = j with f_-1[i_M(T)] not below i_L(f_-1[T]), in index order, as
+    a lazy scan; pre is f's preimage table."""
+    pts, tl, tm = op_l.lattice.points, op_l.table, op_m.table
+    return (j for j, v in enumerate(tm) if pts[pre[v]] & ~pts[tl[pre[j]]])
+
+
+def _continuity_report(pre, op_l, op_m, gap) -> ContinuityReport:
+    """The report for the first continuity gap j (or None)."""
+    if gap is None:
+        return ContinuityReport(True, op_m.lattice.n)
+    sl = op_l.lattice
+    lhs, rhs = pre[op_m.table[gap]], op_l.table[pre[gap]]
+    return ContinuityReport(
+        False, gap + 1, (op_m.lattice.labels[gap], sl.labels[lhs], sl.labels[rhs]), gap
+    )
+
+
 def is_I_continuous(
     f: LocalicMap, op_l: InteriorOperator, op_m: InteriorOperator
 ) -> ContinuityReport:
     """Check f_-1[i_M(T)] <= i_L(f_-1[T]) for every sublocale T of the target."""
     _check_hosts(f, op_l, op_m)
-    t = transfer_of(f)
-    sl = op_l.lattice
-    for j in range(op_m.lattice.n):
-        lhs = t.preimage_table[op_m(j)]
-        rhs = op_l(t.preimage_table[j])
-        if not sl.le(lhs, rhs):
-            return ContinuityReport(
-                False,
-                j + 1,
-                (op_m.lattice.label(j), sl.label(lhs), sl.label(rhs)),
-                j,
-            )
-    return ContinuityReport(True, op_m.lattice.n)
+    pre = transfer_of(f).preimage_table
+    return _continuity_report(pre, op_l, op_m, next(_continuity_gaps(pre, op_l, op_m), None))
 
 
 @dataclass(frozen=True)
@@ -323,54 +342,49 @@ def initial_interior(f: LocalicMap, op_m: InteriorOperator):
             witness=(op_m.lattice.host.key(), f.target.key()),
         )
     t = transfer_of(f)
-    sl, tl = t.source_lattice, t.target_lattice
-    table = tuple(t.preimage_table[op_m(t.image_table[i])] for i in range(sl.n))
-    cand = InteriorOperator(sl, table)
-    axioms = check_interior(cand)
-    cont = is_I_continuous(f, cand, op_m)
+    sl, tl, img, pre = t.source_lattice, t.target_lattice, t.image_table, t.preimage_table
+    tm = op_m.table
+    cand = InteriorOperator(sl, tuple([pre[tm[x]] for x in img]))
+    contraction = list(_contraction_gaps(sl, cand.table))
+    continuity = list(_continuity_gaps(pre, cand, op_m))
+    axioms = _axiom_report(sl, cand.table, contraction[0] if contraction else None)
+    cont = _continuity_report(pre, cand, op_m, continuity[0] if continuity else None)
 
-    anomalies = []
-    for i in range(sl.n):
-        if not sl.le(cand(i), i):
-            anomalies.append(
-                {
-                    "kind": "contraction-gap",
-                    "at": sl.label(i),
-                    "predicate": "unit-gap",
-                    "confirmed": t.preimage_table[t.image_table[i]] != i,
-                }
-            )
-    if cand(sl.top) != sl.top:
-        anomalies.append(
-            {
-                "kind": "top-gap",
-                "at": sl.label(sl.top),
-                "predicate": "image-not-whole-target",
-                "confirmed": t.image_table[sl.top] != tl.top,
-            }
-        )
-    for j in range(tl.n):
-        lhs = t.preimage_table[op_m(j)]
-        if not sl.le(lhs, cand(t.preimage_table[j])):
-            if j == tl.top:
-                anomalies.append(
-                    {
-                        "kind": "continuity-gap",
-                        "at": tl.label(j),
-                        "predicate": "image-not-whole-target",
-                        "confirmed": t.image_table[sl.top] != tl.top,
-                    }
-                )
-            else:
-                anomalies.append(
-                    {
-                        "kind": "continuity-gap",
-                        "at": tl.label(j),
-                        "predicate": "counit-gap",
-                        "confirmed": t.image_table[t.preimage_table[j]] != j,
-                    }
-                )
+    surjective = img[sl.top] == tl.top
+    anomalies = [
+        {
+            "kind": "contraction-gap",
+            "at": sl.labels[i],
+            "predicate": "unit-gap",
+            "confirmed": pre[img[i]] != i,
+        }
+        for i in contraction
+    ]
+    if not axioms.passed["I3"]:
+        anomalies.append(_top_gap(sl, surjective))
+    anomalies.extend(_continuity_gap(t, j, surjective) for j in continuity)
     return cand, InitialReport(axioms, cont, tuple(anomalies))
+
+
+def _top_gap(sl: SublocaleLattice, surjective: bool) -> dict:
+    return {
+        "kind": "top-gap",
+        "at": sl.labels[sl.top],
+        "predicate": "image-not-whole-target",
+        "confirmed": not surjective,
+    }
+
+
+def _continuity_gap(t, j: int, surjective: bool) -> dict:
+    """The anomaly of a continuity failure at T = j: at the top it needs
+    f[L] != M, elsewhere the counit gap f[f_-1[T]] != T."""
+    at_top = j == t.target_lattice.top
+    return {
+        "kind": "continuity-gap",
+        "at": t.target_lattice.labels[j],
+        "predicate": "image-not-whole-target" if at_top else "counit-gap",
+        "confirmed": not surjective if at_top else t.image_table[t.preimage_table[j]] != j,
+    }
 
 
 @dataclass(frozen=True)
@@ -413,35 +427,35 @@ def check_universal_property(
             "g must land in the source of f", witness=(g.target.key(), f.source.key())
         )
     cand, _ = initial_interior(f, op_m)
+    return _universal_report(f, g, cand, op_m, op_n, "f-continuity-gap-at-witness")
+
+
+def _universal_report(f, g, cand, op_m, op_n, predicate) -> UniversalReport:
+    """Both sides of the lifting equivalence for the interior operators cand
+    on L, op_m on M and op_n on N, with any disagreement classified."""
     a = is_I_continuous(g, op_n, cand)
     b = is_I_continuous(compose_localic(f, g), op_n, op_m)
-    anomalies = []
-    if a.ok != b.ok:
-        tf = transfer_of(f)
-        sl = cand.lattice
-        if a.ok and not b.ok:
-            u = b.witness_index
-            lhs = tf.preimage_table[op_m(u)]
-            rhs = cand(tf.preimage_table[u])
-            anomalies.append(
-                {
-                    "kind": "composite-side-only",
-                    "at": op_m.lattice.label(u),
-                    "predicate": "f-continuity-gap-at-witness",
-                    "confirmed": not sl.le(lhs, rhs),
-                }
-            )
-        else:
-            t_idx = a.witness_index
-            anomalies.append(
-                {
-                    "kind": "initial-side-only",
-                    "at": sl.label(t_idx),
-                    "predicate": "unit-gap",
-                    "confirmed": tf.preimage_table[tf.image_table[t_idx]] != t_idx,
-                }
-            )
-    return UniversalReport(a, b, tuple(anomalies))
+    if a.ok == b.ok:
+        return UniversalReport(a, b, ())
+    t = transfer_of(f)
+    pre = t.preimage_table
+    if a.ok:
+        u = b.witness_index
+        anomaly = {
+            "kind": "composite-side-only",
+            "at": op_m.lattice.labels[u],
+            "predicate": predicate,
+            "confirmed": not cand.lattice.le(pre[op_m.table[u]], cand.table[pre[u]]),
+        }
+    else:
+        i = a.witness_index
+        anomaly = {
+            "kind": "initial-side-only",
+            "at": cand.lattice.labels[i],
+            "predicate": "unit-gap",
+            "confirmed": pre[t.image_table[i]] != i,
+        }
+    return UniversalReport(a, b, (anomaly,))
 
 
 # -- open sublocales ----------------------------------------------------------

@@ -3,6 +3,7 @@ continuous point maps with their open-preimage homs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainMismatch, NotContinuous, NotLocalic, SizeLimit
 from .lattice import FiniteSpace, Frame, bits, frame_of_space
@@ -86,6 +87,15 @@ class LocalicMap:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
+
+    # maps key the transfer cache, so the hash is computed once, on first use;
+    # the adjoint is determined by the table and is left out
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.source, self.target, self.table))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def describe(self) -> dict:
         return {

@@ -123,13 +123,12 @@ def operator_to_json(op, frame_ref: str) -> dict:
 
 def operator_from_json(data: dict, frame: Frame, limit=None):
     sl = enumerate_sublocales(frame, limit=limit)
-    index = {m: i for i, m in enumerate(sl.masks)}
 
     def to_index(key):
         mask = sub_mask(frame, key)
-        if mask not in index:
+        if mask not in sl.index:
             raise ValueError(f"key {key!r} is not a sublocale of the frame")
-        return index[mask]
+        return sl.index[mask]
 
     table = [0] * sl.n
     seen = set()

@@ -6,6 +6,8 @@ the two on every small frame.
 """
 from itertools import product
 
+from localelab.hops import HOperator
+from localelab.interior import AxiomReport, ContinuityReport, InitialReport, InteriorOperator
 from localelab.lattice import bits
 from localelab.maps import check_frame_hom
 from localelab.sublocales import AdjReport, sloc_core, transfer_of
@@ -192,6 +194,116 @@ def brute_h_continuous(f, h_l, h_m):
         if not _le(sll, lhs, rhs):
             return False, j + 1, (slm.label(j), sll.label(lhs), sll.label(rhs)), j
     return True, slm.n, None, None
+
+
+def brute_I_continuous(f, op_l, op_m):
+    """ContinuityReport of I-continuity of f: the first T, in index order, with
+    f_-1[i_M(T)] not below i_L(f_-1[T])."""
+    t = transfer_of(f)
+    sl = op_l.lattice
+    for j in range(op_m.lattice.n):
+        lhs = t.preimage_table[op_m(j)]
+        rhs = op_l(t.preimage_table[j])
+        if not _le(sl, lhs, rhs):
+            return ContinuityReport(
+                False, j + 1, (op_m.lattice.label(j), sl.label(lhs), sl.label(rhs)), j)
+    return ContinuityReport(True, op_m.lattice.n)
+
+
+def brute_initial_interior(f, op_m):
+    """(candidate table, InitialReport) of the induced interior operator, each
+    anomaly found by its own scan: contraction gaps, the top gap, then every
+    continuity gap."""
+    t = transfer_of(f)
+    sl, tl = t.source_lattice, t.target_lattice
+    table = tuple(t.preimage_table[op_m(t.image_table[i])] for i in range(sl.n))
+    cand = InteriorOperator(sl, table)
+    axioms = AxiomReport(*brute_interior_axioms(cand))
+    cont = brute_I_continuous(f, cand, op_m)
+    surjective = t.image_table[sl.top] == tl.top
+    anomalies = []
+    for i in range(sl.n):
+        if not _le(sl, cand(i), i):
+            anomalies.append({"kind": "contraction-gap", "at": sl.label(i),
+                              "predicate": "unit-gap",
+                              "confirmed": t.preimage_table[t.image_table[i]] != i})
+    if cand(sl.top) != sl.top:
+        anomalies.append(_top_gap(sl, surjective))
+    for j in range(tl.n):
+        if not _le(sl, t.preimage_table[op_m(j)], cand(t.preimage_table[j])):
+            anomalies.append(_continuity_gap(t, j, surjective))
+    return table, InitialReport(axioms, cont, tuple(anomalies))
+
+
+def brute_initial_h(f, h_m):
+    """(candidate table, InitialReport) of the induced h operator: h1, h2, h3
+    and h-continuity by the scans above, the top gap, then the first
+    continuity gap."""
+    t = transfer_of(f)
+    sl, tl = t.source_lattice, t.target_lattice
+    table = tuple(t.preimage_table[h_m(t.image_table[i])] for i in range(sl.n))
+    cand = HOperator(sl, table)
+    axioms = AxiomReport(*brute_h_axioms(cand), vacuous=("h1",))
+    cont = ContinuityReport(*brute_h_continuous(f, cand, h_m))
+    surjective = t.image_table[sl.top] == tl.top
+    anomalies = []
+    if cand(sl.top) != sl.top:
+        anomalies.append(_top_gap(sl, surjective))
+    if not cont.ok:
+        anomalies.append(_continuity_gap(t, cont.witness_index, surjective))
+    return table, InitialReport(axioms, cont, tuple(anomalies))
+
+
+def _top_gap(sl, surjective):
+    return {"kind": "top-gap", "at": sl.label(sl.top),
+            "predicate": "image-not-whole-target", "confirmed": not surjective}
+
+
+def _continuity_gap(t, j, surjective):
+    tl = t.target_lattice
+    if j == tl.top:
+        return {"kind": "continuity-gap", "at": tl.label(j),
+                "predicate": "image-not-whole-target", "confirmed": not surjective}
+    return {"kind": "continuity-gap", "at": tl.label(j), "predicate": "counit-gap",
+            "confirmed": t.image_table[t.preimage_table[j]] != j}
+
+
+def brute_op_join(ops):
+    """Pointwise join table: at each index, the meet of the masks of every
+    sublocale that contains the union of the members' values."""
+    sl = ops[0].lattice
+    table = []
+    for i in range(sl.n):
+        union = 0
+        for op in ops:
+            union |= sl.masks[op(i)]
+        least = sl.host.full_mask
+        for m in sl.masks:
+            if not union & ~m:
+                least &= m
+        table.append(sl.index[least])
+    return tuple(table)
+
+
+def brute_op_meet(ops):
+    """Pointwise meet table: at each index, the intersection of the values."""
+    sl = ops[0].lattice
+    table = []
+    for i in range(sl.n):
+        mask = sl.host.full_mask
+        for op in ops:
+            mask &= sl.masks[op(i)]
+        table.append(sl.index[mask])
+    return tuple(table)
+
+
+def brute_op_le_gap(a, b):
+    """Label of the first index where a's value is not a subset of b's, or None."""
+    sl = a.lattice
+    for i in range(sl.n):
+        if not _le(sl, a(i), b(i)):
+            return sl.label(i)
+    return None
 
 
 def _first_gap(n, le, value_le):

@@ -4,6 +4,7 @@ Commands are run in process through main(argv) so exit codes and streams
 are captured directly; one test covers the installed console script.
 """
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from localelab.serialize import (
     space_to_json,
 )
 from localelab.sublocales import enumerate_sublocales
+from localelab.verify import CorpusConfig, run_verification
 
 # h operator files spelled out by hand in the operator file format: the
 # "fragment" marker and sublocales keyed by their members; the second table
@@ -236,6 +238,28 @@ def test_verify_reports_are_byte_identical(files, capsys):
     assert main(args + ["--report", r2]) == 0
     capsys.readouterr()
     assert open(r1, "rb").read() == open(r2, "rb").read()
+
+
+def test_verify_progress_lines_go_to_stderr_only(files, capsys):
+    rpath = str(files["dir"] / "rep_progress.json")
+    assert main(["verify", "--max-poset", "3", "--samples", "10", "--seed", "5",
+                 "--report", rpath]) == 0
+    out, err = capsys.readouterr()
+    report = run_verification(
+        CorpusConfig(max_poset_size=3, operator_samples_per_frame=10, seed=5))
+    with open(rpath) as fh:
+        assert fh.read() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    rows = report["checks"]
+    confirmed = sum(1 for e in report["registry"] if e["status"] == "confirmed")
+    assert out.splitlines() == [f"{r['status']:4s}  {r['id']}" for r in rows] + [
+        f"registry: {confirmed}/{len(report['registry'])} anomalies confirmed",
+        "unexplained: 0",
+        f"wrote {rpath}",
+    ]
+    progress = err.splitlines()
+    assert len(progress) == len(rows) == 20
+    for line, row in zip(progress, rows):
+        assert re.fullmatch(rf"{row['status']:4s}  {re.escape(row['id'])}  \d+\.\d\ds", line)
 
 
 def test_replay_from_report_file(files, capsys):

@@ -3,9 +3,10 @@
 S_l is built from primes, points are read off primes, frame homs are monotone
 maps of join-irreducibles, transfer tables are images of points, I2 and h2 are
 decided on cover pairs, h-continuity on cores, the Galois adjunction on unit,
-counit and covers, and the operator samplers close over lower covers. Each is
-compared here with the scan in `oracles.py` on every small frame, or on
-random tables.
+counit and covers, the operator samplers close over lower covers, and the
+operator kernels check and classify an induced operator in one pass over
+point masks. Each is compared here with the scan in `oracles.py` on every
+small frame, or on random tables.
 """
 import random
 
@@ -22,8 +23,19 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.hops import HOperator, check_h, is_h_continuous, random_h
-from localelab.interior import InteriorOperator, check_interior, make_continuous_op, random_op
+from localelab.hops import HOperator, check_h, initial_h, is_h_continuous, random_h
+from localelab.interior import (
+    InteriorOperator,
+    check_interior,
+    initial_interior,
+    is_I_continuous,
+    make_continuous_op,
+    op_join,
+    op_le,
+    op_le_gap,
+    op_meet,
+    random_op,
+)
 from localelab.lattice import build_frame, frame_of_space
 from localelab.maps import FrameHom, enumerate_frame_homs, right_adjoint
 from localelab.points import points_of
@@ -39,9 +51,15 @@ from oracles import (
     brute_frame_homs,
     brute_h_axioms,
     brute_h_continuous,
+    brute_I_continuous,
     brute_image_table,
+    brute_initial_h,
+    brute_initial_interior,
     brute_interior_axioms,
     brute_monotone_count,
+    brute_op_join,
+    brute_op_le_gap,
+    brute_op_meet,
     brute_point_filters,
     brute_preimage_table,
     brute_random_table,
@@ -247,6 +265,111 @@ def test_is_h_continuous_matches_inline_scan(case):
     rep = is_h_continuous(f, h_l, h_m)
     assert (rep.ok, rep.checked, rep.witness, rep.witness_index) == brute_h_continuous(
         f, h_l, h_m)
+
+
+# -- one-pass initial lifts and the point-mask operator kernels -----------------------
+
+MAPS4 = list(_maps(CORPUS4, 5000))
+
+
+def _draw_table(draw, sl):
+    """A table on sl: raw, a valid operator with entries overwritten (often
+    non-monotone), constant-top, or a valid random operator."""
+    kind = draw(st.sampled_from(["raw", "overwritten", "constant-top", "valid"]))
+    entry = st.integers(0, sl.n - 1)
+    if kind == "raw":
+        return tuple(draw(st.lists(entry, min_size=sl.n, max_size=sl.n)))
+    if kind == "constant-top":
+        return (sl.top,) * sl.n
+    table = list(random_op(sl, random.Random(draw(st.integers(0, 2**16)))).table)
+    if kind == "overwritten":
+        for _ in range(draw(st.integers(1, 3))):
+            table[draw(entry)] = draw(entry)
+    return tuple(table)
+
+
+@st.composite
+def lifts(draw):
+    """A corpus-4 map and a table on its target's sublocales."""
+    f = draw(st.sampled_from(MAPS4))
+    return f, _draw_table(draw, enumerate_sublocales(f.target))
+
+
+@given(lifts())
+@settings(max_examples=300)
+def test_initial_interior_matches_two_pass_scan(case):
+    f, table = case
+    op_m = InteriorOperator(enumerate_sublocales(f.target), table)
+    cand, rep = initial_interior(f, op_m)
+    want_table, want = brute_initial_interior(f, op_m)
+    assert cand.table == want_table
+    assert rep.to_json() == want.to_json()
+    assert rep == want
+
+
+@given(lifts())
+@settings(max_examples=300)
+def test_initial_h_matches_two_pass_scan(case):
+    f, table = case
+    h_m = HOperator(enumerate_sublocales(f.target), table)
+    cand, rep = initial_h(f, h_m)
+    want_table, want = brute_initial_h(f, h_m)
+    assert cand.table == want_table
+    assert rep.to_json() == want.to_json()
+    assert rep == want
+
+
+@st.composite
+def continuity_cases(draw):
+    """A corpus-4 map, a target table as in lifts, and a source operator that
+    is raw, valid, constructed continuous, or constructed continuous with one
+    entry overwritten."""
+    f, table = draw(lifts())
+    op_m = InteriorOperator(enumerate_sublocales(f.target), table)
+    sl = enumerate_sublocales(f.source)
+    kind = draw(st.sampled_from(["raw", "valid", "continuous", "near-continuous"]))
+    if kind in ("raw", "valid"):
+        return f, InteriorOperator(sl, _draw_table(draw, sl)), op_m
+    source = list(make_continuous_op(f, op_m, random.Random(draw(st.integers(0, 2**16)))).table)
+    if kind == "near-continuous":
+        entry = st.integers(0, sl.n - 1)
+        source[draw(entry)] = draw(entry)
+    return f, InteriorOperator(sl, source), op_m
+
+
+@given(continuity_cases())
+@settings(max_examples=300)
+def test_is_I_continuous_matches_inline_scan(case):
+    f, op_l, op_m = case
+    assert is_I_continuous(f, op_l, op_m) == brute_I_continuous(f, op_l, op_m)
+
+
+@st.composite
+def op_families(draw):
+    """One to four tables on one lattice, each as in _draw_table."""
+    sl = draw(st.sampled_from(SMALL_LATTICES))
+    return [InteriorOperator(sl, _draw_table(draw, sl)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(op_families())
+@settings(max_examples=200)
+def test_operator_lattice_matches_mask_scans(ops):
+    assert op_join(ops).table == brute_op_join(ops)
+    assert op_meet(ops).table == brute_op_meet(ops)
+    for a in ops:
+        for b in ops:
+            gap = brute_op_le_gap(a, b)
+            assert op_le_gap(a, b) == gap
+            assert op_le(a, b) == (gap is None)
+
+
+def test_operators_reject_tables_that_are_not_total():
+    sl = enumerate_sublocales(square())
+    good = list(range(sl.n))
+    for bad in (good[:-1], good + [0], [-1] + good[1:], good[:-1] + [sl.n]):
+        for cls in (InteriorOperator, HOperator):
+            with pytest.raises(ValueError, match="not total"):
+                cls(sl, bad)
 
 
 # -- samplers: same draws, same tables as the O(n^2) loops --------------------------
