@@ -1,0 +1,130 @@
+"""End-to-end and map-layer timings of localelab, appended to BENCH_verify.json.
+
+    python3 bench/bench.py [--runs N] [--out PATH] [--commit ID]
+
+Run it from the root of a source checkout; it imports `localelab` from the
+`src/` directory next to this script and starts `localelab verify` in child
+interpreters with the same `PYTHONPATH`. One entry records:
+
+- the commit (`git rev-parse HEAD`, or `--commit`) and the Python version;
+- the median wall time of N runs of default `verify` and of
+  `verify --max-poset 5`, each in a fresh interpreter;
+- the median over five passes of each map-layer kernel, timed over every
+  frame hom between the corpus-4 frames (19,702 homs): `check_frame_hom`,
+  `LocalicMap` construction (its adjunction check), `right_adjoint`,
+  `left_adjoint` and `SublocaleTransfer.build`.
+
+Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
+machine whose cores change speed; the child interpreters inherit the pin.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
+PASSES = 5
+# S_l bound for the transfer build: the largest corpus-4 frame has 16 elements
+SL_LIMIT = 16
+
+
+def _commit() -> str:
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                             text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def _wall(argv, runs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "localelab", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        times.append(time.perf_counter() - start)
+    return {"median_s": round(statistics.median(times), 3), "runs_s": [round(t, 3) for t in times]}
+
+
+def _median_time(fn, items):
+    times = []
+    for _ in range(PASSES):
+        start = time.perf_counter()
+        for item in items:
+            fn(*item)
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times), 4)
+
+
+def kernel_timings():
+    from localelab.corpus import corpus_frames
+    from localelab.maps import (
+        FrameHom,
+        LocalicMap,
+        check_frame_hom,
+        enumerate_frame_homs,
+        left_adjoint,
+        right_adjoint,
+    )
+    from localelab.sublocales import SublocaleTransfer, enumerate_sublocales
+
+    frames = [fr for _, fr in corpus_frames(4)]
+    homs = [FrameHom(a, b, table) for a in frames for b in frames
+            for table in enumerate_frame_homs(a, b, budget=16 ** 16)]
+    maps = [right_adjoint(h) for h in homs]
+    for fr in frames:
+        enumerate_sublocales(fr, SL_LIMIT)
+    kernels = {
+        "check_frame_hom": (check_frame_hom, [(h.source, h.target, h.table) for h in homs]),
+        "localic_map_validation": (
+            LocalicMap, [(f.source, f.target, f.table, f.adjoint) for f in maps]),
+        "right_adjoint": (right_adjoint, [(h,) for h in homs]),
+        "left_adjoint": (left_adjoint, [(f.source, f.target, f.table) for f in maps]),
+        "transfer_build": (SublocaleTransfer.build, [(f, SL_LIMIT) for f in maps]),
+    }
+    out = {"homs": len(homs)}
+    for name, (fn, items) in kernels.items():
+        out[f"{name}_s"] = _median_time(fn, items)
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, default=3, help="verify runs per configuration")
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_verify.json"))
+    ap.add_argument("--commit", default=None, help="commit to record (default: git HEAD)")
+    args = ap.parse_args(argv)
+    entry = {
+        "commit": args.commit or _commit(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "verify_default": _wall(["verify"], args.runs),
+        "verify_max_poset_5": _wall(["verify", "--max-poset", "5"], args.runs),
+        "map_kernels": kernel_timings(),
+    }
+    history = []
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            history = json.load(fh)
+    history.append(entry)
+    with open(args.out, "w") as fh:
+        json.dump(history, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps(entry, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -22,20 +22,25 @@ class HomReport:
 def check_frame_hom(source: Frame, target: Frame, table) -> HomReport:
     """Does table: source -> target preserve top, bottom, binary meets, binary joins?
 
-    Reports the first violated law with an element-label witness.
+    Reports the first violated law with an element-label witness: totality,
+    top, bottom, then the index pairs a <= b in lexicographic order, the meet
+    law before the join law at each pair.
     """
     t = tuple(table)
-    if len(t) != source.n or any(not 0 <= v < target.n for v in t):
+    if len(t) != source.n or min(t) < 0 or max(t) >= target.n:
         return HomReport(False, "totality", (len(t),))
     if t[source.top] != target.top:
         return HomReport(False, "top", (source.labels[source.top],))
     if t[source.bottom] != target.bottom:
         return HomReport(False, "bottom", (source.labels[source.bottom],))
-    for a in range(source.n):
-        for b in range(a, source.n):
-            if t[source.meet(a, b)] != target.meet(t[a], t[b]):
+    n, tmeet, tjoin = len(t), target.meet_table, target.join_table
+    for a, (smeet, sjoin, ta) in enumerate(zip(source.meet_table, source.join_table, t)):
+        tmeet_a, tjoin_a = tmeet[ta], tjoin[ta]
+        for b in range(a, n):
+            tb = t[b]
+            if t[smeet[b]] != tmeet_a[tb]:
                 return HomReport(False, "meet", (source.labels[a], source.labels[b]))
-            if t[source.join(a, b)] != target.join(t[a], t[b]):
+            if t[sjoin[b]] != tjoin_a[tb]:
                 return HomReport(False, "join", (source.labels[a], source.labels[b]))
     return HomReport(True)
 
@@ -66,7 +71,9 @@ class FrameHom:
 @dataclass(frozen=True)
 class LocalicMap:
     """A localic map source -> target: the right Galois adjoint of a frame hom
-    target -> source. Preserves top and all meets."""
+    target -> source. Preserves top and all meets. Construction checks that
+    the adjoint is left adjoint to the table: monotone on cover pairs, unit
+    and counit, with the lex-first failing pair as the witness."""
 
     source: Frame
     target: Frame
@@ -75,15 +82,14 @@ class LocalicMap:
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
-        f, h = self.table, self.adjoint
+        h = self.adjoint
         if h.source != self.target or h.target != self.source:
             raise ValueError("adjoint frames do not match")
-        for m in range(self.target.n):
-            for x in range(self.source.n):
-                if self.source.le(h(m), x) != self.target.le(m, f[x]):
-                    raise ValueError(
-                        f"adjunction fails at ({self.target.labels[m]}, {self.source.labels[x]})"
-                    )
+        gap = _adjunction_gap(self.source, self.target, self.table, h.table)
+        if gap is not None:
+            raise ValueError(
+                f"adjunction fails at ({self.target.labels[gap[0]]}, {self.source.labels[gap[1]]})"
+            )
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -103,58 +109,87 @@ class LocalicMap:
         }
 
 
+def _adjunction_gap(source: Frame, target: Frame, f, h):
+    """Lex-first (m, x) where h(m) <= x and m <= f(x) disagree, or None.
+
+    h: target -> source is a validated frame hom, so monotone. Then h -| f
+    iff f is monotone (kept on every cover pair of the source), the unit
+    m <= f(h(m)) holds and the counit h(f(x)) <= x holds. Only when one of
+    these fails, or f is not a total table, are all pairs scanned.
+    """
+    sdn, tdn = source.dn, target.dn
+    if (
+        len(f) == source.n
+        and 0 <= min(f) <= max(f) < target.n
+        and all(tdn[f[b]] >> f[a] & 1 for a, b in source.cover_pairs)
+        and all(tdn[f[x]] >> m & 1 for m, x in enumerate(h))
+        and all(sdn[x] >> h[y] & 1 for x, y in enumerate(f))
+    ):
+        return None
+    for m in range(target.n):
+        for x in range(source.n):
+            if source.le(h[m], x) != target.le(m, f[x]):
+                return m, x
+    return None
+
+
 def right_adjoint(h: FrameHom) -> LocalicMap:
-    """The localic map f: target(h) -> source(h) with f(x) = v{m : h(m) <= x}."""
+    """The localic map f: target(h) -> source(h) with f(x) = v{m : h(m) <= x}.
+
+    The set {m : h(m) <= x} is a down-set closed under joins, so f(x) is the
+    element whose join-irreducibles are those q with h(q) <= x: one dict
+    lookup per x.
+    """
     L, M = h.target, h.source
-    table = []
-    for x in range(L.n):
-        acc = M.bottom
-        for m in range(M.n):
-            if L.le(h(m), x):
-                acc = M.join(acc, m)
-        table.append(acc)
-    return LocalicMap(L, M, tuple(table), h)
+    qs = [(1 << q, h.table[q]) for q in bits(M.join_irreducibles)]
+    element = M.by_irreducibles
+    table = tuple(
+        element[sum(bit for bit, hq in qs if dx >> hq & 1)] for dx in L.dn
+    )
+    return LocalicMap(L, M, table, h)
 
 
 def left_adjoint(source: Frame, target: Frame, table) -> FrameHom:
     """Candidate left adjoint h(m) = ^{x : m <= f(x)} of f = table: source -> target.
 
     Succeeds iff h is a frame hom and the adjunction holds; this is the
-    is-localic test. Raises NotLocalic with a witness otherwise.
+    is-localic test. Raises NotLocalic with a witness otherwise: totality,
+    then the first index pair a <= b (lexicographic) whose meet f does not keep,
+    the top, the first failed hom law of h, the first (m, x) of the
+    adjunction. The candidate is built in one pass over the source: each x
+    is met into h(m) for every m below f(x).
     """
     f = tuple(table)
-    if len(f) != source.n or any(not 0 <= v < target.n for v in f):
+    if len(f) != source.n or min(f) < 0 or max(f) >= target.n:
         raise NotLocalic("table is not a total map into the target", witness=("totality",))
-    for a in range(source.n):
-        for b in range(a, source.n):
-            if f[source.meet(a, b)] != target.meet(f[a], f[b]):
+    n, tmeet = len(f), target.meet_table
+    for a, (smeet, fa) in enumerate(zip(source.meet_table, f)):
+        tmeet_a = tmeet[fa]
+        for b in range(a, n):
+            if f[smeet[b]] != tmeet_a[f[b]]:
+                la, lb = source.labels[a], source.labels[b]
                 raise NotLocalic(
-                    f"does not preserve the meet of ({source.labels[a]}, {source.labels[b]})",
-                    witness=("map-meet", source.labels[a], source.labels[b]),
+                    f"does not preserve the meet of ({la}, {lb})", witness=("map-meet", la, lb)
                 )
     if f[source.top] != target.top:
         raise NotLocalic("does not preserve the top", witness=("map-top",))
-    adj = []
-    for m in range(target.n):
-        acc = source.top
-        for x in range(source.n):
-            if target.le(m, f[x]):
-                acc = source.meet(acc, x)
-        adj.append(acc)
+    adj = [source.top] * target.n
+    smeet = source.meet_table
+    for x, y in enumerate(f):
+        for m in bits(target.dn[y]):
+            adj[m] = smeet[adj[m]][x]
+    adj = tuple(adj)
     rep = check_frame_hom(target, source, adj)
     if not rep.ok:
         raise NotLocalic(
             f"candidate adjoint fails the {rep.law} law at {rep.witness}",
             witness=("adjoint-" + str(rep.law),) + tuple(rep.witness or ()),
         )
-    for m in range(target.n):
-        for x in range(source.n):
-            if source.le(adj[m], x) != target.le(m, f[x]):
-                raise NotLocalic(
-                    f"adjunction fails at ({target.labels[m]}, {source.labels[x]})",
-                    witness=("adjunction", target.labels[m], source.labels[x]),
-                )
-    return FrameHom(target, source, tuple(adj))
+    gap = _adjunction_gap(source, target, f, adj)
+    if gap is not None:
+        m, x = target.labels[gap[0]], source.labels[gap[1]]
+        raise NotLocalic(f"adjunction fails at ({m}, {x})", witness=("adjunction", m, x))
+    return FrameHom(target, source, adj)
 
 
 def localic_map(source: Frame, target: Frame, table) -> LocalicMap:
@@ -199,8 +234,7 @@ def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):
         )
     jl, jm = source.join_irreducibles, target.join_irreducibles
     qs = list(bits(jm))
-    # the target element with exactly a given set of join-irreducibles below it
-    element_of = {target.dn[x] & jm: x for x in range(target.n)}
+    element_of = target.by_irreducibles
     phi = [0] * len(qs)
     out = []
 

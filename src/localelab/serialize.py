@@ -176,10 +176,6 @@ def _resolve(base_file: str, ref: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(base_file)), ref)
 
 
-def load_poset(path: str) -> Poset:
-    return poset_from_json(_load(path))
-
-
 def load_frame(path: str) -> Frame:
     return frame_from_json(_load(path))
 

@@ -9,7 +9,7 @@ from itertools import product
 from localelab.hops import HOperator
 from localelab.interior import AxiomReport, ContinuityReport, InitialReport, InteriorOperator
 from localelab.lattice import bits
-from localelab.maps import check_frame_hom
+from localelab.maps import HomReport, check_frame_hom
 from localelab.sublocales import AdjReport, sloc_core, transfer_of
 
 
@@ -350,3 +350,99 @@ def brute_continuous_table(f, op_m, t, rng):
     for i in range(sl.n):
         base[i] = sl.join(base[i], rng.choice(_below(sl, i)))
     return _closure(sl, base)
+
+
+# -- the map-layer scans: method calls over all pairs, one element at a time ------
+
+
+def brute_check_frame_hom(source, target, table):
+    """HomReport of table: source -> target by method calls over every index
+    pair a <= b in lexicographic order, the meet law before the join law."""
+    t = tuple(table)
+    if len(t) != source.n or any(not 0 <= v < target.n for v in t):
+        return HomReport(False, "totality", (len(t),))
+    if t[source.top] != target.top:
+        return HomReport(False, "top", (source.labels[source.top],))
+    if t[source.bottom] != target.bottom:
+        return HomReport(False, "bottom", (source.labels[source.bottom],))
+    for a in range(source.n):
+        for b in range(a, source.n):
+            if t[source.meet(a, b)] != target.meet(t[a], t[b]):
+                return HomReport(False, "meet", (source.labels[a], source.labels[b]))
+            if t[source.join(a, b)] != target.join(t[a], t[b]):
+                return HomReport(False, "join", (source.labels[a], source.labels[b]))
+    return HomReport(True)
+
+
+def brute_adjunction_gap(source, target, f, h):
+    """First (m, x), m outer, where h(m) <= x and m <= f(x) disagree, or None."""
+    for m in range(target.n):
+        for x in range(source.n):
+            if source.le(h[m], x) != target.le(m, f[x]):
+                return m, x
+    return None
+
+
+def brute_right_adjoint_table(h):
+    """f(x) = v{m : h(m) <= x} by the join over every m, for every x."""
+    L, M = h.target, h.source
+    table = []
+    for x in range(L.n):
+        acc = M.bottom
+        for m in range(M.n):
+            if L.le(h(m), x):
+                acc = M.join(acc, m)
+        table.append(acc)
+    return tuple(table)
+
+
+def brute_left_adjoint(source, target, table):
+    """(adjoint table, None) when table: source -> target is localic, else
+    (None, (message, witness)) of the first failure: totality, the meet scan
+    over all pairs, the top, the candidate's hom laws, the adjunction scan."""
+    f = tuple(table)
+    if len(f) != source.n or any(not 0 <= v < target.n for v in f):
+        return None, ("table is not a total map into the target", ("totality",))
+    for a in range(source.n):
+        for b in range(a, source.n):
+            if f[source.meet(a, b)] != target.meet(f[a], f[b]):
+                la, lb = source.labels[a], source.labels[b]
+                return None, (f"does not preserve the meet of ({la}, {lb})",
+                              ("map-meet", la, lb))
+    if f[source.top] != target.top:
+        return None, ("does not preserve the top", ("map-top",))
+    adj = []
+    for m in range(target.n):
+        acc = source.top
+        for x in range(source.n):
+            if target.le(m, f[x]):
+                acc = source.meet(acc, x)
+        adj.append(acc)
+    rep = brute_check_frame_hom(target, source, adj)
+    if not rep.ok:
+        return None, (f"candidate adjoint fails the {rep.law} law at {rep.witness}",
+                      ("adjoint-" + str(rep.law),) + tuple(rep.witness or ()))
+    gap = brute_adjunction_gap(source, target, f, adj)
+    if gap is not None:
+        m, x = target.labels[gap[0]], source.labels[gap[1]]
+        return None, (f"adjunction fails at ({m}, {x})", ("adjunction", m, x))
+    return tuple(adj), None
+
+
+def brute_transfer_tables(f, sl, tl):
+    """(image table, preimage table) of f on the lattices sl and tl: for each
+    sublocale, the images of its points, and the points sent into it."""
+    img = []
+    for pts in sl.points:
+        out = 0
+        for p in bits(pts):
+            out |= 1 << f(p)
+        img.append(tl.by_points[out])
+    pre = []
+    for pts in tl.points:
+        back = 0
+        for p in bits(f.source.primes):
+            if pts >> f(p) & 1:
+                back |= 1 << p
+        pre.append(sl.by_points[back])
+    return tuple(img), tuple(pre)

@@ -1,9 +1,11 @@
 """Fast paths against the brute-force definitions they replaced.
 
 S_l is built from primes, points are read off primes, frame homs are monotone
-maps of join-irreducibles, transfer tables are images of points, I2 and h2 are
-decided on cover pairs, h-continuity on cores, the Galois adjunction on unit,
-counit and covers, the operator samplers close over lower covers, and the
+maps of join-irreducibles, transfer tables are images of points built in one
+pass, I2 and h2 are decided on cover pairs, h-continuity on cores, the Galois
+adjunction (of sublocales and of elements) on unit, counit and covers, right
+adjoints are read off join-irreducibles, the frame-hom law scans read table
+rows from locals, the operator samplers close over lower covers, and the
 operator kernels check and classify an induced operator in one pass over
 point masks. Each is compared here with the scan in `oracles.py` on every
 small frame, or on random tables.
@@ -23,6 +25,7 @@ from localelab.corpus import (
     square,
     two,
 )
+from localelab.errors import NotLocalic
 from localelab.hops import HOperator, check_h, initial_h, is_h_continuous, random_h
 from localelab.interior import (
     InteriorOperator,
@@ -37,7 +40,14 @@ from localelab.interior import (
     random_op,
 )
 from localelab.lattice import build_frame, frame_of_space
-from localelab.maps import FrameHom, enumerate_frame_homs, right_adjoint
+from localelab.maps import (
+    FrameHom,
+    LocalicMap,
+    check_frame_hom,
+    enumerate_frame_homs,
+    left_adjoint,
+    right_adjoint,
+)
 from localelab.points import points_of
 from localelab.sublocales import (
     SublocaleTransfer,
@@ -47,6 +57,8 @@ from localelab.sublocales import (
 )
 from oracles import (
     brute_adjunction,
+    brute_adjunction_gap,
+    brute_check_frame_hom,
     brute_continuous_table,
     brute_frame_homs,
     brute_h_axioms,
@@ -56,6 +68,7 @@ from oracles import (
     brute_initial_h,
     brute_initial_interior,
     brute_interior_axioms,
+    brute_left_adjoint,
     brute_monotone_count,
     brute_op_join,
     brute_op_le_gap,
@@ -63,7 +76,9 @@ from oracles import (
     brute_point_filters,
     brute_preimage_table,
     brute_random_table,
+    brute_right_adjoint_table,
     brute_sublocale_masks,
+    brute_transfer_tables,
 )
 
 CORPUS4 = [fr for _, fr in corpus_frames(4)]
@@ -173,6 +188,105 @@ def test_transfer_tables_match_sloc_core():
         assert t.image_table == brute_image_table(t), f.describe()
         checked += 1
     assert checked > 500
+
+
+# -- map-layer kernels against the method-call scans ---------------------------------
+
+# every frame hom between corpus-4 frames, grouped by frame pair
+HOMS4 = {(a, b): enumerate_frame_homs(a, b, budget=16 ** 16) for a in CORPUS4 for b in CORPUS4}
+HOM_PAIRS = [pair for pair, homs in HOMS4.items() if homs]
+
+
+def _overwrite(draw, table, n):
+    """table with up to two entries replaced, each by a value in -1..n (so
+    out of range at either end now and then) or by another entry."""
+    table = list(table)
+    for _ in range(draw(st.integers(0, 2))):
+        k = st.integers(0, len(table) - 1)
+        table[draw(k)] = draw(st.one_of(st.integers(-1, n), k.map(table.__getitem__)))
+    return tuple(table)
+
+
+@st.composite
+def map_cases(draw):
+    """A corpus-4 hom h: M -> L, its right adjoint f: L -> M, a second hom
+    M -> L drawn from the same pair, and h's and f's tables with up to two
+    entries overwritten."""
+    m, l = draw(st.sampled_from(HOM_PAIRS))
+    homs = HOMS4[m, l]
+    h = FrameHom(m, l, draw(st.sampled_from(homs)))
+    f = right_adjoint(h)
+    other = FrameHom(m, l, draw(st.sampled_from(homs)))
+    return h, f, other, _overwrite(draw, h.table, l.n), _overwrite(draw, f.table, m.n)
+
+
+def _raised(fn, *args):
+    """The type and text of what fn(*args) raises; None when it returns."""
+    try:
+        fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@given(map_cases())
+@settings(max_examples=300)
+def test_check_frame_hom_matches_method_scan(case):
+    h, f, _, hom_table, map_table = case
+    assert check_frame_hom(h.source, h.target, hom_table) == brute_check_frame_hom(
+        h.source, h.target, hom_table)
+    # a localic map keeps meets and top but often not joins or the bottom
+    assert check_frame_hom(f.source, f.target, map_table) == brute_check_frame_hom(
+        f.source, f.target, map_table)
+
+
+@given(map_cases())
+@settings(max_examples=300)
+def test_right_adjoint_matches_join_scan(case):
+    h, f, other, _, _ = case
+    assert f.table == brute_right_adjoint_table(h)
+    assert right_adjoint(other).table == brute_right_adjoint_table(other)
+
+
+@given(map_cases())
+@settings(max_examples=300)
+def test_localic_map_check_matches_adjunction_scan(case):
+    """LocalicMap accepts or rejects f's table, overwritten, against h or
+    another hom of the same frames, with the all-pairs scan's first witness;
+    a table the scan cannot read raises the scan's own error."""
+    h, f, other, _, map_table = case
+    for adjoint in (h, other):
+        try:
+            gap = brute_adjunction_gap(f.source, f.target, map_table, adjoint.table)
+        except IndexError as exc:
+            want = "IndexError", str(exc)
+        else:
+            want = None if gap is None else ("ValueError", "adjunction fails at "
+                                             f"({f.target.labels[gap[0]]}, "
+                                             f"{f.source.labels[gap[1]]})")
+        assert _raised(LocalicMap, f.source, f.target, map_table, adjoint) == want
+
+
+@given(map_cases())
+@settings(max_examples=300)
+def test_left_adjoint_matches_method_scan(case):
+    _, f, _, _, map_table = case
+    adj, failure = brute_left_adjoint(f.source, f.target, map_table)
+    try:
+        got = left_adjoint(f.source, f.target, map_table)
+    except NotLocalic as exc:
+        assert failure == (str(exc), exc.witness)
+    else:
+        assert failure is None and got.table == adj
+
+
+@given(map_cases())
+@settings(max_examples=300)
+def test_transfer_build_matches_per_sublocale_loops(case):
+    _, f, _, _, _ = case
+    t = SublocaleTransfer.build(f, limit=16)
+    assert (t.image_table, t.preimage_table) == brute_transfer_tables(
+        f, t.source_lattice, t.target_lattice)
 
 
 # -- the Galois adjunction on unit, counit and covers --------------------------------

@@ -116,6 +116,20 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     assert digest == "1f4ef6f0531304c1a8696486aaa7efb8437a5303c0a2f7db5894bdb31e7fd01c"
 
 
+def test_maps_sweep_report_bytes_pinned(tmp_path):
+    # the bytes of `localelab verify --max-poset 4 --budget 10000000
+    # --samples 0 --checks galois-adjunction --seed 42 --report ...`: the
+    # Galois check over the 5,217 maps that budget admits
+    report = run_verification(CorpusConfig(
+        max_poset_size=4, operator_samples_per_frame=0, map_budget=10_000_000,
+        seed=42, checks=("galois-adjunction",)))
+    assert report["counts"]["maps"] == 5217
+    path = tmp_path / "report.json"
+    save_json(str(path), report)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "32eed0cebfb39089b71946fdf84e5fccddb938f4a269d0dcdb55f3dae7330888"
+
+
 def test_reports_are_byte_identical_for_equal_configs():
     a = run_verification(CorpusConfig(**SMALL))
     b = run_verification(CorpusConfig(**SMALL))
