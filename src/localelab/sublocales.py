@@ -437,7 +437,7 @@ def _point_tables(points, point_value, index) -> tuple:
         if pts:
             low = pts & -pts
             value[pts] = value[pts ^ low] | point_value.get(low, 0)
-    return tuple(map(index.__getitem__, map(value.__getitem__, points)))
+    return tuple([index[value[pts]] for pts in points])
 
 
 @lru_cache(maxsize=None)
