@@ -9,6 +9,9 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the commit (`git rev-parse HEAD`, or `--commit`) and the Python version;
 - the median wall time of N runs of default `verify` and of
   `verify --max-poset 5`, each in a fresh interpreter;
+- the cold start: the median over 11 fresh interpreters of the time
+  `import localelab.cli` takes, and of the time `corpus_frames(5)` takes
+  after it (one unmeasured interpreter first writes the bytecode caches);
 - the median over five passes of each map-layer kernel, timed over every
   frame hom between the corpus-4 frames (19,702 homs): `check_frame_hom`,
   `LocalicMap` construction (its adjunction check), `right_adjoint`,
@@ -33,6 +36,17 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
 PASSES = 5
+COLD_RUNS = 11
+# timed inside the child, so interpreter start-up is left out
+COLD_PROBE = """
+import time
+start = time.perf_counter()
+import localelab.cli
+imported = time.perf_counter()
+from localelab.corpus import corpus_frames
+corpus_frames(5)
+print(imported - start, time.perf_counter() - imported)
+"""
 # S_l bound for the transfer build: the largest corpus-4 frame has 16 elements
 SL_LIMIT = 16
 
@@ -55,6 +69,18 @@ def _wall(argv, runs):
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         times.append(time.perf_counter() - start)
     return {"median_s": round(statistics.median(times), 3), "runs_s": [round(t, 3) for t in times]}
+
+
+def cold_start():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    samples = []
+    for _ in range(COLD_RUNS + 1):
+        out = subprocess.run([sys.executable, "-c", COLD_PROBE], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        samples.append([float(x) for x in out.split()])
+    imports, corpus = zip(*samples[1:])
+    return {"runs": COLD_RUNS, "import_cli_s": round(statistics.median(imports), 4),
+            "corpus_frames_5_s": round(statistics.median(corpus), 4)}
 
 
 def _median_time(fn, items):
@@ -113,6 +139,7 @@ def main(argv=None):
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "verify_default": _wall(["verify"], args.runs),
         "verify_max_poset_5": _wall(["verify", "--max-poset", "5"], args.runs),
+        "cold_start": cold_start(),
         "map_kernels": kernel_timings(),
     }
     history = []

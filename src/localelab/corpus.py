@@ -80,16 +80,23 @@ def indiscrete_space(n: int = 2) -> FiniteSpace:
 
 def canonical_poset_key(poset: Poset) -> int:
     """Lexicographically minimal row-major adjacency encoding over relabelings."""
-    n = poset.n
-    le = poset.le_matrix
-    best = None
+    return _canonical_code(poset.up)
+
+
+def _canonical_code(up) -> int:
+    """canonical_poset_key of the rows `up`; a relabeling stops at the first
+    row that puts its code above the best."""
+    n = len(up)
+    best = 1 << n * n
     for perm in permutations(range(n)):
         code = 0
-        for a in range(n):
-            pa = perm[a]
-            for b in range(n):
-                code = (code << 1) | int(le[pa, perm[b]])
-        if best is None or code < best:
+        for a, pa in enumerate(perm, 1):
+            row = up[pa]
+            for pb in perm:
+                code = code << 1 | (row >> pb & 1)
+            if code > best >> n * (n - a):
+                break
+        else:
             best = code
     return best
 
@@ -98,7 +105,6 @@ def posets_are_isomorphic(p: Poset, q: Poset) -> bool:
     return p.n == q.n and canonical_poset_key(p) == canonical_poset_key(q)
 
 
-@lru_cache(maxsize=None)
 def all_posets(n: int) -> tuple[Poset, ...]:
     """All posets with exactly n elements, one per isomorphism class.
 
@@ -108,6 +114,12 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     SizeLimit past MAX_POSET_SIZE.
     """
     _admit(n)
+    return tuple(poset for _, poset in _poset_classes(n))
+
+
+@lru_cache(maxsize=None)
+def _poset_classes(n: int) -> tuple[tuple[int, Poset], ...]:
+    """(canonical key, representative) for all_posets(n), in key order."""
     if n == 0:
         return ()
     labels = tuple(str(i) for i in range(n))
@@ -128,14 +140,13 @@ def all_posets(n: int) -> tuple[Poset, ...]:
         if labeled in seen_labeled:
             continue
         seen_labeled.add(labeled)
-        poset = Poset.from_pairs(
-            labels,
-            [(labels[i], labels[j]) for i in range(n) for j in bits(rows[i]) if i != j],
-        )
-        key = canonical_poset_key(poset)
+        key = _canonical_code(labeled)
         if key not in by_key:
-            by_key[key] = poset
-    return tuple(by_key[k] for k in sorted(by_key))
+            by_key[key] = Poset.from_pairs(
+                labels,
+                [(labels[i], labels[j]) for i in range(n) for j in bits(rows[i]) if i != j],
+            )
+    return tuple(sorted(by_key.items()))
 
 
 def _admit(size: int) -> None:
@@ -165,8 +176,9 @@ def corpus_frames(max_size: int) -> tuple[tuple[str, Frame], ...]:
     The key records the poset size and its canonical encoding, so reports
     refer to frames stably across runs.
     """
-    out = []
-    for poset in corpus_posets(max_size):
-        key = f"D[{poset.n}:{canonical_poset_key(poset):x}]"
-        out.append((key, downset_frame(poset)))
-    return tuple(out)
+    _admit(max_size)
+    return tuple(
+        (f"D[{n}:{key:x}]", downset_frame(poset))
+        for n in range(1, max_size + 1)
+        for key, poset in _poset_classes(n)
+    )

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import cached_property
-
-import numpy as np
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import NoMeetOrJoin, NotAPoset, NotASpace, NotDistributive
 
@@ -37,24 +36,24 @@ def set_label(labels, mask: int) -> str:
 
 
 class Poset:
-    """A finite poset: labels plus a reflexive, transitive, antisymmetric bool matrix."""
+    """A finite poset: labels plus reflexive, transitive, antisymmetric bitmask rows."""
 
-    def __init__(self, labels, le: np.ndarray):
+    def __init__(self, labels, le):
+        """`le` is an n x n matrix whose truthy entries mark the pairs i <= j."""
         self.labels = tuple(str(x) for x in labels)
-        self.n = len(self.labels)
-        le = np.asarray(le, dtype=bool)
-        if le.shape != (self.n, self.n):
+        self.n = n = len(self.labels)
+        if len(le) != n or any(len(row) != n for row in le):
             raise ValueError("le matrix shape does not match label count")
-        le.setflags(write=False)
-        self.le_matrix = le
-        # dn[j] = bitmask of {i : i <= j}, up[i] = bitmask of {j : i <= j}
-        self.dn = tuple(mask_of(np.nonzero(le[:, j])[0]) for j in range(self.n))
-        self.up = tuple(mask_of(np.nonzero(le[i, :])[0]) for i in range(self.n))
+        # up[i] = bitmask of {j : i <= j}, dn[j] = bitmask of {i : i <= j}
+        self.up = up = tuple(mask_of(j for j, x in enumerate(row) if x) for row in le)
+        self.dn = tuple(mask_of(i for i, r in enumerate(up) if r >> j & 1) for j in range(n))
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.index) != self.n:
+        if len(self.index) != n:
             raise ValueError("duplicate labels")
+        # key() and the hash read the relation as n*n row-major 0/1 bytes;
         # posets and frames key the sublocale and transfer caches: hash once
-        self._hash = hash((self.labels, le.tobytes()))
+        self._le_bytes = bytes(r >> j & 1 for r in up for j in range(n))
+        self._hash = hash((self.labels, self._le_bytes))
 
     @staticmethod
     def from_pairs(labels, pairs) -> "Poset":
@@ -85,33 +84,25 @@ class Poset:
                         f"cycle: {labels[i]} <= {labels[j]} and {labels[j]} <= {labels[i]}",
                         witness=(labels[i], labels[j]),
                     )
-        le = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in bits(rows[i]):
-                le[i, j] = True
-        return Poset(labels, le)
+        return Poset(labels, [[r >> j & 1 for j in range(n)] for r in rows])
 
     def validate(self) -> None:
-        """Re-check reflexivity/antisymmetry/transitivity (for matrices built directly)."""
-        le = self.le_matrix
-        if not le.diagonal().all():
-            i = int(np.nonzero(~le.diagonal())[0][0])
-            raise NotAPoset(f"not reflexive at {self.labels[i]}", witness=(self.labels[i],))
-        sym = le & le.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            i, j = map(int, np.argwhere(sym)[0])
-            raise NotAPoset(
-                f"cycle: {self.labels[i]} <= {self.labels[j]} and back",
-                witness=(self.labels[i], self.labels[j]),
-            )
-        closure = (le.astype(np.uint8) @ le.astype(np.uint8)) > 0
-        if (closure & ~le).any():
-            i, j = map(int, np.argwhere(closure & ~le)[0])
-            raise NotAPoset(
-                f"not transitive: {self.labels[i]} .. {self.labels[j]}",
-                witness=(self.labels[i], self.labels[j]),
-            )
+        """Re-check reflexivity/antisymmetry/transitivity (for matrices built directly).
+
+        Each law reports its row-major first failing pair.
+        """
+        up, dn, labels = self.up, self.dn, self.labels
+        for i, r in enumerate(up):
+            if not r >> i & 1:
+                raise NotAPoset(f"not reflexive at {labels[i]}", witness=(labels[i],))
+        cycles = [r & dn[i] & ~(1 << i) for i, r in enumerate(up)]
+        gaps = [reduce(or_, (up[k] for k in bits(r)), 0) & ~r for r in up]
+        for text, rows in (("cycle: {} <= {} and back", cycles),
+                           ("not transitive: {} .. {}", gaps)):
+            for i, r in enumerate(rows):
+                if r:
+                    a, b = labels[i], labels[(r & -r).bit_length() - 1]
+                    raise NotAPoset(text.format(a, b), witness=(a, b))
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.dn[b] >> a & 1)
@@ -137,7 +128,7 @@ class Poset:
 
     def key(self) -> str:
         digest = hashlib.sha256(
-            json.dumps(self.labels).encode() + self.le_matrix.tobytes()
+            json.dumps(self.labels).encode() + self._le_bytes
         ).hexdigest()[:10]
         return f"p{self.n}-{digest}"
 
@@ -147,7 +138,7 @@ class Poset:
         return (
             isinstance(other, Poset)
             and self.labels == other.labels
-            and np.array_equal(self.le_matrix, other.le_matrix)
+            and self.up == other.up
         )
 
     def __hash__(self):
@@ -360,11 +351,7 @@ def pseudocomplement(frame: Frame, a: int) -> int:
 
 
 def _frame_of_mask_family(masks, labels) -> Frame:
-    n = len(masks)
-    le = np.zeros((n, n), dtype=bool)
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            le[i, j] = mi & ~mj == 0
+    le = [[mi & ~mj == 0 for mj in masks] for mi in masks]
     return Frame.from_order(Poset(labels, le))
 
 

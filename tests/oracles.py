@@ -4,7 +4,7 @@ Each function here is the definition the fast path replaced, kept as a scan
 over subsets, assignments or all pairs, so that property tests can compare
 the two on every small frame.
 """
-from itertools import product
+from itertools import permutations, product
 
 from localelab.hops import HOperator
 from localelab.interior import AxiomReport, ContinuityReport, InitialReport, InteriorOperator
@@ -446,3 +446,41 @@ def brute_transfer_tables(f, sl, tl):
                 back |= 1 << p
         pre.append(sl.by_points[back])
     return tuple(img), tuple(pre)
+
+
+# -- the poset scans: matrix entries, one at a time ------------------------------------
+
+
+def brute_canonical_key(poset):
+    """Lexicographically minimal row-major code of poset.leq over every
+    relabeling, each code read in full."""
+    n = poset.n
+    best = None
+    for perm in permutations(range(n)):
+        code = 0
+        for a in range(n):
+            for b in range(n):
+                code = code << 1 | int(poset.leq(perm[a], perm[b]))
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def brute_validate(labels, le):
+    """(message, witness) of the first poset law the n x n matrix le breaks, or
+    None: a false diagonal entry, then the row-major first pair related both
+    ways, then the row-major first pair that le composed with itself relates
+    and le does not."""
+    n = len(labels)
+    for i in range(n):
+        if not le[i][i]:
+            return f"not reflexive at {labels[i]}", (labels[i],)
+    for i in range(n):
+        for j in range(n):
+            if i != j and le[i][j] and le[j][i]:
+                return f"cycle: {labels[i]} <= {labels[j]} and back", (labels[i], labels[j])
+    for i in range(n):
+        for j in range(n):
+            if not le[i][j] and any(le[i][k] and le[k][j] for k in range(n)):
+                return f"not transitive: {labels[i]} .. {labels[j]}", (labels[i], labels[j])
+    return None

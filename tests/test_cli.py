@@ -293,3 +293,13 @@ def test_python_dash_m_runs_the_cli(files, subprocess_env):
     )
     assert proc.returncode == 0
     assert "all laws hold" in proc.stdout
+
+
+def test_cli_imports_without_numpy(subprocess_env):
+    # every CLI call pays its imports cold; the package depends on no
+    # third-party module at run time
+    proc = subprocess.run(
+        [sys.executable, "-c", "import localelab.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=subprocess_env,
+    )
+    assert proc.returncode == 0, proc.stderr

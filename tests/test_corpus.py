@@ -54,13 +54,12 @@ def brute_labeled_count(n: int) -> int:
 
 
 def orbit_size(poset: Poset) -> int:
-    le = poset.le_matrix
     n = poset.n
     seen = set()
     for perm in permutations(range(n)):
         seen.add(
             tuple(
-                tuple(int(le[perm[a], perm[b]]) for b in range(n)) for a in range(n)
+                tuple(int(poset.leq(perm[a], perm[b])) for b in range(n)) for a in range(n)
             )
         )
     return len(seen)
@@ -124,14 +123,13 @@ def test_downset_count_against_direct_scan():
     # independent downset count: subsets closed under going down
     for poset in corpus_posets(4):
         n = poset.n
-        le = poset.le_matrix
         count = 0
         for mask in range(1 << n):
             if all(
                 not (mask >> b & 1) or (mask >> a & 1)
                 for a in range(n)
                 for b in range(n)
-                if le[a, b]
+                if poset.leq(a, b)
             ):
                 count += 1
         assert downset_frame(poset).n == count

@@ -5,10 +5,11 @@ maps of join-irreducibles, transfer tables are images of points built in one
 pass, I2 and h2 are decided on cover pairs, h-continuity on cores, the Galois
 adjunction (of sublocales and of elements) on unit, counit and covers, right
 adjoints are read off join-irreducibles, the frame-hom law scans read table
-rows from locals, the operator samplers close over lower covers, and the
+rows from locals, the operator samplers close over lower covers, the
 operator kernels check and classify an induced operator in one pass over
-point masks. Each is compared here with the scan in `oracles.py` on every
-small frame, or on random tables.
+point masks, and posets validate and take canonical keys on bitmask rows.
+Each is compared here with the scan in `oracles.py` on every small frame or
+poset, or on random tables.
 """
 import random
 
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localelab.corpus import (
+    all_posets,
+    canonical_poset_key,
     chain3,
     chain4,
     corpus_frames,
@@ -25,7 +28,7 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.errors import NotLocalic
+from localelab.errors import NotAPoset, NotLocalic
 from localelab.hops import HOperator, check_h, initial_h, is_h_continuous, random_h
 from localelab.interior import (
     InteriorOperator,
@@ -39,7 +42,7 @@ from localelab.interior import (
     op_meet,
     random_op,
 )
-from localelab.lattice import build_frame, frame_of_space
+from localelab.lattice import Poset, build_frame, frame_of_space
 from localelab.maps import (
     FrameHom,
     LocalicMap,
@@ -58,6 +61,7 @@ from localelab.sublocales import (
 from oracles import (
     brute_adjunction,
     brute_adjunction_gap,
+    brute_canonical_key,
     brute_check_frame_hom,
     brute_continuous_table,
     brute_frame_homs,
@@ -79,6 +83,7 @@ from oracles import (
     brute_right_adjoint_table,
     brute_sublocale_masks,
     brute_transfer_tables,
+    brute_validate,
 )
 
 CORPUS4 = [fr for _, fr in corpus_frames(4)]
@@ -128,6 +133,97 @@ def test_points_match_assignment_scan():
 
 def test_trivial_frame_has_no_points():
     assert points_of(build_frame(("0",), ())) == []
+
+
+# -- posets on bitmask rows ----------------------------------------------------------
+
+CORPUS5_POSETS = corpus_posets(5)
+
+
+def test_poset_and_corpus_keys_are_pinned():
+    # keys read the relation as its n*n row-major 0/1 bytes; frame keys,
+    # hashes and every report are built on them
+    assert [fr.poset.key() for fr in (two(), chain3(), square())] == [
+        "p2-1e5fab680f", "p3-031e79c6b0", "p4-37838bd8c1"]
+    assert [k for k, _ in corpus_frames(3)] == [
+        "D[1:1]", "D[2:9]", "D[2:b]", "D[3:111]", "D[3:113]", "D[3:117]", "D[3:135]",
+        "D[3:137]"]
+
+
+def test_canonical_key_matches_matrix_scan():
+    for poset in CORPUS5_POSETS:
+        assert canonical_poset_key(poset) == brute_canonical_key(poset), poset.up
+
+
+def _relabeled(poset, perm):
+    """poset with element i moved to index perm[i], label and order alike."""
+    n = poset.n
+    labels = [None] * n
+    le = [[False] * n for _ in range(n)]
+    for i in range(n):
+        labels[perm[i]] = poset.labels[i]
+        for j in range(n):
+            le[perm[i]][perm[j]] = poset.leq(i, j)
+    return Poset(labels, le)
+
+
+@st.composite
+def relabelings(draw):
+    poset = draw(st.sampled_from(CORPUS5_POSETS))
+    return poset, _relabeled(poset, draw(st.permutations(range(poset.n))))
+
+
+@given(relabelings())
+@settings(max_examples=300)
+def test_canonical_key_of_relabeling_matches_matrix_scan(case):
+    poset, relabeled = case
+    assert canonical_poset_key(relabeled) == brute_canonical_key(relabeled)
+    assert canonical_poset_key(relabeled) == canonical_poset_key(poset)
+
+
+@st.composite
+def relations(draw):
+    """An n x n matrix, n <= 5: a relabeled corpus poset with up to two entries
+    flipped (a missing diagonal, cycles, lost transitivity), or a random 0/1
+    relation that is reflexive, or reflexive and upper-triangular."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["poset", "poset", "reflexive", "triangular"]))
+    if shape == "poset":
+        poset = _relabeled(draw(st.sampled_from(all_posets(n))), draw(st.permutations(range(n))))
+        le = [[poset.leq(a, b) for b in range(n)] for a in range(n)]
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            le[a][b] = not le[a][b]
+        return le
+    le = [[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        le[i][i] = 1
+        if shape == "triangular":
+            le[i][:i] = [0] * i
+    return le
+
+
+@given(relations())
+@settings(max_examples=300)
+def test_validate_matches_matrix_scan(le):
+    labels = [f"e{i}" for i in range(len(le))]
+    poset = Poset(labels, le)
+    try:
+        poset.validate()
+        got = None
+    except NotAPoset as exc:
+        got = str(exc), exc.witness
+    assert got == brute_validate(labels, le)
+    assert poset.up == tuple(sum(bool(x) << j for j, x in enumerate(row)) for row in le)
+
+
+def test_poset_rejects_bad_shapes_and_duplicate_labels():
+    with pytest.raises(ValueError, match="shape"):
+        Poset("ab", [[1, 0]])
+    with pytest.raises(ValueError, match="shape"):
+        Poset("ab", [[1, 0], [1]])
+    with pytest.raises(ValueError, match="duplicate"):
+        Poset("aa", [[1, 0], [0, 1]])
 
 
 # -- frame homs by duality -----------------------------------------------------------
