@@ -1,4 +1,5 @@
-"""End-to-end and map-layer timings of localelab, appended to BENCH_verify.json.
+"""End-to-end, map-layer and operator-layer timings of localelab, appended to
+BENCH_verify.json.
 
     python3 bench/bench.py [--runs N] [--out PATH] [--commit ID]
 
@@ -6,16 +7,26 @@ Run it from the root of a source checkout; it imports `localelab` from the
 `src/` directory next to this script and starts `localelab verify` in child
 interpreters with the same `PYTHONPATH`. One entry records:
 
-- the commit (`git rev-parse HEAD`, or `--commit`) and the Python version;
+- the commit (`git rev-parse HEAD`, or `--commit`), the Python version and
+  `PYTHONDONTWRITEBYTECODE`;
 - the median wall time of N runs of default `verify` and of
   `verify --max-poset 5`, each in a fresh interpreter;
 - the cold start: the median over 11 fresh interpreters of the time
   `import localelab.cli` takes, and of the time `corpus_frames(5)` takes
-  after it (one unmeasured interpreter first writes the bytecode caches);
+  after it. One unmeasured interpreter runs first. It writes the bytecode
+  caches only when `PYTHONDONTWRITEBYTECODE` is unset; when it is set, every
+  interpreter compiles the package on import (on a 2-vCPU x86-64 VM with
+  Python 3.11.7, a cold import took 0.11 s compiling against 0.048 s read
+  from bytecode caches);
 - the median over five passes of each map-layer kernel, timed over every
   frame hom between the corpus-4 frames (19,702 homs): `check_frame_hom`,
   `LocalicMap` construction (its adjunction check), `right_adjoint`,
-  `left_adjoint` and `SublocaleTransfer.build`.
+  `left_adjoint` and `SublocaleTransfer.build`;
+- the median over five passes of each operator-layer kernel, timed over
+  the (map, operator) pairs of the initial checks of default `verify`:
+  `random_op` for the ten draws per map of initial-interior (11,350 draws,
+  a generator seeded per map as the check seeds it), `initial_interior` on
+  its 13,620 lifts and `initial_h` on the 9,080 lifts of initial-h.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -125,6 +136,34 @@ def kernel_timings():
     return out
 
 
+def operator_timings():
+    from localelab.hops import initial_h
+    from localelab.interior import initial_interior, random_op
+    from localelab.verify import CorpusConfig, _Ctx, _h_ops_for_initial, _ops_for_initial
+
+    ctx = _Ctx(CorpusConfig())
+    maps = list(enumerate(ctx.maps))
+    draws = [(ctx.sl(f.target), idx) for idx, f in maps]
+    samples = min(10, ctx.config.operator_samples_per_frame)
+
+    def draw(sl, idx):
+        rng = ctx.rng("initial-ops", idx)
+        for _ in range(samples):
+            random_op(sl, rng)
+
+    lifts = [(f, op) for idx, f in maps for op in _ops_for_initial(ctx, f, idx)]
+    h_lifts = [(f, h) for idx, f in maps for h in _h_ops_for_initial(ctx, f, idx)]
+    return {
+        "maps": len(maps),
+        "random_op_draws": len(draws) * samples,
+        "random_op_s": _median_time(draw, draws),
+        "initial_interior_lifts": len(lifts),
+        "initial_interior_s": _median_time(initial_interior, lifts),
+        "initial_h_lifts": len(h_lifts),
+        "initial_h_s": _median_time(initial_h, h_lifts),
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=3, help="verify runs per configuration")
@@ -134,6 +173,7 @@ def main(argv=None):
     entry = {
         "commit": args.commit or _commit(),
         "python": platform.python_version(),
+        "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
@@ -141,6 +181,7 @@ def main(argv=None):
         "verify_max_poset_5": _wall(["verify", "--max-poset", "5"], args.runs),
         "cold_start": cold_start(),
         "map_kernels": kernel_timings(),
+        "operator_kernels": operator_timings(),
     }
     history = []
     if os.path.exists(args.out):

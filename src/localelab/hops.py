@@ -25,20 +25,18 @@ from .interior import (
     InitialReport,
     InteriorOperator,
     UniversalReport,
-    _continuity_gap,
-    _continuity_gaps,
-    _continuity_report,
-    _top_gap,
+    _axioms,
+    _continuity,
+    _target_transfer,
     _universal_report,
     check_composition,
-    check_interior,
     discrete_op,
     is_I_continuous,
     random_op,
     trivial_op,
 )
 from .maps import LocalicMap
-from .sublocales import SublocaleLattice, transfer_of
+from .sublocales import SublocaleLattice
 
 
 @lru_cache(maxsize=None)
@@ -70,17 +68,13 @@ class HOperator(InteriorOperator):
         return InteriorOperator(sl, tuple([by_points[p & pts[v]] for p, v in zip(pts, self.table)]))
 
 
-_H_AXIOMS = {"I1": "h1", "I2": "h2", "I3": "h3"}
+_H_AXIOMS = ("h1", "h2", "h3")
 
 
 def check_h(op: HOperator) -> AxiomReport:
     """h1, h2, h3 as I1, I2, I3 of the core; h1 is vacuous but still run."""
-    rep = check_interior(op.core)
-    return AxiomReport(
-        {_H_AXIOMS[k]: v for k, v in rep.passed.items()},
-        {_H_AXIOMS[k]: v for k, v in rep.witnesses.items()},
-        vacuous=("h1",),
-    )
+    pts = op.lattice.points
+    return _axioms(op.lattice, [p & pts[v] for p, v in zip(pts, op.table)], _H_AXIOMS, ("h1",))[1]
 
 
 def h_from_interior(op: InteriorOperator) -> HOperator:
@@ -142,26 +136,17 @@ def initial_h(f: LocalicMap, h_m: HOperator):
     h3 and continuity failures are classified against the same adjunction
     gaps as the interior case.
     """
-    if h_m.lattice.host != f.target:
-        raise HostMismatch(
-            "operator does not live on the map's target frame",
-            witness=(h_m.lattice.host.key(), f.target.key()),
-        )
-    t = transfer_of(f)
-    sl, img, pre = t.source_lattice, t.image_table, t.preimage_table
-    th = h_m.table
+    t = _target_transfer(f, h_m)
+    sl, img, pre, th = t.source_lattice, t.image_table, t.preimage_table, h_m.table
+    sp = sl.points
+    hp = [sp[pre[v]] for v in th]  # f_-1[h_M(T)] for every T
+    core = [p & hp[x] for p, x in zip(sp, img)]
     cand = HOperator(sl, tuple([pre[th[x]] for x in img]))
-    axioms = check_h(cand)
-    gap = next(_continuity_gaps(pre, cand.core, h_m.core), None)
-    cont = _continuity_report(pre, cand.core, h_m.core, gap)
-
-    surjective = img[sl.top] == t.target_lattice.top
-    anomalies = []
-    if not axioms.passed["h3"]:
-        anomalies.append(_top_gap(sl, surjective))
-    if gap is not None:
-        anomalies.append(_continuity_gap(t, gap, surjective))
-    return cand, InitialReport(axioms, cont, tuple(anomalies))
+    axioms = _axioms(sl, core, _H_AXIOMS, ("h1",))[1]
+    # preimages are set preimages of points, so f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)]
+    continuity, cont = _continuity(t, [sp[k] & q for k, q in zip(pre, hp)], core)
+    top = 0 if axioms.passed["h3"] else 1 << sl.top
+    return cand, InitialReport(axioms, cont, t, (0, top, continuity & -continuity))
 
 
 def check_h_universal(

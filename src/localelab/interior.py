@@ -8,10 +8,12 @@ over the enumerated sublocale lattice, so every law check is exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EmptyFamily, HostMismatch
+from .lattice import bits
 from .maps import LocalicMap, compose_localic
-from .sublocales import SublocaleLattice, transfer_of
+from .sublocales import SublocaleLattice, SublocaleTransfer, transfer_of
 
 
 @dataclass(frozen=True)
@@ -56,48 +58,45 @@ class AxiomReport:
         }
 
 
-def _contraction_gaps(sl: SublocaleLattice, table):
-    """Every i with table[i] not below i, in index order, as a lazy scan."""
-    pts = sl.points
-    return (i for i, v in enumerate(table) if pts[v] & ~pts[i])
+def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()):
+    """(contraction gap mask, AxiomReport) of a table given as the point mask
+    vals[i] of each entry: I1 contraction, I2 monotonicity, I3 the top.
 
-
-def _monotone_on_covers(sl: SublocaleLattice, table) -> bool:
-    pts = sl.points
-    for i, covers in enumerate(sl.lower_covers):
-        above = ~pts[table[i]]
+    One pass over lower covers: the order is generated by its cover pairs,
+    so I2 holds iff it holds on them; only a failure needs the all-pairs
+    scan for the lex-first witness.
+    """
+    pts, labels, by_points, top = sl.points, sl.labels, sl.by_points, sl.top
+    gaps, monotone, bit = 0, True, 1
+    for p, v, covers in zip(pts, vals, sl.lower_covers):
+        if v & ~p:
+            gaps |= bit
+        bit <<= 1
         for k in covers:
-            if pts[table[k]] & above:
-                return False
-    return True
-
-
-def _axiom_report(sl: SublocaleLattice, table, contraction_gap) -> AxiomReport:
-    """I1, I2, I3 of a table, given its first contraction gap (or None)."""
-    pts, labels = sl.points, sl.labels
-    passed = {"I1": contraction_gap is None, "I2": True, "I3": table[sl.top] == sl.top}
+            if vals[k] & ~v:
+                monotone = False
+    i1, i2, i3 = names
+    passed = {i1: not gaps, i2: monotone, i3: vals[top] == pts[top]}
     witnesses = {}
-    if contraction_gap is not None:
-        witnesses["I1"] = (labels[contraction_gap], labels[table[contraction_gap]])
-    # the order is generated by its cover pairs, so I2 holds iff it holds on
-    # them; only a failure needs the all-pairs scan for the lex-first witness
-    if not _monotone_on_covers(sl, table):
-        passed["I2"] = False
-        witnesses["I2"] = next(
+    if gaps:
+        i = (gaps & -gaps).bit_length() - 1
+        witnesses[i1] = (labels[i], labels[by_points[vals[i]]])
+    if not monotone:
+        witnesses[i2] = next(
             (labels[i], labels[j])
             for i in range(sl.n)
             for j in range(sl.n)
-            if not pts[i] & ~pts[j] and pts[table[i]] & ~pts[table[j]]
+            if not pts[i] & ~pts[j] and vals[i] & ~vals[j]
         )
-    if not passed["I3"]:
-        witnesses["I3"] = (labels[table[sl.top]],)
-    return AxiomReport(passed, witnesses)
+    if not passed[i3]:
+        witnesses[i3] = (labels[by_points[vals[top]]],)
+    return gaps, AxiomReport(passed, witnesses, vacuous)
 
 
 def check_interior(op: InteriorOperator) -> AxiomReport:
     """Evaluate I1 (contraction), I2 (monotonicity), I3 (top) exhaustively."""
-    sl = op.lattice
-    return _axiom_report(sl, op.table, next(_contraction_gaps(sl, op.table), None))
+    pts = op.lattice.points
+    return _axioms(op.lattice, [pts[v] for v in op.table])[1]
 
 
 def discrete_op(sl: SublocaleLattice) -> InteriorOperator:
@@ -165,28 +164,33 @@ def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
     contractive because every g(T) <= T <= S, and monotone because the index
     sets nest. Forcing the top entry then gives I3.
     """
-    seed = [rng.choice(below) for below in sl.below]
-    table = monotone_closure(sl, seed)
-    table[sl.top] = sl.top
-    return InteriorOperator(sl, tuple(table))
+    return _closed_draw(sl, rng, [0] * sl.n)
 
 
-def monotone_closure(lat: SublocaleLattice, seed) -> list:
-    """table[i] = join of seed[j] over every j <= i, as a new list.
+def _closed_draw(sl: SublocaleLattice, rng, base) -> InteriorOperator:
+    """table[i] = join of base[j] | seed[j] over every j <= i, the top forced.
 
-    One forward pass over lower covers (a subset zeta transform): index
-    order is a linear extension of the order, so every lower cover of i is
-    final before i, and every j < i lies below one of them.
+    base holds point masks. seed[j] is drawn from sl.below[j] exactly as
+    rng.choice draws (CPython's _randbelow: k = n.bit_length() bits, with
+    rejection), so stream and tables are those of that call. The closure is
+    folded into the same pass over lower covers: index order is a linear
+    extension, so each lower cover of j, and all below it, is final before j.
     """
-    pts = lat.points
-    acc = [pts[v] for v in seed]
-    for i, covers in enumerate(lat.lower_covers):
-        p = acc[i]
-        for k in covers:
-            p |= acc[k]
-        acc[i] = p
-    by_points = lat.by_points
-    return [by_points[p] for p in acc]
+    getrandbits = rng.getrandbits
+    acc = []
+    for p, below, covers in zip(base, sl.below, sl.lower_covers):
+        n = len(below)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        p |= below[r]
+        for c in covers:
+            p |= acc[c]
+        acc.append(p)
+    acc[sl.top] = sl.points[sl.top]
+    by_points = sl.by_points
+    return InteriorOperator(sl, tuple([by_points[p] for p in acc]))
 
 
 # -- continuity ---------------------------------------------------------------
@@ -215,22 +219,22 @@ def _check_hosts(f: LocalicMap, op_l: InteriorOperator, op_m: InteriorOperator):
         )
 
 
-def _continuity_gaps(pre, op_l, op_m):
-    """Every T = j with f_-1[i_M(T)] not below i_L(f_-1[T]), in index order, as
-    a lazy scan; pre is f's preimage table."""
-    pts, tl, tm = op_l.lattice.points, op_l.table, op_m.table
-    return (j for j, v in enumerate(tm) if pts[pre[v]] & ~pts[tl[pre[j]]])
-
-
-def _continuity_report(pre, op_l, op_m, gap) -> ContinuityReport:
-    """The report for the first continuity gap j (or None)."""
-    if gap is None:
-        return ContinuityReport(True, op_m.lattice.n)
-    sl = op_l.lattice
-    lhs, rhs = pre[op_m.table[gap]], op_l.table[pre[gap]]
-    return ContinuityReport(
-        False, gap + 1, (op_m.lattice.labels[gap], sl.labels[lhs], sl.labels[rhs]), gap
-    )
+def _continuity(t: SublocaleTransfer, lhs, rhs):
+    """(gap mask, ContinuityReport) of the point masks lhs[T] of
+    f_-1[i_M(T)] against rhs[S] of i_L(S): the gaps are every T with lhs[T]
+    not below rhs[f_-1[T]], and the report names the first."""
+    gaps, bit = 0, 1
+    for v, k in zip(lhs, t.preimage_table):
+        if v & ~rhs[k]:
+            gaps |= bit
+        bit <<= 1
+    if not gaps:
+        return 0, ContinuityReport(True, len(lhs))
+    j = (gaps & -gaps).bit_length() - 1
+    labels, by_points = t.source_lattice.labels, t.source_lattice.by_points
+    witness = (t.target_lattice.labels[j], labels[by_points[lhs[j]]],
+               labels[by_points[rhs[t.preimage_table[j]]]])
+    return gaps, ContinuityReport(False, j + 1, witness, j)
 
 
 def is_I_continuous(
@@ -238,8 +242,9 @@ def is_I_continuous(
 ) -> ContinuityReport:
     """Check f_-1[i_M(T)] <= i_L(f_-1[T]) for every sublocale T of the target."""
     _check_hosts(f, op_l, op_m)
-    pre = transfer_of(f).preimage_table
-    return _continuity_report(pre, op_l, op_m, next(_continuity_gaps(pre, op_l, op_m), None))
+    t = transfer_of(f, op_m.lattice.bound)
+    sp, pre = op_l.lattice.points, t.preimage_table
+    return _continuity(t, [sp[pre[v]] for v in op_m.table], [sp[v] for v in op_l.table])[1]
 
 
 @dataclass(frozen=True)
@@ -291,7 +296,7 @@ def check_composition(
         return CompositionReport(f_ok, g_ok, None, None)
     gf = compose_localic(g, f)
     comp = is_I_continuous(gf, op_l, op_n)
-    tf, tg, tgf = transfer_of(f), transfer_of(g), transfer_of(gf)
+    tf, tg, tgf = (transfer_of(m, op_n.lattice.bound) for m in (f, g, gf))
     functorial = True
     fun_witness = None
     for j in range(op_n.lattice.n):
@@ -304,15 +309,47 @@ def check_composition(
 
 # -- initial operators --------------------------------------------------------
 
+GAP_KINDS = ("contraction-gap", "top-gap", "continuity-gap")
+_PREDICATES = dict(zip(GAP_KINDS, ("unit-gap", "image-not-whole-target", "counit-gap")))
+
+
 @dataclass(frozen=True)
 class InitialReport:
+    """The axioms and continuity of an induced operator. `gaps` holds a mask
+    per kind in GAP_KINDS, over source indices for contraction and the top,
+    over target indices for continuity; anomaly dicts are built on first read."""
+
     axioms: AxiomReport
     continuity: ContinuityReport
-    anomalies: tuple
+    transfer: SublocaleTransfer
+    gaps: tuple
 
     @property
     def ok(self) -> bool:
         return self.axioms.ok and self.continuity.ok
+
+    def confirmed(self) -> tuple:
+        """Per kind, the mask of gaps that exhibit their predicate: a unit gap
+        at S, f[L] != M for the top, and at T the counit gap, which at the
+        top is f[L] != M too."""
+        t = self.transfer
+        unit, counit = t.adjunction_gaps
+        contraction, top, continuity = self.gaps
+        image_gap = counit >> t.target_lattice.top & 1
+        return contraction & unit, top if image_gap else 0, continuity & counit
+
+    @cached_property
+    def anomalies(self) -> tuple:
+        t = self.transfer
+        sl, tl = t.source_lattice, t.target_lattice
+        out = []
+        for kind, gaps, ok, lat in zip(GAP_KINDS, self.gaps, self.confirmed(), (sl, sl, tl)):
+            for i in bits(gaps):
+                at_top = kind == "continuity-gap" and i == tl.top
+                out.append({"kind": kind, "at": lat.labels[i],
+                            "predicate": "image-not-whole-target" if at_top else _PREDICATES[kind],
+                            "confirmed": bool(ok >> i & 1)})
+        return tuple(out)
 
     @property
     def unexplained(self) -> tuple:
@@ -326,6 +363,17 @@ class InitialReport:
         }
 
 
+def _target_transfer(f: LocalicMap, op_m: InteriorOperator) -> SublocaleTransfer:
+    """f's transfer, under the bound of op_m's lattice, once op_m is known to
+    live on f's target."""
+    if op_m.lattice.host != f.target:
+        raise HostMismatch(
+            "operator does not live on the map's target frame",
+            witness=(op_m.lattice.host.key(), f.target.key()),
+        )
+    return transfer_of(f, op_m.lattice.bound)
+
+
 def initial_interior(f: LocalicMap, op_m: InteriorOperator):
     """The induced source operator S |-> f_-1[i_M(f[S])], with its report.
 
@@ -336,55 +384,16 @@ def initial_interior(f: LocalicMap, op_m: InteriorOperator):
     continuity failures elsewhere require a counit gap f[f_-1[T]] != T.
     Unconfirmed anomalies would mean an implementation bug.
     """
-    if op_m.lattice.host != f.target:
-        raise HostMismatch(
-            "operator does not live on the map's target frame",
-            witness=(op_m.lattice.host.key(), f.target.key()),
-        )
-    t = transfer_of(f)
-    sl, tl, img, pre = t.source_lattice, t.target_lattice, t.image_table, t.preimage_table
-    tm = op_m.table
+    t = _target_transfer(f, op_m)
+    sl, img, pre, tm = t.source_lattice, t.image_table, t.preimage_table, op_m.table
+    sp = sl.points
+    lhs = [sp[pre[v]] for v in tm]  # f_-1[i_M(T)] for every T
+    vals = [lhs[x] for x in img]
     cand = InteriorOperator(sl, tuple([pre[tm[x]] for x in img]))
-    contraction = list(_contraction_gaps(sl, cand.table))
-    continuity = list(_continuity_gaps(pre, cand, op_m))
-    axioms = _axiom_report(sl, cand.table, contraction[0] if contraction else None)
-    cont = _continuity_report(pre, cand, op_m, continuity[0] if continuity else None)
-
-    surjective = img[sl.top] == tl.top
-    anomalies = [
-        {
-            "kind": "contraction-gap",
-            "at": sl.labels[i],
-            "predicate": "unit-gap",
-            "confirmed": pre[img[i]] != i,
-        }
-        for i in contraction
-    ]
-    if not axioms.passed["I3"]:
-        anomalies.append(_top_gap(sl, surjective))
-    anomalies.extend(_continuity_gap(t, j, surjective) for j in continuity)
-    return cand, InitialReport(axioms, cont, tuple(anomalies))
-
-
-def _top_gap(sl: SublocaleLattice, surjective: bool) -> dict:
-    return {
-        "kind": "top-gap",
-        "at": sl.labels[sl.top],
-        "predicate": "image-not-whole-target",
-        "confirmed": not surjective,
-    }
-
-
-def _continuity_gap(t, j: int, surjective: bool) -> dict:
-    """The anomaly of a continuity failure at T = j: at the top it needs
-    f[L] != M, elsewhere the counit gap f[f_-1[T]] != T."""
-    at_top = j == t.target_lattice.top
-    return {
-        "kind": "continuity-gap",
-        "at": t.target_lattice.labels[j],
-        "predicate": "image-not-whole-target" if at_top else "counit-gap",
-        "confirmed": not surjective if at_top else t.image_table[t.preimage_table[j]] != j,
-    }
+    contraction, axioms = _axioms(sl, vals)
+    continuity, cont = _continuity(t, lhs, vals)
+    top = 0 if axioms.passed["I3"] else 1 << sl.top
+    return cand, InitialReport(axioms, cont, t, (contraction, top, continuity))
 
 
 @dataclass(frozen=True)
@@ -437,7 +446,7 @@ def _universal_report(f, g, cand, op_m, op_n, predicate) -> UniversalReport:
     b = is_I_continuous(compose_localic(f, g), op_n, op_m)
     if a.ok == b.ok:
         return UniversalReport(a, b, ())
-    t = transfer_of(f)
+    t = transfer_of(f, op_m.lattice.bound)
     pre = t.preimage_table
     if a.ok:
         u = b.witness_index
@@ -481,7 +490,7 @@ def check_open_preimage(
     """Preimages of open (fixpoint) sublocales are open when f is continuous."""
     if not is_I_continuous(f, op_l, op_m).ok:
         return OpenPreimageReport("precondition-unmet", 0)
-    t = transfer_of(f)
+    t = transfer_of(f, op_m.lattice.bound)
     checked = 0
     for j in range(op_m.lattice.n):
         if op_m(j) != j:
@@ -563,11 +572,7 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
                 }
             else:
                 t_idx = a.witness_index
-                unit_gap = any(
-                    transfer_of(f).preimage_table[transfer_of(f).image_table[t_idx]]
-                    != t_idx
-                    for f in maps
-                )
+                unit_gap = any(transfer_of(f).adjunction_gaps[0] >> t_idx & 1 for f in maps)
                 # preimages preserve meets, not joins, so the joined candidate
                 # can pull back past the join of the pulled-back parts
                 tg = transfer_of(g)
@@ -594,19 +599,8 @@ def make_continuous_op(f: LocalicMap, op_m: InteriorOperator, rng) -> InteriorOp
     each such term sits inside S, so joining a random contractive seed on top
     and closing monotonely keeps contraction while preserving the constraint.
     """
-    if op_m.lattice.host != f.target:
-        raise HostMismatch(
-            "operator does not live on the map's target frame",
-            witness=(op_m.lattice.host.key(), f.target.key()),
-        )
-    t = transfer_of(f)
-    sl = t.source_lattice
-    base = [sl.bottom] * sl.n
-    for j in range(op_m.lattice.n):
-        s = t.preimage_table[j]
-        base[s] = sl.join(base[s], t.preimage_table[op_m(j)])
-    for i, below in enumerate(sl.below):
-        base[i] = sl.join(base[i], rng.choice(below))
-    table = monotone_closure(sl, base)
-    table[sl.top] = sl.top
-    return InteriorOperator(sl, tuple(table))
+    t = _target_transfer(f, op_m)
+    sp, pre, base = t.source_lattice.points, t.preimage_table, [0] * t.source_lattice.n
+    for s, v in zip(pre, op_m.table):
+        base[s] |= sp[pre[v]]
+    return _closed_draw(t.source_lattice, rng, base)

@@ -311,24 +311,31 @@ class Frame:
                             witness=(labels[a], labels[b], labels[c]),
                         )
 
-        # Heyting arrow: distributivity makes the join of candidates a candidate.
+        # Heyting arrow: a -> b is the r with {c : c & a <= b} = down(r), so
+        # finding r checks the adjunction too. The set is the fibre of b under
+        # c |-> c & a joined with those of b's lower covers (c & a < b lies
+        # below one); only a failure needs its join, for the first bad c.
+        strict = [d ^ 1 << x for x, d in enumerate(dn)]
+        lower = [[k for k in bits(s) if s & up[k] == 1 << k] for s in strict]
+        order = sorted(range(n), key=lambda x: dn[x].bit_count())
+        principal = {d: r for r, d in enumerate(dn)}
         imp = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                best = bottom
-                ok = dn[b]
-                for c in range(n):
-                    if ok >> meet[c][a] & 1:
-                        best = join[best][c]
-                imp[a][b] = best
-        for a in range(n):
-            for b in range(n):
-                r = imp[a][b]
-                for c in range(n):
-                    if (dn[b] >> meet[c][a] & 1) != (dn[r] >> c & 1):
-                        raise AssertionError(
-                            f"heyting adjunction broken at ({labels[a]},{labels[b]},{labels[c]})"
-                        )
+        for a, ma in enumerate(meet):
+            below = [0] * n
+            for c, m in enumerate(ma):
+                below[m] |= 1 << c
+            for b in order:
+                for k in lower[b]:
+                    below[b] |= below[k]
+            for b, d in enumerate(below):
+                r = imp[a][b] = principal.get(d)
+                if r is None:
+                    r = reduce(lambda x, c: join[x][c], bits(d), bottom)
+                    off = d ^ dn[r]
+                    c = (off & -off).bit_length() - 1
+                    raise AssertionError(
+                        f"heyting adjunction broken at ({labels[a]},{labels[b]},{labels[c]})"
+                    )
         return Frame(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
                      tuple(map(tuple, imp)), bottom, top)
 

@@ -178,18 +178,20 @@ def left_adjoint(source: Frame, target: Frame, table) -> FrameHom:
     for x, y in enumerate(f):
         for m in bits(target.dn[y]):
             adj[m] = smeet[adj[m]][x]
-    adj = tuple(adj)
-    rep = check_frame_hom(target, source, adj)
-    if not rep.ok:
+    try:
+        h = FrameHom(target, source, adj)
+    except ValueError:
+        # FrameHom ran the hom-law scan; rescan only for the failure's witness
+        rep = check_frame_hom(target, source, adj)
         raise NotLocalic(
             f"candidate adjoint fails the {rep.law} law at {rep.witness}",
             witness=("adjoint-" + str(rep.law),) + tuple(rep.witness or ()),
-        )
-    gap = _adjunction_gap(source, target, f, adj)
+        ) from None
+    gap = _adjunction_gap(source, target, f, h.table)
     if gap is not None:
         m, x = target.labels[gap[0]], source.labels[gap[1]]
         raise NotLocalic(f"adjunction fails at ({m}, {x})", witness=("adjunction", m, x))
-    return FrameHom(target, source, adj)
+    return h
 
 
 def localic_map(source: Frame, target: Frame, table) -> LocalicMap:

@@ -195,11 +195,14 @@ class SublocaleLattice:
     Index i carries its element mask `masks[i]` and its point mask
     `points[i]` (the primes it contains, as an element mask). Since S_l(L)
     is the powerset of the points, le, meet, join and complement are single
-    bitwise operations on point masks, looked up in `by_points`.
+    bitwise operations on point masks, looked up in `by_points`. `bound` is
+    the enumeration bound the lattice was built under (None when built
+    directly); operator kernels build transfers under their operators' bound.
     """
 
-    def __init__(self, host: Frame, masks):
+    def __init__(self, host: Frame, masks, bound: int | None = None):
         self.host = host
+        self.bound = bound
         self.masks = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
         self.n = len(self.masks)
         self.index = {m: i for i, m in enumerate(self.masks)}
@@ -220,11 +223,9 @@ class SublocaleLattice:
 
     @cached_property
     def below(self) -> tuple:
-        """below[i]: every index j <= i, increasing; where contractive seeds are drawn."""
+        """below[i]: point masks of every j <= i, increasing; contractive seeds are drawn here."""
         pts = self.points
-        return tuple(
-            tuple(j for j in range(self.n) if not pts[j] & ~pts[i]) for i in range(self.n)
-        )
+        return tuple(tuple(q for q in pts if not q & ~p) for p in pts)
 
     def sub(self, i: int) -> Sublocale:
         return Sublocale(self.host, self.masks[i])
@@ -273,7 +274,7 @@ def _enumerate(host: Frame, bound: int) -> SublocaleLattice:
     closures = [1 << host.top]
     for p in bits(host.primes):
         closures += [c | mask_of(host.meet(p, x) for x in bits(c)) for c in closures]
-    return SublocaleLattice(host, closures)
+    return SublocaleLattice(host, closures, bound)
 
 
 def enumerate_sublocales(host: Frame, limit: int | None = None) -> SublocaleLattice:
@@ -426,6 +427,15 @@ class SublocaleTransfer:
             _point_tables(tl.points, fibre, sl.by_points),
         )
 
+    @cached_property
+    def adjunction_gaps(self) -> tuple:
+        """(unit, counit) gap masks: the source indices S with f_-1[f[S]] != S
+        and the target indices T with f[f_-1[T]] != T. The counit mask holds
+        the top exactly when f[L] != M, since f_-1[M] = L."""
+        img, pre = self.image_table, self.preimage_table
+        return (sum(1 << i for i, k in enumerate(img) if pre[k] != i),
+                sum(1 << j for j, k in enumerate(pre) if img[k] != j))
+
 
 def _point_tables(points, point_value, index) -> tuple:
     """For each point mask pts, index[the union of point_value[p] over the
@@ -452,6 +462,21 @@ def transfer_of(f: LocalicMap, limit: int | None = None) -> SublocaleTransfer:
 
 # -- display-form cross-check -------------------------------------------------
 
+def _closure_by_joins(frame: Frame, start: int) -> int:
+    """The closure of the mask start under binary joins: the sup-form reading
+    {vM} of a sublocale join."""
+    cur = start
+    while True:
+        add = 0
+        mem = list(bits(cur))
+        for i, a in enumerate(mem):
+            for b in mem[i + 1:]:
+                add |= 1 << frame.join(a, b)
+        if not add & ~cur:
+            return cur
+        cur |= add
+
+
 def join_formula_report(frame: Frame, family) -> dict:
     """Compare the implemented meet-form join against the sup-form readings.
 
@@ -472,27 +497,14 @@ def join_formula_report(frame: Frame, family) -> dict:
             least = m
     assert all(not least & ~m for m in containing)
     assert meet_form == least
-
-    def closure_by_joins(start: int) -> int:
-        cur = start
-        while True:
-            add = 0
-            mem = list(bits(cur))
-            for i, a in enumerate(mem):
-                for b in mem[i + 1:]:
-                    add |= 1 << frame.join(a, b)
-            if not add & ~cur:
-                return cur
-            cur |= add
-
     out = {
         "meet_form": set_label(frame.labels, meet_form),
         "least_containing": set_label(frame.labels, least),
         "readings": {},
     }
     for name, start in (
-        ("sup-form", closure_by_joins(union)),
-        ("sup-form-with-empty-join", closure_by_joins(union | 1 << frame.bottom)),
+        ("sup-form", _closure_by_joins(frame, union)),
+        ("sup-form-with-empty-join", _closure_by_joins(frame, union | 1 << frame.bottom)),
     ):
         rep = is_sublocale(frame, start)
         if not rep.ok:

@@ -31,6 +31,7 @@ from .hops import (
     trivial_h,
 )
 from .interior import (
+    GAP_KINDS,
     InteriorOperator,
     check_composition,
     check_interior,
@@ -52,6 +53,7 @@ from .maps import FrameHom, enumerate_frame_homs, left_adjoint, localic_map, rig
 from .points import is_spatial, points_of, spatialization
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
+    _closure_by_joins,
     check_adjunction,
     enumerate_sublocales,
     generation_check,
@@ -256,8 +258,9 @@ def _static_witnesses():
 class _Ctx:
     def __init__(self, config: CorpusConfig):
         self.config = config
-        self.frame_cap = max(size_limit(), 1 << config.max_poset_size)
-        self.map_frame_cap = size_limit()
+        # the S_l bound, read once: every lattice and transfer of the run uses it
+        self.bound = size_limit()
+        self.frame_cap = max(self.bound, 1 << config.max_poset_size)
         self.posets = list(corpus_posets(config.max_poset_size))
         self.frames = list(corpus_frames(config.max_poset_size))
         self.counts = {
@@ -267,7 +270,7 @@ class _Ctx:
             "hom_candidates": 0,
             "map_pairs_skipped": 0,
             "frames_beyond_map_bound": sum(
-                1 for _, fr in self.frames if fr.n > self.map_frame_cap
+                1 for _, fr in self.frames if fr.n > self.bound
             ),
             "operators": 0,
         }
@@ -287,18 +290,18 @@ class _Ctx:
     def big_sl(self, frame):
         return enumerate_sublocales(frame, limit=self.frame_cap)
 
-    # ambient-bound lattice, identical object to what transfer_of uses
+    # run-bound lattice, identical object to what the run's transfers use
     def sl(self, frame):
-        return enumerate_sublocales(frame)
+        return enumerate_sublocales(frame, self.bound)
 
     def rng(self, *tag):
         return random.Random(child_seed(self.config.seed, *tag))
 
-    def reg_hit(self, rid, build_witness=None):
-        """Count an occurrence; the witness payload is built only for the
+    def reg_hit(self, rid, build_witness=None, hits=1):
+        """Count occurrences; the witness payload is built only for the
         first occurrence that brings one, since only that one is kept."""
         e = self.registry[rid]
-        e["occurrences"] += 1
+        e["occurrences"] += hits
         e["status"] = "confirmed"
         if build_witness is not None and e["witness"] is None:
             e["witness"] = build_witness()
@@ -307,7 +310,7 @@ class _Ctx:
         self.unexplained.append({"check": check_id, "payload": payload})
 
     def eligible_frames(self):
-        return [(k, fr) for k, fr in self.frames if fr.n <= self.map_frame_cap]
+        return [(k, fr) for k, fr in self.frames if fr.n <= self.bound]
 
     @property
     def maps(self):
@@ -442,19 +445,6 @@ def _check_generation_property(ctx):
     return "pass", {"sublocales": checked}, None
 
 
-def _closure_by_joins(fr, start):
-    cur = start
-    while True:
-        add = 0
-        mem = list(bits(cur))
-        for i, a in enumerate(mem):
-            for b in mem[i + 1:]:
-                add |= 1 << fr.join(a, b)
-        if not add & ~cur:
-            return cur
-        cur |= add
-
-
 def _check_sublocale_join_oracle(ctx):
     pairs = 0
     frames_with_display_gap = 0
@@ -487,7 +477,7 @@ def _check_sublocale_join_oracle(ctx):
 
 def _check_galois_adjunction(ctx):
     for f in ctx.maps:
-        rep = check_adjunction(f)
+        rep = check_adjunction(f, ctx.bound)
         if not rep.ok:
             return "fail", {"maps": len(ctx.maps)}, {
                 "kind": "static",
@@ -653,7 +643,24 @@ def _check_composition(ctx, lift, kernel):
             return "fail", {"triples": passed}, witness
         passed += 1
     ctx.counts["operators"] += 3 * passed
-    return ("pass" if passed >= 200 else "fail"), {"triples": passed}, None
+    return _verdict(ctx, None, {"triples": passed}, _shortfall(passed, "composable triples"))
+
+
+def _shortfall(done, what):
+    """The problem of a sampling check that found fewer than its 200 cases."""
+    if done < 200:
+        return f"{done} of 200 {what} checked: the corpus has too few composable pairs"
+
+
+def _verdict(ctx, cid, detail, problem=None):
+    """Fail with the unexplained list as witness when check cid (None for a
+    check that adds none) added to it, else with a static witness naming
+    problem when there is one."""
+    if any(u["check"] == cid for u in ctx.unexplained):
+        return "fail", detail, {"kind": "static", "lines": ["see the unexplained list"]}
+    if problem:
+        return "fail", detail, {"kind": "static", "lines": [problem]}
+    return "pass", detail, None
 
 
 # Each twin check names its kernels in its body, so they are looked up when
@@ -710,7 +717,7 @@ def _check_initial(ctx, cid, ops_for, initial, trivial, holds, top, ids):
     checked = 0
     tallies = dict.fromkeys(ids, 0)
     for idx, f in enumerate(ctx.maps):
-        surj = transfer_of(f).image_table[ctx.sl(f.source).top] == ctx.sl(f.target).top
+        surj = transfer_of(f, ctx.bound).image_table[ctx.sl(f.source).top] == ctx.sl(f.target).top
         for op in ops_for(ctx, f, idx):
             _, rep = initial(f, op)
             checked += 1
@@ -723,24 +730,27 @@ def _check_initial(ctx, cid, ops_for, initial, trivial, holds, top, ids):
                 return "fail", {"checked": checked}, {
                     "kind": "static",
                     "lines": [f"{top} fails despite f[L] = M for {f.describe()}"]}
-            for a in rep.anomalies:
-                if not a["confirmed"]:
+            # confirmed gaps are counted per kind; anomaly dicts are built
+            # only for unconfirmed gaps and for a registry entry's first witness
+            confirmed = rep.confirmed()
+            if confirmed != rep.gaps:
+                for a in rep.unexplained:
                     ctx.report_unexplained(cid, _anomaly_witness(f, op, a))
-                    continue
-                tallies[a["kind"]] += 1
-                ctx.reg_hit(ids[a["kind"]], lambda: _anomaly_witness(f, op, a))
+            for kind, hits in zip(GAP_KINDS, confirmed):
+                if hits:
+                    tallies[kind] += hits.bit_count()
+                    ctx.reg_hit(ids[kind], lambda: _anomaly_witness(f, op, next(
+                        a for a in rep.anomalies if a["kind"] == kind and a["confirmed"])),
+                        hits.bit_count())
     f_up = localic_map(two(), chain3(), (0, 2))
     _, rep = initial(f_up, trivial(ctx.sl(chain3())))
     mandated_failed = not rep.axioms.passed[top]
     if mandated_failed:
         ctx.reg_hit(ids["top-gap"])
-    had_unexplained = any(u["check"] == cid for u in ctx.unexplained)
     detail = {"checked": checked, "tallies": tallies,
               "mandated_top_counterexample": "fails-as-documented" if mandated_failed else "unexpected-pass"}
-    status = "pass" if (mandated_failed and not had_unexplained) else "fail"
-    witness = None if status == "pass" else {
-        "kind": "static", "lines": ["see the unexplained list"]}
-    return status, detail, witness
+    return _verdict(ctx, cid, detail, None if mandated_failed else
+                    f"{top} holds on the mandated TWO -> CHAIN3 trivial counterexample")
 
 
 def _check_initial_interior(ctx):
@@ -783,7 +793,7 @@ def _check_coarseness(ctx):
         if checked >= 300:
             break
         rng = ctx.rng("coarse", idx)
-        t = transfer_of(f)
+        t = transfer_of(f, ctx.bound)
         opm = random_op(ctx.sl(f.target), rng)
         opl = make_continuous_op(f, opm, rng)
         checked += 1
@@ -793,19 +803,13 @@ def _check_coarseness(ctx):
             gap = op_le_gap(cand, op_l)
             if gap is None:
                 continue
-            i = cand.lattice.labels.index(gap)
-            if t.preimage_table[t.image_table[i]] == i:
+            if not t.adjunction_gaps[0] >> cand.lattice.labels.index(gap) & 1:
                 ctx.report_unexplained(cid, _coarseness_witness(f, op_m, op_l, gap))
             else:
                 violations[key] += 1
                 ctx.reg_hit(rid, lambda: _coarseness_witness(f, op_m, op_l, gap))
     ctx.counts["operators"] += 2 * checked
-    had_unexplained = any(u["check"] == cid for u in ctx.unexplained)
-    detail = {"checked": checked, **violations}
-    status = "pass" if not had_unexplained else "fail"
-    witness = None if status == "pass" else {
-        "kind": "static", "lines": ["see the unexplained list"]}
-    return status, detail, witness
+    return _verdict(ctx, cid, {"checked": checked, **violations})
 
 
 def _universal_configs(ctx, want):
@@ -855,12 +859,8 @@ def _check_universal(ctx, cid, lift, kernel, rid):
                 else:
                     ctx.reg_hit(rid, lambda: _universal_witness(f, g, opm, opn, a))
     ctx.counts["operators"] += 2 * checked
-    had_unexplained = any(u["check"] == cid for u in ctx.unexplained)
     detail = {"checked": checked, "disagreements": disagreements}
-    status = "pass" if (checked >= 200 and not had_unexplained) else "fail"
-    witness = None if status == "pass" else {
-        "kind": "static", "lines": ["see the unexplained list"]}
-    return status, detail, witness
+    return _verdict(ctx, cid, detail, _shortfall(checked, "configurations"))
 
 
 def _check_universal_interior(ctx):

@@ -7,7 +7,7 @@ the two on every small frame.
 from itertools import permutations, product
 
 from localelab.hops import HOperator
-from localelab.interior import AxiomReport, ContinuityReport, InitialReport, InteriorOperator
+from localelab.interior import AxiomReport, ContinuityReport, InteriorOperator
 from localelab.lattice import bits
 from localelab.maps import HomReport, check_frame_hom
 from localelab.sublocales import AdjReport, sloc_core, transfer_of
@@ -211,9 +211,9 @@ def brute_I_continuous(f, op_l, op_m):
 
 
 def brute_initial_interior(f, op_m):
-    """(candidate table, InitialReport) of the induced interior operator, each
-    anomaly found by its own scan: contraction gaps, the top gap, then every
-    continuity gap."""
+    """(candidate table, AxiomReport, ContinuityReport, anomalies) of the
+    induced interior operator, each anomaly found by its own scan:
+    contraction gaps, the top gap, then every continuity gap."""
     t = transfer_of(f)
     sl, tl = t.source_lattice, t.target_lattice
     table = tuple(t.preimage_table[op_m(t.image_table[i])] for i in range(sl.n))
@@ -232,13 +232,13 @@ def brute_initial_interior(f, op_m):
     for j in range(tl.n):
         if not _le(sl, t.preimage_table[op_m(j)], cand(t.preimage_table[j])):
             anomalies.append(_continuity_gap(t, j, surjective))
-    return table, InitialReport(axioms, cont, tuple(anomalies))
+    return table, axioms, cont, tuple(anomalies)
 
 
 def brute_initial_h(f, h_m):
-    """(candidate table, InitialReport) of the induced h operator: h1, h2, h3
-    and h-continuity by the scans above, the top gap, then the first
-    continuity gap."""
+    """(candidate table, AxiomReport, ContinuityReport, anomalies) of the
+    induced h operator: h1, h2, h3 and h-continuity by the scans above, the
+    top gap, then the first continuity gap."""
     t = transfer_of(f)
     sl, tl = t.source_lattice, t.target_lattice
     table = tuple(t.preimage_table[h_m(t.image_table[i])] for i in range(sl.n))
@@ -251,7 +251,7 @@ def brute_initial_h(f, h_m):
         anomalies.append(_top_gap(sl, surjective))
     if not cont.ok:
         anomalies.append(_continuity_gap(t, cont.witness_index, surjective))
-    return table, InitialReport(axioms, cont, tuple(anomalies))
+    return table, axioms, cont, tuple(anomalies)
 
 
 def _top_gap(sl, surjective):
@@ -446,6 +446,24 @@ def brute_transfer_tables(f, sl, tl):
                 back |= 1 << p
         pre.append(sl.by_points[back])
     return tuple(img), tuple(pre)
+
+
+def brute_heyting_table(frame):
+    """Every arrow a -> b as the join of all c with c & a <= b, then the
+    adjunction c <= a -> b iff c & a <= b re-checked over every c."""
+    n, dn = frame.n, frame.dn
+    imp = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            best = frame.bottom
+            for c in range(n):
+                if dn[b] >> frame.meet(c, a) & 1:
+                    best = frame.join(best, c)
+            assert all((dn[b] >> frame.meet(c, a) & 1) == (dn[best] >> c & 1) for c in range(n))
+            row.append(best)
+        imp.append(tuple(row))
+    return tuple(imp)
 
 
 # -- the poset scans: matrix entries, one at a time ------------------------------------

@@ -303,3 +303,48 @@ def test_cli_imports_without_numpy(subprocess_env):
         capture_output=True, text=True, env=subprocess_env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_small_corpus_shortfalls_have_witnesses(files, capsys):
+    # two-element posets give too few composable maps for the 200 bar; the
+    # failure is stated in the row's witness, and replay prints the same line
+    rpath = str(files["dir"] / "rep_small.json")
+    assert main(["verify", "--max-poset", "2", "--report", rpath]) == 1
+    capsys.readouterr()
+    with open(rpath) as fh:
+        report = json.load(fh)
+    assert report["unexplained"] == []
+    failed = {r["id"]: r for r in report["checks"] if r["status"] != "pass"}
+    assert sorted(failed) == ["composition-h", "composition-interior"]
+    for cid, row in failed.items():
+        line = f"{row['detail']['triples']} of 200 composable triples checked"
+        assert row["witness"]["lines"][0].startswith(line)
+        assert main(["replay", rpath, cid]) == 0
+        assert capsys.readouterr().out.rstrip() == row["witness"]["lines"][0]
+
+
+def test_verify_reads_the_size_bound_once(monkeypatch, capsys):
+    # the S_l bound is read when the run starts, never inside the kernels;
+    # the point bound is read by points_of alone, so neither count grows
+    # with the operator work
+    import localelab.points
+    import localelab.sublocales
+    import localelab.verify
+
+    real = localelab.sublocales.size_limit
+    reads = []
+
+    def counted(*args):
+        reads.append(args)
+        return real(*args)
+
+    for module in (localelab.sublocales, localelab.verify, localelab.points):
+        monkeypatch.setattr(module, "size_limit", counted)
+    counts = []
+    for samples in ("0", "100"):
+        reads.clear()
+        assert main(["verify", "--max-poset", "3", "--samples", samples]) == 0
+        counts.append((reads.count(()), len(reads)))
+    capsys.readouterr()
+    assert counts[0] == counts[1]
+    assert counts[1][0] == 1

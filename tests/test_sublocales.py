@@ -27,6 +27,7 @@ from localelab.sublocales import (
     sloc_core,
     sub_join,
     sublocale,
+    transfer_of,
 )
 
 FIXTURES = lambda: [two(), chain3(), square(), chain4()]
@@ -136,6 +137,26 @@ def test_enumerate_counts_and_canonical_order():
 def long_chain(n):
     labels = tuple(f"c{i}" for i in range(n))
     return build_frame(labels, tuple((labels[i], labels[i + 1]) for i in range(n - 1)))
+
+
+def test_size_limit_env_bounds_transfers_kernels_and_runs(monkeypatch):
+    # the public functions read LOCALELAB_SIZE_LIMIT on every call; an operator
+    # kernel builds its transfer under the bound its operator's lattice was
+    # built under, and a verify run reads the bound once, when it starts
+    from localelab.interior import initial_interior, trivial_op
+    from localelab.verify import CorpusConfig, run_verification
+
+    f = right_adjoint(FrameHom(chain3(), chain4(), enumerate_frame_homs(chain3(), chain4())[0]))
+    op = trivial_op(enumerate_sublocales(chain3()))
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "3")
+    with pytest.raises(SizeLimit):
+        transfer_of(f)
+    assert transfer_of(f, limit=4).source_lattice.n == 8
+    assert initial_interior(f, op)[1].axioms.passed["I2"]
+    with pytest.raises(SizeLimit):
+        initial_interior(f, trivial_op(enumerate_sublocales(chain3())))
+    report = run_verification(CorpusConfig(max_poset_size=2, checks=("poset-counts",)))
+    assert report["counts"]["frames_beyond_map_bound"] == 1
 
 
 def test_enumerate_size_limit(monkeypatch):
