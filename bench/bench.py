@@ -20,7 +20,7 @@ interpreters with the same `PYTHONPATH`. One entry records:
   from bytecode caches);
 - the median over five passes of each map-layer kernel, timed over every
   frame hom between the corpus-4 frames (19,702 homs): `check_frame_hom`,
-  `LocalicMap` construction (its adjunction check), `right_adjoint`,
+  `LocalicMap` construction (its point-map check), `right_adjoint`,
   `left_adjoint` and `SublocaleTransfer.build`;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, operator) pairs of the initial checks of default `verify`:
@@ -119,14 +119,14 @@ def kernel_timings():
     frames = [fr for _, fr in corpus_frames(4)]
     homs = [FrameHom(a, b, table) for a in frames for b in frames
             for table in enumerate_frame_homs(a, b, budget=16 ** 16)]
-    maps = [right_adjoint(h) for h in homs]
+    maps = [right_adjoint(h.source, h.target, h.table) for h in homs]
     for fr in frames:
         enumerate_sublocales(fr, SL_LIMIT)
     kernels = {
         "check_frame_hom": (check_frame_hom, [(h.source, h.target, h.table) for h in homs]),
         "localic_map_validation": (
-            LocalicMap, [(f.source, f.target, f.table, f.adjoint) for f in maps]),
-        "right_adjoint": (right_adjoint, [(h,) for h in homs]),
+            LocalicMap, [(f.source, f.target, f.points) for f in maps]),
+        "right_adjoint": (right_adjoint, [(h.source, h.target, h.table) for h in homs]),
         "left_adjoint": (left_adjoint, [(f.source, f.target, f.table) for f in maps]),
         "transfer_build": (SublocaleTransfer.build, [(f, SL_LIMIT) for f in maps]),
     }

@@ -1,13 +1,13 @@
 """Localic maps are right adjoints of frame homs, and the adjoint is the test.
 
 Every frame hom CHAIN3 -> SQUARE is enumerated; each right adjoint is a
-localic map carrying its hom, and the left-adjoint round trip recovers the
-hom exactly. A table that preserves meets but tops out wrong is rejected
+localic map held as its map of points, and the left-adjoint round trip
+recovers the hom exactly. A table that preserves meets but tops out wrong is rejected
 with a witness.
 """
 from localelab.corpus import chain3, square
 from localelab.errors import NotLocalic
-from localelab.maps import FrameHom, enumerate_frame_homs, left_adjoint, localic_map, right_adjoint
+from localelab.maps import enumerate_frame_homs, left_adjoint, localic_map, right_adjoint
 from localelab.sublocales import check_adjunction
 
 
@@ -16,12 +16,11 @@ def main():
     homs = enumerate_frame_homs(src, tgt)
     print(f"frame homs CHAIN3 -> SQUARE: {len(homs)}")
     for table in homs:
-        h = FrameHom(src, tgt, table)
-        f = right_adjoint(h)
+        f = right_adjoint(src, tgt, table)
         back = left_adjoint(f.source, f.target, f.table)
         adj = check_adjunction(f)
         print(f"  hom {table} -> localic {f.table}, round trip "
-              f"{'exact' if back.table == h.table else 'DIFFERS'}, "
+              f"{'exact' if back.table == table else 'DIFFERS'}, "
               f"adjunction over {adj.pairs} sublocale pairs: {adj.ok}")
 
     print("\nrejection demo: SQUARE -> CHAIN3 sending a, b to m")

@@ -524,8 +524,7 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
 
     Every map is rechecked for continuity against the joined candidate; each
     sampled (g, op_N) pair gets the two-sided universal check with the same
-    disagreement classification as the single-map case, extended by the
-    preimage-join gap predicate (preimages need not preserve joins).
+    disagreement classification as the single-map case.
     """
     maps = list(maps)
     ops = list(ops)
@@ -541,8 +540,7 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
                 witness=(src.key(), f.source.key()),
             )
     lifted = [initial_interior(f, op) for f, op in zip(maps, ops)]
-    cands = [c for c, _ in lifted]
-    cand = op_join(cands)
+    cand = op_join([c for c, _ in lifted])
     axioms = check_interior(cand)
     per_map = tuple(is_I_continuous(f, cand, op) for f, op in zip(maps, ops))
 
@@ -572,19 +570,14 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
                 }
             else:
                 t_idx = a.witness_index
-                unit_gap = any(transfer_of(f).adjunction_gaps[0] >> t_idx & 1 for f in maps)
-                # preimages preserve meets, not joins, so the joined candidate
-                # can pull back past the join of the pulled-back parts
-                tg = transfer_of(g)
-                parts = tg.source_lattice.bottom
-                for c in cands:
-                    parts = op_n.lattice.join(parts, tg.preimage_table[c(t_idx)])
-                join_gap = tg.preimage_table[cand(t_idx)] != parts
+                # preimages are preimages of points, so they keep joins and
+                # the joined candidate adds no gap of its own
                 entry["anomaly"] = {
                     "kind": "initial-side-only",
                     "at": sl.label(t_idx),
-                    "predicate": "unit-gap-or-preimage-join-gap",
-                    "confirmed": unit_gap or join_gap,
+                    "predicate": "unit-gap",
+                    "confirmed": any(
+                        transfer_of(f).adjunction_gaps[0] >> t_idx & 1 for f in maps),
                 }
         universal.append(entry)
     return FamilyInitialReport(

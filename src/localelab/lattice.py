@@ -192,11 +192,6 @@ class Frame:
         return _single_cover_mask(self.dn, self.up)
 
     @cached_property
-    def cover_pairs(self) -> tuple:
-        """(lower, upper) cover pairs; a map is monotone iff it keeps each."""
-        return tuple(self.poset.covers())
-
-    @cached_property
     def by_irreducibles(self) -> dict:
         """The element with exactly a given mask of join-irreducibles below it."""
         ji = self.join_irreducibles

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatch, NotContinuous, NotLocalic, SizeLimit
-from .lattice import FiniteSpace, Frame, bits, frame_of_space
+from .lattice import FiniteSpace, Frame, bits, frame_of_space, mask_of
 
 
 @dataclass(frozen=True)
@@ -70,38 +70,68 @@ class FrameHom:
 
 @dataclass(frozen=True)
 class LocalicMap:
-    """A localic map source -> target: the right Galois adjoint of a frame hom
-    target -> source. Preserves top and all meets. Construction checks that
-    the adjoint is left adjoint to the table: monotone on cover pairs, unit
-    and counit, with the lex-first failing pair as the witness."""
+    """A localic map source -> target, held as its point map.
+
+    A localic map (the right adjoint of a frame hom target -> source) sends
+    primes, the points of a finite frame, to primes, and every element is
+    the meet of the primes above it. So the map is `points`, the image of
+    each source prime in `bits(source.primes)` order, and every monotone map
+    of primes to primes extends to the localic map f(x) = ^{f(p) : x <= p}.
+    Construction checks exactly that, with the first failing point or pair
+    of points as witness; the element table and left adjoint are derived.
+    """
 
     source: Frame
     target: Frame
-    table: tuple
-    adjoint: FrameHom  # target -> source
+    points: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        h = self.adjoint
-        if h.source != self.target or h.target != self.source:
-            raise ValueError("adjoint frames do not match")
-        gap = _adjunction_gap(self.source, self.target, self.table, h.table)
-        if gap is not None:
-            raise ValueError(
-                f"adjunction fails at ({self.target.labels[gap[0]]}, {self.source.labels[gap[1]]})"
-            )
+        object.__setattr__(self, "points", tuple(self.points))
+        src, tgt, pts = self.source, self.target, self.points
+        if len(pts) != src.primes.bit_count():
+            raise NotLocalic(f"{len(pts)} values for {src.primes.bit_count()} points",
+                             witness=("point-count", len(pts)))
+        pairs = tuple(zip(bits(src.primes), pts))
+        for p, v in pairs:
+            if not (0 <= v < tgt.n and tgt.primes >> v & 1):
+                raise NotLocalic(
+                    f"sends the point {src.labels[p]} to {v}, not a point of the target",
+                    witness=("point-not-prime", src.labels[p], v),
+                )
+        dn, up = src.dn, tgt.up
+        for p, v in pairs:
+            for q, w in pairs:
+                if dn[q] >> p & 1 and not up[v] >> w & 1:
+                    lp, lq = src.labels[p], src.labels[q]
+                    raise NotLocalic(f"does not keep the order of the points ({lp}, {lq})",
+                                     witness=("point-order", lp, lq))
+
+    @cached_property
+    def table(self) -> tuple:
+        """f(x) = ^{f(p) : x <= p prime}, for every element x of the source."""
+        meet, top = self.target.meet_table, self.target.top
+        pairs = tuple(zip(bits(self.source.primes), self.points))
+        out = []
+        for up in self.source.up:
+            y = top
+            for p, v in pairs:
+                if up >> p & 1:
+                    y = meet[y][v]
+            out.append(y)
+        return tuple(out)
+
+    @cached_property
+    def adjoint(self) -> FrameHom:
+        """The left adjoint h(m) = ^{p : m <= f(p)}, a frame hom target -> source."""
+        src, tgt = self.source, self.target
+        pairs = tuple(zip(bits(src.primes), self.points))
+        return FrameHom(tgt, src, tuple(
+            src.meet_mask(mask_of(p for p, v in pairs if tgt.dn[v] >> m & 1))
+            for m in range(tgt.n)
+        ))
 
     def __call__(self, x: int) -> int:
         return self.table[x]
-
-    # maps key the transfer cache, so the hash is computed once, on first use;
-    # the adjoint is determined by the table and is left out
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.source, self.target, self.table))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def describe(self) -> dict:
         return {
@@ -109,55 +139,34 @@ class LocalicMap:
         }
 
 
-def _adjunction_gap(source: Frame, target: Frame, f, h):
-    """Lex-first (m, x) where h(m) <= x and m <= f(x) disagree, or None.
+def right_adjoint(source: Frame, target: Frame, table) -> LocalicMap:
+    """The localic map f: target -> source right adjoint to the frame hom
+    table: source -> target, f(x) = v{m : h(m) <= x}.
 
-    h: target -> source is a validated frame hom, so monotone. Then h -| f
-    iff f is monotone (kept on every cover pair of the source), the unit
-    m <= f(h(m)) holds and the counit h(f(x)) <= x holds. Only when one of
-    these fails, or f is not a total table, are all pairs scanned.
+    The table is taken as a hom (a `FrameHom`'s, or one `enumerate_frame_homs`
+    gave) and not checked again. The set {m : h(m) <= x} is a down-set
+    closed under joins, so f(x) is the element whose join-irreducibles are
+    those q with h(q) <= x: one dict lookup per point x.
     """
-    sdn, tdn = source.dn, target.dn
-    if (
-        len(f) == source.n
-        and 0 <= min(f) <= max(f) < target.n
-        and all(tdn[f[b]] >> f[a] & 1 for a, b in source.cover_pairs)
-        and all(tdn[f[x]] >> m & 1 for m, x in enumerate(h))
-        and all(sdn[x] >> h[y] & 1 for x, y in enumerate(f))
-    ):
-        return None
-    for m in range(target.n):
-        for x in range(source.n):
-            if source.le(h[m], x) != target.le(m, f[x]):
-                return m, x
-    return None
-
-
-def right_adjoint(h: FrameHom) -> LocalicMap:
-    """The localic map f: target(h) -> source(h) with f(x) = v{m : h(m) <= x}.
-
-    The set {m : h(m) <= x} is a down-set closed under joins, so f(x) is the
-    element whose join-irreducibles are those q with h(q) <= x: one dict
-    lookup per x.
-    """
-    L, M = h.target, h.source
-    qs = [(1 << q, h.table[q]) for q in bits(M.join_irreducibles)]
-    element = M.by_irreducibles
-    table = tuple(
-        element[sum(bit for bit, hq in qs if dx >> hq & 1)] for dx in L.dn
-    )
-    return LocalicMap(L, M, table, h)
+    qs = [(1 << q, table[q]) for q in bits(source.join_irreducibles)]
+    points = []
+    for p in bits(target.primes):
+        dp, m = target.dn[p], 0
+        for bit, hq in qs:
+            if dp >> hq & 1:
+                m |= bit
+        points.append(source.by_irreducibles[m])
+    return LocalicMap(target, source, points)
 
 
 def left_adjoint(source: Frame, target: Frame, table) -> FrameHom:
     """Candidate left adjoint h(m) = ^{x : m <= f(x)} of f = table: source -> target.
 
-    Succeeds iff h is a frame hom and the adjunction holds; this is the
+    Succeeds iff f keeps meets and the top and h is a frame hom; this is the
     is-localic test. Raises NotLocalic with a witness otherwise: totality,
     then the first index pair a <= b (lexicographic) whose meet f does not keep,
-    the top, the first failed hom law of h, the first (m, x) of the
-    adjunction. The candidate is built in one pass over the source: each x
-    is met into h(m) for every m below f(x).
+    the top, the first failed hom law of h. The candidate is built in one
+    pass over the source: each x is met into h(m) for every m below f(x).
     """
     f = tuple(table)
     if len(f) != source.n or min(f) < 0 or max(f) >= target.n:
@@ -173,13 +182,16 @@ def left_adjoint(source: Frame, target: Frame, table) -> FrameHom:
                 )
     if f[source.top] != target.top:
         raise NotLocalic("does not preserve the top", witness=("map-top",))
+    # A map of complete lattices that keeps all meets has the left adjoint
+    # h(m) = ^{x : m <= f(x)}, so once f keeps binary meets and the top the
+    # adjunction h -| f holds and only the hom laws of h are left to check.
     adj = [source.top] * target.n
     smeet = source.meet_table
     for x, y in enumerate(f):
         for m in bits(target.dn[y]):
             adj[m] = smeet[adj[m]][x]
     try:
-        h = FrameHom(target, source, adj)
+        return FrameHom(target, source, adj)
     except ValueError:
         # FrameHom ran the hom-law scan; rescan only for the failure's witness
         rep = check_frame_hom(target, source, adj)
@@ -187,33 +199,28 @@ def left_adjoint(source: Frame, target: Frame, table) -> FrameHom:
             f"candidate adjoint fails the {rep.law} law at {rep.witness}",
             witness=("adjoint-" + str(rep.law),) + tuple(rep.witness or ()),
         ) from None
-    gap = _adjunction_gap(source, target, f, h.table)
-    if gap is not None:
-        m, x = target.labels[gap[0]], source.labels[gap[1]]
-        raise NotLocalic(f"adjunction fails at ({m}, {x})", witness=("adjunction", m, x))
-    return h
 
 
 def localic_map(source: Frame, target: Frame, table) -> LocalicMap:
     """Build a localic map from an element table, running the is-localic test."""
-    return LocalicMap(source, target, tuple(table), left_adjoint(source, target, table))
+    table = tuple(table)
+    left_adjoint(source, target, table)
+    return LocalicMap(source, target, tuple(table[p] for p in bits(source.primes)))
 
 
 def identity_localic(frame: Frame) -> LocalicMap:
-    ident = tuple(range(frame.n))
-    return LocalicMap(frame, frame, ident, FrameHom(frame, frame, ident))
+    return LocalicMap(frame, frame, tuple(bits(frame.primes)))
 
 
 def compose_localic(g: LocalicMap, f: LocalicMap) -> LocalicMap:
-    """g after f: needs target(f) = source(g); adjoints compose the other way."""
+    """g after f, point by point: needs target(f) = source(g)."""
     if f.target != g.source:
         raise DomainMismatch(
             f"cannot compose: middle frames differ ({f.target.key()} vs {g.source.key()})",
             witness=(f.target.key(), g.source.key()),
         )
-    table = tuple(g(f(x)) for x in range(f.source.n))
-    adj = tuple(f.adjoint(g.adjoint(n)) for n in range(g.target.n))
-    return LocalicMap(f.source, g.target, table, FrameHom(g.target, f.source, adj))
+    value = dict(zip(bits(g.source.primes), g.points))
+    return LocalicMap(f.source, g.target, tuple(value[v] for v in f.points))
 
 
 def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):

@@ -406,19 +406,19 @@ class SublocaleTransfer:
     def build(f: LocalicMap, limit: int | None = None) -> "SublocaleTransfer":
         """Images and preimages as forward and inverse images of points.
 
-        A localic map sends primes to primes, f[S] is the sublocale of the
-        images of the points of S, and f_-1[T] is the sublocale of the
-        points that f sends into T. Both tables are built in one pass over
-        the lattice in index order, (cardinality, mask): the point mask of
-        S less its lowest point `low` belongs to an earlier sublocale, so
-        the image of S is the image of that mask plus f(low), and the
-        preimage of T is that of its smaller mask plus the fibre of low.
+        f[S] is the sublocale of the images `f.points` of the points of S,
+        and f_-1[T] is the sublocale of the points that f sends into T. Both
+        tables are built in one pass over the lattice in index order,
+        (cardinality, mask): the point mask of S less its lowest point `low`
+        belongs to an earlier sublocale, so the image of S is the image of
+        that mask plus f(low), and the preimage of T is that of its smaller
+        mask plus the fibre of low.
         """
         sl = enumerate_sublocales(f.source, limit)
         tl = enumerate_sublocales(f.target, limit)
         image_bit, fibre = {}, {}
-        for p in bits(f.source.primes):
-            q = 1 << f(p)
+        for p, v in zip(bits(f.source.primes), f.points):
+            q = 1 << v
             image_bit[1 << p] = q
             fibre[q] = fibre.get(q, 0) | 1 << p
         return SublocaleTransfer(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import islice
 
 from .corpus import all_posets, chain3, child_seed, corpus_frames, corpus_posets, square, two
 from .errors import SizeLimit, UnknownWitness
@@ -49,7 +48,7 @@ from .interior import (
     trivial_op,
 )
 from .lattice import bits, heyting_identity_report, set_label
-from .maps import FrameHom, enumerate_frame_homs, left_adjoint, localic_map, right_adjoint
+from .maps import enumerate_frame_homs, left_adjoint, localic_map, right_adjoint
 from .points import is_spatial, points_of, spatialization
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
@@ -258,9 +257,11 @@ def _static_witnesses():
 class _Ctx:
     def __init__(self, config: CorpusConfig):
         self.config = config
-        # the S_l bound, read once: every lattice and transfer of the run uses it
-        self.bound = size_limit()
-        self.frame_cap = max(self.bound, 1 << config.max_poset_size)
+        # the S_l bound, read once, admits the frames that maps run between;
+        # every lattice and transfer of the run is built under `bound`, which
+        # raises it to cover the whole corpus
+        self.map_bound = size_limit()
+        self.bound = max(self.map_bound, 1 << config.max_poset_size)
         self.posets = list(corpus_posets(config.max_poset_size))
         self.frames = list(corpus_frames(config.max_poset_size))
         self.counts = {
@@ -270,7 +271,7 @@ class _Ctx:
             "hom_candidates": 0,
             "map_pairs_skipped": 0,
             "frames_beyond_map_bound": sum(
-                1 for _, fr in self.frames if fr.n > self.bound
+                1 for _, fr in self.frames if fr.n > self.map_bound
             ),
             "operators": 0,
         }
@@ -285,10 +286,6 @@ class _Ctx:
             e["occurrences"] = 0
             self.registry[e["id"]] = e
         self._maps = None
-
-    # frame-local lattice, covers the whole corpus
-    def big_sl(self, frame):
-        return enumerate_sublocales(frame, limit=self.frame_cap)
 
     # run-bound lattice, identical object to what the run's transfers use
     def sl(self, frame):
@@ -309,9 +306,6 @@ class _Ctx:
     def report_unexplained(self, check_id, payload):
         self.unexplained.append({"check": check_id, "payload": payload})
 
-    def eligible_frames(self):
-        return [(k, fr) for k, fr in self.frames if fr.n <= self.bound]
-
     @property
     def maps(self):
         """Localic maps from every admitted frame hom, cheapest pairs first.
@@ -323,7 +317,7 @@ class _Ctx:
         same maps.
         """
         if self._maps is None:
-            usable = self.eligible_frames()
+            usable = [(k, fr) for k, fr in self.frames if fr.n <= self.map_bound]
             pairs = []
             for i, (ka, fa) in enumerate(usable):
                 for j, (kb, fb) in enumerate(usable):
@@ -338,22 +332,27 @@ class _Ctx:
                 remaining -= cost
                 self.counts["hom_candidates"] += cost
                 for table in enumerate_frame_homs(fa, fb, budget=cost):
-                    out.append(right_adjoint(FrameHom(fa, fb, table)))
+                    out.append(right_adjoint(fa, fb, table))
             self._maps = out
             self.counts["maps"] = len(out)
         return self._maps
 
     def composable_pairs(self, want):
         """Every step-th (f, g) with target(f) = source(g), in map order, the
-        step chosen so that about `want` of them are left."""
+        step chosen so that about `want` of them are left. The pairs of f
+        are its target's maps, so the walk jumps from f to f by offsets."""
         maps = self.maps
         by_source = {}
         for g in maps:
             # corpus frames are singletons, so identity grouping is exact
             by_source.setdefault(id(g.source), []).append(g)
-        total = sum(len(by_source.get(id(f.target), ())) for f in maps)
-        pairs = ((f, g) for f in maps for g in by_source.get(id(f.target), ()))
-        return islice(pairs, 0, None, max(1, total // want))
+        groups = [by_source.get(id(f.target), ()) for f in maps]
+        step = max(1, sum(map(len, groups)) // want)
+        k = 0  # offset of the next kept pair among the pairs of f
+        for f, gs in zip(maps, groups):
+            for g in gs[k::step]:
+                yield f, g
+            k = (k - len(gs)) % step
 
 
 # -- checks ----------------------------------------------------------------------
@@ -412,7 +411,7 @@ def _check_heyting_identities(ctx):
 def _check_complement_laws(ctx):
     pairs = 0
     for key, fr in ctx.frames:
-        sl = ctx.big_sl(fr)
+        sl = ctx.sl(fr)
         for i in range(sl.n):
             j = sl.complement(i)
             if j is None:
@@ -434,7 +433,7 @@ def _check_generation_property(ctx):
     for key, fr in ctx.frames:
         if fr.n > 6:
             continue
-        sl = ctx.big_sl(fr)
+        sl = ctx.sl(fr)
         for i in range(sl.n):
             checked += 1
             rep = generation_check(sl, sl.sub(i))
@@ -449,7 +448,7 @@ def _check_sublocale_join_oracle(ctx):
     pairs = 0
     frames_with_display_gap = 0
     for key, fr in ctx.frames:
-        sl = ctx.big_sl(fr)
+        sl = ctx.sl(fr)
         display_gap = False
         for i in range(sl.n):
             for j in range(i, sl.n):
@@ -476,6 +475,9 @@ def _check_sublocale_join_oracle(ctx):
 
 
 def _check_galois_adjunction(ctx):
+    """Per map, the sublocale adjunction on its transfer, then the frame
+    level: the element table derived from the point map is localic, and
+    the right adjoint of its left adjoint gives the point map back."""
     for f in ctx.maps:
         rep = check_adjunction(f, ctx.bound)
         if not rep.ok:
@@ -484,7 +486,7 @@ def _check_galois_adjunction(ctx):
                 "lines": [f"adjunction fails for {f.describe()}: {rep.witness}"],
             }
         back = left_adjoint(f.source, f.target, f.table)
-        if back.table != f.adjoint.table:
+        if right_adjoint(f.target, f.source, back.table).points != f.points:
             return "fail", {"maps": len(ctx.maps)}, {
                 "kind": "static",
                 "lines": [f"left adjoint round trip differs for {f.describe()}"],
@@ -495,7 +497,7 @@ def _check_galois_adjunction(ctx):
 def _check_boolean_fragment(ctx):
     """Every sublocale is complemented, and there is one per set of points."""
     for (key, fr), poset in zip(ctx.frames, ctx.posets):
-        sl = ctx.big_sl(fr)
+        sl = ctx.sl(fr)
         try:
             complemented_fragment(sl)
             problem = None if sl.n == 1 << poset.n else f"{sl.n} sublocales, poset size {poset.n}"
@@ -511,7 +513,7 @@ def _check_interior_axioms(ctx):
     k = ctx.config.operator_samples_per_frame
     generated = 0
     for key, fr in ctx.frames:
-        sl = ctx.big_sl(fr)
+        sl = ctx.sl(fr)
         d, t = discrete_op(sl), trivial_op(sl)
         for op in (d, t, op_join([d, t]), op_meet([d, t])):
             if not check_interior(op).ok:
@@ -541,7 +543,7 @@ def _check_h_axioms(ctx):
     k = ctx.config.operator_samples_per_frame
     generated = raw_tables = 0
     for key, fr in ctx.frames:
-        sl = ctx.big_sl(fr)
+        sl = ctx.sl(fr)
         d, t = discrete_h(sl), trivial_h(sl)
         for h in (d, t):
             if not check_h(h).ok:
@@ -906,9 +908,9 @@ def _check_points_spatiality(ctx):
         len(points_of(two())) == 1
         and len(points_of(chain3())) == 2
         and len(points_of(square())) == 2
-        and len(ctx.big_sl(chain3())) == 4
-        and len(ctx.big_sl(square())) == 4
-        and len(ctx.big_sl(two())) == 2
+        and len(ctx.sl(chain3())) == 4
+        and len(ctx.sl(square())) == 4
+        and len(ctx.sl(two())) == 2
     )
     if not fixture_ok:
         return "fail", {}, {"kind": "static", "lines": ["fixture counts are off"]}

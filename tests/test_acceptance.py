@@ -74,7 +74,7 @@ def maps_between(max_frame_size: int):
     for a in frames:
         for b in frames:
             for table in enumerate_frame_homs(a, b):
-                out.append(right_adjoint(FrameHom(a, b, table)))
+                out.append(right_adjoint(a, b, table))
     return out
 
 
@@ -218,7 +218,7 @@ def test_criterion_3_adjoint_round_trip(capsys):
             for table in enumerate_frame_homs(a, b):
                 homs += 1
                 h = FrameHom(a, b, table)
-                f = right_adjoint(h)
+                f = right_adjoint(h.source, h.target, h.table)
                 try:
                     back = left_adjoint(f.source, f.target, f.table)
                 except NotLocalic as exc:

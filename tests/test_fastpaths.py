@@ -3,15 +3,16 @@
 S_l is built from primes, points are read off primes, frame homs are monotone
 maps of join-irreducibles, transfer tables are images of points built in one
 pass, I2 and h2 are decided on cover pairs, h-continuity on cores, the Galois
-adjunction (of sublocales and of elements) on unit, counit and covers, right
-adjoints are read off join-irreducibles, the frame-hom law scans read table
-rows from locals, the operator samplers close over lower covers, the
+adjunction of sublocales on unit, counit and covers, localic maps are point
+maps read off join-irreducibles and extended by meets, the frame-hom law
+scans read table rows from locals, the operator samplers close over lower covers, the
 operator kernels check and classify an induced operator in one pass over
 point masks, and posets validate and take canonical keys on bitmask rows.
 Each is compared here with the scan in `oracles.py` on every small frame or
 poset, or on random tables.
 """
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -42,11 +43,12 @@ from localelab.interior import (
     op_meet,
     random_op,
 )
-from localelab.lattice import Poset, build_frame, frame_of_space
+from localelab.lattice import Poset, bits, build_frame, frame_of_space
 from localelab.maps import (
     FrameHom,
     LocalicMap,
     check_frame_hom,
+    compose_localic,
     enumerate_frame_homs,
     left_adjoint,
     right_adjoint,
@@ -60,7 +62,6 @@ from localelab.sublocales import (
 )
 from oracles import (
     brute_adjunction,
-    brute_adjunction_gap,
     brute_canonical_key,
     brute_check_frame_hom,
     brute_continuous_table,
@@ -279,7 +280,7 @@ def _maps(frames, max_candidates):
         for b in frames:
             if b.n ** a.n <= max_candidates:
                 for table in enumerate_frame_homs(a, b, budget=max_candidates):
-                    yield right_adjoint(FrameHom(a, b, table))
+                    yield right_adjoint(a, b, table)
 
 
 def test_transfer_tables_match_sloc_core():
@@ -317,18 +318,9 @@ def map_cases(draw):
     m, l = draw(st.sampled_from(HOM_PAIRS))
     homs = HOMS4[m, l]
     h = FrameHom(m, l, draw(st.sampled_from(homs)))
-    f = right_adjoint(h)
+    f = right_adjoint(h.source, h.target, h.table)
     other = FrameHom(m, l, draw(st.sampled_from(homs)))
     return h, f, other, _overwrite(draw, h.table, l.n), _overwrite(draw, f.table, m.n)
-
-
-def _raised(fn, *args):
-    """The type and text of what fn(*args) raises; None when it returns."""
-    try:
-        fn(*args)
-    except (ValueError, IndexError) as exc:
-        return type(exc).__name__, str(exc)
-    return None
 
 
 @given(map_cases())
@@ -347,26 +339,78 @@ def test_check_frame_hom_matches_method_scan(case):
 def test_right_adjoint_matches_join_scan(case):
     h, f, other, _, _ = case
     assert f.table == brute_right_adjoint_table(h)
-    assert right_adjoint(other).table == brute_right_adjoint_table(other)
+    back = right_adjoint(other.source, other.target, other.table)
+    assert back.table == brute_right_adjoint_table(other)
 
 
-@given(map_cases())
-@settings(max_examples=300)
-def test_localic_map_check_matches_adjunction_scan(case):
-    """LocalicMap accepts or rejects f's table, overwritten, against h or
-    another hom of the same frames, with the all-pairs scan's first witness;
-    a table the scan cannot read raises the scan's own error."""
-    h, f, other, _, map_table = case
-    for adjoint in (h, other):
-        try:
-            gap = brute_adjunction_gap(f.source, f.target, map_table, adjoint.table)
-        except IndexError as exc:
-            want = "IndexError", str(exc)
-        else:
-            want = None if gap is None else ("ValueError", "adjunction fails at "
-                                             f"({f.target.labels[gap[0]]}, "
-                                             f"{f.source.labels[gap[1]]})")
-        assert _raised(LocalicMap, f.source, f.target, map_table, adjoint) == want
+def test_point_maps_round_trip_every_corpus4_hom():
+    """The localic map read off the points of each of the 19,702 corpus-4
+    homs extends to the join scan's right adjoint table, and its derived
+    left adjoint is the hom itself."""
+    homs = 0
+    for (a, b), tables in HOMS4.items():
+        for table in tables:
+            f = right_adjoint(a, b, table)
+            assert f.table == brute_right_adjoint_table(FrameHom(a, b, table))
+            assert f.adjoint.table == table
+            homs += 1
+    assert homs == 19_702
+
+
+def _meet_maps(source, target):
+    """(values at the primes, table) of every map source -> target that keeps
+    binary meets and the top: each is fixed by its monotone restriction to
+    the primes, every x going to the meet of the values at the primes above x."""
+    primes = list(bits(source.primes))
+    for values in product(range(target.n), repeat=len(primes)):
+        at = dict(zip(primes, values))
+        if any(source.le(p, q) and not target.le(at[p], at[q]) for p in primes for q in primes):
+            continue
+        table = []
+        for x in range(source.n):
+            y = target.top
+            for p in primes:
+                if source.le(x, p):
+                    y = target.meet(y, at[p])
+            table.append(y)
+        yield values, tuple(table)
+
+
+def test_left_adjoint_accepts_exactly_the_prime_valued_meet_maps():
+    """A table that keeps meets and the top is localic exactly when it sends
+    primes to primes; otherwise only the candidate's hom laws fail, never the
+    adjunction. Every such table between corpus-4 frames of at most 6
+    elements, and on the accepted ones the point map's meet extension."""
+    small = [fr for fr in CORPUS4 if fr.n <= 6]
+    tables = accepted = 0
+    for a in small:
+        for b in small:
+            for values, table in _meet_maps(a, b):
+                try:
+                    left_adjoint(a, b, table)
+                except NotLocalic as exc:
+                    assert exc.witness[0].startswith("adjoint-"), exc.witness
+                    localic = False
+                else:
+                    assert LocalicMap(a, b, values).table == table
+                    localic = True
+                assert localic == all(b.primes >> v & 1 for v in values)
+                tables += 1
+                accepted += localic
+    assert (tables, accepted) == (6346, 1643)
+
+
+def test_compose_localic_is_table_composition():
+    maps = list(_maps(CORPUS4, 500))
+    by_source = {}
+    for g in maps:
+        by_source.setdefault(g.source, []).append(g)
+    pairs = 0
+    for f in maps:
+        for g in by_source.get(f.target, ()):
+            assert compose_localic(g, f).table == tuple(g.table[y] for y in f.table)
+            pairs += 1
+    assert pairs == 4672
 
 
 @given(map_cases())

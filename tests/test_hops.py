@@ -39,7 +39,6 @@ from localelab.interior import (
     random_op,
 )
 from localelab.maps import (
-    FrameHom,
     enumerate_frame_homs,
     identity_localic,
     localic_map,
@@ -56,7 +55,7 @@ def corpus_maps(max_n):
         maps = []
         for src, tgt in product(frames, frames):
             for tb in enumerate_frame_homs(src, tgt):
-                maps.append(right_adjoint(FrameHom(src, tgt, tb)))
+                maps.append(right_adjoint(src, tgt, tb))
         _MAP_CACHE[max_n] = tuple(maps)
     return _MAP_CACHE[max_n]
 
@@ -70,7 +69,7 @@ def f_up():
 
 
 def f_dn():
-    return right_adjoint(FrameHom(two(), chain3(), (0, 2)))
+    return right_adjoint(two(), chain3(), (0, 2))
 
 
 class _Uncomplemented(SublocaleLattice):
@@ -381,7 +380,7 @@ def test_initial_h_keeps_h2_for_non_contractive_targets():
     maps = non_contractive = 0
     for src, tgt in product(frames, frames):
         for tb in enumerate_frame_homs(src, tgt, budget=tgt.n ** src.n):
-            f = right_adjoint(FrameHom(src, tgt, tb))
+            f = right_adjoint(src, tgt, tb)
             slm = enumerate_sublocales(f.target)
             maps += 1
             ops = [HOperator(slm, (slm.top,) * slm.n)]

@@ -32,7 +32,6 @@ from localelab.interior import (
     trivial_op,
 )
 from localelab.maps import (
-    FrameHom,
     compose_localic,
     enumerate_frame_homs,
     identity_localic,
@@ -51,7 +50,7 @@ def corpus_maps(max_n):
         maps = []
         for src, tgt in product(frames, frames):
             for tb in enumerate_frame_homs(src, tgt):
-                maps.append(right_adjoint(FrameHom(src, tgt, tb)))
+                maps.append(right_adjoint(src, tgt, tb))
         _MAP_CACHE[max_n] = tuple(maps)
     return _MAP_CACHE[max_n]
 
@@ -66,7 +65,7 @@ def f_up():
 
 def f_dn():
     # right adjoint of the inclusion TWO -> CHAIN3; collapses m to 0
-    f = right_adjoint(FrameHom(two(), chain3(), (0, 2)))
+    f = right_adjoint(two(), chain3(), (0, 2))
     assert f.table == (0, 0, 1)
     return f
 

@@ -33,10 +33,6 @@ from localelab.maps import (
 )
 
 
-def ident_hom(f):
-    return FrameHom(f, f, tuple(range(f.n)))
-
-
 def oracle_right_adjoint_value(h, x):
     """Maximum of {m : h(m) <= x}, found by order scan only."""
     M, L = h.source, h.target
@@ -83,14 +79,14 @@ def test_frame_hom_constructor_validates():
 
 def test_right_adjoint_fixtures():
     c3, t2 = chain3(), two()
-    f = right_adjoint(FrameHom(c3, t2, (0, 1, 1)))
+    f = right_adjoint(c3, t2, (0, 1, 1))
     assert f.source == t2 and f.target == c3
     assert f.describe() == {"0": "0", "1": "1"}
 
-    f2 = right_adjoint(FrameHom(t2, c3, (0, 2)))
+    f2 = right_adjoint(t2, c3, (0, 2))
     assert f2.describe() == {"0": "0", "m": "0", "1": "1"}
 
-    ident = right_adjoint(ident_hom(c3))
+    ident = right_adjoint(c3, c3, (0, 1, 2))
     assert ident.table == (0, 1, 2)
 
 
@@ -98,7 +94,7 @@ def test_right_adjoint_matches_order_oracle():
     for src, tgt in hom_pairs():
         for table in enumerate_frame_homs(src, tgt):
             h = FrameHom(src, tgt, table)
-            f = right_adjoint(h)
+            f = right_adjoint(h.source, h.target, h.table)
             for x in range(tgt.n):
                 assert f(x) == oracle_right_adjoint_value(h, x)
             # adjunction, all pairs
@@ -116,8 +112,9 @@ def test_left_adjoint_fixtures():
     # f(0)=m is a genuine localic map: its adjoint is the m|->0 hom and the
     # adjunction holds on every pair, so construction must succeed.
     f = localic_map(t2, c3, (1, 2))
-    assert f.adjoint.describe() == {"0": "0", "m": "0", "1": "1"}
-    assert right_adjoint(f.adjoint).table == (1, 2)
+    h = f.adjoint
+    assert h.describe() == {"0": "0", "m": "0", "1": "1"}
+    assert right_adjoint(h.source, h.target, h.table).table == (1, 2)
 
     # meet-preserving, top-preserving, yet not localic: the candidate adjoint
     # sends the top of TWO to m, failing the top law.
@@ -138,7 +135,7 @@ def test_left_adjoint_rejects_non_meet_and_non_top_maps():
 def test_left_adjoint_matches_order_oracle():
     for src, tgt in hom_pairs():
         for table in enumerate_frame_homs(src, tgt):
-            f = right_adjoint(FrameHom(src, tgt, table))
+            f = right_adjoint(src, tgt, table)
             for m in range(f.target.n):
                 assert f.adjoint(m) == oracle_left_adjoint_value(f, m)
 
@@ -146,16 +143,16 @@ def test_left_adjoint_matches_order_oracle():
 def test_galois_roundtrips_recover_both_sides():
     for src, tgt in hom_pairs():
         for table in enumerate_frame_homs(src, tgt):
-            f = right_adjoint(FrameHom(src, tgt, table))
+            f = right_adjoint(src, tgt, table)
             h2 = left_adjoint(f.source, f.target, f.table)
             assert h2.table == tuple(table)
-            assert right_adjoint(h2).table == f.table
+            assert right_adjoint(h2.source, h2.target, h2.table).table == f.table
 
 
 def test_localic_maps_preserve_all_meets_and_top():
     for src, tgt in hom_pairs():
         for table in enumerate_frame_homs(src, tgt):
-            f = right_adjoint(FrameHom(src, tgt, table))
+            f = right_adjoint(src, tgt, table)
             L, M = f.source, f.target
             assert f(L.top) == M.top
             for mask in range(1 << L.n):
@@ -182,7 +179,7 @@ def test_compose_associativity_on_corpus_triples():
     maps = []
     for src, tgt in product(frames, frames):
         for table in enumerate_frame_homs(src, tgt):
-            maps.append(right_adjoint(FrameHom(src, tgt, table)))
+            maps.append(right_adjoint(src, tgt, table))
     triples = 0
     for f in maps:
         for g in maps:
@@ -286,8 +283,20 @@ def test_omega_contravariant_functoriality():
     assert checked > 0
 
 
-def test_localic_map_constructor_rejects_broken_adjunction():
+def test_localic_map_checks_its_point_map():
+    # the points (primes) of TWO are 0, of CHAIN3 0 and m, of SQUARE a and b
     c3 = chain3()
-    good = ident_hom(c3)
-    with pytest.raises(ValueError):
-        LocalicMap(c3, c3, (0, 0, 2), good)  # table disagrees with the adjoint
+    with pytest.raises(NotLocalic) as exc:
+        LocalicMap(two(), square(), (0,))
+    assert exc.value.witness == ("point-not-prime", "0", 0)
+    with pytest.raises(NotLocalic) as exc:
+        LocalicMap(c3, c3, (1, 0))  # 0 <= m, but f(0) = m is not below f(m) = 0
+    assert exc.value.witness == ("point-order", "0", "m")
+    with pytest.raises(NotLocalic) as exc:
+        LocalicMap(c3, c3, (0,))
+    assert exc.value.witness == ("point-count", 1)
+    # the point map (0, 0) extends by meets to the table (0, 0, 2), whose
+    # left adjoint sends m to the top
+    f = LocalicMap(c3, c3, (0, 0))
+    assert f.table == (0, 0, 2) and f.adjoint.table == (0, 2, 2)
+    assert localic_map(c3, c3, (0, 0, 2)) == f

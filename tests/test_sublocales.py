@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from localelab.corpus import chain3, chain4, corpus_frames, square, two
 from localelab.errors import HostMismatch, NotMeetClosed, SizeLimit
 from localelab.lattice import bits, build_frame
-from localelab.maps import FrameHom, enumerate_frame_homs, identity_localic, localic_map, right_adjoint
+from localelab.maps import enumerate_frame_homs, identity_localic, localic_map, right_adjoint
 from localelab.sublocales import (
     AdjReport,
     SublocaleTransfer,
@@ -146,7 +146,7 @@ def test_size_limit_env_bounds_transfers_kernels_and_runs(monkeypatch):
     from localelab.interior import initial_interior, trivial_op
     from localelab.verify import CorpusConfig, run_verification
 
-    f = right_adjoint(FrameHom(chain3(), chain4(), enumerate_frame_homs(chain3(), chain4())[0]))
+    f = right_adjoint(chain3(), chain4(), enumerate_frame_homs(chain3(), chain4())[0])
     op = trivial_op(enumerate_sublocales(chain3()))
     monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "3")
     with pytest.raises(SizeLimit):
@@ -330,7 +330,7 @@ def corpus_localic_maps(max_n=5):
     for src in frames:
         for tgt in frames:
             for table in enumerate_frame_homs(src, tgt):
-                maps.append(right_adjoint(FrameHom(src, tgt, table)))
+                maps.append(right_adjoint(src, tgt, table))
     return maps
 
 

@@ -130,6 +130,20 @@ def test_maps_sweep_report_bytes_pinned(tmp_path):
     assert digest == "32eed0cebfb39089b71946fdf84e5fccddb938f4a269d0dcdb55f3dae7330888"
 
 
+def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
+    # the frame-level half of the check can still fail: a right adjoint that
+    # loses the point map is reported with the map it lost
+    from localelab import verify
+    from localelab.maps import identity_localic
+
+    ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
+    assert ctx.maps
+    monkeypatch.setattr(verify, "right_adjoint", lambda s, t, table: identity_localic(t))
+    status, _, witness = verify.CHECKS["galois-adjunction"](ctx)
+    assert status == "fail"
+    assert witness["lines"][0].startswith("left adjoint round trip differs for {")
+
+
 def test_reports_are_byte_identical_for_equal_configs():
     a = run_verification(CorpusConfig(**SMALL))
     b = run_verification(CorpusConfig(**SMALL))
