@@ -35,7 +35,7 @@ class NotMeetClosed(LocaleLabError):
 
 
 class NotLocalic(LocaleLabError):
-    """Candidate map has no frame-homomorphism left adjoint."""
+    """Candidate map is not localic: no frame-hom left adjoint, or a bad point map."""
 
 
 class NotContinuous(LocaleLabError):
