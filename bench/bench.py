@@ -19,9 +19,11 @@ interpreters with the same `PYTHONPATH`. One entry records:
   Python 3.11.7, a cold import took 0.11 s compiling against 0.048 s read
   from bytecode caches);
 - the median over five passes of each map-layer kernel, timed over every
-  frame hom between the corpus-4 frames (19,702 homs): `check_frame_hom`,
-  `LocalicMap` construction (its point-map check), `right_adjoint`,
-  `left_adjoint` and `SublocaleTransfer.build`;
+  frame hom between the corpus-4 frames (19,702 homs): `enumerate_frame_homs`
+  (over all 576 corpus-4 frame pairs), `check_frame_hom`, `LocalicMap`
+  construction (its point-map check), `right_adjoint`, `left_adjoint`, the
+  left adjoint `LocalicMap.adjoint` derives from the points,
+  `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, operator) pairs of the initial checks of default `verify`:
   `random_op` for the ten draws per map of initial-interior (11,350 draws,
@@ -114,7 +116,7 @@ def kernel_timings():
         left_adjoint,
         right_adjoint,
     )
-    from localelab.sublocales import SublocaleTransfer, enumerate_sublocales
+    from localelab.sublocales import SublocaleTransfer, adjunction_report, enumerate_sublocales
 
     frames = [fr for _, fr in corpus_frames(4)]
     homs = [FrameHom(a, b, table) for a in frames for b in frames
@@ -122,13 +124,20 @@ def kernel_timings():
     maps = [right_adjoint(h.source, h.target, h.table) for h in homs]
     for fr in frames:
         enumerate_sublocales(fr, SL_LIMIT)
+    transfers = [SublocaleTransfer.build(f, SL_LIMIT) for f in maps]
+    # a plain property's getter, or the function under a cached_property
+    adjoint = getattr(LocalicMap.adjoint, "fget", None) or LocalicMap.adjoint.func
     kernels = {
+        "enumerate_frame_homs": (
+            enumerate_frame_homs, [(a, b, 16 ** 16) for a in frames for b in frames]),
         "check_frame_hom": (check_frame_hom, [(h.source, h.target, h.table) for h in homs]),
         "localic_map_validation": (
             LocalicMap, [(f.source, f.target, f.points) for f in maps]),
         "right_adjoint": (right_adjoint, [(h.source, h.target, h.table) for h in homs]),
         "left_adjoint": (left_adjoint, [(f.source, f.target, f.table) for f in maps]),
+        "adjoint": (adjoint, [(f,) for f in maps]),
         "transfer_build": (SublocaleTransfer.build, [(f, SL_LIMIT) for f in maps]),
+        "adjunction_report": (adjunction_report, [(t,) for t in transfers]),
     }
     out = {"homs": len(homs)}
     for name, (fn, items) in kernels.items():

@@ -181,6 +181,7 @@ class Frame:
         # They are the points of the frame, and every sublocale is the
         # meet-closure of the primes it contains (Birkhoff duality).
         self.primes = _single_cover_mask(self.up, self.dn)
+        self.prime_list = tuple(bits(self.primes))
 
     @cached_property
     def join_irreducibles(self) -> int:
@@ -197,6 +198,15 @@ class Frame:
         ji = self.join_irreducibles
         return {self.dn[x] & ji: x for x in range(self.n)}
 
+    @cached_property
+    def by_primes(self) -> dict:
+        """The element with exactly a given up-closed mask of primes above it."""
+        return {self.up[x] & self.primes: x for x in range(self.n)}
+
+    @cached_property
+    def irreducible_list(self) -> tuple:
+        return tuple(bits(self.join_irreducibles))
+
     # -- element operations -------------------------------------------------
     def le(self, a: int, b: int) -> bool:
         return bool(self.dn[b] >> a & 1)
@@ -210,10 +220,6 @@ class Frame:
     def imp(self, a: int, b: int) -> int:
         """Heyting arrow a -> b: the largest c with c & a <= b."""
         return self.imp_table[a][b]
-
-    def neg(self, a: int) -> int:
-        """Pseudocomplement: a -> bottom."""
-        return self.imp_table[a][self.bottom]
 
     def meet_mask(self, mask: int) -> int:
         """Meet of a subset given as bitmask; empty meet is the top."""
@@ -349,7 +355,7 @@ def heyting(frame: Frame, a: int, b: int) -> int:
 
 
 def pseudocomplement(frame: Frame, a: int) -> int:
-    return frame.neg(a)
+    return frame.imp_table[a][frame.bottom]
 
 
 def _frame_of_mask_family(masks, labels) -> Frame:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatch, NotContinuous, NotLocalic, SizeLimit
-from .lattice import FiniteSpace, Frame, bits, frame_of_space, mask_of
+from .lattice import FiniteSpace, Frame, bits, frame_of_space
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ class FrameHom:
         return self.table[a]
 
     def describe(self) -> dict:
-        return {
-            self.source.labels[i]: self.target.labels[v] for i, v in enumerate(self.table)
-        }
+        return {self.source.labels[i]: self.target.labels[v] for i, v in enumerate(self.table)}
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ class LocalicMap:
     A localic map (the right adjoint of a frame hom target -> source) sends
     primes, the points of a finite frame, to primes, and every element is
     the meet of the primes above it. So the map is `points`, the image of
-    each source prime in `bits(source.primes)` order, and every monotone map
+    each source prime in `source.prime_list` order, and every monotone map
     of primes to primes extends to the localic map f(x) = ^{f(p) : x <= p}.
     Construction checks exactly that, with the first failing point or pair
     of points as witness; the element table and left adjoint are derived.
@@ -88,10 +86,10 @@ class LocalicMap:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         src, tgt, pts = self.source, self.target, self.points
-        if len(pts) != src.primes.bit_count():
-            raise NotLocalic(f"{len(pts)} values for {src.primes.bit_count()} points",
+        if len(pts) != len(src.prime_list):
+            raise NotLocalic(f"{len(pts)} values for {len(src.prime_list)} points",
                              witness=("point-count", len(pts)))
-        pairs = tuple(zip(bits(src.primes), pts))
+        pairs = tuple(zip(src.prime_list, pts))
         for p, v in pairs:
             if not (0 <= v < tgt.n and tgt.primes >> v & 1):
                 raise NotLocalic(
@@ -105,12 +103,16 @@ class LocalicMap:
                     lp, lq = src.labels[p], src.labels[q]
                     raise NotLocalic(f"does not keep the order of the points ({lp}, {lq})",
                                      witness=("point-order", lp, lq))
+        object.__setattr__(self, "_hash", hash((src, tgt, pts)))  # maps key lru caches
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def table(self) -> tuple:
         """f(x) = ^{f(p) : x <= p prime}, for every element x of the source."""
         meet, top = self.target.meet_table, self.target.top
-        pairs = tuple(zip(bits(self.source.primes), self.points))
+        pairs = tuple(zip(self.source.prime_list, self.points))
         out = []
         for up in self.source.up:
             y = top
@@ -120,23 +122,26 @@ class LocalicMap:
             out.append(y)
         return tuple(out)
 
-    @cached_property
+    @property
     def adjoint(self) -> FrameHom:
-        """The left adjoint h(m) = ^{p : m <= f(p)}, a frame hom target -> source."""
+        """The left adjoint h(m) = ^{p : m <= f(p)}, a frame hom target -> source;
+        those primes p are up-closed, so h(m) is one `by_primes` lookup."""
         src, tgt = self.source, self.target
-        pairs = tuple(zip(bits(src.primes), self.points))
-        return FrameHom(tgt, src, tuple(
-            src.meet_mask(mask_of(p for p, v in pairs if tgt.dn[v] >> m & 1))
-            for m in range(tgt.n)
-        ))
+        pairs = tuple(zip([1 << p for p in src.prime_list], self.points))
+        by_primes, out = src.by_primes, []
+        for up in tgt.up:
+            key = 0
+            for bit, v in pairs:
+                if up >> v & 1:
+                    key |= bit
+            out.append(by_primes[key])
+        return FrameHom(tgt, src, tuple(out))
 
     def __call__(self, x: int) -> int:
         return self.table[x]
 
     def describe(self) -> dict:
-        return {
-            self.source.labels[i]: self.target.labels[v] for i, v in enumerate(self.table)
-        }
+        return {self.source.labels[i]: self.target.labels[v] for i, v in enumerate(self.table)}
 
 
 def right_adjoint(source: Frame, target: Frame, table) -> LocalicMap:
@@ -148,9 +153,9 @@ def right_adjoint(source: Frame, target: Frame, table) -> LocalicMap:
     closed under joins, so f(x) is the element whose join-irreducibles are
     those q with h(q) <= x: one dict lookup per point x.
     """
-    qs = [(1 << q, table[q]) for q in bits(source.join_irreducibles)]
+    qs = [(1 << q, table[q]) for q in source.irreducible_list]
     points = []
-    for p in bits(target.primes):
+    for p in target.prime_list:
         dp, m = target.dn[p], 0
         for bit, hq in qs:
             if dp >> hq & 1:
@@ -205,11 +210,11 @@ def localic_map(source: Frame, target: Frame, table) -> LocalicMap:
     """Build a localic map from an element table, running the is-localic test."""
     table = tuple(table)
     left_adjoint(source, target, table)
-    return LocalicMap(source, target, tuple(table[p] for p in bits(source.primes)))
+    return LocalicMap(source, target, tuple([table[p] for p in source.prime_list]))
 
 
 def identity_localic(frame: Frame) -> LocalicMap:
-    return LocalicMap(frame, frame, tuple(bits(frame.primes)))
+    return LocalicMap(frame, frame, frame.prime_list)
 
 
 def compose_localic(g: LocalicMap, f: LocalicMap) -> LocalicMap:
@@ -219,7 +224,7 @@ def compose_localic(g: LocalicMap, f: LocalicMap) -> LocalicMap:
             f"cannot compose: middle frames differ ({f.target.key()} vs {g.source.key()})",
             witness=(f.target.key(), g.source.key()),
         )
-    value = dict(zip(bits(g.source.primes), g.points))
+    value = dict(zip(g.source.prime_list, g.points))
     return LocalicMap(f.source, g.target, tuple(value[v] for v in f.points))
 
 
@@ -230,7 +235,8 @@ def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):
     phi from the join-irreducibles of M to those of L, read back as
     h(a) = v{q : phi(q) <= a}. The maps phi are built by backtracking over
     J(M) in index order, a value dropped as soon as it breaks the order
-    against an element already assigned.
+    against an element already assigned; setting phi(q) = p adds q to the
+    J(M)-masks of all a >= p until it backtracks, so a leaf is |L| lookups.
 
     `budget` bounds the |M|^|L| candidate tables, the size of the
     brute-force space the harness admits frame pairs by; past it, SizeLimit.
@@ -241,28 +247,29 @@ def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):
             f"{total} candidate maps exceed the enumeration budget {budget}",
             witness=(source.n, target.n),
         )
-    jl, jm = source.join_irreducibles, target.join_irreducibles
-    qs = list(bits(jm))
-    element_of = target.by_irreducibles
-    phi = [0] * len(qs)
-    out = []
+    jl, qs = source.join_irreducibles, target.irreducible_list
+    sup, sdn, element_of = source.up, source.dn, target.by_irreducibles
+    above = {p: tuple(bits(sup[p])) for p in bits(jl)}
+    # per depth k, (i, rows) for each earlier q_i comparable to q_k: phi(q_k) is in rows[phi(q_i)]
+    cons = [[(i, sup if target.le(qs[i], q) else sdn) for i in range(k)
+             if target.le(qs[i], q) or target.le(q, qs[i])] for k, q in enumerate(qs)]
+    phi, masks, out = [0] * len(qs), [0] * source.n, []
 
     def extend(k):
         if k == len(qs):
-            out.append(tuple(
-                element_of[sum(1 << q for q, p in zip(qs, phi) if source.dn[a] >> p & 1)]
-                for a in range(source.n)
-            ))
+            out.append(tuple([element_of[m] for m in masks]))
             return
-        q, allowed = qs[k], jl
-        for i in range(k):
-            if target.le(qs[i], q):
-                allowed &= source.up[phi[i]]
-            elif target.le(q, qs[i]):
-                allowed &= source.dn[phi[i]]
+        allowed = jl
+        for i, rows in cons[k]:
+            allowed &= rows[phi[i]]
+        bit = 1 << qs[k]
         for p in bits(allowed):
             phi[k] = p
+            for a in above[p]:
+                masks[a] |= bit
             extend(k + 1)
+            for a in above[p]:
+                masks[a] ^= bit
 
     extend(0)
     out.sort()

@@ -335,21 +335,22 @@ def adjunction_report(t: SublocaleTransfer) -> AdjReport:
     """Is image -| preimage a Galois connection on the transfer's tables?
 
     It is iff both tables are monotone, which cover pairs decide, and the
-    unit S <= f_-1[f[S]] and the counit f[f_-1[T]] <= T hold. Only when one
-    of these fails are all pairs scanned, for the lex-first witness. Every
-    comparison is one test on point masks.
+    unit S <= f_-1[f[S]] and the counit f[f_-1[T]] <= T hold: one pass over
+    each lattice ORs together their point-mask gaps. Only when a gap is left
+    are all pairs scanned, for the lex-first witness.
     """
     sl, tl, img, pre = t.source_lattice, t.target_lattice, t.image_table, t.preimage_table
     sp, tp = sl.points, tl.points
-    img_pts, pre_pts = [tp[k] for k in img], [sp[k] for k in pre]
-    if (
-        all(not img_pts[c] & ~img_pts[i]
-            for i, covers in enumerate(sl.lower_covers) for c in covers)
-        and all(not pre_pts[c] & ~pre_pts[j]
-                for j, covers in enumerate(tl.lower_covers) for c in covers)
-        and all(not pts & ~pre_pts[k] for pts, k in zip(sp, img))
-        and all(not img_pts[k] & ~pts for pts, k in zip(tp, pre))
-    ):
+    img_pts, pre_pts, gaps = [tp[k] for k in img], [sp[k] for k in pre], 0
+    for pts, k, covers, i_pts in zip(sp, img, sl.lower_covers, img_pts):
+        gaps |= pts & ~pre_pts[k]
+        for c in covers:
+            gaps |= img_pts[c] & ~i_pts
+    for pts, k, covers, p_pts in zip(tp, pre, tl.lower_covers, pre_pts):
+        gaps |= img_pts[k] & ~pts
+        for c in covers:
+            gaps |= pre_pts[c] & ~p_pts
+    if not gaps:
         return AdjReport(True, sl.n * tl.n)
     pairs = 0
     for i in range(sl.n):
@@ -417,7 +418,7 @@ class SublocaleTransfer:
         sl = enumerate_sublocales(f.source, limit)
         tl = enumerate_sublocales(f.target, limit)
         image_bit, fibre = {}, {}
-        for p, v in zip(bits(f.source.primes), f.points):
+        for p, v in zip(f.source.prime_list, f.points):
             q = 1 << v
             image_bit[1 << p] = q
             fibre[q] = fibre.get(q, 0) | 1 << p

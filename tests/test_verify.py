@@ -144,6 +144,21 @@ def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
     assert witness["lines"][0].startswith("left adjoint round trip differs for {")
 
 
+def test_galois_adjunction_fails_on_a_wrong_adjoint(monkeypatch):
+    # a left adjoint that is a frame hom, but the lex-first one rather than
+    # the map's own, does not give the point map back
+    from localelab import verify
+    from localelab.maps import FrameHom, LocalicMap, enumerate_frame_homs
+
+    ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
+    assert ctx.maps
+    monkeypatch.setattr(LocalicMap, "adjoint", property(
+        lambda f: FrameHom(f.target, f.source, enumerate_frame_homs(f.target, f.source)[0])))
+    status, _, witness = verify.CHECKS["galois-adjunction"](ctx)
+    assert status == "fail"
+    assert witness["lines"][0].startswith("left adjoint round trip differs for {")
+
+
 def test_reports_are_byte_identical_for_equal_configs():
     a = run_verification(CorpusConfig(**SMALL))
     b = run_verification(CorpusConfig(**SMALL))
