@@ -21,8 +21,10 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the median over five passes of each map-layer kernel, timed over every
   frame hom between the corpus-4 frames (19,702 homs): `enumerate_frame_homs`
   (over all 576 corpus-4 frame pairs), `check_frame_hom`, `LocalicMap`
-  construction (its point-map check), `right_adjoint`, `left_adjoint`, the
-  left adjoint `LocalicMap.adjoint` derives from the points,
+  construction (its point-map check), `right_adjoint`, `localic_map` on
+  each map's element table (the point-map check and the meet extension
+  compared with the table), the left adjoint `LocalicMap.adjoint` derives
+  from the points,
   `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, operator) pairs of the initial checks of default `verify`:
@@ -113,7 +115,7 @@ def kernel_timings():
         LocalicMap,
         check_frame_hom,
         enumerate_frame_homs,
-        left_adjoint,
+        localic_map,
         right_adjoint,
     )
     from localelab.sublocales import SublocaleTransfer, adjunction_report, enumerate_sublocales
@@ -134,7 +136,7 @@ def kernel_timings():
         "localic_map_validation": (
             LocalicMap, [(f.source, f.target, f.points) for f in maps]),
         "right_adjoint": (right_adjoint, [(h.source, h.target, h.table) for h in homs]),
-        "left_adjoint": (left_adjoint, [(f.source, f.target, f.table) for f in maps]),
+        "localic_map": (localic_map, [(f.source, f.target, f.table) for f in maps]),
         "adjoint": (adjoint, [(f,) for f in maps]),
         "transfer_build": (SublocaleTransfer.build, [(f, SL_LIMIT) for f in maps]),
         "adjunction_report": (adjunction_report, [(t,) for t in transfers]),

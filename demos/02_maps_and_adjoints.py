@@ -2,12 +2,12 @@
 
 Every frame hom CHAIN3 -> SQUARE is enumerated; each right adjoint is a
 localic map held as its map of points, and the left-adjoint round trip
-recovers the hom exactly. A table that preserves meets but tops out wrong is rejected
-with a witness.
+recovers the hom exactly. A table whose value at 0 is not the meet of its
+values at the points is rejected with a witness at 0.
 """
 from localelab.corpus import chain3, square
 from localelab.errors import NotLocalic
-from localelab.maps import enumerate_frame_homs, left_adjoint, localic_map, right_adjoint
+from localelab.maps import enumerate_frame_homs, localic_map, right_adjoint
 from localelab.sublocales import check_adjunction
 
 
@@ -17,7 +17,7 @@ def main():
     print(f"frame homs CHAIN3 -> SQUARE: {len(homs)}")
     for table in homs:
         f = right_adjoint(src, tgt, table)
-        back = left_adjoint(f.source, f.target, f.table)
+        back = f.adjoint
         adj = check_adjunction(f)
         print(f"  hom {table} -> localic {f.table}, round trip "
               f"{'exact' if back.table == table else 'DIFFERS'}, "

@@ -81,7 +81,6 @@ from .maps import (
     FrameHom,
     LocalicMap,
     enumerate_frame_homs,
-    left_adjoint,
     localic_map,
     right_adjoint,
 )
@@ -113,7 +112,7 @@ __all__ = [
     "two", "chain3", "chain4", "square", "sierpinski", "discrete_space",
     "indiscrete_space", "all_posets", "corpus_posets", "corpus_frames", "child_seed",
     "FrameHom", "LocalicMap", "ContinuousMap", "localic_map", "right_adjoint",
-    "left_adjoint", "enumerate_frame_homs",
+    "enumerate_frame_homs",
     "Sublocale", "SublocaleLattice", "sublocale", "is_sublocale", "sloc_core",
     "enumerate_sublocales", "closed_sub", "open_sub", "sub_join", "image",
     "preimage", "check_adjunction", "transfer_of",

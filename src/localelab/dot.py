@@ -43,30 +43,6 @@ def hasse_dot(structure) -> str:
     return _hasse_lines(poset.labels, poset.covers(), poset.heights())
 
 
-def _sub_covers(sl: SublocaleLattice):
-    # inclusion order on masks; n is small enough for the cubic scan
-    out = []
-    for i in range(sl.n):
-        for j in range(sl.n):
-            if i == j or not sl.le(i, j):
-                continue
-            if any(
-                k != i and k != j and sl.le(i, k) and sl.le(k, j) for k in range(sl.n)
-            ):
-                continue
-            out.append((i, j))
-    return out
-
-
-def _sub_heights(sl: SublocaleLattice):
-    h = [0] * sl.n
-    order = sorted(range(sl.n), key=lambda i: sl.masks[i].bit_count())
-    for i in order:
-        below = [j for j in range(sl.n) if j != i and sl.le(j, i)]
-        h[i] = 1 + max((h[j] for j in below), default=-1)
-    return h
-
-
 def sublocales_dot(sl: SublocaleLattice) -> str:
     """DOT source for S_l(L), nodes filled by open/closed/complemented status."""
     if sl.n > DOT_NODE_LIMIT:
@@ -89,5 +65,8 @@ def sublocales_dot(sl: SublocaleLattice) -> str:
             color = "white"
         return f' [style=filled, fillcolor={color}]'
 
-    labels = [sl.label(i) for i in range(sl.n)]
-    return _hasse_lines(labels, _sub_covers(sl), _sub_heights(sl), attrs)
+    # S_l(L) is the powerset of the points: a cover adds one point, and the
+    # height of a sublocale is its number of points
+    covers = sorted((i, j) for j, lower in enumerate(sl.lower_covers) for i in lower)
+    heights = [p.bit_count() for p in sl.points]
+    return _hasse_lines(sl.labels, covers, heights, attrs)

@@ -35,7 +35,7 @@ class NotMeetClosed(LocaleLabError):
 
 
 class NotLocalic(LocaleLabError):
-    """Candidate map is not localic: no frame-hom left adjoint, or a bad point map."""
+    """Not localic: a bad point map, or a table off the meet extension of its points."""
 
 
 class NotContinuous(LocaleLabError):

@@ -558,7 +558,7 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
             if a.ok:
                 bad = next(i for i, r in enumerate(b_reports) if not r.ok)
                 f, op = maps[bad], ops[bad]
-                t = transfer_of(f)
+                t = transfer_of(f, op.lattice.bound)
                 u = b_reports[bad].witness_index
                 confirmed = not sl.le(t.preimage_table[op(u)], cand(t.preimage_table[u]))
                 entry["anomaly"] = {
@@ -577,7 +577,8 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
                     "at": sl.label(t_idx),
                     "predicate": "unit-gap",
                     "confirmed": any(
-                        transfer_of(f).adjunction_gaps[0] >> t_idx & 1 for f in maps),
+                        transfer_of(f, op.lattice.bound).adjunction_gaps[0] >> t_idx & 1
+                        for f, op in zip(maps, ops)),
                 }
         universal.append(entry)
     return FamilyInitialReport(

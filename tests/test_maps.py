@@ -26,7 +26,6 @@ from localelab.maps import (
     compose_localic,
     enumerate_frame_homs,
     identity_localic,
-    left_adjoint,
     localic_map,
     omega_of_map,
     right_adjoint,
@@ -105,9 +104,8 @@ def test_right_adjoint_matches_order_oracle():
 
 def test_left_adjoint_fixtures():
     c3, t2 = chain3(), two()
-    h = left_adjoint(t2, c3, (0, 2))
-    assert h.describe() == {"0": "0", "m": "1", "1": "1"}
-    assert left_adjoint(c3, c3, (0, 1, 2)).table == (0, 1, 2)
+    assert localic_map(t2, c3, (0, 2)).adjoint.describe() == {"0": "0", "m": "1", "1": "1"}
+    assert localic_map(c3, c3, (0, 1, 2)).adjoint.table == (0, 1, 2)
 
     # f(0)=m is a genuine localic map: its adjoint is the m|->0 hom and the
     # adjunction holds on every pair, so construction must succeed.
@@ -116,20 +114,34 @@ def test_left_adjoint_fixtures():
     assert h.describe() == {"0": "0", "m": "0", "1": "1"}
     assert right_adjoint(h.source, h.target, h.table).table == (1, 2)
 
-    # meet-preserving, top-preserving, yet not localic: the candidate adjoint
-    # sends the top of TWO to m, failing the top law.
+    # meet-preserving, top-preserving, yet not localic: the point m goes to
+    # the top of TWO, which is not a point.
     with pytest.raises(NotLocalic) as exc:
         localic_map(c3, t2, (0, 1, 1))
-    assert exc.value.witness[0] == "adjoint-top"
+    assert exc.value.witness == ("point-not-prime", "m", 1)
 
 
-def test_left_adjoint_rejects_non_meet_and_non_top_maps():
+def test_localic_map_rejects_tables_off_their_point_map():
+    # a and b go to the top of TWO, not a point
     with pytest.raises(NotLocalic) as exc:
-        left_adjoint(square(), two(), (0, 1, 1, 1))
-    assert exc.value.witness == ("map-meet", "a", "b")
+        localic_map(square(), two(), (0, 1, 1, 1))
+    assert exc.value.witness == ("point-not-prime", "a", 1)
+    # the points 0 and m go to the point 0, whose meet extension sends the top
+    # to the top, not to 0
     with pytest.raises(NotLocalic) as exc:
-        left_adjoint(chain3(), chain3(), (0, 0, 0))
-    assert exc.value.witness == ("map-top",)
+        localic_map(chain3(), chain3(), (0, 0, 0))
+    assert exc.value.witness == ("point-table", "1", "1")
+    # the points agree with a localic map, the bottom does not
+    with pytest.raises(NotLocalic) as exc:
+        localic_map(square(), chain3(), (0, 1, 1, 2))
+    assert exc.value.witness == ("point-table", "0", "m")
+    # the order of the points is not kept
+    with pytest.raises(NotLocalic) as exc:
+        localic_map(chain3(), chain3(), (1, 0, 2))
+    assert exc.value.witness == ("point-order", "0", "m")
+    with pytest.raises(NotLocalic) as exc:
+        localic_map(chain3(), two(), (0, 1))
+    assert exc.value.witness == ("totality",)
 
 
 def test_left_adjoint_matches_order_oracle():
@@ -144,7 +156,7 @@ def test_galois_roundtrips_recover_both_sides():
     for src, tgt in hom_pairs():
         for table in enumerate_frame_homs(src, tgt):
             f = right_adjoint(src, tgt, table)
-            h2 = left_adjoint(f.source, f.target, f.table)
+            h2 = f.adjoint
             assert h2.table == tuple(table)
             assert right_adjoint(h2.source, h2.target, h2.table).table == f.table
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from localelab.corpus import chain3, corpus_frames, corpus_posets, sierpinski, square, two
+from localelab.corpus import chain3, chain4, corpus_frames, corpus_posets, sierpinski, square, two
 from localelab.dot import hasse_dot, sublocales_dot
 from localelab.errors import NotDistributive, SizeLimit
 from localelab.hops import HOperator, complemented_fragment, random_h, trivial_h
@@ -177,6 +177,33 @@ def test_sublocales_dot():
     assert '"{0,1}" [style=filled, fillcolor=palegreen];' in dot
     assert '"{m,1}" [style=filled, fillcolor=lightblue];' in dot
     assert dot.count("->") == 4
+
+
+def test_sublocales_dot_edges_and_ranks_match_order_scans():
+    """The DOT edges are the covers, and its rank rows the heights, of the
+    inclusion order on sublocale masks, found by scans over all pairs and
+    triples; on every corpus-4 frame and the fixtures."""
+    for fr in [f for _, f in corpus_frames(4)] + [two(), chain3(), chain4(), square()]:
+        sl = enumerate_sublocales(fr, 16)
+        n, masks, labels = sl.n, sl.masks, sl.labels
+
+        def lt(i, j):
+            return i != j and not masks[i] & ~masks[j]
+
+        covers = [(i, j) for i in range(n) for j in range(n)
+                  if lt(i, j) and not any(lt(i, k) and lt(k, j) for k in range(n))]
+        height = {}
+        for i in sorted(range(n), key=lambda i: masks[i].bit_count()):
+            height[i] = 1 + max((height[j] for j in range(n) if lt(j, i)), default=-1)
+        ranks = []
+        for h in sorted(set(height.values())):
+            row = " ".join(f'"{labels[i]}";' for i in range(n) if height[i] == h)
+            ranks.append(f"  {{ rank={'min' if h == 0 else 'same'}; {row} }}")
+
+        lines = sublocales_dot(sl).splitlines()
+        assert [ln for ln in lines if "->" in ln] == [
+            f'  "{labels[i]}" -> "{labels[j]}";' for i, j in covers]
+        assert [ln for ln in lines if "rank=" in ln] == ranks
 
 
 def test_sublocales_dot_size_guard():
