@@ -28,9 +28,12 @@ interpreters with the same `PYTHONPATH`. One entry records:
   `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, operator) pairs of the initial checks of default `verify`:
-  `random_op` for the ten draws per map of initial-interior (11,350 draws,
-  a generator seeded per map as the check seeds it), `initial_interior` on
-  its 13,620 lifts and `initial_h` on the 9,080 lifts of initial-h.
+  `random_op` for the ten draws per map of initial-interior (11,350 draws),
+  `random_h` for the six draws per map of initial-h (6,810 draws), each
+  from a generator seeded per map as the check seeds it, `initial_interior`
+  on its 13,620 lifts and `initial_h` on the 9,080 lifts of initial-h. A
+  lift returns its report with the candidate operator not yet built, as
+  the checks use it.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -148,7 +151,7 @@ def kernel_timings():
 
 
 def operator_timings():
-    from localelab.hops import initial_h
+    from localelab.hops import initial_h, random_h
     from localelab.interior import initial_interior, random_op
     from localelab.verify import CorpusConfig, _Ctx, _h_ops_for_initial, _ops_for_initial
 
@@ -156,11 +159,17 @@ def operator_timings():
     maps = list(enumerate(ctx.maps))
     draws = [(ctx.sl(f.target), idx) for idx, f in maps]
     samples = min(10, ctx.config.operator_samples_per_frame)
+    h_samples = min(5, ctx.config.operator_samples_per_frame) + 1
 
     def draw(sl, idx):
         rng = ctx.rng("initial-ops", idx)
         for _ in range(samples):
             random_op(sl, rng)
+
+    def draw_h(sl, idx):
+        rng = ctx.rng("initial-h-ops", idx)
+        for _ in range(h_samples):
+            random_h(sl, rng)
 
     lifts = [(f, op) for idx, f in maps for op in _ops_for_initial(ctx, f, idx)]
     h_lifts = [(f, h) for idx, f in maps for h in _h_ops_for_initial(ctx, f, idx)]
@@ -168,6 +177,8 @@ def operator_timings():
         "maps": len(maps),
         "random_op_draws": len(draws) * samples,
         "random_op_s": _median_time(draw, draws),
+        "random_h_draws": len(draws) * h_samples,
+        "random_h_s": _median_time(draw_h, draws),
         "initial_interior_lifts": len(lifts),
         "initial_interior_s": _median_time(initial_interior, lifts),
         "initial_h_lifts": len(h_lifts),

@@ -31,9 +31,9 @@ def main():
     print("  axioms:", check_interior(op).passed)
 
     f = localic_map(two(), chain3(), (0, 2))
-    cand, rep = initial_interior(f, trivial_op(sl))
+    rep = initial_interior(f, trivial_op(sl))
     print("\ninduced operator of TWO -> CHAIN3 against the trivial target op:")
-    for key, val in cand.describe().items():
+    for key, val in rep.candidate.describe().items():
         print(f"  i({key}) = {val}")
     print("  axioms:", rep.axioms.passed)
     print("  f continuous for it:", rep.continuity.ok)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import BadConfig, LocaleLabError, SizeLimit, UnknownWitness
-from .hops import HOperator, check_h, initial_h
+from .hops import HOperator, check_h, complemented_fragment, initial_h
 from .interior import check_interior, initial_interior
 from .points import points_of, pt_space, spatialization
 from .serialize import (
@@ -25,7 +25,7 @@ from .serialize import (
     space_to_json,
     sublocales_to_json,
 )
-from .sublocales import enumerate_sublocales
+from .sublocales import _enumerate, _transfer_cached, enumerate_sublocales
 from .dot import sublocales_dot
 from .verify import CorpusConfig, replay, run_verification
 
@@ -115,15 +115,13 @@ def cmd_initial(args) -> int:
         print(f"frame {fr.key()} is not the map's target {f.target.key()}")
         return 1
     op = _load_operator_on(f.target, args.opfile)
-    if isinstance(op, HOperator):
-        cand, rep = initial_h(f, op)
-    else:
-        cand, rep = initial_interior(f, op)
-    _emit({"candidate": cand.describe(), "report": rep.to_json()})
+    rep = (initial_h if isinstance(op, HOperator) else initial_interior)(f, op)
+    _emit({"candidate": rep.candidate.describe(), "report": rep.to_json()})
     return 0 if not rep.unexplained else 1
 
 
-def _print_progress(row, seconds) -> None:
+def _print_progress(row, seconds, times) -> None:
+    times[row["id"]] = seconds
     print(f"{row['status']:4s}  {row['id']}  {seconds:.2f}s", file=sys.stderr, flush=True)
 
 
@@ -139,7 +137,8 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
-    report = run_verification(config, progress=_print_progress)
+    times = {}
+    report = run_verification(config, lambda row, seconds: _print_progress(row, seconds, times))
     for row in report["checks"]:
         print(f"{row['status']:4s}  {row['id']}")
     confirmed = sum(1 for e in report["registry"] if e["status"] == "confirmed")
@@ -148,6 +147,10 @@ def cmd_verify(args) -> int:
     if args.report:
         save_json(args.report, report)
         print(f"wrote {args.report}")
+    if args.profile:  # wall time per check and the counters of the run's caches
+        caches = (_enumerate, _transfer_cached, complemented_fragment)
+        save_json(args.profile, {"check_seconds": times, "caches": {
+            fn.__name__: fn.cache_info()._asdict() for fn in caches}})
     failed = any(r["status"] == "fail" for r in report["checks"])
     return 1 if (failed or report["unexplained"]) else 0
 
@@ -198,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--checks", help="comma-separated check ids (default: all)")
     p.add_argument("--report", help="write the full report JSON here")
+    p.add_argument("--profile", help="write per-check wall times and cache counters here")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("replay", help="re-execute a recorded failure as a trace")

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import HostMismatch
 from .interior import (
     AxiomReport,
     CompositionReport,
@@ -25,14 +24,15 @@ from .interior import (
     InitialReport,
     InteriorOperator,
     UniversalReport,
+    _axiom_gaps,
     _axioms,
-    _continuity,
+    _closed_draw,
+    _continuity_gaps,
     _target_transfer,
     _universal_report,
     check_composition,
     discrete_op,
     is_I_continuous,
-    random_op,
     trivial_op,
 )
 from .maps import LocalicMap
@@ -74,7 +74,7 @@ _H_AXIOMS = ("h1", "h2", "h3")
 def check_h(op: HOperator) -> AxiomReport:
     """h1, h2, h3 as I1, I2, I3 of the core; h1 is vacuous but still run."""
     pts = op.lattice.points
-    return _axioms(op.lattice, [p & pts[v] for p, v in zip(pts, op.table)], _H_AXIOMS, ("h1",))[1]
+    return _axioms(op.lattice, [p & pts[v] for p, v in zip(pts, op.table)], _H_AXIOMS, ("h1",))
 
 
 def h_from_interior(op: InteriorOperator) -> HOperator:
@@ -100,13 +100,14 @@ def trivial_h(sl: SublocaleLattice) -> HOperator:
 
 
 def random_h(sl: SublocaleLattice, rng) -> HOperator:
-    """A random interior operator read as an h operator.
+    """A random interior operator read as an h operator: random_op's draw,
+    table and stream, built as an HOperator.
 
     Contractive-and-monotone gives h2 directly: the core is the operator.
     The generator therefore covers only the contractive part of the
     operator lattice; valid non-contractive operators exist above it.
     """
-    return h_from_interior(random_op(sl, rng))
+    return _closed_draw(sl, rng, [0] * sl.n, HOperator)
 
 
 def is_h_continuous(f: LocalicMap, h_l: HOperator, h_m: HOperator) -> ContinuityReport:
@@ -127,26 +128,39 @@ def check_h_composition(
     return check_composition(f, g, h_l.core, h_m.core, h_n.core)
 
 
-def initial_h(f: LocalicMap, h_m: HOperator):
-    """The induced source operator S |-> f_-1[h_M(f[S])], with its report.
+class HInitialReport(InitialReport):
+    """The InitialReport of initial_h: the axioms and continuity are those of
+    the cores, and the candidate is an HOperator."""
+
+    _OPERATOR, _AXIOMS, _VACUOUS = HOperator, _H_AXIOMS, ("h1",)
+
+    def _checked(self) -> tuple:
+        t, hp = self.transfer, self.pulled
+        sp = t.source_lattice.points
+        return ([sp[k] & q for k, q in zip(t.preimage_table, hp)],
+                [p & hp[x] for p, x in zip(sp, t.image_table)])
+
+
+def initial_h(f: LocalicMap, h_m: HOperator) -> HInitialReport:
+    """The report of the induced source operator S |-> f_-1[h_M(f[S])], whose
+    `candidate` is that operator.
 
     h1 always holds, and so does h2 when h_M is valid: by the unit
     S <= f_-1[f[S]], the candidate's core S cap f_-1[h_M(f[S])] equals
     S cap f_-1[c_M(f[S])] for the core c_M of h_M, which is monotone in S.
     h3 and continuity failures are classified against the same adjunction
-    gaps as the interior case.
+    gaps as the interior case; only the first continuity gap is kept.
     """
     t = _target_transfer(f, h_m)
-    sl, img, pre, th = t.source_lattice, t.image_table, t.preimage_table, h_m.table
+    sl, img, pre = t.source_lattice, t.image_table, t.preimage_table
     sp = sl.points
-    hp = [sp[pre[v]] for v in th]  # f_-1[h_M(T)] for every T
+    hp = [sp[pre[v]] for v in h_m.table]  # f_-1[h_M(T)] for every T
     core = [p & hp[x] for p, x in zip(sp, img)]
-    cand = HOperator(sl, tuple([pre[th[x]] for x in img]))
-    axioms = _axioms(sl, core, _H_AXIOMS, ("h1",))[1]
+    contraction, monotone, top_kept = _axiom_gaps(sl, core)
     # preimages are set preimages of points, so f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)]
-    continuity, cont = _continuity(t, [sp[k] & q for k, q in zip(pre, hp)], core)
-    top = 0 if axioms.passed["h3"] else 1 << sl.top
-    return cand, InitialReport(axioms, cont, t, (0, top, continuity & -continuity))
+    continuity = _continuity_gaps(pre, [sp[k] & q for k, q in zip(pre, hp)], core)
+    gaps = (0, 0 if top_kept else 1 << sl.top, continuity & -continuity)
+    return HInitialReport(t, hp, gaps, {"h1": not contraction, "h2": monotone, "h3": top_kept})
 
 
 def check_h_universal(
@@ -158,11 +172,6 @@ def check_h_universal(
     candidate is initial_h's, not the initial interior operator of the
     cores: the two differ wherever there is a unit gap.
     """
-    if g.target != f.source:
-        raise HostMismatch(
-            "g must land in the source of f", witness=(g.target.key(), f.source.key())
-        )
-    cand, _ = initial_h(f, h_m)
     return _universal_report(
-        f, g, cand.core, h_m.core, h_n.core, "f-h-continuity-gap-at-witness"
-    )
+        f, g, initial_h(f, h_m).candidate.core, h_m.core, h_n.core,
+        "f-h-continuity-gap-at-witness")

@@ -58,15 +58,11 @@ class AxiomReport:
         }
 
 
-def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()):
-    """(contraction gap mask, AxiomReport) of a table given as the point mask
-    vals[i] of each entry: I1 contraction, I2 monotonicity, I3 the top.
-
-    One pass over lower covers: the order is generated by its cover pairs,
-    so I2 holds iff it holds on them; only a failure needs the all-pairs
-    scan for the lex-first witness.
-    """
-    pts, labels, by_points, top = sl.points, sl.labels, sl.by_points, sl.top
+def _axiom_gaps(sl: SublocaleLattice, vals):
+    """(contraction gap mask, monotone, top kept) of the table whose entry i
+    has point mask vals[i]. One pass over lower covers: the order is
+    generated by its cover pairs, so monotonicity holds iff it holds on them."""
+    pts = sl.points
     gaps, monotone, bit = 0, True, 1
     for p, v, covers in zip(pts, vals, sl.lower_covers):
         if v & ~p:
@@ -75,8 +71,15 @@ def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()):
         for k in covers:
             if vals[k] & ~v:
                 monotone = False
+    return gaps, monotone, vals[sl.top] == pts[sl.top]
+
+
+def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()) -> AxiomReport:
+    """The AxiomReport of _axiom_gaps, I1 to I3; a failure of I2 takes an
+    all-pairs scan for the lex-first witness."""
+    pts, labels, by_points, top = sl.points, sl.labels, sl.by_points, sl.top
+    gaps, monotone, top_kept = _axiom_gaps(sl, vals)
     i1, i2, i3 = names
-    passed = {i1: not gaps, i2: monotone, i3: vals[top] == pts[top]}
     witnesses = {}
     if gaps:
         i = (gaps & -gaps).bit_length() - 1
@@ -88,15 +91,15 @@ def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()):
             for j in range(sl.n)
             if not pts[i] & ~pts[j] and vals[i] & ~vals[j]
         )
-    if not passed[i3]:
+    if not top_kept:
         witnesses[i3] = (labels[by_points[vals[top]]],)
-    return gaps, AxiomReport(passed, witnesses, vacuous)
+    return AxiomReport({i1: not gaps, i2: monotone, i3: top_kept}, witnesses, vacuous)
 
 
 def check_interior(op: InteriorOperator) -> AxiomReport:
     """Evaluate I1 (contraction), I2 (monotonicity), I3 (top) exhaustively."""
     pts = op.lattice.points
-    return _axioms(op.lattice, [pts[v] for v in op.table])[1]
+    return _axioms(op.lattice, [pts[v] for v in op.table])
 
 
 def discrete_op(sl: SublocaleLattice) -> InteriorOperator:
@@ -167,10 +170,10 @@ def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
     return _closed_draw(sl, rng, [0] * sl.n)
 
 
-def _closed_draw(sl: SublocaleLattice, rng, base) -> InteriorOperator:
-    """table[i] = join of base[j] | seed[j] over every j <= i, the top forced.
+def _closed_draw(sl: SublocaleLattice, rng, base, operator=InteriorOperator):
+    """operator(table), table[i] the join of base[j] | seed[j] over j <= i, the top forced.
 
-    base holds point masks. seed[j] is drawn from sl.below[j] exactly as
+    base holds point masks. seed[j] is drawn from sl.draws[j] exactly as
     rng.choice draws (CPython's _randbelow: k = n.bit_length() bits, with
     rejection), so stream and tables are those of that call. The closure is
     folded into the same pass over lower covers: index order is a linear
@@ -178,9 +181,7 @@ def _closed_draw(sl: SublocaleLattice, rng, base) -> InteriorOperator:
     """
     getrandbits = rng.getrandbits
     acc = []
-    for p, below, covers in zip(base, sl.below, sl.lower_covers):
-        n = len(below)
-        k = n.bit_length()
+    for p, (below, n, k, covers) in zip(base, sl.draws):
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
@@ -190,7 +191,7 @@ def _closed_draw(sl: SublocaleLattice, rng, base) -> InteriorOperator:
         acc.append(p)
     acc[sl.top] = sl.points[sl.top]
     by_points = sl.by_points
-    return InteriorOperator(sl, tuple([by_points[p] for p in acc]))
+    return operator(sl, tuple([by_points[p] for p in acc]))
 
 
 # -- continuity ---------------------------------------------------------------
@@ -206,45 +207,48 @@ class ContinuityReport:
         return {"ok": self.ok, "checked": self.checked, "witness": self.witness}
 
 
-def _check_hosts(f: LocalicMap, op_l: InteriorOperator, op_m: InteriorOperator):
-    if op_l.lattice.host != f.source:
-        raise HostMismatch(
-            "source operator does not live on the map's source frame",
-            witness=(op_l.lattice.host.key(), f.source.key()),
-        )
+def _target_transfer(f: LocalicMap, op_m: InteriorOperator, op_l=None) -> SublocaleTransfer:
+    """f's transfer, under the bound of op_m's lattice, once op_m is known to
+    live on f's target, and op_l, when given, on its source."""
+    if op_l is not None and op_l.lattice.host != f.source:
+        raise HostMismatch("source operator does not live on the map's source frame",
+                           witness=(op_l.lattice.host.key(), f.source.key()))
     if op_m.lattice.host != f.target:
-        raise HostMismatch(
-            "target operator does not live on the map's target frame",
-            witness=(op_m.lattice.host.key(), f.target.key()),
-        )
+        raise HostMismatch("target operator does not live on the map's target frame",
+                           witness=(op_m.lattice.host.key(), f.target.key()))
+    return transfer_of(f, op_m.lattice.bound)
 
 
-def _continuity(t: SublocaleTransfer, lhs, rhs):
-    """(gap mask, ContinuityReport) of the point masks lhs[T] of
-    f_-1[i_M(T)] against rhs[S] of i_L(S): the gaps are every T with lhs[T]
-    not below rhs[f_-1[T]], and the report names the first."""
+def _continuity_gaps(pre, lhs, rhs) -> int:
+    """The mask of every T whose point mask lhs[T] of f_-1[i_M(T)] is not
+    below that of i_L(f_-1[T]), rhs[pre[T]]."""
     gaps, bit = 0, 1
-    for v, k in zip(lhs, t.preimage_table):
+    for v, k in zip(lhs, pre):
         if v & ~rhs[k]:
             gaps |= bit
         bit <<= 1
+    return gaps
+
+
+def _continuity(t: SublocaleTransfer, lhs, rhs) -> ContinuityReport:
+    """The ContinuityReport of _continuity_gaps, naming the first gap."""
+    gaps = _continuity_gaps(t.preimage_table, lhs, rhs)
     if not gaps:
-        return 0, ContinuityReport(True, len(lhs))
+        return ContinuityReport(True, len(lhs))
     j = (gaps & -gaps).bit_length() - 1
     labels, by_points = t.source_lattice.labels, t.source_lattice.by_points
     witness = (t.target_lattice.labels[j], labels[by_points[lhs[j]]],
                labels[by_points[rhs[t.preimage_table[j]]]])
-    return gaps, ContinuityReport(False, j + 1, witness, j)
+    return ContinuityReport(False, j + 1, witness, j)
 
 
 def is_I_continuous(
     f: LocalicMap, op_l: InteriorOperator, op_m: InteriorOperator
 ) -> ContinuityReport:
     """Check f_-1[i_M(T)] <= i_L(f_-1[T]) for every sublocale T of the target."""
-    _check_hosts(f, op_l, op_m)
-    t = transfer_of(f, op_m.lattice.bound)
+    t = _target_transfer(f, op_m, op_l)
     sp, pre = op_l.lattice.points, t.preimage_table
-    return _continuity(t, [sp[pre[v]] for v in op_m.table], [sp[v] for v in op_l.table])[1]
+    return _continuity(t, [sp[pre[v]] for v in op_m.table], [sp[v] for v in op_l.table])
 
 
 @dataclass(frozen=True)
@@ -315,18 +319,41 @@ _PREDICATES = dict(zip(GAP_KINDS, ("unit-gap", "image-not-whole-target", "counit
 
 @dataclass(frozen=True)
 class InitialReport:
-    """The axioms and continuity of an induced operator. `gaps` holds a mask
-    per kind in GAP_KINDS, over source indices for contraction and the top,
-    over target indices for continuity; anomaly dicts are built on first read."""
+    """An induced operator S |-> f_-1[op_M(f[S])], read off the point masks
+    `pulled` of f_-1[op_M(T)] for every target T. The lift computes what its
+    checks read, `passed` (the axiom verdicts) and `gaps` (a mask per kind in
+    GAP_KINDS, over source indices for contraction and the top, over target
+    indices for continuity); the candidate operator, the axiom and continuity
+    reports and the anomaly dicts are built on first read."""
 
-    axioms: AxiomReport
-    continuity: ContinuityReport
     transfer: SublocaleTransfer
+    pulled: list
     gaps: tuple
+    passed: dict
+
+    _OPERATOR, _AXIOMS, _VACUOUS = InteriorOperator, ("I1", "I2", "I3"), ()
+
+    def _checked(self) -> tuple:
+        """(lhs, vals): the axioms check vals, continuity lhs[T] against vals[f_-1[T]]."""
+        return self.pulled, [self.pulled[x] for x in self.transfer.image_table]
+
+    @cached_property
+    def candidate(self) -> InteriorOperator:
+        t, sl = self.transfer, self.transfer.source_lattice
+        return self._OPERATOR(sl, tuple([sl.by_points[self.pulled[x]] for x in t.image_table]))
+
+    @cached_property
+    def axioms(self) -> AxiomReport:
+        sl, vals = self.transfer.source_lattice, self._checked()[1]
+        return _axioms(sl, vals, self._AXIOMS, self._VACUOUS)
+
+    @cached_property
+    def continuity(self) -> ContinuityReport:
+        return _continuity(self.transfer, *self._checked())
 
     @property
     def ok(self) -> bool:
-        return self.axioms.ok and self.continuity.ok
+        return all(self.passed.values()) and not self.gaps[2]
 
     def confirmed(self) -> tuple:
         """Per kind, the mask of gaps that exhibit their predicate: a unit gap
@@ -363,19 +390,9 @@ class InitialReport:
         }
 
 
-def _target_transfer(f: LocalicMap, op_m: InteriorOperator) -> SublocaleTransfer:
-    """f's transfer, under the bound of op_m's lattice, once op_m is known to
-    live on f's target."""
-    if op_m.lattice.host != f.target:
-        raise HostMismatch(
-            "operator does not live on the map's target frame",
-            witness=(op_m.lattice.host.key(), f.target.key()),
-        )
-    return transfer_of(f, op_m.lattice.bound)
-
-
-def initial_interior(f: LocalicMap, op_m: InteriorOperator):
-    """The induced source operator S |-> f_-1[i_M(f[S])], with its report.
+def initial_interior(f: LocalicMap, op_m: InteriorOperator) -> InitialReport:
+    """The InitialReport of the induced source operator S |-> f_-1[i_M(f[S])],
+    whose `candidate` is that operator.
 
     Monotonicity always holds (three monotone factors). Contraction and the
     top law can genuinely fail; every failure is classified against a gap
@@ -385,15 +402,13 @@ def initial_interior(f: LocalicMap, op_m: InteriorOperator):
     Unconfirmed anomalies would mean an implementation bug.
     """
     t = _target_transfer(f, op_m)
-    sl, img, pre, tm = t.source_lattice, t.image_table, t.preimage_table, op_m.table
+    sl, pre = t.source_lattice, t.preimage_table
     sp = sl.points
-    lhs = [sp[pre[v]] for v in tm]  # f_-1[i_M(T)] for every T
-    vals = [lhs[x] for x in img]
-    cand = InteriorOperator(sl, tuple([pre[tm[x]] for x in img]))
-    contraction, axioms = _axioms(sl, vals)
-    continuity, cont = _continuity(t, lhs, vals)
-    top = 0 if axioms.passed["I3"] else 1 << sl.top
-    return cand, InitialReport(axioms, cont, t, (contraction, top, continuity))
+    pulled = [sp[pre[v]] for v in op_m.table]  # f_-1[i_M(T)] for every T
+    vals = [pulled[x] for x in t.image_table]
+    contraction, monotone, top_kept = _axiom_gaps(sl, vals)
+    gaps = (contraction, 0 if top_kept else 1 << sl.top, _continuity_gaps(pre, pulled, vals))
+    return InitialReport(t, pulled, gaps, {"I1": not contraction, "I2": monotone, "I3": top_kept})
 
 
 @dataclass(frozen=True)
@@ -431,17 +446,16 @@ def check_universal_property(
     composite-side-only case needs f to fail its own continuity for the
     candidate at the witness.
     """
-    if g.target != f.source:
-        raise HostMismatch(
-            "g must land in the source of f", witness=(g.target.key(), f.source.key())
-        )
-    cand, _ = initial_interior(f, op_m)
+    cand = initial_interior(f, op_m).candidate
     return _universal_report(f, g, cand, op_m, op_n, "f-continuity-gap-at-witness")
 
 
 def _universal_report(f, g, cand, op_m, op_n, predicate) -> UniversalReport:
     """Both sides of the lifting equivalence for the interior operators cand
     on L, op_m on M and op_n on N, with any disagreement classified."""
+    if g.target != f.source:
+        raise HostMismatch("g must land in the source of f",
+                           witness=(g.target.key(), f.source.key()))
     a = is_I_continuous(g, op_n, cand)
     b = is_I_continuous(compose_localic(f, g), op_n, op_m)
     if a.ok == b.ok:
@@ -540,7 +554,7 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
                 witness=(src.key(), f.source.key()),
             )
     lifted = [initial_interior(f, op) for f, op in zip(maps, ops)]
-    cand = op_join([c for c, _ in lifted])
+    cand = op_join([r.candidate for r in lifted])
     axioms = check_interior(cand)
     per_map = tuple(is_I_continuous(f, cand, op) for f, op in zip(maps, ops))
 
@@ -582,7 +596,7 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
                 }
         universal.append(entry)
     return FamilyInitialReport(
-        cand, axioms, per_map, tuple(r for _, r in lifted), tuple(universal)
+        cand, axioms, per_map, tuple(lifted), tuple(universal)
     )
 
 

@@ -222,10 +222,13 @@ class SublocaleLattice:
             self.closed_index.setdefault(self.index[host.up[a]], a)
 
     @cached_property
-    def below(self) -> tuple:
-        """below[i]: point masks of every j <= i, increasing; contractive seeds are drawn here."""
+    def draws(self) -> tuple:
+        """draws[i]: (below, n, k, covers), where below holds the point masks
+        of every j <= i, increasing (contractive seeds are drawn there), n is
+        their count, k = n.bit_length() and covers are i's lower covers."""
         pts = self.points
-        return tuple(tuple(q for q in pts if not q & ~p) for p in pts)
+        below = [tuple(q for q in pts if not q & ~p) for p in pts]
+        return tuple((b, len(b), len(b).bit_length(), c) for b, c in zip(below, self.lower_covers))
 
     def sub(self, i: int) -> Sublocale:
         return Sublocale(self.host, self.masks[i])

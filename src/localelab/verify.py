@@ -689,9 +689,9 @@ def _h_ops_for_initial(ctx, f, idx):
     ops = [discrete_h(slm), trivial_h(slm)]
     if ctx.sampling:
         rng = ctx.rng("initial-h-ops", idx)
-        for _ in range(min(5, ctx.config.operator_samples_per_frame)):
+        # one more than the h samples: an interior draw read as h is a random_h draw
+        for _ in range(min(5, ctx.config.operator_samples_per_frame) + 1):
             ops.append(random_h(slm, rng))
-        ops.append(h_from_interior(random_op(slm, rng)))
     return ops
 
 
@@ -715,16 +715,17 @@ def _check_initial(ctx, cid, ops_for, initial, trivial, holds, top, ids):
     checked = 0
     tallies = dict.fromkeys(ids, 0)
     for idx, f in enumerate(ctx.maps):
-        surj = transfer_of(f, ctx.bound).image_table[ctx.sl(f.source).top] == ctx.sl(f.target).top
+        t = transfer_of(f, ctx.bound)
+        surj = t.image_table[t.source_lattice.top] == t.target_lattice.top
         for op in ops_for(ctx, f, idx):
-            _, rep = initial(f, op)
+            rep = initial(f, op)
             checked += 1
-            if not all(rep.axioms.passed[a] for a in holds):
+            if not all([rep.passed[a] for a in holds]):
                 return "fail", {"checked": checked}, {
                     "kind": "static",
                     "lines": [f"{' or '.join(holds)} fails for an induced operator "
                               f"on {f.describe()}"]}
-            if surj and not rep.axioms.passed[top]:
+            if surj and not rep.passed[top]:
                 return "fail", {"checked": checked}, {
                     "kind": "static",
                     "lines": [f"{top} fails despite f[L] = M for {f.describe()}"]}
@@ -741,8 +742,7 @@ def _check_initial(ctx, cid, ops_for, initial, trivial, holds, top, ids):
                         a for a in rep.anomalies if a["kind"] == kind and a["confirmed"])),
                         hits.bit_count())
     f_up = localic_map(two(), chain3(), (0, 2))
-    _, rep = initial(f_up, trivial(ctx.sl(chain3())))
-    mandated_failed = not rep.axioms.passed[top]
+    mandated_failed = not initial(f_up, trivial(ctx.sl(chain3()))).passed[top]
     if mandated_failed:
         ctx.reg_hit(ids["top-gap"])
     detail = {"checked": checked, "tallies": tallies,
@@ -797,7 +797,7 @@ def _check_coarseness(ctx):
         checked += 1
         for lift, initial, rid, key in sides:
             op_m, op_l = lift(opm), lift(opl)
-            cand, _ = initial(f, op_m)
+            cand = initial(f, op_m).candidate
             gap = op_le_gap(cand, op_l)
             if gap is None:
                 continue
@@ -1136,7 +1136,7 @@ def _predicate_lines(f, t, anomaly, sl, tl):
 def _trace_initial_anomaly(w):
     f = _rebuild_map(w["map"])
     op = _rebuild_op(w["op"], f.target)
-    cand, rep = (initial_h if isinstance(op, HOperator) else initial_interior)(f, op)
+    rep = (initial_h if isinstance(op, HOperator) else initial_interior)(f, op)
     want = w["anomaly"]
     t = transfer_of(f)
     sl, tl = t.source_lattice, t.target_lattice
@@ -1164,7 +1164,7 @@ def _trace_coarseness(w):
     sl = t.source_lattice
     lines = [f"coarseness of the induced operator under f: {f.source.key()} -> "
              f"{f.target.key()} at {w['at']}"]
-    cand, _ = (initial_h if w["fragment"] else initial_interior)(f, opm)
+    cand = (initial_h if w["fragment"] else initial_interior)(f, opm).candidate
     gap = op_le_gap(cand, opl)
     if gap != w["at"]:
         lines.append(f"first gap moved to {gap!r}; anomaly did not reproduce")

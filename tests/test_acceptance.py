@@ -321,7 +321,7 @@ def test_criterion_6_initial_and_universal(capsys, small_maps, cli_reports):
         ops = [discrete_op(slm), trivial_op(slm)] + [random_op(slm, rng) for _ in range(3)]
         for op in ops:
             pair_count += 1
-            _, rep = initial_interior(f, op)
+            rep = initial_interior(f, op)
             if not rep.axioms.passed["I2"]:
                 bad.append(("I2", f.describe()))
             if surjective and not rep.axioms.passed["I3"]:
@@ -330,7 +330,7 @@ def test_criterion_6_initial_and_universal(capsys, small_maps, cli_reports):
                 bad.append(("unexplained", f.describe()))
         for hop in (discrete_h(frag_m), trivial_h(frag_m), random_h(frag_m, rng)):
             pair_count += 1
-            _, hrep = initial_h(f, hop)
+            hrep = initial_h(f, hop)
             if surjective and not hrep.axioms.passed["h3"]:
                 bad.append(("h3-surjective", f.describe()))
             if hrep.unexplained:
@@ -339,10 +339,10 @@ def test_criterion_6_initial_and_universal(capsys, small_maps, cli_reports):
     # the mandated counterexample: TWO -> CHAIN3 with the trivial operator
     f_up = localic_map(two(), chain3(), (0, 2))
     sl3 = enumerate_sublocales(chain3())
-    _, rep = initial_interior(f_up, trivial_op(sl3))
+    rep = initial_interior(f_up, trivial_op(sl3))
     if rep.axioms.passed["I3"]:
         bad.append(("mandated-I3-should-fail",))
-    _, hrep = initial_h(f_up, trivial_h(complemented_fragment(sl3)))
+    hrep = initial_h(f_up, trivial_h(complemented_fragment(sl3)))
     if hrep.axioms.passed["h3"]:
         bad.append(("mandated-h3-should-fail",))
     report = json.loads(cli_reports[1][0].read_text())
@@ -389,7 +389,7 @@ def test_criterion_6_axiom_clause_as_written(capsys, small_maps):
         slm = enumerate_sublocales(f.target)
         for op in (discrete_op(slm), trivial_op(slm)):
             checked += 1
-            _, rep = initial_interior(f, op)
+            rep = initial_interior(f, op)
             if not rep.axioms.passed["I1"] or not rep.continuity.ok:
                 violations += 1
     criterion(capsys, "6 (axiom clause as written)", violations == 0,

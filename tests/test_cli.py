@@ -240,6 +240,27 @@ def test_verify_reports_are_byte_identical(files, capsys):
     assert open(r1, "rb").read() == open(r2, "rb").read()
 
 
+def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
+    plain, profiled = str(files["dir"] / "plain.json"), str(files["dir"] / "profiled.json")
+    sidecar = files["dir"] / "profile.json"
+    args = ["verify", "--max-poset", "3", "--samples", "10", "--seed", "5",
+            "--checks", "poset-counts,initial-interior,initial-h"]
+    assert main(args + ["--report", plain]) == 0
+    out_plain = capsys.readouterr().out
+    assert main(args + ["--report", profiled, "--profile", str(sidecar)]) == 0
+    out_profiled = capsys.readouterr().out
+    assert open(plain, "rb").read() == open(profiled, "rb").read()
+    assert out_plain.replace(plain, profiled) == out_profiled
+    profile = json.loads(sidecar.read_text())
+    assert sorted(profile["check_seconds"]) == ["initial-h", "initial-interior", "poset-counts"]
+    assert all(s >= 0 for s in profile["check_seconds"].values())
+    assert sorted(profile["caches"]) == ["_enumerate", "_transfer_cached",
+                                         "complemented_fragment"]
+    for info in profile["caches"].values():
+        assert sorted(info) == ["currsize", "hits", "maxsize", "misses"]
+    assert profile["caches"]["_transfer_cached"]["hits"] > 0
+
+
 def test_verify_progress_lines_go_to_stderr_only(files, capsys):
     rpath = str(files["dir"] / "rep_progress.json")
     assert main(["verify", "--max-poset", "3", "--samples", "10", "--seed", "5",

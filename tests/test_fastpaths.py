@@ -127,7 +127,8 @@ def test_sublocale_lattice_matches_subset_scan():
         for i in range(sl.n):
             assert sl.label(i) == sl.sub(i).label()
             below = sorted(j for j in range(sl.n) if not sl.masks[j] & ~sl.masks[i])
-            assert list(sl.below[i]) == [sl.points[j] for j in below]
+            seeds = tuple(sl.points[j] for j in below)
+            assert sl.draws[i] == (seeds, len(seeds), len(seeds).bit_length(), sl.lower_covers[i])
             for j in range(sl.n):
                 assert sl.le(i, j) == (not sl.masks[i] & ~sl.masks[j])
                 assert sl.masks[sl.meet(i, j)] == sl.masks[i] & sl.masks[j]
@@ -561,15 +562,38 @@ def lifts(draw):
     return f, _draw_table(draw, enumerate_sublocales(f.target))
 
 
+def _gap_masks(f, anomalies):
+    """Per kind in GAP_KINDS, the mask of the indices the oracle's anomalies name."""
+    from localelab.interior import GAP_KINDS
+
+    t = transfer_of(f)
+    masks = dict.fromkeys(GAP_KINDS, 0)
+    for a in anomalies:
+        lat = t.target_lattice if a["kind"] == "continuity-gap" else t.source_lattice
+        masks[a["kind"]] |= 1 << lat.labels.index(a["at"])
+    return tuple(masks.values())
+
+
+def _assert_lift_matches_oracle(initial, brute, f, op_m):
+    """The eager flags and gap masks the initial checks read, then the
+    candidate and the reports built on first read, against the oracle."""
+    rep = initial(f, op_m)
+    want_table, axioms, cont, anomalies = brute(f, op_m)
+    assert rep.passed == axioms.passed
+    assert rep.gaps == _gap_masks(f, anomalies)
+    assert rep.ok == (axioms.ok and cont.ok)
+    assert rep.candidate.table == want_table
+    assert type(rep.candidate) is type(op_m)
+    assert [rep.axioms, rep.continuity, rep.anomalies] == [axioms, cont, anomalies]
+    return rep
+
+
 @given(lifts())
 @settings(max_examples=300)
 def test_initial_interior_matches_two_pass_scan(case):
     f, table = case
     op_m = InteriorOperator(enumerate_sublocales(f.target), table)
-    cand, rep = initial_interior(f, op_m)
-    want_table, *want = brute_initial_interior(f, op_m)
-    assert cand.table == want_table
-    assert [rep.axioms, rep.continuity, rep.anomalies] == want
+    _assert_lift_matches_oracle(initial_interior, brute_initial_interior, f, op_m)
 
 
 @given(lifts())
@@ -577,10 +601,26 @@ def test_initial_interior_matches_two_pass_scan(case):
 def test_initial_h_matches_two_pass_scan(case):
     f, table = case
     h_m = HOperator(enumerate_sublocales(f.target), table)
-    cand, rep = initial_h(f, h_m)
-    want_table, *want = brute_initial_h(f, h_m)
-    assert cand.table == want_table
-    assert [rep.axioms, rep.continuity, rep.anomalies] == want
+    _assert_lift_matches_oracle(initial_h, brute_initial_h, f, h_m)
+
+
+def test_raw_lifts_break_every_law_the_checks_read():
+    """Seeded raw target tables on every 40th corpus-4 map: the oracle
+    comparison runs on lifts that break monotonicity, the top law,
+    contraction and continuity, not only on lifts of valid operators."""
+    broken = {"I1": 0, "I2": 0, "I3": 0, "h2": 0, "h3": 0, "continuity": 0}
+    for k, f in enumerate(MAPS4[::40]):
+        rng = random.Random(k)
+        slm = enumerate_sublocales(f.target)
+        for op_type, initial, brute in ((InteriorOperator, initial_interior, brute_initial_interior),
+                                        (HOperator, initial_h, brute_initial_h)):
+            op_m = op_type(slm, tuple(rng.randrange(slm.n) for _ in range(slm.n)))
+            rep = _assert_lift_matches_oracle(initial, brute, f, op_m)
+            for law, ok in rep.passed.items():
+                if law in broken:
+                    broken[law] += not ok
+            broken["continuity"] += bool(rep.gaps[2])
+    assert all(broken.values()), broken
 
 
 @st.composite
@@ -666,7 +706,7 @@ def test_make_continuous_op_matches_quadratic_loop():
 @given(st.integers(0, 2**64 - 1))
 @settings(max_examples=40)
 def test_draws_match_choice_on_every_corpus4_lattice(seed):
-    # each seed entry is drawn from point masks as rng.choice(sl.below[i])
+    # each seed entry is drawn from point masks as rng.choice(sl.draws[i][0])
     # draws its index: same tables, and the streams stay aligned
     for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
         fast, slow = random.Random(seed), random.Random(seed)
@@ -703,7 +743,7 @@ def test_counted_gaps_match_materialized_anomalies():
         for ops_for, initial, brute in ((_ops_for_initial, initial_interior, brute_initial_interior),
                                         (_h_ops_for_initial, initial_h, brute_initial_h)):
             for op in ops_for(ctx, f, idx):
-                _, rep = initial(f, op)
+                rep = initial(f, op)
                 anomalies = brute(f, op)[3]
                 for kind, confirmed in zip(GAP_KINDS, rep.confirmed()):
                     want = [a for a in anomalies if a["kind"] == kind and a["confirmed"]]

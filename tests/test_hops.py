@@ -289,7 +289,8 @@ def test_h_composition_random_chains():
 def test_initial_h_identity():
     fr3 = enumerate_sublocales(chain3())
     hm = random_h(fr3, seeded("h-init-id"))
-    cand, rep = initial_h(identity_localic(chain3()), hm)
+    rep = initial_h(identity_localic(chain3()), hm)
+    cand = rep.candidate
     assert cand.table == hm.table
     assert rep.ok and rep.anomalies == ()
 
@@ -297,7 +298,8 @@ def test_initial_h_identity():
 def test_initial_h_trivial_counterexample():
     # same shape as the interior counterexample: the image misses m, trivial
     # sends the proper image to the bottom, and the top law fails
-    cand, rep = initial_h(f_up(), trivial_h(enumerate_sublocales(chain3())))
+    rep = initial_h(f_up(), trivial_h(enumerate_sublocales(chain3())))
+    cand = rep.candidate
     assert cand.describe() == {"{1}": "{1}", "{0,1}": "{1}"}
     assert rep.axioms.passed == {"h1": True, "h2": True, "h3": False}
     assert rep.axioms.witnesses == {"h3": ("{1}",)}
@@ -321,7 +323,8 @@ def test_initial_h_trivial_counterexample():
 
 
 def test_initial_h_discrete_passes():
-    cand, rep = initial_h(f_up(), discrete_h(enumerate_sublocales(chain3())))
+    rep = initial_h(f_up(), discrete_h(enumerate_sublocales(chain3())))
+    cand = rep.candidate
     assert cand.table == discrete_h(enumerate_sublocales(two())).table
     assert rep.ok and rep.anomalies == ()
 
@@ -329,7 +332,8 @@ def test_initial_h_discrete_passes():
 def test_initial_h_collapse_is_legal():
     # the interior twin of this fixture fails contraction; h operators have
     # no contraction axiom, so the inflated candidate is simply valid
-    cand, rep = initial_h(f_dn(), discrete_h(enumerate_sublocales(two())))
+    rep = initial_h(f_dn(), discrete_h(enumerate_sublocales(two())))
+    cand = rep.candidate
     assert cand.table == (0, 3, 3, 3)
     assert cand.describe() == {
         "{1}": "{1}",
@@ -354,7 +358,7 @@ def test_initial_h_corpus_classification():
             h_from_interior(random_op(slm, rng)),
         ]
         for hm in ops:
-            cand, rep = initial_h(f, hm)
+            rep = initial_h(f, hm)
             assert rep.axioms.passed["h1"] and rep.axioms.passed["h2"]
             assert rep.unexplained == ()
             if not rep.axioms.passed["h3"]:
@@ -388,7 +392,7 @@ def test_initial_h_keeps_h2_for_non_contractive_targets():
             for hm in ops:
                 assert check_h(hm).ok
                 non_contractive += not check_interior(interior_from_h(hm)).passed["I1"]
-                _, rep = initial_h(f, hm)
+                rep = initial_h(f, hm)
                 assert rep.axioms.passed["h1"] and rep.axioms.passed["h2"], hm.table
     assert maps == 476 and non_contractive > 3 * maps
 
@@ -397,7 +401,8 @@ def test_h_universal_identity_g():
     fr3 = enumerate_sublocales(chain3())
     for hm in (discrete_h(fr3), trivial_h(fr3)):
         f = f_up()
-        cand, rep = initial_h(f, hm)
+        rep = initial_h(f, hm)
+        cand = rep.candidate
         up = check_h_universal(f, hm, identity_localic(two()), cand)
         assert up.initial_side.ok
         assert up.composite_side.ok == rep.continuity.ok
@@ -492,7 +497,7 @@ def test_h_universal_random_scan():
 
 def test_h_report_json_shapes():
     fr3 = enumerate_sublocales(chain3())
-    _, rep = initial_h(f_up(), trivial_h(fr3))
+    rep = initial_h(f_up(), trivial_h(fr3))
     js = rep.to_json()
     assert set(js) == {"axioms", "continuity", "anomalies"}
     assert js["axioms"]["vacuous"] == ["h1"]

@@ -240,7 +240,8 @@ def test_composition_random_chains():
 
 def test_initial_interior_identity():
     opm = random_op(enumerate_sublocales(chain3()), seeded("init-id"))
-    cand, rep = initial_interior(identity_localic(chain3()), opm)
+    rep = initial_interior(identity_localic(chain3()), opm)
+    cand = rep.candidate
     assert cand.table == opm.table
     assert rep.ok and rep.anomalies == ()
 
@@ -250,7 +251,8 @@ def test_initial_interior_trivial_counterexample():
     # sublocale; trivial interior sends it to the bottom and the top law dies
     f = f_up()
     sl3 = enumerate_sublocales(chain3())
-    cand, rep = initial_interior(f, trivial_op(sl3))
+    rep = initial_interior(f, trivial_op(sl3))
+    cand = rep.candidate
     assert cand.describe() == {"{1}": "{1}", "{0,1}": "{1}"}
     assert rep.axioms.passed == {"I1": True, "I2": True, "I3": False}
     assert rep.axioms.witnesses == {"I3": ("{1}",)}
@@ -280,14 +282,15 @@ def test_initial_interior_trivial_counterexample():
 
 def test_initial_interior_discrete_passes():
     sl2 = enumerate_sublocales(two())
-    cand, rep = initial_interior(f_up(), discrete_op(enumerate_sublocales(chain3())))
+    rep = initial_interior(f_up(), discrete_op(enumerate_sublocales(chain3())))
+    cand = rep.candidate
     assert cand.table == discrete_op(sl2).table
     assert rep.ok and rep.anomalies == ()
 
 
 def test_initial_interior_contraction_counterexample():
     # collapsing map: preimage of the image grows {0,1} to the whole frame
-    cand, rep = initial_interior(f_dn(), discrete_op(enumerate_sublocales(two())))
+    rep = initial_interior(f_dn(), discrete_op(enumerate_sublocales(two())))
     assert rep.axioms.passed == {"I1": False, "I2": True, "I3": True}
     assert rep.axioms.witnesses == {"I1": ("{0,1}", "{0,m,1}")}
     assert rep.anomalies == (
@@ -304,7 +307,8 @@ def test_initial_candidate_valid_but_not_continuous():
     sl4 = enumerate_sublocales(chain4())
     opm = InteriorOperator(sl4, (0, 0, 0, 0, 2, 3, 6, 7))
     assert check_interior(opm).ok
-    cand, rep = initial_interior(f, opm)
+    rep = initial_interior(f, opm)
+    cand = rep.candidate
     assert cand.table == trivial_op(enumerate_sublocales(chain3())).table
     assert rep.axioms.ok
     assert not rep.continuity.ok
@@ -326,7 +330,7 @@ def test_initial_interior_corpus_classification():
         ops = [discrete_op(slm), trivial_op(slm)] + [random_op(slm, rng) for _ in range(3)]
         surjective = t.image_table[t.source_lattice.top] == t.target_lattice.top
         for opm in ops:
-            cand, rep = initial_interior(f, opm)
+            rep = initial_interior(f, opm)
             assert rep.axioms.passed["I2"]
             assert rep.unexplained == ()
             if surjective:
@@ -349,7 +353,7 @@ def test_initial_interior_coarseness():
         sl, slm = t.source_lattice, enumerate_sublocales(f.target)
         unit_exact = all(t.preimage_table[t.image_table[i]] == i for i in range(sl.n))
         for opm in [discrete_op(slm), trivial_op(slm), random_op(slm, rng)]:
-            cand, _ = initial_interior(f, opm)
+            cand = initial_interior(f, opm).candidate
             for _ in range(2):
                 opl = make_continuous_op(f, opm, rng)
                 if op_le(cand, opl):
@@ -368,7 +372,8 @@ def test_universal_property_identity_g():
     sl3 = enumerate_sublocales(chain3())
     for opm in (discrete_op(sl3), trivial_op(sl3)):
         f = f_up()
-        cand, rep = initial_interior(f, opm)
+        rep = initial_interior(f, opm)
+        cand = rep.candidate
         up = check_universal_property(f, opm, identity_localic(two()), cand)
         assert up.initial_side.ok
         assert up.composite_side.ok == rep.continuity.ok
@@ -394,7 +399,7 @@ def test_universal_property_initial_side_only_fixture():
     f = localic_map(square(), two(), (0, 0, 0, 1))
     g = localic_map(two(), square(), (1, 3))
     d2 = discrete_op(enumerate_sublocales(two()))
-    cand, _ = initial_interior(f, d2)
+    cand = initial_interior(f, d2).candidate
     assert cand.describe() == {
         "{1}": "{1}",
         "{a,1}": "{0,a,b,1}",
@@ -532,7 +537,8 @@ def test_make_continuous_op_property():
 def test_family_singleton_agrees_with_initial():
     opm = random_op(enumerate_sublocales(chain3()), seeded("fam-single"))
     f = f_up()
-    cand, rep = initial_interior(f, opm)
+    rep = initial_interior(f, opm)
+    cand = rep.candidate
     fam = family_initial_check([f], [opm])
     assert fam.candidate.table == cand.table
     assert fam.per_map[0].ok == rep.continuity.ok
@@ -629,7 +635,7 @@ def test_family_random_scan():
 def test_report_json_shapes():
     sl3 = enumerate_sublocales(chain3())
     f = f_up()
-    _, rep = initial_interior(f, trivial_op(sl3))
+    rep = initial_interior(f, trivial_op(sl3))
     js = rep.to_json()
     assert set(js) == {"axioms", "continuity", "anomalies"}
     assert js["axioms"]["passed"]["I3"] is False

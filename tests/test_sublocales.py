@@ -152,7 +152,7 @@ def test_size_limit_env_bounds_transfers_kernels_and_runs(monkeypatch):
     with pytest.raises(SizeLimit):
         transfer_of(f)
     assert transfer_of(f, limit=4).source_lattice.n == 8
-    assert initial_interior(f, op)[1].axioms.passed["I2"]
+    assert initial_interior(f, op).axioms.passed["I2"]
     with pytest.raises(SizeLimit):
         initial_interior(f, trivial_op(enumerate_sublocales(chain3())))
     report = run_verification(CorpusConfig(max_poset_size=2, checks=("poset-counts",)))

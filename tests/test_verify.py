@@ -6,6 +6,7 @@ sampling plan, so any change to striding, budgets, or seed derivation shows
 up here first.
 """
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -255,3 +256,54 @@ def test_replay_skipped_check_reports_reason():
         CorpusConfig(max_poset_size=3, operator_samples_per_frame=0, seed=7)
     )
     assert replay(rep, "coarseness") == "skipped: operator sampling disabled"
+
+
+# -- failure paths of the initial checks: each patches a mask pass to report
+# what a correct lift cannot show, and the check must fail on it ---------------
+
+INITIAL_CHECKS = [
+    ("initial-interior", "interior", "I2 fails for an induced operator on {", "I3"),
+    ("initial-h", "hops", "h1 or h2 fails for an induced operator on {", "h3"),
+]
+
+
+def _initial_row(cid):
+    report = run_verification(CorpusConfig(
+        max_poset_size=2, operator_samples_per_frame=2, checks=(cid,)))
+    (row,) = report["checks"]
+    return row, report
+
+
+@pytest.mark.parametrize("cid, module, line, top", INITIAL_CHECKS)
+def test_initial_check_fails_on_a_non_monotone_lift(monkeypatch, cid, module, line, top):
+    mod = importlib.import_module(f"localelab.{module}")
+    real = mod._axiom_gaps
+    monkeypatch.setattr(mod, "_axiom_gaps", lambda sl, vals: (real(sl, vals)[0], False, True))
+    row, _ = _initial_row(cid)
+    assert row["status"] == "fail"
+    assert row["witness"]["lines"][0].startswith(line)
+
+
+@pytest.mark.parametrize("cid, module, line, top", INITIAL_CHECKS)
+def test_initial_check_fails_on_a_top_gap_of_a_surjective_map(monkeypatch, cid, module, line,
+                                                              top):
+    mod = importlib.import_module(f"localelab.{module}")
+    real = mod._axiom_gaps
+    monkeypatch.setattr(mod, "_axiom_gaps", lambda sl, vals: real(sl, vals)[:2] + (False,))
+    row, _ = _initial_row(cid)
+    assert row["status"] == "fail"
+    assert row["witness"]["lines"][0].startswith(f"{top} fails despite f[L] = M for {{")
+
+
+@pytest.mark.parametrize("cid, module, line, top", INITIAL_CHECKS)
+def test_initial_check_fails_on_an_unconfirmed_gap(monkeypatch, cid, module, line, top):
+    # a continuity gap at every target index: the top of a surjective map's
+    # target, and the bottom of every target, have no counit gap to confirm it
+    mod = importlib.import_module(f"localelab.{module}")
+    monkeypatch.setattr(mod, "_continuity_gaps", lambda pre, lhs, rhs: (1 << len(lhs)) - 1)
+    row, report = _initial_row(cid)
+    assert row["status"] == "fail"
+    assert row["witness"] == {"kind": "static", "lines": ["see the unexplained list"]}
+    found = [u["payload"] for u in report["unexplained"] if u["check"] == cid]
+    assert found and all(p["kind"] == "initial-anomaly" for p in found)
+    assert {p["anomaly"]["kind"] for p in found} == {"continuity-gap"}
