@@ -12,12 +12,14 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the median wall time of N runs of default `verify` and of
   `verify --max-poset 5`, each in a fresh interpreter;
 - the cold start: the median over 11 fresh interpreters of the time
-  `import localelab.cli` takes, and of the time `corpus_frames(5)` takes
-  after it. One unmeasured interpreter runs first. It writes the bytecode
-  caches only when `PYTHONDONTWRITEBYTECODE` is unset; when it is set, every
-  interpreter compiles the package on import (on a 2-vCPU x86-64 VM with
-  Python 3.11.7, a cold import took 0.11 s compiling against 0.048 s read
-  from bytecode caches);
+  `import localelab.cli` takes, of the time the poset classes of sizes 1..5
+  take after it (`poset_classes_5_s`), of the time `corpus_frames(5)` then
+  takes to build the 87 frames (`frame_build_5_s`), and of the sum of the
+  two (`corpus_frames_5_s`). One unmeasured interpreter runs first. It
+  writes the bytecode caches only when `PYTHONDONTWRITEBYTECODE` is unset;
+  when it is set, every interpreter compiles the package on import (on a
+  2-vCPU x86-64 VM with Python 3.11.7, a cold import took 0.11 s compiling
+  against 0.048 s read from bytecode caches);
 - the median over five passes of each map-layer kernel, timed over every
   frame hom between the corpus-4 frames (19,702 homs): `enumerate_frame_homs`
   (over all 576 corpus-4 frame pairs), `check_frame_hom`, `LocalicMap`
@@ -61,9 +63,12 @@ import time
 start = time.perf_counter()
 import localelab.cli
 imported = time.perf_counter()
-from localelab.corpus import corpus_frames
+from localelab.corpus import _poset_classes, corpus_frames
+for n in range(1, 6):
+    _poset_classes(n)
+classes = time.perf_counter()
 corpus_frames(5)
-print(imported - start, time.perf_counter() - imported)
+print(imported - start, classes - imported, time.perf_counter() - classes)
 """
 # S_l bound for the transfer build: the largest corpus-4 frame has 16 elements
 SL_LIMIT = 16
@@ -96,9 +101,13 @@ def cold_start():
         out = subprocess.run([sys.executable, "-c", COLD_PROBE], env=env, check=True,
                              capture_output=True, text=True).stdout
         samples.append([float(x) for x in out.split()])
-    imports, corpus = zip(*samples[1:])
-    return {"runs": COLD_RUNS, "import_cli_s": round(statistics.median(imports), 4),
-            "corpus_frames_5_s": round(statistics.median(corpus), 4)}
+    imports, classes, frames = zip(*samples[1:])
+    def median(xs):
+        return round(statistics.median(xs), 4)
+
+    return {"runs": COLD_RUNS, "import_cli_s": median(imports),
+            "poset_classes_5_s": median(classes), "frame_build_5_s": median(frames),
+            "corpus_frames_5_s": median([c + f for c, f in zip(classes, frames)])}
 
 
 def _median_time(fn, items):

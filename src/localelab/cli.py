@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .corpus import _poset_classes, corpus_frames
 from .errors import BadConfig, LocaleLabError, SizeLimit, UnknownWitness
 from .hops import HOperator, check_h, complemented_fragment, initial_h
 from .interior import check_interior, initial_interior
@@ -148,7 +149,8 @@ def cmd_verify(args) -> int:
         save_json(args.report, report)
         print(f"wrote {args.report}")
     if args.profile:  # wall time per check and the counters of the run's caches
-        caches = (_enumerate, _transfer_cached, complemented_fragment)
+        caches = (_poset_classes, corpus_frames, _enumerate, _transfer_cached,
+                  complemented_fragment)
         save_json(args.profile, {"check_seconds": times, "caches": {
             fn.__name__: fn.cache_info()._asdict() for fn in caches}})
     failed = any(r["status"] == "fail" for r in report["checks"])

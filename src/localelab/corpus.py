@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import SizeLimit
 from .lattice import FiniteSpace, Frame, Poset, bits, build_frame, downset_frame
 
-# all_posets scans 2^(n(n-1)/2) relations with an n!-permutation canonical
-# form each; at n = 6 that is 2^15 x 720 and does not finish
+# _poset_classes(6) lists all 318 classes; the frame-level checks hold the
+# bound: heyting-adjunction is cubic in frame size, and corpus-6 frames
+# reach 64 elements
 MAX_POSET_SIZE = 5
 
 
@@ -84,21 +84,30 @@ def canonical_poset_key(poset: Poset) -> int:
 
 
 def _canonical_code(up) -> int:
-    """canonical_poset_key of the rows `up`; a relabeling stops at the first
-    row that puts its code above the best."""
+    """canonical_poset_key of the rows `up`.
+
+    The least code lists every element after all the elements above it, so
+    only reverse linear extensions are searched; row a is then final once
+    position a is filled: the element's bits over positions 0..a-1, a 1,
+    zeros. Each position takes a remaining maximal element of least row, and
+    only ties branch. A branch is (unplaced mask, each element's bits over
+    the filled positions), so equal branches merge.
+    """
     n = len(up)
-    best = 1 << n * n
-    for perm in permutations(range(n)):
-        code = 0
-        for a, pa in enumerate(perm, 1):
-            row = up[pa]
-            for pb in perm:
-                code = code << 1 | (row >> pb & 1)
-            if code > best >> n * (n - a):
-                break
-        else:
-            best = code
-    return best
+    code = 0
+    branches = {((1 << n) - 1, (0,) * n)}
+    for a in range(n):
+        moves = [(pre[x], rest, pre, x) for rest, pre in branches
+                 for x in bits(rest) if up[x] & rest == 1 << x]
+        row = min(m[0] for m in moves)
+        code = code << n | (row << 1 | 1) << n - 1 - a
+        branches = set()
+        for r, rest, pre, x in moves:
+            if r == row:
+                rest ^= 1 << x
+                branches.add((rest, tuple((p << 1 | u >> x & 1) if rest >> i & 1 else 0
+                                          for i, (p, u) in enumerate(zip(pre, up)))))
+    return code
 
 
 def posets_are_isomorphic(p: Poset, q: Poset) -> bool:
@@ -108,10 +117,8 @@ def posets_are_isomorphic(p: Poset, q: Poset) -> bool:
 def all_posets(n: int) -> tuple[Poset, ...]:
     """All posets with exactly n elements, one per isomorphism class.
 
-    Candidates are upper-triangular relations only (every poset has a linear
-    extension, so each class is hit), deduplicated by canonical form.
-    Representatives are labeled "0".."n-1" and sorted by canonical key.
-    SizeLimit past MAX_POSET_SIZE.
+    Representatives are labeled "0".."n-1" along a linear extension and
+    sorted by canonical key. SizeLimit past MAX_POSET_SIZE.
     """
     _admit(n)
     return tuple(poset for _, poset in _poset_classes(n))
@@ -119,34 +126,54 @@ def all_posets(n: int) -> tuple[Poset, ...]:
 
 @lru_cache(maxsize=None)
 def _poset_classes(n: int) -> tuple[tuple[int, Poset], ...]:
-    """(canonical key, representative) for all_posets(n), in key order."""
+    """(canonical key, representative) for all_posets(n), in key order.
+
+    Every poset is a smaller one with a maximal element added above one of
+    its down-sets, so the classes of size n are the one-point extensions of
+    those of size n - 1, deduplicated by canonical key.
+    """
     if n == 0:
         return ()
+    smaller = [p for _, p in _poset_classes(n - 1)] or [Poset((), ())]
+    top = 1 << n - 1
+    by_key = {}
+    for p in smaller:
+        for down in range(top):
+            if all(p.dn[i] & ~down == 0 for i in bits(down)):
+                up = tuple(r | top * (down >> i & 1) for i, r in enumerate(p.up)) + (top,)
+                by_key.setdefault(_canonical_code(up), up)
     labels = tuple(str(i) for i in range(n))
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen_labeled = set()
-    by_key: dict[int, Poset] = {}
-    for sel in range(1 << len(pair_list)):
-        rows = [1 << i for i in range(n)]
-        for b, (i, j) in enumerate(pair_list):
-            if sel >> b & 1:
-                rows[i] |= 1 << j
-        for k in range(n):
-            rk = rows[k]
-            for i in range(n):
-                if rows[i] >> k & 1:
-                    rows[i] |= rk
-        labeled = tuple(rows)
-        if labeled in seen_labeled:
-            continue
-        seen_labeled.add(labeled)
-        key = _canonical_code(labeled)
-        if key not in by_key:
-            by_key[key] = Poset.from_pairs(
-                labels,
-                [(labels[i], labels[j]) for i in range(n) for j in bits(rows[i]) if i != j],
-            )
-    return tuple(sorted(by_key.items()))
+    return tuple((key, _natural_representative(labels, by_key[key])) for key in sorted(by_key))
+
+
+def _natural_representative(labels, up) -> Poset:
+    """The poset `up` relabeled along the linear extension whose cover pairs
+    give the least bitmask over the pairs i < j in row-major order: the first
+    upper-triangular relation whose closure lies in its class."""
+    n = len(up)
+    dn = [sum(1 << i for i, r in enumerate(up) if r >> j & 1) for j in range(n)]
+    covers = [(a, b) for a in range(n) for b in bits(up[a] ^ 1 << a)
+              if up[a] & dn[b] == 1 << a | 1 << b]
+
+    def cover_key(order):  # orders as the bitmask does, top bit first
+        pos = {x: k for k, x in enumerate(order)}
+        return sorted(((pos[a], pos[b]) for a, b in covers), reverse=True)
+
+    order = min(_linear_extensions(dn, (1 << n) - 1), key=cover_key)
+    pos = {x: k for k, x in enumerate(order)}
+    rows = [sum(1 << pos[j] for j in bits(up[x])) for x in order]
+    return Poset(labels, [[r >> j & 1 for j in range(n)] for r in rows])
+
+
+def _linear_extensions(dn, rest):
+    """Every ordering of the elements of mask `rest` that lists each after
+    the elements below it, given down-set rows `dn`."""
+    if not rest:
+        yield ()
+    for x in bits(rest):
+        if dn[x] & rest == 1 << x:
+            for tail in _linear_extensions(dn, rest ^ 1 << x):
+                yield (x,) + tail
 
 
 def _admit(size: int) -> None:

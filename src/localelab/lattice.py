@@ -145,21 +145,11 @@ class Poset:
         return self._hash
 
 
-def _single_cover_mask(ahead, behind) -> int:
-    """Bitmask of the elements a with exactly one cover in the direction of
-    `ahead` (up-sets for upper covers, down-sets for lower covers)."""
-    out = 0
-    for a, reach in enumerate(ahead):
-        strict = reach & ~(1 << a)
-        if sum(1 for b in bits(strict) if behind[b] & strict == 1 << b) == 1:
-            out |= 1 << a
-    return out
-
-
 class Frame:
     """A finite frame: validated distributive lattice with Heyting tables."""
 
-    def __init__(self, poset: Poset, meet, join, imp, bottom: int, top: int):
+    def __init__(self, poset: Poset, meet, join, imp, bottom: int, top: int,
+                 join_irreducibles: int, primes: int):
         self.poset = poset
         self.labels = poset.labels
         self.n = poset.n
@@ -180,17 +170,12 @@ class Frame:
         # primes (meet-irreducibles): a != top with exactly one upper cover.
         # They are the points of the frame, and every sublocale is the
         # meet-closure of the primes it contains (Birkhoff duality).
-        self.primes = _single_cover_mask(self.up, self.dn)
-        self.prime_list = tuple(bits(self.primes))
-
-    @cached_property
-    def join_irreducibles(self) -> int:
-        """Bitmask of a != bottom with exactly one lower cover, dual to `primes`.
-
-        Every element is the join of the join-irreducibles below it, so the
-        frame is the downset frame of this subposet (Birkhoff duality).
-        """
-        return _single_cover_mask(self.dn, self.up)
+        self.primes = primes
+        self.prime_list = tuple(bits(primes))
+        # join-irreducibles, dually: a != bottom with exactly one lower cover.
+        # Every element is the join of the join-irreducibles below it, so the
+        # frame is the downset frame of this subposet (Birkhoff duality).
+        self.join_irreducibles = join_irreducibles
 
     @cached_property
     def by_irreducibles(self) -> dict:
@@ -256,37 +241,32 @@ class Frame:
     # -- construction -------------------------------------------------------
     @staticmethod
     def from_order(poset: Poset) -> "Frame":
-        """Validate lattice structure on a poset and build all tables."""
+        """Validate lattice structure on a poset and build all tables.
+
+        Meets and joins are principal-ideal lookups; the first pair without
+        one raises NoMeetOrJoin, meet before join. Distributivity is decided
+        on join-irreducibles; a failure scans for the first bad triple.
+        """
         n = poset.n
         if n == 0:
             raise NoMeetOrJoin("empty carrier has no bounds", witness=())
         dn, up = poset.dn, poset.up
         labels = poset.labels
 
-        def glb(a, b):
-            cand = dn[a] & dn[b]
-            for m in bits(cand):
-                if cand & ~dn[m] == 0:
-                    return m
-            return None
-
-        def lub(a, b):
-            cand = up[a] & up[b]
-            for m in bits(cand):
-                if cand & ~up[m] == 0:
-                    return m
-            return None
-
+        # the common lower bounds of a and b are the down-set of their meet,
+        # if it exists; joins dually
+        principal_dn = {d: r for r, d in enumerate(dn)}
+        principal_up = {u: r for r, u in enumerate(up)}
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                m = glb(a, b)
+                m = principal_dn.get(dn[a] & dn[b])
                 if m is None:
                     raise NoMeetOrJoin(
                         f"no meet for ({labels[a]}, {labels[b]})", witness=(labels[a], labels[b])
                     )
-                j = lub(a, b)
+                j = principal_up.get(up[a] & up[b])
                 if j is None:
                     raise NoMeetOrJoin(
                         f"no join for ({labels[a]}, {labels[b]})", witness=(labels[a], labels[b])
@@ -294,32 +274,37 @@ class Frame:
                 meet[a][b] = meet[b][a] = m
                 join[a][b] = join[b][a] = j
 
-        bottom = 0
-        top = 0
-        for i in range(n):
-            bottom = meet[bottom][i]
-            top = join[top][i]
+        bottom, top = principal_up[(1 << n) - 1], principal_dn[(1 << n) - 1]
 
-        for a in range(n):
-            ma, ja = meet[a], join[a]
-            for b in range(n):
-                ab = ma[b]
-                for c in range(b, n):
-                    if ma[join[b][c]] != join[ab][ma[c]]:
-                        raise NotDistributive(
-                            f"{labels[a]} & ({labels[b]} | {labels[c]}) != "
-                            f"({labels[a]} & {labels[b]}) | ({labels[a]} & {labels[c]})",
-                            witness=(labels[a], labels[b], labels[c]),
-                        )
+        # x has exactly one lower cover iff the elements strictly below it
+        # have a greatest; primes dually. Distributive iff every
+        # join-irreducible is join-prime: J(a | b) = J(a) u J(b), J(x) the
+        # join-irreducibles below x. Only a failure runs the triple scan, for
+        # the first bad triple.
+        strict = [d ^ 1 << x for x, d in enumerate(dn)]
+        irreducible = mask_of(x for x, s in enumerate(strict) if s in principal_dn)
+        primes = mask_of(x for x, u in enumerate(up) if u ^ 1 << x in principal_up)
+        below_j = [d & irreducible for d in dn]
+        if any(below_j[join[a][b]] != below_j[a] | below_j[b]
+               for a in range(n) for b in range(a + 1, n)):
+            for a in range(n):
+                ma = meet[a]
+                for b in range(n):
+                    ab = ma[b]
+                    for c in range(b, n):
+                        if ma[join[b][c]] != join[ab][ma[c]]:
+                            raise NotDistributive(
+                                f"{labels[a]} & ({labels[b]} | {labels[c]}) != "
+                                f"({labels[a]} & {labels[b]}) | ({labels[a]} & {labels[c]})",
+                                witness=(labels[a], labels[b], labels[c]),
+                            )
 
         # Heyting arrow: a -> b is the r with {c : c & a <= b} = down(r), so
         # finding r checks the adjunction too. The set is the fibre of b under
         # c |-> c & a joined with those of b's lower covers (c & a < b lies
         # below one); only a failure needs its join, for the first bad c.
-        strict = [d ^ 1 << x for x, d in enumerate(dn)]
         lower = [[k for k in bits(s) if s & up[k] == 1 << k] for s in strict]
         order = sorted(range(n), key=lambda x: dn[x].bit_count())
-        principal = {d: r for r, d in enumerate(dn)}
         imp = [[0] * n for _ in range(n)]
         for a, ma in enumerate(meet):
             below = [0] * n
@@ -329,7 +314,7 @@ class Frame:
                 for k in lower[b]:
                     below[b] |= below[k]
             for b, d in enumerate(below):
-                r = imp[a][b] = principal.get(d)
+                r = imp[a][b] = principal_dn.get(d)
                 if r is None:
                     r = reduce(lambda x, c: join[x][c], bits(d), bottom)
                     off = d ^ dn[r]
@@ -338,7 +323,7 @@ class Frame:
                         f"heyting adjunction broken at ({labels[a]},{labels[b]},{labels[c]})"
                     )
         return Frame(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
-                     tuple(map(tuple, imp)), bottom, top)
+                     tuple(map(tuple, imp)), bottom, top, irreducible, primes)
 
 
 def build_frame(labels, le_pairs) -> Frame:

@@ -6,9 +6,10 @@ the two on every small frame.
 """
 from itertools import permutations, product
 
+from localelab.errors import NoMeetOrJoin, NotDistributive
 from localelab.hops import HOperator
 from localelab.interior import AxiomReport, ContinuityReport, InteriorOperator
-from localelab.lattice import bits
+from localelab.lattice import Poset, bits
 from localelab.maps import HomReport, check_frame_hom
 from localelab.sublocales import AdjReport, sloc_core, transfer_of
 
@@ -482,6 +483,68 @@ def brute_canonical_key(poset):
         if best is None or code < best:
             best = code
     return best
+
+
+def brute_poset_classes(n):
+    """(canonical key, representative) per isomorphism class of n-element
+    posets, in key order, by scanning every upper-triangular relation in
+    increasing bit order over the pairs (i, j), i < j, in row-major order:
+    each is closed transitively, and the first relation to reach a class
+    gives its representative, labeled "0".."n-1"."""
+    labels = tuple(str(i) for i in range(n))
+    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    closures = {}  # in order of first reach
+    for sel in range(1 << len(pair_list)):
+        le = [[i == j for j in range(n)] for i in range(n)]
+        for b, (i, j) in enumerate(pair_list):
+            if sel >> b & 1:
+                le[i][j] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+        closures.setdefault(Poset(labels, le))
+    by_key = {}
+    for poset in closures:
+        by_key.setdefault(brute_canonical_key(poset), poset)
+    return sorted(by_key.items())
+
+
+def brute_lattice_outcome(poset):
+    """("frame", meet table, join table, join-irreducibles, primes) of a
+    poset, each meet and join found by scanning all elements for the greatest
+    lower and least upper bound, the last two as the masks of the elements
+    with exactly one lower and exactly one upper cover; or
+    (exception type, message, witness) for the first pair (a, b), a <= b,
+    that lacks its meet (checked first) or join, else for the first triple
+    (a, b, c), b <= c, with a & (b | c) != (a & b) | (a & c)."""
+    n, labels, le = poset.n, poset.labels, poset.leq
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            lower = [c for c in range(n) if le(c, a) and le(c, b)]
+            upper = [c for c in range(n) if le(a, c) and le(b, c)]
+            for kind, bounds, table, best in (
+                    ("meet", lower, meet, lambda m: all(le(c, m) for c in lower)),
+                    ("join", upper, join, lambda m: all(le(m, c) for c in upper))):
+                found = [m for m in bounds if best(m)]
+                if not found:
+                    return (NoMeetOrJoin, f"no {kind} for ({labels[a]}, {labels[b]})",
+                            (labels[a], labels[b]))
+                table[a][b] = table[b][a] = found[0]
+    for a in range(n):
+        for b in range(n):
+            for c in range(b, n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    x, y, z = labels[a], labels[b], labels[c]
+                    return (NotDistributive, f"{x} & ({y} | {z}) != ({x} & {y}) | ({x} & {z})",
+                            (x, y, z))
+    covers = [(a, b) for a in range(n) for b in range(n) if a != b and le(a, b)
+              and not any(c not in (a, b) and le(a, c) and le(c, b) for c in range(n))]
+    ends = [[pair[k] for pair in covers] for k in (1, 0)]
+    irreducibles, primes = (sum(1 << x for x in range(n) if end.count(x) == 1) for end in ends)
+    return "frame", tuple(map(tuple, meet)), tuple(map(tuple, join)), irreducibles, primes
 
 
 def brute_validate(labels, le):

@@ -254,11 +254,14 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     profile = json.loads(sidecar.read_text())
     assert sorted(profile["check_seconds"]) == ["initial-h", "initial-interior", "poset-counts"]
     assert all(s >= 0 for s in profile["check_seconds"].values())
-    assert sorted(profile["caches"]) == ["_enumerate", "_transfer_cached",
-                                         "complemented_fragment"]
+    assert sorted(profile["caches"]) == ["_enumerate", "_poset_classes", "_transfer_cached",
+                                         "complemented_fragment", "corpus_frames"]
     for info in profile["caches"].values():
         assert sorted(info) == ["currsize", "hits", "maxsize", "misses"]
     assert profile["caches"]["_transfer_cached"]["hits"] > 0
+    # one class list per size up to --max-poset, one corpus per size asked for
+    assert profile["caches"]["_poset_classes"]["currsize"] >= 3
+    assert profile["caches"]["corpus_frames"]["currsize"] >= 1
 
 
 def test_verify_progress_lines_go_to_stderr_only(files, capsys):

@@ -4,7 +4,8 @@ The unlabeled counts 1, 2, 5, 16 are standard; the suite re-derives them here
 by an independent route: a direct scan of all labeled relations on n points
 (checking reflexivity, antisymmetry, transitivity on raw bitmask rows, no
 Poset machinery) must equal the sum of orbit sizes of the chosen
-representatives. That pins both completeness and non-redundancy.
+representatives. That pins both completeness and non-redundancy. The
+enumerator is also gated on the known counts 63 and 318 for 5 and 6 points.
 """
 from itertools import permutations
 
@@ -12,6 +13,7 @@ import pytest
 
 from localelab.corpus import (
     MAX_POSET_SIZE,
+    _poset_classes,
     all_posets,
     canonical_poset_key,
     chain3,
@@ -29,7 +31,7 @@ from localelab.corpus import (
 from localelab.errors import SizeLimit
 from localelab.lattice import Poset, downset_frame
 
-UNLABELED = {1: 1, 2: 2, 3: 5, 4: 16}
+UNLABELED = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 LABELED = {1: 1, 2: 3, 3: 19, 4: 219}
 
 
@@ -65,9 +67,16 @@ def orbit_size(poset: Poset) -> int:
     return len(seen)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_unlabeled_class_counts(n):
     assert len(all_posets(n)) == UNLABELED[n]
+
+
+def test_enumerator_reaches_the_318_classes_on_six_points():
+    # beyond the corpus bound: only the frame-level checks hold it at 5
+    keys = [key for key, _ in _poset_classes(6)]
+    assert len(keys) == 318
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -8,11 +8,14 @@ maps read off join-irreducibles and extended by meets, their left adjoints
 looked up by the primes above each element, the frame-hom law
 scans read table rows from locals, the operator samplers close over lower covers, the
 operator kernels check and classify an induced operator in one pass over
-point masks, and posets validate and take canonical keys on bitmask rows.
+point masks, posets validate and take canonical keys on bitmask rows, the
+corpus grows by one-point extensions, and frames read meets and joins off
+principal ideals and decide distributivity on join-irreducibles.
 Each is compared here with the scan in `oracles.py` on every small frame or
 poset, or on random tables.
 """
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localelab.corpus import (
+    _poset_classes,
     all_posets,
     canonical_poset_key,
     chain3,
@@ -30,7 +34,7 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.errors import NotAPoset, NotLocalic
+from localelab.errors import LocaleLabError, NotAPoset, NotLocalic
 from localelab.hops import HOperator, check_h, initial_h, is_h_continuous, random_h
 from localelab.interior import (
     InteriorOperator,
@@ -44,7 +48,7 @@ from localelab.interior import (
     op_meet,
     random_op,
 )
-from localelab.lattice import Poset, bits, build_frame, frame_of_space
+from localelab.lattice import Frame, Poset, bits, build_frame, frame_of_space
 from localelab.maps import (
     FrameHom,
     check_frame_hom,
@@ -74,12 +78,14 @@ from oracles import (
     brute_initial_h,
     brute_initial_interior,
     brute_interior_axioms,
+    brute_lattice_outcome,
     brute_left_adjoint,
     brute_monotone_count,
     brute_op_join,
     brute_op_le_gap,
     brute_op_meet,
     brute_point_filters,
+    brute_poset_classes,
     brute_preimage_table,
     brute_random_table,
     brute_right_adjoint_table,
@@ -176,6 +182,36 @@ def test_poset_and_corpus_keys_are_pinned():
 def test_canonical_key_matches_matrix_scan():
     for poset in CORPUS5_POSETS:
         assert canonical_poset_key(poset) == brute_canonical_key(poset), poset.up
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_poset_classes_match_relation_scan(n):
+    # same classes, same keys, and the representative the scan reaches first
+    got = [(key, p.labels, p.up) for key, p in _poset_classes(n)]
+    assert got == [(key, p.labels, p.up) for key, p in brute_poset_classes(n)]
+
+
+def _dual(poset):
+    n = poset.n
+    return Poset(poset.labels, [[poset.leq(b, a) for b in range(n)] for a in range(n)])
+
+
+def test_from_order_matches_lattice_scan():
+    # every poset up to 5 points and its dual: M3, N5 and the non-lattices
+    # give the scan's exception, message and witness, the rest its tables
+    # and irreducibles
+    outcomes = []
+    for poset in CORPUS5_POSETS:
+        for q in (poset, _dual(poset)):
+            try:
+                fr = Frame.from_order(q)
+                got = "frame", fr.meet_table, fr.join_table, fr.join_irreducibles, fr.primes
+            except LocaleLabError as exc:
+                got = type(exc), str(exc), exc.witness
+            want = brute_lattice_outcome(q)
+            assert got == want, q.up
+            outcomes.append(want[0] if want[0] == "frame" else want[0].__name__)
+    assert Counter(outcomes) == {"frame": 16, "NoMeetOrJoin": 154, "NotDistributive": 4}
 
 
 def _relabeled(poset, perm):
