@@ -29,13 +29,17 @@ interpreters with the same `PYTHONPATH`. One entry records:
   from the points,
   `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
 - the median over five passes of each operator-layer kernel, timed over
-  the (map, operator) pairs of the initial checks of default `verify`:
+  the (map, target table) pairs of the initial checks of default `verify`:
   `random_op` for the ten draws per map of initial-interior (11,350 draws),
   `random_h` for the six draws per map of initial-h (6,810 draws), each
   from a generator seeded per map as the check seeds it, `initial_interior`
-  on its 13,620 lifts and `initial_h` on the 9,080 lifts of initial-h. A
-  lift returns its report with the candidate operator not yet built, as
-  the checks use it.
+  on its 13,620 lifts and `initial_h` on the 9,080 lifts of initial-h, each
+  on an operator built from the check's table beforehand. A lift returns
+  its report with the candidate operator not yet built;
+- the median over five passes of the interior-axioms and h-axioms checks
+  of default `verify` (`interior_axioms_s`, `h_axioms_s`): each one's work
+  over its 100 draws per corpus frame (2,400 draws), with the named
+  operators and, for h, the raw tables included.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -160,9 +164,15 @@ def kernel_timings():
 
 
 def operator_timings():
-    from localelab.hops import initial_h, random_h
-    from localelab.interior import initial_interior, random_op
-    from localelab.verify import CorpusConfig, _Ctx, _h_ops_for_initial, _ops_for_initial
+    from localelab.hops import HOperator, initial_h, random_h
+    from localelab.interior import InteriorOperator, initial_interior, random_op
+    from localelab.verify import (
+        CHECKS,
+        CorpusConfig,
+        _Ctx,
+        _h_ops_for_initial,
+        _ops_for_initial,
+    )
 
     ctx = _Ctx(CorpusConfig())
     maps = list(enumerate(ctx.maps))
@@ -180,18 +190,30 @@ def operator_timings():
         for _ in range(h_samples):
             random_h(sl, rng)
 
-    lifts = [(f, op) for idx, f in maps for op in _ops_for_initial(ctx, f, idx)]
-    h_lifts = [(f, h) for idx, f in maps for h in _h_ops_for_initial(ctx, f, idx)]
+    def lifts(tables_for, op_type):
+        # x is a table, or an operator on trees up to e01c1f9, whose
+        # tables_for returned operators
+        return [(f, op_type(ctx.sl(f.target), getattr(x, "table", x)))
+                for idx, f in maps for x in tables_for(ctx, f, idx)]
+
+    def check(cid):
+        CHECKS[cid](ctx)
+
+    interior_lifts = lifts(_ops_for_initial, InteriorOperator)
+    h_lifts = lifts(_h_ops_for_initial, HOperator)
     return {
         "maps": len(maps),
         "random_op_draws": len(draws) * samples,
         "random_op_s": _median_time(draw, draws),
         "random_h_draws": len(draws) * h_samples,
         "random_h_s": _median_time(draw_h, draws),
-        "initial_interior_lifts": len(lifts),
-        "initial_interior_s": _median_time(initial_interior, lifts),
+        "initial_interior_lifts": len(interior_lifts),
+        "initial_interior_s": _median_time(initial_interior, interior_lifts),
         "initial_h_lifts": len(h_lifts),
         "initial_h_s": _median_time(initial_h, h_lifts),
+        "axiom_draws": len(ctx.frames) * ctx.config.operator_samples_per_frame,
+        "interior_axioms_s": _median_time(check, [("interior-axioms",)]),
+        "h_axioms_s": _median_time(check, [("h-axioms",)]),
     }
 
 

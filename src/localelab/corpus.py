@@ -162,7 +162,7 @@ def _natural_representative(labels, up) -> Poset:
     order = min(_linear_extensions(dn, (1 << n) - 1), key=cover_key)
     pos = {x: k for k, x in enumerate(order)}
     rows = [sum(1 << pos[j] for j in bits(up[x])) for x in order]
-    return Poset(labels, [[r >> j & 1 for j in range(n)] for r in rows])
+    return Poset.from_rows(labels, rows)
 
 
 def _linear_extensions(dn, rest):

@@ -36,7 +36,7 @@ from .interior import (
     trivial_op,
 )
 from .maps import LocalicMap
-from .sublocales import SublocaleLattice
+from .sublocales import SublocaleLattice, SublocaleTransfer
 
 
 @lru_cache(maxsize=None)
@@ -60,12 +60,17 @@ class HOperator(InteriorOperator):
         complemented_fragment(self.lattice)
         super().__post_init__()
 
+    @classmethod
+    def _of_points(cls, sl: SublocaleLattice, masks):
+        # the trusted path skips the totality scan, not the Boolean guard
+        complemented_fragment(sl)
+        return super()._of_points(sl, masks)
+
     @cached_property
     def core(self) -> InteriorOperator:
         """S |-> S cap h(S), the operator the interior kernels check."""
-        sl = self.lattice
-        pts, by_points = sl.points, sl.by_points
-        return InteriorOperator(sl, tuple([by_points[p & pts[v]] for p, v in zip(pts, self.table)]))
+        sl, pts = self.lattice, self.lattice.points
+        return InteriorOperator._of_points(sl, [p & pts[v] for p, v in zip(pts, self.table)])
 
 
 _H_AXIOMS = ("h1", "h2", "h3")
@@ -107,7 +112,7 @@ def random_h(sl: SublocaleLattice, rng) -> HOperator:
     The generator therefore covers only the contractive part of the
     operator lattice; valid non-contractive operators exist above it.
     """
-    return _closed_draw(sl, rng, [0] * sl.n, HOperator)
+    return HOperator._of_points(sl, _closed_draw(sl, rng, [0] * sl.n))
 
 
 def is_h_continuous(f: LocalicMap, h_l: HOperator, h_m: HOperator) -> ContinuityReport:
@@ -152,15 +157,20 @@ def initial_h(f: LocalicMap, h_m: HOperator) -> HInitialReport:
     gaps as the interior case; only the first continuity gap is kept.
     """
     t = _target_transfer(f, h_m)
+    return HInitialReport(t, *_lift_h(t, h_m.table))
+
+
+def _lift_h(t: SublocaleTransfer, table) -> tuple:
+    """HInitialReport's (pulled, gaps, passed) for the target table lifted through t."""
     sl, img, pre = t.source_lattice, t.image_table, t.preimage_table
     sp = sl.points
-    hp = [sp[pre[v]] for v in h_m.table]  # f_-1[h_M(T)] for every T
+    hp = [sp[pre[v]] for v in table]  # f_-1[h_M(T)] for every T
     core = [p & hp[x] for p, x in zip(sp, img)]
     contraction, monotone, top_kept = _axiom_gaps(sl, core)
     # preimages are set preimages of points, so f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)]
     continuity = _continuity_gaps(pre, [sp[k] & q for k, q in zip(pre, hp)], core)
     gaps = (0, 0 if top_kept else 1 << sl.top, continuity & -continuity)
-    return HInitialReport(t, hp, gaps, {"h1": not contraction, "h2": monotone, "h3": top_kept})
+    return hp, gaps, {"h1": not contraction, "h2": monotone, "h3": top_kept}
 
 
 def check_h_universal(

@@ -32,6 +32,14 @@ class InteriorOperator:
         if len(table) != n or min(table) < 0 or max(table) >= n:
             raise ValueError("table is not total over the sublocale lattice")
 
+    @classmethod
+    def _of_points(cls, sl: SublocaleLattice, masks):
+        """The operator with point masks `masks`: by_points gives a total table, unscanned."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "lattice", sl)
+        object.__setattr__(op, "table", tuple([sl.by_points[p] for p in masks]))
+        return op
+
     def __call__(self, i: int) -> int:
         return self.table[i]
 
@@ -132,8 +140,7 @@ def _pointwise(family, combine, name) -> InteriorOperator:
     acc = [pts[v] for v in ops[0].table]
     for op in ops[1:]:
         acc = [combine(p, pts[v]) for p, v in zip(acc, op.table)]
-    by_points = sl.by_points
-    return type(ops[0])(sl, tuple([by_points[p] for p in acc]))
+    return type(ops[0])._of_points(sl, acc)
 
 
 def op_join(family) -> InteriorOperator:
@@ -167,11 +174,11 @@ def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
     contractive because every g(T) <= T <= S, and monotone because the index
     sets nest. Forcing the top entry then gives I3.
     """
-    return _closed_draw(sl, rng, [0] * sl.n)
+    return InteriorOperator._of_points(sl, _closed_draw(sl, rng, [0] * sl.n))
 
 
-def _closed_draw(sl: SublocaleLattice, rng, base, operator=InteriorOperator):
-    """operator(table), table[i] the join of base[j] | seed[j] over j <= i, the top forced.
+def _closed_draw(sl: SublocaleLattice, rng, base) -> list:
+    """Point masks, entry i the join of base[j] | seed[j] over j <= i, the top forced.
 
     base holds point masks. seed[j] is drawn from sl.draws[j] exactly as
     rng.choice draws (CPython's _randbelow: k = n.bit_length() bits, with
@@ -190,8 +197,7 @@ def _closed_draw(sl: SublocaleLattice, rng, base, operator=InteriorOperator):
             p |= acc[c]
         acc.append(p)
     acc[sl.top] = sl.points[sl.top]
-    by_points = sl.by_points
-    return operator(sl, tuple([by_points[p] for p in acc]))
+    return acc
 
 
 # -- continuity ---------------------------------------------------------------
@@ -339,8 +345,8 @@ class InitialReport:
 
     @cached_property
     def candidate(self) -> InteriorOperator:
-        t, sl = self.transfer, self.transfer.source_lattice
-        return self._OPERATOR(sl, tuple([sl.by_points[self.pulled[x]] for x in t.image_table]))
+        t = self.transfer
+        return self._OPERATOR._of_points(t.source_lattice, [self.pulled[x] for x in t.image_table])
 
     @cached_property
     def axioms(self) -> AxiomReport:
@@ -355,22 +361,13 @@ class InitialReport:
     def ok(self) -> bool:
         return all(self.passed.values()) and not self.gaps[2]
 
-    def confirmed(self) -> tuple:
-        """Per kind, the mask of gaps that exhibit their predicate: a unit gap
-        at S, f[L] != M for the top, and at T the counit gap, which at the
-        top is f[L] != M too."""
-        t = self.transfer
-        unit, counit = t.adjunction_gaps
-        contraction, top, continuity = self.gaps
-        image_gap = counit >> t.target_lattice.top & 1
-        return contraction & unit, top if image_gap else 0, continuity & counit
-
     @cached_property
     def anomalies(self) -> tuple:
         t = self.transfer
         sl, tl = t.source_lattice, t.target_lattice
         out = []
-        for kind, gaps, ok, lat in zip(GAP_KINDS, self.gaps, self.confirmed(), (sl, sl, tl)):
+        confirmed = _confirmed(t, self.gaps)
+        for kind, gaps, ok, lat in zip(GAP_KINDS, self.gaps, confirmed, (sl, sl, tl)):
             for i in bits(gaps):
                 at_top = kind == "continuity-gap" and i == tl.top
                 out.append({"kind": kind, "at": lat.labels[i],
@@ -402,13 +399,28 @@ def initial_interior(f: LocalicMap, op_m: InteriorOperator) -> InitialReport:
     Unconfirmed anomalies would mean an implementation bug.
     """
     t = _target_transfer(f, op_m)
+    return InitialReport(t, *_lift(t, op_m.table))
+
+
+def _lift(t: SublocaleTransfer, table) -> tuple:
+    """InitialReport's (pulled, gaps, passed) for the target table lifted through t."""
     sl, pre = t.source_lattice, t.preimage_table
     sp = sl.points
-    pulled = [sp[pre[v]] for v in op_m.table]  # f_-1[i_M(T)] for every T
+    pulled = [sp[pre[v]] for v in table]  # f_-1[i_M(T)] for every T
     vals = [pulled[x] for x in t.image_table]
     contraction, monotone, top_kept = _axiom_gaps(sl, vals)
     gaps = (contraction, 0 if top_kept else 1 << sl.top, _continuity_gaps(pre, pulled, vals))
-    return InitialReport(t, pulled, gaps, {"I1": not contraction, "I2": monotone, "I3": top_kept})
+    return pulled, gaps, {"I1": not contraction, "I2": monotone, "I3": top_kept}
+
+
+def _confirmed(t: SublocaleTransfer, gaps) -> tuple:
+    """Per kind, the mask of the gaps that exhibit their predicate under t:
+    a unit gap at S, f[L] != M for the top, and at T the counit gap, which
+    at the top is f[L] != M too."""
+    unit, counit = t.adjunction_gaps
+    contraction, top, continuity = gaps
+    image_gap = counit >> t.target_lattice.top & 1
+    return contraction & unit, top if image_gap else 0, continuity & counit
 
 
 @dataclass(frozen=True)
@@ -611,4 +623,4 @@ def make_continuous_op(f: LocalicMap, op_m: InteriorOperator, rng) -> InteriorOp
     sp, pre, base = t.source_lattice.points, t.preimage_table, [0] * t.source_lattice.n
     for s, v in zip(pre, op_m.table):
         base[s] |= sp[pre[v]]
-    return _closed_draw(t.source_lattice, rng, base)
+    return InteriorOperator._of_points(t.source_lattice, _closed_draw(t.source_lattice, rng, base))

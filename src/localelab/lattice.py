@@ -40,13 +40,26 @@ class Poset:
 
     def __init__(self, labels, le):
         """`le` is an n x n matrix whose truthy entries mark the pairs i <= j."""
-        self.labels = tuple(str(x) for x in labels)
-        self.n = n = len(self.labels)
-        if len(le) != n or any(len(row) != n for row in le):
+        labels = tuple(str(x) for x in labels)
+        if len(le) != len(labels) or any(len(row) != len(labels) for row in le):
             raise ValueError("le matrix shape does not match label count")
+        self._set_rows(labels, [mask_of(j for j, x in enumerate(row) if x) for row in le])
+
+    @classmethod
+    def from_rows(cls, labels, up) -> "Poset":
+        """The poset with rows up[i] = {j : i <= j}, unchecked: see validate()."""
+        poset = cls.__new__(cls)
+        poset._set_rows(tuple(str(x) for x in labels), up)
+        return poset
+
+    def _set_rows(self, labels, up):
         # up[i] = bitmask of {j : i <= j}, dn[j] = bitmask of {i : i <= j}
-        self.up = up = tuple(mask_of(j for j, x in enumerate(row) if x) for row in le)
-        self.dn = tuple(mask_of(i for i, r in enumerate(up) if r >> j & 1) for j in range(n))
+        self.labels, self.n, self.up = labels, len(labels), tuple(up)
+        n, up, dn = self.n, self.up, [0] * self.n
+        for i, r in enumerate(up):
+            for j in bits(r):
+                dn[j] |= 1 << i
+        self.dn = tuple(dn)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != n:
             raise ValueError("duplicate labels")
@@ -84,7 +97,7 @@ class Poset:
                         f"cycle: {labels[i]} <= {labels[j]} and {labels[j]} <= {labels[i]}",
                         witness=(labels[i], labels[j]),
                     )
-        return Poset(labels, [[r >> j & 1 for j in range(n)] for r in rows])
+        return Poset.from_rows(labels, rows)
 
     def validate(self) -> None:
         """Re-check reflexivity/antisymmetry/transitivity (for matrices built directly).
@@ -148,7 +161,7 @@ class Poset:
 class Frame:
     """A finite frame: validated distributive lattice with Heyting tables."""
 
-    def __init__(self, poset: Poset, meet, join, imp, bottom: int, top: int,
+    def __init__(self, poset: Poset, meet, join, imp, arrows_into, bottom: int, top: int,
                  join_irreducibles: int, primes: int):
         self.poset = poset
         self.labels = poset.labels
@@ -164,9 +177,7 @@ class Frame:
         self.index = poset.index
         # arrows_into[s] = bitmask of {x -> s : x in L}; the sublocale machinery
         # leans on this: a subset A is arrow-closed iff arrows_into[s] <= A for s in A.
-        self.arrows_into = tuple(
-            mask_of(imp[x][s] for x in range(self.n)) for s in range(self.n)
-        )
+        self.arrows_into = arrows_into
         # primes (meet-irreducibles): a != top with exactly one upper cover.
         # They are the points of the frame, and every sublocale is the
         # meet-closure of the primes it contains (Birkhoff duality).
@@ -306,6 +317,7 @@ class Frame:
         lower = [[k for k in bits(s) if s & up[k] == 1 << k] for s in strict]
         order = sorted(range(n), key=lambda x: dn[x].bit_count())
         imp = [[0] * n for _ in range(n)]
+        arrows = [0] * n
         for a, ma in enumerate(meet):
             below = [0] * n
             for c, m in enumerate(ma):
@@ -322,8 +334,9 @@ class Frame:
                     raise AssertionError(
                         f"heyting adjunction broken at ({labels[a]},{labels[b]},{labels[c]})"
                     )
+                arrows[b] |= 1 << r
         return Frame(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
-                     tuple(map(tuple, imp)), bottom, top, irreducible, primes)
+                     tuple(map(tuple, imp)), tuple(arrows), bottom, top, irreducible, primes)
 
 
 def build_frame(labels, le_pairs) -> Frame:
@@ -343,20 +356,20 @@ def pseudocomplement(frame: Frame, a: int) -> int:
     return frame.imp_table[a][frame.bottom]
 
 
-def _frame_of_mask_family(masks, labels) -> Frame:
-    le = [[mi & ~mj == 0 for mj in masks] for mi in masks]
-    return Frame.from_order(Poset(labels, le))
-
-
 def downset_frame(poset: Poset) -> Frame:
-    """The frame of down-closed subsets of a poset, ordered by inclusion."""
-    downs = []
-    for m in range(1 << poset.n):
-        if all(poset.dn[i] & ~m == 0 for i in bits(m)):
-            downs.append(m)
+    """The frame of down-closed subsets of a poset, ordered by inclusion.
+
+    D's row holds D and the rows of D plus a minimal element of the rest."""
+    n, dn = poset.n, poset.dn
+    downs = [m for m in range(1 << n) if all(dn[i] & ~m == 0 for i in bits(m))]
     downs.sort(key=lambda m: (m.bit_count(), m))
-    labels = [set_label(poset.labels, m) for m in downs]
-    return _frame_of_mask_family(downs, labels)
+    rank = {m: i for i, m in enumerate(downs)}
+    up = [0] * len(downs)
+    for i in reversed(range(len(downs))):
+        m = downs[i]
+        up[i] = reduce(or_, (up[rank[m | 1 << x]] for x in bits(~m & (1 << n) - 1)
+                             if dn[x] & ~m == 1 << x), 1 << i)
+    return Frame.from_order(Poset.from_rows([set_label(poset.labels, m) for m in downs], up))
 
 
 class FiniteSpace:
@@ -428,7 +441,8 @@ class FiniteSpace:
 def frame_of_space(space: FiniteSpace) -> Frame:
     """Open-set frame of a finite space; meet/join coincide with set operations."""
     labels = [space.open_label(m) for m in space.opens]
-    return _frame_of_mask_family(space.opens, labels)
+    le = [[mi & ~mj == 0 for mj in space.opens] for mi in space.opens]
+    return Frame.from_order(Poset(labels, le))
 
 
 def order_iso(f: Frame, g: Frame):

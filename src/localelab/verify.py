@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .corpus import all_posets, chain3, child_seed, corpus_frames, corpus_posets, square, two
 from .errors import SizeLimit, UnknownWitness
 from .hops import (
+    HInitialReport,
     HOperator,
     check_h,
     check_h_composition,
@@ -24,14 +25,19 @@ from .hops import (
     complemented_fragment,
     discrete_h,
     h_from_interior,
+    _lift_h,
     initial_h,
     is_h_continuous,
-    random_h,
     trivial_h,
 )
 from .interior import (
     GAP_KINDS,
+    InitialReport,
     InteriorOperator,
+    _axiom_gaps,
+    _closed_draw,
+    _confirmed,
+    _lift,
     check_composition,
     check_interior,
     check_open_preimage,
@@ -505,6 +511,16 @@ def _check_boolean_fragment(ctx):
     return "pass", {"frames": len(ctx.frames)}, None
 
 
+# The axiom checks read each draw, and its join and meet with the previous draw, as
+# point masks: check_interior passes iff _axiom_gaps gives _VALID; op_le(op, discrete) is I1.
+_VALID = (0, True, True)
+
+
+def _exceeds(lo, hi):
+    """not op_le(a, b) for the tables a and b with point masks lo and hi."""
+    return any(x & ~y for x, y in zip(lo, hi))
+
+
 def _check_interior_axioms(ctx):
     k = ctx.config.operator_samples_per_frame
     generated = 0
@@ -515,22 +531,22 @@ def _check_interior_axioms(ctx):
             if not check_interior(op).ok:
                 return "fail", {"generated": generated}, {
                     "kind": "static", "lines": [f"named operator invalid on {key}"]}
+        floor, zeros = [sl.points[v] for v in t.table], [0] * sl.n
         rng = ctx.rng("interior-ops", key)
         prev = None
         for _ in range(k):
-            op = random_op(sl, rng)
+            vals = _closed_draw(sl, rng, zeros)
             generated += 1
-            rep = check_interior(op)
-            if not (rep.ok and op_le(t, op) and op_le(op, d)):
+            if _axiom_gaps(sl, vals) != _VALID or _exceeds(floor, vals):
                 return "fail", {"generated": generated}, {
                     "kind": "static",
                     "lines": [f"generated operator breaks the axioms or bounds on {key}"]}
-            if prev is not None:
-                if not (check_interior(op_join([prev, op])).ok
-                        and check_interior(op_meet([prev, op])).ok):
-                    return "fail", {"generated": generated}, {
-                        "kind": "static", "lines": [f"operator lattice op invalid on {key}"]}
-            prev = op
+            if prev is not None and (
+                    _axiom_gaps(sl, [a | b for a, b in zip(prev, vals)]),
+                    _axiom_gaps(sl, [a & b for a, b in zip(prev, vals)])) != (_VALID, _VALID):
+                return "fail", {"generated": generated}, {
+                    "kind": "static", "lines": [f"operator lattice op invalid on {key}"]}
+            prev = vals
     ctx.counts["operators"] += generated
     return "pass", {"generated": generated, "per_frame": k}, None
 
@@ -545,23 +561,24 @@ def _check_h_axioms(ctx):
             if not check_h(h).ok:
                 return "fail", {"generated": generated}, {
                     "kind": "static", "lines": [f"named h operator invalid on {key}"]}
-        # h1 holds for arbitrary total tables, not just generated ones
+        # h1 to h3 are I1 to I3 of the core masks; h1 holds for every total table
+        pts = sl.points
         rng = ctx.rng("h-ops", key)
         for _ in range(min(k, 25)):
             table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
             raw_tables += 1
-            if not check_h(HOperator(sl, table)).passed["h1"]:
+            if _axiom_gaps(sl, [p & pts[v] for p, v in zip(pts, table)])[0]:
                 return "fail", {"raw_tables": raw_tables}, {
                     "kind": "static", "lines": [f"h1 fails on a raw table on {key}"]}
+        # trivial <= h is also trivial being the meet floor: t ^ h = t
+        floor, zeros = [pts[v] for v in t.table], [0] * sl.n
         for _ in range(k):
-            h = random_h(sl, rng)
+            vals = _closed_draw(sl, rng, zeros)
             generated += 1
-            if not (check_h(h).ok and op_le(t, h) and op_le(h, d)):
+            if (_axiom_gaps(sl, [p & v for p, v in zip(pts, vals)]) != _VALID
+                    or _exceeds(floor, vals) or _exceeds(vals, pts)):
                 return "fail", {"generated": generated}, {
                     "kind": "static", "lines": [f"generated h operator invalid on {key}"]}
-            if op_meet([t, h]).table != t.table:
-                return "fail", {"generated": generated}, {
-                    "kind": "static", "lines": [f"trivial is not the h meet floor on {key}"]}
         # the constant-top table is a valid h operator strictly above discrete
         const_top = HOperator(sl, (sl.top,) * sl.n)
         if check_h(const_top).ok and op_le(d, const_top) and not op_le(const_top, d):
@@ -674,25 +691,23 @@ def _check_composition_h(ctx):
     return _check_composition(ctx, h_from_interior, check_h_composition)
 
 
-def _ops_for_initial(ctx, f, idx):
+def _initial_tables(ctx, f, tag, idx, draws):
+    """Tables of the discrete and trivial operators on f's target, then of `draws` draws."""
     slm = ctx.sl(f.target)
-    ops = [discrete_op(slm), trivial_op(slm)]
-    if ctx.sampling:
-        rng = ctx.rng("initial-ops", idx)
-        for _ in range(min(10, ctx.config.operator_samples_per_frame)):
-            ops.append(random_op(slm, rng))
-    return ops
+    rng, zeros, by_points = ctx.rng(tag, idx), [0] * slm.n, slm.by_points
+    return [discrete_op(slm).table, trivial_op(slm).table] + [
+        [by_points[p] for p in _closed_draw(slm, rng, zeros)] for _ in range(draws)]
+
+
+def _ops_for_initial(ctx, f, idx):
+    k = ctx.config.operator_samples_per_frame
+    return _initial_tables(ctx, f, "initial-ops", idx, min(10, k))
 
 
 def _h_ops_for_initial(ctx, f, idx):
-    slm = ctx.sl(f.target)
-    ops = [discrete_h(slm), trivial_h(slm)]
-    if ctx.sampling:
-        rng = ctx.rng("initial-h-ops", idx)
-        # one more than the h samples: an interior draw read as h is a random_h draw
-        for _ in range(min(5, ctx.config.operator_samples_per_frame) + 1):
-            ops.append(random_h(slm, rng))
-    return ops
+    # one more than the h samples: an interior draw read as h is a random_h draw
+    k = ctx.config.operator_samples_per_frame
+    return _initial_tables(ctx, f, "initial-h-ops", idx, min(5, k) + 1 if k else 0)
 
 
 def _anomaly_witness(f, op, anomaly):
@@ -704,45 +719,48 @@ def _anomaly_witness(f, op, anomaly):
     }
 
 
-def _check_initial(ctx, cid, ops_for, initial, trivial, holds, top, ids):
-    """initial on every map and every operator ops_for gives for it.
+def _check_initial(ctx, cid, tables_for, lift, report, holds, top, ids):
+    """lift through every map's transfer of every target table tables_for gives.
 
     The axioms in holds must hold for every induced operator, and top must
     hold when f[L] = M; ids maps each anomaly kind to its registry entry, and
     the "top-gap" entry also records the mandated TWO -> CHAIN3 trivial
-    counterexample.
+    counterexample. The operator and its report (of class report) are built
+    only for unconfirmed gaps and for a registry entry's first witness.
     """
     checked = 0
     tallies = dict.fromkeys(ids, 0)
     for idx, f in enumerate(ctx.maps):
         t = transfer_of(f, ctx.bound)
         surj = t.image_table[t.source_lattice.top] == t.target_lattice.top
-        for op in ops_for(ctx, f, idx):
-            rep = initial(f, op)
+        for table in tables_for(ctx, f, idx):
+            pulled, gaps, passed = lift(t, table)
             checked += 1
-            if not all([rep.passed[a] for a in holds]):
+            if not all([passed[a] for a in holds]):
                 return "fail", {"checked": checked}, {
                     "kind": "static",
                     "lines": [f"{' or '.join(holds)} fails for an induced operator "
                               f"on {f.describe()}"]}
-            if surj and not rep.passed[top]:
+            if surj and not passed[top]:
                 return "fail", {"checked": checked}, {
                     "kind": "static",
                     "lines": [f"{top} fails despite f[L] = M for {f.describe()}"]}
-            # confirmed gaps are counted per kind; anomaly dicts are built
-            # only for unconfirmed gaps and for a registry entry's first witness
-            confirmed = rep.confirmed()
-            if confirmed != rep.gaps:
-                for a in rep.unexplained:
+            confirmed = _confirmed(t, gaps)
+            if confirmed != gaps:
+                op = report._OPERATOR(t.target_lattice, table)
+                for a in report(t, pulled, gaps, passed).unexplained:
                     ctx.report_unexplained(cid, _anomaly_witness(f, op, a))
             for kind, hits in zip(GAP_KINDS, confirmed):
                 if hits:
-                    tallies[kind] += hits.bit_count()
-                    ctx.reg_hit(ids[kind], lambda: _anomaly_witness(f, op, next(
-                        a for a in rep.anomalies if a["kind"] == kind and a["confirmed"])),
-                        hits.bit_count())
+                    n = hits.bit_count()
+                    tallies[kind] += n
+                    ctx.reg_hit(ids[kind], lambda: _anomaly_witness(
+                        f, report._OPERATOR(t.target_lattice, table),
+                        next(a for a in report(t, pulled, gaps, passed).anomalies
+                             if a["kind"] == kind and a["confirmed"])), n)
     f_up = localic_map(two(), chain3(), (0, 2))
-    mandated_failed = not initial(f_up, trivial(ctx.sl(chain3()))).passed[top]
+    t = transfer_of(f_up, ctx.bound)
+    mandated_failed = not lift(t, trivial_op(t.target_lattice).table)[2][top]
     if mandated_failed:
         ctx.reg_hit(ids["top-gap"])
     detail = {"checked": checked, "tallies": tallies,
@@ -754,14 +772,14 @@ def _check_initial(ctx, cid, ops_for, initial, trivial, holds, top, ids):
 def _check_initial_interior(ctx):
     ids = {"contraction-gap": "initial-contraction", "top-gap": "initial-top",
            "continuity-gap": "initial-continuity"}
-    return _check_initial(ctx, "initial-interior", _ops_for_initial, initial_interior,
-                          trivial_op, ("I2",), "I3", ids)
+    return _check_initial(ctx, "initial-interior", _ops_for_initial, _lift, InitialReport,
+                          ("I2",), "I3", ids)
 
 
 def _check_initial_h(ctx):
     ids = {"top-gap": "initial-h-top", "continuity-gap": "initial-h-continuity"}
-    return _check_initial(ctx, "initial-h", _h_ops_for_initial, initial_h,
-                          trivial_h, ("h1", "h2"), "h3", ids)
+    return _check_initial(ctx, "initial-h", _h_ops_for_initial, _lift_h, HInitialReport,
+                          ("h1", "h2"), "h3", ids)
 
 
 def _coarseness_witness(f, op_m, op_l, at):

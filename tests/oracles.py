@@ -510,6 +510,22 @@ def brute_poset_classes(n):
     return sorted(by_key.items())
 
 
+def brute_downset_order(poset):
+    """The down-sets of poset, smallest first and by bit pattern, as a Poset
+    labelled by their members and built from its all-pairs inclusion matrix."""
+    n = poset.n
+    downs = [m for m in range(1 << n)
+             if all(m >> a & 1 for b in bits(m) for a in range(n) if poset.leq(a, b))]
+    downs.sort(key=lambda m: (bin(m).count("1"), m))
+    labels = ["{" + ",".join(poset.labels[i] for i in bits(m)) + "}" for m in downs]
+    return Poset(labels, [[not mi & ~mj for mj in downs] for mi in downs])
+
+
+def brute_arrows_into(frame):
+    """arrows_into[s], the mask of {x -> s : x in L}, one element at a time."""
+    return tuple(sum({1 << frame.imp(x, s) for x in range(frame.n)}) for s in range(frame.n))
+
+
 def brute_lattice_outcome(poset):
     """("frame", meet table, join table, join-irreducibles, primes) of a
     poset, each meet and join found by scanning all elements for the greatest

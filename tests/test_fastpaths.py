@@ -35,10 +35,26 @@ from localelab.corpus import (
     two,
 )
 from localelab.errors import LocaleLabError, NotAPoset, NotLocalic
-from localelab.hops import HOperator, check_h, initial_h, is_h_continuous, random_h
+from localelab import verify
+from localelab.hops import (
+    HOperator,
+    _lift_h,
+    check_h,
+    discrete_h,
+    initial_h,
+    is_h_continuous,
+    random_h,
+    trivial_h,
+)
 from localelab.interior import (
+    GAP_KINDS,
     InteriorOperator,
+    _axiom_gaps,
+    _closed_draw,
+    _confirmed,
+    _lift,
     check_interior,
+    discrete_op,
     initial_interior,
     is_I_continuous,
     make_continuous_op,
@@ -47,8 +63,9 @@ from localelab.interior import (
     op_le_gap,
     op_meet,
     random_op,
+    trivial_op,
 )
-from localelab.lattice import Frame, Poset, bits, build_frame, frame_of_space
+from localelab.lattice import Frame, Poset, bits, build_frame, downset_frame, frame_of_space
 from localelab.maps import (
     FrameHom,
     check_frame_hom,
@@ -64,11 +81,22 @@ from localelab.sublocales import (
     enumerate_sublocales,
     transfer_of,
 )
+from localelab.verify import (
+    _VALID,
+    CorpusConfig,
+    _Ctx,
+    _exceeds,
+    _h_ops_for_initial,
+    _ops_for_initial,
+    run_verification,
+)
 from oracles import (
     brute_adjunction,
+    brute_arrows_into,
     brute_canonical_key,
     brute_check_frame_hom,
     brute_continuous_table,
+    brute_downset_order,
     brute_frame_homs,
     brute_h_axioms,
     brute_heyting_table,
@@ -212,6 +240,17 @@ def test_from_order_matches_lattice_scan():
             assert got == want, q.up
             outcomes.append(want[0] if want[0] == "frame" else want[0].__name__)
     assert Counter(outcomes) == {"frame": 16, "NoMeetOrJoin": 154, "NotDistributive": 4}
+
+
+def test_downset_frames_match_inclusion_scan():
+    # order rows read off the covers of the down-sets, and arrow masks
+    # gathered while the arrows are found, on every poset up to 5 points
+    for poset in CORPUS5_POSETS:
+        fr, want = downset_frame(poset), brute_downset_order(poset)
+        assert (fr.labels, fr.up, fr.dn) == (want.labels, want.up, want.dn), poset.up
+        assert fr.arrows_into == brute_arrows_into(fr), poset.up
+    for fr in FIXTURES:
+        assert fr.arrows_into == brute_arrows_into(fr)
 
 
 def _relabeled(poset, perm):
@@ -715,12 +754,18 @@ def test_operators_reject_tables_that_are_not_total():
 # -- samplers: same draws, same tables as the O(n^2) loops --------------------------
 
 
+def _kernel_draw(sl, rng):
+    """The draw kernel's point masks read back as a table, as the harness reads them."""
+    return tuple(sl.by_points[p] for p in _closed_draw(sl, rng, [0] * sl.n))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_samplers_match_quadratic_loops(seed):
     for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
-        for sample, lat in ((random_op, sl), (random_h, sl)):
+        for sample in (random_op, random_h, _kernel_draw):
             fast, slow = random.Random(seed), random.Random(seed)
-            assert sample(lat, fast).table == brute_random_table(lat, slow)
+            drawn = sample(sl, fast)
+            assert getattr(drawn, "table", drawn) == brute_random_table(sl, slow)
             assert fast.random() == slow.random()
 
 
@@ -764,24 +809,27 @@ def test_continuous_draw_matches_choice(f, seed):
 
 
 def test_counted_gaps_match_materialized_anomalies():
-    """On every 9th default-run map and every operator the initial checks give
-    it: per kind, the confirmed count, the first confirmed anomaly (what a
-    registry entry keeps as witness) and the unconfirmed anomalies equal
-    those read off the oracle's anomaly dicts."""
-    from localelab.interior import GAP_KINDS
-    from localelab.verify import CorpusConfig, _Ctx, _h_ops_for_initial, _ops_for_initial
-
+    """On every 9th default-run map and every target table the initial checks
+    give it: the lift kernel's (pulled, gaps, passed) are those of the public
+    lift's report, and per kind, the confirmed count, the first confirmed
+    anomaly (what a registry entry keeps as witness) and the unconfirmed
+    anomalies equal those read off the oracle's anomaly dicts."""
     ctx = _Ctx(CorpusConfig())
     lifts = 0
     for idx, f in enumerate(ctx.maps):
         if idx % 9:
             continue
-        for ops_for, initial, brute in ((_ops_for_initial, initial_interior, brute_initial_interior),
-                                        (_h_ops_for_initial, initial_h, brute_initial_h)):
-            for op in ops_for(ctx, f, idx):
+        t = transfer_of(f, ctx.bound)
+        for tables_for, lift, op_type, initial, brute in (
+                (_ops_for_initial, _lift, InteriorOperator, initial_interior, brute_initial_interior),
+                (_h_ops_for_initial, _lift_h, HOperator, initial_h, brute_initial_h)):
+            for table in tables_for(ctx, f, idx):
+                op = op_type(t.target_lattice, table)
                 rep = initial(f, op)
+                pulled, gaps, passed = lift(t, table)
+                assert (rep.transfer, rep.pulled, rep.gaps, rep.passed) == (t, pulled, gaps, passed)
                 anomalies = brute(f, op)[3]
-                for kind, confirmed in zip(GAP_KINDS, rep.confirmed()):
+                for kind, confirmed in zip(GAP_KINDS, _confirmed(t, gaps)):
                     want = [a for a in anomalies if a["kind"] == kind and a["confirmed"]]
                     assert confirmed.bit_count() == len(want)
                     first = next((a for a in rep.anomalies
@@ -790,3 +838,82 @@ def test_counted_gaps_match_materialized_anomalies():
                 assert list(rep.unexplained) == [a for a in anomalies if not a["confirmed"]]
                 lifts += 1
     assert lifts > 2000
+
+
+# -- the axiom checks' mask verdicts against the operator-object path ----------------
+
+
+def _perturbed(sl, vals, rng):
+    """vals with one entry replaced by a random sublocale's point mask."""
+    out = list(vals)
+    out[rng.randrange(sl.n)] = sl.points[rng.randrange(sl.n)]
+    return out
+
+
+def test_axiom_check_masks_match_operator_checks():
+    """On the seed-42 streams of both axiom checks on every corpus-4 frame, and
+    on each draw with one entry overwritten (so that verdicts vary), the mask
+    verdicts equal check_interior / check_h, op_le, op_join and op_meet on
+    the same tables."""
+    ctx = _Ctx(CorpusConfig())
+    k = ctx.config.operator_samples_per_frame
+    failing = Counter()
+    for key, fr in ctx.frames:
+        sl = ctx.sl(fr)
+        pts, zeros, bent = sl.points, [0] * sl.n, random.Random(key)
+        d, t = discrete_op(sl), trivial_op(sl)
+        floor = [pts[v] for v in t.table]
+        rng = ctx.rng("interior-ops", key)
+        prev = None
+        for _ in range(k):
+            drawn = _closed_draw(sl, rng, zeros)
+            for vals in (drawn, _perturbed(sl, drawn, bent)):
+                op = InteriorOperator._of_points(sl, vals)
+                ok = _axiom_gaps(sl, vals) == _VALID
+                assert ok == check_interior(op).ok
+                assert _exceeds(floor, vals) == (not op_le(t, op))
+                assert (not _axiom_gaps(sl, vals)[0]) == op_le(op, d)
+                if prev is not None:
+                    other = InteriorOperator._of_points(sl, prev)
+                    for combine, lattice_op in ((int.__or__, op_join), (int.__and__, op_meet)):
+                        masks = [combine(a, b) for a, b in zip(prev, vals)]
+                        assert (_axiom_gaps(sl, masks) == _VALID) == check_interior(
+                            lattice_op([other, op])).ok
+                failing["interior"] += not ok
+            prev = drawn
+        dh, th = discrete_h(sl), trivial_h(sl)
+        rng = ctx.rng("h-ops", key)
+        for _ in range(min(k, 25)):
+            table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
+            h1 = not _axiom_gaps(sl, [p & pts[v] for p, v in zip(pts, table)])[0]
+            assert h1 == check_h(HOperator(sl, table)).passed["h1"]
+        for _ in range(k):
+            drawn = _closed_draw(sl, rng, zeros)
+            for vals in (drawn, _perturbed(sl, drawn, bent)):
+                h = HOperator._of_points(sl, vals)
+                ok = _axiom_gaps(sl, [p & v for p, v in zip(pts, vals)]) == _VALID
+                assert ok == check_h(h).ok
+                assert _exceeds(floor, vals) == (not op_le(th, h))
+                assert _exceeds(floor, vals) == (op_meet([th, h]).table != th.table)
+                assert _exceeds(vals, pts) == (not op_le(h, dh))
+                failing["h"] += not ok
+    assert failing["interior"] and failing["h"], failing
+
+
+# -- failure paths of the axiom checks: the mask kernel, patched where the check
+# reads it, reports what a valid draw cannot show --------------------------------
+
+
+@pytest.mark.parametrize("cid, broken, line", [
+    ("interior-axioms", lambda gaps: (gaps[0], False, gaps[2]),
+     "generated operator breaks the axioms or bounds on "),
+    ("h-axioms", lambda gaps: (1,) + gaps[1:], "h1 fails on a raw table on "),
+])
+def test_axiom_check_fails_on_a_broken_kernel(monkeypatch, cid, broken, line):
+    real = verify._axiom_gaps
+    monkeypatch.setattr(verify, "_axiom_gaps", lambda sl, vals: broken(real(sl, vals)))
+    report = run_verification(CorpusConfig(
+        max_poset_size=2, operator_samples_per_frame=2, checks=(cid,)))
+    (row,) = report["checks"]
+    assert row["status"] == "fail"
+    assert row["witness"] == {"kind": "static", "lines": [line + "D[1:1]"]}
