@@ -54,8 +54,10 @@ class Poset:
 
     def _set_rows(self, labels, up):
         # up[i] = bitmask of {j : i <= j}, dn[j] = bitmask of {i : i <= j}
-        self.labels, self.n, self.up = labels, len(labels), tuple(up)
-        n, up, dn = self.n, self.up, [0] * self.n
+        self.labels = labels
+        self.n = n = len(labels)
+        self.up = up = tuple(up)
+        dn = [0] * n
         for i, r in enumerate(up):
             for j in bits(r):
                 dn[j] |= 1 << i
