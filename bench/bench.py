@@ -39,7 +39,15 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the median over five passes of the interior-axioms and h-axioms checks
   of default `verify` (`interior_axioms_s`, `h_axioms_s`): each one's work
   over its 100 draws per corpus frame (2,400 draws), with the named
-  operators and, for h, the raw tables included.
+  operators and, for h, the raw tables included;
+- on trees with the lane-packed kernels, the median over five passes of
+  those kernels as the initial checks run them, one batch per map:
+  `batched_draws_s` builds initial-interior's batches (the discrete and
+  trivial tables and ten draws per map, 1,135 draw kernel calls),
+  `batched_draws_h_s` those of initial-h (six draws per map), and
+  `batched_lift_s` and `batched_lift_h_s` lift the prebuilt batches
+  through each map's transfer (13,620 and 9,080 tables), next to the
+  one-lane public lifts above.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -166,6 +174,7 @@ def kernel_timings():
 def operator_timings():
     from localelab.hops import HOperator, initial_h, random_h
     from localelab.interior import InteriorOperator, initial_interior, random_op
+    from localelab.sublocales import transfer_of
     from localelab.verify import (
         CHECKS,
         CorpusConfig,
@@ -191,17 +200,24 @@ def operator_timings():
             random_h(sl, rng)
 
     def lifts(tables_for, op_type):
-        # x is a table, or an operator on trees up to e01c1f9, whose
-        # tables_for returned operators
-        return [(f, op_type(ctx.sl(f.target), getattr(x, "table", x)))
-                for idx, f in maps for x in tables_for(ctx, f, idx)]
+        # tables_for gives batches of lanes, lists of tables up to 4bca6c0,
+        # and operators up to e01c1f9
+        def tables(idx, f):
+            for x in tables_for(ctx, f, idx):
+                if hasattr(x, "lanes"):
+                    by_points = ctx.sl(f.target).by_points
+                    yield from ([by_points[p] for p in x.lane(j)] for j in range(x.lanes))
+                else:
+                    yield getattr(x, "table", x)
+
+        return [(f, op_type(ctx.sl(f.target), table)) for idx, f in maps for table in tables(idx, f)]
 
     def check(cid):
         CHECKS[cid](ctx)
 
     interior_lifts = lifts(_ops_for_initial, InteriorOperator)
     h_lifts = lifts(_h_ops_for_initial, HOperator)
-    return {
+    out = {
         "maps": len(maps),
         "random_op_draws": len(draws) * samples,
         "random_op_s": _median_time(draw, draws),
@@ -215,6 +231,29 @@ def operator_timings():
         "interior_axioms_s": _median_time(check, [("interior-axioms",)]),
         "h_axioms_s": _median_time(check, [("h-axioms",)]),
     }
+    try:
+        from localelab.hops import _lift_h
+        from localelab.interior import _lift
+        from localelab.interior import _Batch  # noqa: F401  (lane-packed kernels)
+    except ImportError:
+        return out
+    transfers = [(idx, f, transfer_of(f, ctx.bound)) for idx, f in maps]
+
+    def batches(tables_for):
+        for idx, f, _ in transfers:
+            list(tables_for(ctx, f, idx))
+
+    def batched_lifts(tables_for, lift):
+        items = [(t, b.masks, b.ones) for idx, f, t in transfers for b in tables_for(ctx, f, idx)]
+        return _median_time(lift, items)
+
+    out.update({
+        "batched_draws_s": _median_time(batches, [(_ops_for_initial,)]),
+        "batched_draws_h_s": _median_time(batches, [(_h_ops_for_initial,)]),
+        "batched_lift_s": batched_lifts(_ops_for_initial, _lift),
+        "batched_lift_h_s": batched_lifts(_h_ops_for_initial, _lift_h),
+    })
+    return out
 
 
 def main(argv=None):

@@ -138,8 +138,9 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
-    times = {}
-    report = run_verification(config, lambda row, seconds: _print_progress(row, seconds, times))
+    times, kernels = {}, {}
+    report = run_verification(
+        config, lambda row, seconds: _print_progress(row, seconds, times), kernels)
     for row in report["checks"]:
         print(f"{row['status']:4s}  {row['id']}")
     confirmed = sum(1 for e in report["registry"] if e["status"] == "confirmed")
@@ -148,11 +149,12 @@ def cmd_verify(args) -> int:
     if args.report:
         save_json(args.report, report)
         print(f"wrote {args.report}")
-    if args.profile:  # wall time per check and the counters of the run's caches
+    if args.profile:  # wall time per check, the run's cache and operator-kernel counters
         caches = (_poset_classes, corpus_frames, _enumerate, _transfer_cached,
                   complemented_fragment)
         save_json(args.profile, {"check_seconds": times, "caches": {
-            fn.__name__: fn.cache_info()._asdict() for fn in caches}})
+            fn.__name__: fn.cache_info()._asdict() for fn in caches},
+            "operator_kernels": kernels})
     failed = any(r["status"] == "fail" for r in report["checks"])
     return 1 if (failed or report["unexplained"]) else 0
 
@@ -203,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--checks", help="comma-separated check ids (default: all)")
     p.add_argument("--report", help="write the full report JSON here")
-    p.add_argument("--profile", help="write per-check wall times and cache counters here")
+    p.add_argument("--profile", help="write per-check wall times, cache and operator-kernel "
+                   "counters here")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("replay", help="re-execute a recorded failure as a trace")

@@ -28,6 +28,7 @@ from .interior import (
     _axioms,
     _closed_draw,
     _continuity_gaps,
+    _preimages,
     _target_transfer,
     _universal_report,
     check_composition,
@@ -137,7 +138,7 @@ class HInitialReport(InitialReport):
     """The InitialReport of initial_h: the axioms and continuity are those of
     the cores, and the candidate is an HOperator."""
 
-    _OPERATOR, _AXIOMS, _VACUOUS = HOperator, _H_AXIOMS, ("h1",)
+    _OPERATOR, _AXIOMS, _VACUOUS, _FIRST = HOperator, _H_AXIOMS, ("h1",), True
 
     def _checked(self) -> tuple:
         t, hp = self.transfer, self.pulled
@@ -157,20 +158,20 @@ def initial_h(f: LocalicMap, h_m: HOperator) -> HInitialReport:
     gaps as the interior case; only the first continuity gap is kept.
     """
     t = _target_transfer(f, h_m)
-    return HInitialReport(t, *_lift_h(t, h_m.table))
+    return HInitialReport._of_lane(t, _lift_h(t, [t.target_lattice.points[v] for v in h_m.table]))
 
 
-def _lift_h(t: SublocaleTransfer, table) -> tuple:
-    """HInitialReport's (pulled, gaps, passed) for the target table lifted through t."""
+def _lift_h(t: SublocaleTransfer, xs, ones=1) -> tuple:
+    """Every lane of the packed target tables xs lifted through t: (pulled,
+    the _axiom_gaps of the induced operator's core, the _continuity_gaps of
+    the cores)."""
     sl, img, pre = t.source_lattice, t.image_table, t.preimage_table
-    sp = sl.points
-    hp = [sp[pre[v]] for v in table]  # f_-1[h_M(T)] for every T
+    sp = [p * ones for p in sl.points]
+    hp = _preimages(t, xs, ones)  # f_-1[h_M(T)] for every T
     core = [p & hp[x] for p, x in zip(sp, img)]
-    contraction, monotone, top_kept = _axiom_gaps(sl, core)
     # preimages are set preimages of points, so f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)]
-    continuity = _continuity_gaps(pre, [sp[k] & q for k, q in zip(pre, hp)], core)
-    gaps = (0, 0 if top_kept else 1 << sl.top, continuity & -continuity)
-    return hp, gaps, {"h1": not contraction, "h2": monotone, "h3": top_kept}
+    return hp, _axiom_gaps(sl, core, ones), _continuity_gaps(
+        pre, [sp[k] & q for k, q in zip(pre, hp)], core)
 
 
 def check_h_universal(

@@ -3,12 +3,14 @@ localic maps, initial operators, and open sublocales.
 
 An interior operator is contractive (I1), monotone (I2), and fixes the top
 (I3). Idempotence is deliberately not an axiom. Operators are plain tables
-over the enumerated sublocale lattice, so every law check is exhaustive.
+over the enumerated sublocale lattice, so every law check is exhaustive. The
+draw, axiom and lift kernels take many tables at once, packed as _lanes says.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import EmptyFamily, HostMismatch
 from .lattice import bits
@@ -66,42 +68,87 @@ class AxiomReport:
         }
 
 
-def _axiom_gaps(sl: SublocaleLattice, vals):
-    """(contraction gap mask, monotone, top kept) of the table whose entry i
-    has point mask vals[i]. One pass over lower covers: the order is
-    generated by its cover pairs, so monotonicity holds iff it holds on them."""
-    pts = sl.points
-    gaps, monotone, bit = 0, True, 1
-    for p, v, covers in zip(pts, vals, sl.lower_covers):
-        if v & ~p:
-            gaps |= bit
-        bit <<= 1
+def _lanes(count: int, width: int) -> tuple:
+    """(ones, fill, guard) of count lanes of width bits: bit 0 of each lane,
+    the bits below each guard bit, and the guard bits.
+
+    A batch of tables is a list whose entry i packs table j's point mask of
+    entry i into lane j, bits j * width up. width exceeds the hosts' sizes,
+    so each lane's top bit is a guard bit that stays zero, and (x + fill) &
+    guard has the guard bit set in each nonzero lane of x. With one lane, a
+    batch is a table's list of point masks."""
+    ones = ((1 << count * width) - 1) // ((1 << width) - 1)
+    guard = ones << width - 1
+    return ones, guard - ones, guard
+
+
+class _Batch(NamedTuple):
+    """`lanes` tables packed into `masks`, `width` bits a lane, with the
+    (ones, fill, guard) of that layout."""
+
+    masks: list
+    lanes: int
+    width: int
+    ones: int
+    fill: int
+    guard: int
+
+    @classmethod
+    def of(cls, masks, lanes: int, width: int) -> "_Batch":
+        return cls(masks, lanes, width, *_lanes(lanes, width))
+
+    def lane(self, j: int) -> list:
+        """Table j's point masks."""
+        return [x >> j * self.width & (1 << self.width) - 1 for x in self.masks]
+
+    def shifted(self, first) -> list:
+        """The masks with each table moved up a lane, the last dropped and
+        the table `first` in lane 0."""
+        return [(x << self.width | p) & self.fill + self.guard for x, p in zip(self.masks, first)]
+
+    def upto(self, guards: int) -> int:
+        """How many lanes there are up to the first whose guard bit is in guards."""
+        return (guards & -guards).bit_length() // self.width
+
+
+def _nonzero(xs) -> int:
+    """The mask of the indices of the nonzero entries of xs."""
+    return sum(1 << i for i, x in enumerate(xs) if x)
+
+
+def _axiom_gaps(sl: SublocaleLattice, vals, ones=1) -> tuple:
+    """(gaps, bad, top) of the packed tables vals, nonzero in the lanes that
+    break I1 at i (gaps[i], the points of vals[i] outside i), I2 (bad) and I3
+    (top). One pass over lower covers: the order is generated by its cover
+    pairs, so monotonicity holds iff it holds on them."""
+    gaps, bad = [], 0
+    for p, v, covers in zip(sl.points, vals, sl.lower_covers):
+        gaps.append(v & ~(p * ones))
         for k in covers:
-            if vals[k] & ~v:
-                monotone = False
-    return gaps, monotone, vals[sl.top] == pts[sl.top]
+            bad |= vals[k] & ~v
+    return gaps, bad, vals[sl.top] ^ sl.points[sl.top] * ones
 
 
 def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()) -> AxiomReport:
-    """The AxiomReport of _axiom_gaps, I1 to I3; a failure of I2 takes an
-    all-pairs scan for the lex-first witness."""
+    """The AxiomReport of a one-lane _axiom_gaps, I1 to I3; a failure of I2
+    takes an all-pairs scan for the lex-first witness."""
     pts, labels, by_points, top = sl.points, sl.labels, sl.by_points, sl.top
-    gaps, monotone, top_kept = _axiom_gaps(sl, vals)
+    gaps, bad, top_gap = _axiom_gaps(sl, vals)
+    i = next((i for i, g in enumerate(gaps) if g), None)
     i1, i2, i3 = names
     witnesses = {}
-    if gaps:
-        i = (gaps & -gaps).bit_length() - 1
+    if i is not None:
         witnesses[i1] = (labels[i], labels[by_points[vals[i]]])
-    if not monotone:
+    if bad:
         witnesses[i2] = next(
             (labels[i], labels[j])
             for i in range(sl.n)
             for j in range(sl.n)
             if not pts[i] & ~pts[j] and vals[i] & ~vals[j]
         )
-    if not top_kept:
+    if top_gap:
         witnesses[i3] = (labels[by_points[vals[top]]],)
-    return AxiomReport({i1: not gaps, i2: monotone, i3: top_kept}, witnesses, vacuous)
+    return AxiomReport({i1: i is None, i2: not bad, i3: not top_gap}, witnesses, vacuous)
 
 
 def check_interior(op: InteriorOperator) -> AxiomReport:
@@ -177,26 +224,29 @@ def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
     return InteriorOperator._of_points(sl, _closed_draw(sl, rng, [0] * sl.n))
 
 
-def _closed_draw(sl: SublocaleLattice, rng, base) -> list:
-    """Point masks, entry i the join of base[j] | seed[j] over j <= i, the top forced.
+def _closed_draw(sl: SublocaleLattice, rng, base, ones=1, shifts=(0,)) -> list:
+    """A batch: base with a draw into the lane at each shift, entry i the join
+    of base[j] | seed[j] over j <= i, the top forced in every lane of ones.
 
-    base holds point masks. seed[j] is drawn from sl.draws[j] exactly as
-    rng.choice draws (CPython's _randbelow: k = n.bit_length() bits, with
-    rejection), so stream and tables are those of that call. The closure is
-    folded into the same pass over lower covers: index order is a linear
-    extension, so each lower cover of j, and all below it, is final before j.
+    seed[j] is drawn from sl.draws[j] exactly as rng.choice draws (CPython's
+    _randbelow: k = n.bit_length() bits, with rejection), a draw over all
+    indices before the next, so stream and tables are those of one call per
+    lane. The closure then runs once for all lanes over lower covers: index
+    order is a linear extension, so each lower cover of i is final before i.
     """
-    getrandbits = rng.getrandbits
-    acc = []
-    for p, (below, n, k, covers) in zip(base, sl.draws):
-        r = getrandbits(k)
-        while r >= n:
+    getrandbits, acc = rng.getrandbits, list(base)
+    for shift in shifts:
+        for i, (below, n, k) in enumerate(sl.draws):
             r = getrandbits(k)
-        p |= below[r]
+            while r >= n:
+                r = getrandbits(k)
+            acc[i] |= below[r] << shift
+    for i, covers in enumerate(sl.lower_covers):
+        p = acc[i]
         for c in covers:
             p |= acc[c]
-        acc.append(p)
-    acc[sl.top] = sl.points[sl.top]
+        acc[i] = p
+    acc[sl.top] = sl.points[sl.top] * ones
     return acc
 
 
@@ -225,23 +275,18 @@ def _target_transfer(f: LocalicMap, op_m: InteriorOperator, op_l=None) -> Subloc
     return transfer_of(f, op_m.lattice.bound)
 
 
-def _continuity_gaps(pre, lhs, rhs) -> int:
-    """The mask of every T whose point mask lhs[T] of f_-1[i_M(T)] is not
-    below that of i_L(f_-1[T]), rhs[pre[T]]."""
-    gaps, bit = 0, 1
-    for v, k in zip(lhs, pre):
-        if v & ~rhs[k]:
-            gaps |= bit
-        bit <<= 1
-    return gaps
+def _continuity_gaps(pre, lhs, rhs) -> list:
+    """Per target T, the points of lhs[T] (those of f_-1[i_M(T)]) outside
+    rhs[pre[T]] (those of i_L(f_-1[T])): nonzero in the lanes where
+    continuity fails at T."""
+    return [v & ~rhs[k] for v, k in zip(lhs, pre)]
 
 
 def _continuity(t: SublocaleTransfer, lhs, rhs) -> ContinuityReport:
-    """The ContinuityReport of _continuity_gaps, naming the first gap."""
-    gaps = _continuity_gaps(t.preimage_table, lhs, rhs)
-    if not gaps:
+    """The ContinuityReport of a one-lane _continuity_gaps, naming the first gap."""
+    j = next((j for j, g in enumerate(_continuity_gaps(t.preimage_table, lhs, rhs)) if g), None)
+    if j is None:
         return ContinuityReport(True, len(lhs))
-    j = (gaps & -gaps).bit_length() - 1
     labels, by_points = t.source_lattice.labels, t.source_lattice.by_points
     witness = (t.target_lattice.labels[j], labels[by_points[lhs[j]]],
                labels[by_points[rhs[t.preimage_table[j]]]])
@@ -337,7 +382,18 @@ class InitialReport:
     gaps: tuple
     passed: dict
 
-    _OPERATOR, _AXIOMS, _VACUOUS = InteriorOperator, ("I1", "I2", "I3"), ()
+    # _FIRST: contraction is a law, not a gap kind, and only the first continuity gap is kept
+    _OPERATOR, _AXIOMS, _VACUOUS, _FIRST = InteriorOperator, ("I1", "I2", "I3"), (), False
+
+    @classmethod
+    def _of_lane(cls, t: SublocaleTransfer, lifted) -> "InitialReport":
+        """The report of a one-lane lift (pulled, (gaps, bad, top), continuity gaps)."""
+        pulled, (gaps, bad, top), continuity = lifted
+        contraction, continuity = _nonzero(gaps), _nonzero(continuity)
+        passed = dict(zip(cls._AXIOMS, (not contraction, not bad, not top)))
+        if cls._FIRST:
+            contraction, continuity = 0, continuity & -continuity
+        return cls(t, pulled, (contraction, top and 1 << t.source_lattice.top, continuity), passed)
 
     def _checked(self) -> tuple:
         """(lhs, vals): the axioms check vals, continuity lhs[T] against vals[f_-1[T]]."""
@@ -399,18 +455,32 @@ def initial_interior(f: LocalicMap, op_m: InteriorOperator) -> InitialReport:
     Unconfirmed anomalies would mean an implementation bug.
     """
     t = _target_transfer(f, op_m)
-    return InitialReport(t, *_lift(t, op_m.table))
+    return InitialReport._of_lane(t, _lift(t, [t.target_lattice.points[v] for v in op_m.table]))
 
 
-def _lift(t: SublocaleTransfer, table) -> tuple:
-    """InitialReport's (pulled, gaps, passed) for the target table lifted through t."""
-    sl, pre = t.source_lattice, t.preimage_table
-    sp = sl.points
-    pulled = [sp[pre[v]] for v in table]  # f_-1[i_M(T)] for every T
+def _preimages(t: SublocaleTransfer, xs, ones) -> list:
+    """f_-1 of each entry of the batch xs, all lanes at once: target point q
+    pulls back to its fibre, the source points f sends to q, as
+    ((x >> q) & ones) * fibre."""
+    fibres = {}
+    for p, q in zip(t.map.source.prime_list, t.map.points):
+        fibres[q] = fibres.get(q, 0) | 1 << p
+    fibres, out = fibres.items(), []
+    for x in xs:
+        p = 0
+        for q, fibre in fibres:
+            p |= (x >> q & ones) * fibre
+        out.append(p)
+    return out
+
+
+def _lift(t: SublocaleTransfer, xs, ones=1) -> tuple:
+    """Every lane of the packed target tables xs lifted through t: (pulled,
+    the _axiom_gaps of the induced operator, its _continuity_gaps)."""
+    pulled = _preimages(t, xs, ones)  # f_-1[i_M(T)] for every T
     vals = [pulled[x] for x in t.image_table]
-    contraction, monotone, top_kept = _axiom_gaps(sl, vals)
-    gaps = (contraction, 0 if top_kept else 1 << sl.top, _continuity_gaps(pre, pulled, vals))
-    return pulled, gaps, {"I1": not contraction, "I2": monotone, "I3": top_kept}
+    return pulled, _axiom_gaps(t.source_lattice, vals, ones), _continuity_gaps(
+        t.preimage_table, pulled, vals)
 
 
 def _confirmed(t: SublocaleTransfer, gaps) -> tuple:

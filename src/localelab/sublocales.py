@@ -223,12 +223,12 @@ class SublocaleLattice:
 
     @cached_property
     def draws(self) -> tuple:
-        """draws[i]: (below, n, k, covers), where below holds the point masks
-        of every j <= i, increasing (contractive seeds are drawn there), n is
-        their count, k = n.bit_length() and covers are i's lower covers."""
+        """draws[i]: (below, n, k), where below holds the point masks of every
+        j <= i, increasing (contractive seeds are drawn there), n is their
+        count and k = n.bit_length()."""
         pts = self.points
         below = [tuple(q for q in pts if not q & ~p) for p in pts]
-        return tuple((b, len(b), len(b).bit_length(), c) for b, c in zip(below, self.lower_covers))
+        return tuple((b, len(b), len(b).bit_length()) for b in below)
 
     def sub(self, i: int) -> Sublocale:
         return Sublocale(self.host, self.masks[i])

@@ -35,8 +35,10 @@ from .interior import (
     InitialReport,
     InteriorOperator,
     _axiom_gaps,
+    _Batch,
     _closed_draw,
     _confirmed,
+    _lanes,
     _lift,
     check_composition,
     check_interior,
@@ -259,9 +261,13 @@ def _static_witnesses():
 
 # -- context --------------------------------------------------------------------
 
+# Tables per batch of the operator kernels. A fixed bound keeps the packed ints
+# short, so that the work grows linearly with the number of draws.
+LANES = 16
+
 
 class _Ctx:
-    def __init__(self, config: CorpusConfig):
+    def __init__(self, config: CorpusConfig, kernels=None):
         self.config = config
         # the S_l bound, read once, admits the frames that maps run between;
         # every lattice and transfer of the run is built under `bound`, which
@@ -292,6 +298,9 @@ class _Ctx:
             e["occurrences"] = 0
             self.registry[e["id"]] = e
         self._maps = None
+        # operator-kernel counters for the profile sidecar, never in the report
+        self.kernels = {} if kernels is None else kernels
+        self.kernels.update(tables_lifted=0, batches=0, widest_batch=0, batches_walked=0)
 
     # run-bound lattice, identical object to what the run's transfers use
     def sl(self, frame):
@@ -299,6 +308,20 @@ class _Ctx:
 
     def rng(self, *tag):
         return random.Random(child_seed(self.config.seed, *tag))
+
+    def batches(self, sl, rng, draws, width, named=False):
+        """Tables on sl as _Batches of at most LANES lanes of width bits: the
+        discrete and trivial tables first when named, then `draws` draws."""
+        base, lanes = (list(sl.points), 2) if named else ([0] * sl.n, 0)
+        while draws or lanes:
+            count = min(LANES - lanes, draws)
+            shifts = range(lanes * width, (lanes + count) * width, width)
+            lanes += count
+            self.kernels["batches"] += 1
+            self.kernels["widest_batch"] = max(self.kernels["widest_batch"], lanes)
+            yield _Batch.of(_closed_draw(sl, rng, base, _lanes(lanes, width)[0], shifts),
+                            lanes, width)
+            draws, base, lanes = draws - count, [0] * sl.n, 0
 
     def reg_hit(self, rid, build_witness=None, hits=1):
         """Count occurrences; the witness payload is built only for the
@@ -511,14 +534,17 @@ def _check_boolean_fragment(ctx):
     return "pass", {"frames": len(ctx.frames)}, None
 
 
-# The axiom checks read each draw, and its join and meet with the previous draw, as
-# point masks: check_interior passes iff _axiom_gaps gives _VALID; op_le(op, discrete) is I1.
-_VALID = (0, True, True)
+# The axiom checks read a batch of draws, and each draw's join and meet with the
+# draw before it, as packed point masks. A lane passes check_interior iff
+# _axiom_gaps is zero in it; it then lies between trivial (by I3) and discrete (I1).
 
 
-def _exceeds(lo, hi):
-    """not op_le(a, b) for the tables a and b with point masks lo and hi."""
-    return any(x & ~y for x, y in zip(lo, hi))
+def _invalid(sl, vals, b):
+    """The guard bits of the lanes of vals, laid out as b, that break I1, I2 or I3."""
+    gaps, bad, top = _axiom_gaps(sl, vals, b.ones)
+    for g in gaps:
+        bad |= g
+    return (bad | top) + b.fill & b.guard
 
 
 def _check_interior_axioms(ctx):
@@ -531,22 +557,22 @@ def _check_interior_axioms(ctx):
             if not check_interior(op).ok:
                 return "fail", {"generated": generated}, {
                     "kind": "static", "lines": [f"named operator invalid on {key}"]}
-        floor, zeros = [sl.points[v] for v in t.table], [0] * sl.n
-        rng = ctx.rng("interior-ops", key)
-        prev = None
-        for _ in range(k):
-            vals = _closed_draw(sl, rng, zeros)
-            generated += 1
-            if _axiom_gaps(sl, vals) != _VALID or _exceeds(floor, vals):
-                return "fail", {"generated": generated}, {
-                    "kind": "static",
-                    "lines": [f"generated operator breaks the axioms or bounds on {key}"]}
-            if prev is not None and (
-                    _axiom_gaps(sl, [a | b for a, b in zip(prev, vals)]),
-                    _axiom_gaps(sl, [a & b for a, b in zip(prev, vals)])) != (_VALID, _VALID):
-                return "fail", {"generated": generated}, {
-                    "kind": "static", "lines": [f"operator lattice op invalid on {key}"]}
-            prev = vals
+        prev = None  # the previous batch's last draw
+        for b in ctx.batches(sl, ctx.rng("interior-ops", key), k, fr.n + 1):
+            own = _invalid(sl, b.masks, b)
+            # lane j of before is draw j - 1: a batch's first draw pairs with the
+            # previous batch's last, and the frame's first with itself
+            before = b.shifted(prev or b.lane(0))
+            pairs = (_invalid(sl, [x | y for x, y in zip(before, b.masks)], b)
+                     | _invalid(sl, [x & y for x, y in zip(before, b.masks)], b))
+            if own | pairs:
+                j = b.upto(own | pairs)
+                line = ("generated operator breaks the axioms or bounds on"
+                        if b.upto(own) == j else "operator lattice op invalid on")
+                return "fail", {"generated": generated + j}, {
+                    "kind": "static", "lines": [f"{line} {key}"]}
+            generated += b.lanes
+            prev = b.lane(b.lanes - 1)
     ctx.counts["operators"] += generated
     return "pass", {"generated": generated, "per_frame": k}, None
 
@@ -567,18 +593,18 @@ def _check_h_axioms(ctx):
         for _ in range(min(k, 25)):
             table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
             raw_tables += 1
-            if _axiom_gaps(sl, [p & pts[v] for p, v in zip(pts, table)])[0]:
+            if any(_axiom_gaps(sl, [p & pts[v] for p, v in zip(pts, table)])[0]):
                 return "fail", {"raw_tables": raw_tables}, {
                     "kind": "static", "lines": [f"h1 fails on a raw table on {key}"]}
+        # a draw is an interior operator, so trivial <= h <= discrete, and
         # trivial <= h is also trivial being the meet floor: t ^ h = t
-        floor, zeros = [pts[v] for v in t.table], [0] * sl.n
-        for _ in range(k):
-            vals = _closed_draw(sl, rng, zeros)
-            generated += 1
-            if (_axiom_gaps(sl, [p & v for p, v in zip(pts, vals)]) != _VALID
-                    or _exceeds(floor, vals) or _exceeds(vals, pts)):
-                return "fail", {"generated": generated}, {
+        for b in ctx.batches(sl, rng, k, fr.n + 1):
+            bad = _invalid(sl, b.masks, b) | _invalid(
+                sl, [p * b.ones & v for p, v in zip(pts, b.masks)], b)
+            if bad:
+                return "fail", {"generated": generated + b.upto(bad)}, {
                     "kind": "static", "lines": [f"generated h operator invalid on {key}"]}
+            generated += b.lanes
         # the constant-top table is a valid h operator strictly above discrete
         const_top = HOperator(sl, (sl.top,) * sl.n)
         if check_h(const_top).ok and op_le(d, const_top) and not op_le(const_top, d):
@@ -691,23 +717,22 @@ def _check_composition_h(ctx):
     return _check_composition(ctx, h_from_interior, check_h_composition)
 
 
-def _initial_tables(ctx, f, tag, idx, draws):
-    """Tables of the discrete and trivial operators on f's target, then of `draws` draws."""
-    slm = ctx.sl(f.target)
-    rng, zeros, by_points = ctx.rng(tag, idx), [0] * slm.n, slm.by_points
-    return [discrete_op(slm).table, trivial_op(slm).table] + [
-        [by_points[p] for p in _closed_draw(slm, rng, zeros)] for _ in range(draws)]
+def _initial_batches(ctx, f, tag, idx, draws):
+    """Batches of the discrete and trivial tables on f's target, then of
+    `draws` draws, in lanes wide enough for the point masks of both hosts."""
+    return ctx.batches(ctx.sl(f.target), ctx.rng(tag, idx), draws,
+                       max(f.source.n, f.target.n) + 1, named=True)
 
 
 def _ops_for_initial(ctx, f, idx):
     k = ctx.config.operator_samples_per_frame
-    return _initial_tables(ctx, f, "initial-ops", idx, min(10, k))
+    return _initial_batches(ctx, f, "initial-ops", idx, min(10, k))
 
 
 def _h_ops_for_initial(ctx, f, idx):
     # one more than the h samples: an interior draw read as h is a random_h draw
     k = ctx.config.operator_samples_per_frame
-    return _initial_tables(ctx, f, "initial-h-ops", idx, min(5, k) + 1 if k else 0)
+    return _initial_batches(ctx, f, "initial-h-ops", idx, min(5, k) + 1 if k else 0)
 
 
 def _anomaly_witness(f, op, anomaly):
@@ -719,48 +744,86 @@ def _anomaly_witness(f, op, anomaly):
     }
 
 
+def _tally(gaps, confirmed, first, b):
+    """(confirmed (lane, index) gaps in gaps, guard bits of the lanes with an
+    unconfirmed one): confirmed masks the confirmed indices, first keeps each
+    lane's first gap only, and b gives the layout."""
+    hits = loose = seen = 0
+    for i, g in enumerate(gaps):
+        if g:
+            g = (g + b.fill) & b.guard & ~seen
+            if first:
+                seen |= g
+            if confirmed >> i & 1:
+                hits += g.bit_count()
+            else:
+                loose |= g
+    return hits, loose
+
+
 def _check_initial(ctx, cid, tables_for, lift, report, holds, top, ids):
-    """lift through every map's transfer of every target table tables_for gives.
+    """lift through every map's transfer of the batches tables_for gives.
 
     The axioms in holds must hold for every induced operator, and top must
     hold when f[L] = M; ids maps each anomaly kind to its registry entry, and
     the "top-gap" entry also records the mandated TWO -> CHAIN3 trivial
-    counterexample. The operator and its report (of class report) are built
-    only for unconfirmed gaps and for a registry entry's first witness.
+    counterexample. A batch adds its confirmed (lane, index) gaps to the
+    tallies. One that holds a failure, an unconfirmed gap or a registry
+    entry's first witness is walked: split into one-lane batches, in table
+    order, whose operators and reports (of class report) are built on demand.
     """
     checked = 0
     tallies = dict.fromkeys(ids, 0)
     for idx, f in enumerate(ctx.maps):
         t = transfer_of(f, ctx.bound)
-        surj = t.image_table[t.source_lattice.top] == t.target_lattice.top
-        for table in tables_for(ctx, f, idx):
-            pulled, gaps, passed = lift(t, table)
-            checked += 1
-            if not all([passed[a] for a in holds]):
+        tl = t.target_lattice
+        surj = t.image_table[t.source_lattice.top] == tl.top
+        unit, counit = t.adjunction_gaps
+        todo = list(tables_for(ctx, f, idx))[::-1]
+        while todo:
+            b = todo.pop()
+            lifted = lift(t, b.masks, b.ones)
+            (gaps, bad, top_gap), continuity = lifted[1:]
+            found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top_gap], not surj, False),
+                     "continuity-gap": (continuity, counit, report._FIRST)}
+            hits = {kind: _tally(*found[kind], b) for kind in ids}
+            failed = any(dict(zip(report._AXIOMS, (any(gaps), bad, top_gap)))[a] for a in holds)
+            if b.lanes > 1 and (failed or surj and top_gap or any(
+                    loose or n and ctx.registry[ids[kind]]["witness"] is None
+                    for kind, (n, loose) in hits.items())):
+                ctx.kernels["batches_walked"] += 1
+                todo += [_Batch.of(b.lane(j), 1, b.width) for j in reversed(range(b.lanes))]
+                continue
+            checked += b.lanes
+            ctx.kernels["tables_lifted"] += b.lanes
+            if failed:
                 return "fail", {"checked": checked}, {
                     "kind": "static",
                     "lines": [f"{' or '.join(holds)} fails for an induced operator "
                               f"on {f.describe()}"]}
-            if surj and not passed[top]:
+            if surj and top_gap:
                 return "fail", {"checked": checked}, {
                     "kind": "static",
                     "lines": [f"{top} fails despite f[L] = M for {f.describe()}"]}
-            confirmed = _confirmed(t, gaps)
-            if confirmed != gaps:
-                op = report._OPERATOR(t.target_lattice, table)
-                for a in report(t, pulled, gaps, passed).unexplained:
-                    ctx.report_unexplained(cid, _anomaly_witness(f, op, a))
-            for kind, hits in zip(GAP_KINDS, confirmed):
-                if hits:
-                    n = hits.bit_count()
+
+            def witnesses(confirmed):
+                """The anomaly witnesses of a one-lane batch, confirmed or not."""
+                op = report._OPERATOR(tl, [tl.by_points[p] for p in b.masks])
+                return [_anomaly_witness(f, op, a) for a in report._of_lane(t, lifted).anomalies
+                        if a["confirmed"] == confirmed]
+
+            if any(loose for _, loose in hits.values()):
+                for w in witnesses(False):
+                    ctx.report_unexplained(cid, w)
+            for kind, (n, _) in hits.items():
+                if n:
                     tallies[kind] += n
-                    ctx.reg_hit(ids[kind], lambda: _anomaly_witness(
-                        f, report._OPERATOR(t.target_lattice, table),
-                        next(a for a in report(t, pulled, gaps, passed).anomalies
-                             if a["kind"] == kind and a["confirmed"])), n)
+                    ctx.reg_hit(ids[kind], lambda: next(
+                        w for w in witnesses(True) if w["anomaly"]["kind"] == kind), n)
     f_up = localic_map(two(), chain3(), (0, 2))
     t = transfer_of(f_up, ctx.bound)
-    mandated_failed = not lift(t, trivial_op(t.target_lattice).table)[2][top]
+    tl = t.target_lattice
+    mandated_failed = bool(lift(t, [tl.points[v] for v in trivial_op(tl).table])[1][2])
     if mandated_failed:
         ctx.reg_hit(ids["top-gap"])
     detail = {"checked": checked, "tallies": tallies,
@@ -967,10 +1030,11 @@ CHECK_ORDER = (
 CHECKS = dict(CHECK_ORDER)
 
 
-def run_verification(config: CorpusConfig, progress=None) -> dict:
+def run_verification(config: CorpusConfig, progress=None, kernels=None) -> dict:
     """Run the selected checks; progress(row, seconds), when given, is called
-    as each check finishes, with its report row and its wall time."""
-    ctx = _Ctx(config)
+    as each check finishes, with its report row and its wall time, and the
+    dict kernels, when given, receives the operator-kernel counters."""
+    ctx = _Ctx(config, kernels)
     rows = []
     for cid in config.selected():
         start = time.perf_counter()

@@ -262,6 +262,14 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     # one class list per size up to --max-poset, one corpus per size asked for
     assert profile["caches"]["_poset_classes"]["currsize"] >= 3
     assert profile["caches"]["corpus_frames"]["currsize"] >= 1
+    # both initial checks lift 2 + 10 and 2 + 6 tables per map, one batch per map
+    kernels = profile["operator_kernels"]
+    assert sorted(kernels) == ["batches", "batches_walked", "tables_lifted", "widest_batch"]
+    maps = json.loads(open(plain).read())["counts"]["maps"]
+    assert kernels["tables_lifted"] == 20 * maps
+    assert kernels["batches"] == 2 * maps
+    assert kernels["widest_batch"] == 12
+    assert 0 < kernels["batches_walked"] < kernels["batches"]
 
 
 def test_verify_progress_lines_go_to_stderr_only(files, capsys):

@@ -37,6 +37,7 @@ from localelab.corpus import (
 from localelab.errors import LocaleLabError, NotAPoset, NotLocalic
 from localelab import verify
 from localelab.hops import (
+    HInitialReport,
     HOperator,
     _lift_h,
     check_h,
@@ -48,10 +49,13 @@ from localelab.hops import (
 )
 from localelab.interior import (
     GAP_KINDS,
+    InitialReport,
     InteriorOperator,
+    _Batch,
     _axiom_gaps,
     _closed_draw,
     _confirmed,
+    _lanes,
     _lift,
     check_interior,
     discrete_op,
@@ -82,11 +86,11 @@ from localelab.sublocales import (
     transfer_of,
 )
 from localelab.verify import (
-    _VALID,
+    LANES,
     CorpusConfig,
     _Ctx,
-    _exceeds,
     _h_ops_for_initial,
+    _invalid,
     _ops_for_initial,
     run_verification,
 )
@@ -162,7 +166,7 @@ def test_sublocale_lattice_matches_subset_scan():
             assert sl.label(i) == sl.sub(i).label()
             below = sorted(j for j in range(sl.n) if not sl.masks[j] & ~sl.masks[i])
             seeds = tuple(sl.points[j] for j in below)
-            assert sl.draws[i] == (seeds, len(seeds), len(seeds).bit_length(), sl.lower_covers[i])
+            assert sl.draws[i] == (seeds, len(seeds), len(seeds).bit_length())
             for j in range(sl.n):
                 assert sl.le(i, j) == (not sl.masks[i] & ~sl.masks[j])
                 assert sl.masks[sl.meet(i, j)] == sl.masks[i] & sl.masks[j]
@@ -805,42 +809,127 @@ def test_continuous_draw_matches_choice(f, seed):
     assert fast.getrandbits(64) == slow.getrandbits(64)
 
 
-# -- counted lift anomalies against materialized ones ---------------------------------
+# -- lane-packed kernels against their one-lane case and the oracles ------------------
+
+
+def _pack(lanes, width):
+    """Tables of point masks packed side by side, table j at bit j * width."""
+    return [sum(v << j * width for j, v in enumerate(vs)) for vs in zip(*lanes)]
+
+
+def _lane(x, j, width):
+    return x >> j * width & (1 << width) - 1
+
+
+def _lane_of_lift(lifted, j, width):
+    """Lane j of a batched lift, laid out as a one-lane lift."""
+    pulled, (gaps, bad, top), cont = lifted
+
+    def lane(xs):
+        return [_lane(x, j, width) for x in xs]
+
+    return lane(pulled), (lane(gaps), _lane(bad, j, width), _lane(top, j, width)), lane(cont)
 
 
 def test_counted_gaps_match_materialized_anomalies():
-    """On every 9th default-run map and every target table the initial checks
-    give it: the lift kernel's (pulled, gaps, passed) are those of the public
-    lift's report, and per kind, the confirmed count, the first confirmed
-    anomaly (what a registry entry keeps as witness) and the unconfirmed
-    anomalies equal those read off the oracle's anomaly dicts."""
+    """On every default-run map and every table both initial checks give it:
+    each lane of the batched lift equals the lift of that lane's table alone;
+    the report built from it has the (pulled, gaps, passed) of the public
+    initial_interior/initial_h report and the oracle's axiom verdicts and gap
+    masks; and per kind, the confirmed count, the first confirmed anomaly
+    (what a registry entry keeps as witness) and the unconfirmed anomalies
+    equal those read off the oracle's anomaly dicts."""
     ctx = _Ctx(CorpusConfig())
     lifts = 0
     for idx, f in enumerate(ctx.maps):
-        if idx % 9:
-            continue
         t = transfer_of(f, ctx.bound)
-        for tables_for, lift, op_type, initial, brute in (
-                (_ops_for_initial, _lift, InteriorOperator, initial_interior, brute_initial_interior),
-                (_h_ops_for_initial, _lift_h, HOperator, initial_h, brute_initial_h)):
-            for table in tables_for(ctx, f, idx):
-                op = op_type(t.target_lattice, table)
-                rep = initial(f, op)
-                pulled, gaps, passed = lift(t, table)
-                assert (rep.transfer, rep.pulled, rep.gaps, rep.passed) == (t, pulled, gaps, passed)
-                anomalies = brute(f, op)[3]
-                for kind, confirmed in zip(GAP_KINDS, _confirmed(t, gaps)):
-                    want = [a for a in anomalies if a["kind"] == kind and a["confirmed"]]
-                    assert confirmed.bit_count() == len(want)
-                    first = next((a for a in rep.anomalies
-                                  if a["kind"] == kind and a["confirmed"]), None)
-                    assert first == (want[0] if want else None)
-                assert list(rep.unexplained) == [a for a in anomalies if not a["confirmed"]]
-                lifts += 1
-    assert lifts > 2000
+        tl = t.target_lattice
+        for tables_for, lift, report, initial, brute in (
+                (_ops_for_initial, _lift, InitialReport, initial_interior, brute_initial_interior),
+                (_h_ops_for_initial, _lift_h, HInitialReport, initial_h, brute_initial_h)):
+            for b in tables_for(ctx, f, idx):
+                batched = lift(t, b.masks, _lanes(b.lanes, b.width)[0])
+                for j in range(b.lanes):
+                    lane = b.lane(j)
+                    one = lift(t, lane)
+                    assert _lane_of_lift(batched, j, b.width) == one
+                    op = report._OPERATOR(tl, [tl.by_points[p] for p in lane])
+                    rep, mine = initial(f, op), report._of_lane(t, one)
+                    assert (rep.transfer, rep.pulled, rep.gaps, rep.passed) == (
+                        t, mine.pulled, mine.gaps, mine.passed)
+                    lifts += 1
+                    axioms, anomalies = brute(f, op)[1::2]
+                    assert (rep.passed, rep.gaps) == (axioms.passed, _gap_masks(f, anomalies))
+                    for kind, confirmed in zip(GAP_KINDS, _confirmed(t, rep.gaps)):
+                        want = [a for a in anomalies if a["kind"] == kind and a["confirmed"]]
+                        assert confirmed.bit_count() == len(want)
+                        first = next((a for a in rep.anomalies
+                                      if a["kind"] == kind and a["confirmed"]), None)
+                        assert first == (want[0] if want else None)
+                    assert list(rep.unexplained) == [a for a in anomalies if not a["confirmed"]]
+    assert lifts == 1135 * 20
 
 
-# -- the axiom checks' mask verdicts against the operator-object path ----------------
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_draws_are_one_lane_draws(seed):
+    """Drawn in batches of at most LANES lanes, count draws are the draws of
+    count one-lane calls, and leave the rng where those calls leave it; named
+    batches lead with the discrete and trivial tables."""
+    ctx = _Ctx(CorpusConfig())
+    for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
+        width = sl.host.n + 1
+        for count, named in ((1, False), (5, True), (LANES, False), (2 * LANES + 3, True)):
+            fast, slow = random.Random(seed), random.Random(seed)
+            batches = list(ctx.batches(sl, fast, count, width, named))
+            lanes = [b.lane(j) for b in batches for j in range(b.lanes)]
+            want = [_closed_draw(sl, slow, [0] * sl.n) for _ in range(count)]
+            if named:
+                want = [list(sl.points), [sl.points[v] for v in trivial_op(sl).table]] + want
+            assert lanes == want
+            assert [b.lanes for b in batches[:-1]] == [LANES] * (len(batches) - 1)
+            assert 0 < batches[-1].lanes <= LANES
+            assert fast.getrandbits(64) == slow.getrandbits(64)
+
+
+def _edge_maps():
+    """Maps between hosts of different sizes either way, and of equal size."""
+    for a, b in ((two(), chain4()), (chain4(), two()), (square(), chain3()),
+                 (frame_of_space(sierpinski()), square()), (TRIVIAL, two())):
+        for table in enumerate_frame_homs(a, b):
+            yield right_adjoint(a, b, table)
+
+
+EDGE_MAPS = list(_edge_maps())
+
+
+@pytest.mark.parametrize("k", range(len(EDGE_MAPS)),
+                         ids=[f"{f.source.n}-to-{f.target.n}-{k}" for k, f in enumerate(EDGE_MAPS)])
+def test_lane_packing_edge_cases(k):
+    """Lanes as wide as the larger host, a lane of full masks (every bit below
+    the guard bit set), and batches of one lane: each lane of the batched
+    lifts is the lift of its table alone, no guard bit is ever set, and the
+    guard count of every packed gap counts the lanes where it is nonzero."""
+    f = EDGE_MAPS[k]
+    t = transfer_of(f)
+    tl = t.target_lattice
+    width = max(f.source.n, f.target.n) + 1
+    full = [f.target.full_mask] * tl.n
+    rng = random.Random(k)
+    drawn = [_closed_draw(tl, rng, [0] * tl.n) for _ in range(3)]
+    for lanes in ([full], [drawn[0]], [full, list(tl.points), full] + drawn):
+        ones, fill, guard = _lanes(len(lanes), width)
+        assert (ones, guard) == (sum(1 << j * width for j in range(len(lanes))), ones << width - 1)
+        for lift in (_lift, _lift_h):
+            pulled, (gaps, bad, top), cont = batched = lift(t, _pack(lanes, width), ones)
+            ones_lane = [lift(t, lane) for lane in lanes]
+            assert [_lane_of_lift(batched, j, width) for j in range(len(lanes))] == ones_lane
+            for x in pulled + gaps + cont + [bad, top]:
+                assert not x & guard
+                assert ((x + fill) & guard).bit_count() == sum(
+                    1 for j in range(len(lanes)) if _lane(x, j, width))
+
+
+# -- the axiom checks' lane verdicts against the operator-object path ----------------
 
 
 def _perturbed(sl, vals, rng):
@@ -850,53 +939,73 @@ def _perturbed(sl, vals, rng):
     return out
 
 
+def _verdicts(sl, lanes, width):
+    """The batch of `lanes`, and the guard bits of its lanes that break I1 to
+    I3, and of those that break I1."""
+    b = _Batch.of(_pack(lanes, width), len(lanes), width)
+    i1 = 0
+    for g in _axiom_gaps(sl, b.masks, b.ones)[0]:
+        i1 |= g
+    return b, _invalid(sl, b.masks, b), i1 + b.fill & b.guard
+
+
 def test_axiom_check_masks_match_operator_checks():
-    """On the seed-42 streams of both axiom checks on every corpus-4 frame, and
-    on each draw with one entry overwritten (so that verdicts vary), the mask
-    verdicts equal check_interior / check_h, op_le, op_join and op_meet on
-    the same tables."""
+    """On the seed-42 streams of both axiom checks on every corpus-4 frame,
+    batch by batch, and on each batch with one entry of every lane
+    overwritten (so that verdicts vary), the lane verdicts of the packed masks
+    equal check_interior / check_h, op_le, op_join and op_meet on each lane's
+    table, the joins and meets taken with the draw before; a valid lane lies
+    between the trivial and the discrete operator."""
     ctx = _Ctx(CorpusConfig())
     k = ctx.config.operator_samples_per_frame
     failing = Counter()
     for key, fr in ctx.frames:
         sl = ctx.sl(fr)
-        pts, zeros, bent = sl.points, [0] * sl.n, random.Random(key)
+        pts, bent, width = sl.points, random.Random(key), fr.n + 1
         d, t = discrete_op(sl), trivial_op(sl)
-        floor = [pts[v] for v in t.table]
-        rng = ctx.rng("interior-ops", key)
         prev = None
-        for _ in range(k):
-            drawn = _closed_draw(sl, rng, zeros)
-            for vals in (drawn, _perturbed(sl, drawn, bent)):
-                op = InteriorOperator._of_points(sl, vals)
-                ok = _axiom_gaps(sl, vals) == _VALID
-                assert ok == check_interior(op).ok
-                assert _exceeds(floor, vals) == (not op_le(t, op))
-                assert (not _axiom_gaps(sl, vals)[0]) == op_le(op, d)
-                if prev is not None:
-                    other = InteriorOperator._of_points(sl, prev)
-                    for combine, lattice_op in ((int.__or__, op_join), (int.__and__, op_meet)):
-                        masks = [combine(a, b) for a, b in zip(prev, vals)]
-                        assert (_axiom_gaps(sl, masks) == _VALID) == check_interior(
-                            lattice_op([other, op])).ok
-                failing["interior"] += not ok
-            prev = drawn
+        for b in ctx.batches(sl, ctx.rng("interior-ops", key), k, width):
+            drawn = [b.lane(j) for j in range(b.lanes)]
+            for lanes in (drawn, [_perturbed(sl, vals, bent) for vals in drawn]):
+                _, invalid, i1 = _verdicts(sl, lanes, width)
+                before = [prev or lanes[0]] + lanes[:-1]
+                joins = _verdicts(sl, [[x | y for x, y in zip(a, c)]
+                                       for a, c in zip(before, lanes)], width)[1]
+                meets = _verdicts(sl, [[x & y for x, y in zip(a, c)]
+                                       for a, c in zip(before, lanes)], width)[1]
+                for j, (masks, other) in enumerate(zip(lanes, before)):
+                    bit = 1 << (j + 1) * width - 1
+                    op = InteriorOperator._of_points(sl, masks)
+                    assert (not invalid & bit) == check_interior(op).ok
+                    assert (not i1 & bit) == op_le(op, d)
+                    if not invalid & bit:
+                        assert op_le(t, op)
+                    other = InteriorOperator._of_points(sl, other)
+                    assert (not joins & bit) == check_interior(op_join([other, op])).ok
+                    assert (not meets & bit) == check_interior(op_meet([other, op])).ok
+                    failing["interior"] += bool(invalid & bit)
+            prev = drawn[-1]
         dh, th = discrete_h(sl), trivial_h(sl)
         rng = ctx.rng("h-ops", key)
         for _ in range(min(k, 25)):
             table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
-            h1 = not _axiom_gaps(sl, [p & pts[v] for p, v in zip(pts, table)])[0]
+            h1 = not any(_axiom_gaps(sl, [p & pts[v] for p, v in zip(pts, table)])[0])
             assert h1 == check_h(HOperator(sl, table)).passed["h1"]
-        for _ in range(k):
-            drawn = _closed_draw(sl, rng, zeros)
-            for vals in (drawn, _perturbed(sl, drawn, bent)):
-                h = HOperator._of_points(sl, vals)
-                ok = _axiom_gaps(sl, [p & v for p, v in zip(pts, vals)]) == _VALID
-                assert ok == check_h(h).ok
-                assert _exceeds(floor, vals) == (not op_le(th, h))
-                assert _exceeds(floor, vals) == (op_meet([th, h]).table != th.table)
-                assert _exceeds(vals, pts) == (not op_le(h, dh))
-                failing["h"] += not ok
+        for b in ctx.batches(sl, rng, k, width):
+            drawn = [b.lane(j) for j in range(b.lanes)]
+            for lanes in (drawn, [_perturbed(sl, vals, bent) for vals in drawn]):
+                core = [[p & v for p, v in zip(pts, vals)] for vals in lanes]
+                _, invalid, _ = _verdicts(sl, core, width)
+                _, draw_invalid, i1 = _verdicts(sl, lanes, width)
+                for j, masks in enumerate(lanes):
+                    bit = 1 << (j + 1) * width - 1
+                    h = HOperator._of_points(sl, masks)
+                    assert (not invalid & bit) == check_h(h).ok
+                    assert (not i1 & bit) == op_le(h, dh)
+                    assert (not draw_invalid & bit) == check_interior(h).ok
+                    if not draw_invalid & bit:
+                        assert op_le(th, h) and op_meet([th, h]).table == th.table
+                    failing["h"] += bool(invalid & bit)
     assert failing["interior"] and failing["h"], failing
 
 
@@ -905,15 +1014,44 @@ def test_axiom_check_masks_match_operator_checks():
 
 
 @pytest.mark.parametrize("cid, broken, line", [
-    ("interior-axioms", lambda gaps: (gaps[0], False, gaps[2]),
+    ("interior-axioms", lambda gaps, ones: (gaps[0], ones, gaps[2]),
      "generated operator breaks the axioms or bounds on "),
-    ("h-axioms", lambda gaps: (1,) + gaps[1:], "h1 fails on a raw table on "),
+    ("h-axioms", lambda gaps, ones: ([ones] + gaps[0][1:],) + gaps[1:],
+     "h1 fails on a raw table on "),
 ])
 def test_axiom_check_fails_on_a_broken_kernel(monkeypatch, cid, broken, line):
     real = verify._axiom_gaps
-    monkeypatch.setattr(verify, "_axiom_gaps", lambda sl, vals: broken(real(sl, vals)))
+    monkeypatch.setattr(verify, "_axiom_gaps",
+                        lambda sl, vals, ones=1: broken(real(sl, vals, ones), ones))
     report = run_verification(CorpusConfig(
         max_poset_size=2, operator_samples_per_frame=2, checks=(cid,)))
     (row,) = report["checks"]
     assert row["status"] == "fail"
     assert row["witness"] == {"kind": "static", "lines": [line + "D[1:1]"]}
+
+
+def test_axiom_check_pairs_draws_across_batches(monkeypatch):
+    """A kernel that breaks only the join of the last draw of one batch with
+    the first draw of the next makes interior-axioms fail at that draw."""
+    config = CorpusConfig(max_poset_size=3, operator_samples_per_frame=LANES + 1,
+                          checks=("interior-axioms",))
+    ctx = _Ctx(config)
+    for n, (key, fr) in enumerate(ctx.frames):
+        sl, rng = ctx.sl(fr), ctx.rng("interior-ops", key)
+        draws = [_closed_draw(sl, rng, [0] * sl.n) for _ in range(LANES + 1)]
+        joined = [x | y for x, y in zip(draws[-2], draws[-1])]
+        if joined not in draws:
+            break
+    real, width = verify._axiom_gaps, fr.n + 1
+
+    def kernel(lat, vals, ones=1):
+        gaps, bad, top = real(lat, vals, ones)
+        if lat is sl and [_lane(x, 0, width) for x in vals] == joined:
+            bad |= 1  # lane 0 breaks I2
+        return gaps, bad, top
+
+    monkeypatch.setattr(verify, "_axiom_gaps", kernel)
+    (row,) = run_verification(config)["checks"]
+    assert row["status"] == "fail"
+    assert row["detail"] == {"generated": (n + 1) * (LANES + 1)}
+    assert row["witness"] == {"kind": "static", "lines": [f"operator lattice op invalid on {key}"]}

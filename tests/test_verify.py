@@ -6,11 +6,11 @@ sampling plan, so any change to striding, budgets, or seed derivation shows
 up here first.
 """
 import hashlib
-import importlib
 import json
 
 import pytest
 
+from localelab import verify
 from localelab.errors import UnknownWitness
 from localelab.serialize import save_json
 from localelab.verify import CHECK_ORDER, CorpusConfig, run_verification, replay
@@ -258,13 +258,15 @@ def test_replay_skipped_check_reports_reason():
     assert replay(rep, "coarseness") == "skipped: operator sampling disabled"
 
 
-# -- failure paths of the initial checks: each patches a mask pass to report
-# what a correct lift cannot show, and the check must fail on it ---------------
+# -- failure paths of the initial checks: each patches the lane-packed lift
+# kernel, where the check reads it, to report what a correct lift cannot show
+# in every lane, and the check must fail on it ------------------------------
 
 INITIAL_CHECKS = [
     ("initial-interior", "interior", "I2 fails for an induced operator on {", "I3"),
     ("initial-h", "hops", "h1 or h2 fails for an induced operator on {", "h3"),
 ]
+LIFTS = {"interior": "_lift", "hops": "_lift_h"}  # each layer's lift kernel
 
 
 def _initial_row(cid):
@@ -274,11 +276,17 @@ def _initial_row(cid):
     return row, report
 
 
+def _patch_lift(monkeypatch, module, edit):
+    """Rebind verify's copy of module's lift kernel to
+    edit((pulled, axiom gaps, continuity gaps), ones)."""
+    real = getattr(verify, LIFTS[module])
+    monkeypatch.setattr(verify, LIFTS[module],
+                        lambda t, xs, ones=1: edit(real(t, xs, ones), ones))
+
+
 @pytest.mark.parametrize("cid, module, line, top", INITIAL_CHECKS)
 def test_initial_check_fails_on_a_non_monotone_lift(monkeypatch, cid, module, line, top):
-    mod = importlib.import_module(f"localelab.{module}")
-    real = mod._axiom_gaps
-    monkeypatch.setattr(mod, "_axiom_gaps", lambda sl, vals: (real(sl, vals)[0], False, True))
+    _patch_lift(monkeypatch, module, lambda r, ones: (r[0], (r[1][0], ones, 0), r[2]))
     row, _ = _initial_row(cid)
     assert row["status"] == "fail"
     assert row["witness"]["lines"][0].startswith(line)
@@ -287,9 +295,7 @@ def test_initial_check_fails_on_a_non_monotone_lift(monkeypatch, cid, module, li
 @pytest.mark.parametrize("cid, module, line, top", INITIAL_CHECKS)
 def test_initial_check_fails_on_a_top_gap_of_a_surjective_map(monkeypatch, cid, module, line,
                                                               top):
-    mod = importlib.import_module(f"localelab.{module}")
-    real = mod._axiom_gaps
-    monkeypatch.setattr(mod, "_axiom_gaps", lambda sl, vals: real(sl, vals)[:2] + (False,))
+    _patch_lift(monkeypatch, module, lambda r, ones: (r[0], r[1][:2] + (ones,), r[2]))
     row, _ = _initial_row(cid)
     assert row["status"] == "fail"
     assert row["witness"]["lines"][0].startswith(f"{top} fails despite f[L] = M for {{")
@@ -299,11 +305,39 @@ def test_initial_check_fails_on_a_top_gap_of_a_surjective_map(monkeypatch, cid, 
 def test_initial_check_fails_on_an_unconfirmed_gap(monkeypatch, cid, module, line, top):
     # a continuity gap at every target index: the top of a surjective map's
     # target, and the bottom of every target, have no counit gap to confirm it
-    mod = importlib.import_module(f"localelab.{module}")
-    monkeypatch.setattr(mod, "_continuity_gaps", lambda pre, lhs, rhs: (1 << len(lhs)) - 1)
+    _patch_lift(monkeypatch, module, lambda r, ones: r[:2] + ([ones] * len(r[2]),))
     row, report = _initial_row(cid)
     assert row["status"] == "fail"
     assert row["witness"] == {"kind": "static", "lines": ["see the unexplained list"]}
     found = [u["payload"] for u in report["unexplained"] if u["check"] == cid]
     assert found and all(p["kind"] == "initial-anomaly" for p in found)
     assert {p["anomaly"]["kind"] for p in found} == {"continuity-gap"}
+
+
+def test_initial_check_walks_to_a_failing_middle_lane(monkeypatch):
+    """Only lane 5 of a map's 12 tables breaks I2, in the batch and when its
+    table is lifted alone: the walk stops at that table, after m * 12 + 6
+    tables, with the witness line of that map."""
+    ctx = verify._Ctx(CorpusConfig())
+    m = 500
+    f = ctx.maps[m]
+    (b,) = verify._ops_for_initial(ctx, f, m)
+    bent = b.lane(5)
+    assert b.lanes == 12 and bent not in [b.lane(j) for j in range(5)]
+
+    def edit(lifted, ones, xs, t):
+        pulled, (gaps, bad, top), cont = lifted
+        for j in range(ones.bit_count() if t.map == f else 0):
+            if [x >> j * b.width & (1 << b.width) - 1 for x in xs] == bent:
+                bad |= 1 << j * b.width
+        return pulled, (gaps, bad, top), cont
+
+    real = verify._lift
+    monkeypatch.setattr(verify, "_lift",
+                        lambda t, xs, ones=1: edit(real(t, xs, ones), ones, xs, t))
+    report = run_verification(CorpusConfig(checks=("initial-interior",)))
+    (row,) = report["checks"]
+    assert row["status"] == "fail"
+    assert row["detail"] == {"checked": m * 12 + 6}
+    assert row["witness"] == {"kind": "static", "lines": [
+        f"I2 fails for an induced operator on {f.describe()}"]}
