@@ -47,7 +47,14 @@ interpreters with the same `PYTHONPATH`. One entry records:
   `batched_draws_h_s` those of initial-h (six draws per map), and
   `batched_lift_s` and `batched_lift_h_s` lift the prebuilt batches
   through each map's transfer (13,620 and 9,080 tables), next to the
-  one-lane public lifts above.
+  one-lane public lifts above;
+- the median over five passes of each of the seven per-object operator
+  checks of default `verify` (contractive-equivalence, composition-interior,
+  composition-h, coarseness, universal-property-interior,
+  universal-property-h, open-preimage; `operator_checks_s` per check and
+  `operator_checks_total_s`, their sum), and of sublocale-join-oracle on the
+  24 corpus-4 frames (`join_oracle_s`) and on the 87 corpus-5 frames of
+  `verify --max-poset 5` (`join_oracle_5_s`).
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -84,6 +91,10 @@ print(imported - start, classes - imported, time.perf_counter() - classes)
 """
 # S_l bound for the transfer build: the largest corpus-4 frame has 16 elements
 SL_LIMIT = 16
+# the seven per-object operator checks, which built operator objects up to ea54709
+OPERATOR_CHECKS = ("contractive-equivalence", "composition-interior", "composition-h",
+                   "coarseness", "universal-property-interior", "universal-property-h",
+                   "open-preimage")
 
 
 def _commit() -> str:
@@ -212,8 +223,8 @@ def operator_timings():
 
         return [(f, op_type(ctx.sl(f.target), table)) for idx, f in maps for table in tables(idx, f)]
 
-    def check(cid):
-        CHECKS[cid](ctx)
+    def check(cid, on=ctx):
+        CHECKS[cid](on)
 
     interior_lifts = lifts(_ops_for_initial, InteriorOperator)
     h_lifts = lifts(_h_ops_for_initial, HOperator)
@@ -231,6 +242,14 @@ def operator_timings():
         "interior_axioms_s": _median_time(check, [("interior-axioms",)]),
         "h_axioms_s": _median_time(check, [("h-axioms",)]),
     }
+    seven = {cid: _median_time(check, [(cid,)]) for cid in OPERATOR_CHECKS}
+    out.update({
+        "operator_checks_s": seven,
+        "operator_checks_total_s": round(sum(seven.values()), 4),
+        "join_oracle_s": _median_time(check, [("sublocale-join-oracle",)]),
+        "join_oracle_5_s": _median_time(check, [("sublocale-join-oracle",
+                                                 _Ctx(CorpusConfig(max_poset_size=5)))]),
+    })
     try:
         from localelab.hops import _lift_h
         from localelab.interior import _lift

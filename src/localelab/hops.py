@@ -26,6 +26,7 @@ from .interior import (
     UniversalReport,
     _axiom_gaps,
     _axioms,
+    _candidate,
     _closed_draw,
     _continuity_gaps,
     _preimages,
@@ -70,8 +71,12 @@ class HOperator(InteriorOperator):
     @cached_property
     def core(self) -> InteriorOperator:
         """S |-> S cap h(S), the operator the interior kernels check."""
-        sl, pts = self.lattice, self.lattice.points
-        return InteriorOperator._of_points(sl, [p & pts[v] for p, v in zip(pts, self.table)])
+        return InteriorOperator._of_points(self.lattice, _core(self.lattice, self.points))
+
+
+def _core(sl: SublocaleLattice, xs, ones=1) -> list:
+    """The point masks of the cores S cap h(S) of the packed tables xs."""
+    return [p * ones & x for p, x in zip(sl.points, xs)]
 
 
 _H_AXIOMS = ("h1", "h2", "h3")
@@ -79,8 +84,7 @@ _H_AXIOMS = ("h1", "h2", "h3")
 
 def check_h(op: HOperator) -> AxiomReport:
     """h1, h2, h3 as I1, I2, I3 of the core; h1 is vacuous but still run."""
-    pts = op.lattice.points
-    return _axioms(op.lattice, [p & pts[v] for p, v in zip(pts, op.table)], _H_AXIOMS, ("h1",))
+    return _axioms(op.lattice, _core(op.lattice, op.points), _H_AXIOMS, ("h1",))
 
 
 def h_from_interior(op: InteriorOperator) -> HOperator:
@@ -113,7 +117,7 @@ def random_h(sl: SublocaleLattice, rng) -> HOperator:
     The generator therefore covers only the contractive part of the
     operator lattice; valid non-contractive operators exist above it.
     """
-    return HOperator._of_points(sl, _closed_draw(sl, rng, [0] * sl.n))
+    return HOperator._of_points(sl, _closed_draw(sl, rng))
 
 
 def is_h_continuous(f: LocalicMap, h_l: HOperator, h_m: HOperator) -> ContinuityReport:
@@ -122,13 +126,8 @@ def is_h_continuous(f: LocalicMap, h_l: HOperator, h_m: HOperator) -> Continuity
     return is_I_continuous(f, h_l.core, h_m.core)
 
 
-def check_h_composition(
-    f: LocalicMap,
-    g: LocalicMap,
-    h_l: HOperator,
-    h_m: HOperator,
-    h_n: HOperator,
-) -> CompositionReport:
+def check_h_composition(f: LocalicMap, g: LocalicMap, h_l: HOperator, h_m: HOperator,
+                        h_n: HOperator) -> CompositionReport:
     """Composites of h-continuous maps stay h-continuous: check_composition
     on the cores."""
     return check_composition(f, g, h_l.core, h_m.core, h_n.core)
@@ -141,10 +140,7 @@ class HInitialReport(InitialReport):
     _OPERATOR, _AXIOMS, _VACUOUS, _FIRST = HOperator, _H_AXIOMS, ("h1",), True
 
     def _checked(self) -> tuple:
-        t, hp = self.transfer, self.pulled
-        sp = t.source_lattice.points
-        return ([sp[k] & q for k, q in zip(t.preimage_table, hp)],
-                [p & hp[x] for p, x in zip(sp, t.image_table)])
+        return _cores(self.transfer, self.pulled)
 
 
 def initial_h(f: LocalicMap, h_m: HOperator) -> HInitialReport:
@@ -158,31 +154,38 @@ def initial_h(f: LocalicMap, h_m: HOperator) -> HInitialReport:
     gaps as the interior case; only the first continuity gap is kept.
     """
     t = _target_transfer(f, h_m)
-    return HInitialReport._of_lane(t, _lift_h(t, [t.target_lattice.points[v] for v in h_m.table]))
+    return HInitialReport._of_lane(t, _lift_h(t, h_m.points))
 
 
 def _lift_h(t: SublocaleTransfer, xs, ones=1) -> tuple:
     """Every lane of the packed target tables xs lifted through t: (pulled,
     the _axiom_gaps of the induced operator's core, the _continuity_gaps of
     the cores)."""
-    sl, img, pre = t.source_lattice, t.image_table, t.preimage_table
-    sp = [p * ones for p in sl.points]
     hp = _preimages(t, xs, ones)  # f_-1[h_M(T)] for every T
-    core = [p & hp[x] for p, x in zip(sp, img)]
+    lhs, core = _cores(t, hp, ones)
+    return hp, _axiom_gaps(t.source_lattice, core, ones), _continuity_gaps(
+        t.preimage_table, lhs, core)
+
+
+def _cores(t: SublocaleTransfer, hp, ones=1) -> tuple:
+    """(lhs, core) of the packed pullbacks hp of h_M: f_-1[T ^ h_M(T)] for
+    every target T, and the induced operator's core S ^ f_-1[h_M(f[S])]."""
+    sp = [p * ones for p in t.source_lattice.points]
     # preimages are set preimages of points, so f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)]
-    return hp, _axiom_gaps(sl, core, ones), _continuity_gaps(
-        pre, [sp[k] & q for k, q in zip(pre, hp)], core)
+    return ([sp[k] & q for k, q in zip(t.preimage_table, hp)],
+            [p & hp[x] for p, x in zip(sp, t.image_table)])
 
 
-def check_h_universal(
-    f: LocalicMap, h_m: HOperator, g: LocalicMap, h_n: HOperator
-) -> UniversalReport:
+def check_h_universal(f: LocalicMap, h_m: HOperator, g: LocalicMap,
+                      h_n: HOperator) -> UniversalReport:
     """g is h-continuous into the initial candidate iff f.g is into (M, h_M).
 
     Disagreements are classified like the interior case, on the cores. The
     candidate is initial_h's, not the initial interior operator of the
     cores: the two differ wherever there is a unit gap.
     """
-    return _universal_report(
-        f, g, initial_h(f, h_m).candidate.core, h_m.core, h_n.core,
-        "f-h-continuity-gap-at-witness")
+    t = _target_transfer(f, h_m)
+    _target_transfer(g, None, h_n)
+    return _universal_report(t, g, _core(t.source_lattice, _candidate(t, h_m.points)),
+                             _core(h_m.lattice, h_m.points), _core(h_n.lattice, h_n.points),
+                             "f-h-continuity-gap-at-witness")

@@ -45,6 +45,12 @@ class InteriorOperator:
     def __call__(self, i: int) -> int:
         return self.table[i]
 
+    @property
+    def points(self) -> list:
+        """The point mask of every entry: the one-lane batch of this table."""
+        pts = self.lattice.points
+        return [pts[v] for v in self.table]
+
     def describe(self) -> dict:
         sl = self.lattice
         return {sl.label(i): sl.label(v) for i, v in enumerate(self.table)}
@@ -116,6 +122,11 @@ def _nonzero(xs) -> int:
     return sum(1 << i for i, x in enumerate(xs) if x)
 
 
+def _first(xs):
+    """The index of the first nonzero entry of xs, or None."""
+    return next((i for i, x in enumerate(xs) if x), None)
+
+
 def _axiom_gaps(sl: SublocaleLattice, vals, ones=1) -> tuple:
     """(gaps, bad, top) of the packed tables vals, nonzero in the lanes that
     break I1 at i (gaps[i], the points of vals[i] outside i), I2 (bad) and I3
@@ -134,7 +145,7 @@ def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()) ->
     takes an all-pairs scan for the lex-first witness."""
     pts, labels, by_points, top = sl.points, sl.labels, sl.by_points, sl.top
     gaps, bad, top_gap = _axiom_gaps(sl, vals)
-    i = next((i for i, g in enumerate(gaps) if g), None)
+    i = _first(gaps)
     i1, i2, i3 = names
     witnesses = {}
     if i is not None:
@@ -153,8 +164,7 @@ def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()) ->
 
 def check_interior(op: InteriorOperator) -> AxiomReport:
     """Evaluate I1 (contraction), I2 (monotonicity), I3 (top) exhaustively."""
-    pts = op.lattice.points
-    return _axioms(op.lattice, [pts[v] for v in op.table])
+    return _axioms(op.lattice, op.points)
 
 
 def discrete_op(sl: SublocaleLattice) -> InteriorOperator:
@@ -183,10 +193,9 @@ def _pointwise(family, combine, name) -> InteriorOperator:
     if not ops:
         raise EmptyFamily(f"{name} of an empty operator family")
     sl = _same_lattice(ops)
-    pts = sl.points
-    acc = [pts[v] for v in ops[0].table]
+    acc = ops[0].points
     for op in ops[1:]:
-        acc = [combine(p, pts[v]) for p, v in zip(acc, op.table)]
+        acc = [combine(p, q) for p, q in zip(acc, op.points)]
     return type(ops[0])._of_points(sl, acc)
 
 
@@ -207,11 +216,8 @@ def op_le(a: InteriorOperator, b: InteriorOperator) -> bool:
 def op_le_gap(a: InteriorOperator, b: InteriorOperator):
     """First sublocale label where a exceeds b, or None when a <= b."""
     sl = _same_lattice([a, b])
-    pts = sl.points
-    for i, (x, y) in enumerate(zip(a.table, b.table)):
-        if pts[x] & ~pts[y]:
-            return sl.labels[i]
-    return None
+    i = _first(x & ~y for x, y in zip(a.points, b.points))
+    return None if i is None else sl.labels[i]
 
 
 def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
@@ -221,12 +227,13 @@ def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
     contractive because every g(T) <= T <= S, and monotone because the index
     sets nest. Forcing the top entry then gives I3.
     """
-    return InteriorOperator._of_points(sl, _closed_draw(sl, rng, [0] * sl.n))
+    return InteriorOperator._of_points(sl, _closed_draw(sl, rng))
 
 
-def _closed_draw(sl: SublocaleLattice, rng, base, ones=1, shifts=(0,)) -> list:
-    """A batch: base with a draw into the lane at each shift, entry i the join
-    of base[j] | seed[j] over j <= i, the top forced in every lane of ones.
+def _closed_draw(sl: SublocaleLattice, rng, base=None, ones=1, shifts=(0,)) -> list:
+    """A batch: base (zero when None) with a draw into the lane at each
+    shift, entry i the join of base[j] | seed[j] over j <= i, the top forced
+    in every lane of ones.
 
     seed[j] is drawn from sl.draws[j] exactly as rng.choice draws (CPython's
     _randbelow: k = n.bit_length() bits, with rejection), a draw over all
@@ -234,7 +241,7 @@ def _closed_draw(sl: SublocaleLattice, rng, base, ones=1, shifts=(0,)) -> list:
     lane. The closure then runs once for all lanes over lower covers: index
     order is a linear extension, so each lower cover of i is final before i.
     """
-    getrandbits, acc = rng.getrandbits, list(base)
+    getrandbits, acc = rng.getrandbits, [0] * sl.n if base is None else list(base)
     for shift in shifts:
         for i, (below, n, k) in enumerate(sl.draws):
             r = getrandbits(k)
@@ -263,16 +270,17 @@ class ContinuityReport:
         return {"ok": self.ok, "checked": self.checked, "witness": self.witness}
 
 
-def _target_transfer(f: LocalicMap, op_m: InteriorOperator, op_l=None) -> SublocaleTransfer:
-    """f's transfer, under the bound of op_m's lattice, once op_m is known to
-    live on f's target, and op_l, when given, on its source."""
+def _target_transfer(f: LocalicMap, op_m, op_l=None) -> SublocaleTransfer:
+    """f's transfer, under the bound of op_m's lattice (op_l's when op_m is
+    None), once op_m, when given, is known to live on f's target, and op_l,
+    when given, on its source."""
     if op_l is not None and op_l.lattice.host != f.source:
         raise HostMismatch("source operator does not live on the map's source frame",
                            witness=(op_l.lattice.host.key(), f.source.key()))
-    if op_m.lattice.host != f.target:
+    if op_m is not None and op_m.lattice.host != f.target:
         raise HostMismatch("target operator does not live on the map's target frame",
                            witness=(op_m.lattice.host.key(), f.target.key()))
-    return transfer_of(f, op_m.lattice.bound)
+    return transfer_of(f, (op_m or op_l).lattice.bound)
 
 
 def _continuity_gaps(pre, lhs, rhs) -> list:
@@ -282,24 +290,28 @@ def _continuity_gaps(pre, lhs, rhs) -> list:
     return [v & ~rhs[k] for v, k in zip(lhs, pre)]
 
 
+def _first_gap(pre, lhs, rhs):
+    """(T, lhs[T], rhs[pre[T]]) at the first T where a one-lane
+    _continuity_gaps is nonzero, or None."""
+    j = _first(_continuity_gaps(pre, lhs, rhs))
+    return None if j is None else (j, lhs[j], rhs[pre[j]])
+
+
 def _continuity(t: SublocaleTransfer, lhs, rhs) -> ContinuityReport:
     """The ContinuityReport of a one-lane _continuity_gaps, naming the first gap."""
-    j = next((j for j, g in enumerate(_continuity_gaps(t.preimage_table, lhs, rhs)) if g), None)
-    if j is None:
+    gap = _first_gap(t.preimage_table, lhs, rhs)
+    if gap is None:
         return ContinuityReport(True, len(lhs))
-    labels, by_points = t.source_lattice.labels, t.source_lattice.by_points
-    witness = (t.target_lattice.labels[j], labels[by_points[lhs[j]]],
-               labels[by_points[rhs[t.preimage_table[j]]]])
-    return ContinuityReport(False, j + 1, witness, j)
+    (j, p, q), labels, by_points = gap, t.source_lattice.labels, t.source_lattice.by_points
+    return ContinuityReport(False, j + 1, (t.target_lattice.labels[j], labels[by_points[p]],
+                                           labels[by_points[q]]), j)
 
 
-def is_I_continuous(
-    f: LocalicMap, op_l: InteriorOperator, op_m: InteriorOperator
-) -> ContinuityReport:
+def is_I_continuous(f: LocalicMap, op_l: InteriorOperator,
+                    op_m: InteriorOperator) -> ContinuityReport:
     """Check f_-1[i_M(T)] <= i_L(f_-1[T]) for every sublocale T of the target."""
     t = _target_transfer(f, op_m, op_l)
-    sp, pre = op_l.lattice.points, t.preimage_table
-    return _continuity(t, [sp[pre[v]] for v in op_m.table], [sp[v] for v in op_l.table])
+    return _continuity(t, _preimages(t, op_m.points), op_l.points)
 
 
 @dataclass(frozen=True)
@@ -311,12 +323,8 @@ class CompositionReport:
     functorial_witness: tuple | None = None
 
     @property
-    def precondition_ok(self) -> bool:
-        return self.f_continuous and self.g_continuous
-
-    @property
     def status(self) -> str:
-        if not self.precondition_ok:
+        if not (self.f_continuous and self.g_continuous):
             return "precondition-unmet"
         if self.composite.ok and self.preimage_functorial:
             return "pass"
@@ -333,33 +341,29 @@ class CompositionReport:
         }
 
 
-def check_composition(
-    f: LocalicMap,
-    g: LocalicMap,
-    op_l: InteriorOperator,
-    op_m: InteriorOperator,
-    op_n: InteriorOperator,
-) -> CompositionReport:
+def check_composition(f: LocalicMap, g: LocalicMap, op_l: InteriorOperator,
+                      op_m: InteriorOperator, op_n: InteriorOperator) -> CompositionReport:
     """Composites of continuous maps stay continuous; preimages compose.
 
     A failed precondition (f or g not continuous for the given operators) is
     reported, not raised.
     """
-    f_ok = is_I_continuous(f, op_l, op_m).ok
-    g_ok = is_I_continuous(g, op_m, op_n).ok
+    return _composition(_target_transfer(f, op_m, op_l), _target_transfer(g, op_n, op_m),
+                        op_l.points, op_m.points, op_n.points)
+
+
+def _composition(tf: SublocaleTransfer, tg: SublocaleTransfer, l, m, n) -> CompositionReport:
+    """check_composition on the point masks l, m and n of operators on L, M
+    and N, for the transfers tf of f: L -> M and tg of g: M -> N."""
+    f_ok = _first_gap(tf.preimage_table, _preimages(tf, m), l) is None
+    g_ok = _first_gap(tg.preimage_table, _preimages(tg, n), m) is None
     if not (f_ok and g_ok):
         return CompositionReport(f_ok, g_ok, None, None)
-    gf = compose_localic(g, f)
-    comp = is_I_continuous(gf, op_l, op_n)
-    tf, tg, tgf = (transfer_of(m, op_n.lattice.bound) for m in (f, g, gf))
-    functorial = True
-    fun_witness = None
-    for j in range(op_n.lattice.n):
-        if tgf.preimage_table[j] != tf.preimage_table[tg.preimage_table[j]]:
-            functorial = False
-            fun_witness = (op_n.lattice.label(j),)
-            break
-    return CompositionReport(f_ok, g_ok, comp, functorial, fun_witness)
+    t = transfer_of(compose_localic(tg.map, tf.map), tg.target_lattice.bound)
+    pf, pg = tf.preimage_table, tg.preimage_table
+    j = _first(k != pf[i] for k, i in zip(t.preimage_table, pg))
+    return CompositionReport(f_ok, g_ok, _continuity(t, _preimages(t, n), l), j is None,
+                             None if j is None else (t.target_lattice.labels[j],))
 
 
 # -- initial operators --------------------------------------------------------
@@ -455,13 +459,18 @@ def initial_interior(f: LocalicMap, op_m: InteriorOperator) -> InitialReport:
     Unconfirmed anomalies would mean an implementation bug.
     """
     t = _target_transfer(f, op_m)
-    return InitialReport._of_lane(t, _lift(t, [t.target_lattice.points[v] for v in op_m.table]))
+    return InitialReport._of_lane(t, _lift(t, op_m.points))
 
 
-def _preimages(t: SublocaleTransfer, xs, ones) -> list:
+def _preimages(t: SublocaleTransfer, xs, ones=1) -> list:
     """f_-1 of each entry of the batch xs, all lanes at once: target point q
     pulls back to its fibre, the source points f sends to q, as
-    ((x >> q) & ones) * fibre."""
+    ((x >> q) & ones) * fibre. One lane is read off the preimage table; bits
+    of x that are not points pull back to nothing either way."""
+    if ones == 1:
+        sp, pre, tl = t.source_lattice.points, t.preimage_table, t.target_lattice
+        index, points = tl.by_points, tl.host.primes
+        return [sp[pre[index[x & points]]] for x in xs]
     fibres = {}
     for p, q in zip(t.map.source.prime_list, t.map.points):
         fibres[q] = fibres.get(q, 0) | 1 << p
@@ -481,6 +490,13 @@ def _lift(t: SublocaleTransfer, xs, ones=1) -> tuple:
     vals = [pulled[x] for x in t.image_table]
     return pulled, _axiom_gaps(t.source_lattice, vals, ones), _continuity_gaps(
         t.preimage_table, pulled, vals)
+
+
+def _candidate(t: SublocaleTransfer, xs) -> list:
+    """The point masks of the induced operator S |-> f_-1[op_M(f[S])] of the
+    one-lane table xs: the lift's image gather."""
+    pulled = _preimages(t, xs)
+    return [pulled[x] for x in t.image_table]
 
 
 def _confirmed(t: SublocaleTransfer, gaps) -> tuple:
@@ -518,9 +534,8 @@ class UniversalReport:
         }
 
 
-def check_universal_property(
-    f: LocalicMap, op_m: InteriorOperator, g: LocalicMap, op_n: InteriorOperator
-) -> UniversalReport:
+def check_universal_property(f: LocalicMap, op_m: InteriorOperator, g: LocalicMap,
+                             op_n: InteriorOperator) -> UniversalReport:
     """g is continuous into (L, i_{L_f}) iff f.g is continuous into (M, i_M).
 
     When the two sides disagree, the disagreement is classified: the
@@ -528,38 +543,35 @@ def check_universal_property(
     composite-side-only case needs f to fail its own continuity for the
     candidate at the witness.
     """
-    cand = initial_interior(f, op_m).candidate
-    return _universal_report(f, g, cand, op_m, op_n, "f-continuity-gap-at-witness")
+    t = _target_transfer(f, op_m)
+    _target_transfer(g, None, op_n)
+    return _universal_report(t, g, _candidate(t, op_m.points), op_m.points, op_n.points,
+                             "f-continuity-gap-at-witness")
 
 
-def _universal_report(f, g, cand, op_m, op_n, predicate) -> UniversalReport:
-    """Both sides of the lifting equivalence for the interior operators cand
-    on L, op_m on M and op_n on N, with any disagreement classified."""
+def _universal_report(t: SublocaleTransfer, g: LocalicMap, cand, m, n, predicate) -> UniversalReport:
+    """Both sides of the lifting equivalence for the point masks cand on L,
+    m on M and n on N of interior operators, f: L -> M the map of the
+    transfer t, with any disagreement classified."""
+    f, bound = t.map, t.target_lattice.bound
     if g.target != f.source:
         raise HostMismatch("g must land in the source of f",
                            witness=(g.target.key(), f.source.key()))
-    a = is_I_continuous(g, op_n, cand)
-    b = is_I_continuous(compose_localic(f, g), op_n, op_m)
+    tg, tfg = transfer_of(g, bound), transfer_of(compose_localic(f, g), bound)
+    a = _continuity(tg, _preimages(tg, cand), n)
+    b = _continuity(tfg, _preimages(tfg, m), n)
     if a.ok == b.ok:
         return UniversalReport(a, b, ())
-    t = transfer_of(f, op_m.lattice.bound)
     pre = t.preimage_table
-    if a.ok:
+    if a.ok:  # confirmed when f fails its own continuity for cand and m at u
         u = b.witness_index
-        anomaly = {
-            "kind": "composite-side-only",
-            "at": op_m.lattice.labels[u],
-            "predicate": predicate,
-            "confirmed": not cand.lattice.le(pre[op_m.table[u]], cand.table[pre[u]]),
-        }
+        anomaly = {"kind": "composite-side-only", "at": t.target_lattice.labels[u],
+                   "predicate": predicate,
+                   "confirmed": bool(_continuity_gaps(pre, _preimages(t, m), cand)[u])}
     else:
         i = a.witness_index
-        anomaly = {
-            "kind": "initial-side-only",
-            "at": cand.lattice.labels[i],
-            "predicate": "unit-gap",
-            "confirmed": pre[t.image_table[i]] != i,
-        }
+        anomaly = {"kind": "initial-side-only", "at": t.source_lattice.labels[i],
+                   "predicate": "unit-gap", "confirmed": pre[t.image_table[i]] != i}
     return UniversalReport(a, b, (anomaly,))
 
 
@@ -580,23 +592,25 @@ class OpenPreimageReport:
         return {"status": self.status, "checked": self.checked, "witness": self.witness}
 
 
-def check_open_preimage(
-    f: LocalicMap, op_l: InteriorOperator, op_m: InteriorOperator
-) -> OpenPreimageReport:
+def check_open_preimage(f: LocalicMap, op_l: InteriorOperator,
+                        op_m: InteriorOperator) -> OpenPreimageReport:
     """Preimages of open (fixpoint) sublocales are open when f is continuous."""
-    if not is_I_continuous(f, op_l, op_m).ok:
+    return _open_preimage(_target_transfer(f, op_m, op_l), op_l.points, op_m.points)
+
+
+def _open_preimage(t: SublocaleTransfer, l, m) -> OpenPreimageReport:
+    """check_open_preimage for the point masks l on the source and m on the
+    target of t: a fixpoint is a mask equality."""
+    pre, sl, tl = t.preimage_table, t.source_lattice, t.target_lattice
+    if _first_gap(pre, _preimages(t, m), l) is not None:
         return OpenPreimageReport("precondition-unmet", 0)
-    t = transfer_of(f, op_m.lattice.bound)
     checked = 0
-    for j in range(op_m.lattice.n):
-        if op_m(j) != j:
-            continue
-        checked += 1
-        pre = t.preimage_table[j]
-        if op_l(pre) != pre:
-            return OpenPreimageReport(
-                "fail", checked, (op_m.lattice.label(j), op_l.lattice.label(pre))
-            )
+    for j, (q, v) in enumerate(zip(tl.points, m)):
+        if q == v:
+            checked += 1
+            s = pre[j]
+            if l[s] != sl.points[s]:
+                return OpenPreimageReport("fail", checked, (tl.labels[j], sl.labels[s]))
     return OpenPreimageReport("pass", checked)
 
 
@@ -641,41 +655,21 @@ def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
     per_map = tuple(is_I_continuous(f, cand, op) for f, op in zip(maps, ops))
 
     universal = []
-    sl = cand.lattice
     for g, op_n in sampled_gs:
-        a = is_I_continuous(g, op_n, cand)
-        b_reports = [
-            is_I_continuous(compose_localic(f, g), op_n, op)
-            for f, op in zip(maps, ops)
-        ]
-        b_ok = all(r.ok for r in b_reports)
-        entry = {"initial_side": a.ok, "composite_side": b_ok, "anomaly": None}
-        if a.ok != b_ok:
-            if a.ok:
-                bad = next(i for i, r in enumerate(b_reports) if not r.ok)
-                f, op = maps[bad], ops[bad]
-                t = transfer_of(f, op.lattice.bound)
-                u = b_reports[bad].witness_index
-                confirmed = not sl.le(t.preimage_table[op(u)], cand(t.preimage_table[u]))
-                entry["anomaly"] = {
-                    "kind": "composite-side-only",
-                    "map": bad,
-                    "at": op.lattice.label(u),
-                    "predicate": "f-continuity-gap-at-witness",
-                    "confirmed": confirmed,
-                }
-            else:
-                t_idx = a.witness_index
-                # preimages are preimages of points, so they keep joins and
-                # the joined candidate adds no gap of its own
-                entry["anomaly"] = {
-                    "kind": "initial-side-only",
-                    "at": sl.label(t_idx),
-                    "predicate": "unit-gap",
-                    "confirmed": any(
-                        transfer_of(f, op.lattice.bound).adjunction_gaps[0] >> t_idx & 1
-                        for f, op in zip(maps, ops)),
-                }
+        _target_transfer(g, None, op_n)
+        # the single-map report per map: the initial side is the same for all
+        reps = [_universal_report(r.transfer, g, cand.points, op.points, op_n.points,
+                                  "f-continuity-gap-at-witness") for r, op in zip(lifted, ops)]
+        a_ok, b_ok = reps[0].initial_side.ok, all(r.composite_side.ok for r in reps)
+        entry = {"initial_side": a_ok, "composite_side": b_ok, "anomaly": None}
+        if a_ok and not b_ok:
+            bad = next(i for i, r in enumerate(reps) if not r.composite_side.ok)
+            entry["anomaly"] = {"kind": "composite-side-only", "map": bad, **reps[bad].anomalies[0]}
+        elif b_ok and not a_ok:
+            # preimages are preimages of points, so they keep joins and the
+            # joined candidate adds no gap of its own: a unit gap of some map
+            entry["anomaly"] = {**reps[0].anomalies[0],
+                                "confirmed": any(r.anomalies[0]["confirmed"] for r in reps)}
         universal.append(entry)
     return FamilyInitialReport(
         cand, axioms, per_map, tuple(lifted), tuple(universal)
@@ -690,7 +684,13 @@ def make_continuous_op(f: LocalicMap, op_m: InteriorOperator, rng) -> InteriorOp
     and closing monotonely keeps contraction while preserving the constraint.
     """
     t = _target_transfer(f, op_m)
-    sp, pre, base = t.source_lattice.points, t.preimage_table, [0] * t.source_lattice.n
-    for s, v in zip(pre, op_m.table):
-        base[s] |= sp[pre[v]]
-    return InteriorOperator._of_points(t.source_lattice, _closed_draw(t.source_lattice, rng, base))
+    return InteriorOperator._of_points(t.source_lattice, _continuous_draw(t, op_m.points, rng))
+
+
+def _continuous_draw(t: SublocaleTransfer, xs, rng) -> list:
+    """make_continuous_op's draw for the point masks xs of op_M: the base
+    joins f_-1[op_M(T)] into entry f_-1[T]."""
+    base = [0] * t.source_lattice.n
+    for s, q in zip(t.preimage_table, _preimages(t, xs)):
+        base[s] |= q
+    return _closed_draw(t.source_lattice, rng, base)

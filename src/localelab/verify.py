@@ -13,46 +13,46 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .corpus import all_posets, chain3, child_seed, corpus_frames, corpus_posets, square, two
 from .errors import SizeLimit, UnknownWitness
 from .hops import (
     HInitialReport,
     HOperator,
+    _core,
+    _lift_h,
     check_h,
-    check_h_composition,
     check_h_universal,
     complemented_fragment,
     discrete_h,
-    h_from_interior,
-    _lift_h,
     initial_h,
-    is_h_continuous,
     trivial_h,
 )
 from .interior import (
-    GAP_KINDS,
     InitialReport,
     InteriorOperator,
     _axiom_gaps,
     _Batch,
+    _candidate,
     _closed_draw,
-    _confirmed,
+    _composition,
+    _continuous_draw,
+    _first,
+    _first_gap,
     _lanes,
     _lift,
-    check_composition,
+    _open_preimage,
+    _preimages,
+    _universal_report,
     check_interior,
-    check_open_preimage,
     check_universal_property,
     discrete_op,
     initial_interior,
-    is_I_continuous,
-    make_continuous_op,
     op_join,
     op_le,
     op_le_gap,
     op_meet,
-    random_op,
     trivial_op,
 )
 from .lattice import bits, heyting_identity_report, set_label
@@ -493,9 +493,10 @@ def _check_sublocale_join_oracle(ctx):
                                "lines": [f"join oracle mismatch on {key} at "
                                          f"({sl.label(i)}, {sl.label(j)})"]}
                     return "fail", {"pairs": pairs}, witness
-                naive = _closure_by_joins(fr, union)
-                if naive != least or not is_sublocale(fr, naive).ok:
-                    display_gap = True
+                # the report counts frames, so a frame's first display gap settles it
+                if not display_gap:
+                    naive = _closure_by_joins(fr, union)
+                    display_gap = naive != least or not is_sublocale(fr, naive).ok
         if display_gap:
             frames_with_display_gap += 1
             ctx.reg_hit("sublocale-join-display-form")
@@ -588,19 +589,17 @@ def _check_h_axioms(ctx):
                 return "fail", {"generated": generated}, {
                     "kind": "static", "lines": [f"named h operator invalid on {key}"]}
         # h1 to h3 are I1 to I3 of the core masks; h1 holds for every total table
-        pts = sl.points
         rng = ctx.rng("h-ops", key)
         for _ in range(min(k, 25)):
             table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
             raw_tables += 1
-            if any(_axiom_gaps(sl, [p & pts[v] for p, v in zip(pts, table)])[0]):
+            if any(_axiom_gaps(sl, _core(sl, [sl.points[v] for v in table]))[0]):
                 return "fail", {"raw_tables": raw_tables}, {
                     "kind": "static", "lines": [f"h1 fails on a raw table on {key}"]}
         # a draw is an interior operator, so trivial <= h <= discrete, and
         # trivial <= h is also trivial being the meet floor: t ^ h = t
         for b in ctx.batches(sl, rng, k, fr.n + 1):
-            bad = _invalid(sl, b.masks, b) | _invalid(
-                sl, [p * b.ones & v for p, v in zip(pts, b.masks)], b)
+            bad = _invalid(sl, b.masks, b) | _invalid(sl, _core(sl, b.masks, b.ones), b)
             if bad:
                 return "fail", {"generated": generated + b.upto(bad)}, {
                     "kind": "static", "lines": [f"generated h operator invalid on {key}"]}
@@ -618,11 +617,12 @@ def _check_h_axioms(ctx):
     return "pass", detail, None
 
 
-def _widened(op):
-    """The h operator S |-> i(S) v not-S: not contractive, but its core is i,
-    because S_l(L) is Boolean and i(S) <= S."""
-    sl = op.lattice
-    return HOperator(sl, tuple(sl.join(v, sl.complement(i)) for i, v in enumerate(op.table)))
+def _widened(sl, xs):
+    """The h operator S |-> i(S) v not-S of the point masks xs of an interior
+    operator i: not contractive, but its core is i, because S_l(L) is Boolean
+    and i(S) <= S."""
+    full = sl.points[sl.top]
+    return [x | full & ~p for p, x in zip(sl.points, xs)]
 
 
 def _check_contractive_equivalence(ctx):
@@ -634,53 +634,54 @@ def _check_contractive_equivalence(ctx):
         if checked >= 400:
             break
         rng = ctx.rng("equiv", idx)
-        sll, slm = ctx.sl(f.source), ctx.sl(f.target)
+        t = transfer_of(f, ctx.bound)
+        sll, slm, pre = t.source_lattice, t.target_lattice, t.preimage_table
         for _ in range(2):
-            opl, opm = random_op(sll, rng), random_op(slm, rng)
-            ri = is_I_continuous(f, opl, opm)
-            rh = is_h_continuous(f, _widened(opl), _widened(opm))
+            l, m = _closed_draw(sll, rng), _closed_draw(slm, rng)
+            # a first gap in masks names the same sublocales as its labels
+            gap = _first_gap(pre, _preimages(t, m), l)
+            h_gap = _first_gap(pre, _preimages(t, _core(slm, _widened(slm, m))),
+                               _core(sll, _widened(sll, l)))
             checked += 1
-            if ri.ok != rh.ok or (not ri.ok and ri.witness != rh.witness):
+            if gap != h_gap:
                 witness = {"kind": "static",
                            "lines": ["continuity for i differs from h-continuity for "
                                      f"i(S) v not-S for {f.describe()}"]}
                 return "fail", {"checked": checked}, witness
-            if not ri.ok:
+            if gap is not None:
                 disagreements += 1
     ctx.counts["operators"] += 2 * checked
     return "pass", {"checked": checked, "failing_instances": disagreements}, None
 
 
 def _composition_chains(ctx, want):
-    """Deterministic composable (f, g) stream with constructed continuous ops."""
-    done = 0
+    """The first `want` composable (f, g) as (transfer of f, transfer of g,
+    l, m, n): the point masks of constructed continuous operators."""
     for idx, (f, g) in enumerate(ctx.composable_pairs(want)):
-        if done >= want:
+        if idx >= want:
             return
         rng = ctx.rng("compose", idx)
-        sln = ctx.sl(g.target)
-        opn = random_op(sln, rng)
-        opm = make_continuous_op(g, opn, rng)
-        opl = make_continuous_op(f, opm, rng)
-        done += 1
-        yield f, g, opl, opm, opn
+        tf, tg = transfer_of(f, ctx.bound), transfer_of(g, ctx.bound)
+        n = _closed_draw(tg.target_lattice, rng)
+        m = _continuous_draw(tg, n, rng)
+        yield tf, tg, _continuous_draw(tf, m, rng), m, n
 
 
-def _as_is(op):
-    return op
-
-
-def _check_composition(ctx, lift, kernel):
-    """kernel on 250 constructed chains, each operator passed through lift."""
+def _check_composition(ctx, core):
+    """_composition on 250 constructed chains, on the operators' cores (the
+    tables read as h operators) when core."""
     if not ctx.sampling:
         return "skip", {"reason": "operator sampling disabled"}, None
     passed = 0
-    for f, g, opl, opm, opn in _composition_chains(ctx, 250):
-        rep = kernel(f, g, lift(opl), lift(opm), lift(opn))
+    for tf, tg, l, m, n in _composition_chains(ctx, 250):
+        if core:
+            l, m, n = (_core(sl, xs) for sl, xs in zip(
+                (tf.source_lattice, tg.source_lattice, tg.target_lattice), (l, m, n)))
+        rep = _composition(tf, tg, l, m, n)
         if rep.status != "pass":
             witness = {"kind": "static",
-                       "lines": [f"composition fails for {f.describe()} then "
-                                 f"{g.describe()}: {rep.to_json()}"]}
+                       "lines": [f"composition fails for {tf.map.describe()} then "
+                                 f"{tg.map.describe()}: {rep.to_json()}"]}
             return "fail", {"triples": passed}, witness
         passed += 1
     ctx.counts["operators"] += 3 * passed
@@ -702,19 +703,6 @@ def _verdict(ctx, cid, detail, problem=None):
     if problem:
         return "fail", detail, {"kind": "static", "lines": [problem]}
     return "pass", detail, None
-
-
-# Each twin check names its kernels in its body, so they are looked up when
-# the check runs: a kernel rebound at its module-level name after import, as
-# perfbench's span tracer does, is still the one called.
-
-
-def _check_composition_interior(ctx):
-    return _check_composition(ctx, _as_is, check_composition)
-
-
-def _check_composition_h(ctx):
-    return _check_composition(ctx, h_from_interior, check_h_composition)
 
 
 def _initial_batches(ctx, f, tag, idx, draws):
@@ -860,11 +848,10 @@ def _check_coarseness(ctx):
     if not ctx.sampling:
         return "skip", {"reason": "operator sampling disabled"}, None
     cid = "coarseness"
-    # (lift, initial, registry id, detail key) of the interior and h sides
-    sides = (
-        (_as_is, initial_interior, "initial-coarseness", "pointwise_violations"),
-        (h_from_interior, initial_h, "initial-h-coarseness", "h_pointwise_violations"),
-    )
+    # (operator type, registry id, detail key) of the interior and h sides; the
+    # h lift gathers the same masks, so both sides read one candidate
+    sides = ((InteriorOperator, "initial-coarseness", "pointwise_violations"),
+             (HOperator, "initial-h-coarseness", "h_pointwise_violations"))
     checked = 0
     violations = {key: 0 for *_, key in sides}
     stride = max(1, len(ctx.maps) // 300)
@@ -873,39 +860,48 @@ def _check_coarseness(ctx):
             break
         rng = ctx.rng("coarse", idx)
         t = transfer_of(f, ctx.bound)
-        opm = random_op(ctx.sl(f.target), rng)
-        opl = make_continuous_op(f, opm, rng)
+        sl, tl = t.source_lattice, t.target_lattice
+        m = _closed_draw(tl, rng)
+        l = _continuous_draw(t, m, rng)
         checked += 1
-        for lift, initial, rid, key in sides:
-            op_m, op_l = lift(opm), lift(opl)
-            cand = initial(f, op_m).candidate
-            gap = op_le_gap(cand, op_l)
-            if gap is None:
-                continue
-            if not t.adjunction_gaps[0] >> cand.lattice.labels.index(gap) & 1:
-                ctx.report_unexplained(cid, _coarseness_witness(f, op_m, op_l, gap))
+        i = _first(c & ~x for c, x in zip(_candidate(t, m), l))
+        if i is None:
+            continue
+        for op, rid, key in sides:
+            def witness():
+                return _coarseness_witness(f, op._of_points(tl, m), op._of_points(sl, l),
+                                           sl.labels[i])
+            if not t.adjunction_gaps[0] >> i & 1:
+                ctx.report_unexplained(cid, witness())
             else:
                 violations[key] += 1
-                ctx.reg_hit(rid, lambda: _coarseness_witness(f, op_m, op_l, gap))
+                ctx.reg_hit(rid, witness)
     ctx.counts["operators"] += 2 * checked
     return _verdict(ctx, cid, {"checked": checked, **violations})
 
 
+def _named(sl):
+    """The point masks of the discrete and the trivial operator on sl."""
+    return sl.points, [p if i == sl.top else 0 for i, p in enumerate(sl.points)]
+
+
 def _universal_configs(ctx, want):
+    """The first `want` (transfer of f, g, m, n), g: N -> L feeding f: L ->
+    M, with the point masks m of the discrete, trivial or a drawn operator
+    on M and n of a drawn one on N."""
     # stride across all composable pairs so large frames are sampled too
     done = 0
     for idx, (g, f) in enumerate(ctx.composable_pairs((want + 2) // 3)):
-        # g: N -> L feeds f: L -> M
         if done >= want:
             return
         rng = ctx.rng("universal", idx)
-        slm, sln = ctx.sl(f.target), ctx.sl(g.source)
-        for opm in (discrete_op(slm), trivial_op(slm), random_op(slm, rng)):
+        t = transfer_of(f, ctx.bound)
+        sln = ctx.sl(g.source)
+        for m in (*_named(t.target_lattice), _closed_draw(t.target_lattice, rng)):
             if done >= want:
                 return
-            opn = random_op(sln, rng)
             done += 1
-            yield f, g, opm, opn
+            yield t, g, m, _closed_draw(sln, rng)
 
 
 def _universal_witness(f, g, opm, opn, anomaly):
@@ -920,36 +916,37 @@ def _universal_witness(f, g, opm, opn, anomaly):
     }
 
 
-def _check_universal(ctx, cid, lift, kernel, rid):
-    """kernel on 240 sampled configurations, each operator passed through
-    lift; every confirmed disagreement is an occurrence of rid."""
+def _check_universal(ctx, op):
+    """_universal_report on 240 sampled configurations, the operators of
+    type op; h operators are read through the cores of the candidate, of h_M
+    and of h_N. Every confirmed disagreement is an occurrence of rid."""
     if not ctx.sampling:
         return "skip", {"reason": "operator sampling disabled"}, None
+    h = op is HOperator
+    cid, rid = ("universal-property-h", "universal-h-anomaly") if h else (
+        "universal-property-interior", "universal-interior-anomaly")
+    predicate = "f-h-continuity-gap-at-witness" if h else "f-continuity-gap-at-witness"
     checked = disagreements = 0
-    for f, g, opm, opn in _universal_configs(ctx, 240):
-        opm, opn = lift(opm), lift(opn)
-        rep = kernel(f, opm, g, opn)
+    for t, g, m, n in _universal_configs(ctx, 240):
+        sl, tl, nl = t.source_lattice, t.target_lattice, ctx.sl(g.source)
+        cand, read_m, read_n = _candidate(t, m), m, n
+        if h:
+            cand, read_m, read_n = _core(sl, cand), _core(tl, m), _core(nl, n)
+        rep = _universal_report(t, g, cand, read_m, read_n, predicate)
         checked += 1
         if not rep.equivalent:
             disagreements += 1
             for a in rep.anomalies:
+                def witness():
+                    return _universal_witness(t.map, g, op._of_points(tl, m),
+                                              op._of_points(nl, n), a)
                 if not a["confirmed"]:
-                    ctx.report_unexplained(cid, _universal_witness(f, g, opm, opn, a))
+                    ctx.report_unexplained(cid, witness())
                 else:
-                    ctx.reg_hit(rid, lambda: _universal_witness(f, g, opm, opn, a))
+                    ctx.reg_hit(rid, witness)
     ctx.counts["operators"] += 2 * checked
     detail = {"checked": checked, "disagreements": disagreements}
     return _verdict(ctx, cid, detail, _shortfall(checked, "configurations"))
-
-
-def _check_universal_interior(ctx):
-    return _check_universal(ctx, "universal-property-interior", _as_is,
-                            check_universal_property, "universal-interior-anomaly")
-
-
-def _check_universal_h(ctx):
-    return _check_universal(ctx, "universal-property-h", h_from_interior,
-                            check_h_universal, "universal-h-anomaly")
 
 
 def _check_open_preimage(ctx):
@@ -957,16 +954,15 @@ def _check_open_preimage(ctx):
     for idx, f in enumerate(ctx.maps):
         if f.source.n > 5 or f.target.n > 5:
             continue
-        sll, slm = ctx.sl(f.source), ctx.sl(f.target)
-        triples = [(discrete_op(sll), discrete_op(slm)),
-                   (discrete_op(sll), trivial_op(slm))]
+        t = transfer_of(f, ctx.bound)
+        pairs = [(t.source_lattice.points, m) for m in _named(t.target_lattice)]
         if ctx.sampling:
             rng = ctx.rng("open-pre", idx)
             for _ in range(3):
-                opm = random_op(slm, rng)
-                triples.append((make_continuous_op(f, opm, rng), opm))
-        for opl, opm in triples:
-            rep = check_open_preimage(f, opl, opm)
+                m = _closed_draw(t.target_lattice, rng)
+                pairs.append((_continuous_draw(t, m, rng), m))
+        for l, m in pairs:
+            rep = _open_preimage(t, l, m)
             if rep.status == "precondition-unmet":
                 return "fail", {"checked": checked}, {
                     "kind": "static",
@@ -1016,13 +1012,13 @@ CHECK_ORDER = (
     ("interior-axioms", _check_interior_axioms),
     ("h-axioms", _check_h_axioms),
     ("contractive-equivalence", _check_contractive_equivalence),
-    ("composition-interior", _check_composition_interior),
-    ("composition-h", _check_composition_h),
+    ("composition-interior", partial(_check_composition, core=False)),
+    ("composition-h", partial(_check_composition, core=True)),
     ("initial-interior", _check_initial_interior),
     ("initial-h", _check_initial_h),
     ("coarseness", _check_coarseness),
-    ("universal-property-interior", _check_universal_interior),
-    ("universal-property-h", _check_universal_h),
+    ("universal-property-interior", partial(_check_universal, op=InteriorOperator)),
+    ("universal-property-h", partial(_check_universal, op=HOperator)),
     ("open-preimage", _check_open_preimage),
     ("points-spatiality", _check_points_spatiality),
 )

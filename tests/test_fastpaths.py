@@ -39,6 +39,7 @@ from localelab import verify
 from localelab.hops import (
     HInitialReport,
     HOperator,
+    _core,
     _lift_h,
     check_h,
     discrete_h,
@@ -49,14 +50,23 @@ from localelab.hops import (
 )
 from localelab.interior import (
     GAP_KINDS,
+    ContinuityReport,
     InitialReport,
     InteriorOperator,
     _Batch,
     _axiom_gaps,
+    _candidate,
     _closed_draw,
+    _composition,
     _confirmed,
+    _continuous_draw,
+    _first,
+    _first_gap,
     _lanes,
     _lift,
+    _open_preimage,
+    _preimages,
+    _universal_report,
     check_interior,
     discrete_op,
     initial_interior,
@@ -1055,3 +1065,149 @@ def test_axiom_check_pairs_draws_across_batches(monkeypatch):
     assert row["status"] == "fail"
     assert row["detail"] == {"generated": (n + 1) * (LANES + 1)}
     assert row["witness"] == {"kind": "static", "lines": [f"operator lattice op invalid on {key}"]}
+
+
+# -- the seven per-object operator checks: mask kernels against the brute forms -----
+
+STRIDE = 2  # every second case of each check's default run
+
+
+def _verdict_of(gap, rep):
+    """(ok, first-gap index) of a _first_gap result and of a ContinuityReport."""
+    return (gap is None, None if gap is None else gap[0]), (rep.ok, rep.witness_index)
+
+
+def _brute_le(sl, pre, xs, ys, u):
+    """The brute composite-side confirmation at u: f_-1[xs(u)] <= ys(f_-1[u])."""
+    return sl.le(pre[xs[u]], ys[pre[u]])
+
+
+def test_operator_check_kernels_match_oracles():
+    """On every STRIDE-th case of contractive-equivalence, composition (both
+    sides), coarseness, universal-property (both sides) and open-preimage in
+    default verify, the verdicts and first-gap indices of the mask kernels
+    equal brute_I_continuous / brute_h_continuous on the same tables, the
+    candidates and draws equal brute_initial_interior / brute_initial_h and
+    brute_random_table / brute_continuous_table, and every confirmed flag
+    equals the one read off the brute preimage and image tables."""
+    ctx = _Ctx(CorpusConfig())
+    ops = InteriorOperator._of_points
+    seen = Counter()
+    stride = max(1, len(ctx.maps) // 200)
+    for idx, f in enumerate(ctx.maps[::stride][:200:STRIDE]):
+        rng = ctx.rng("equiv", idx * STRIDE)
+        t = transfer_of(f, ctx.bound)
+        sll, slm, pre = t.source_lattice, t.target_lattice, t.preimage_table
+        for _ in range(2):
+            l, m = _closed_draw(sll, rng), _closed_draw(slm, rng)
+            gap = _first_gap(pre, _preimages(t, m), l)
+            mine, brute = _verdict_of(gap, brute_I_continuous(f, ops(sll, l), ops(slm, m)))
+            assert mine == brute
+            wide_l, wide_m = verify._widened(sll, l), verify._widened(slm, m)
+            h_gap = _first_gap(pre, _preimages(t, _core(slm, wide_m)), _core(sll, wide_l))
+            mine, brute = _verdict_of(h_gap, ContinuityReport(*brute_h_continuous(
+                f, HOperator._of_points(sll, wide_l), HOperator._of_points(slm, wide_m))))
+            assert mine == brute
+            seen["equiv", gap is None] += 1
+    for idx, (tf, tg, l, m, n) in enumerate(verify._composition_chains(ctx, 250)):
+        if idx % STRIDE:
+            continue
+        f, g = tf.map, tg.map
+        sll, slm, sln = tf.source_lattice, tg.source_lattice, tg.target_lattice
+        slow = ctx.rng("compose", idx)
+        op_n = ops(sln, n)
+        assert op_n.table == brute_random_table(sln, slow)
+        op_m = ops(slm, m)
+        assert op_m.table == brute_continuous_table(g, op_n, tg, slow)
+        assert ops(sll, l).table == brute_continuous_table(f, op_m, tf, slow)
+        pf, pg = brute_preimage_table(tf), brute_preimage_table(tg)
+        gf = compose_localic(g, f)
+        functorial = brute_preimage_table(transfer_of(gf)) == tuple(pf[k] for k in pg)
+        for kind, brute_cont in ((InteriorOperator, brute_I_continuous),
+                                 (HOperator, lambda *a: ContinuityReport(*brute_h_continuous(*a)))):
+            xs = (l, m, n) if kind is InteriorOperator else (
+                _core(sll, l), _core(slm, m), _core(sln, n))
+            rep = _composition(tf, tg, *xs)
+            L, M, N = (kind._of_points(sl, ys) for sl, ys in zip((sll, slm, sln), (l, m, n)))
+            assert rep.f_continuous == brute_cont(f, L, M).ok
+            assert rep.g_continuous == brute_cont(g, M, N).ok
+            comp = brute_cont(gf, L, N)
+            assert (rep.composite.ok, rep.composite.witness_index) == (comp.ok, comp.witness_index)
+            assert rep.preimage_functorial == functorial
+            seen["compose", rep.status] += 1
+    stride = max(1, len(ctx.maps) // 300)
+    for idx, f in enumerate(ctx.maps[::stride][:300]):
+        if idx % STRIDE:
+            continue
+        rng, slow = ctx.rng("coarse", idx), ctx.rng("coarse", idx)
+        t = transfer_of(f, ctx.bound)
+        sl, tl = t.source_lattice, t.target_lattice
+        m = _closed_draw(tl, rng)
+        l = _continuous_draw(t, m, rng)
+        op_m, op_l = ops(tl, m), ops(sl, l)
+        assert op_m.table == brute_random_table(tl, slow)
+        assert op_l.table == brute_continuous_table(f, op_m, t, slow)
+        cand = _candidate(t, m)
+        assert ops(sl, cand).table == brute_initial_interior(f, op_m)[0]
+        assert ops(sl, cand).table == brute_initial_h(f, HOperator._of_points(tl, m))[0]
+        i = _first(c & ~x for c, x in zip(cand, l))
+        assert (None if i is None else sl.labels[i]) == brute_op_le_gap(ops(sl, cand), op_l)
+        if i is not None:
+            unit = brute_preimage_table(t)[brute_image_table(t)[i]] != i
+            assert bool(t.adjunction_gaps[0] >> i & 1) == unit
+            seen["coarse", unit] += 1
+    for idx, (t, g, m, n) in enumerate(verify._universal_configs(ctx, 240)):
+        if idx % STRIDE:
+            continue
+        f, sl, tl, nl = t.map, t.source_lattice, t.target_lattice, ctx.sl(g.source)
+        fg, pre, img = compose_localic(f, g), brute_preimage_table(t), brute_image_table(t)
+        for kind, predicate in ((InteriorOperator, "f-continuity-gap-at-witness"),
+                                (HOperator, "f-h-continuity-gap-at-witness")):
+            M, N = kind._of_points(tl, m), kind._of_points(nl, n)
+            brute = brute_initial_interior if kind is InteriorOperator else brute_initial_h
+            C = kind(sl, brute(f, M)[0])
+            cand, read_m, read_n = _candidate(t, m), m, n
+            if kind is InteriorOperator:
+                a, b = brute_I_continuous(g, N, C), brute_I_continuous(fg, N, M)
+                confirm = C
+            else:
+                cand, read_m, read_n = _core(sl, cand), _core(tl, m), _core(nl, n)
+                a = ContinuityReport(*brute_h_continuous(g, N, C))
+                b = ContinuityReport(*brute_h_continuous(fg, N, M))
+                C, M = C.core, M.core
+            assert ops(sl, cand).table == C.table
+            rep = _universal_report(t, g, cand, read_m, read_n, predicate)
+            for side, want in ((rep.initial_side, a), (rep.composite_side, b)):
+                assert (side.ok, side.witness_index) == (want.ok, want.witness_index)
+            if a.ok != b.ok:
+                (anomaly,) = rep.anomalies
+                i = (b if a.ok else a).witness_index
+                confirmed = (not _brute_le(sl, pre, M.table, C.table, i) if a.ok
+                             else pre[img[i]] != i)
+                assert anomaly["confirmed"] == confirmed
+                seen["universal", anomaly["kind"]] += 1
+    for idx, f in enumerate(ctx.maps):
+        if idx % STRIDE or f.source.n > 5 or f.target.n > 5:
+            continue
+        t = transfer_of(f, ctx.bound)
+        sl, tl, pre = t.source_lattice, t.target_lattice, brute_preimage_table(t)
+        rng = ctx.rng("open-pre", idx)
+        pairs = [(sl.points, xs) for xs in verify._named(tl)]
+        for _ in range(3):
+            m = _closed_draw(tl, rng)
+            pairs.append((_continuous_draw(t, m, rng), m))
+        for l, m in pairs:
+            L, M = ops(sl, l), ops(tl, m)
+            want = ("precondition-unmet", 0, None)
+            if brute_I_continuous(f, L, M).ok:
+                fixed = [j for j in range(tl.n) if M(j) == j]
+                bad = [k for k, j in enumerate(fixed) if L(pre[j]) != pre[j]]
+                want = ("pass", len(fixed), None) if not bad else (
+                    "fail", bad[0] + 1, (tl.labels[fixed[bad[0]]], sl.labels[pre[fixed[bad[0]]]]))
+            rep = _open_preimage(t, l, m)
+            assert (rep.status, rep.checked, rep.witness) == want
+            seen["open", rep.checked] += 1
+    # both verdicts and both confirmed flags occur where the run can show them
+    assert seen["equiv", True] and seen["equiv", False]
+    assert seen["coarse", True] and seen["compose", "pass"]
+    assert seen["universal", "initial-side-only"] and seen["universal", "composite-side-only"]

@@ -5,6 +5,7 @@ of the harness itself and double-checked against a second run; they pin the
 sampling plan, so any change to striding, budgets, or seed derivation shows
 up here first.
 """
+import dataclasses
 import hashlib
 import json
 
@@ -12,7 +13,32 @@ import pytest
 
 from localelab import verify
 from localelab.errors import UnknownWitness
+from localelab.hops import (
+    HOperator,
+    check_h_composition,
+    check_h_universal,
+    h_from_interior,
+    initial_h,
+    is_h_continuous,
+)
+from localelab.interior import (
+    ContinuityReport,
+    InteriorOperator,
+    OpenPreimageReport,
+    UniversalReport,
+    check_composition,
+    check_open_preimage,
+    check_universal_property,
+    discrete_op,
+    initial_interior,
+    is_I_continuous,
+    make_continuous_op,
+    op_le_gap,
+    random_op,
+    trivial_op,
+)
 from localelab.serialize import save_json
+from localelab.sublocales import transfer_of
 from localelab.verify import CHECK_ORDER, CorpusConfig, run_verification, replay
 
 ALL_CHECKS = [
@@ -129,6 +155,17 @@ def test_maps_sweep_report_bytes_pinned(tmp_path):
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "32eed0cebfb39089b71946fdf84e5fccddb938f4a269d0dcdb55f3dae7330888"
+
+
+def test_max_poset_5_report_bytes_pinned(tmp_path):
+    # the bytes of `localelab verify --max-poset 5 --report ...` (seed 42): the
+    # operator checks on the corpus-5 frames and maps
+    report = run_verification(CorpusConfig(max_poset_size=5))
+    assert report["counts"]["frames"] == 87
+    path = tmp_path / "report.json"
+    save_json(str(path), report)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "d67ba5092ccc9f337fea3baa98cf31656bcda35dc0b2bb635cb9e590348aea9b"
 
 
 def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
@@ -341,3 +378,216 @@ def test_initial_check_walks_to_a_failing_middle_lane(monkeypatch):
     assert row["detail"] == {"checked": m * 12 + 6}
     assert row["witness"] == {"kind": "static", "lines": [
         f"I2 fails for an induced operator on {f.describe()}"]}
+
+
+# -- failure paths of the seven per-object operator checks: each patches the
+# mask kernel a check reads, where it reads it, to break the cases whose tables
+# equal one middle case's; the expected row is what a loop over the same cases,
+# one operator object and one public-API report at a time, gives under the same
+# break ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ctx():
+    return verify._Ctx(CorpusConfig())
+
+
+def _row(cid):
+    report = run_verification(CorpusConfig(checks=(cid,)))
+    (row,) = report["checks"]
+    return row, [u["payload"] for u in report["unexplained"] if u["check"] == cid]
+
+
+def _equiv_cases(ctx):
+    """(f, op_l, op_m) of contractive-equivalence, drawn one operator at a time."""
+    stride = max(1, len(ctx.maps) // 200)
+    for idx, f in enumerate(ctx.maps[::stride][:200]):
+        rng = ctx.rng("equiv", idx)
+        for _ in range(2):
+            op_l = random_op(ctx.sl(f.source), rng)
+            yield f, op_l, random_op(ctx.sl(f.target), rng)
+
+
+def test_contractive_equivalence_fails_where_the_widening_breaks(monkeypatch, ctx):
+    """The widening of one middle case's op_L, an operator with a continuity
+    gap, is replaced by the constant top, whose core is discrete: h-continuity
+    then holds where I-continuity fails."""
+    cases = list(_equiv_cases(ctx))
+    _, bent, _ = next(c for c in cases[len(cases) // 2:] if not is_I_continuous(*c).ok)
+    real = verify._widened
+
+    def widened(sl, xs):
+        if sl is bent.lattice and list(xs) == bent.points:
+            return [sl.points[sl.top]] * sl.n
+        return real(sl, xs)
+
+    def wide(op):
+        return HOperator._of_points(op.lattice, widened(op.lattice, op.points))
+
+    checked, f = next((k, f) for k, (f, op_l, op_m) in enumerate(cases, 1)
+                      if is_I_continuous(f, op_l, op_m).witness
+                      != is_h_continuous(f, wide(op_l), wide(op_m)).witness)
+    assert 1 < checked < len(cases)
+    monkeypatch.setattr(verify, "_widened", widened)
+    row, _ = _row("contractive-equivalence")
+    assert row["status"] == "fail"
+    assert row["detail"] == {"checked": checked}
+    assert row["witness"]["lines"] == [
+        f"continuity for i differs from h-continuity for i(S) v not-S for {f.describe()}"]
+
+
+def _chains(ctx):
+    """(f, g, op_l, op_m, op_n) of the composition checks, one operator at a time."""
+    for idx, (f, g) in enumerate(ctx.composable_pairs(250)):
+        if idx >= 250:
+            return
+        rng = ctx.rng("compose", idx)
+        op_n = random_op(ctx.sl(g.target), rng)
+        op_m = make_continuous_op(g, op_n, rng)
+        yield f, g, make_continuous_op(f, op_m, rng), op_m, op_n
+
+
+@pytest.mark.parametrize("cid, lift, kernel", [
+    ("composition-interior", lambda op: op, check_composition),
+    ("composition-h", h_from_interior, check_h_composition),
+])
+def test_composition_fails_where_preimages_break(monkeypatch, ctx, cid, lift, kernel):
+    """Preimages stop composing on the chains whose tables equal one middle
+    chain's (the drawn operators are contractive, so their cores are the same
+    tables)."""
+    chains = list(_chains(ctx))
+    bent = [op.points for op in chains[len(chains) // 2][2:]]
+
+    def bend(rep, tables):
+        if tables != bent:
+            return rep
+        return dataclasses.replace(rep, preimage_functorial=False, functorial_witness=("bent",))
+
+    triples, (f, g, *ops) = next((k, c) for k, c in enumerate(chains)
+                                 if [op.points for op in c[2:]] == bent)
+    rep = bend(kernel(f, g, *map(lift, ops)), [op.points for op in ops])
+    assert 0 < triples < len(chains) - 1 and rep.status == "fail"
+    real = verify._composition
+    monkeypatch.setattr(verify, "_composition",
+                        lambda tf, tg, *xs: bend(real(tf, tg, *xs), list(xs)))
+    row, _ = _row(cid)
+    assert row["status"] == "fail"
+    assert row["detail"] == {"triples": triples}
+    assert row["witness"]["lines"] == [
+        f"composition fails for {f.describe()} then {g.describe()}: {rep.to_json()}"]
+
+
+def test_coarseness_reports_an_unexplained_gap(monkeypatch, ctx):
+    """One middle case's candidate gains every point at the bottom index,
+    where no map has a unit gap: both sides report it as unexplained, and the
+    other cases keep their violations."""
+    stride = max(1, len(ctx.maps) // 300)
+    cases = []
+    for idx, f in enumerate(ctx.maps[::stride][:300]):
+        rng = ctx.rng("coarse", idx)
+        op_m = random_op(ctx.sl(f.target), rng)
+        cases.append((f, op_m, make_continuous_op(f, op_m, rng)))
+    bent_f, bent_m, _ = next(c for c in cases[len(cases) // 2:] if c[0].source.prime_list)
+
+    def bend(cand, f, masks):
+        if f == bent_f and masks == bent_m.points:
+            sl = cand.lattice
+            cand = type(cand)._of_points(sl, [sl.points[sl.top]] + cand.points[1:])
+        return cand
+
+    detail = {"checked": len(cases), "pointwise_violations": 0, "h_pointwise_violations": 0}
+    unexplained = []
+    for f, op_m, op_l in cases:
+        for lift, initial, key in ((lambda op: op, initial_interior, "pointwise_violations"),
+                                   (h_from_interior, initial_h, "h_pointwise_violations")):
+            m, l = lift(op_m), lift(op_l)
+            gap = op_le_gap(bend(initial(f, m).candidate, f, op_m.points), l)
+            if gap is None:
+                continue
+            t = transfer_of(f, ctx.bound)
+            if t.adjunction_gaps[0] >> t.source_lattice.labels.index(gap) & 1:
+                detail[key] += 1
+            else:
+                unexplained.append(verify._coarseness_witness(f, m, l, gap))
+    assert len(unexplained) == 2
+    real = verify._candidate
+    monkeypatch.setattr(verify, "_candidate", lambda t, xs: bend(
+        InteriorOperator._of_points(t.source_lattice, real(t, xs)), t.map, xs).points)
+    row, payloads = _row("coarseness")
+    assert row["status"] == "fail"
+    assert row["detail"] == detail
+    assert row["witness"] == {"kind": "static", "lines": ["see the unexplained list"]}
+    assert payloads == unexplained
+
+
+@pytest.mark.parametrize("cid, lift, kernel", [
+    ("universal-property-interior", lambda op: op, check_universal_property),
+    ("universal-property-h", h_from_interior, check_h_universal),
+])
+def test_universal_reports_an_unexplained_disagreement(monkeypatch, ctx, cid, lift, kernel):
+    """The configurations whose tables equal one middle configuration's get
+    an unconfirmed composite-side-only disagreement."""
+    cases = []
+    for idx, (g, f) in enumerate(ctx.composable_pairs(80)):
+        rng = ctx.rng("universal", idx)
+        slm, sln = ctx.sl(f.target), ctx.sl(g.source)
+        for op_m in (discrete_op(slm), trivial_op(slm), random_op(slm, rng)):
+            if len(cases) < 240:
+                cases.append((f, g, op_m, random_op(sln, rng)))
+    f0, g0, m0, n0 = cases[len(cases) // 2]
+
+    def bend(rep, f, g, m, n):
+        if (f, g, m, n) != (f0, g0, m0.points, n0.points):
+            return rep
+        anomaly = {"kind": "composite-side-only", "at": "bent", "predicate": "bent",
+                   "confirmed": False}
+        return UniversalReport(ContinuityReport(True, 1), ContinuityReport(False, 1), (anomaly,))
+
+    disagreements, unexplained = 0, []
+    for f, g, op_m, op_n in cases:
+        m, n = lift(op_m), lift(op_n)
+        rep = bend(kernel(f, m, g, n), f, g, op_m.points, op_n.points)
+        disagreements += not rep.equivalent
+        unexplained += [verify._universal_witness(f, g, m, n, a)
+                        for a in rep.anomalies if not a["confirmed"]]
+    assert unexplained
+    real = verify._universal_report
+    monkeypatch.setattr(verify, "_universal_report", lambda t, g, cand, m, n, predicate: bend(
+        real(t, g, cand, m, n, predicate), t.map, g, list(m), list(n)))
+    row, payloads = _row(cid)
+    assert row["status"] == "fail"
+    assert row["detail"] == {"checked": len(cases), "disagreements": disagreements}
+    assert row["witness"] == {"kind": "static", "lines": ["see the unexplained list"]}
+    assert payloads == unexplained
+
+
+def test_open_preimage_fails_at_a_middle_triple(monkeypatch, ctx):
+    """The triples whose tables equal one middle drawn triple's report a
+    closed preimage of an open sublocale."""
+    triples = []
+    for idx, f in enumerate(ctx.maps):
+        if f.source.n > 5 or f.target.n > 5:
+            continue
+        sll, slm = ctx.sl(f.source), ctx.sl(f.target)
+        triples += [(f, discrete_op(sll), discrete_op(slm)), (f, discrete_op(sll), trivial_op(slm))]
+        rng = ctx.rng("open-pre", idx)
+        for _ in range(3):
+            op_m = random_op(slm, rng)
+            triples.append((f, make_continuous_op(f, op_m, rng), op_m))
+    f0, l0, m0 = triples[len(triples) // 2]
+
+    def bend(rep, f, l, m):
+        if (f, l, m) == (f0, l0.points, m0.points):
+            return OpenPreimageReport("fail", 1, ("bent", "case"))
+        return rep
+
+    checked, f = next((k, f) for k, (f, op_l, op_m) in enumerate(triples, 1)
+                      if bend(check_open_preimage(f, op_l, op_m), f, op_l.points,
+                              op_m.points).status != "pass")
+    assert 1 < checked < len(triples)
+    real = verify._open_preimage
+    monkeypatch.setattr(verify, "_open_preimage",
+                        lambda t, l, m: bend(real(t, l, m), t.map, list(l), list(m)))
+    row, _ = _row("open-preimage")
+    assert row["status"] == "fail"
+    assert row["detail"] == {"checked": checked}
+    assert row["witness"]["lines"] == [f"open preimage fails for {f.describe()} at ('bent', 'case')"]
