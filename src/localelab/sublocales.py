@@ -466,9 +466,20 @@ def transfer_of(f: LocalicMap, limit: int | None = None) -> SublocaleTransfer:
 
 # -- display-form cross-check -------------------------------------------------
 
-def _closure_by_joins(frame: Frame, start: int) -> int:
-    """The closure of the mask start under binary joins: the sup-form reading
-    {vM} of a sublocale join."""
+def _least_containing(sl: SublocaleLattice, union: int) -> int:
+    """The least sublocale of sl containing the mask union: the meet of all
+    those that contain it, read off the enumeration as an oracle."""
+    least = sl.host.full_mask
+    for m in sl.masks:
+        if not union & ~m:
+            least &= m
+    return least
+
+
+def _sup_form(frame: Frame, start: int, least: int) -> tuple:
+    """The sup-form reading {vM} of a sublocale join from the mask start, its
+    closure under binary joins, as (closure, its is_sublocale report, None
+    when it is the join least, else "not-a-sublocale" or "not-the-least")."""
     cur = start
     while True:
         add = 0
@@ -477,8 +488,10 @@ def _closure_by_joins(frame: Frame, start: int) -> int:
             for b in mem[i + 1:]:
                 add |= 1 << frame.join(a, b)
         if not add & ~cur:
-            return cur
+            break
         cur |= add
+    rep = is_sublocale(frame, cur)
+    return cur, rep, "not-a-sublocale" if not rep.ok else "not-the-least" if cur != least else None
 
 
 def join_formula_report(frame: Frame, family) -> dict:
@@ -493,31 +506,19 @@ def join_formula_report(frame: Frame, family) -> dict:
     for s in family:
         union |= s.mask
     meet_form = sub_join_mask(frame, [s.mask for s in family])
-    sl = enumerate_sublocales(frame)
-    containing = [m for m in sl.masks if not union & ~m]
-    least = containing[0]
-    for m in containing:
-        if m.bit_count() < least.bit_count():
-            least = m
-    assert all(not least & ~m for m in containing)
+    least = _least_containing(enumerate_sublocales(frame), union)
     assert meet_form == least
     out = {
         "meet_form": set_label(frame.labels, meet_form),
         "least_containing": set_label(frame.labels, least),
         "readings": {},
     }
-    for name, start in (
-        ("sup-form", _closure_by_joins(frame, union)),
-        ("sup-form-with-empty-join", _closure_by_joins(frame, union | 1 << frame.bottom)),
-    ):
-        rep = is_sublocale(frame, start)
+    for name, start in (("sup-form", union),
+                        ("sup-form-with-empty-join", union | 1 << frame.bottom)):
+        start, rep, reason = _sup_form(frame, start, least)
+        status = {"status": "falsified", "reason": reason} if reason else {"status": "holds"}
         if not rep.ok:
-            status = {"status": "falsified", "reason": "not-a-sublocale",
-                      "witness": rep.to_json(), "set": set_label(frame.labels, start)}
-        elif start != least:
-            status = {"status": "falsified", "reason": "not-the-least",
-                      "set": set_label(frame.labels, start)}
-        else:
-            status = {"status": "holds", "set": set_label(frame.labels, start)}
+            status["witness"] = rep.to_json()
+        status["set"] = set_label(frame.labels, start)
         out["readings"][name] = status
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .corpus import all_posets, chain3, child_seed, corpus_frames, corpus_posets, square, two
 from .errors import SizeLimit, UnknownWitness
@@ -60,11 +60,11 @@ from .maps import enumerate_frame_homs, localic_map, right_adjoint
 from .points import is_spatial, points_of, spatialization
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
-    _closure_by_joins,
+    _least_containing,
+    _sup_form,
     check_adjunction,
     enumerate_sublocales,
     generation_check,
-    is_sublocale,
     size_limit,
     sub_join_mask,
     transfer_of,
@@ -297,7 +297,6 @@ class _Ctx:
             e["status"] = "confirmed" if e["witness"] is not None else "not-observed"
             e["occurrences"] = 0
             self.registry[e["id"]] = e
-        self._maps = None
         # operator-kernel counters for the profile sidecar, never in the report
         self.kernels = {} if kernels is None else kernels
         self.kernels.update(tables_lifted=0, batches=0, widest_batch=0, batches_walked=0)
@@ -335,9 +334,10 @@ class _Ctx:
     def report_unexplained(self, check_id, payload):
         self.unexplained.append({"check": check_id, "payload": payload})
 
-    @property
+    @cached_property
     def maps(self):
-        """Localic maps from every admitted frame hom, cheapest pairs first.
+        """Localic maps from every admitted frame hom, cheapest pairs first,
+        built on first read and shared by every check of the run.
 
         The budget is an admission rule, not the enumeration cost: a pair of
         frames is admitted only while its |M|^|L| candidate count fits in
@@ -345,26 +345,57 @@ class _Ctx:
         The order is deterministic, so the same budget always selects the
         same maps.
         """
-        if self._maps is None:
-            usable = [(k, fr) for k, fr in self.frames if fr.n <= self.map_bound]
-            pairs = []
-            for i, (ka, fa) in enumerate(usable):
-                for j, (kb, fb) in enumerate(usable):
-                    pairs.append((fb.n ** fa.n, i, j, ka, fa, kb, fb))
-            pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-            remaining = self.config.map_budget
-            out = []
-            for cost, _, _, ka, fa, kb, fb in pairs:
-                if cost > remaining:
-                    self.counts["map_pairs_skipped"] += 1
-                    continue
-                remaining -= cost
-                self.counts["hom_candidates"] += cost
-                for table in enumerate_frame_homs(fa, fb, budget=cost):
-                    out.append(right_adjoint(fa, fb, table))
-            self._maps = out
-            self.counts["maps"] = len(out)
-        return self._maps
+        usable = [(k, fr) for k, fr in self.frames if fr.n <= self.map_bound]
+        pairs = []
+        for i, (ka, fa) in enumerate(usable):
+            for j, (kb, fb) in enumerate(usable):
+                pairs.append((fb.n ** fa.n, i, j, ka, fa, kb, fb))
+        pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+        remaining = self.config.map_budget
+        out = []
+        for cost, _, _, ka, fa, kb, fb in pairs:
+            if cost > remaining:
+                self.counts["map_pairs_skipped"] += 1
+                continue
+            remaining -= cost
+            self.counts["hom_candidates"] += cost
+            for table in enumerate_frame_homs(fa, fb, budget=cost):
+                out.append(right_adjoint(fa, fb, table))
+        self.counts["maps"] = len(out)
+        return out
+
+    @cached_property
+    def chains(self):
+        """The first 250 composable (f, g) as (transfer of f, transfer of g,
+        l, m, n): the point masks of constructed continuous operators. The
+        samples of composition-interior and, through their cores, of
+        composition-h."""
+        out = []
+        for idx, (f, g) in zip(range(250), self.composable_pairs(250)):
+            rng = self.rng("compose", idx)
+            tf, tg = transfer_of(f, self.bound), transfer_of(g, self.bound)
+            n = _closed_draw(tg.target_lattice, rng)
+            m = _continuous_draw(tg, n, rng)
+            out.append((tf, tg, _continuous_draw(tf, m, rng), m, n))
+        return out
+
+    @cached_property
+    def configs(self):
+        """The first 240 (transfer of f, g, m, n, candidate), g: N -> L
+        feeding f: L -> M, with the point masks m of the discrete, trivial or
+        a drawn operator on M, n of a drawn one on N, and the lift's candidate
+        _candidate(t, m). The samples of universal-property-interior and,
+        through their cores, of universal-property-h."""
+        out = []
+        # three per pair, striding across all composable pairs so that large
+        # frames are sampled too
+        for idx, (g, f) in zip(range(80), self.composable_pairs(80)):
+            rng = self.rng("universal", idx)
+            t = transfer_of(f, self.bound)
+            sln = self.sl(g.source)
+            for m in (*_named(t.target_lattice), _closed_draw(t.target_lattice, rng)):
+                out.append((t, g, m, _closed_draw(sln, rng), _candidate(t, m)))
+        return out
 
     def composable_pairs(self, want):
         """Every step-th (f, g) with target(f) = source(g), in map order, the
@@ -483,10 +514,7 @@ def _check_sublocale_join_oracle(ctx):
             for j in range(i, sl.n):
                 pairs += 1
                 union = sl.masks[i] | sl.masks[j]
-                least = fr.full_mask
-                for m in sl.masks:
-                    if not union & ~m:
-                        least &= m
+                least = _least_containing(sl, union)
                 joined = sl.masks[sl.join(i, j)]
                 if joined != least or sub_join_mask(fr, (sl.masks[i], sl.masks[j])) != least:
                     witness = {"kind": "static",
@@ -495,8 +523,7 @@ def _check_sublocale_join_oracle(ctx):
                     return "fail", {"pairs": pairs}, witness
                 # the report counts frames, so a frame's first display gap settles it
                 if not display_gap:
-                    naive = _closure_by_joins(fr, union)
-                    display_gap = naive != least or not is_sublocale(fr, naive).ok
+                    display_gap = _sup_form(fr, union, least)[2] is not None
         if display_gap:
             frames_with_display_gap += 1
             ctx.reg_hit("sublocale-join-display-form")
@@ -654,26 +681,13 @@ def _check_contractive_equivalence(ctx):
     return "pass", {"checked": checked, "failing_instances": disagreements}, None
 
 
-def _composition_chains(ctx, want):
-    """The first `want` composable (f, g) as (transfer of f, transfer of g,
-    l, m, n): the point masks of constructed continuous operators."""
-    for idx, (f, g) in enumerate(ctx.composable_pairs(want)):
-        if idx >= want:
-            return
-        rng = ctx.rng("compose", idx)
-        tf, tg = transfer_of(f, ctx.bound), transfer_of(g, ctx.bound)
-        n = _closed_draw(tg.target_lattice, rng)
-        m = _continuous_draw(tg, n, rng)
-        yield tf, tg, _continuous_draw(tf, m, rng), m, n
-
-
 def _check_composition(ctx, core):
-    """_composition on 250 constructed chains, on the operators' cores (the
-    tables read as h operators) when core."""
+    """_composition on the chains of ctx.chains, on the operators' cores (the
+    tables read as h operators, on the interior twin's draws) when core."""
     if not ctx.sampling:
         return "skip", {"reason": "operator sampling disabled"}, None
     passed = 0
-    for tf, tg, l, m, n in _composition_chains(ctx, 250):
+    for tf, tg, l, m, n in ctx.chains:
         if core:
             l, m, n = (_core(sl, xs) for sl, xs in zip(
                 (tf.source_lattice, tg.source_lattice, tg.target_lattice), (l, m, n)))
@@ -885,25 +899,6 @@ def _named(sl):
     return sl.points, [p if i == sl.top else 0 for i, p in enumerate(sl.points)]
 
 
-def _universal_configs(ctx, want):
-    """The first `want` (transfer of f, g, m, n), g: N -> L feeding f: L ->
-    M, with the point masks m of the discrete, trivial or a drawn operator
-    on M and n of a drawn one on N."""
-    # stride across all composable pairs so large frames are sampled too
-    done = 0
-    for idx, (g, f) in enumerate(ctx.composable_pairs((want + 2) // 3)):
-        if done >= want:
-            return
-        rng = ctx.rng("universal", idx)
-        t = transfer_of(f, ctx.bound)
-        sln = ctx.sl(g.source)
-        for m in (*_named(t.target_lattice), _closed_draw(t.target_lattice, rng)):
-            if done >= want:
-                return
-            done += 1
-            yield t, g, m, _closed_draw(sln, rng)
-
-
 def _universal_witness(f, g, opm, opn, anomaly):
     return {
         "kind": "universal-anomaly",
@@ -917,9 +912,10 @@ def _universal_witness(f, g, opm, opn, anomaly):
 
 
 def _check_universal(ctx, op):
-    """_universal_report on 240 sampled configurations, the operators of
-    type op; h operators are read through the cores of the candidate, of h_M
-    and of h_N. Every confirmed disagreement is an occurrence of rid."""
+    """_universal_report on the configurations of ctx.configs, the operators
+    of type op; h operators are read through the cores of the interior
+    candidate, of h_M and of h_N, on the same draws as their interior twins.
+    Every confirmed disagreement is an occurrence of rid."""
     if not ctx.sampling:
         return "skip", {"reason": "operator sampling disabled"}, None
     h = op is HOperator
@@ -927,9 +923,9 @@ def _check_universal(ctx, op):
         "universal-property-interior", "universal-interior-anomaly")
     predicate = "f-h-continuity-gap-at-witness" if h else "f-continuity-gap-at-witness"
     checked = disagreements = 0
-    for t, g, m, n in _universal_configs(ctx, 240):
+    for t, g, m, n, cand in ctx.configs:
         sl, tl, nl = t.source_lattice, t.target_lattice, ctx.sl(g.source)
-        cand, read_m, read_n = _candidate(t, m), m, n
+        read_m, read_n = m, n
         if h:
             cand, read_m, read_n = _core(sl, cand), _core(tl, m), _core(nl, n)
         rep = _universal_report(t, g, cand, read_m, read_n, predicate)
@@ -1111,9 +1107,8 @@ def _trace_sublocale_join_form(w):
     left = sum(1 << fr.index[x] for x in w["left"])
     right = sum(1 << fr.index[x] for x in w["right"])
     union = left | right
-    naive = _closure_by_joins(fr, union)
-    rep = is_sublocale(fr, naive)
     true_join = sub_join_mask(fr, (left, right))
+    naive, rep, reason = _sup_form(fr, union, true_join)
     lines = [
         f"join of {set_label(fr.labels, left)} and {set_label(fr.labels, right)}",
         f"union = {set_label(fr.labels, union)}",
@@ -1124,9 +1119,7 @@ def _trace_sublocale_join_form(w):
     meet_line = f"true join (meet of all sublocales containing the union) = " \
                 f"{set_label(fr.labels, true_join)}"
     lines.append(meet_line)
-    lines.append(
-        "display form falsified" if naive != true_join else "display form holds here"
-    )
+    lines.append("display form falsified" if reason else "display form holds here")
     return lines
 
 

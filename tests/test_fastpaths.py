@@ -1109,7 +1109,7 @@ def test_operator_check_kernels_match_oracles():
                 f, HOperator._of_points(sll, wide_l), HOperator._of_points(slm, wide_m))))
             assert mine == brute
             seen["equiv", gap is None] += 1
-    for idx, (tf, tg, l, m, n) in enumerate(verify._composition_chains(ctx, 250)):
+    for idx, (tf, tg, l, m, n) in enumerate(ctx.chains):
         if idx % STRIDE:
             continue
         f, g = tf.map, tg.map
@@ -1156,7 +1156,7 @@ def test_operator_check_kernels_match_oracles():
             unit = brute_preimage_table(t)[brute_image_table(t)[i]] != i
             assert bool(t.adjunction_gaps[0] >> i & 1) == unit
             seen["coarse", unit] += 1
-    for idx, (t, g, m, n) in enumerate(verify._universal_configs(ctx, 240)):
+    for idx, (t, g, m, n, lifted) in enumerate(ctx.configs):
         if idx % STRIDE:
             continue
         f, sl, tl, nl = t.map, t.source_lattice, t.target_lattice, ctx.sl(g.source)
@@ -1166,7 +1166,7 @@ def test_operator_check_kernels_match_oracles():
             M, N = kind._of_points(tl, m), kind._of_points(nl, n)
             brute = brute_initial_interior if kind is InteriorOperator else brute_initial_h
             C = kind(sl, brute(f, M)[0])
-            cand, read_m, read_n = _candidate(t, m), m, n
+            cand, read_m, read_n = lifted, m, n
             if kind is InteriorOperator:
                 a, b = brute_I_continuous(g, N, C), brute_I_continuous(fg, N, M)
                 confirm = C

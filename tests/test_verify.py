@@ -560,6 +560,36 @@ def test_universal_reports_an_unexplained_disagreement(monkeypatch, ctx, cid, li
     assert payloads == unexplained
 
 
+@pytest.mark.parametrize("interior, h", [
+    ("composition-interior", "composition-h"),
+    ("universal-property-interior", "universal-property-h"),
+])
+def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, interior, h):
+    """Run after its interior twin on one context, an h check makes no draw,
+    seeds no generator and gathers no candidate; run alone, it draws the same
+    samples and gives the row of the default report."""
+    ctx = verify._Ctx(CorpusConfig())
+    calls = dict.fromkeys(("_closed_draw", "_continuous_draw", "_candidate", "rng"), 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("_closed_draw", "_continuous_draw", "_candidate"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    monkeypatch.setattr(ctx, "rng", counted("rng", ctx.rng))
+    verify.CHECKS[interior](ctx)
+    assert calls["_closed_draw"] and calls["rng"]
+    calls.update(dict.fromkeys(calls, 0))
+    verify.CHECKS[h](ctx)
+    assert calls == dict.fromkeys(calls, 0)
+    monkeypatch.undo()
+    row, _ = _row(h)
+    assert row == next(r for r in default_report["checks"] if r["id"] == h)
+
+
 def test_open_preimage_fails_at_a_middle_triple(monkeypatch, ctx):
     """The triples whose tables equal one middle drawn triple's report a
     closed preimage of an open sublocale."""
