@@ -58,7 +58,14 @@ interpreters with the same `PYTHONPATH`. One entry records:
   `verify`, and no pass reads samples an earlier one drew;
 - the median over five passes of sublocale-join-oracle on the
   24 corpus-4 frames (`join_oracle_s`) and on the 87 corpus-5 frames of
-  `verify --max-poset 5` (`join_oracle_5_s`).
+  `verify --max-poset 5` (`join_oracle_5_s`);
+- the median over five passes of each frame-level check (heyting-adjunction,
+  heyting-identities, complement-laws, generation-property) on the corpus-4
+  and the corpus-5 frames of `verify` and `verify --max-poset 5`
+  (`frame_checks_s`), each pass on S_l lattices built anew, so that what a
+  lattice computes once per run is computed in every pass; and the median
+  over the same passes of that cold S_l build over the 87 corpus-5 frames
+  (`sl_build_5_s`).
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -95,6 +102,9 @@ print(imported - start, classes - imported, time.perf_counter() - classes)
 """
 # S_l bound for the transfer build: the largest corpus-4 frame has 16 elements
 SL_LIMIT = 16
+# the checks that read only the corpus frames and their S_l
+FRAME_CHECKS = ("heyting-adjunction", "heyting-identities", "complement-laws",
+                "generation-property")
 # the seven per-object operator checks, which built operator objects up to ea54709
 OPERATOR_CHECKS = ("contractive-equivalence", "composition-interior", "composition-h",
                    "coarseness", "universal-property-interior", "universal-property-h",
@@ -288,6 +298,30 @@ def operator_timings():
     return out
 
 
+def frame_check_timings():
+    from localelab.sublocales import _enumerate
+    from localelab.verify import CHECKS, CorpusConfig, _Ctx
+
+    out = {"frame_checks_s": {}}
+    for size in (4, 5):
+        ctx = _Ctx(CorpusConfig(max_poset_size=size))
+        builds, passes = [], {cid: [] for cid in FRAME_CHECKS}
+        for _ in range(PASSES):
+            _enumerate.cache_clear()
+            start = time.perf_counter()
+            for _, fr in ctx.frames:
+                ctx.sl(fr)
+            builds.append(time.perf_counter() - start)
+            for cid in FRAME_CHECKS:
+                start = time.perf_counter()
+                CHECKS[cid](ctx)
+                passes[cid].append(time.perf_counter() - start)
+        out["frame_checks_s"][f"corpus_{size}"] = {
+            cid: round(statistics.median(ts), 4) for cid, ts in passes.items()}
+    out["sl_build_5_s"] = round(statistics.median(builds), 4)
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=3, help="verify runs per configuration")
@@ -306,6 +340,7 @@ def main(argv=None):
         "cold_start": cold_start(),
         "map_kernels": kernel_timings(),
         "operator_kernels": operator_timings(),
+        "frame_checks": frame_check_timings(),
     }
     history = []
     if os.path.exists(args.out):

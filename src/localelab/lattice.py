@@ -500,57 +500,50 @@ def order_iso(f: Frame, g: Frame):
 def heyting_identity_report(frame: Frame, max_exhaustive: int = 8) -> dict:
     """Check the complete-Heyting identities over all subsets A and elements b.
 
-    Two valid identities are asserted; the sup-arrow display form
-    (vA) -> b = v(a -> b) is searched for a counterexample and reported as
-    falsified when one exists (the corrected form uses the meet).
+    Three valid identities gate `status`: (vA) & b = v(a & b),
+    b -> (^A) = ^(b -> a) and (vA) -> b = ^(a -> b). The sup-arrow display
+    form (vA) -> b = v(a -> b), the third with a join in place of the meet,
+    is searched for a counterexample and reported as falsified when one exists.
     """
     n = frame.n
     if n > max_exhaustive:
         return {"status": "skip", "reason": f"|L|={n} exceeds exhaustive bound {max_exhaustive}"}
-    frame_dist_ok = True
-    arrow_meet_ok = True
-    arrow_sup_ok = True
+    meet, join, imp = ([list(r) for r in t]
+                       for t in (frame.meet_table, frame.join_table, frame.imp_table))
+    imp_into = [list(c) for c in zip(*imp)]  # imp_into[a][b] = b -> a
+    bottom, top = [frame.bottom] * n, [frame.top] * n
+    frame_dist_ok = arrow_meet_ok = arrow_sup_ok = True
     display_witness = None
-    cases = 0
-    for amask in range(1 << n):
-        ja = frame.join_mask(amask)
-        ma = frame.meet_mask(amask)
-        for b in range(n):
-            cases += 1
-            # (vA) & b = v(a & b)
-            acc = frame.bottom
-            for a in bits(amask):
-                acc = frame.join(acc, frame.meet(a, b))
-            if frame.meet(ja, b) != acc:
-                frame_dist_ok = False
-            # b -> (^A) = ^(b -> a)
-            acc = frame.top
-            for a in bits(amask):
-                acc = frame.meet(acc, frame.imp(b, a))
-            if frame.imp(b, ma) != acc:
-                arrow_meet_ok = False
-            # corrected form: (vA) -> b = ^(a -> b)
-            acc = frame.top
-            for a in bits(amask):
-                acc = frame.meet(acc, frame.imp(a, b))
-            if frame.imp(ja, b) != acc:
-                arrow_sup_ok = False
-            # display form: (vA) -> b = v(a -> b); falsified in general.
-            # Prefer a witness with nonempty A over the empty-join artifact.
-            if display_witness is None or (display_witness["A"] == [] and amask):
-                acc = frame.bottom
-                for a in bits(amask):
-                    acc = frame.join(acc, frame.imp(a, b))
-                if frame.imp(ja, b) != acc:
-                    display_witness = {
-                        "A": [frame.label(a) for a in bits(amask)],
-                        "b": frame.label(b),
-                        "lhs": frame.label(frame.imp(ja, b)),
-                        "rhs": frame.label(acc),
-                    }
+    # per subset A: vA, ^A, and the rows over b of v(a & b), ^(b -> a),
+    # ^(a -> b) and v(a -> b). A's folds are those of A less its highest
+    # element a, one step further: the order of folding A upwards.
+    folds = [(frame.bottom, frame.top, bottom, top, top, bottom)]
+    for amask in range(1, 1 << n):
+        a = amask.bit_length() - 1
+        ja, ma, dist, arr_meet, arr_sup, arr_join = folds[amask ^ 1 << a]
+        folds.append((join[ja][a], meet[ma][a],
+                      [join[x][y] for x, y in zip(dist, meet[a])],
+                      [meet[x][y] for x, y in zip(arr_meet, imp_into[a])],
+                      [meet[x][y] for x, y in zip(arr_sup, imp[a])],
+                      [join[x][y] for x, y in zip(arr_join, imp[a])]))
+    for amask, (ja, ma, dist, arr_meet, arr_sup, arr_join) in enumerate(folds):
+        frame_dist_ok = frame_dist_ok and meet[ja] == dist
+        arrow_meet_ok = arrow_meet_ok and imp_into[ma] == arr_meet
+        arrow_sup_ok = arrow_sup_ok and imp[ja] == arr_sup
+        # display form: (vA) -> b = v(a -> b); falsified in general.
+        # Prefer a witness with nonempty A over the empty-join artifact.
+        if (display_witness is None or (amask and not display_witness["A"])) \
+                and imp[ja] != arr_join:
+            b = next(b for b, (x, y) in enumerate(zip(imp[ja], arr_join)) if x != y)
+            display_witness = {
+                "A": [frame.label(a) for a in bits(amask)],
+                "b": frame.label(b),
+                "lhs": frame.label(imp[ja][b]),
+                "rhs": frame.label(arr_join[b]),
+            }
     return {
         "status": "pass" if (frame_dist_ok and arrow_meet_ok and arrow_sup_ok) else "fail",
-        "cases": cases,
+        "cases": n << n,
         "join_meet_distribution": frame_dist_ok,
         "arrow_preserves_meets": arrow_meet_ok,
         "sup_arrow_meet_form": arrow_sup_ok,

@@ -11,7 +11,14 @@ from localelab.hops import HOperator
 from localelab.interior import AxiomReport, ContinuityReport, InteriorOperator
 from localelab.lattice import Poset, bits
 from localelab.maps import HomReport, check_frame_hom
-from localelab.sublocales import AdjReport, sloc_core, transfer_of
+from localelab.sublocales import (
+    AdjReport,
+    GenReport,
+    open_sub_mask,
+    sloc_core,
+    sub_join_mask,
+    transfer_of,
+)
 
 
 def brute_frame_homs(source, target):
@@ -466,6 +473,74 @@ def brute_heyting_table(frame):
         imp.append(tuple(row))
     return tuple(imp)
 
+
+
+def brute_heyting_identity_report(frame, max_exhaustive=8):
+    """heyting_identity_report with every fold over A recomputed from scratch
+    for each of the 2^n subsets A, scanned in (A, b) order."""
+    n = frame.n
+    if n > max_exhaustive:
+        return {"status": "skip", "reason": f"|L|={n} exceeds exhaustive bound {max_exhaustive}"}
+    frame_dist_ok = arrow_meet_ok = arrow_sup_ok = True
+    display_witness = None
+    cases = 0
+    for amask in range(1 << n):
+        ja = frame.join_mask(amask)
+        ma = frame.meet_mask(amask)
+        for b in range(n):
+            cases += 1
+            acc = frame.bottom
+            for a in bits(amask):
+                acc = frame.join(acc, frame.meet(a, b))
+            if frame.meet(ja, b) != acc:
+                frame_dist_ok = False
+            acc = frame.top
+            for a in bits(amask):
+                acc = frame.meet(acc, frame.imp(b, a))
+            if frame.imp(b, ma) != acc:
+                arrow_meet_ok = False
+            acc = frame.top
+            for a in bits(amask):
+                acc = frame.meet(acc, frame.imp(a, b))
+            if frame.imp(ja, b) != acc:
+                arrow_sup_ok = False
+            if display_witness is None or (display_witness["A"] == [] and amask):
+                acc = frame.bottom
+                for a in bits(amask):
+                    acc = frame.join(acc, frame.imp(a, b))
+                if frame.imp(ja, b) != acc:
+                    display_witness = {
+                        "A": [frame.label(a) for a in bits(amask)],
+                        "b": frame.label(b),
+                        "lhs": frame.label(frame.imp(ja, b)),
+                        "rhs": frame.label(acc),
+                    }
+    return {
+        "status": "pass" if (frame_dist_ok and arrow_meet_ok and arrow_sup_ok) else "fail",
+        "cases": cases,
+        "join_meet_distribution": frame_dist_ok,
+        "arrow_preserves_meets": arrow_meet_ok,
+        "sup_arrow_meet_form": arrow_sup_ok,
+        "sup_arrow_display_form": (
+            {"status": "falsified", "witness": display_witness}
+            if display_witness
+            else {"status": "not-falsified-here"}
+        ),
+    }
+
+
+def brute_generation_check(sl, s):
+    """generation_check with the n^2 joins o(x) v c(y) rebuilt for this S."""
+    host = sl.host
+    acc = host.full_mask
+    for x in range(host.n):
+        ox = open_sub_mask(host, x)
+        for y in range(host.n):
+            j = sub_join_mask(host, (ox, host.up[y]))
+            if not s.mask & ~j:
+                acc &= j
+    return GenReport(acc == s.mask, tuple(s.member_labels()),
+                     tuple(host.labels[i] for i in bits(acc)))
 
 # -- the poset scans: matrix entries, one at a time ------------------------------------
 

@@ -14,6 +14,7 @@ principal ideals and decide distributivity on join-irreducibles.
 Each is compared here with the scan in `oracles.py` on every small frame or
 poset, or on random tables.
 """
+import copy
 import random
 from collections import Counter
 from itertools import product
@@ -35,7 +36,7 @@ from localelab.corpus import (
     two,
 )
 from localelab.errors import LocaleLabError, NotAPoset, NotLocalic
-from localelab import verify
+from localelab import sublocales, verify
 from localelab.hops import (
     HInitialReport,
     HOperator,
@@ -79,7 +80,15 @@ from localelab.interior import (
     random_op,
     trivial_op,
 )
-from localelab.lattice import Frame, Poset, bits, build_frame, downset_frame, frame_of_space
+from localelab.lattice import (
+    Frame,
+    Poset,
+    bits,
+    build_frame,
+    downset_frame,
+    frame_of_space,
+    heyting_identity_report,
+)
 from localelab.maps import (
     FrameHom,
     check_frame_hom,
@@ -93,6 +102,7 @@ from localelab.sublocales import (
     SublocaleTransfer,
     adjunction_report,
     enumerate_sublocales,
+    generation_check,
     transfer_of,
 )
 from localelab.verify import (
@@ -112,7 +122,9 @@ from oracles import (
     brute_continuous_table,
     brute_downset_order,
     brute_frame_homs,
+    brute_generation_check,
     brute_h_axioms,
+    brute_heyting_identity_report,
     brute_heyting_table,
     brute_h_continuous,
     brute_I_continuous,
@@ -204,6 +216,91 @@ def test_heyting_arrows_match_double_scan():
 
 def test_trivial_frame_has_no_points():
     assert points_of(build_frame(("0",), ())) == []
+
+
+# -- frame-level checks: each fact computed once per frame --------------------------
+
+
+def _corrupted(fr):
+    """Copies of fr with one entry of its meet, join or arrow table set to
+    another element, every such entry and value in turn."""
+    for name in ("meet_table", "join_table", "imp_table"):
+        for a, b, v in product(range(fr.n), repeat=3):
+            rows = [list(r) for r in getattr(fr, name)]
+            if rows[a][b] != v:
+                rows[a][b] = v
+                bad = copy.copy(fr)
+                setattr(bad, name, tuple(map(tuple, rows)))
+                yield bad
+
+
+def test_heyting_identity_report_matches_fold_scan():
+    for fr in [fr for fr in CORPUS5 if fr.n <= 8] + FIXTURES:
+        assert heyting_identity_report(fr) == brute_heyting_identity_report(fr), fr
+
+
+def test_heyting_identity_report_matches_fold_scan_on_broken_tables():
+    """Folded in the scan's order, the subset recurrence agrees with the scan
+    on tables that are not a frame's, flags, cases and witness alike."""
+    flags = ("join_meet_distribution", "arrow_preserves_meets", "sup_arrow_meet_form")
+    seen = Counter()
+    for bad in (x for fr in (two(), chain3(), square()) for x in _corrupted(fr)):
+        rep = heyting_identity_report(bad)
+        assert rep == brute_heyting_identity_report(bad)
+        for flag in flags:
+            seen[flag, rep[flag]] += 1
+        witness = rep["sup_arrow_display_form"].get("witness")
+        seen["witness", witness and tuple(witness["A"])] += 1
+    assert all(seen[flag, ok] for flag in flags for ok in (True, False))
+    # the empty-join witness is kept only when no nonempty A gives one
+    assert seen["witness", ()] and len([k for k in seen if k[0] == "witness"]) > 3
+
+
+def _heyting_adjunction_scan(frames):
+    """The heyting-adjunction check as the per-triple method-call scan."""
+    triples = 0
+    for key, fr in frames:
+        for a in range(fr.n):
+            for b in range(fr.n):
+                for c in range(fr.n):
+                    triples += 1
+                    if fr.le(fr.meet(c, a), b) != fr.le(c, fr.imp(a, b)):
+                        line = (f"heyting adjunction fails on {key} at "
+                                f"({fr.labels[a]}, {fr.labels[b]}, {fr.labels[c]})")
+                        return "fail", {"triples": triples}, {"kind": "static", "lines": [line]}
+    return "pass", {"triples": triples}, None
+
+
+def test_heyting_adjunction_check_matches_triple_scan():
+    ctx = _Ctx(CorpusConfig(max_poset_size=5))
+    check = verify.CHECKS["heyting-adjunction"]
+    assert check(ctx) == _heyting_adjunction_scan(ctx.frames)
+    failures = 0
+    for bad in (x for fr in (chain3(), square()) for x in _corrupted(fr)):
+        ctx.frames = [("ok", chain3()), ("bad", bad)]
+        got = check(ctx)
+        assert got == _heyting_adjunction_scan(ctx.frames)
+        failures += got[0] == "fail"
+    assert failures
+
+
+def test_generation_check_matches_per_call_joins(monkeypatch):
+    """Against the n^2 joins rebuilt per sublocale, on every corpus-5 frame
+    with at most 6 elements; generation-property builds them once per frame."""
+    frames = [fr for fr in CORPUS5 if fr.n <= 6]
+    for fr in frames:
+        sl = enumerate_sublocales(fr)
+        for i in range(sl.n):
+            assert generation_check(sl, sl.sub(i)) == brute_generation_check(sl, sl.sub(i))
+    calls = Counter()
+    join = sublocales.sub_join_mask
+    monkeypatch.setattr(sublocales, "sub_join_mask",
+                        lambda host, masks: calls.update([host]) or join(host, masks))
+    ctx = _Ctx(CorpusConfig())
+    for _, fr in ctx.frames:
+        vars(ctx.sl(fr)).pop("open_closed_joins", None)
+    assert verify.CHECKS["generation-property"](ctx)[0] == "pass"
+    assert calls == {fr: fr.n ** 2 for _, fr in ctx.frames if fr.n <= 6}
 
 
 # -- posets on bitmask rows ----------------------------------------------------------

@@ -38,7 +38,7 @@ from localelab.interior import (
     trivial_op,
 )
 from localelab.serialize import save_json
-from localelab.sublocales import transfer_of
+from localelab.sublocales import SublocaleTransfer, _transfer_cached, transfer_of
 from localelab.verify import CHECK_ORDER, CorpusConfig, run_verification, replay
 
 ALL_CHECKS = [
@@ -588,6 +588,24 @@ def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, in
     monkeypatch.undo()
     row, _ = _row(h)
     assert row == next(r for r in default_report["checks"] if r["id"] == h)
+
+
+def test_each_map_transfer_is_built_once(monkeypatch):
+    """A sampling run builds each transfer once, galois-adjunction through the
+    cache the operator checks read; without operators nothing is cached."""
+    builds = []
+    build = SublocaleTransfer.build
+    monkeypatch.setattr(SublocaleTransfer, "build",
+                        staticmethod(lambda f, limit=None: builds.append(f) or build(f, limit)))
+    _transfer_cached.cache_clear()
+    run_verification(CorpusConfig())
+    assert len(builds) == _transfer_cached.cache_info().misses == 1304
+    builds.clear()
+    _transfer_cached.cache_clear()
+    report = run_verification(CorpusConfig(operator_samples_per_frame=0,
+                                           checks=("galois-adjunction",)))
+    assert len(builds) == report["counts"]["maps"] == 1135
+    assert _transfer_cached.cache_info().currsize == 0
 
 
 def test_open_preimage_fails_at_a_middle_triple(monkeypatch, ctx):
