@@ -65,7 +65,12 @@ interpreters with the same `PYTHONPATH`. One entry records:
   (`frame_checks_s`), each pass on S_l lattices built anew, so that what a
   lattice computes once per run is computed in every pass; and the median
   over the same passes of that cold S_l build over the 87 corpus-5 frames
-  (`sl_build_5_s`).
+  (`sl_build_5_s`);
+- `probe_s`: the median time of `probe_kernel`, a fixed slice of pure-Python
+  work (the probe of `perfbench/run.py`), run PROBES times before each of the
+  timing groups above and once more after the last. It tracks the machine's
+  speed while the entry is taken: divide a timing by it to compare entries
+  taken at different speeds.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -87,6 +92,7 @@ sys.path.insert(0, SRC)
 
 PASSES = 5
 COLD_RUNS = 11
+PROBES = 21
 # timed inside the child, so interpreter start-up is left out
 COLD_PROBE = """
 import time
@@ -109,6 +115,21 @@ FRAME_CHECKS = ("heyting-adjunction", "heyting-identities", "complement-laws",
 OPERATOR_CHECKS = ("contractive-equivalence", "composition-interior", "composition-h",
                    "coarseness", "universal-property-interior", "universal-property-h",
                    "open-preimage")
+
+
+def probe_kernel():
+    """A fixed slice of pure-Python work, about half a millisecond."""
+    s = 0
+    for i in range(6000):
+        s += i * i % 7
+    return s
+
+
+def _probe(times):
+    for _ in range(PROBES):
+        start = time.perf_counter()
+        probe_kernel()
+        times.append(time.perf_counter() - start)
 
 
 def _commit() -> str:
@@ -335,13 +356,21 @@ def main(argv=None):
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-        "verify_default": _wall(["verify"], args.runs),
-        "verify_max_poset_5": _wall(["verify", "--max-poset", "5"], args.runs),
-        "cold_start": cold_start(),
-        "map_kernels": kernel_timings(),
-        "operator_kernels": operator_timings(),
-        "frame_checks": frame_check_timings(),
     }
+    groups = {
+        "verify_default": lambda: _wall(["verify"], args.runs),
+        "verify_max_poset_5": lambda: _wall(["verify", "--max-poset", "5"], args.runs),
+        "cold_start": cold_start,
+        "map_kernels": kernel_timings,
+        "operator_kernels": operator_timings,
+        "frame_checks": frame_check_timings,
+    }
+    probes = []
+    for name, group in groups.items():
+        _probe(probes)
+        entry[name] = group()
+    _probe(probes)
+    entry["probe_s"] = round(statistics.median(probes), 6)
     history = []
     if os.path.exists(args.out):
         with open(args.out) as fh:

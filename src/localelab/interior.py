@@ -8,7 +8,7 @@ draw, axiom and lift kernels take many tables at once, packed as _lanes says.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -588,8 +588,7 @@ class OpenPreimageReport:
     checked: int
     witness: tuple | None = None
 
-    def to_json(self):
-        return {"status": self.status, "checked": self.checked, "witness": self.witness}
+    to_json = asdict
 
 
 def check_open_preimage(f: LocalicMap, op_l: InteriorOperator,

@@ -219,20 +219,6 @@ class Frame:
         """Heyting arrow a -> b: the largest c with c & a <= b."""
         return self.imp_table[a][b]
 
-    def meet_mask(self, mask: int) -> int:
-        """Meet of a subset given as bitmask; empty meet is the top."""
-        out = self.top
-        for i in bits(mask):
-            out = self.meet_table[out][i]
-        return out
-
-    def join_mask(self, mask: int) -> int:
-        """Join of a subset given as bitmask; empty join is the bottom."""
-        out = self.bottom
-        for i in bits(mask):
-            out = self.join_table[out][i]
-        return out
-
     def label(self, i: int) -> str:
         return self.labels[i]
 

@@ -2,7 +2,7 @@
 continuous point maps with their open-preimage homs."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .errors import DomainMismatch, NotContinuous, NotLocalic, SizeLimit
@@ -15,8 +15,7 @@ class HomReport:
     law: str | None = None
     witness: tuple | None = None
 
-    def to_json(self):
-        return {"ok": self.ok, "law": self.law, "witness": self.witness}
+    to_json = asdict
 
 
 def check_frame_hom(source: Frame, target: Frame, table) -> HomReport:

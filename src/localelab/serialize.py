@@ -49,19 +49,25 @@ def localic_map_to_json(f: LocalicMap, from_ref: str, to_ref: str) -> dict:
     return {"from": from_ref, "to": to_ref, "map": table}
 
 
+def _label_table(labels: dict, source_index: dict, target_index: dict, what: str) -> tuple:
+    """The index table of a {source label: target label} map, which must name
+    only known labels and cover every source label; `what` names the labels
+    ("element", "point") in the errors."""
+    table = [None] * len(source_index)
+    for a, v in labels.items():
+        if a not in source_index:
+            raise ValueError(f"unknown source {what} {a!r}")
+        if v not in target_index:
+            raise ValueError(f"unknown target {what} {v!r}")
+        table[source_index[a]] = target_index[v]
+    if None in table:
+        raise ValueError(f"map table does not cover every source {what}")
+    return tuple(table)
+
+
 def localic_map_from_json(data: dict, source: Frame, target: Frame) -> LocalicMap:
-    table = [0] * source.n
-    seen = set()
-    for a, v in data["map"].items():
-        if a not in source.index:
-            raise ValueError(f"unknown source element {a!r}")
-        if v not in target.index:
-            raise ValueError(f"unknown target element {v!r}")
-        table[source.index[a]] = target.index[v]
-        seen.add(source.index[a])
-    if len(seen) != source.n:
-        raise ValueError("map table does not cover every source element")
-    return localic_map(source, target, tuple(table))
+    table = _label_table(data["map"], source.index, target.index, "element")
+    return localic_map(source, target, table)
 
 
 def point_map_to_json(c: ContinuousMap, from_ref: str, to_ref: str) -> dict:
@@ -72,18 +78,8 @@ def point_map_to_json(c: ContinuousMap, from_ref: str, to_ref: str) -> dict:
 
 
 def point_map_from_json(data: dict, source: FiniteSpace, target: FiniteSpace) -> ContinuousMap:
-    table = [0] * source.n_points
-    seen = set()
-    for p, q in data["map"].items():
-        if p not in source.point_index:
-            raise ValueError(f"unknown source point {p!r}")
-        if q not in target.point_index:
-            raise ValueError(f"unknown target point {q!r}")
-        table[source.point_index[p]] = target.point_index[q]
-        seen.add(source.point_index[p])
-    if len(seen) != source.n_points:
-        raise ValueError("map table does not cover every source point")
-    return ContinuousMap(source, target, tuple(table))
+    table = _label_table(data["map"], source.point_index, target.point_index, "point")
+    return ContinuousMap(source, target, table)
 
 
 # -- sublocale keys ----------------------------------------------------------

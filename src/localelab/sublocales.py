@@ -14,7 +14,7 @@ on point masks. The subset-scan definition survives as a test oracle.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 from .errors import BadConfig, HostMismatch, NotMeetClosed, SizeLimit
@@ -56,8 +56,7 @@ class SubReport:
     condition: str | None = None
     witness: tuple | None = None
 
-    def to_json(self):
-        return {"ok": self.ok, "condition": self.condition, "witness": self.witness}
+    to_json = asdict
 
 
 def is_sublocale(frame: Frame, members) -> SubReport:
@@ -145,20 +144,27 @@ def sloc_core(frame: Frame, members) -> Sublocale:
         cur = nxt
 
 
+def _closure(table, mask: int) -> int:
+    """The least superset of mask closed under the binary operation table,
+    a frame's meet or join table."""
+    while True:
+        add = 0
+        mem = list(bits(mask))
+        for i, a in enumerate(mem):
+            row = table[a]
+            for b in mem[i + 1:]:
+                add |= 1 << row[b]
+        if not add & ~mask:
+            return mask
+        mask |= add
+
+
 def sub_join_mask(frame: Frame, masks) -> int:
     """Meet-closure of a union of sublocale masks; empty family gives {top}."""
     cur = 1 << frame.top
     for m in masks:
         cur |= m
-    while True:
-        add = 0
-        mem = list(bits(cur))
-        for i, a in enumerate(mem):
-            for b in mem[i + 1:]:
-                add |= 1 << frame.meet(a, b)
-        if not add & ~cur:
-            return cur
-        cur |= add
+    return _closure(frame.meet_table, cur)
 
 
 def sub_join(frame: Frame, family) -> Sublocale:
@@ -330,8 +336,7 @@ class AdjReport:
     pairs: int
     witness: tuple | None = None
 
-    def to_json(self):
-        return {"ok": self.ok, "pairs": self.pairs, "witness": self.witness}
+    to_json = asdict
 
 
 def check_adjunction(f: LocalicMap, limit: int | None = None) -> AdjReport:
@@ -379,8 +384,7 @@ class GenReport:
     expected: tuple
     computed: tuple
 
-    def to_json(self):
-        return {"ok": self.ok, "expected": self.expected, "computed": self.computed}
+    to_json = asdict
 
 
 def generation_check(sl: SublocaleLattice, s: Sublocale) -> GenReport:
@@ -480,16 +484,7 @@ def _sup_form(frame: Frame, start: int, least: int) -> tuple:
     """The sup-form reading {vM} of a sublocale join from the mask start, its
     closure under binary joins, as (closure, its is_sublocale report, None
     when it is the join least, else "not-a-sublocale" or "not-the-least")."""
-    cur = start
-    while True:
-        add = 0
-        mem = list(bits(cur))
-        for i, a in enumerate(mem):
-            for b in mem[i + 1:]:
-                add |= 1 << frame.join(a, b)
-        if not add & ~cur:
-            break
-        cur |= add
+    cur = _closure(frame.join_table, start)
     rep = is_sublocale(frame, cur)
     return cur, rep, "not-a-sublocale" if not rep.ok else "not-the-least" if cur != least else None
 

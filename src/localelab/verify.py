@@ -419,6 +419,11 @@ class _Ctx:
 # -- checks ----------------------------------------------------------------------
 
 
+def _fail(detail, line):
+    """A failing check's row: its detail and a static witness of one line."""
+    return "fail", detail, {"kind": "static", "lines": [line]}
+
+
 def _check_poset_counts(ctx):
     sizes = {}
     ok = True
@@ -449,7 +454,7 @@ def _check_heyting_adjunction(ctx):
                     c = (gap & -gap).bit_length() - 1
                     line = (f"heyting adjunction fails on {key} at "
                             f"({fr.labels[a]}, {fr.labels[b]}, {fr.labels[c]})")
-                    return "fail", {"triples": triples + c + 1}, {"kind": "static", "lines": [line]}
+                    return _fail({"triples": triples + c + 1}, line)
                 triples += fr.n
     return "pass", {"triples": triples}, None
 
@@ -463,7 +468,7 @@ def _check_heyting_identities(ctx):
             continue
         checked += 1
         if rep["status"] != "pass":
-            return "fail", {"frame": key}, {"kind": "static", "lines": [str(rep)]}
+            return _fail({"frame": key}, str(rep))
         if rep["sup_arrow_display_form"]["status"] == "falsified":
             falsified += 1
             ctx.reg_hit("sup-arrow-display-form")
@@ -482,13 +487,10 @@ def _check_complement_laws(ctx):
                 continue
             pairs += 1
             if sl.meet(i, j) != sl.bottom or sl.join(i, j) != sl.top:
-                witness = {"kind": "static",
-                           "lines": [f"complement laws fail on {key} at {sl.label(i)}"]}
-                return "fail", {"pairs": pairs}, witness
+                return _fail({"pairs": pairs}, f"complement laws fail on {key} at {sl.label(i)}")
             if sl.complement(j) != i:
-                witness = {"kind": "static",
-                           "lines": [f"complement not involutive on {key} at {sl.label(i)}"]}
-                return "fail", {"pairs": pairs}, witness
+                return _fail({"pairs": pairs},
+                             f"complement not involutive on {key} at {sl.label(i)}")
     return "pass", {"pairs": pairs}, None
 
 
@@ -502,9 +504,8 @@ def _check_generation_property(ctx):
             checked += 1
             rep = generation_check(sl, sl.sub(i))
             if not rep.ok:
-                witness = {"kind": "static",
-                           "lines": [f"generation fails on {key} at {sl.label(i)}: {rep.to_json()}"]}
-                return "fail", {"sublocales": checked}, witness
+                return _fail({"sublocales": checked},
+                             f"generation fails on {key} at {sl.label(i)}: {rep.to_json()}")
     return "pass", {"sublocales": checked}, None
 
 
@@ -521,10 +522,8 @@ def _check_sublocale_join_oracle(ctx):
                 least = _least_containing(sl, union)
                 joined = sl.masks[sl.join(i, j)]
                 if joined != least or sub_join_mask(fr, (sl.masks[i], sl.masks[j])) != least:
-                    witness = {"kind": "static",
-                               "lines": [f"join oracle mismatch on {key} at "
-                                         f"({sl.label(i)}, {sl.label(j)})"]}
-                    return "fail", {"pairs": pairs}, witness
+                    return _fail({"pairs": pairs}, f"join oracle mismatch on {key} at "
+                                                   f"({sl.label(i)}, {sl.label(j)})")
                 # the report counts frames, so a frame's first display gap settles it
                 if not display_gap:
                     display_gap = _sup_form(fr, union, least)[2] is not None
@@ -549,7 +548,7 @@ def _check_galois_adjunction(ctx):
             line = f"left adjoint round trip differs for {f.describe()}"
         else:
             continue
-        return "fail", {"maps": len(ctx.maps)}, {"kind": "static", "lines": [line]}
+        return _fail({"maps": len(ctx.maps)}, line)
     return "pass", {"maps": len(ctx.maps), "pairs_per_map": "all"}, None
 
 
@@ -563,8 +562,7 @@ def _check_boolean_fragment(ctx):
         except ValueError as exc:
             problem = str(exc)
         if problem is not None:
-            witness = {"kind": "static", "lines": [f"S_l is not Boolean on {key}: {problem}"]}
-            return "fail", {"frames": len(ctx.frames)}, witness
+            return _fail({"frames": len(ctx.frames)}, f"S_l is not Boolean on {key}: {problem}")
     return "pass", {"frames": len(ctx.frames)}, None
 
 
@@ -589,8 +587,7 @@ def _check_interior_axioms(ctx):
         d, t = discrete_op(sl), trivial_op(sl)
         for op in (d, t, op_join([d, t]), op_meet([d, t])):
             if not check_interior(op).ok:
-                return "fail", {"generated": generated}, {
-                    "kind": "static", "lines": [f"named operator invalid on {key}"]}
+                return _fail({"generated": generated}, f"named operator invalid on {key}")
         prev = None  # the previous batch's last draw
         for b in ctx.batches(sl, ctx.rng("interior-ops", key), k, fr.n + 1):
             own = _invalid(sl, b.masks, b)
@@ -603,8 +600,7 @@ def _check_interior_axioms(ctx):
                 j = b.upto(own | pairs)
                 line = ("generated operator breaks the axioms or bounds on"
                         if b.upto(own) == j else "operator lattice op invalid on")
-                return "fail", {"generated": generated + j}, {
-                    "kind": "static", "lines": [f"{line} {key}"]}
+                return _fail({"generated": generated + j}, f"{line} {key}")
             generated += b.lanes
             prev = b.lane(b.lanes - 1)
     ctx.counts["operators"] += generated
@@ -619,32 +615,29 @@ def _check_h_axioms(ctx):
         d, t = discrete_h(sl), trivial_h(sl)
         for h in (d, t):
             if not check_h(h).ok:
-                return "fail", {"generated": generated}, {
-                    "kind": "static", "lines": [f"named h operator invalid on {key}"]}
+                return _fail({"generated": generated}, f"named h operator invalid on {key}")
         # h1 to h3 are I1 to I3 of the core masks; h1 holds for every total table
         rng = ctx.rng("h-ops", key)
         for _ in range(min(k, 25)):
             table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
             raw_tables += 1
             if any(_axiom_gaps(sl, _core(sl, [sl.points[v] for v in table]))[0]):
-                return "fail", {"raw_tables": raw_tables}, {
-                    "kind": "static", "lines": [f"h1 fails on a raw table on {key}"]}
+                return _fail({"raw_tables": raw_tables}, f"h1 fails on a raw table on {key}")
         # a draw is an interior operator, so trivial <= h <= discrete, and
         # trivial <= h is also trivial being the meet floor: t ^ h = t
         for b in ctx.batches(sl, rng, k, fr.n + 1):
             bad = _invalid(sl, b.masks, b) | _invalid(sl, _core(sl, b.masks, b.ones), b)
             if bad:
-                return "fail", {"generated": generated + b.upto(bad)}, {
-                    "kind": "static", "lines": [f"generated h operator invalid on {key}"]}
+                return _fail({"generated": generated + b.upto(bad)},
+                             f"generated h operator invalid on {key}")
             generated += b.lanes
         # the constant-top table is a valid h operator strictly above discrete
         const_top = HOperator(sl, (sl.top,) * sl.n)
         if check_h(const_top).ok and op_le(d, const_top) and not op_le(const_top, d):
             ctx.reg_hit("discrete-h-not-largest")
         else:
-            return "fail", {"generated": generated}, {
-                "kind": "static",
-                "lines": [f"constant-top h operator not above discrete on {key}"]}
+            return _fail({"generated": generated},
+                         f"constant-top h operator not above discrete on {key}")
     ctx.counts["operators"] += generated
     detail = {"generated": generated, "raw_tables": raw_tables}
     return "pass", detail, None
@@ -677,10 +670,8 @@ def _check_contractive_equivalence(ctx):
                                _core(sll, _widened(sll, l)))
             checked += 1
             if gap != h_gap:
-                witness = {"kind": "static",
-                           "lines": ["continuity for i differs from h-continuity for "
-                                     f"i(S) v not-S for {f.describe()}"]}
-                return "fail", {"checked": checked}, witness
+                return _fail({"checked": checked}, "continuity for i differs from "
+                             f"h-continuity for i(S) v not-S for {f.describe()}")
             if gap is not None:
                 disagreements += 1
     ctx.counts["operators"] += 2 * checked
@@ -699,10 +690,8 @@ def _check_composition(ctx, core):
                 (tf.source_lattice, tg.source_lattice, tg.target_lattice), (l, m, n)))
         rep = _composition(tf, tg, l, m, n)
         if rep.status != "pass":
-            witness = {"kind": "static",
-                       "lines": [f"composition fails for {tf.map.describe()} then "
-                                 f"{tg.map.describe()}: {rep.to_json()}"]}
-            return "fail", {"triples": passed}, witness
+            return _fail({"triples": passed}, f"composition fails for {tf.map.describe()} "
+                         f"then {tg.map.describe()}: {rep.to_json()}")
         passed += 1
     ctx.counts["operators"] += 3 * passed
     return _verdict(ctx, None, {"triples": passed}, _shortfall(passed, "composable triples"))
@@ -719,9 +708,9 @@ def _verdict(ctx, cid, detail, problem=None):
     check that adds none) added to it, else with a static witness naming
     problem when there is one."""
     if any(u["check"] == cid for u in ctx.unexplained):
-        return "fail", detail, {"kind": "static", "lines": ["see the unexplained list"]}
+        return _fail(detail, "see the unexplained list")
     if problem:
-        return "fail", detail, {"kind": "static", "lines": [problem]}
+        return _fail(detail, problem)
     return "pass", detail, None
 
 
@@ -769,16 +758,17 @@ def _tally(gaps, confirmed, first, b):
     return hits, loose
 
 
-def _check_initial(ctx, cid, tables_for, lift, report, holds, top, ids):
+def _check_initial(ctx, cid, tables_for, lift, report, holds, ids):
     """lift through every map's transfer of the batches tables_for gives.
 
-    The axioms in holds must hold for every induced operator, and top must
-    hold when f[L] = M; ids maps each anomaly kind to its registry entry, and
-    the "top-gap" entry also records the mandated TWO -> CHAIN3 trivial
-    counterexample. A batch adds its confirmed (lane, index) gaps to the
-    tallies. One that holds a failure, an unconfirmed gap or a registry
-    entry's first witness is walked: split into one-lane batches, in table
-    order, whose operators and reports (of class report) are built on demand.
+    The axioms in holds must hold for every induced operator, and the top law
+    (the third of report._AXIOMS) must hold when f[L] = M; ids maps each
+    anomaly kind to its registry entry, and the "top-gap" entry also records
+    the mandated TWO -> CHAIN3 trivial counterexample. A batch adds its
+    confirmed (lane, index) gaps to the tallies. One that holds a failure, an
+    unconfirmed gap or a registry entry's first witness is walked: split into
+    one-lane batches, in table order, whose operators and reports (of class
+    report) are built on demand.
     """
     checked = 0
     tallies = dict.fromkeys(ids, 0)
@@ -805,14 +795,11 @@ def _check_initial(ctx, cid, tables_for, lift, report, holds, top, ids):
             checked += b.lanes
             ctx.kernels["tables_lifted"] += b.lanes
             if failed:
-                return "fail", {"checked": checked}, {
-                    "kind": "static",
-                    "lines": [f"{' or '.join(holds)} fails for an induced operator "
-                              f"on {f.describe()}"]}
+                return _fail({"checked": checked}, f"{' or '.join(holds)} fails for an "
+                             f"induced operator on {f.describe()}")
             if surj and top_gap:
-                return "fail", {"checked": checked}, {
-                    "kind": "static",
-                    "lines": [f"{top} fails despite f[L] = M for {f.describe()}"]}
+                return _fail({"checked": checked}, f"{report._AXIOMS[2]} fails despite "
+                             f"f[L] = M for {f.describe()}")
 
             def witnesses(confirmed):
                 """The anomaly witnesses of a one-lane batch, confirmed or not."""
@@ -836,21 +823,21 @@ def _check_initial(ctx, cid, tables_for, lift, report, holds, top, ids):
         ctx.reg_hit(ids["top-gap"])
     detail = {"checked": checked, "tallies": tallies,
               "mandated_top_counterexample": "fails-as-documented" if mandated_failed else "unexpected-pass"}
-    return _verdict(ctx, cid, detail, None if mandated_failed else
-                    f"{top} holds on the mandated TWO -> CHAIN3 trivial counterexample")
+    return _verdict(ctx, cid, detail, None if mandated_failed else f"{report._AXIOMS[2]} "
+                    "holds on the mandated TWO -> CHAIN3 trivial counterexample")
 
 
 def _check_initial_interior(ctx):
     ids = {"contraction-gap": "initial-contraction", "top-gap": "initial-top",
            "continuity-gap": "initial-continuity"}
     return _check_initial(ctx, "initial-interior", _ops_for_initial, _lift, InitialReport,
-                          ("I2",), "I3", ids)
+                          ("I2",), ids)
 
 
 def _check_initial_h(ctx):
     ids = {"top-gap": "initial-h-top", "continuity-gap": "initial-h-continuity"}
     return _check_initial(ctx, "initial-h", _h_ops_for_initial, _lift_h, HInitialReport,
-                          ("h1", "h2"), "h3", ids)
+                          ("h1", "h2"), ids)
 
 
 def _coarseness_witness(f, op_m, op_l, at):
@@ -966,14 +953,12 @@ def _check_open_preimage(ctx):
         for l, m in pairs:
             rep = _open_preimage(t, l, m)
             if rep.status == "precondition-unmet":
-                return "fail", {"checked": checked}, {
-                    "kind": "static",
-                    "lines": [f"constructed triple not continuous for {f.describe()}"]}
+                return _fail({"checked": checked},
+                             f"constructed triple not continuous for {f.describe()}")
             checked += 1
             if rep.status != "pass":
-                return "fail", {"checked": checked}, {
-                    "kind": "static",
-                    "lines": [f"open preimage fails for {f.describe()} at {rep.witness}"]}
+                return _fail({"checked": checked},
+                             f"open preimage fails for {f.describe()} at {rep.witness}")
     ctx.counts["operators"] += checked
     return "pass", {"checked": checked}, None
 
@@ -988,16 +973,14 @@ def _check_points_spatiality(ctx):
         and len(ctx.sl(two())) == 2
     )
     if not fixture_ok:
-        return "fail", {}, {"kind": "static", "lines": ["fixture counts are off"]}
+        return _fail({}, "fixture counts are off")
     frames = 0
     for key, fr in ctx.frames:
         rep = is_spatial(fr)
         phi = spatialization(fr)
         injective = len(set(phi.table)) == fr.n
-        if not rep.ok or not injective or rep.ok != injective:
-            return "fail", {"frames": frames}, {
-                "kind": "static",
-                "lines": [f"spatiality fails or definitions disagree on {key}"]}
+        if not rep.ok or not injective:
+            return _fail({"frames": frames}, f"spatiality fails or definitions disagree on {key}")
         frames += 1
     return "pass", {"frames": frames, "spatial": frames}, None
 
@@ -1192,7 +1175,8 @@ def _trace_discrete_h_not_largest(w):
     return lines
 
 
-def _predicate_lines(f, t, anomaly, sl, tl):
+def _predicate_lines(t, anomaly):
+    sl, tl = t.source_lattice, t.target_lattice
     at = anomaly["at"]
     pred = anomaly["predicate"]
     lines = []
@@ -1210,27 +1194,25 @@ def _predicate_lines(f, t, anomaly, sl, tl):
     return lines
 
 
+def _reproduced(lines, anomalies, want, explain):
+    """lines, then the trace of the anomaly of want's kind and place in
+    anomalies: explain(it) and whether it is confirmed, or its absence."""
+    found = next((a for a in anomalies if a["kind"] == want["kind"] and a["at"] == want["at"]),
+                 None)
+    if found is None:
+        return lines + ["anomaly did not reproduce"]
+    return lines + explain(found) + [
+        "anomaly reproduced" if found["confirmed"] else "anomaly reproduced but unconfirmed"]
+
+
 def _trace_initial_anomaly(w):
     f = _rebuild_map(w["map"])
     op = _rebuild_op(w["op"], f.target)
     rep = (initial_h if isinstance(op, HOperator) else initial_interior)(f, op)
     want = w["anomaly"]
-    t = transfer_of(f)
-    sl, tl = t.source_lattice, t.target_lattice
     lines = [f"induced operator anomaly for f: {f.source.key()} -> {f.target.key()}",
              f"looking for {want['kind']} at {want['at']} ({want['predicate']})"]
-    found = next(
-        (a for a in rep.anomalies
-         if a["kind"] == want["kind"] and a["at"] == want["at"]),
-        None,
-    )
-    if found is None:
-        lines.append("anomaly did not reproduce")
-        return lines
-    lines.extend(_predicate_lines(f, t, found, sl, tl))
-    lines.append("anomaly reproduced" if found["confirmed"]
-                 else "anomaly reproduced but unconfirmed")
-    return lines
+    return _reproduced(lines, rep.anomalies, want, partial(_predicate_lines, transfer_of(f)))
 
 
 def _trace_coarseness(w):
@@ -1261,27 +1243,18 @@ def _trace_universal_anomaly(w):
     opm = _rebuild_op(w["op_m"], f.target)
     opn = _rebuild_op(w["op_n"], g.source)
     rep = (check_h_universal if w["fragment"] else check_universal_property)(f, opm, g, opn)
-    want = w["anomaly"]
     lines = [
         f"lifting equivalence for g: {g.source.key()} -> {g.target.key()} into "
         f"f: {f.source.key()} -> {f.target.key()}",
         f"initial side ok: {rep.initial_side.ok}; composite side ok: "
         f"{rep.composite_side.ok}",
     ]
-    found = next(
-        (a for a in rep.anomalies
-         if a["kind"] == want["kind"] and a["at"] == want["at"]),
-        None,
-    )
-    if found is None:
-        lines.append("anomaly did not reproduce")
-        return lines
-    side = rep.initial_side if found["kind"] == "initial-side-only" else rep.composite_side
-    lines.append(f"failing side witness: {side.witness}")
-    lines.append(f"predicate: {found['predicate']}")
-    lines.append("anomaly reproduced" if found["confirmed"]
-                 else "anomaly reproduced but unconfirmed")
-    return lines
+
+    def explain(a):
+        side = rep.initial_side if a["kind"] == "initial-side-only" else rep.composite_side
+        return [f"failing side witness: {side.witness}", f"predicate: {a['predicate']}"]
+
+    return _reproduced(lines, rep.anomalies, w["anomaly"], explain)
 
 
 def _trace_static(w):

@@ -475,6 +475,24 @@ def brute_heyting_table(frame):
 
 
 
+def meet_of(frame, mask):
+    """The meet of the elements in mask, folded over the meet table; the
+    empty meet is the top."""
+    out = frame.top
+    for i in bits(mask):
+        out = frame.meet(out, i)
+    return out
+
+
+def join_of(frame, mask):
+    """The join of the elements in mask, folded over the join table; the
+    empty join is the bottom."""
+    out = frame.bottom
+    for i in bits(mask):
+        out = frame.join(out, i)
+    return out
+
+
 def brute_heyting_identity_report(frame, max_exhaustive=8):
     """heyting_identity_report with every fold over A recomputed from scratch
     for each of the 2^n subsets A, scanned in (A, b) order."""
@@ -485,8 +503,8 @@ def brute_heyting_identity_report(frame, max_exhaustive=8):
     display_witness = None
     cases = 0
     for amask in range(1 << n):
-        ja = frame.join_mask(amask)
-        ma = frame.meet_mask(amask)
+        ja = join_of(frame, amask)
+        ma = meet_of(frame, amask)
         for b in range(n):
             cases += 1
             acc = frame.bottom

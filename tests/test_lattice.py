@@ -39,6 +39,7 @@ from localelab.corpus import (
     two,
 )
 from localelab.lattice import Poset, bits, heyting_identity_report
+from oracles import join_of, meet_of
 
 
 # -- oracles ------------------------------------------------------------
@@ -193,8 +194,8 @@ def test_downset_frame_random_posets(n, data):
     p = Poset.from_pairs(labels, [(labels[i], labels[j]) for i, j in chosen])
     f = downset_frame(p)  # construction validates lattice + distributivity
     assert f.n == count_downsets(p)
-    assert f.meet_mask(f.full_mask) == f.bottom
-    assert f.join_mask(f.full_mask) == f.top
+    assert meet_of(f, f.full_mask) == f.bottom
+    assert join_of(f, f.full_mask) == f.top
 
 
 # -- spaces ----------------------------------------------------------------

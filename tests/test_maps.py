@@ -30,6 +30,7 @@ from localelab.maps import (
     omega_of_map,
     right_adjoint,
 )
+from oracles import meet_of
 
 
 def oracle_right_adjoint_value(h, x):
@@ -171,7 +172,7 @@ def test_localic_maps_preserve_all_meets_and_top():
                 img = 0
                 for x in bits(mask):
                     img |= 1 << f(x)
-                assert f(L.meet_mask(mask)) == M.meet_mask(img)
+                assert f(meet_of(L, mask)) == meet_of(M, img)
 
 
 def test_compose_fixtures_and_identity():

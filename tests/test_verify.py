@@ -5,6 +5,7 @@ of the harness itself and double-checked against a second run; they pin the
 sampling plan, so any change to striding, budgets, or seed derivation shows
 up here first.
 """
+import copy
 import dataclasses
 import hashlib
 import json
@@ -639,3 +640,171 @@ def test_open_preimage_fails_at_a_middle_triple(monkeypatch, ctx):
     assert row["status"] == "fail"
     assert row["detail"] == {"checked": checked}
     assert row["witness"]["lines"] == [f"open preimage fails for {f.describe()} at ('bent', 'case')"]
+
+
+# -- failure paths of the checks with a static witness: each patches one name
+# the check reads from localelab.verify, so that the check fails at a middle
+# case of the default corpus; the row pins the detail and the witness line,
+# and replay prints that line -----------------------------------------------------
+
+def _static_fail(monkeypatch, cid, name, fake, detail, line):
+    monkeypatch.setattr(verify, name, fake)
+    report = run_verification(CorpusConfig(checks=(cid,)))
+    assert report["checks"] == [{"id": cid, "status": "fail", "detail": detail,
+                                 "witness": {"kind": "static", "lines": [line]}}]
+    assert replay(report, cid) == line
+
+
+def _middle(ctx, admit=lambda fr: True):
+    """(position, key, frame) of the middle admitted corpus frame."""
+    admitted = [(k, key, fr) for k, (key, fr) in enumerate(ctx.frames) if admit(fr)]
+    return admitted[len(admitted) // 2]
+
+
+def test_heyting_adjunction_fails_on_a_wrong_arrow(monkeypatch, ctx):
+    """The middle frame's arrow a -> bottom is read as the top: the first c
+    with c & a not below the bottom breaks the adjunction."""
+    mid, key, fr = _middle(ctx)
+    a, b = fr.n // 2, fr.bottom
+    bent = copy.copy(fr)
+    bent.imp_table = tuple(tuple(fr.top if (x, y) == (a, b) else r for y, r in enumerate(row))
+                           for x, row in enumerate(fr.imp_table))
+    c = next(c for c in range(fr.n) if fr.meet(c, a) != b)
+    triples = sum(f.n ** 3 for _, f in ctx.frames[:mid]) + (a * fr.n + b) * fr.n + c + 1
+    real = verify.corpus_frames
+    _static_fail(monkeypatch, "heyting-adjunction", "corpus_frames",
+                 lambda n: tuple((k, bent if f is fr else f) for k, f in real(n)),
+                 {"triples": triples}, f"heyting adjunction fails on {key} at "
+                 f"({fr.labels[a]}, {fr.labels[b]}, {fr.labels[c]})")
+
+
+def test_heyting_identities_fails_on_a_failing_report(monkeypatch, ctx):
+    _, key, fr = _middle(ctx)
+    real = verify.heyting_identity_report
+    bent = dict(real(fr), status="fail")
+    _static_fail(monkeypatch, "heyting-identities", "heyting_identity_report",
+                 lambda f: bent if f is fr else real(f), {"frame": key}, str(bent))
+
+
+class _BentComplement:
+    """A sublocale lattice whose complement at one index is replaced."""
+
+    def __init__(self, sl, at, value):
+        self._sl, self._at, self._value = sl, at, value
+
+    def __getattr__(self, name):
+        return getattr(self._sl, name)
+
+    def complement(self, i):
+        return self._value if i == self._at else self._sl.complement(i)
+
+
+@pytest.mark.parametrize("at_top, line", [
+    (False, "complement laws fail on {key} at {label}"),
+    (True, "complement not involutive on {key} at {label}"),
+], ids=["laws", "involution"])
+def test_complement_laws_fail_on_a_wrong_complement(monkeypatch, ctx, at_top, line):
+    """The middle frame's S_l gives the bottom itself as its complement, or the
+    top itself as its: both fail at the bottom, the first index."""
+    mid, key, fr = _middle(ctx)
+    sl = ctx.sl(fr)
+    at = sl.top if at_top else sl.bottom
+    assert sl.bottom == 0
+    real = verify.enumerate_sublocales
+    pairs = sum(ctx.sl(f).n for _, f in ctx.frames[:mid]) + 1
+    _static_fail(monkeypatch, "complement-laws", "enumerate_sublocales",
+                 lambda f, limit=None: _BentComplement(real(f, limit), at, at) if f is fr
+                 else real(f, limit),
+                 {"pairs": pairs}, line.format(key=key, label=sl.label(sl.bottom)))
+
+
+def test_generation_property_fails_on_a_failing_report(monkeypatch, ctx):
+    mid, key, fr = _middle(ctx, lambda fr: fr.n <= 6)
+    sl = ctx.sl(fr)
+    i = sl.n // 2
+    real = verify.generation_check
+    rep = real(sl, sl.sub(i))
+    checked = sum(ctx.sl(f).n for _, f in ctx.frames[:mid] if f.n <= 6) + i + 1
+    _static_fail(monkeypatch, "generation-property", "generation_check",
+                 lambda s, sub: dataclasses.replace(real(s, sub), ok=False)
+                 if s is sl and sub.mask == sl.masks[i] else real(s, sub),
+                 {"sublocales": checked},
+                 f"generation fails on {key} at {sl.label(i)}: {{'ok': False, "
+                 f"'expected': {rep.expected!r}, 'computed': {rep.computed!r}}}")
+
+
+def test_sublocale_join_oracle_fails_on_a_wrong_join(monkeypatch, ctx):
+    """The meet-closure join of one middle pair of the middle frame gains or
+    loses the bottom."""
+    mid, key, fr = _middle(ctx)
+    sl = ctx.sl(fr)
+    i, j = sl.n // 3, sl.n // 2
+    bent = (sl.masks[i], sl.masks[j])
+    real = verify.sub_join_mask
+    within = [(x, y) for x in range(sl.n) for y in range(x, sl.n)].index((i, j)) + 1
+    pairs = sum(ctx.sl(f).n * (ctx.sl(f).n + 1) // 2 for _, f in ctx.frames[:mid]) + within
+    _static_fail(monkeypatch, "sublocale-join-oracle", "sub_join_mask",
+                 lambda f, masks: real(f, masks) ^ (1 << f.bottom)
+                 if f is fr and tuple(masks) == bent else real(f, masks),
+                 {"pairs": pairs},
+                 f"join oracle mismatch on {key} at ({sl.label(i)}, {sl.label(j)})")
+
+
+def test_boolean_fragment_fails_where_the_fragment_raises(monkeypatch, ctx):
+    _, key, fr = _middle(ctx)
+    real = verify.complemented_fragment
+
+    def fragment(sl):
+        if sl.host is fr:
+            raise ValueError("bent")
+        return real(sl)
+
+    _static_fail(monkeypatch, "boolean-fragment", "complemented_fragment", fragment,
+                 {"frames": len(ctx.frames)}, f"S_l is not Boolean on {key}: bent")
+
+
+@pytest.mark.parametrize("own, line", [
+    (True, "generated operator breaks the axioms or bounds on"),
+    (False, "operator lattice op invalid on"),
+], ids=["draw", "pair"])
+def test_interior_axioms_fail_at_a_middle_lane(monkeypatch, ctx, own, line):
+    """Lane 3 of the middle frame's first batch is invalid, as a draw or as
+    the join or meet with the draw before it: the check stops after 4 of the
+    frame's draws."""
+    mid, key, fr = _middle(ctx)
+    sl = ctx.sl(fr)
+    real = verify._invalid
+
+    def invalid(s, vals, b):
+        bent = s is sl and (vals is b.masks) == own
+        return real(s, vals, b) | (1 << 4 * b.width - 1 if bent else 0)
+
+    _static_fail(monkeypatch, "interior-axioms", "_invalid", invalid,
+                 {"generated": 100 * mid + 4}, f"{line} {key}")
+
+
+def test_h_axioms_fail_where_constant_top_is_not_above_discrete(monkeypatch, ctx):
+    mid, key, fr = _middle(ctx)
+    real = verify.op_le
+    _static_fail(monkeypatch, "h-axioms", "op_le",
+                 lambda a, b: a.lattice.host is not fr and real(a, b),
+                 {"generated": 100 * (mid + 1)},
+                 f"constant-top h operator not above discrete on {key}")
+
+
+def test_points_spatiality_fails_on_a_non_spatial_report(monkeypatch, ctx):
+    mid, key, fr = _middle(ctx)
+    real = verify.is_spatial
+    _static_fail(monkeypatch, "points-spatiality", "is_spatial",
+                 lambda f: dataclasses.replace(real(f), ok=False) if f is fr else real(f),
+                 {"frames": mid}, f"spatiality fails or definitions disagree on {key}")
+
+
+def test_replay_of_every_default_id_pinned(default_report):
+    """Every check id, then every registry id, in report order: the replay
+    text of the default report, pinned byte for byte."""
+    ids = [r["id"] for r in default_report["checks"]] + [
+        e["id"] for e in default_report["registry"]]
+    text = "\n\n".join(f"{i}\n{replay(default_report, i)}" for i in ids)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "95cdb4ff6ddd1a7c8d4493ffdac24a52eee9bf5b8e0d49b9bf02736d7d0bf664"
