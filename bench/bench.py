@@ -66,11 +66,16 @@ interpreters with the same `PYTHONPATH`. One entry records:
   lattice computes once per run is computed in every pass; and the median
   over the same passes of that cold S_l build over the 87 corpus-5 frames
   (`sl_build_5_s`);
+- the median over five passes of `points_of`, `is_spatial` and
+  `spatialization` over the 78 corpus-5 frames of at most 16 elements
+  (`points_5_s`); the three cache nothing, so every pass is cold;
 - `probe_s`: the median time of `probe_kernel`, a fixed slice of pure-Python
   work (the probe of `perfbench/run.py`), run PROBES times before each of the
   timing groups above and once more after the last. It tracks the machine's
   speed while the entry is taken: divide a timing by it to compare entries
-  taken at different speeds.
+  taken at different speeds. `probe_groups_s` holds the median of the PROBES
+  timings taken right before each group, by group name, so that a speed
+  phase that hits one group can be read off in that group's probe units.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -126,10 +131,14 @@ def probe_kernel():
 
 
 def _probe(times):
+    """Time PROBES runs of probe_kernel into times; return their median."""
+    mine = []
     for _ in range(PROBES):
         start = time.perf_counter()
         probe_kernel()
-        times.append(time.perf_counter() - start)
+        mine.append(time.perf_counter() - start)
+    times += mine
+    return round(statistics.median(mine), 6)
 
 
 def _commit() -> str:
@@ -343,6 +352,15 @@ def frame_check_timings():
     return out
 
 
+def point_timings():
+    from localelab.corpus import corpus_frames
+    from localelab.points import is_spatial, points_of, spatialization
+
+    frames = [(fr,) for _, fr in corpus_frames(5) if fr.n <= 16]
+    return {fn.__name__: _median_time(fn, frames)
+            for fn in (points_of, is_spatial, spatialization)}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=3, help="verify runs per configuration")
@@ -364,13 +382,15 @@ def main(argv=None):
         "map_kernels": kernel_timings,
         "operator_kernels": operator_timings,
         "frame_checks": frame_check_timings,
+        "points_5_s": point_timings,
     }
-    probes = []
+    probes, probe_groups = [], {}
     for name, group in groups.items():
-        _probe(probes)
+        probe_groups[name] = _probe(probes)
         entry[name] = group()
     _probe(probes)
     entry["probe_s"] = round(statistics.median(probes), 6)
+    entry["probe_groups_s"] = probe_groups
     history = []
     if os.path.exists(args.out):
         with open(args.out) as fh:

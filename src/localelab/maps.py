@@ -145,13 +145,15 @@ class LocalicMap:
 
 def right_adjoint(source: Frame, target: Frame, table) -> LocalicMap:
     """The localic map f: target -> source right adjoint to the frame hom
-    table: source -> target, f(x) = v{m : h(m) <= x}.
+    table: source -> target, f(x) = v{m : h(m) <= x}. The table is taken as a
+    hom (a `FrameHom`'s, or one `enumerate_frame_homs` gave), not checked again."""
+    return LocalicMap(target, source, _adjoint_points(source, target, table))
 
-    The table is taken as a hom (a `FrameHom`'s, or one `enumerate_frame_homs`
-    gave) and not checked again. The set {m : h(m) <= x} is a down-set
-    closed under joins, so f(x) is the element whose join-irreducibles are
-    those q with h(q) <= x: one dict lookup per point x.
-    """
+
+def _adjoint_points(source: Frame, target: Frame, table) -> tuple:
+    """The point map of `right_adjoint`, unvalidated. The set {m : h(m) <= x}
+    is a down-set closed under joins, so f(x) is the element whose
+    join-irreducibles are those q with h(q) <= x: one dict lookup per point x."""
     qs = [(1 << q, table[q]) for q in source.irreducible_list]
     points = []
     for p in target.prime_list:
@@ -160,7 +162,7 @@ def right_adjoint(source: Frame, target: Frame, table) -> LocalicMap:
             if dp >> hq & 1:
                 m |= bit
         points.append(source.by_irreducibles[m])
-    return LocalicMap(target, source, points)
+    return tuple(points)
 
 
 def localic_map(source: Frame, target: Frame, table) -> LocalicMap:

@@ -4,7 +4,9 @@ testing, and the sobrification map of a finite space.
 A point of L is a frame homomorphism L -> 2, stored as the filter of elements
 it sends to 1. A finite frame is distributive, so its points are its prime
 filters, which are exactly the complements L minus the down-set of a prime
-(`Frame.primes`). The two-valued assignment scan survives as a test oracle.
+(`Frame.primes`). pt(L), spatialization and the spatiality scan share one
+pass that reads sigma(a), the mask of the points whose filter holds a, for
+every a. The assignment and point-call scans survive as test oracles.
 """
 from __future__ import annotations
 
@@ -50,32 +52,39 @@ def points_of(frame: Frame, limit=None) -> list:
     return [Point(frame, filt) for filt in filters]
 
 
+def _transpose(rows, width: int) -> list:
+    """cols[a], for a < width: the mask of the indices i whose rows[i] holds a.
+    Over the point filters it is sigma(a) for every element a, in one pass."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        for a in bits(row):
+            cols[a] |= 1 << i
+    return cols
+
+
 def sigma(frame: Frame, a: int, points=None) -> int:
     """The basic open of pt(L) at a: the mask of points sending a to 1."""
     pts = points_of(frame) if points is None else points
-    mask = 0
-    for i, p in enumerate(pts):
-        if p(a):
-            mask |= 1 << i
-    return mask
+    return _transpose([p.filter for p in pts], frame.n)[a]
+
+
+def _pt_space(frame: Frame):
+    """pt(L) and the list of its opens sigma(a), indexed by the elements a."""
+    pts = points_of(frame)
+    sig = _transpose([p.filter for p in pts], frame.n)
+    return FiniteSpace([f"p{i}" for i in range(len(pts))], sig), sig
 
 
 def pt_space(frame: Frame) -> FiniteSpace:
     """The space of points, with opens exactly the sets sigma(a)."""
-    pts = points_of(frame)
-    labels = [f"p{i}" for i in range(len(pts))]
-    opens = {sigma(frame, a, pts) for a in range(frame.n)}
-    return FiniteSpace(labels, opens)
+    return _pt_space(frame)[0]
 
 
 def spatialization(frame: Frame) -> FrameHom:
     """The frame hom a -> sigma(a) into the open-set frame of pt(L)."""
-    space = pt_space(frame)
-    target = frame_of_space(space)
+    space, sig = _pt_space(frame)
     index = {m: i for i, m in enumerate(space.opens)}
-    pts = points_of(frame)
-    table = tuple(index[sigma(frame, a, pts)] for a in range(frame.n))
-    return FrameHom(frame, target, table)
+    return FrameHom(frame, frame_of_space(space), tuple(index[s] for s in sig))
 
 
 @dataclass(frozen=True)
@@ -91,16 +100,15 @@ class SpatialityReport:
 
 
 def is_spatial(frame: Frame) -> SpatialityReport:
-    """For each pair a not<= b, look for a point with p(a)=1 and p(b)=0."""
-    pts = points_of(frame)
-    checked = 0
-    failures = []
-    for a in range(frame.n):
-        for b in range(frame.n):
-            if frame.le(a, b):
-                continue
-            checked += 1
-            if not any(p(a) and not p(b) for p in pts):
+    """For each pair a not<= b, in row-major order, look for a point with
+    p(a)=1 and p(b)=0: a bit of sigma(a) outside sigma(b)."""
+    sig = _transpose([p.filter for p in points_of(frame)], frame.n)
+    checked, failures = 0, []
+    for a, sa in enumerate(sig):
+        not_above = frame.full_mask & ~frame.up[a]
+        checked += not_above.bit_count()
+        for b in bits(not_above):
+            if not sa & ~sig[b]:
                 failures.append((frame.labels[a], frame.labels[b]))
     return SpatialityReport(not failures, checked, tuple(failures))
 
@@ -109,15 +117,8 @@ def sobrification(space: FiniteSpace) -> ContinuousMap:
     """The continuous map x -> f_x from a space into pt of its open-set frame,
     where f_x(U) = 1 iff x is in U."""
     frame = frame_of_space(space)
-    pts = points_of(frame)
-    index = {p.filter: i for i, p in enumerate(pts)}
-    table = []
-    for x in range(space.n_points):
-        filt = 0
-        for i, mask in enumerate(space.opens):
-            if mask >> x & 1:
-                filt |= 1 << i
-        # membership assignments always preserve the lattice structure of opens
-        assert filt in index, "point evaluation escaped the point list"
-        table.append(index[filt])
-    return ContinuousMap(space, pt_space(frame), tuple(table))
+    index = {p.filter: i for i, p in enumerate(points_of(frame))}
+    filters = _transpose(space.opens, space.n_points)
+    # membership assignments always preserve the lattice structure of opens
+    assert all(f in index for f in filters), "point evaluation escaped the point list"
+    return ContinuousMap(space, pt_space(frame), tuple(index[f] for f in filters))

@@ -184,10 +184,7 @@ def closed_sub(frame: Frame, a: int) -> Sublocale:
 
 
 def open_sub_mask(frame: Frame, a: int) -> int:
-    m = 0
-    for x in range(frame.n):
-        m |= 1 << frame.imp(a, x)
-    return m
+    return mask_of(frame.imp_table[a])
 
 
 def open_sub(frame: Frame, a: int) -> Sublocale:
@@ -214,11 +211,6 @@ class SublocaleLattice:
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.points = tuple(m & host.primes for m in self.masks)
         self.by_points = {p: i for i, p in enumerate(self.points)}
-        self.labels = tuple(set_label(host.labels, m) for m in self.masks)
-        # the lower covers of a sublocale drop one of its points
-        self.lower_covers = tuple(
-            tuple(self.by_points[p & ~(1 << x)] for x in bits(p)) for p in self.points
-        )
         self.bottom = self.index[1 << host.top]
         self.top = self.index[host.full_mask]
         self.open_index = {}
@@ -226,6 +218,16 @@ class SublocaleLattice:
         for a in range(host.n):
             self.open_index.setdefault(self.index[open_sub_mask(host, a)], a)
             self.closed_index.setdefault(self.index[host.up[a]], a)
+
+    @cached_property
+    def labels(self) -> tuple:
+        """Set labels, built on first read: only witnesses, DOT and replays read them."""
+        return tuple(set_label(self.host.labels, m) for m in self.masks)
+
+    @cached_property
+    def lower_covers(self) -> tuple:
+        """The lower covers of each sublocale: its point mask less one point."""
+        return tuple(tuple(self.by_points[p & ~(1 << x)] for x in bits(p)) for p in self.points)
 
     @cached_property
     def draws(self) -> tuple:
@@ -289,7 +291,8 @@ def _enumerate(host: Frame, bound: int) -> SublocaleLattice:
     # p to a subset adds p ^ c for every c already in its closure
     closures = [1 << host.top]
     for p in bits(host.primes):
-        closures += [c | mask_of(host.meet(p, x) for x in bits(c)) for c in closures]
+        row = host.meet_table[p]
+        closures += [c | mask_of(row[x] for x in bits(c)) for c in closures]
     return SublocaleLattice(host, closures, bound)
 
 

@@ -56,7 +56,7 @@ from .interior import (
     trivial_op,
 )
 from .lattice import bits, heyting_identity_report, set_label
-from .maps import enumerate_frame_homs, localic_map, right_adjoint
+from .maps import _adjoint_points, enumerate_frame_homs, localic_map, right_adjoint
 from .points import is_spatial, points_of, spatialization
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
@@ -544,7 +544,7 @@ def _check_galois_adjunction(ctx):
                else check_adjunction(f, ctx.bound))
         if not rep.ok:
             line = f"adjunction fails for {f.describe()}: {rep.witness}"
-        elif right_adjoint(f.target, f.source, f.adjoint.table).points != f.points:
+        elif _adjoint_points(f.target, f.source, f.adjoint.table) != f.points:
             line = f"left adjoint round trip differs for {f.describe()}"
         else:
             continue

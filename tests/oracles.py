@@ -11,6 +11,7 @@ from localelab.hops import HOperator
 from localelab.interior import AxiomReport, ContinuityReport, InteriorOperator
 from localelab.lattice import Poset, bits
 from localelab.maps import HomReport, check_frame_hom
+from localelab.points import SpatialityReport
 from localelab.sublocales import (
     AdjReport,
     GenReport,
@@ -89,6 +90,29 @@ def _is_point(frame, filt):
             if v(frame.join(a, b)) != (va | vb):
                 return False
     return True
+
+
+def brute_sigma(points, a):
+    """sigma(a) by calling each point: the mask of the points sending a to 1."""
+    mask = 0
+    for i, p in enumerate(points):
+        if p(a):
+            mask |= 1 << i
+    return mask
+
+
+def brute_is_spatial(frame, points):
+    """The spatiality pair scan, calling each point on each pair a not<= b."""
+    checked = 0
+    failures = []
+    for a in range(frame.n):
+        for b in range(frame.n):
+            if frame.le(a, b):
+                continue
+            checked += 1
+            if not any(p(a) and not p(b) for p in points):
+                failures.append((frame.labels[a], frame.labels[b]))
+    return SpatialityReport(not failures, checked, tuple(failures))
 
 
 def brute_preimage_table(t):

@@ -35,8 +35,8 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.errors import LocaleLabError, NotAPoset, NotLocalic
-from localelab import sublocales, verify
+from localelab.errors import LocaleLabError, NotAPoset, NotLocalic, SizeLimit
+from localelab import points, sublocales, verify
 from localelab.hops import (
     HInitialReport,
     HOperator,
@@ -81,6 +81,7 @@ from localelab.interior import (
     trivial_op,
 )
 from localelab.lattice import (
+    FiniteSpace,
     Frame,
     Poset,
     bits,
@@ -97,7 +98,7 @@ from localelab.maps import (
     localic_map,
     right_adjoint,
 )
-from localelab.points import points_of
+from localelab.points import is_spatial, points_of, pt_space, sigma, spatialization
 from localelab.sublocales import (
     SublocaleTransfer,
     adjunction_report,
@@ -131,6 +132,7 @@ from oracles import (
     brute_image_table,
     brute_initial_h,
     brute_initial_interior,
+    brute_is_spatial,
     brute_interior_axioms,
     brute_lattice_outcome,
     brute_left_adjoint,
@@ -143,6 +145,7 @@ from oracles import (
     brute_preimage_table,
     brute_random_table,
     brute_right_adjoint_table,
+    brute_sigma,
     brute_sublocale_masks,
     brute_transfer_tables,
     brute_validate,
@@ -216,6 +219,47 @@ def test_heyting_arrows_match_double_scan():
 
 def test_trivial_frame_has_no_points():
     assert points_of(build_frame(("0",), ())) == []
+
+
+def test_sigma_pass_matches_point_calls():
+    """pt_space, spatialization and is_spatial read sigma off one pass over
+    the point filters; each agrees with the scans that call every point."""
+    for fr in [fr for fr in CORPUS5 if fr.n <= 16] + FIXTURES:
+        pts = points_of(fr)
+        sig = [brute_sigma(pts, a) for a in range(fr.n)]
+        assert [sigma(fr, a, pts) for a in range(fr.n)] == sig, fr
+        want = FiniteSpace([f"p{i}" for i in range(len(pts))], sig)
+        space = pt_space(fr)
+        assert (space.points, space.opens) == (want.points, want.opens), fr
+        phi = spatialization(fr)
+        index = {m: i for i, m in enumerate(want.opens)}
+        assert phi.table == tuple(index[m] for m in sig), fr
+        assert phi.target.key() == frame_of_space(want).key(), fr
+        assert is_spatial(fr).to_json() == brute_is_spatial(fr, pts).to_json(), fr
+
+
+@pytest.mark.parametrize("fixture", [square, chain3])
+def test_is_spatial_failures_match_point_calls(monkeypatch, fixture):
+    """With one point dropped, the unseparated pairs are the point-call
+    scan's, in its row-major order."""
+    fr = fixture()
+    kept = points_of(fr)[1:]
+    monkeypatch.setattr(points, "points_of", lambda frame, limit=None: kept)
+    rep, want = is_spatial(fr), brute_is_spatial(fr, kept)
+    assert not rep.ok and rep.failures
+    assert (rep.checked, rep.failures) == (want.checked, want.failures)
+
+
+def test_point_functions_raise_size_limit_above_the_bound(monkeypatch):
+    big = next(fr for fr in CORPUS5 if fr.n > 16)
+    kernels = (points_of, pt_space, spatialization, is_spatial)
+    for fn in kernels:
+        with pytest.raises(SizeLimit):
+            fn(big)
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "2")
+    for fn in kernels:
+        with pytest.raises(SizeLimit):
+            fn(chain3())
 
 
 # -- frame-level checks: each fact computed once per frame --------------------------

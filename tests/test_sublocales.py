@@ -3,6 +3,7 @@
 The definition oracle below recomputes meets and Heyting arrows from the
 order relation alone, so it shares no tables with the implementation.
 """
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from localelab.corpus import chain3, chain4, corpus_frames, square, two
 from localelab.errors import HostMismatch, NotMeetClosed, SizeLimit
-from localelab.lattice import bits, build_frame
+from localelab import sublocales
+from localelab.lattice import bits, build_frame, set_label
 from localelab.maps import enumerate_frame_homs, identity_localic, localic_map, right_adjoint
 from localelab.sublocales import (
     AdjReport,
@@ -132,6 +134,17 @@ def test_enumerate_counts_and_canonical_order():
         assert pops == sorted(pops)
         assert sl.masks[0] == 1 << f.top and sl.masks[-1] == f.full_mask
         assert all(is_sublocale(f, m).ok for m in sl.masks)
+
+
+def test_labels_built_on_first_read(monkeypatch):
+    # a fresh cache, so no other test has read these lattices' labels
+    monkeypatch.setattr(sublocales, "_enumerate", lru_cache(sublocales._enumerate.__wrapped__))
+    for _, f in corpus_frames(4):
+        sl = enumerate_sublocales(f, limit=16)
+        for i in range(sl.n):
+            sl.is_open(i), sl.is_closed(i), sl.complement(i)
+        assert "labels" not in vars(sl)
+        assert sl.labels == tuple(set_label(f.labels, m) for m in sl.masks)
 
 
 def long_chain(n):

@@ -177,7 +177,7 @@ def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
 
     ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
     assert ctx.maps
-    monkeypatch.setattr(verify, "right_adjoint", lambda s, t, table: identity_localic(t))
+    monkeypatch.setattr(verify, "_adjoint_points", lambda s, t, table: identity_localic(t).points)
     status, _, witness = verify.CHECKS["galois-adjunction"](ctx)
     assert status == "fail"
     assert witness["lines"][0].startswith("left adjoint round trip differs for {")
