@@ -30,11 +30,14 @@ interpreters with the same `PYTHONPATH`. One entry records:
   `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, target table) pairs of the initial checks of default `verify`:
-  `random_op` for the ten draws per map of initial-interior (11,350 draws),
-  `random_h` for the six draws per map of initial-h (6,810 draws), each
-  from a generator seeded per map as the check seeds it, `initial_interior`
-  on its 13,620 lifts and `initial_h` on the 9,080 lifts of initial-h, each
-  on an operator built from the check's table beforehand. A lift returns
+  `random_op` for as many one-table draws per map as initial-interior
+  draws (ten per map, 11,350 draws) and `random_h` for as many as
+  initial-h draws (six per map, 6,810 draws), each from a generator seeded
+  per map as the check seeds it. The checks draw their tables in batches,
+  one word per entry for all lanes, so these one-table draws have the
+  checks' counts but not their tables. Then `initial_interior` on its
+  13,620 lifts and `initial_h` on the 9,080 lifts of initial-h, each on an
+  operator built from the check's table beforehand. A lift returns
   its report with the candidate operator not yet built;
 - the median over five passes of the interior-axioms and h-axioms checks
   of default `verify` (`interior_axioms_s`, `h_axioms_s`): each one's work

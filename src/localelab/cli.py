@@ -15,7 +15,7 @@ from .corpus import _poset_classes, corpus_frames
 from .errors import BadConfig, LocaleLabError, SizeLimit, UnknownWitness
 from .hops import HOperator, check_h, complemented_fragment, initial_h
 from .interior import check_interior, initial_interior
-from .points import points_of, pt_space, spatialization
+from .points import points_of, pt_space
 from .serialize import (
     _load,
     load_frame,
@@ -88,10 +88,9 @@ def cmd_points(args) -> int:
     print(f"pt of {fr.key()}: {len(pts)} points")
     for i, p in enumerate(pts):
         print(f"  p{i}: {p.describe()}")
-    phi = spatialization(fr)
-    spatial = len(set(phi.table)) == fr.n
-    print(f"spatial: {'yes' if spatial else 'no'}")
-    _emit(space_to_json(pt_space(fr)))
+    space = pt_space(fr)  # its opens are the distinct sigma(a)
+    print(f"spatial: {'yes' if len(space.opens) == fr.n else 'no'}")
+    _emit(space_to_json(space))
     return 0
 
 
@@ -199,10 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_initial)
 
     p = sub.add_parser("verify", help="run the seeded proposition harness")
-    p.add_argument("--max-poset", type=int, default=4)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=42)
+    default = CorpusConfig()
+    p.add_argument("--max-poset", type=int, default=default.max_poset_size)
+    p.add_argument("--samples", type=int, default=default.operator_samples_per_frame)
+    p.add_argument("--budget", type=int, default=default.map_budget)
+    p.add_argument("--seed", type=int, default=default.seed)
     p.add_argument("--checks", help="comma-separated check ids (default: all)")
     p.add_argument("--report", help="write the full report JSON here")
     p.add_argument("--profile", help="write per-check wall times, cache and operator-kernel "

@@ -179,8 +179,8 @@ def trivial_op(sl: SublocaleLattice) -> InteriorOperator:
 
 def _same_lattice(ops):
     first = ops[0].lattice
-    for op in ops[1:]:
-        if op.lattice is not first:
+    for op in ops[1:]:  # S_l of a frame has one index order under every bound
+        if op.lattice.host != first.host:
             raise HostMismatch(
                 "operators live on different sublocale lattices",
                 witness=(first.host.key(), op.lattice.host.key()),
@@ -230,29 +230,24 @@ def random_op(sl: SublocaleLattice, rng) -> InteriorOperator:
     return InteriorOperator._of_points(sl, _closed_draw(sl, rng))
 
 
-def _closed_draw(sl: SublocaleLattice, rng, base=None, ones=1, shifts=(0,)) -> list:
-    """A batch: base (zero when None) with a draw into the lane at each
-    shift, entry i the join of base[j] | seed[j] over j <= i, the top forced
-    in every lane of ones.
+def _closed_draw(sl: SublocaleLattice, rng, base=None, ones=1, drawn=1) -> list:
+    """A batch: base (zero when None) with a draw into each lane whose bit 0
+    is in drawn, entry i the join of base[j] | seed[j] over j <= i, the top
+    forced in every lane of ones.
 
-    seed[j] is drawn from sl.draws[j] exactly as rng.choice draws (CPython's
-    _randbelow: k = n.bit_length() bits, with rejection), a draw over all
-    indices before the next, so stream and tables are those of one call per
-    lane. The closure then runs once for all lanes over lower covers: index
-    order is a linear extension, so each lower cover of i is final before i.
+    S_l is the powerset of the points, so a uniform seed below i is one fair
+    bit per point of i: seed[i] keeps the bits of one getrandbits word that
+    lie on points[i] in a drawn lane. One pass in index order draws and
+    closes: index order is a linear extension, so each lower cover of i is
+    final before i.
     """
-    getrandbits, acc = rng.getrandbits, [0] * sl.n if base is None else list(base)
-    for shift in shifts:
-        for i, (below, n, k) in enumerate(sl.draws):
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            acc[i] |= below[r] << shift
-    for i, covers in enumerate(sl.lower_covers):
-        p = acc[i]
+    getrandbits, acc = rng.getrandbits, []
+    for p, b, covers in zip(sl.points, base or [0] * sl.n, sl.lower_covers):
+        m = p * drawn
+        x = getrandbits(m.bit_length()) & m | b
         for c in covers:
-            p |= acc[c]
-        acc[i] = p
+            x |= acc[c]
+        acc.append(x)
     acc[sl.top] = sl.points[sl.top] * ones
     return acc
 

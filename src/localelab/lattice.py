@@ -483,7 +483,10 @@ def order_iso(f: Frame, g: Frame):
     return tuple(assign) if back(0) else None
 
 
-def heyting_identity_report(frame: Frame, max_exhaustive: int = 8) -> dict:
+MAX_EXHAUSTIVE = 8  # the largest frame heyting_identity_report scans
+
+
+def heyting_identity_report(frame: Frame) -> dict:
     """Check the complete-Heyting identities over all subsets A and elements b.
 
     Three valid identities gate `status`: (vA) & b = v(a & b),
@@ -492,8 +495,8 @@ def heyting_identity_report(frame: Frame, max_exhaustive: int = 8) -> dict:
     is searched for a counterexample and reported as falsified when one exists.
     """
     n = frame.n
-    if n > max_exhaustive:
-        return {"status": "skip", "reason": f"|L|={n} exceeds exhaustive bound {max_exhaustive}"}
+    if n > MAX_EXHAUSTIVE:
+        return {"status": "skip", "reason": f"|L|={n} exceeds exhaustive bound {MAX_EXHAUSTIVE}"}
     meet, join, imp = ([list(r) for r in t]
                        for t in (frame.meet_table, frame.join_table, frame.imp_table))
     imp_into = [list(c) for c in zip(*imp)]  # imp_into[a][b] = b -> a

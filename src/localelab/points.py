@@ -62,6 +62,11 @@ def _transpose(rows, width: int) -> list:
     return cols
 
 
+def _sigma(frame: Frame) -> list:
+    """sigma(a) for every element a, in one pass over the point filters."""
+    return _transpose([p.filter for p in points_of(frame)], frame.n)
+
+
 def sigma(frame: Frame, a: int, points=None) -> int:
     """The basic open of pt(L) at a: the mask of points sending a to 1."""
     pts = points_of(frame) if points is None else points
@@ -70,9 +75,8 @@ def sigma(frame: Frame, a: int, points=None) -> int:
 
 def _pt_space(frame: Frame):
     """pt(L) and the list of its opens sigma(a), indexed by the elements a."""
-    pts = points_of(frame)
-    sig = _transpose([p.filter for p in pts], frame.n)
-    return FiniteSpace([f"p{i}" for i in range(len(pts))], sig), sig
+    sig = _sigma(frame)
+    return FiniteSpace([f"p{i}" for i in range(frame.primes.bit_count())], sig), sig
 
 
 def pt_space(frame: Frame) -> FiniteSpace:
@@ -102,7 +106,11 @@ class SpatialityReport:
 def is_spatial(frame: Frame) -> SpatialityReport:
     """For each pair a not<= b, in row-major order, look for a point with
     p(a)=1 and p(b)=0: a bit of sigma(a) outside sigma(b)."""
-    sig = _transpose([p.filter for p in points_of(frame)], frame.n)
+    return _spatiality(frame, _sigma(frame))
+
+
+def _spatiality(frame: Frame, sig) -> SpatialityReport:
+    """is_spatial's scan, on the list sig of every sigma(a)."""
     checked, failures = 0, []
     for a, sa in enumerate(sig):
         not_above = frame.full_mask & ~frame.up[a]

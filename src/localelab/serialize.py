@@ -117,8 +117,8 @@ def operator_to_json(op, frame_ref: str) -> dict:
     return out
 
 
-def operator_from_json(data: dict, frame: Frame, limit=None):
-    sl = enumerate_sublocales(frame, limit=limit)
+def operator_from_json(data: dict, frame: Frame):
+    sl = enumerate_sublocales(frame)
 
     def to_index(key):
         mask = sub_mask(frame, key)
@@ -202,7 +202,7 @@ def load_point_map(path: str) -> ContinuousMap:
     return point_map_from_json(data, source, target)
 
 
-def load_operator(path: str, limit=None):
+def load_operator(path: str):
     data = _load(path)
     frame = load_frame(_resolve(path, data["frame"]))
-    return operator_from_json(data, frame, limit=limit)
+    return operator_from_json(data, frame)

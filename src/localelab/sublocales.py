@@ -230,15 +230,6 @@ class SublocaleLattice:
         return tuple(tuple(self.by_points[p & ~(1 << x)] for x in bits(p)) for p in self.points)
 
     @cached_property
-    def draws(self) -> tuple:
-        """draws[i]: (below, n, k), where below holds the point masks of every
-        j <= i, increasing (contractive seeds are drawn there), n is their
-        count and k = n.bit_length()."""
-        pts = self.points
-        below = [tuple(q for q in pts if not q & ~p) for p in pts]
-        return tuple((b, len(b), len(b).bit_length()) for b in below)
-
-    @cached_property
     def open_closed_joins(self) -> frozenset:
         """The masks of the joins o(x) v c(y) over all x, y of the host."""
         host = self.host

@@ -57,7 +57,7 @@ from .interior import (
 )
 from .lattice import bits, heyting_identity_report, set_label
 from .maps import _adjoint_points, enumerate_frame_homs, localic_map, right_adjoint
-from .points import is_spatial, points_of, spatialization
+from .points import _sigma, _spatiality, points_of
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
     _least_containing,
@@ -72,7 +72,7 @@ from .sublocales import (
 )
 
 ARTIFACT = "localelab-verification"
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
 
@@ -312,16 +312,15 @@ class _Ctx:
     def batches(self, sl, rng, draws, width, named=False):
         """Tables on sl as _Batches of at most LANES lanes of width bits: the
         discrete and trivial tables first when named, then `draws` draws."""
-        base, lanes = (list(sl.points), 2) if named else ([0] * sl.n, 0)
+        base, lanes = (list(sl.points), 2) if named else (None, 0)
         while draws or lanes:
             count = min(LANES - lanes, draws)
-            shifts = range(lanes * width, (lanes + count) * width, width)
+            named_ones, ones = _lanes(lanes, width)[0], _lanes(lanes + count, width)[0]
             lanes += count
             self.kernels["batches"] += 1
             self.kernels["widest_batch"] = max(self.kernels["widest_batch"], lanes)
-            yield _Batch.of(_closed_draw(sl, rng, base, _lanes(lanes, width)[0], shifts),
-                            lanes, width)
-            draws, base, lanes = draws - count, [0] * sl.n, 0
+            yield _Batch.of(_closed_draw(sl, rng, base, ones, ones ^ named_ones), lanes, width)
+            draws, base, lanes = draws - count, None, 0
 
     def reg_hit(self, rid, build_witness=None, hits=1):
         """Count occurrences; the witness payload is built only for the
@@ -617,9 +616,9 @@ def _check_h_axioms(ctx):
             if not check_h(h).ok:
                 return _fail({"generated": generated}, f"named h operator invalid on {key}")
         # h1 to h3 are I1 to I3 of the core masks; h1 holds for every total table
-        rng = ctx.rng("h-ops", key)
+        rng, k_pts = ctx.rng("h-ops", key), len(fr.prime_list)  # sl.n == 2 ** k_pts
         for _ in range(min(k, 25)):
-            table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
+            table = tuple(rng.getrandbits(k_pts) for _ in range(sl.n))
             raw_tables += 1
             if any(_axiom_gaps(sl, _core(sl, [sl.points[v] for v in table]))[0]):
                 return _fail({"raw_tables": raw_tables}, f"h1 fails on a raw table on {key}")
@@ -976,10 +975,9 @@ def _check_points_spatiality(ctx):
         return _fail({}, "fixture counts are off")
     frames = 0
     for key, fr in ctx.frames:
-        rep = is_spatial(fr)
-        phi = spatialization(fr)
-        injective = len(set(phi.table)) == fr.n
-        if not rep.ok or not injective:
+        # the spatialization a |-> sigma(a) is injective iff sigma is
+        sig = _sigma(fr)
+        if not _spatiality(fr, sig).ok or len(set(sig)) != fr.n:
             return _fail({"frames": frames}, f"spatiality fails or definitions disagree on {key}")
         frames += 1
     return "pass", {"frames": frames, "spatial": frames}, None

@@ -347,11 +347,18 @@ def _first_gap(n, le, value_le):
     return None
 
 
-# -- the O(n^2) operator samplers, drawing exactly as the fast ones do ----------
+# -- the O(n^2) operator samplers, drawing by the kernel's rule ----------------
 
 
-def _below(lat, i):
-    return [j for j in range(lat.n) if lat.le(j, i)]
+def _points_of(lat, i):
+    """The points of sublocale i: the primes it contains, as an element mask."""
+    return lat.masks[i] & lat.host.primes
+
+
+def _seed(lat, i, word):
+    """The sublocale below i whose points are the bits of word on the points of i."""
+    want = _points_of(lat, i) & word
+    return next(j for j in range(lat.n) if _points_of(lat, j) == want)
 
 
 def _closure(lat, seed):
@@ -366,10 +373,30 @@ def _closure(lat, seed):
     return tuple(table)
 
 
+def brute_batch_tables(lat, rng, lanes, width, named=0):
+    """The tables of a batch of `lanes` lanes, width bits apart. The first
+    `named` lanes (at most two) are the discrete and trivial tables and draw
+    nothing. For each index i in turn, one word of rng covers the drawn
+    lanes: it has as many bits as reach the points of i in the last lane (none
+    when nothing is drawn there), and lane j's seed at i is the sublocale
+    whose points are the word's bits at j * width up on the points of i. Each
+    lane's seeds are then closed by subset scan."""
+    seeds = [[] for _ in range(lanes)]
+    for i in range(lat.n):
+        pts = _points_of(lat, i)
+        word = rng.getrandbits((lanes - 1) * width + pts.bit_length()
+                               if pts and lanes > named else 0)
+        for j in range(named, lanes):
+            seeds[j].append(_seed(lat, i, word >> j * width))
+    drawn = [_closure(lat, seed) for seed in seeds[named:]]
+    if not named:
+        return drawn
+    return [tuple(range(lat.n)), _closure(lat, [lat.bottom] * lat.n)][:named] + drawn
+
+
 def brute_random_table(lat, rng):
-    """random_op / random_h table: seed below each index, then close."""
-    seed = [rng.choice(_below(lat, i)) for i in range(lat.n)]
-    return _closure(lat, seed)
+    """random_op / random_h table: one word per index, masked to its points, then closed."""
+    return brute_batch_tables(lat, rng, 1, 0)[0]
 
 
 def brute_continuous_table(f, op_m, t, rng):
@@ -380,7 +407,8 @@ def brute_continuous_table(f, op_m, t, rng):
         s = t.preimage_table[j]
         base[s] = sl.join(base[s], t.preimage_table[op_m(j)])
     for i in range(sl.n):
-        base[i] = sl.join(base[i], rng.choice(_below(sl, i)))
+        word = rng.getrandbits(_points_of(sl, i).bit_length())
+        base[i] = sl.join(base[i], _seed(sl, i, word))
     return _closure(sl, base)
 
 

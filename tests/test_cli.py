@@ -211,6 +211,21 @@ def test_verify_bad_checks_is_exit_2(files, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_verify_without_flags_builds_the_default_config(monkeypatch, capsys):
+    # argparse reads its defaults off CorpusConfig's fields
+    from localelab import cli
+
+    configs = []
+
+    def run(config, progress, kernels):
+        configs.append(config)
+        return {"checks": [], "registry": [], "unexplained": []}
+
+    monkeypatch.setattr(cli, "run_verification", run)
+    assert main(["verify"]) == 0
+    assert configs == [CorpusConfig()]
+
+
 def test_bad_size_limit_env_is_exit_2(monkeypatch, capsys):
     monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "abc")
     assert main(["verify", "--max-poset", "2", "--samples", "0"]) == 2

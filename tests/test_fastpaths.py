@@ -118,6 +118,7 @@ from localelab.verify import (
 from oracles import (
     brute_adjunction,
     brute_arrows_into,
+    brute_batch_tables,
     brute_canonical_key,
     brute_check_frame_hom,
     brute_continuous_table,
@@ -190,8 +191,10 @@ def test_sublocale_lattice_matches_subset_scan():
         for i in range(sl.n):
             assert sl.label(i) == sl.sub(i).label()
             below = sorted(j for j in range(sl.n) if not sl.masks[j] & ~sl.masks[i])
-            seeds = tuple(sl.points[j] for j in below)
-            assert sl.draws[i] == (seeds, len(seeds), len(seeds).bit_length())
+            # the sublocales below i are the subsets of its points, so a
+            # uniform seed below i is one fair bit per point of i
+            p = sl.points[i]
+            assert sorted(sl.points[j] for j in below) == [q for q in range(p + 1) if not q & ~p]
             for j in range(sl.n):
                 assert sl.le(i, j) == (not sl.masks[i] & ~sl.masks[j])
                 assert sl.masks[sl.meet(i, j)] == sl.masks[i] & sl.masks[j]
@@ -906,7 +909,7 @@ def test_operators_reject_tables_that_are_not_total():
                 cls(sl, bad)
 
 
-# -- samplers: same draws, same tables as the O(n^2) loops --------------------------
+# -- samplers: same words, same tables as the O(n^2) loops --------------------------
 
 
 def _kernel_draw(sl, rng):
@@ -942,8 +945,8 @@ def test_make_continuous_op_matches_quadratic_loop():
 @given(st.integers(0, 2**64 - 1))
 @settings(max_examples=40)
 def test_draws_match_choice_on_every_corpus4_lattice(seed):
-    # each seed entry is drawn from point masks as rng.choice(sl.draws[i][0])
-    # draws its index: same tables, and the streams stay aligned
+    # each seed entry keeps the bits of one word on its points, as the
+    # oracle's subset lookup does: same tables, and the streams stay aligned
     for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
         fast, slow = random.Random(seed), random.Random(seed)
         assert random_op(sl, fast).table == brute_random_table(sl, slow)
@@ -958,6 +961,50 @@ def test_continuous_draw_matches_choice(f, seed):
     op_l = make_continuous_op(f, op_m, fast)
     assert op_l.table == brute_continuous_table(f, op_m, transfer_of(f), slow)
     assert fast.getrandbits(64) == slow.getrandbits(64)
+
+
+class _Words:
+    """A stand-in rng: getrandbits gives `word` on call `at` and 0 on every
+    other call, and records the bit counts asked for."""
+
+    def __init__(self, at, word):
+        self.at, self.word, self.asked = at, word, []
+
+    def getrandbits(self, k):
+        self.asked.append(k)
+        return self.word if len(self.asked) - 1 == self.at else 0
+
+
+@pytest.mark.parametrize("fr", [two(), chain3(), square(), chain4()],
+                         ids=["two", "chain3", "square", "chain4"])
+def test_draw_seeds_are_uniform_over_point_subsets(fr):
+    """Every getrandbits outcome at every entry, in a batch whose lanes are
+    drawn, discrete, drawn and trivial: the kernel asks one word per entry,
+    with the bits that reach the entry's points in the last drawn lane; the
+    seeds of the two drawn lanes take every pair of subsets of the entry's
+    points equally often; the named lanes keep their tables everywhere; and
+    the top is forced in every lane. chain4 has three points."""
+    sl = enumerate_sublocales(fr)
+    width = fr.n + 1
+    ones, drawn = _lanes(4, width)[0], 1 | 1 << 2 * width
+    base = [p << width for p in sl.points]  # lane 1 discrete, lane 3 trivial
+    asked = [(p * drawn).bit_length() for p in sl.points]
+    full = sl.points[sl.top]
+    for i, p in enumerate(sl.points):
+        seen = Counter()
+        for word in range(1 << asked[i]):
+            rng = _Words(i, word)
+            out = _closed_draw(sl, rng, base, ones, drawn)
+            assert rng.asked == asked
+            assert out[sl.top] == full * ones
+            for q, x in zip(sl.points[:-1], out[:-1]):
+                assert (_lane(x, 1, width), _lane(x, 3, width)) == (q, 0)
+            if i != sl.top:
+                seen[_lane(out[i], 0, width), _lane(out[i], 2, width)] += 1
+        if i != sl.top:
+            subsets = [q for q in range(p + 1) if not q & ~p]
+            assert sorted(seen) == sorted(product(subsets, repeat=2))
+            assert set(seen.values()) == {(1 << asked[i]) // len(subsets) ** 2}
 
 
 # -- lane-packed kernels against their one-lane case and the oracles ------------------
@@ -1023,20 +1070,29 @@ def test_counted_gaps_match_materialized_anomalies():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_draws_are_one_lane_draws(seed):
-    """Drawn in batches of at most LANES lanes, count draws are the draws of
-    count one-lane calls, and leave the rng where those calls leave it; named
-    batches lead with the discrete and trivial tables."""
+    """Drawn in batches of at most LANES lanes, count draws are the oracle's
+    batch tables, one word per index per batch, and leave the rng where the
+    oracle leaves it; named batches lead with the discrete and trivial tables,
+    and a batch of one drawn lane is a one-lane draw."""
     ctx = _Ctx(CorpusConfig())
     for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
         width = sl.host.n + 1
-        for count, named in ((1, False), (5, True), (LANES, False), (2 * LANES + 3, True)):
+        for count, named in ((1, False), (5, True), (LANES, False), (2 * LANES + 3, True),
+                             (0, True)):
             fast, slow = random.Random(seed), random.Random(seed)
             batches = list(ctx.batches(sl, fast, count, width, named))
-            lanes = [b.lane(j) for b in batches for j in range(b.lanes)]
-            want = [_closed_draw(sl, slow, [0] * sl.n) for _ in range(count)]
-            if named:
-                want = [list(sl.points), [sl.points[v] for v in trivial_op(sl).table]] + want
+            lanes = [tuple(sl.by_points[p] for p in b.lane(j))
+                     for b in batches for j in range(b.lanes)]
+            want, left, first = [], count, 2 * named
+            while left or first:
+                drawn = min(LANES - first, left)
+                want += brute_batch_tables(sl, slow, first + drawn, width, first)
+                left, first = left - drawn, 0
             assert lanes == want
+            if named:
+                assert lanes[:2] == [discrete_op(sl).table, trivial_op(sl).table]
+            if count == 1:
+                assert batches[0].masks == _closed_draw(sl, random.Random(seed))
             assert [b.lanes for b in batches[:-1]] == [LANES] * (len(batches) - 1)
             assert 0 < batches[-1].lanes <= LANES
             assert fast.getrandbits(64) == slow.getrandbits(64)
@@ -1189,7 +1245,8 @@ def test_axiom_check_pairs_draws_across_batches(monkeypatch):
     ctx = _Ctx(config)
     for n, (key, fr) in enumerate(ctx.frames):
         sl, rng = ctx.sl(fr), ctx.rng("interior-ops", key)
-        draws = [_closed_draw(sl, rng, [0] * sl.n) for _ in range(LANES + 1)]
+        draws = [b.lane(j) for b in ctx.batches(sl, rng, LANES + 1, fr.n + 1)
+                 for j in range(b.lanes)]
         joined = [x | y for x, y in zip(draws[-2], draws[-1])]
         if joined not in draws:
             break

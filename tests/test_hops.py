@@ -183,6 +183,42 @@ def test_valid_operator_above_discrete_exists():
     assert op_le_gap(const_top, discrete_h(fr)) == "{1}"
 
 
+@pytest.mark.parametrize("fr, k, valid, cores", [
+    (two(), 1, 2, 1), (chain3(), 2, 64, 4), (square(), 2, 64, 4),
+], ids=["two", "chain3", "square"])
+def test_h_operators_are_cores_with_points_outside(fr, k, valid, cores):
+    """Every table on an S_l of k points, scanned: an h operator is valid iff
+    its core S ^ h(S) is an interior operator, and for a fixed core c the
+    valid h are h(S) = c(S) v X with X any set of points outside S, h(L) = L.
+    So the cores are exactly the interior operators, and each has
+    prod_S 2^(k - |S|) = 2^(k * 2^(k - 1)) h operators above it."""
+    sl = enumerate_sublocales(fr)
+    assert sl.n == 1 << k
+    tables = list(product(range(sl.n), repeat=sl.n))
+    by_core = {}
+    for table in tables:
+        h = HOperator(sl, table)
+        if check_h(h).ok:
+            by_core.setdefault(h.core.table, []).append(table)
+    assert sum(map(len, by_core.values())) == valid
+    assert len(by_core) == cores
+    assert set(by_core) == {t for t in tables if check_interior(InteriorOperator(sl, t)).ok}
+    assert {len(hs) for hs in by_core.values()} == {2 ** (k * 2 ** (k - 1))}
+
+
+def test_h_loc_is_not_amnestic():
+    # the discrete h operator and the constant-top table are distinct valid h
+    # operators on chain3 with one core, and the identity is h-continuous
+    # both ways between them: an isomorphism that is not an identity
+    sl = enumerate_sublocales(chain3())
+    d, const_top = discrete_h(sl), HOperator(sl, (sl.top,) * sl.n)
+    assert check_h(d).ok and check_h(const_top).ok and d.table != const_top.table
+    assert d.core.table == const_top.core.table
+    ident = identity_localic(chain3())
+    assert is_h_continuous(ident, d, const_top).ok
+    assert is_h_continuous(ident, const_top, d).ok
+
+
 def test_h1_vacuity_certificate():
     # h1 holds for arbitrary total tables, valid or not
     rng = seeded("h1-cert")

@@ -148,6 +148,29 @@ def test_op_le_examples():
         op_le(d, discrete_op(enumerate_sublocales(square())))
 
 
+def test_operator_lattice_compares_hosts_not_lattice_objects():
+    # S_l of one frame enumerated under two bounds is two lattice objects with
+    # one index order, so operators on them compare; other frames still raise
+    wide = enumerate_sublocales(chain3(), limit=16)
+    sl = enumerate_sublocales(chain3())
+    assert wide is not sl
+    t, d = trivial_op(wide), discrete_op(sl)
+    assert op_le(t, d) and not op_le(d, t)
+    assert op_le_gap(d, t) == "{0,1}"
+    assert op_join([t, d]).table == d.table
+    assert op_meet([d, t]).table == t.table
+    other = discrete_op(enumerate_sublocales(square(), limit=16))
+    for pair in ((t, other), (other, d)):
+        with pytest.raises(HostMismatch):
+            op_le(*pair)
+        with pytest.raises(HostMismatch):
+            op_le_gap(*pair)
+        with pytest.raises(HostMismatch):
+            op_join(pair)
+        with pytest.raises(HostMismatch):
+            op_meet(pair)
+
+
 def test_operator_lattice_laws():
     rng = seeded("lattice-laws")
     for fr in [fr for _, fr in corpus_frames(3) if fr.n <= 5]:

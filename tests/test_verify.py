@@ -79,7 +79,7 @@ def test_check_order_is_stable():
 
 def test_default_run_all_pass(default_report):
     assert default_report["artifact"] == "localelab-verification"
-    assert default_report["version"] == 2
+    assert default_report["version"] == 3
     assert {r["id"]: r["status"] for r in default_report["checks"]} == {
         cid: "pass" for cid in ALL_CHECKS
     }
@@ -120,9 +120,9 @@ def test_registry_occurrence_counts_frozen(default_report):
     assert occ["sublocale-join-display-form"] == 20
     assert occ["discrete-h-not-largest"] == 24
     # seeded-sampling tallies, deterministic at the default config
-    assert occ["initial-contraction"] == 58630
-    assert occ["universal-interior-anomaly"] == 83
-    assert occ["universal-h-anomaly"] == 34
+    assert occ["initial-contraction"] == 59194
+    assert occ["universal-interior-anomaly"] == 82
+    assert occ["universal-h-anomaly"] == 33
 
 
 def test_config_echo(default_report):
@@ -141,7 +141,7 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), default_report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "1f4ef6f0531304c1a8696486aaa7efb8437a5303c0a2f7db5894bdb31e7fd01c"
+    assert digest == "0f73229d49debe0953b7f7ae18921ec50b25d2ebe77ebc0b201eebb1d27281c9"
 
 
 def test_maps_sweep_report_bytes_pinned(tmp_path):
@@ -155,7 +155,7 @@ def test_maps_sweep_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "32eed0cebfb39089b71946fdf84e5fccddb938f4a269d0dcdb55f3dae7330888"
+    assert digest == "a5b01627217517d0bab0864040eea99069b69ee08eee06e91aaefd302b1a0905"
 
 
 def test_max_poset_5_report_bytes_pinned(tmp_path):
@@ -166,7 +166,7 @@ def test_max_poset_5_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "d67ba5092ccc9f337fea3baa98cf31656bcda35dc0b2bb635cb9e590348aea9b"
+    assert digest == "224d944b5776bbc1ef72995c3b13028c29e2bacbd102484494e747c21184d8a7"
 
 
 def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
@@ -794,9 +794,10 @@ def test_h_axioms_fail_where_constant_top_is_not_above_discrete(monkeypatch, ctx
 
 def test_points_spatiality_fails_on_a_non_spatial_report(monkeypatch, ctx):
     mid, key, fr = _middle(ctx)
-    real = verify.is_spatial
-    _static_fail(monkeypatch, "points-spatiality", "is_spatial",
-                 lambda f: dataclasses.replace(real(f), ok=False) if f is fr else real(f),
+    real = verify._spatiality
+    _static_fail(monkeypatch, "points-spatiality", "_spatiality",
+                 lambda f, sig: dataclasses.replace(real(f, sig), ok=False) if f is fr
+                 else real(f, sig),
                  {"frames": mid}, f"spatiality fails or definitions disagree on {key}")
 
 
@@ -807,4 +808,4 @@ def test_replay_of_every_default_id_pinned(default_report):
         e["id"] for e in default_report["registry"]]
     text = "\n\n".join(f"{i}\n{replay(default_report, i)}" for i in ids)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "95cdb4ff6ddd1a7c8d4493ffdac24a52eee9bf5b8e0d49b9bf02736d7d0bf664"
+    assert digest == "886bb2c9d6770409e1939a5c97aa492d0fa23e6012976862478d3ed221e6772b"
