@@ -43,14 +43,14 @@ interpreters with the same `PYTHONPATH`. One entry records:
   of default `verify` (`interior_axioms_s`, `h_axioms_s`): each one's work
   over its 100 draws per corpus frame (2,400 draws), with the named
   operators and, for h, the raw tables included;
-- on trees with the lane-packed kernels, the median over five passes of
-  those kernels as the initial checks run them, one batch per map:
-  `batched_draws_s` builds initial-interior's batches (the discrete and
-  trivial tables and ten draws per map, 1,135 draw kernel calls),
-  `batched_draws_h_s` those of initial-h (six draws per map), and
-  `batched_lift_s` and `batched_lift_h_s` lift the prebuilt batches
-  through each map's transfer (13,620 and 9,080 tables), next to the
-  one-lane public lifts above;
+- the median over five passes of the lane-packed kernels as the initial
+  checks run them, one batch per map: `batched_draws_s` builds
+  initial-interior's batches (the discrete and trivial tables and ten draws
+  per map, 1,135 draw kernel calls), `batched_draws_h_s` those of
+  initial-h (six draws per map, then their cores), and `batched_lift_s`
+  and `batched_lift_h_s` lift the prebuilt batches through each map's
+  transfer with the one lift kernel, `_lift` (13,620 tables, and the cores
+  of 9,080), next to the one-lane public lifts above;
 - the median over five passes of each of the seven per-object operator
   checks of default `verify` (contractive-equivalence, composition-interior,
   composition-h, coarseness, universal-property-interior,
@@ -77,8 +77,12 @@ interpreters with the same `PYTHONPATH`. One entry records:
   timing groups above and once more after the last. It tracks the machine's
   speed while the entry is taken: divide a timing by it to compare entries
   taken at different speeds. `probe_groups_s` holds the median of the PROBES
-  timings taken right before each group, by group name, so that a speed
-  phase that hits one group can be read off in that group's probe units.
+  timings taken right before each group, by group name;
+- `probe_units` in each group timed in passes (`map_kernels`,
+  `operator_kernels`, `points_5_s`): per timing, the median over its passes
+  of the pass time divided by one `probe_kernel` run timed right before
+  that pass, so that a speed phase that starts inside a group is seen by
+  the passes it hits.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -180,14 +184,24 @@ def cold_start():
             "corpus_frames_5_s": median([c + f for c, f in zip(classes, frames)])}
 
 
-def _median_time(fn, items):
-    times = []
+def _median_time(out, key, fn, items):
+    """Set out[key] to the median over PASSES passes of the time fn(*item)
+    takes over items, and out["probe_units"][key] to the median over the
+    passes of each pass's time divided by a probe_kernel run timed right
+    before it."""
+    times, units = [], []
     for _ in range(PASSES):
+        start = time.perf_counter()
+        probe_kernel()
+        probe = time.perf_counter() - start
         start = time.perf_counter()
         for item in items:
             fn(*item)
         times.append(time.perf_counter() - start)
-    return round(statistics.median(times), 4)
+        units.append(times[-1] / probe)
+    out[key] = round(statistics.median(times), 4)
+    # re-inserted, so that probe_units stays the group's last key
+    out["probe_units"] = {**out.pop("probe_units", {}), key: round(statistics.median(units), 2)}
 
 
 def kernel_timings():
@@ -225,13 +239,13 @@ def kernel_timings():
     }
     out = {"homs": len(homs)}
     for name, (fn, items) in kernels.items():
-        out[f"{name}_s"] = _median_time(fn, items)
+        _median_time(out, f"{name}_s", fn, items)
     return out
 
 
 def operator_timings():
     from localelab.hops import HOperator, initial_h, random_h
-    from localelab.interior import InteriorOperator, initial_interior, random_op
+    from localelab.interior import InteriorOperator, _lift, initial_interior, random_op
     from localelab.sublocales import transfer_of
     from localelab.verify import (
         CHECKS,
@@ -278,17 +292,17 @@ def operator_timings():
     out = {
         "maps": len(maps),
         "random_op_draws": len(draws) * samples,
-        "random_op_s": _median_time(draw, draws),
         "random_h_draws": len(draws) * h_samples,
-        "random_h_s": _median_time(draw_h, draws),
         "initial_interior_lifts": len(interior_lifts),
-        "initial_interior_s": _median_time(initial_interior, interior_lifts),
         "initial_h_lifts": len(h_lifts),
-        "initial_h_s": _median_time(initial_h, h_lifts),
         "axiom_draws": len(ctx.frames) * ctx.config.operator_samples_per_frame,
-        "interior_axioms_s": _median_time(check, [("interior-axioms",)]),
-        "h_axioms_s": _median_time(check, [("h-axioms",)]),
     }
+    _median_time(out, "random_op_s", draw, draws)
+    _median_time(out, "random_h_s", draw_h, draws)
+    _median_time(out, "initial_interior_s", initial_interior, interior_lifts)
+    _median_time(out, "initial_h_s", initial_h, h_lifts)
+    _median_time(out, "interior_axioms_s", check, [("interior-axioms",)])
+    _median_time(out, "h_axioms_s", check, [("h-axioms",)])
     passes = {cid: [] for cid in OPERATOR_CHECKS}
     for _ in range(PASSES):
         fresh = _Ctx(CorpusConfig())
@@ -299,35 +313,25 @@ def operator_timings():
             CHECKS[cid](fresh)
             passes[cid].append(time.perf_counter() - start)
     seven = {cid: round(statistics.median(ts), 4) for cid, ts in passes.items()}
-    out.update({
-        "operator_checks_s": seven,
-        "operator_checks_total_s": round(sum(seven.values()), 4),
-        "join_oracle_s": _median_time(check, [("sublocale-join-oracle",)]),
-        "join_oracle_5_s": _median_time(check, [("sublocale-join-oracle",
-                                                 _Ctx(CorpusConfig(max_poset_size=5)))]),
-    })
-    try:
-        from localelab.hops import _lift_h
-        from localelab.interior import _lift
-        from localelab.interior import _Batch  # noqa: F401  (lane-packed kernels)
-    except ImportError:
-        return out
+    out["operator_checks_s"] = seven
+    out["operator_checks_total_s"] = round(sum(seven.values()), 4)
+    _median_time(out, "join_oracle_s", check, [("sublocale-join-oracle",)])
+    _median_time(out, "join_oracle_5_s", check, [("sublocale-join-oracle",
+                                                  _Ctx(CorpusConfig(max_poset_size=5)))])
     transfers = [(idx, f, transfer_of(f, ctx.bound)) for idx, f in maps]
 
     def batches(tables_for):
         for idx, f, _ in transfers:
             list(tables_for(ctx, f, idx))
 
-    def batched_lifts(tables_for, lift):
+    def batched_lifts(key, tables_for):
         items = [(t, b.masks, b.ones) for idx, f, t in transfers for b in tables_for(ctx, f, idx)]
-        return _median_time(lift, items)
+        _median_time(out, key, _lift, items)
 
-    out.update({
-        "batched_draws_s": _median_time(batches, [(_ops_for_initial,)]),
-        "batched_draws_h_s": _median_time(batches, [(_h_ops_for_initial,)]),
-        "batched_lift_s": batched_lifts(_ops_for_initial, _lift),
-        "batched_lift_h_s": batched_lifts(_h_ops_for_initial, _lift_h),
-    })
+    _median_time(out, "batched_draws_s", batches, [(_ops_for_initial,)])
+    _median_time(out, "batched_draws_h_s", batches, [(_h_ops_for_initial,)])
+    batched_lifts("batched_lift_s", _ops_for_initial)
+    batched_lifts("batched_lift_h_s", _h_ops_for_initial)
     return out
 
 
@@ -360,8 +364,10 @@ def point_timings():
     from localelab.points import is_spatial, points_of, spatialization
 
     frames = [(fr,) for _, fr in corpus_frames(5) if fr.n <= 16]
-    return {fn.__name__: _median_time(fn, frames)
-            for fn in (points_of, is_spatial, spatialization)}
+    out = {}
+    for fn in (points_of, is_spatial, spatialization):
+        _median_time(out, fn.__name__, fn, frames)
+    return out
 
 
 def main(argv=None):

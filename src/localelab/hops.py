@@ -5,8 +5,9 @@ c(S) = S cap h(S). h1 (c(S) inside S) holds for every table and is kept as a
 standing vacuity certificate; h2 is monotonicity of the core and h3 is the
 top law, since c(L) = h(L). So an h operator is valid exactly when its core
 is an interior operator, and f is h-continuous exactly when it is
-I-continuous for the cores, because preimages preserve meets. Every check
-here hands cores to the interior kernels.
+I-continuous for the cores, because preimages preserve meets. Every path
+here is _core followed by an interior kernel, with one lift for both kinds
+of operator: initial_h lifts the core of h_M through interior._lift.
 
 The paper lets h operators act on complemented sublocales. S_l(L) of a
 finite frame is Boolean, so that is all of S_l(L), and h operators are
@@ -24,11 +25,10 @@ from .interior import (
     InitialReport,
     InteriorOperator,
     UniversalReport,
-    _axiom_gaps,
     _axioms,
     _candidate,
     _closed_draw,
-    _continuity_gaps,
+    _lift,
     _preimages,
     _target_transfer,
     _universal_report,
@@ -38,7 +38,7 @@ from .interior import (
     trivial_op,
 )
 from .maps import LocalicMap
-from .sublocales import SublocaleLattice, SublocaleTransfer
+from .sublocales import SublocaleLattice
 
 
 @lru_cache(maxsize=None)
@@ -140,40 +140,27 @@ class HInitialReport(InitialReport):
     _OPERATOR, _AXIOMS, _VACUOUS, _FIRST = HOperator, _H_AXIOMS, ("h1",), True
 
     def _checked(self) -> tuple:
-        return _cores(self.transfer, self.pulled)
+        """The cores f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)] (preimages are set
+        preimages of points) and S ^ f_-1[h_M(f[S])]."""
+        t, (lhs, vals) = self.transfer, super()._checked()
+        sp = t.source_lattice.points
+        return [sp[k] & q for k, q in zip(t.preimage_table, lhs)], _core(t.source_lattice, vals)
 
 
 def initial_h(f: LocalicMap, h_m: HOperator) -> HInitialReport:
     """The report of the induced source operator S |-> f_-1[h_M(f[S])], whose
     `candidate` is that operator.
 
-    h1 always holds, and so does h2 when h_M is valid: by the unit
-    S <= f_-1[f[S]], the candidate's core S cap f_-1[h_M(f[S])] equals
-    S cap f_-1[c_M(f[S])] for the core c_M of h_M, which is monotone in S.
-    h3 and continuity failures are classified against the same adjunction
-    gaps as the interior case; only the first continuity gap is kept.
+    The verdicts are the interior lift's on the core c_M of h_M: as
+    f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)], S <= f_-1[f[S]] and
+    f_-1 f f_-1 = f_-1, it has the h2, h3 and continuity gaps of the
+    candidate's core, and its contraction gaps are what h1 ignores, so h2
+    holds whenever h_M is valid. Gaps are classified as in the interior
+    case; only the first continuity gap is kept.
     """
     t = _target_transfer(f, h_m)
-    return HInitialReport._of_lane(t, _lift_h(t, h_m.points))
-
-
-def _lift_h(t: SublocaleTransfer, xs, ones=1) -> tuple:
-    """Every lane of the packed target tables xs lifted through t: (pulled,
-    the _axiom_gaps of the induced operator's core, the _continuity_gaps of
-    the cores)."""
-    hp = _preimages(t, xs, ones)  # f_-1[h_M(T)] for every T
-    lhs, core = _cores(t, hp, ones)
-    return hp, _axiom_gaps(t.source_lattice, core, ones), _continuity_gaps(
-        t.preimage_table, lhs, core)
-
-
-def _cores(t: SublocaleTransfer, hp, ones=1) -> tuple:
-    """(lhs, core) of the packed pullbacks hp of h_M: f_-1[T ^ h_M(T)] for
-    every target T, and the induced operator's core S ^ f_-1[h_M(f[S])]."""
-    sp = [p * ones for p in t.source_lattice.points]
-    # preimages are set preimages of points, so f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)]
-    return ([sp[k] & q for k, q in zip(t.preimage_table, hp)],
-            [p & hp[x] for p, x in zip(sp, t.image_table)])
+    _, *gaps = _lift(t, h_m.core.points)
+    return HInitialReport._of_lane(t, (_preimages(t, h_m.points), *gaps))
 
 
 def check_h_universal(f: LocalicMap, h_m: HOperator, g: LocalicMap,

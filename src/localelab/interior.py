@@ -381,7 +381,7 @@ class InitialReport:
     gaps: tuple
     passed: dict
 
-    # _FIRST: contraction is a law, not a gap kind, and only the first continuity gap is kept
+    # _FIRST: drop contraction gaps (h1 is vacuous) and keep only the first continuity gap
     _OPERATOR, _AXIOMS, _VACUOUS, _FIRST = InteriorOperator, ("I1", "I2", "I3"), (), False
 
     @classmethod
@@ -389,9 +389,9 @@ class InitialReport:
         """The report of a one-lane lift (pulled, (gaps, bad, top), continuity gaps)."""
         pulled, (gaps, bad, top), continuity = lifted
         contraction, continuity = _nonzero(gaps), _nonzero(continuity)
-        passed = dict(zip(cls._AXIOMS, (not contraction, not bad, not top)))
         if cls._FIRST:
             contraction, continuity = 0, continuity & -continuity
+        passed = dict(zip(cls._AXIOMS, (not contraction, not bad, not top)))
         return cls(t, pulled, (contraction, top and 1 << t.source_lattice.top, continuity), passed)
 
     def _checked(self) -> tuple:

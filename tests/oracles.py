@@ -8,7 +8,7 @@ from itertools import permutations, product
 
 from localelab.errors import NoMeetOrJoin, NotDistributive
 from localelab.hops import HOperator
-from localelab.interior import AxiomReport, ContinuityReport, InteriorOperator
+from localelab.interior import GAP_KINDS, AxiomReport, ContinuityReport, InteriorOperator
 from localelab.lattice import Poset, bits
 from localelab.maps import HomReport, check_frame_hom
 from localelab.points import SpatialityReport
@@ -284,6 +284,16 @@ def brute_initial_h(f, h_m):
     if not cont.ok:
         anomalies.append(_continuity_gap(t, cont.witness_index, surjective))
     return table, axioms, cont, tuple(anomalies)
+
+
+def gap_masks(f, anomalies):
+    """Per kind in GAP_KINDS, the mask of the indices the oracle's anomalies name."""
+    t = transfer_of(f)
+    masks = dict.fromkeys(GAP_KINDS, 0)
+    for a in anomalies:
+        lat = t.target_lattice if a["kind"] == "continuity-gap" else t.source_lattice
+        masks[a["kind"]] |= 1 << lat.labels.index(a["at"])
+    return tuple(masks.values())
 
 
 def _top_gap(sl, surjective):

@@ -1,0 +1,36 @@
+"""The names `bench/bench.py` imports from localelab.
+
+The bench script runs outside the Tier-1 suite and imports private kernels
+by name inside its timing functions, and its cold-start probe imports
+inside a child interpreter, so a renamed or deleted kernel would break it
+only when it runs. Every import of localelab in it is checked here.
+"""
+import ast
+import importlib
+import os
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench", "bench.py")
+
+
+def _localelab_imports(tree):
+    """(module, name) of each `from localelab... import name` in tree, and
+    (module, None) of each `import localelab...`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "localelab":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "localelab")
+
+
+def test_every_name_bench_imports_from_localelab_exists():
+    with open(BENCH) as fh:
+        tree = ast.parse(fh.read())
+    # the child interpreters' code is a module-level string constant
+    (probe,) = [node.value.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["COLD_PROBE"]]
+    found = [*_localelab_imports(tree), *_localelab_imports(ast.parse(probe))]
+    assert ("localelab.interior", "_lift") in found and ("localelab.cli", None) in found
+    for module, name in found:
+        imported = importlib.import_module(module)
+        assert name is None or hasattr(imported, name), (module, name)

@@ -41,7 +41,6 @@ from localelab.hops import (
     HInitialReport,
     HOperator,
     _core,
-    _lift_h,
     check_h,
     discrete_h,
     initial_h,
@@ -150,6 +149,7 @@ from oracles import (
     brute_sublocale_masks,
     brute_transfer_tables,
     brute_validate,
+    gap_masks,
 )
 
 CORPUS4 = [fr for _, fr in corpus_frames(4)]
@@ -795,25 +795,13 @@ def lifts(draw):
     return f, _draw_table(draw, enumerate_sublocales(f.target))
 
 
-def _gap_masks(f, anomalies):
-    """Per kind in GAP_KINDS, the mask of the indices the oracle's anomalies name."""
-    from localelab.interior import GAP_KINDS
-
-    t = transfer_of(f)
-    masks = dict.fromkeys(GAP_KINDS, 0)
-    for a in anomalies:
-        lat = t.target_lattice if a["kind"] == "continuity-gap" else t.source_lattice
-        masks[a["kind"]] |= 1 << lat.labels.index(a["at"])
-    return tuple(masks.values())
-
-
 def _assert_lift_matches_oracle(initial, brute, f, op_m):
     """The eager flags and gap masks the initial checks read, then the
     candidate and the reports built on first read, against the oracle."""
     rep = initial(f, op_m)
     want_table, axioms, cont, anomalies = brute(f, op_m)
     assert rep.passed == axioms.passed
-    assert rep.gaps == _gap_masks(f, anomalies)
+    assert rep.gaps == gap_masks(f, anomalies)
     assert rep.ok == (axioms.ok and cont.ok)
     assert rep.candidate.table == want_table
     assert type(rep.candidate) is type(op_m)
@@ -1030,8 +1018,9 @@ def _lane_of_lift(lifted, j, width):
 
 
 def test_counted_gaps_match_materialized_anomalies():
-    """On every default-run map and every table both initial checks give it:
-    each lane of the batched lift equals the lift of that lane's table alone;
+    """On every default-run map and every table both initial checks give it
+    (cores, for initial-h): each lane of the batched lift equals the lift of
+    that lane's table alone;
     the report built from it has the (pulled, gaps, passed) of the public
     initial_interior/initial_h report and the oracle's axiom verdicts and gap
     masks; and per kind, the confirmed count, the first confirmed anomaly
@@ -1042,14 +1031,14 @@ def test_counted_gaps_match_materialized_anomalies():
     for idx, f in enumerate(ctx.maps):
         t = transfer_of(f, ctx.bound)
         tl = t.target_lattice
-        for tables_for, lift, report, initial, brute in (
-                (_ops_for_initial, _lift, InitialReport, initial_interior, brute_initial_interior),
-                (_h_ops_for_initial, _lift_h, HInitialReport, initial_h, brute_initial_h)):
+        for tables_for, report, initial, brute in (
+                (_ops_for_initial, InitialReport, initial_interior, brute_initial_interior),
+                (_h_ops_for_initial, HInitialReport, initial_h, brute_initial_h)):
             for b in tables_for(ctx, f, idx):
-                batched = lift(t, b.masks, _lanes(b.lanes, b.width)[0])
+                batched = _lift(t, b.masks, _lanes(b.lanes, b.width)[0])
                 for j in range(b.lanes):
                     lane = b.lane(j)
-                    one = lift(t, lane)
+                    one = _lift(t, lane)
                     assert _lane_of_lift(batched, j, b.width) == one
                     op = report._OPERATOR(tl, [tl.by_points[p] for p in lane])
                     rep, mine = initial(f, op), report._of_lane(t, one)
@@ -1057,7 +1046,7 @@ def test_counted_gaps_match_materialized_anomalies():
                         t, mine.pulled, mine.gaps, mine.passed)
                     lifts += 1
                     axioms, anomalies = brute(f, op)[1::2]
-                    assert (rep.passed, rep.gaps) == (axioms.passed, _gap_masks(f, anomalies))
+                    assert (rep.passed, rep.gaps) == (axioms.passed, gap_masks(f, anomalies))
                     for kind, confirmed in zip(GAP_KINDS, _confirmed(t, rep.gaps)):
                         want = [a for a in anomalies if a["kind"] == kind and a["confirmed"]]
                         assert confirmed.bit_count() == len(want)
@@ -1113,9 +1102,11 @@ EDGE_MAPS = list(_edge_maps())
                          ids=[f"{f.source.n}-to-{f.target.n}-{k}" for k, f in enumerate(EDGE_MAPS)])
 def test_lane_packing_edge_cases(k):
     """Lanes as wide as the larger host, a lane of full masks (every bit below
-    the guard bit set), and batches of one lane: each lane of the batched
-    lifts is the lift of its table alone, no guard bit is ever set, and the
-    guard count of every packed gap counts the lanes where it is nonzero."""
+    the guard bit set), and batches of one lane: the batched core is the
+    core of each lane, each lane of the batched lifts of the tables and of
+    their cores is the lift of its table alone, no guard bit is ever set,
+    and the guard count of every packed gap counts the lanes where it is
+    nonzero."""
     f = EDGE_MAPS[k]
     t = transfer_of(f)
     tl = t.target_lattice
@@ -1126,9 +1117,11 @@ def test_lane_packing_edge_cases(k):
     for lanes in ([full], [drawn[0]], [full, list(tl.points), full] + drawn):
         ones, fill, guard = _lanes(len(lanes), width)
         assert (ones, guard) == (sum(1 << j * width for j in range(len(lanes))), ones << width - 1)
-        for lift in (_lift, _lift_h):
-            pulled, (gaps, bad, top), cont = batched = lift(t, _pack(lanes, width), ones)
-            ones_lane = [lift(t, lane) for lane in lanes]
+        cores = [_core(tl, lane) for lane in lanes]
+        assert _core(tl, _pack(lanes, width), ones) == _pack(cores, width)
+        for tables in (lanes, cores):
+            pulled, (gaps, bad, top), cont = batched = _lift(t, _pack(tables, width), ones)
+            ones_lane = [_lift(t, lane) for lane in tables]
             assert [_lane_of_lift(batched, j, width) for j in range(len(lanes))] == ones_lane
             for x in pulled + gaps + cont + [bad, top]:
                 assert not x & guard

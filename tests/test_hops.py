@@ -45,6 +45,7 @@ from localelab.maps import (
     right_adjoint,
 )
 from localelab.sublocales import SublocaleLattice, enumerate_sublocales
+from oracles import brute_initial_h, gap_masks
 
 _MAP_CACHE = {}
 
@@ -414,7 +415,9 @@ def _non_contractive_h(sl, rng):
 
 def test_initial_h_keeps_h2_for_non_contractive_targets():
     # S ^ f_-1[h_M(f[S])] = S ^ f_-1[c_M(f[S])] by the unit, so the candidate
-    # satisfies h2 whenever h_M is valid, contractive or not
+    # satisfies h2 whenever h_M is valid, contractive or not. initial_h reads
+    # its verdicts off the interior lift of c_M and its candidate off h_M, so
+    # where h_M is not its core the whole report is checked against the oracle
     frames = [fr for _, fr in corpus_frames(3)]
     rng = seeded("h2-fact")
     maps = non_contractive = 0
@@ -430,6 +433,10 @@ def test_initial_h_keeps_h2_for_non_contractive_targets():
                 non_contractive += not check_interior(interior_from_h(hm)).passed["I1"]
                 rep = initial_h(f, hm)
                 assert rep.axioms.passed["h1"] and rep.axioms.passed["h2"], hm.table
+                table, axioms, cont, anomalies = brute_initial_h(f, hm)
+                assert (rep.passed, rep.gaps) == (axioms.passed, gap_masks(f, anomalies))
+                assert (rep.continuity, rep.anomalies) == (cont, anomalies)
+                assert rep.candidate.table == table
     assert maps == 476 and non_contractive > 3 * maps
 
 
