@@ -33,8 +33,8 @@ interpreters with the same `PYTHONPATH`. One entry records:
   `random_op` for as many one-table draws per map as initial-interior
   draws (ten per map, 11,350 draws) and `random_h` for as many as
   initial-h draws (six per map, 6,810 draws), each from a generator seeded
-  per map as the check seeds it. The checks draw their tables in batches,
-  one word per entry for all lanes, so these one-table draws have the
+  per map. The checks draw their tables in batches, one word per entry for
+  all lanes, from per-target banks, so these one-table draws have the
   checks' counts but not their tables. Then `initial_interior` on its
   13,620 lifts and `initial_h` on the 9,080 lifts of initial-h, each on an
   operator built from the check's table beforehand. A lift returns
@@ -44,13 +44,16 @@ interpreters with the same `PYTHONPATH`. One entry records:
   over its 100 draws per corpus frame (2,400 draws), with the named
   operators and, for h, the raw tables included;
 - the median over five passes of the lane-packed kernels as the initial
-  checks run them, one batch per map: `batched_draws_s` builds
-  initial-interior's batches (the discrete and trivial tables and ten draws
-  per map, 1,135 draw kernel calls), `batched_draws_h_s` those of
-  initial-h (six draws per map, then their cores), and `batched_lift_s`
-  and `batched_lift_h_s` lift the prebuilt batches through each map's
-  transfer with the one lift kernel, `_lift` (13,620 tables, and the cores
-  of 9,080), next to the one-lane public lifts above;
+  checks run them, one batch per map: `batched_draws_s` asks a fresh
+  context for initial-interior's batch of every map, which draws its banks
+  (BANK batches per target frame, each of the discrete and trivial tables
+  and ten draws: 92 draw kernel calls over the 23 targets), and
+  `batched_draws_h_s` does the same for initial-h (six draws per batch,
+  then their cores); up to 88d5c4a the checks drew one batch per map, and
+  these two groups timed those 1,135 per-map draws. `batched_lift_s` and
+  `batched_lift_h_s` lift each map's bank batch through its transfer with
+  the one lift kernel, `_lift` (13,620 tables, and the cores of 9,080),
+  next to the one-lane public lifts above;
 - the median over five passes of each of the seven per-object operator
   checks of default `verify` (contractive-equivalence, composition-interior,
   composition-h, coarseness, universal-property-interior,
@@ -320,16 +323,25 @@ def operator_timings():
                                                   _Ctx(CorpusConfig(max_poset_size=5)))])
     transfers = [(idx, f, transfer_of(f, ctx.bound)) for idx, f in maps]
 
-    def batches(tables_for):
+    def fresh():
+        # no banks drawn yet, and the warm context's maps
+        on = _Ctx(CorpusConfig())
+        vars(on).update(maps=ctx.maps, _maps=ctx.maps)
+        return on
+
+    def batches(tables_for, contexts):
+        on = contexts.pop()
         for idx, f, _ in transfers:
-            list(tables_for(ctx, f, idx))
+            list(tables_for(on, f, idx))
 
     def batched_lifts(key, tables_for):
         items = [(t, b.masks, b.ones) for idx, f, t in transfers for b in tables_for(ctx, f, idx)]
         _median_time(out, key, _lift, items)
 
-    _median_time(out, "batched_draws_s", batches, [(_ops_for_initial,)])
-    _median_time(out, "batched_draws_h_s", batches, [(_h_ops_for_initial,)])
+    for key, tables_for in (("batched_draws_s", _ops_for_initial),
+                            ("batched_draws_h_s", _h_ops_for_initial)):
+        # one fresh context per pass, built before the pass is timed
+        _median_time(out, key, batches, [(tables_for, [fresh() for _ in range(PASSES)])])
     batched_lifts("batched_lift_s", _ops_for_initial)
     batched_lifts("batched_lift_h_s", _h_ops_for_initial)
     return out

@@ -71,7 +71,7 @@ from .sublocales import (
 )
 
 ARTIFACT = "localelab-verification"
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
 
@@ -264,6 +264,9 @@ def _static_witnesses():
 # Tables per batch of the operator kernels. A fixed bound keeps the packed ints
 # short, so that the work grows linearly with the number of draws.
 LANES = 16
+# Batches per target frame and initial check, drawn once per run; map idx
+# lifts batch idx % BANK of its target's bank.
+BANK = 4
 
 
 class _Ctx:
@@ -276,15 +279,16 @@ class _Ctx:
         self.bound = max(self.map_bound, 1 << config.max_poset_size)
         self.posets = list(corpus_posets(config.max_poset_size))
         self.frames = list(corpus_frames(config.max_poset_size))
+        # the frames maps run between, and a lane width that fits all of them
+        self.usable = [(k, fr) for k, fr in self.frames if fr.n <= self.map_bound]
+        self.bank_width = max((fr.n for _, fr in self.usable), default=0) + 1
         self.counts = {
             "posets": len(self.posets),
             "frames": len(self.frames),
             "maps": 0,
             "hom_candidates": 0,
             "map_pairs_skipped": 0,
-            "frames_beyond_map_bound": sum(
-                1 for _, fr in self.frames if fr.n > self.map_bound
-            ),
+            "frames_beyond_map_bound": len(self.frames) - len(self.usable),
             "operators": 0,
         }
         self.sampling = config.operator_samples_per_frame > 0
@@ -300,6 +304,7 @@ class _Ctx:
         # operator-kernel counters for the profile sidecar, never in the report
         self.kernels = {} if kernels is None else kernels
         self.kernels.update(tables_lifted=0, batches=0, widest_batch=0, batches_walked=0)
+        self.banks = {}
 
     # run-bound lattice, identical object to what the run's transfers use
     def sl(self, frame):
@@ -320,6 +325,18 @@ class _Ctx:
             self.kernels["widest_batch"] = max(self.kernels["widest_batch"], lanes)
             yield _Batch.of(_closed_draw(sl, rng, base, ones, ones ^ named_ones), lanes, width)
             draws, base, lanes = draws - count, None, 0
+
+    def bank(self, tag, frame, draws, core=False):
+        """The BANK batches of tag on frame, drawn on first ask: batch j holds
+        the discrete and trivial tables and `draws` draws from rng(tag,
+        frame.key(), j), their cores when core."""
+        if (tag, frame) not in self.banks:
+            sl = self.sl(frame)
+            bank = [b for j in range(BANK) for b in self.batches(
+                sl, self.rng(tag, frame.key(), j), draws, self.bank_width, named=True)]
+            self.banks[tag, frame] = [b._replace(masks=_core(sl, b.masks, b.ones))
+                                      for b in bank] if core else bank
+        return self.banks[tag, frame]
 
     def reg_hit(self, rid, build_witness=None, hits=1):
         """Count occurrences; the witness payload is built only for the
@@ -344,10 +361,9 @@ class _Ctx:
         The order is deterministic, so the same budget always selects the
         same maps.
         """
-        usable = [(k, fr) for k, fr in self.frames if fr.n <= self.map_bound]
         pairs = []
-        for i, (ka, fa) in enumerate(usable):
-            for j, (kb, fb) in enumerate(usable):
+        for i, (ka, fa) in enumerate(self.usable):
+            for j, (kb, fb) in enumerate(self.usable):
                 pairs.append((fb.n ** fa.n, i, j, ka, fa, kb, fb))
         pairs.sort(key=lambda p: (p[0], p[1], p[2]))
         remaining = self.config.map_budget
@@ -712,24 +728,16 @@ def _verdict(ctx, cid, detail, problem=None):
     return "pass", detail, None
 
 
-def _initial_batches(ctx, f, tag, idx, draws):
-    """Batches of the discrete and trivial tables on f's target, then of
-    `draws` draws, in lanes wide enough for the point masks of both hosts."""
-    return ctx.batches(ctx.sl(f.target), ctx.rng(tag, idx), draws,
-                       max(f.source.n, f.target.n) + 1, named=True)
-
-
 def _ops_for_initial(ctx, f, idx):
     k = ctx.config.operator_samples_per_frame
-    return _initial_batches(ctx, f, "initial-ops", idx, min(10, k))
+    return (ctx.bank("initial-ops", f.target, min(10, k))[idx % BANK],)
 
 
 def _h_ops_for_initial(ctx, f, idx):
     # one more than the h samples: an interior draw read as h is a random_h draw;
-    # the batches hold the cores, which initial-h lifts as interior tables
-    k, sl = ctx.config.operator_samples_per_frame, ctx.sl(f.target)
-    for b in _initial_batches(ctx, f, "initial-h-ops", idx, min(5, k) + 1 if k else 0):
-        yield b._replace(masks=_core(sl, b.masks, b.ones))
+    # the bank holds the cores, which initial-h lifts as interior tables
+    k = ctx.config.operator_samples_per_frame
+    return (ctx.bank("initial-h-ops", f.target, min(5, k) + 1 if k else 0, core=True)[idx % BANK],)
 
 
 def _anomaly_witness(f, op, anomaly):

@@ -106,6 +106,7 @@ from localelab.sublocales import (
     transfer_of,
 )
 from localelab.verify import (
+    BANK,
     LANES,
     CorpusConfig,
     _Ctx,
@@ -1085,6 +1086,111 @@ def test_batched_draws_are_one_lane_draws(seed):
             assert [b.lanes for b in batches[:-1]] == [LANES] * (len(batches) - 1)
             assert 0 < batches[-1].lanes <= LANES
             assert fast.getrandbits(64) == slow.getrandbits(64)
+
+
+BANKS = (("initial-ops", _ops_for_initial, 10), ("initial-h-ops", _h_ops_for_initial, 6))
+
+
+@pytest.fixture(scope="module")
+def banked():
+    """A default-run context after every check of the run, in run order."""
+    ctx = _Ctx(CorpusConfig())
+    for cid in ctx.config.selected():
+        verify.CHECKS[cid](ctx)
+    return ctx
+
+
+def test_initial_accessors_yield_the_bank_batch_of_the_target(banked):
+    """Map idx gets batch idx % BANK of its target's bank, the same object
+    for every map into that target, and the run keeps one bank per target
+    frame and initial check."""
+    for idx, f in enumerate(banked.maps):
+        for tag, tables_for, _ in BANKS:
+            (b,) = tables_for(banked, f, idx)
+            assert b is banked.banks[tag, f.target][idx % BANK]
+    targets = {f.target for f in banked.maps}
+    assert set(banked.banks) == {(tag, fr) for tag, _, _ in BANKS for fr in targets}
+    assert all(len(bank) == BANK for bank in banked.banks.values())
+
+
+def test_bank_batches_are_the_oracle_draws_and_cores(banked):
+    """Batch j of a bank holds the oracle's batch tables drawn from rng(tag,
+    frame.key(), j): the discrete and trivial tables, then 10 draws for
+    initial-interior; for initial-h, 6 draws and each table's core S cap h(S)."""
+    width = max(fr.n for _, fr in banked.frames if fr.n <= banked.map_bound) + 1
+    for (tag, fr), bank in banked.banks.items():
+        sl, draws = banked.sl(fr), dict((t, d) for t, _, d in BANKS)[tag]
+        for j, b in enumerate(bank):
+            assert (b.lanes, b.width) == (2 + draws, width)
+            want = brute_batch_tables(sl, banked.rng(tag, fr.key(), j), b.lanes, width, 2)
+            if tag == "initial-h-ops":
+                want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in want]
+            assert [tuple(sl.by_points[p] for p in b.lane(k)) for k in range(b.lanes)] == want
+
+
+def test_h_bank_cores_non_contractive_draws_once_per_batch(monkeypatch):
+    """The drawn tables are contractive, so their cores are themselves; fed
+    non-contractive tables (each lane's draw read backwards: entry i takes
+    entry n - 1 - i's value), initial-h's bank still holds S cap h(S), and
+    _core runs once per bank batch, not once per map."""
+    ctx = _Ctx(CorpusConfig())
+    real, calls = ctx.batches, []
+    ctx.batches = lambda *args, **kw: (b._replace(masks=b.masks[::-1]) for b in real(*args, **kw))
+    monkeypatch.setattr(verify, "_core", lambda *args: calls.append(args) or _core(*args))
+    for idx, f in enumerate(ctx.maps):
+        _h_ops_for_initial(ctx, f, idx)
+    targets = {f.target for f in ctx.maps}
+    assert len(calls) == BANK * len(targets)
+    moved = 0
+    for fr in targets:
+        sl = ctx.sl(fr)
+        for j, b in enumerate(ctx.banks["initial-h-ops", fr]):
+            raw = brute_batch_tables(sl, ctx.rng("initial-h-ops", fr.key(), j), b.lanes,
+                                     ctx.bank_width, 2)
+            raw = [t[::-1] for t in raw]
+            want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in raw]
+            assert [tuple(sl.by_points[p] for p in b.lane(k)) for k in range(b.lanes)] == want
+            moved += want != raw
+    assert moved > len(targets)
+
+
+def test_maps_into_one_target_lift_one_grid(monkeypatch):
+    """Both initial checks lift, for two maps into one target whose idx agree
+    mod BANK, the same packed tables: map by map, the batches _lift sees
+    depend only on (target, idx % BANK)."""
+    ctx = _Ctx(CorpusConfig())
+    # transfers are cached by map equality, so t.map may be an equal map of
+    # another run
+    index = {f: idx for idx, f in enumerate(ctx.maps)}
+    assert len(index) == len(ctx.maps)
+    seen = {}
+    real = verify._lift
+
+    def spy(t, xs, ones=1):
+        if ones != 1:
+            key = (cid, t.map.target, index[t.map] % BANK)
+            assert seen.setdefault(key, (xs, ones)) == (xs, ones)
+        return real(t, xs, ones)
+
+    monkeypatch.setattr(verify, "_lift", spy)
+    for cid in ("initial-interior", "initial-h"):
+        assert verify.CHECKS[cid](ctx)[0] == "pass"
+    targets = {f.target for f in ctx.maps}
+    assert len(seen) == 2 * BANK * len(targets)
+    # the grid is the point: most targets receive more than BANK maps
+    per_target = Counter(f.target for f in ctx.maps)
+    assert sum(n > BANK for n in per_target.values()) > len(targets) // 2
+
+
+def test_banks_survive_a_full_run(banked):
+    """After every check of the run, each bank equals one drawn afresh, so no
+    kernel writes into a bank's shared masks lists."""
+    fresh = _Ctx(CorpusConfig())
+    vars(fresh)["maps"] = banked.maps
+    for idx, f in enumerate(fresh.maps):
+        for _, tables_for, _ in BANKS:
+            tables_for(fresh, f, idx)
+    assert fresh.banks == banked.banks
 
 
 def _edge_maps():

@@ -80,7 +80,7 @@ def test_check_order_is_stable():
 
 def test_default_run_all_pass(default_report):
     assert default_report["artifact"] == "localelab-verification"
-    assert default_report["version"] == 3
+    assert default_report["version"] == 4
     assert {r["id"]: r["status"] for r in default_report["checks"]} == {
         cid: "pass" for cid in ALL_CHECKS
     }
@@ -121,7 +121,7 @@ def test_registry_occurrence_counts_frozen(default_report):
     assert occ["sublocale-join-display-form"] == 20
     assert occ["discrete-h-not-largest"] == 24
     # seeded-sampling tallies, deterministic at the default config
-    assert occ["initial-contraction"] == 59194
+    assert occ["initial-contraction"] == 55664
     assert occ["universal-interior-anomaly"] == 82
     assert occ["universal-h-anomaly"] == 33
 
@@ -142,7 +142,7 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), default_report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "0f73229d49debe0953b7f7ae18921ec50b25d2ebe77ebc0b201eebb1d27281c9"
+    assert digest == "264a2f5939956b35807b320df47702041e689b406732790c0beac49617074730"
 
 
 def test_maps_sweep_report_bytes_pinned(tmp_path):
@@ -156,7 +156,7 @@ def test_maps_sweep_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "a5b01627217517d0bab0864040eea99069b69ee08eee06e91aaefd302b1a0905"
+    assert digest == "525c25787fdca9126cad8b19acadd764b9960190d9f19594396d9998c3c3f17b"
 
 
 def test_max_poset_5_report_bytes_pinned(tmp_path):
@@ -167,7 +167,7 @@ def test_max_poset_5_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "224d944b5776bbc1ef72995c3b13028c29e2bacbd102484494e747c21184d8a7"
+    assert digest == "84eababbf44b95dfa6c81a27b7b556a7bcf5cab7c88109d0ad0a4eb8a8a58b19"
 
 
 def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
