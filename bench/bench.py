@@ -306,14 +306,21 @@ def operator_timings():
     _median_time(out, "initial_h_s", initial_h, h_lifts)
     _median_time(out, "interior_axioms_s", check, [("interior-axioms",)])
     _median_time(out, "h_axioms_s", check, [("h-axioms",)])
+
+    def fresh():
+        """A context that has drawn nothing yet and shares the warm one's
+        maps; `_maps` caches the maps on trees where `maps` is a plain
+        property."""
+        on = _Ctx(CorpusConfig())
+        vars(on).update(maps=ctx.maps, _maps=ctx.maps)
+        return on
+
     passes = {cid: [] for cid in OPERATOR_CHECKS}
     for _ in range(PASSES):
-        fresh = _Ctx(CorpusConfig())
-        # `_maps` caches the maps on trees where `maps` is a plain property
-        vars(fresh).update(maps=ctx.maps, _maps=ctx.maps)
+        on = fresh()
         for cid in OPERATOR_CHECKS:
             start = time.perf_counter()
-            CHECKS[cid](fresh)
+            CHECKS[cid](on)
             passes[cid].append(time.perf_counter() - start)
     seven = {cid: round(statistics.median(ts), 4) for cid, ts in passes.items()}
     out["operator_checks_s"] = seven
@@ -322,12 +329,6 @@ def operator_timings():
     _median_time(out, "join_oracle_5_s", check, [("sublocale-join-oracle",
                                                   _Ctx(CorpusConfig(max_poset_size=5)))])
     transfers = [(idx, f, transfer_of(f, ctx.bound)) for idx, f in maps]
-
-    def fresh():
-        # no banks drawn yet, and the warm context's maps
-        on = _Ctx(CorpusConfig())
-        vars(on).update(maps=ctx.maps, _maps=ctx.maps)
-        return on
 
     def batches(tables_for, contexts):
         on = contexts.pop()

@@ -737,7 +737,8 @@ def _h_ops_for_initial(ctx, f, idx):
     # one more than the h samples: an interior draw read as h is a random_h draw;
     # the bank holds the cores, which initial-h lifts as interior tables
     k = ctx.config.operator_samples_per_frame
-    return (ctx.bank("initial-h-ops", f.target, min(5, k) + 1 if k else 0, core=True)[idx % BANK],)
+    bank = ctx.bank("initial-h-ops", f.target, min(5, k) + 1 if k else 0, core=True)
+    return (bank[idx % BANK],)
 
 
 def _anomaly_witness(f, op, anomaly):
