@@ -1119,7 +1119,7 @@ def test_bank_batches_are_the_oracle_draws_and_cores(banked):
     initial-interior; for initial-h, 6 draws and each table's core S cap h(S)."""
     width = max(fr.n for _, fr in banked.frames if fr.n <= banked.map_bound) + 1
     for (tag, fr), bank in banked.banks.items():
-        sl, draws = banked.sl(fr), dict((t, d) for t, _, d in BANKS)[tag]
+        sl, draws = banked.sl(fr), {t: d for t, _, d in BANKS}[tag]
         for j, b in enumerate(bank):
             assert (b.lanes, b.width) == (2 + draws, width)
             want = brute_batch_tables(sl, banked.rng(tag, fr.key(), j), b.lanes, width, 2)
