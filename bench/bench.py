@@ -21,24 +21,24 @@ interpreters with the same `PYTHONPATH`. One entry records:
   2-vCPU x86-64 VM with Python 3.11.7, a cold import took 0.11 s compiling
   against 0.048 s read from bytecode caches);
 - the median over five passes of each map-layer kernel, timed over every
-  frame hom between the corpus-4 frames (19,702 homs): `enumerate_frame_homs`
-  (over all 576 corpus-4 frame pairs), `check_frame_hom`, `LocalicMap`
+  frame hom between the corpus-4 frames (19,702 homs): `localic_maps` and
+  `enumerate_frame_homs` (each over all 576 corpus-4 frame pairs; the
+  second now reads the homs off the first's maps as left adjoints, and up
+  to 9263e44 it had a backtracker of its own), `check_frame_hom`, `LocalicMap`
   construction (its point-map check), `right_adjoint`, `localic_map` on
   each map's element table (the point-map check and the meet extension
   compared with the table), the left adjoint `LocalicMap.adjoint` derives
   from the points,
   `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
+  and `maps_build_s`, the harness's `_Ctx.maps` at the default config
+  (1,135 maps) and at `map_budget=10**7` (5,217 maps), each pass on a
+  context built before it;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, target table) pairs of the initial checks of default `verify`:
-  `random_op` for as many one-table draws per map as initial-interior
-  draws (ten per map, 11,350 draws) and `random_h` for as many as
-  initial-h draws (six per map, 6,810 draws), each from a generator seeded
-  per map. The checks draw their tables in batches, one word per entry for
-  all lanes, from per-target banks, so these one-table draws have the
-  checks' counts but not their tables. Then `initial_interior` on its
-  13,620 lifts and `initial_h` on the 9,080 lifts of initial-h, each on an
-  operator built from the check's table beforehand. A lift returns
-  its report with the candidate operator not yet built;
+  `initial_interior` on its 13,620 lifts and `initial_h` on the 9,080
+  lifts of initial-h, each on an operator built from the check's table
+  beforehand. A lift returns its report with the candidate operator not
+  yet built;
 - the median over five passes of the interior-axioms and h-axioms checks
   of default `verify` (`interior_axioms_s`, `h_axioms_s`): each one's work
   over its 100 draws per corpus frame (2,400 draws), with the named
@@ -215,9 +215,11 @@ def kernel_timings():
         check_frame_hom,
         enumerate_frame_homs,
         localic_map,
+        localic_maps,
         right_adjoint,
     )
     from localelab.sublocales import SublocaleTransfer, adjunction_report, enumerate_sublocales
+    from localelab.verify import CorpusConfig, _Ctx
 
     frames = [fr for _, fr in corpus_frames(4)]
     homs = [FrameHom(a, b, table) for a in frames for b in frames
@@ -229,6 +231,7 @@ def kernel_timings():
     # a plain property's getter, or the function under a cached_property
     adjoint = getattr(LocalicMap.adjoint, "fget", None) or LocalicMap.adjoint.func
     kernels = {
+        "localic_maps": (localic_maps, [(a, b) for a in frames for b in frames]),
         "enumerate_frame_homs": (
             enumerate_frame_homs, [(a, b, 16 ** 16) for a in frames for b in frames]),
         "check_frame_hom": (check_frame_hom, [(h.source, h.target, h.table) for h in homs]),
@@ -243,12 +246,18 @@ def kernel_timings():
     out = {"homs": len(homs)}
     for name, (fn, items) in kernels.items():
         _median_time(out, f"{name}_s", fn, items)
+    out["maps_build_s"] = {}
+    for name, config in (("default", CorpusConfig()),
+                         ("map_budget_10000000", CorpusConfig(map_budget=10 ** 7))):
+        # one fresh context per pass, built before the pass is timed
+        contexts = [_Ctx(config) for _ in range(PASSES)]
+        _median_time(out["maps_build_s"], name, lambda: contexts.pop().maps, [()])
     return out
 
 
 def operator_timings():
-    from localelab.hops import HOperator, initial_h, random_h
-    from localelab.interior import InteriorOperator, _lift, initial_interior, random_op
+    from localelab.hops import HOperator, initial_h
+    from localelab.interior import InteriorOperator, _lift, initial_interior
     from localelab.sublocales import transfer_of
     from localelab.verify import (
         CHECKS,
@@ -260,19 +269,6 @@ def operator_timings():
 
     ctx = _Ctx(CorpusConfig())
     maps = list(enumerate(ctx.maps))
-    draws = [(ctx.sl(f.target), idx) for idx, f in maps]
-    samples = min(10, ctx.config.operator_samples_per_frame)
-    h_samples = min(5, ctx.config.operator_samples_per_frame) + 1
-
-    def draw(sl, idx):
-        rng = ctx.rng("initial-ops", idx)
-        for _ in range(samples):
-            random_op(sl, rng)
-
-    def draw_h(sl, idx):
-        rng = ctx.rng("initial-h-ops", idx)
-        for _ in range(h_samples):
-            random_h(sl, rng)
 
     def lifts(tables_for, op_type):
         # tables_for gives batches of lanes, lists of tables up to 4bca6c0,
@@ -294,14 +290,10 @@ def operator_timings():
     h_lifts = lifts(_h_ops_for_initial, HOperator)
     out = {
         "maps": len(maps),
-        "random_op_draws": len(draws) * samples,
-        "random_h_draws": len(draws) * h_samples,
         "initial_interior_lifts": len(interior_lifts),
         "initial_h_lifts": len(h_lifts),
         "axiom_draws": len(ctx.frames) * ctx.config.operator_samples_per_frame,
     }
-    _median_time(out, "random_op_s", draw, draws)
-    _median_time(out, "random_h_s", draw_h, draws)
     _median_time(out, "initial_interior_s", initial_interior, interior_lifts)
     _median_time(out, "initial_h_s", initial_h, h_lifts)
     _median_time(out, "interior_axioms_s", check, [("interior-axioms",)])

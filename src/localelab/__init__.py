@@ -82,6 +82,7 @@ from .maps import (
     LocalicMap,
     enumerate_frame_homs,
     localic_map,
+    localic_maps,
     right_adjoint,
 )
 from .points import is_spatial, points_of, pt_space, sobrification, spatialization
@@ -112,7 +113,7 @@ __all__ = [
     "two", "chain3", "chain4", "square", "sierpinski", "discrete_space",
     "indiscrete_space", "all_posets", "corpus_posets", "corpus_frames", "child_seed",
     "FrameHom", "LocalicMap", "ContinuousMap", "localic_map", "right_adjoint",
-    "enumerate_frame_homs",
+    "enumerate_frame_homs", "localic_maps",
     "Sublocale", "SublocaleLattice", "sublocale", "is_sublocale", "sloc_core",
     "enumerate_sublocales", "closed_sub", "open_sub", "sub_join", "image",
     "preimage", "check_adjunction", "transfer_of",

@@ -205,6 +205,14 @@ class Frame:
     def irreducible_list(self) -> tuple:
         return tuple(bits(self.join_irreducibles))
 
+    @cached_property
+    def primes_above(self) -> tuple:
+        """For each prime of `prime_list`, the positions in it of the primes
+        strictly above, in increasing order."""
+        at = {p: i for i, p in enumerate(self.prime_list)}
+        return tuple(tuple(at[q] for q in bits(self.up[p] & self.primes ^ 1 << p))
+                     for p in self.prime_list)
+
     # -- element operations -------------------------------------------------
     def le(self, a: int, b: int) -> bool:
         return bool(self.dn[b] >> a & 1)

@@ -88,18 +88,20 @@ class LocalicMap:
         if len(pts) != len(src.prime_list):
             raise NotLocalic(f"{len(pts)} values for {len(src.prime_list)} points",
                              witness=("point-count", len(pts)))
-        pairs = tuple(zip(src.prime_list, pts))
-        for p, v in pairs:
+        for p, v in zip(src.prime_list, pts):
             if not (0 <= v < tgt.n and tgt.primes >> v & 1):
                 raise NotLocalic(
                     f"sends the point {src.labels[p]} to {v}, not a point of the target",
                     witness=("point-not-prime", src.labels[p], v),
                 )
-        dn, up = src.dn, tgt.up
-        for p, v in pairs:
-            for q, w in pairs:
-                if dn[q] >> p & 1 and not up[v] >> w & 1:
-                    lp, lq = src.labels[p], src.labels[q]
+        # only comparable pairs p < q can break the order: the first such
+        # pair (by positions of p, then of q) whose values are not in order
+        up = tgt.up
+        for i, (above, v) in enumerate(zip(src.primes_above, pts)):
+            row = up[v]
+            for j in above:
+                if not row >> pts[j] & 1:
+                    lp, lq = src.labels[src.prime_list[i]], src.labels[src.prime_list[j]]
                     raise NotLocalic(f"does not keep the order of the points ({lp}, {lq})",
                                      witness=("point-order", lp, lq))
         object.__setattr__(self, "_hash", hash((src, tgt, pts)))  # maps key lru caches
@@ -199,15 +201,39 @@ def compose_localic(g: LocalicMap, f: LocalicMap) -> LocalicMap:
     return LocalicMap(f.source, g.target, tuple(value[v] for v in f.points))
 
 
-def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):
-    """All frame homs source -> target as tables, in lexicographic order.
+def localic_maps(source: Frame, target: Frame) -> list:
+    """Every localic map source -> target, in lexicographic order of `points`.
 
-    By Birkhoff duality a hom h: L -> M of finite frames is a monotone map
-    phi from the join-irreducibles of M to those of L, read back as
-    h(a) = v{q : phi(q) <= a}. The maps phi are built by backtracking over
-    J(M) in index order, a value dropped as soon as it breaks the order
-    against an element already assigned; setting phi(q) = p adds q to the
-    J(M)-masks of all a >= p until it backtracks, so a leaf is |L| lookups.
+    A localic map of finite frames is a monotone map of their primes, so the
+    maps are built by backtracking over `source.prime_list`: the value at a
+    prime is a target prime above the values of the earlier primes below it
+    and below those of the earlier primes above it. A frame with no primes
+    has one map, the empty one. Each map is validated by `LocalicMap`.
+    """
+    ps, up, dn = source.prime_list, target.up, target.dn
+    # per depth k, (i, rows) for each earlier prime comparable to ps[k]: pts[k] is in rows[pts[i]]
+    cons = [[(i, up if source.le(q, p) else dn) for i, q in enumerate(ps[:k])
+             if source.le(q, p) or source.le(p, q)] for k, p in enumerate(ps)]
+    pts, out = [0] * len(ps), []
+
+    def extend(k):
+        if k == len(ps):
+            out.append(LocalicMap(source, target, pts))
+            return
+        allowed = target.primes
+        for i, rows in cons[k]:
+            allowed &= rows[pts[i]]
+        for v in bits(allowed):
+            pts[k] = v
+            extend(k + 1)
+
+    extend(0)
+    return out
+
+
+def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):
+    """All frame homs source -> target as tables, in lexicographic order: the
+    left adjoints of the localic maps target -> source (Birkhoff duality).
 
     `budget` bounds the |M|^|L| candidate tables, the size of the
     brute-force space the harness admits frame pairs by; past it, SizeLimit.
@@ -218,33 +244,7 @@ def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):
             f"{total} candidate maps exceed the enumeration budget {budget}",
             witness=(source.n, target.n),
         )
-    jl, qs = source.join_irreducibles, target.irreducible_list
-    sup, sdn, element_of = source.up, source.dn, target.by_irreducibles
-    above = {p: tuple(bits(sup[p])) for p in bits(jl)}
-    # per depth k, (i, rows) for each earlier q_i comparable to q_k: phi(q_k) is in rows[phi(q_i)]
-    cons = [[(i, sup if target.le(qs[i], q) else sdn) for i in range(k)
-             if target.le(qs[i], q) or target.le(q, qs[i])] for k, q in enumerate(qs)]
-    phi, masks, out = [0] * len(qs), [0] * source.n, []
-
-    def extend(k):
-        if k == len(qs):
-            out.append(tuple([element_of[m] for m in masks]))
-            return
-        allowed = jl
-        for i, rows in cons[k]:
-            allowed &= rows[phi[i]]
-        bit = 1 << qs[k]
-        for p in bits(allowed):
-            phi[k] = p
-            for a in above[p]:
-                masks[a] |= bit
-            extend(k + 1)
-            for a in above[p]:
-                masks[a] ^= bit
-
-    extend(0)
-    out.sort()
-    return out
+    return sorted(f.adjoint.table for f in localic_maps(target, source))
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,14 @@ class SublocaleLattice:
         return tuple(tuple(self.by_points[p & ~(1 << x)] for x in bits(p)) for p in self.points)
 
     @cached_property
+    def peel(self) -> tuple:
+        """For each sublocale S but the bottom (index 0), the index of S less
+        its lowest point, which comes earlier, and that point."""
+        by_points = self.by_points
+        return tuple([(by_points[p & p - 1], (p & -p).bit_length() - 1)
+                      for p in self.points[1:]])
+
+    @cached_property
     def open_closed_joins(self) -> frozenset:
         """The masks of the joins o(x) v c(y) over all x, y of the host."""
         host = self.host
@@ -410,24 +418,19 @@ class SublocaleTransfer:
 
         f[S] is the sublocale of the images `f.points` of the points of S,
         and f_-1[T] is the sublocale of the points that f sends into T. Both
-        tables are built in one pass over the lattice in index order,
-        (cardinality, mask): the point mask of S less its lowest point `low`
-        belongs to an earlier sublocale, so the image of S is the image of
-        that mask plus f(low), and the preimage of T is that of its smaller
-        mask plus the fibre of low.
+        tables follow each lattice's `peel` in index order: the image of S is
+        that of S less its lowest point, plus the image of that point, and
+        the preimage of T is that of T less its lowest point, plus its fibre.
         """
-        sl = enumerate_sublocales(f.source, limit)
-        tl = enumerate_sublocales(f.target, limit)
-        image_bit, fibre = {}, {}
-        for p, v in zip(f.source.prime_list, f.points):
-            q = 1 << v
-            image_bit[1 << p] = q
-            fibre[q] = fibre.get(q, 0) | 1 << p
-        return SublocaleTransfer(
-            f, sl, tl,
-            _point_tables(sl.points, image_bit, tl.by_points),
-            _point_tables(tl.points, fibre, sl.by_points),
-        )
+        src, tgt = f.source, f.target
+        sl = enumerate_sublocales(src, limit)
+        tl = enumerate_sublocales(tgt, limit)
+        image_bit, fibre = [0] * src.n, [0] * tgt.n
+        for p, v in zip(src.prime_list, f.points):
+            image_bit[p] = 1 << v
+            fibre[v] |= 1 << p
+        return SublocaleTransfer(f, sl, tl, _point_tables(sl.peel, image_bit, tl.by_points),
+                                 _point_tables(tl.peel, fibre, sl.by_points))
 
     @cached_property
     def adjunction_gaps(self) -> tuple:
@@ -439,17 +442,13 @@ class SublocaleTransfer:
                 sum(1 << j for j, k in enumerate(pre) if img[k] != j))
 
 
-def _point_tables(points, point_value, index) -> tuple:
-    """For each point mask pts, index[the union of point_value[p] over the
-    points p of pts]; a point missing from point_value adds nothing. In
-    (cardinality, mask) order every nonzero mask is an earlier one plus its
-    lowest point."""
-    value = {0: 0}
-    for pts in points:
-        if pts:
-            low = pts & -pts
-            value[pts] = value[pts ^ low] | point_value.get(low, 0)
-    return tuple([index[value[pts]] for pts in points])
+def _point_tables(peel, point_value, index) -> tuple:
+    """For each sublocale of a lattice with that `peel`, index[the union of
+    point_value[p] over its points p], built up from the bottom's empty union."""
+    value = [0]
+    for rest, low in peel:
+        value.append(value[rest] | point_value[low])
+    return tuple([index[v] for v in value])
 
 
 @lru_cache(maxsize=None)

@@ -55,7 +55,7 @@ from .interior import (
     trivial_op,
 )
 from .lattice import bits, heyting_identity_report, set_label
-from .maps import _adjoint_points, enumerate_frame_homs, localic_map, right_adjoint
+from .maps import _adjoint_points, localic_map, localic_maps
 from .points import _sigma, _spatiality, points_of
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
@@ -71,7 +71,7 @@ from .sublocales import (
 )
 
 ARTIFACT = "localelab-verification"
-ARTIFACT_VERSION = 4
+ARTIFACT_VERSION = 5
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
 
@@ -352,14 +352,15 @@ class _Ctx:
 
     @cached_property
     def maps(self):
-        """Localic maps from every admitted frame hom, cheapest pairs first,
-        built on first read and shared by every check of the run.
+        """Every localic map of each admitted frame pair, enumerated as a
+        monotone point map (`localic_maps`), cheapest pairs first; built on
+        first read and shared by every check of the run.
 
         The budget is an admission rule, not the enumeration cost: a pair of
-        frames is admitted only while its |M|^|L| candidate count fits in
-        what remains of it, and `hom_candidates` sums the admitted counts.
-        The order is deterministic, so the same budget always selects the
-        same maps.
+        frames is admitted only while the |M|^|L| candidate count of its homs
+        L -> M (maps M -> L) fits in what remains of it, and `hom_candidates`
+        sums the admitted counts. The order is deterministic, so the same
+        budget always selects the same maps.
         """
         pairs = []
         for i, (ka, fa) in enumerate(self.usable):
@@ -374,8 +375,7 @@ class _Ctx:
                 continue
             remaining -= cost
             self.counts["hom_candidates"] += cost
-            for table in enumerate_frame_homs(fa, fb, budget=cost):
-                out.append(right_adjoint(fa, fb, table))
+            out += localic_maps(fb, fa)
         self.counts["maps"] = len(out)
         return out
 

@@ -34,6 +34,18 @@ def brute_frame_homs(source, target):
     return out
 
 
+def brute_point_order(source, target, points):
+    """The first pair of source points p <= q, over all pairs in `prime_list`
+    order (p, then q), whose values points[p] <= points[q] fail in the
+    target, as the witness ("point-order", p, q) on labels; None if none."""
+    pairs = tuple(zip(source.prime_list, points))
+    for p, v in pairs:
+        for q, w in pairs:
+            if source.le(p, q) and not target.le(v, w):
+                return ("point-order", source.labels[p], source.labels[q])
+    return None
+
+
 def brute_sublocale_masks(host):
     """Every subset containing the top that is closed under meets and arrows,
     in (cardinality, bit pattern) order."""

@@ -1,8 +1,9 @@
 """Fast paths against the brute-force definitions they replaced.
 
-S_l is built from primes, points are read off primes, frame homs are monotone
-maps of join-irreducibles, transfer tables are images of points built in one
-pass, I2 and h2 are decided on cover pairs, h-continuity on cores, the Galois
+S_l is built from primes, points are read off primes, localic maps are
+monotone maps of primes and frame homs their left adjoints, the point-order
+check visits comparable pairs, transfer tables are images of points built in
+one pass, I2 and h2 are decided on cover pairs, h-continuity on cores, the Galois
 adjunction of sublocales on unit, counit and covers, localic maps are point
 maps read off join-irreducibles and extended by meets, their left adjoints
 looked up by the primes above each element, the frame-hom law
@@ -91,10 +92,12 @@ from localelab.lattice import (
 )
 from localelab.maps import (
     FrameHom,
+    LocalicMap,
     check_frame_hom,
     compose_localic,
     enumerate_frame_homs,
     localic_map,
+    localic_maps,
     right_adjoint,
 )
 from localelab.points import is_spatial, points_of, pt_space, sigma, spatialization
@@ -142,6 +145,7 @@ from oracles import (
     brute_op_le_gap,
     brute_op_meet,
     brute_point_filters,
+    brute_point_order,
     brute_poset_classes,
     brute_preimage_table,
     brute_random_table,
@@ -522,6 +526,74 @@ def test_hom_counts_are_monotone_maps():
     assert total == 19_702
 
 
+def _sorted_right_adjoints(a, b):
+    """The right adjoints b -> a of the product scan's homs a -> b, in
+    lexicographic order of their points."""
+    return sorted((right_adjoint(a, b, t) for t in brute_frame_homs(a, b)),
+                  key=lambda f: f.points)
+
+
+def test_localic_maps_are_the_right_adjoints_of_the_product_scan():
+    """On the product-scan pairs and the re-indexed frames, localic_maps
+    M -> L gives the right adjoints of every hom L -> M, in lexicographic
+    order of points."""
+    checked = 0
+    for a in CORPUS4 + [TRIVIAL]:
+        for b in CORPUS4 + [TRIVIAL]:
+            if b.n ** a.n <= 20_000:
+                assert localic_maps(b, a) == _sorted_right_adjoints(a, b), (a, b)
+                checked += 1
+    assert checked == 238
+    reindexed = [_reindexed(fr) for fr in (square(), CORPUS4[4], CORPUS4[5], CORPUS4[18])]
+    for a in reindexed + [chain3()]:
+        for b in reindexed:
+            assert localic_maps(b, a) == _sorted_right_adjoints(a, b), (a, b)
+    empty = LocalicMap(TRIVIAL, TRIVIAL, ())
+    assert localic_maps(TRIVIAL, TRIVIAL) == [empty]
+    assert localic_maps(TRIVIAL, two()) == [LocalicMap(TRIVIAL, two(), ())]
+    assert localic_maps(two(), TRIVIAL) == []
+
+
+def test_localic_maps_are_monotone_maps_in_lexicographic_order():
+    """Localic maps D(P) -> D(Q) are the monotone maps P -> Q, on every
+    corpus-4 pair; each is the validated LocalicMap of its points, and they
+    come in lexicographic order of points."""
+    posets = corpus_posets(4)
+    total = 0
+    for p, a in zip(posets, CORPUS4):
+        for q, b in zip(posets, CORPUS4):
+            got = localic_maps(a, b)
+            assert len(got) == brute_monotone_count(p, q), (p, q)
+            points = [f.points for f in got]
+            assert points == sorted(set(points))
+            assert all(f == LocalicMap(a, b, f.points) for f in got)
+            total += len(got)
+    assert total == 19_702
+
+
+def test_point_order_check_matches_all_pairs_scan():
+    """LocalicMap accepts a tuple of target points exactly when the all-pairs
+    scan finds no pair out of order, and otherwise names the scan's first
+    pair: every tuple, monotone or not, on every corpus-3 frame pair and on
+    the re-indexed frames."""
+    frames = [fr for _, fr in corpus_frames(3)]
+    frames += [_reindexed(fr) for fr in (square(), CORPUS4[4], CORPUS4[5], CORPUS4[18])]
+    tuples = accepted = 0
+    for a in frames:
+        for b in frames:
+            for pts in product(b.prime_list, repeat=len(a.prime_list)):
+                want = brute_point_order(a, b, pts)
+                try:
+                    LocalicMap(a, b, pts)
+                except NotLocalic as exc:
+                    assert exc.witness == want, (a, b, pts)
+                else:
+                    assert want is None, (a, b, pts)
+                    accepted += 1
+                tuples += 1
+    assert (tuples, accepted) == (3126, 1316)
+
+
 def _maps(frames, max_candidates):
     """Localic maps between frames within the default S_l bound, pairs with at
     most max_candidates hom candidates."""
@@ -674,6 +746,15 @@ def test_transfer_build_matches_per_sublocale_loops(case):
     t = SublocaleTransfer.build(f, limit=16)
     assert (t.image_table, t.preimage_table) == brute_transfer_tables(
         f, t.source_lattice, t.target_lattice)
+
+
+def test_transfer_build_matches_per_sublocale_loops_on_every_run_map():
+    ctx = _Ctx(CorpusConfig())
+    for f in ctx.maps:
+        t = SublocaleTransfer.build(f, ctx.bound)
+        assert (t.image_table, t.preimage_table) == brute_transfer_tables(
+            f, t.source_lattice, t.target_lattice), f.describe()
+    assert len(ctx.maps) == 1135
 
 
 # -- the Galois adjunction on unit, counit and covers --------------------------------
