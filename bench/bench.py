@@ -23,12 +23,12 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the median over five passes of each map-layer kernel, timed over every
   frame hom between the corpus-4 frames (19,702 homs): `localic_maps` and
   `enumerate_frame_homs` (each over all 576 corpus-4 frame pairs; the
-  second now reads the homs off the first's maps as left adjoints, and up
-  to 9263e44 it had a backtracker of its own), `check_frame_hom`, `LocalicMap`
-  construction (its point-map check), `right_adjoint`, `localic_map` on
-  each map's element table (the point-map check and the meet extension
-  compared with the table), the left adjoint `LocalicMap.adjoint` derives
-  from the points,
+  second reads each hom table off the first's maps as a left adjoint and
+  checks none), `check_frame_hom`, `LocalicMap` construction (its point-map
+  check), `right_adjoint` (which checks its table as `FrameHom` does before
+  it reads the points), `localic_map` on each map's element table (the
+  point-map check and the meet extension compared with the table), the
+  left adjoint `LocalicMap.adjoint` derives from the points and validates,
   `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
   and `maps_build_s`, the harness's `_Ctx.maps` at the default config
   (1,135 maps) and at `map_budget=10**7` (5,217 maps), each pass on a
@@ -49,8 +49,7 @@ interpreters with the same `PYTHONPATH`. One entry records:
   (BANK batches per target frame, each of the discrete and trivial tables
   and ten draws: 92 draw kernel calls over the 23 targets), and
   `batched_draws_h_s` does the same for initial-h (six draws per batch,
-  then their cores); up to 88d5c4a the checks drew one batch per map, and
-  these two groups timed those 1,135 per-map draws. `batched_lift_s` and
+  then their cores). `batched_lift_s` and
   `batched_lift_h_s` lift each map's bank batch through its transfer with
   the one lift kernel, `_lift` (13,620 tables, and the cores of 9,080),
   next to the one-lane public lifts above;
@@ -126,7 +125,7 @@ SL_LIMIT = 16
 # the checks that read only the corpus frames and their S_l
 FRAME_CHECKS = ("heyting-adjunction", "heyting-identities", "complement-laws",
                 "generation-property")
-# the seven per-object operator checks, which built operator objects up to ea54709
+# the seven per-object operator checks
 OPERATOR_CHECKS = ("contractive-equivalence", "composition-interior", "composition-h",
                    "coarseness", "universal-property-interior", "universal-property-h",
                    "open-preimage")
@@ -223,17 +222,15 @@ def kernel_timings():
 
     frames = [fr for _, fr in corpus_frames(4)]
     homs = [FrameHom(a, b, table) for a in frames for b in frames
-            for table in enumerate_frame_homs(a, b, budget=16 ** 16)]
+            for table in enumerate_frame_homs(a, b)]
     maps = [right_adjoint(h.source, h.target, h.table) for h in homs]
     for fr in frames:
         enumerate_sublocales(fr, SL_LIMIT)
     transfers = [SublocaleTransfer.build(f, SL_LIMIT) for f in maps]
-    # a plain property's getter, or the function under a cached_property
-    adjoint = getattr(LocalicMap.adjoint, "fget", None) or LocalicMap.adjoint.func
+    adjoint = LocalicMap.adjoint.fget
     kernels = {
         "localic_maps": (localic_maps, [(a, b) for a in frames for b in frames]),
-        "enumerate_frame_homs": (
-            enumerate_frame_homs, [(a, b, 16 ** 16) for a in frames for b in frames]),
+        "enumerate_frame_homs": (enumerate_frame_homs, [(a, b) for a in frames for b in frames]),
         "check_frame_hom": (check_frame_hom, [(h.source, h.target, h.table) for h in homs]),
         "localic_map_validation": (
             LocalicMap, [(f.source, f.target, f.points) for f in maps]),
@@ -271,15 +268,10 @@ def operator_timings():
     maps = list(enumerate(ctx.maps))
 
     def lifts(tables_for, op_type):
-        # tables_for gives batches of lanes, lists of tables up to 4bca6c0,
-        # and operators up to e01c1f9
         def tables(idx, f):
-            for x in tables_for(ctx, f, idx):
-                if hasattr(x, "lanes"):
-                    by_points = ctx.sl(f.target).by_points
-                    yield from ([by_points[p] for p in x.lane(j)] for j in range(x.lanes))
-                else:
-                    yield getattr(x, "table", x)
+            by_points = ctx.sl(f.target).by_points
+            for b in tables_for(ctx, f, idx):
+                yield from ([by_points[p] for p in b.lane(j)] for j in range(b.lanes))
 
         return [(f, op_type(ctx.sl(f.target), table)) for idx, f in maps for table in tables(idx, f)]
 
@@ -300,11 +292,9 @@ def operator_timings():
     _median_time(out, "h_axioms_s", check, [("h-axioms",)])
 
     def fresh():
-        """A context that has drawn nothing yet and shares the warm one's
-        maps; `_maps` caches the maps on trees where `maps` is a plain
-        property."""
+        """A context that has drawn nothing yet and shares the warm one's maps."""
         on = _Ctx(CorpusConfig())
-        vars(on).update(maps=ctx.maps, _maps=ctx.maps)
+        vars(on)["maps"] = ctx.maps
         return on
 
     passes = {cid: [] for cid in OPERATOR_CHECKS}

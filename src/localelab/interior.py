@@ -557,16 +557,15 @@ def _universal_report(t: SublocaleTransfer, g: LocalicMap, cand, m, n, predicate
     b = _continuity(tfg, _preimages(tfg, m), n)
     if a.ok == b.ok:
         return UniversalReport(a, b, ())
-    pre = t.preimage_table
     if a.ok:  # confirmed when f fails its own continuity for cand and m at u
         u = b.witness_index
         anomaly = {"kind": "composite-side-only", "at": t.target_lattice.labels[u],
                    "predicate": predicate,
-                   "confirmed": bool(_continuity_gaps(pre, _preimages(t, m), cand)[u])}
+                   "confirmed": bool(_continuity_gaps(t.preimage_table, _preimages(t, m), cand)[u])}
     else:
         i = a.witness_index
         anomaly = {"kind": "initial-side-only", "at": t.source_lattice.labels[i],
-                   "predicate": "unit-gap", "confirmed": pre[t.image_table[i]] != i}
+                   "predicate": "unit-gap", "confirmed": bool(t.adjunction_gaps[0] >> i & 1)}
     return UniversalReport(a, b, (anomaly,))
 
 

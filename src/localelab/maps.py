@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .errors import DomainMismatch, NotContinuous, NotLocalic, SizeLimit
+from .errors import DomainMismatch, NotContinuous, NotLocalic
 from .lattice import FiniteSpace, Frame, bits, frame_of_space
 
 
@@ -125,18 +125,8 @@ class LocalicMap:
 
     @property
     def adjoint(self) -> FrameHom:
-        """The left adjoint h(m) = ^{p : m <= f(p)}, a frame hom target -> source;
-        those primes p are up-closed, so h(m) is one `by_primes` lookup."""
-        src, tgt = self.source, self.target
-        pairs = tuple(zip([1 << p for p in src.prime_list], self.points))
-        by_primes, out = src.by_primes, []
-        for up in tgt.up:
-            key = 0
-            for bit, v in pairs:
-                if up >> v & 1:
-                    key |= bit
-            out.append(by_primes[key])
-        return FrameHom(tgt, src, tuple(out))
+        """The left adjoint, a frame hom target -> source, validated."""
+        return FrameHom(self.target, self.source, _adjoint_table(self))
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -145,11 +135,26 @@ class LocalicMap:
         return {self.source.labels[i]: self.target.labels[v] for i, v in enumerate(self.table)}
 
 
+def _adjoint_table(f: LocalicMap) -> tuple:
+    """The table of f's left adjoint h(m) = ^{p : m <= f(p)}, unvalidated;
+    those primes p are up-closed, so h(m) is one `by_primes` lookup."""
+    pairs = tuple(zip([1 << p for p in f.source.prime_list], f.points))
+    by_primes, out = f.source.by_primes, []
+    for up in f.target.up:
+        key = 0
+        for bit, v in pairs:
+            if up >> v & 1:
+                key |= bit
+        out.append(by_primes[key])
+    return tuple(out)
+
+
 def right_adjoint(source: Frame, target: Frame, table) -> LocalicMap:
     """The localic map f: target -> source right adjoint to the frame hom
-    table: source -> target, f(x) = v{m : h(m) <= x}. The table is taken as a
-    hom (a `FrameHom`'s, or one `enumerate_frame_homs` gave), not checked again."""
-    return LocalicMap(target, source, _adjoint_points(source, target, table))
+    table: source -> target, f(x) = v{m : h(m) <= x}. The table is checked
+    as `FrameHom` checks it, with the same ValueError."""
+    h = FrameHom(source, target, table)
+    return LocalicMap(target, source, _adjoint_points(source, target, h.table))
 
 
 def _adjoint_points(source: Frame, target: Frame, table) -> tuple:
@@ -231,20 +236,11 @@ def localic_maps(source: Frame, target: Frame) -> list:
     return out
 
 
-def enumerate_frame_homs(source: Frame, target: Frame, budget: int = 200_000):
+def enumerate_frame_homs(source: Frame, target: Frame) -> list:
     """All frame homs source -> target as tables, in lexicographic order: the
-    left adjoints of the localic maps target -> source (Birkhoff duality).
-
-    `budget` bounds the |M|^|L| candidate tables, the size of the
-    brute-force space the harness admits frame pairs by; past it, SizeLimit.
-    """
-    total = target.n ** source.n
-    if total > budget:
-        raise SizeLimit(
-            f"{total} candidate maps exceed the enumeration budget {budget}",
-            witness=(source.n, target.n),
-        )
-    return sorted(f.adjoint.table for f in localic_maps(target, source))
+    left adjoints of the localic maps target -> source (Birkhoff duality),
+    read off valid maps and so not checked again."""
+    return sorted(_adjoint_table(f) for f in localic_maps(target, source))
 
 
 @dataclass(frozen=True)
@@ -262,8 +258,9 @@ class ContinuousMap:
             not 0 <= v < self.target.n_points for v in t
         ):
             raise ValueError("point table is not a total map into the target")
+        opens = set(self.source.opens)
         for v in self.target.opens:
-            if self.preimage_mask(v) not in set(self.source.opens):
+            if self.preimage_mask(v) not in opens:
                 raise NotContinuous(
                     f"preimage of {self.target.open_label(v)} is not open",
                     witness=(self.target.open_label(v),),

@@ -36,6 +36,7 @@ from .interior import (
     _candidate,
     _closed_draw,
     _composition,
+    _confirmed,
     _continuous_draw,
     _first,
     _first_gap,
@@ -784,17 +785,17 @@ def _check_initial(ctx, cid, tables_for, report, ids):
     for idx, f in enumerate(ctx.maps):
         t = transfer_of(f, ctx.bound)
         tl = t.target_lattice
-        surj = t.image_table[t.source_lattice.top] == tl.top
-        unit, counit = t.adjunction_gaps
+        # the masks each gap kind is confirmed on; image_gap is f[L] != M
+        unit, image_gap, counit = _confirmed(t, (-1, 1, -1))
         todo = list(tables_for(ctx, f, idx))[::-1]
         while todo:
             b = todo.pop()
             lifted = _lift(t, b.masks, b.ones)
             (gaps, bad, top_gap), continuity = lifted[1:]
-            found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top_gap], not surj, False),
+            found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top_gap], image_gap, False),
                      "continuity-gap": (continuity, counit, report._FIRST)}
             hits = {kind: _tally(*found[kind], b) for kind in ids}
-            if b.lanes > 1 and (bad or surj and top_gap or any(
+            if b.lanes > 1 and (bad or top_gap and not image_gap or any(
                     loose or n and ctx.registry[ids[kind]]["witness"] is None
                     for kind, (n, loose) in hits.items())):
                 ctx.kernels["batches_walked"] += 1
@@ -805,7 +806,7 @@ def _check_initial(ctx, cid, tables_for, report, ids):
             if bad:
                 return _fail({"checked": checked}, f"{report._AXIOMS[1]} fails for an "
                              f"induced operator on {f.describe()}")
-            if surj and top_gap:
+            if top_gap and not image_gap:
                 return _fail({"checked": checked}, f"{report._AXIOMS[2]} fails despite "
                              f"f[L] = M for {f.describe()}")
 

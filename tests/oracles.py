@@ -10,7 +10,7 @@ from localelab.errors import NoMeetOrJoin, NotDistributive
 from localelab.hops import HOperator
 from localelab.interior import GAP_KINDS, AxiomReport, ContinuityReport, InteriorOperator
 from localelab.lattice import Poset, bits
-from localelab.maps import HomReport, check_frame_hom
+from localelab.maps import HomReport, check_frame_hom, localic_maps
 from localelab.points import SpatialityReport
 from localelab.sublocales import (
     AdjReport,
@@ -32,6 +32,13 @@ def brute_frame_homs(source, target):
         if check_frame_hom(source, target, cand).ok:
             out.append(cand)
     return out
+
+
+def maps_in_hom_order(pairs):
+    """The localic maps b -> a of each frame pair (a, b) in turn, each pair's in
+    lexicographic order of their left adjoints' tables: the right adjoints of
+    enumerate_frame_homs(a, b), in its order."""
+    return [f for a, b in pairs for f in sorted(localic_maps(b, a), key=lambda g: g.adjoint.table)]
 
 
 def brute_point_order(source, target, points):

@@ -60,6 +60,7 @@ from localelab.sublocales import (
     transfer_of,
 )
 from localelab.verify import replay
+from oracles import maps_in_hom_order
 
 
 def criterion(capsys, n, ok: bool, summary: str) -> None:
@@ -70,12 +71,7 @@ def criterion(capsys, n, ok: bool, summary: str) -> None:
 
 def maps_between(max_frame_size: int):
     frames = [fr for _, fr in corpus_frames(4) if fr.n <= max_frame_size]
-    out = []
-    for a in frames:
-        for b in frames:
-            for table in enumerate_frame_homs(a, b):
-                out.append(right_adjoint(a, b, table))
-    return out
+    return maps_in_hom_order((a, b) for a in frames for b in frames)
 
 
 def composable_pairs(maps):

@@ -155,6 +155,7 @@ from oracles import (
     brute_transfer_tables,
     brute_validate,
     gap_masks,
+    maps_in_hom_order,
 )
 
 CORPUS4 = [fr for _, fr in corpus_frames(4)]
@@ -520,7 +521,7 @@ def test_hom_counts_are_monotone_maps():
     total = 0
     for p, a in zip(posets, CORPUS4):
         for q, b in zip(posets, CORPUS4):
-            count = len(enumerate_frame_homs(a, b, budget=16 ** 16))
+            count = len(enumerate_frame_homs(a, b))
             assert count == brute_monotone_count(q, p), (p, q)
             total += count
     assert total == 19_702
@@ -598,11 +599,8 @@ def _maps(frames, max_candidates):
     """Localic maps between frames within the default S_l bound, pairs with at
     most max_candidates hom candidates."""
     frames = [fr for fr in frames if fr.n <= 12]
-    for a in frames:
-        for b in frames:
-            if b.n ** a.n <= max_candidates:
-                for table in enumerate_frame_homs(a, b, budget=max_candidates):
-                    yield right_adjoint(a, b, table)
+    return maps_in_hom_order((a, b) for a in frames for b in frames
+                             if b.n ** a.n <= max_candidates)
 
 
 def test_transfer_tables_match_sloc_core():
@@ -618,7 +616,7 @@ def test_transfer_tables_match_sloc_core():
 # -- map-layer kernels against the method-call scans ---------------------------------
 
 # every frame hom between corpus-4 frames, grouped by frame pair
-HOMS4 = {(a, b): enumerate_frame_homs(a, b, budget=16 ** 16) for a in CORPUS4 for b in CORPUS4}
+HOMS4 = {(a, b): enumerate_frame_homs(a, b) for a in CORPUS4 for b in CORPUS4}
 HOM_PAIRS = [pair for pair, homs in HOMS4.items() if homs]
 
 
@@ -1274,15 +1272,9 @@ def test_banks_survive_a_full_run(banked):
     assert fresh.banks == banked.banks
 
 
-def _edge_maps():
-    """Maps between hosts of different sizes either way, and of equal size."""
-    for a, b in ((two(), chain4()), (chain4(), two()), (square(), chain3()),
-                 (frame_of_space(sierpinski()), square()), (TRIVIAL, two())):
-        for table in enumerate_frame_homs(a, b):
-            yield right_adjoint(a, b, table)
-
-
-EDGE_MAPS = list(_edge_maps())
+# maps between hosts of different sizes either way, and of equal size
+EDGE_MAPS = maps_in_hom_order(((two(), chain4()), (chain4(), two()), (square(), chain3()),
+                               (frame_of_space(sierpinski()), square()), (TRIVIAL, two())))
 
 
 @pytest.mark.parametrize("k", range(len(EDGE_MAPS)),

@@ -7,6 +7,7 @@ two continuity notions agree on them. Frozen values were computed by direct
 evaluation of the h2/h3 scans and the transfer tables.
 """
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -39,26 +40,17 @@ from localelab.interior import (
     random_op,
 )
 from localelab.maps import (
-    enumerate_frame_homs,
     identity_localic,
     localic_map,
     right_adjoint,
 )
 from localelab.sublocales import SublocaleLattice, enumerate_sublocales
-from oracles import brute_initial_h, gap_masks
+from oracles import brute_initial_h, gap_masks, maps_in_hom_order
 
-_MAP_CACHE = {}
-
-
+@cache
 def corpus_maps(max_n):
-    if max_n not in _MAP_CACHE:
-        frames = [fr for _, fr in corpus_frames(3) if fr.n <= max_n]
-        maps = []
-        for src, tgt in product(frames, frames):
-            for tb in enumerate_frame_homs(src, tgt):
-                maps.append(right_adjoint(src, tgt, tb))
-        _MAP_CACHE[max_n] = tuple(maps)
-    return _MAP_CACHE[max_n]
+    frames = [fr for _, fr in corpus_frames(3) if fr.n <= max_n]
+    return tuple(maps_in_hom_order(product(frames, frames)))
 
 
 def seeded(tag, k=0):
@@ -421,22 +413,20 @@ def test_initial_h_keeps_h2_for_non_contractive_targets():
     frames = [fr for _, fr in corpus_frames(3)]
     rng = seeded("h2-fact")
     maps = non_contractive = 0
-    for src, tgt in product(frames, frames):
-        for tb in enumerate_frame_homs(src, tgt, budget=tgt.n ** src.n):
-            f = right_adjoint(src, tgt, tb)
-            slm = enumerate_sublocales(f.target)
-            maps += 1
-            ops = [HOperator(slm, (slm.top,) * slm.n)]
-            ops += [_non_contractive_h(slm, rng) for _ in range(3)]
-            for hm in ops:
-                assert check_h(hm).ok
-                non_contractive += not check_interior(interior_from_h(hm)).passed["I1"]
-                rep = initial_h(f, hm)
-                assert rep.axioms.passed["h1"] and rep.axioms.passed["h2"], hm.table
-                table, axioms, cont, anomalies = brute_initial_h(f, hm)
-                assert (rep.passed, rep.gaps) == (axioms.passed, gap_masks(f, anomalies))
-                assert (rep.continuity, rep.anomalies) == (cont, anomalies)
-                assert rep.candidate.table == table
+    for f in maps_in_hom_order(product(frames, frames)):
+        slm = enumerate_sublocales(f.target)
+        maps += 1
+        ops = [HOperator(slm, (slm.top,) * slm.n)]
+        ops += [_non_contractive_h(slm, rng) for _ in range(3)]
+        for hm in ops:
+            assert check_h(hm).ok
+            non_contractive += not check_interior(interior_from_h(hm)).passed["I1"]
+            rep = initial_h(f, hm)
+            assert rep.axioms.passed["h1"] and rep.axioms.passed["h2"], hm.table
+            table, axioms, cont, anomalies = brute_initial_h(f, hm)
+            assert (rep.passed, rep.gaps) == (axioms.passed, gap_masks(f, anomalies))
+            assert (rep.continuity, rep.anomalies) == (cont, anomalies)
+            assert rep.candidate.table == table
     assert maps == 476 and non_contractive > 3 * maps
 
 

@@ -6,6 +6,7 @@ order, and the transfer tables); the corpus scans re-derive the gap
 predicates from the transfer tables as an independent cross-check.
 """
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -33,26 +34,18 @@ from localelab.interior import (
 )
 from localelab.maps import (
     compose_localic,
-    enumerate_frame_homs,
     identity_localic,
     localic_map,
     right_adjoint,
 )
 from localelab.sublocales import enumerate_sublocales, transfer_of
+from oracles import maps_in_hom_order
 
-_MAP_CACHE = {}
-
-
+@cache
 def corpus_maps(max_n):
     """All localic maps between corpus frames of size <= max_n."""
-    if max_n not in _MAP_CACHE:
-        frames = [fr for _, fr in corpus_frames(3) if fr.n <= max_n]
-        maps = []
-        for src, tgt in product(frames, frames):
-            for tb in enumerate_frame_homs(src, tgt):
-                maps.append(right_adjoint(src, tgt, tb))
-        _MAP_CACHE[max_n] = tuple(maps)
-    return _MAP_CACHE[max_n]
+    frames = [fr for _, fr in corpus_frames(3) if fr.n <= max_n]
+    return tuple(maps_in_hom_order(product(frames, frames)))
 
 
 def seeded(tag, k=0):
@@ -607,10 +600,8 @@ def test_family_anomalies_use_the_operators_bound():
     check must build their transfers under that bound, not the default."""
     big = next(fr for _, fr in corpus_frames(4) if fr.n == 16)
     small = [fr for _, fr in corpus_frames(3)]
-    maps = [right_adjoint(m, big, tb) for m in small
-            for tb in enumerate_frame_homs(m, big, 16 ** 8)]
-    gs = [right_adjoint(big, n, tb) for n in small
-          for tb in enumerate_frame_homs(big, n, 8 ** 16)]
+    maps = maps_in_hom_order((m, big) for m in small)
+    gs = maps_in_hom_order((big, n) for n in small)
     rng = seeded("fam-bound")
     kinds = set()
     for _ in range(1000):

@@ -10,13 +10,14 @@ import pytest
 from localelab.corpus import (
     chain3,
     corpus_frames,
+    corpus_posets,
     discrete_space,
     indiscrete_space,
     sierpinski,
     square,
     two,
 )
-from localelab.errors import DomainMismatch, NotContinuous, NotLocalic, SizeLimit
+from localelab.errors import DomainMismatch, NotContinuous, NotLocalic
 from localelab.lattice import FiniteSpace, bits, frame_of_space
 from localelab.maps import (
     ContinuousMap,
@@ -30,7 +31,7 @@ from localelab.maps import (
     omega_of_map,
     right_adjoint,
 )
-from oracles import meet_of
+from oracles import brute_monotone_count, maps_in_hom_order, meet_of
 
 
 def oracle_right_adjoint_value(h, x):
@@ -88,6 +89,18 @@ def test_right_adjoint_fixtures():
 
     ident = right_adjoint(c3, c3, (0, 1, 2))
     assert ident.table == (0, 1, 2)
+
+
+def test_right_adjoint_validates_its_table():
+    # not homs: the bottom goes to m, and the top to m; each is refused with
+    # the law and witness check_frame_hom gives, as FrameHom refuses it
+    c3 = chain3()
+    for table, law, witness in (((1, 1, 2), "bottom", ("0",)), ((0, 2, 1), "top", ("1",))):
+        rep = check_frame_hom(c3, c3, table)
+        assert (rep.law, rep.witness) == (law, witness)
+        with pytest.raises(ValueError) as exc:
+            right_adjoint(c3, c3, table)
+        assert str(exc.value) == f"not a frame homomorphism: {law} law fails at {witness}"
 
 
 def test_right_adjoint_matches_order_oracle():
@@ -189,10 +202,7 @@ def test_compose_fixtures_and_identity():
 
 def test_compose_associativity_on_corpus_triples():
     frames = [f for _, f in corpus_frames(2)]  # sizes 2..4
-    maps = []
-    for src, tgt in product(frames, frames):
-        for table in enumerate_frame_homs(src, tgt):
-            maps.append(right_adjoint(src, tgt, table))
+    maps = maps_in_hom_order(product(frames, frames))
     triples = 0
     for f in maps:
         for g in maps:
@@ -232,9 +242,21 @@ def test_enumerate_frame_hom_counts():
             assert check_frame_hom(src, tgt, table).ok
 
 
-def test_enumerate_frame_homs_budget():
-    with pytest.raises(SizeLimit):
-        enumerate_frame_homs(square(), square(), budget=10)
+def test_enumerate_frame_homs_reads_tables_off_maps(monkeypatch):
+    # every table is a valid map's left adjoint, so none is checked again
+    calls = []
+    monkeypatch.setattr("localelab.maps.check_frame_hom",
+                        lambda *a: calls.append(a) or check_frame_hom(*a))
+    frames = [fr for _, fr in corpus_frames(3)]
+    homs = sum(len(enumerate_frame_homs(a, b)) for a in frames for b in frames)
+    assert (homs, calls) == (476, [])
+
+
+def test_enumerate_frame_homs_has_no_budget():
+    # the 16-element corpus-4 frame to itself: 16^16 candidate tables, 256 homs
+    (p, big), = [(p, fr) for p, (_, fr) in zip(corpus_posets(4), corpus_frames(4)) if fr.n == 16]
+    homs = enumerate_frame_homs(big, big)
+    assert len(homs) == 256 == brute_monotone_count(p, p)
 
 
 def test_continuous_map_validation():

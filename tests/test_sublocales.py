@@ -31,6 +31,7 @@ from localelab.sublocales import (
     sublocale,
     transfer_of,
 )
+from oracles import maps_in_hom_order
 
 FIXTURES = lambda: [two(), chain3(), square(), chain4()]
 
@@ -339,12 +340,7 @@ def test_image_preimage_fixtures():
 
 def corpus_localic_maps(max_n=5):
     frames = [fr for _, fr in corpus_frames(3) if fr.n <= max_n]
-    maps = []
-    for src in frames:
-        for tgt in frames:
-            for table in enumerate_frame_homs(src, tgt):
-                maps.append(right_adjoint(src, tgt, table))
-    return maps
+    return maps_in_hom_order((src, tgt) for src in frames for tgt in frames)
 
 
 def test_check_adjunction_and_galois_laws():
