@@ -10,7 +10,10 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the commit (`git rev-parse HEAD`, or `--commit`), the Python version and
   `PYTHONDONTWRITEBYTECODE`;
 - the median wall time of N runs of default `verify` and of
-  `verify --max-poset 5`, each in a fresh interpreter;
+  `verify --max-poset 5`, each in a fresh interpreter, in seconds and in
+  probe units (`median_probe_units`, and `runs_probe_units` per run): each
+  run's wall time divided by one `probe_kernel` run timed right before it,
+  as the kernel groups below are timed;
 - the cold start: the median over 11 fresh interpreters of the time
   `import localelab.cli` takes, of the time the poset classes of sizes 1..5
   take after it (`poset_classes_5_s`), of the time `corpus_frames(5)` then
@@ -160,14 +163,23 @@ def _commit() -> str:
 
 
 def _wall(argv, runs):
+    """The wall times of runs child `localelab` runs of argv, in seconds and
+    in probe units: each run's time divided by a probe_kernel run timed
+    right before it."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    times = []
+    times, units = [], []
     for _ in range(runs):
+        start = time.perf_counter()
+        probe_kernel()
+        probe = time.perf_counter() - start
         start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "localelab", *argv], env=env, check=True,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         times.append(time.perf_counter() - start)
-    return {"median_s": round(statistics.median(times), 3), "runs_s": [round(t, 3) for t in times]}
+        units.append(times[-1] / probe)
+    return {"median_s": round(statistics.median(times), 3), "runs_s": [round(t, 3) for t in times],
+            "median_probe_units": round(statistics.median(units), 1),
+            "runs_probe_units": [round(u, 1) for u in units]}
 
 
 def cold_start():

@@ -58,8 +58,8 @@ from .interior import (
     check_open_preimage,
     check_universal_property,
     discrete_op,
-    family_initial_check,
     initial_interior,
+    initial_lift,
     is_I_continuous,
     make_continuous_op,
     random_op,
@@ -118,9 +118,8 @@ __all__ = [
     "enumerate_sublocales", "closed_sub", "open_sub", "sub_join", "image",
     "preimage", "check_adjunction", "transfer_of",
     "InteriorOperator", "check_interior", "discrete_op", "trivial_op", "random_op",
-    "is_I_continuous", "check_composition", "initial_interior",
-    "check_universal_property", "check_open_preimage", "family_initial_check",
-    "make_continuous_op",
+    "is_I_continuous", "check_composition", "initial_interior", "initial_lift",
+    "check_universal_property", "check_open_preimage", "make_continuous_op",
     "HOperator", "complemented_fragment", "check_h", "discrete_h", "trivial_h",
     "random_h", "h_from_interior", "interior_from_h", "is_h_continuous",
     "check_h_composition", "initial_h", "check_h_universal",

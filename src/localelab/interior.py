@@ -494,6 +494,27 @@ def _candidate(t: SublocaleTransfer, xs) -> list:
     return [pulled[x] for x in t.image_table]
 
 
+def _initial_lift(t: SublocaleTransfer, xs) -> list:
+    """The point masks of the initial lift of the one-lane table xs: entry S
+    is f_-1[op_M(forall_f S)], the preimages gathered by forall_table."""
+    pulled = _preimages(t, xs)
+    return [pulled[k] for k in t.forall_table]
+
+
+def initial_lift(f: LocalicMap, op_m: InteriorOperator) -> InteriorOperator:
+    """The initial lift S |-> f_-1[i_M(forall_f S)], where forall_f S =
+    not f[not S] is the largest T with f_-1[T] <= S.
+
+    Given that op_m is monotone (I2), it is the join of f_-1[i_M(T)] over
+    the T with f_-1[T] <= S, so it is the least operator on L that makes f
+    continuous, and every operator above it does too. For an h operator h_M,
+    apply it to `h_m.core`. The lift of a source f_k: L -> M_k is
+    `op_join([initial_lift(f, op) for f, op in zip(maps, ops)])`.
+    """
+    t = _target_transfer(f, op_m)
+    return InteriorOperator._of_points(t.source_lattice, _initial_lift(t, op_m.points))
+
+
 def _confirmed(t: SublocaleTransfer, gaps) -> tuple:
     """Per kind, the mask of the gaps that exhibit their predicate under t:
     a unit gap at S, f[L] != M for the top, and at T the counit gap, which
@@ -607,83 +628,16 @@ def _open_preimage(t: SublocaleTransfer, l, m) -> OpenPreimageReport:
     return OpenPreimageReport("pass", checked)
 
 
-# -- families and constrained sampling ----------------------------------------
-
-@dataclass(frozen=True)
-class FamilyInitialReport:
-    candidate: InteriorOperator
-    axioms: AxiomReport
-    per_map: tuple  # ContinuityReport per family member, against the joined candidate
-    per_map_initial: tuple  # InitialReport per member, for anomaly linkage
-    universal: tuple  # one classification dict per sampled (g, op_N)
-
-    @property
-    def ok(self) -> bool:
-        return self.axioms.ok and all(r.ok for r in self.per_map)
-
-
-def family_initial_check(maps, ops, sampled_gs=()) -> FamilyInitialReport:
-    """Join of the per-map initial operators, as the family's induced structure.
-
-    Every map is rechecked for continuity against the joined candidate; each
-    sampled (g, op_N) pair gets the two-sided universal check with the same
-    disagreement classification as the single-map case.
-    """
-    maps = list(maps)
-    ops = list(ops)
-    if not maps:
-        raise EmptyFamily("family initial lift needs at least one map")
-    if len(maps) != len(ops):
-        raise ValueError("one operator per map required")
-    src = maps[0].source
-    for f in maps[1:]:
-        if f.source != src:
-            raise HostMismatch(
-                "family maps must share a source frame",
-                witness=(src.key(), f.source.key()),
-            )
-    lifted = [initial_interior(f, op) for f, op in zip(maps, ops)]
-    cand = op_join([r.candidate for r in lifted])
-    axioms = check_interior(cand)
-    per_map = tuple(is_I_continuous(f, cand, op) for f, op in zip(maps, ops))
-
-    universal = []
-    for g, op_n in sampled_gs:
-        _target_transfer(g, None, op_n)
-        # the single-map report per map: the initial side is the same for all
-        reps = [_universal_report(r.transfer, g, cand.points, op.points, op_n.points,
-                                  "f-continuity-gap-at-witness") for r, op in zip(lifted, ops)]
-        a_ok, b_ok = reps[0].initial_side.ok, all(r.composite_side.ok for r in reps)
-        entry = {"initial_side": a_ok, "composite_side": b_ok, "anomaly": None}
-        if a_ok and not b_ok:
-            bad = next(i for i, r in enumerate(reps) if not r.composite_side.ok)
-            entry["anomaly"] = {"kind": "composite-side-only", "map": bad, **reps[bad].anomalies[0]}
-        elif b_ok and not a_ok:
-            # preimages are preimages of points, so they keep joins and the
-            # joined candidate adds no gap of its own: a unit gap of some map
-            entry["anomaly"] = {**reps[0].anomalies[0],
-                                "confirmed": any(r.anomalies[0]["confirmed"] for r in reps)}
-        universal.append(entry)
-    return FamilyInitialReport(
-        cand, axioms, per_map, tuple(lifted), tuple(universal)
-    )
-
+# -- constrained sampling -----------------------------------------------------
 
 def make_continuous_op(f: LocalicMap, op_m: InteriorOperator, rng) -> InteriorOperator:
-    """A random source operator for which f is guaranteed I-continuous.
-
-    Base constraint: i_L(S) must contain every f_-1[i_M(T)] with f_-1[T] = S;
-    each such term sits inside S, so joining a random contractive seed on top
-    and closing monotonely keeps contraction while preserving the constraint.
-    """
+    """A random source operator for which f is guaranteed I-continuous: the
+    initial lift of op_m joined with a random contractive seed and closed
+    monotonely, so it lies above the lift and keeps contraction."""
     t = _target_transfer(f, op_m)
     return InteriorOperator._of_points(t.source_lattice, _continuous_draw(t, op_m.points, rng))
 
 
 def _continuous_draw(t: SublocaleTransfer, xs, rng) -> list:
-    """make_continuous_op's draw for the point masks xs of op_M: the base
-    joins f_-1[op_M(T)] into entry f_-1[T]."""
-    base = [0] * t.source_lattice.n
-    for s, q in zip(t.preimage_table, _preimages(t, xs)):
-        base[s] |= q
-    return _closed_draw(t.source_lattice, rng, base)
+    """make_continuous_op's draw for the point masks xs of op_M."""
+    return _closed_draw(t.source_lattice, rng, _initial_lift(t, xs))

@@ -441,6 +441,15 @@ class SublocaleTransfer:
         return (sum(1 << i for i, k in enumerate(img) if pre[k] != i),
                 sum(1 << j for j, k in enumerate(pre) if img[k] != j))
 
+    @cached_property
+    def forall_table(self) -> tuple:
+        """For each source index S, the index of the largest T with
+        f_-1[T] <= S, the right adjoint of preimage: S_l is the Boolean
+        algebra of point sets, so it is the complement of f[complement S]."""
+        sl, tl, img = self.source_lattice, self.target_lattice, self.image_table
+        fs, ft = sl.host.primes, tl.host.primes
+        return tuple([tl.by_points[ft ^ tl.points[img[sl.by_points[fs ^ p]]]] for p in sl.points])
+
 
 def _point_tables(peel, point_value, index) -> tuple:
     """For each sublocale of a lattice with that `peel`, index[the union of

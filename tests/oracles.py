@@ -286,6 +286,37 @@ def brute_initial_interior(f, op_m):
     return table, axioms, cont, tuple(anomalies)
 
 
+def brute_forall_table(t):
+    """For each source index S of a SublocaleTransfer, the largest T with
+    f_-1[T] <= S, as the join of every such T."""
+    sl, tl = t.source_lattice, t.target_lattice
+    out = []
+    for s in range(sl.n):
+        acc = tl.bottom
+        for j in range(tl.n):
+            if sl.le(t.preimage_table[j], s):
+                acc = tl.join(acc, j)
+        out.append(acc)
+    return tuple(out)
+
+
+def brute_initial_lift(f, op_m):
+    """The initial lift's table by its definition: at each source S, the join
+    of f_-1[op_M(T)] over every target T with f_-1[T] <= S."""
+    t = transfer_of(f, op_m.lattice.bound)
+    sl, pre = t.source_lattice, t.preimage_table
+    le, join = sl.le, sl.join
+    pairs = [(pre[j], pre[v]) for j, v in enumerate(op_m.table)]
+    table = []
+    for s in range(sl.n):
+        acc = sl.bottom
+        for below, value in pairs:
+            if le(below, s):
+                acc = join(acc, value)
+        table.append(acc)
+    return tuple(table)
+
+
 def brute_initial_h(f, h_m):
     """(candidate table, AxiomReport, ContinuityReport, anomalies) of the
     induced h operator: h1, h2, h3 and h-continuity by the scans above, the
@@ -421,6 +452,33 @@ def brute_batch_tables(lat, rng, lanes, width, named=0):
     if not named:
         return drawn
     return [tuple(range(lat.n)), _closure(lat, [lat.bottom] * lat.n)][:named] + drawn
+
+
+def all_interior_tables(sl):
+    """Every interior operator on sl as a table, by backtracking in index
+    order: entry i is a subset of the points of i that contains the values of
+    its lower covers (I1 and I2, which cover pairs decide), and the top is
+    fixed (I3). Index order is a linear extension, so each lower cover's value
+    is chosen before i."""
+    pts, by_points, top = sl.points, sl.by_points, sl.top
+    out, vals = [], []
+
+    def extend(i):
+        if i == sl.n:
+            out.append(tuple(by_points[v] for v in vals))
+            return
+        low = 0
+        for c in sl.lower_covers[i]:
+            low |= vals[c]
+        free = pts[i] & ~low
+        choices = [pts[i]] if i == top else [low | q for q in range(free + 1) if not q & ~free]
+        for v in choices:
+            vals.append(v)
+            extend(i + 1)
+            vals.pop()
+
+    extend(0)
+    return out
 
 
 def brute_random_table(lat, rng):

@@ -19,6 +19,7 @@ import random
 import shutil
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -36,12 +37,14 @@ from localelab.hops import (
     trivial_h,
 )
 from localelab.interior import (
+    InteriorOperator,
     check_composition,
     check_interior,
     check_open_preimage,
     check_universal_property,
     discrete_op,
     initial_interior,
+    initial_lift,
     make_continuous_op,
     op_join,
     op_le,
@@ -60,7 +63,7 @@ from localelab.sublocales import (
     transfer_of,
 )
 from localelab.verify import replay
-from oracles import maps_in_hom_order
+from oracles import all_interior_tables, maps_in_hom_order
 
 
 def criterion(capsys, n, ok: bool, summary: str) -> None:
@@ -392,6 +395,27 @@ def test_criterion_6_axiom_clause_as_written(capsys, small_maps):
               f"contraction and continuity hold for all induced operators: "
               f"{violations} of {checked} instances violate the clause")
     assert violations == 0
+
+
+def test_criterion_6_lift_as_written_on_point_bijections(capsys):
+    """The paper's induced operator S |-> f_-1[i_M(f[S])] equals the initial
+    lift f_-1[i_M(not f[not S])] for every op_M iff f is a bijection on
+    points, where f[S] = not f[not S]: 53 of the 476 corpus-3 maps."""
+    frames = [fr for _, fr in corpus_frames(3)]
+    maps = maps_in_hom_order(product(frames, frames))
+    bijections = 0
+    for f in maps:
+        tl = enumerate_sublocales(f.target)
+        same = all(initial_interior(f, op_m).candidate.table == initial_lift(f, op_m).table
+                   for op_m in (InteriorOperator(tl, t) for t in all_interior_tables(tl)))
+        bijective = len(set(f.points)) == len(f.points) == len(f.target.prime_list)
+        assert same == bijective, f.describe()
+        bijections += bijective
+    ok = (bijections, len(maps)) == (53, 476)
+    criterion(capsys, "6 (lift as written)", ok,
+              f"the displayed lift is the initial lift for every operator exactly on "
+              f"the {bijections} point bijections of the {len(maps)} corpus-3 maps")
+    assert ok
 
 
 # -- criterion 7 --------------------------------------------------------------

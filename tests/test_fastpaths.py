@@ -9,7 +9,7 @@ maps read off join-irreducibles and extended by meets, their left adjoints
 looked up by the primes above each element, the frame-hom law
 scans read table rows from locals, the operator samplers close over lower covers, the
 operator kernels check and classify an induced operator in one pass over
-point masks, posets validate and take canonical keys on bitmask rows, the
+point masks, the initial lift is one preimage gather through the forall_f table, posets validate and take canonical keys on bitmask rows, the
 corpus grows by one-point extensions, and frames read meets and joins off
 principal ideals and decide distributivity on join-irreducibles.
 Each is compared here with the scan in `oracles.py` on every small frame or
@@ -71,6 +71,7 @@ from localelab.interior import (
     check_interior,
     discrete_op,
     initial_interior,
+    initial_lift,
     is_I_continuous,
     make_continuous_op,
     op_join,
@@ -126,6 +127,7 @@ from oracles import (
     brute_check_frame_hom,
     brute_continuous_table,
     brute_downset_order,
+    brute_forall_table,
     brute_frame_homs,
     brute_generation_check,
     brute_h_axioms,
@@ -136,6 +138,7 @@ from oracles import (
     brute_image_table,
     brute_initial_h,
     brute_initial_interior,
+    brute_initial_lift,
     brute_is_spatial,
     brute_interior_axioms,
     brute_lattice_outcome,
@@ -1029,6 +1032,27 @@ def test_continuous_draw_matches_choice(f, seed):
     op_l = make_continuous_op(f, op_m, fast)
     assert op_l.table == brute_continuous_table(f, op_m, transfer_of(f), slow)
     assert fast.getrandbits(64) == slow.getrandbits(64)
+
+
+# every localic map between corpus-4 frames within the default S_l bound
+ALL_MAPS4 = _maps(CORPUS4, float("inf"))
+
+
+def test_forall_table_matches_largest_preimage_below():
+    for f in ALL_MAPS4:
+        t = transfer_of(f)
+        assert t.forall_table == brute_forall_table(t), f.describe()
+
+
+def test_initial_lift_matches_definitional_scan():
+    """initial_lift against the join over every (S, T) pair, for the discrete,
+    the trivial and one drawn op_M on each map."""
+    rng = random.Random("initial-lift")
+    for f in ALL_MAPS4:
+        slm = enumerate_sublocales(f.target)
+        for op_m in (discrete_op(slm), trivial_op(slm), random_op(slm, rng)):
+            assert initial_lift(f, op_m).table == brute_initial_lift(f, op_m), f.describe()
+    assert len(ALL_MAPS4) == 14_884
 
 
 class _Words:

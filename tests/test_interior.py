@@ -15,13 +15,16 @@ from localelab.corpus import chain3, chain4, child_seed, corpus_frames, square, 
 from localelab.errors import EmptyFamily, HostMismatch
 from localelab.interior import (
     InteriorOperator,
+    _Batch,
+    _continuity_gaps,
+    _preimages,
     check_composition,
     check_interior,
     check_open_preimage,
     check_universal_property,
     discrete_op,
-    family_initial_check,
     initial_interior,
+    initial_lift,
     is_I_continuous,
     make_continuous_op,
     op_join,
@@ -39,7 +42,7 @@ from localelab.maps import (
     right_adjoint,
 )
 from localelab.sublocales import enumerate_sublocales, transfer_of
-from oracles import maps_in_hom_order
+from oracles import all_interior_tables, brute_initial_lift, maps_in_hom_order
 
 @cache
 def corpus_maps(max_n):
@@ -550,100 +553,167 @@ def test_make_continuous_op_property():
         make_continuous_op(f_up(), discrete_op(enumerate_sublocales(two())), rng)
 
 
-def test_family_singleton_agrees_with_initial():
+# -- initial lifts of maps and of sources --------------------------------------
+
+@cache
+def interior_tables(sl):
+    return all_interior_tables(sl)
+
+
+def test_interior_table_enumerator_counts():
+    """1, 4 and 125 interior operators on S_l with 1, 2 and 3 points; at 3
+    points, 29 of them are idempotent and keep binary meets, the interiors of
+    the topologies on 3 points (OEIS A000798)."""
+    counts, topologies = {}, 0
+    for _, fr in corpus_frames(3):
+        sl = enumerate_sublocales(fr)
+        k = bin(sl.points[sl.top]).count("1")
+        tables = interior_tables(sl)
+        assert len(set(tables)) == len(tables)
+        assert all(check_interior(InteriorOperator(sl, t)).ok for t in tables)
+        counts.setdefault(k, len(tables))
+        assert counts[k] == len(tables)
+        if k == 3 and not topologies:
+            topologies = sum(
+                all(t[t[i]] == t[i] and t[sl.meet(i, j)] == sl.meet(t[i], t[j])
+                    for i in range(sl.n) for j in range(sl.n))
+                for t in tables)
+    assert counts == {1: 1, 2: 4, 3: 125}
+    assert topologies == 29
+
+
+def test_continuous_iff_above_the_initial_lift():
+    """For every corpus-3 map f, every op_M and every op_L, f is continuous
+    iff op_L >= initial_lift(f, op_M), and the lift is itself an operator:
+    it is the least that makes f continuous. That is 50,885 (map, op_M)
+    pairs against the source's 1, 4 or 125 operators each. The test is
+    bounded by packing every op_L of a source lattice into one lane each, so
+    a (map, op_M) pair takes one _continuity_gaps pass and one order pass."""
+    batches, pairs = {}, 0
+    for f in corpus_maps(8):
+        t = transfer_of(f)
+        sl, tl = t.source_lattice, t.target_lattice
+        if sl not in batches:
+            tables, width = interior_tables(sl), sl.host.n + 1
+            masks = [sum(sl.points[tab[i]] << j * width for j, tab in enumerate(tables))
+                     for i in range(sl.n)]
+            batches[sl] = _Batch.of(masks, len(tables), width), set(tables)
+        b, tables = batches[sl]
+        for table in interior_tables(tl):
+            op_m = InteriorOperator(tl, table)
+            lift = initial_lift(f, op_m)
+            assert lift.table in tables
+            lhs = [p * b.ones for p in _preimages(t, op_m.points)]
+            discontinuous = below = 0
+            for gap in _continuity_gaps(t.preimage_table, lhs, b.masks):
+                discontinuous |= gap + b.fill & b.guard
+            for p, x in zip(lift.points, b.masks):
+                below |= (p * b.ones & ~x) + b.fill & b.guard
+            assert discontinuous == below, f.describe()
+            pairs += 1
+    assert pairs == 50_885
+
+
+def _source_lift(ms, ops):
+    return op_join([initial_lift(f, op) for f, op in zip(ms, ops)])
+
+
+def _assert_source_lift(ms, ops, op_l, gs):
+    """The join of the members' lifts passes I1-I3 and makes every member
+    continuous; op_l makes every member continuous iff it lies above the
+    join; and each (g, op_N) in gs is continuous into the join iff every
+    f_k.g is continuous. Returns the verdicts seen, op_l's first."""
+    lift = _source_lift(ms, ops)
+    assert check_interior(lift).ok
+    assert all(is_I_continuous(f, lift, op).ok for f, op in zip(ms, ops))
+    above = op_le(lift, op_l)
+    assert above == all(is_I_continuous(f, op_l, op).ok for f, op in zip(ms, ops))
+    seen = [above]
+    for g, op_n in gs:
+        into = is_I_continuous(g, op_n, lift).ok
+        assert into == all(is_I_continuous(compose_localic(f, g), op_n, op).ok
+                           for f, op in zip(ms, ops))
+        seen.append(into)
+    return seen
+
+
+def test_source_lift_of_one_map_is_its_lift():
     opm = random_op(enumerate_sublocales(chain3()), seeded("fam-single"))
     f = f_up()
-    rep = initial_interior(f, opm)
-    cand = rep.candidate
-    fam = family_initial_check([f], [opm])
-    assert fam.candidate.table == cand.table
-    assert fam.per_map[0].ok == rep.continuity.ok
-    assert fam.per_map_initial[0].anomalies == rep.anomalies
+    lift = initial_lift(f, opm)
+    assert _source_lift([f], [opm]).table == lift.table
+    assert lift.table == brute_initial_lift(f, opm)
+    assert op_le(lift, make_continuous_op(f, opm, seeded("fam-single", 1)))
 
 
-def test_family_two_maps_out_of_two():
+def test_source_lift_two_maps_out_of_two():
     f1 = f_up()
     f2 = localic_map(two(), square(), (1, 3))
+    sl2 = enumerate_sublocales(two())
     d3 = discrete_op(enumerate_sublocales(chain3()))
     dsq = discrete_op(enumerate_sublocales(square()))
-    fam = family_initial_check([f1, f2], [d3, dsq])
-    assert fam.ok
-    assert fam.candidate.table == discrete_op(enumerate_sublocales(two())).table
-    assert all(r.ok for r in fam.per_map)
-    # trivial structures hit the shared non-surjectivity caveat instead
-    fam2 = family_initial_check(
-        [f1, f2],
-        [trivial_op(enumerate_sublocales(chain3())), trivial_op(enumerate_sublocales(square()))],
-    )
-    assert not fam2.ok
-    assert not fam2.axioms.passed["I3"]
-    for rep in fam2.per_map_initial:
-        assert rep.unexplained == ()
+    assert _source_lift([f1, f2], [d3, dsq]).table == discrete_op(sl2).table
+    # the paper's operator breaks I3 off a non-surjective map; the lift does not
+    t3, tsq = trivial_op(enumerate_sublocales(chain3())), trivial_op(enumerate_sublocales(square()))
+    assert not initial_interior(f1, t3).axioms.passed["I3"]
+    assert _source_lift([f1, f2], [t3, tsq]).table == trivial_op(sl2).table
+    assert _assert_source_lift([f1, f2], [t3, tsq], trivial_op(sl2), ()) == [True]
 
 
-def test_family_errors():
-    with pytest.raises(EmptyFamily):
-        family_initial_check([], [])
+def test_source_lift_errors():
     d3 = discrete_op(enumerate_sublocales(chain3()))
-    with pytest.raises(ValueError):
-        family_initial_check([f_up()], [d3, d3])
+    with pytest.raises(EmptyFamily):
+        _source_lift([], [])
     with pytest.raises(HostMismatch):
-        family_initial_check(
-            [f_up(), identity_localic(chain3())],
-            [d3, d3],
-        )
+        _source_lift([f_up(), identity_localic(chain3())], [d3, d3])
+    with pytest.raises(HostMismatch):
+        initial_lift(f_up(), discrete_op(enumerate_sublocales(two())))
 
 
-def test_family_anomalies_use_the_operators_bound():
+def test_source_lift_under_the_operators_bound():
     """Operators on the 16-element corpus-4 frame are built under a bound of
-    16, past the default 12; both anomaly branches of the family's universal
-    check must build their transfers under that bound, not the default."""
+    16, past the default 12; the lift, its members' continuity and the
+    universal property must read transfers under that bound."""
     big = next(fr for _, fr in corpus_frames(4) if fr.n == 16)
     small = [fr for _, fr in corpus_frames(3)]
     maps = maps_in_hom_order((m, big) for m in small)
     gs = maps_in_hom_order((big, n) for n in small)
+    sl = enumerate_sublocales(big, 16)
     rng = seeded("fam-bound")
-    kinds = set()
-    for _ in range(1000):
+    seen = set()
+    for _ in range(40):
         ms = rng.sample(maps, 2)
         ops = [random_op(enumerate_sublocales(m.target, 16), rng) for m in ms]
         g = rng.choice(gs)
         op_n = random_op(enumerate_sublocales(g.source, 16), rng)
-        for entry in family_initial_check(ms, ops, sampled_gs=[(g, op_n)]).universal:
-            if entry["anomaly"] is not None:
-                assert entry["anomaly"]["confirmed"]
-                kinds.add(entry["anomaly"]["kind"])
-        if len(kinds) == 2:
-            break
-    assert kinds == {"initial-side-only", "composite-side-only"}
+        op_l = random_op(sl, rng)
+        if rng.random() < 0.5:  # an op_L above the lift
+            op_l = op_join([_source_lift(ms, ops), op_l])
+        above, into = _assert_source_lift(ms, ops, op_l, [(g, op_n)])
+        seen |= {("above", above), ("into", into)}
+    assert len(seen) == 4
 
 
-def test_family_random_scan():
+def test_source_lift_random_scan():
+    """Sources of one to three corpus-3 maps out of one frame, each with
+    random target operators, a random op_L and every g into the frame."""
     rng = seeded("fam-scan")
     maps = corpus_maps(4)
     by_src = {}
     for f in maps:
         by_src.setdefault(f.source.key(), []).append(f)
     groups = sorted(by_src.values(), key=lambda g: g[0].source.key())
-    anomalies = 0
-    for k in range(50):
+    seen = set()
+    for k in range(60):
         group = groups[k % len(groups)]
         ms = rng.sample(group, rng.randint(1, min(3, len(group))))
         ops = [random_op(enumerate_sublocales(m.target), rng) for m in ms]
-        gs = [
-            (g, random_op(enumerate_sublocales(g.source), rng))
-            for g in maps
-            if g.target == ms[0].source
-        ][:4]
-        rep = family_initial_check(ms, ops, sampled_gs=gs)
-        assert rep.axioms.passed["I2"]
-        for r in rep.per_map_initial:
-            assert r.unexplained == ()
-        for entry in rep.universal:
-            if entry["anomaly"] is not None:
-                anomalies += 1
-                assert entry["anomaly"]["confirmed"]
-    assert anomalies > 0
+        sl = enumerate_sublocales(ms[0].source)
+        gs = [(g, random_op(enumerate_sublocales(g.source), rng))
+              for g in maps if g.target == ms[0].source]
+        above, *into = _assert_source_lift(ms, ops, random_op(sl, rng), gs)
+        seen |= {("above", above)} | {("into", x) for x in into}
+    assert len(seen) == 4
 
 
 def test_report_json_shapes():
