@@ -9,7 +9,8 @@ maps read off join-irreducibles and extended by meets, their left adjoints
 looked up by the primes above each element, the frame-hom law
 scans read table rows from locals, the operator samplers close over lower covers, the
 operator kernels check and classify an induced operator in one pass over
-point masks, the initial lift is one preimage gather through the forall_f table, posets validate and take canonical keys on bitmask rows, the
+point masks, the initial lift is one preimage gather through the forall_f
+table, posets validate and take canonical keys on bitmask rows, the
 corpus grows by one-point extensions, and frames read meets and joins off
 principal ideals and decide distributivity on join-irreducibles.
 Each is compared here with the scan in `oracles.py` on every small frame or
