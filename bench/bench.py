@@ -12,8 +12,8 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the median wall time of N runs of default `verify` and of
   `verify --max-poset 5`, each in a fresh interpreter, in seconds and in
   probe units (`median_probe_units`, and `runs_probe_units` per run): each
-  run's wall time divided by one `probe_kernel` run timed right before it,
-  as the kernel groups below are timed;
+  run's wall time divided by the median of PROBES `probe_kernel` runs timed
+  right before it, as the kernel groups below are timed;
 - the cold start: the median over 11 fresh interpreters of the time
   `import localelab.cli` takes, of the time the poset classes of sizes 1..5
   take after it (`poset_classes_5_s`), of the time `corpus_frames(5)` then
@@ -85,9 +85,10 @@ interpreters with the same `PYTHONPATH`. One entry records:
   timings taken right before each group, by group name;
 - `probe_units` in each group timed in passes (`map_kernels`,
   `operator_kernels`, `points_5_s`): per timing, the median over its passes
-  of the pass time divided by one `probe_kernel` run timed right before
-  that pass, so that a speed phase that starts inside a group is seen by
-  the passes it hits.
+  of the pass time divided by the median of PROBES `probe_kernel` runs
+  timed right before that pass, so that a speed phase that starts inside a
+  group is seen by the passes it hits. One run of about half a millisecond
+  is too short to track the machine's speed; the median of PROBES is not.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -142,15 +143,16 @@ def probe_kernel():
     return s
 
 
-def _probe(times):
-    """Time PROBES runs of probe_kernel into times; return their median."""
+def _probe(times=None):
+    """Time PROBES runs of probe_kernel, into times when given; return their median."""
     mine = []
     for _ in range(PROBES):
         start = time.perf_counter()
         probe_kernel()
         mine.append(time.perf_counter() - start)
-    times += mine
-    return round(statistics.median(mine), 6)
+    if times is not None:
+        times += mine
+    return statistics.median(mine)
 
 
 def _commit() -> str:
@@ -164,14 +166,12 @@ def _commit() -> str:
 
 def _wall(argv, runs):
     """The wall times of runs child `localelab` runs of argv, in seconds and
-    in probe units: each run's time divided by a probe_kernel run timed
-    right before it."""
+    in probe units: each run's time divided by the _probe median timed right
+    before it."""
     env = dict(os.environ, PYTHONPATH=SRC)
     times, units = [], []
     for _ in range(runs):
-        start = time.perf_counter()
-        probe_kernel()
-        probe = time.perf_counter() - start
+        probe = _probe()
         start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "localelab", *argv], env=env, check=True,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -201,13 +201,11 @@ def cold_start():
 def _median_time(out, key, fn, items):
     """Set out[key] to the median over PASSES passes of the time fn(*item)
     takes over items, and out["probe_units"][key] to the median over the
-    passes of each pass's time divided by a probe_kernel run timed right
+    passes of each pass's time divided by the _probe median timed right
     before it."""
     times, units = [], []
     for _ in range(PASSES):
-        start = time.perf_counter()
-        probe_kernel()
-        probe = time.perf_counter() - start
+        probe = _probe()
         start = time.perf_counter()
         for item in items:
             fn(*item)
@@ -402,7 +400,7 @@ def main(argv=None):
     }
     probes, probe_groups = [], {}
     for name, group in groups.items():
-        probe_groups[name] = _probe(probes)
+        probe_groups[name] = round(_probe(probes), 6)
         entry[name] = group()
     _probe(probes)
     entry["probe_s"] = round(statistics.median(probes), 6)

@@ -57,6 +57,7 @@ from .interior import (
     check_interior,
     check_open_preimage,
     check_universal_property,
+    closure_dual,
     discrete_op,
     initial_interior,
     initial_lift,
@@ -118,7 +119,7 @@ __all__ = [
     "enumerate_sublocales", "closed_sub", "open_sub", "sub_join", "image",
     "preimage", "check_adjunction", "transfer_of",
     "InteriorOperator", "check_interior", "discrete_op", "trivial_op", "random_op",
-    "is_I_continuous", "check_composition", "initial_interior", "initial_lift",
+    "is_I_continuous", "check_composition", "initial_interior", "initial_lift", "closure_dual",
     "check_universal_property", "check_open_preimage", "make_continuous_op",
     "HOperator", "complemented_fragment", "check_h", "discrete_h", "trivial_h",
     "random_h", "h_from_interior", "interior_from_h", "is_h_continuous",

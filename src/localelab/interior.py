@@ -515,6 +515,16 @@ def initial_lift(f: LocalicMap, op_m: InteriorOperator) -> InteriorOperator:
     return InteriorOperator._of_points(t.source_lattice, _initial_lift(t, op_m.points))
 
 
+def closure_dual(op: InteriorOperator) -> InteriorOperator:
+    """The dual S |-> not op(not S) of op, as a table on the same lattice:
+    S_l is the Boolean algebra of point sets, so not is `sl.complement`, an
+    XOR with the full point mask. It is an involution, and the initial lift
+    is the dual of the initial closure: not i_f(not S) = f_-1[c_M(f[S])]
+    with c_M = closure_dual(op_M)."""
+    sl = op.lattice
+    return InteriorOperator(sl, [sl.complement(op(sl.complement(i))) for i in range(sl.n)])
+
+
 def _confirmed(t: SublocaleTransfer, gaps) -> tuple:
     """Per kind, the mask of the gaps that exhibit their predicate under t:
     a unit gap at S, f[L] != M for the top, and at T the counit gap, which

@@ -163,7 +163,7 @@ class Poset:
 class Frame:
     """A finite frame: validated distributive lattice with Heyting tables."""
 
-    def __init__(self, poset: Poset, meet, join, imp, arrows_into, bottom: int, top: int,
+    def __init__(self, poset: Poset, meet, join, imp, bottom: int, top: int,
                  join_irreducibles: int, primes: int):
         self.poset = poset
         self.labels = poset.labels
@@ -177,9 +177,6 @@ class Frame:
         self.dn = poset.dn
         self.up = poset.up
         self.index = poset.index
-        # arrows_into[s] = bitmask of {x -> s : x in L}; the sublocale machinery
-        # leans on this: a subset A is arrow-closed iff arrows_into[s] <= A for s in A.
-        self.arrows_into = arrows_into
         # primes (meet-irreducibles): a != top with exactly one upper cover.
         # They are the points of the frame, and every sublocale is the
         # meet-closure of the primes it contains (Birkhoff duality).
@@ -313,7 +310,6 @@ class Frame:
         lower = [[k for k in bits(s) if s & up[k] == 1 << k] for s in strict]
         order = sorted(range(n), key=lambda x: dn[x].bit_count())
         imp = [[0] * n for _ in range(n)]
-        arrows = [0] * n
         for a, ma in enumerate(meet):
             below = [0] * n
             for c, m in enumerate(ma):
@@ -330,9 +326,8 @@ class Frame:
                     raise AssertionError(
                         f"heyting adjunction broken at ({labels[a]},{labels[b]},{labels[c]})"
                     )
-                arrows[b] |= 1 << r
         return Frame(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
-                     tuple(map(tuple, imp)), tuple(arrows), bottom, top, irreducible, primes)
+                     tuple(map(tuple, imp)), bottom, top, irreducible, primes)
 
 
 def build_frame(labels, le_pairs) -> Frame:

@@ -2,14 +2,15 @@
 
 A sublocale is a subset containing the top, closed under binary meets, and
 closed under Heyting arrows from arbitrary elements. Subsets are bitmasks
-over element indices throughout; `Frame.arrows_into` makes the arrow-closure
-test one mask comparison per member.
+over element indices throughout.
 
 For a finite frame S_l(L) is the powerset of the points, which are the primes
 (`Frame.primes`): the sublocale of a set X of primes is the meet-closure of
 X with the top, and its primes are exactly X. S_l is built that way, and its
 order, meets, joins, complements, images and preimages are bitwise operations
-on point masks. The subset-scan definition survives as a test oracle.
+on point masks. Joins, `sloc_core` and `is_sublocale` read a subset's points
+through one closure kernel, `_generated`. The subset-scan definition survives
+as a test oracle.
 """
 from __future__ import annotations
 
@@ -60,25 +61,50 @@ class SubReport:
 
 
 def is_sublocale(frame: Frame, members) -> SubReport:
-    """First violated sublocale condition (top / meet / arrow) with witness."""
-    mask = as_mask(frame, members)
+    """First violated sublocale condition (top / meet / arrow) with witness.
+    A subset with the top passes iff it is the meet-closure of its points."""
+    mask, labels, imp = as_mask(frame, members), frame.labels, frame.imp_table
     if not mask >> frame.top & 1:
-        return SubReport(False, "top", (frame.labels[frame.top],))
+        return SubReport(False, "top", (labels[frame.top],))
+    if _generated(frame.meet_table, mask & frame.primes, 1 << frame.top) == mask:
+        return SubReport(True)
+    pair = _meet_escape(frame, mask)
+    if pair is not None:
+        return SubReport(False, "meet", tuple(labels[x] for x in pair))
+    for s in bits(mask):
+        for x in range(frame.n):
+            if not mask >> imp[x][s] & 1:
+                return SubReport(False, "arrow", (labels[x], labels[s], labels[imp[x][s]]))
+
+
+def _meet_escape(frame: Frame, mask: int):
+    """The first member pair (a, b), a <= b by index, whose meet escapes mask, or None."""
     mem = list(bits(mask))
     for i, a in enumerate(mem):
+        row = frame.meet_table[a]
         for b in mem[i:]:
-            if not mask >> frame.meet(a, b) & 1:
-                return SubReport(False, "meet", (frame.labels[a], frame.labels[b]))
-    for s in mem:
-        if frame.arrows_into[s] & ~mask:
-            for x in range(frame.n):
-                if not mask >> frame.imp(x, s) & 1:
-                    return SubReport(
-                        False,
-                        "arrow",
-                        (frame.labels[x], frame.labels[s], frame.labels[frame.imp(x, s)]),
-                    )
-    return SubReport(True)
+            if not mask >> row[b] & 1:
+                return a, b
+    return None
+
+
+def _generated(table, mask: int, acc: int = 0) -> int:
+    """The least superset of a closed acc and mask under the binary operation
+    table (a meet or join table), in one pass: adding a member a to a closed
+    set adds a and a * c for every c already in, and leaves it closed."""
+    mem = list(bits(acc))
+    for a in bits(mask & ~acc):
+        if acc >> a & 1:
+            continue
+        row, new = table[a], [a]
+        acc |= 1 << a
+        for c in mem:
+            x = row[c]
+            if not acc >> x & 1:
+                acc |= 1 << x
+                new.append(x)
+        mem += new
+    return acc
 
 
 @dataclass(frozen=True)
@@ -116,55 +142,26 @@ def sublocale(frame: Frame, members) -> Sublocale:
 
 
 def sloc_core(frame: Frame, members) -> Sublocale:
-    """Largest sublocale inside a meet-closed, top-containing subset.
-
-    Greatest-fixpoint iteration of G(A) = {a in A : every x -> a lands in A}.
-    """
+    """Largest sublocale inside a meet-closed, top-containing subset: the
+    meet-closure of the subset's points with the top."""
     mask = as_mask(frame, members)
     if not mask >> frame.top & 1:
         raise NotMeetClosed(
             "input does not contain the top element", witness=(frame.labels[frame.top],)
         )
-    mem = list(bits(mask))
-    for i, a in enumerate(mem):
-        for b in mem[i:]:
-            if not mask >> frame.meet(a, b) & 1:
-                raise NotMeetClosed(
-                    f"meet of ({frame.labels[a]}, {frame.labels[b]}) escapes the input",
-                    witness=(frame.labels[a], frame.labels[b]),
-                )
-    cur = mask
-    while True:
-        nxt = 0
-        for a in bits(cur):
-            if not frame.arrows_into[a] & ~cur:
-                nxt |= 1 << a
-        if nxt == cur:
-            return Sublocale(frame, cur)
-        cur = nxt
-
-
-def _closure(table, mask: int) -> int:
-    """The least superset of mask closed under the binary operation table,
-    a frame's meet or join table."""
-    while True:
-        add = 0
-        mem = list(bits(mask))
-        for i, a in enumerate(mem):
-            row = table[a]
-            for b in mem[i + 1:]:
-                add |= 1 << row[b]
-        if not add & ~mask:
-            return mask
-        mask |= add
+    pair = _meet_escape(frame, mask)
+    if pair is not None:
+        a, b = (frame.labels[x] for x in pair)
+        raise NotMeetClosed(f"meet of ({a}, {b}) escapes the input", witness=(a, b))
+    return Sublocale(frame, _generated(frame.meet_table, mask & frame.primes, 1 << frame.top))
 
 
 def sub_join_mask(frame: Frame, masks) -> int:
-    """Meet-closure of a union of sublocale masks; empty family gives {top}."""
-    cur = 1 << frame.top
+    """Meet-closure of the points of a union of sublocale masks, and the top."""
+    union = 0
     for m in masks:
-        cur |= m
-    return _closure(frame.meet_table, cur)
+        union |= m
+    return _generated(frame.meet_table, union & frame.primes, 1 << frame.top)
 
 
 def sub_join(frame: Frame, family) -> Sublocale:
@@ -486,7 +483,7 @@ def _sup_form(frame: Frame, start: int, least: int) -> tuple:
     """The sup-form reading {vM} of a sublocale join from the mask start, its
     closure under binary joins, as (closure, its is_sublocale report, None
     when it is the join least, else "not-a-sublocale" or "not-the-least")."""
-    cur = _closure(frame.join_table, start)
+    cur = _generated(frame.join_table, start)
     rep = is_sublocale(frame, cur)
     return cur, rep, "not-a-sublocale" if not rep.ok else "not-the-least" if cur != least else None
 

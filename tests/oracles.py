@@ -15,8 +15,8 @@ from localelab.points import SpatialityReport
 from localelab.sublocales import (
     AdjReport,
     GenReport,
+    SubReport,
     open_sub_mask,
-    sloc_core,
     sub_join_mask,
     transfer_of,
 )
@@ -58,6 +58,7 @@ def brute_sublocale_masks(host):
     in (cardinality, bit pattern) order."""
     top_bit = 1 << host.top
     rest = [i for i in range(host.n) if i != host.top]
+    arrows_into = brute_arrows_into(host)
     found = []
     for sel in range(1 << len(rest)):
         mask = top_bit
@@ -69,7 +70,7 @@ def brute_sublocale_masks(host):
         for ii, a in enumerate(mem):
             if not ok:
                 break
-            if host.arrows_into[a] & ~mask:
+            if arrows_into[a] & ~mask:
                 ok = False
                 break
             for b in mem[ii:]:
@@ -79,6 +80,53 @@ def brute_sublocale_masks(host):
         if ok:
             found.append(mask)
     return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def brute_closure(table, mask):
+    """The least superset of mask closed under the binary operation table,
+    by adding every pairwise product of members until nothing is added."""
+    while True:
+        mem = list(bits(mask))
+        add = 0
+        for a in mem:
+            for b in mem:
+                add |= 1 << table[a][b]
+        if not add & ~mask:
+            return mask
+        mask |= add
+
+
+def brute_is_sublocale(frame, mask):
+    """The SubReport of the first violated condition of mask, scanned in
+    order: the top, then every member pair (a, b), a <= b by index, for its
+    meet, then every (member s, element x) for the arrow x -> s."""
+    labels = frame.labels
+    if not mask >> frame.top & 1:
+        return SubReport(False, "top", (labels[frame.top],))
+    mem = list(bits(mask))
+    for i, a in enumerate(mem):
+        for b in mem[i:]:
+            if not mask >> frame.meet(a, b) & 1:
+                return SubReport(False, "meet", (labels[a], labels[b]))
+    for s in mem:
+        for x in range(frame.n):
+            if not mask >> frame.imp(x, s) & 1:
+                return SubReport(False, "arrow", (labels[x], labels[s], labels[frame.imp(x, s)]))
+    return SubReport(True)
+
+
+def brute_sloc_core(frame, mask):
+    """The largest sublocale inside a meet-closed subset with the top, by
+    greatest-fixpoint iteration of A |-> {a in A : every x -> a lands in A}."""
+    arrows_into = brute_arrows_into(frame)
+    while True:
+        kept = 0
+        for a in bits(mask):
+            if not arrows_into[a] & ~mask:
+                kept |= 1 << a
+        if kept == mask:
+            return mask
+        mask = kept
 
 
 def brute_point_filters(frame):
@@ -135,7 +183,7 @@ def brute_is_spatial(frame, points):
 
 
 def brute_preimage_table(t):
-    """Preimage indices of a SublocaleTransfer by the sloc_core fixpoint."""
+    """Preimage indices of a SublocaleTransfer by the brute_sloc_core fixpoint."""
     f, sl, tl = t.map, t.source_lattice, t.target_lattice
     out = []
     for tm in tl.masks:
@@ -143,7 +191,7 @@ def brute_preimage_table(t):
         for x in range(f.source.n):
             if tm >> f(x) & 1:
                 raw |= 1 << x
-        out.append(sl.index[sloc_core(f.source, raw).mask])
+        out.append(sl.index[brute_sloc_core(f.source, raw)])
     return tuple(out)
 
 
@@ -754,7 +802,8 @@ def brute_downset_order(poset):
 
 
 def brute_arrows_into(frame):
-    """arrows_into[s], the mask of {x -> s : x in L}, one element at a time."""
+    """For each s, the mask of {x -> s : x in L}, one element at a time: a
+    subset A is arrow-closed iff each of its members' masks lies in A."""
     return tuple(sum({1 << frame.imp(x, s) for x in range(frame.n)}) for s in range(frame.n))
 
 

@@ -19,7 +19,7 @@ poset, or on random tables.
 import copy
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +37,7 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.errors import LocaleLabError, NotAPoset, NotLocalic, SizeLimit
+from localelab.errors import LocaleLabError, NotAPoset, NotLocalic, NotMeetClosed, SizeLimit
 from localelab import points, sublocales, verify
 from localelab.hops import (
     HInitialReport,
@@ -105,9 +105,14 @@ from localelab.maps import (
 from localelab.points import is_spatial, points_of, pt_space, sigma, spatialization
 from localelab.sublocales import (
     SublocaleTransfer,
+    _generated,
+    _least_containing,
     adjunction_report,
     enumerate_sublocales,
     generation_check,
+    is_sublocale,
+    sloc_core,
+    sub_join_mask,
     transfer_of,
 )
 from localelab.verify import (
@@ -122,10 +127,10 @@ from localelab.verify import (
 )
 from oracles import (
     brute_adjunction,
-    brute_arrows_into,
     brute_batch_tables,
     brute_canonical_key,
     brute_check_frame_hom,
+    brute_closure,
     brute_continuous_table,
     brute_downset_order,
     brute_forall_table,
@@ -142,6 +147,7 @@ from oracles import (
     brute_initial_lift,
     brute_is_spatial,
     brute_interior_axioms,
+    brute_is_sublocale,
     brute_lattice_outcome,
     brute_left_adjoint,
     brute_monotone_count,
@@ -155,6 +161,7 @@ from oracles import (
     brute_random_table,
     brute_right_adjoint_table,
     brute_sigma,
+    brute_sloc_core,
     brute_sublocale_masks,
     brute_transfer_tables,
     brute_validate,
@@ -217,6 +224,58 @@ def test_sublocale_lattice_matches_subset_scan():
             covers = [j for j in below if j != i
                       and not any(k not in (i, j) and sl.le(j, k) for k in below)]
             assert sorted(sl.lower_covers[i]) == covers
+
+
+# -- the closure kernel against fixpoint scans ------------------------------------
+
+def test_generated_matches_fixpoint_closure():
+    """_generated against the all-pairs fixpoint, under meets and joins, on
+    every subset of every corpus-4 frame of at most 8 elements, from nothing
+    and from the closure of the subset's points."""
+    frames = [fr for fr in CORPUS4 if fr.n <= 8]
+    assert len(frames) == 17
+    for fr in frames:
+        for table in (fr.meet_table, fr.join_table):
+            for mask in range(1 << fr.n):
+                want = brute_closure(table, mask)
+                assert _generated(table, mask) == want, (fr, mask)
+                acc = brute_closure(table, mask & fr.primes)
+                assert _generated(table, mask, acc) == want, (fr, mask)
+
+
+def test_is_sublocale_matches_first_violation_scan():
+    # corpus 3 alone cannot tell the arrow scan's order: its first arrow
+    # witnesses are the same members first or elements first
+    for fr in [fr for fr in CORPUS4 if fr.n <= 10] + FIXTURES:
+        for mask in range(1 << fr.n):
+            assert is_sublocale(fr, mask) == brute_is_sublocale(fr, mask), (fr, mask)
+
+
+def test_sloc_core_matches_greatest_fixpoint():
+    """sloc_core raises on the first top or meet violation with the scan's
+    witness, else gives the greatest fixpoint of the arrow condition."""
+    for fr in [fr for fr in CORPUS4 if fr.n <= 10] + FIXTURES:
+        for mask in range(1 << fr.n):
+            rep = brute_is_sublocale(fr, mask)
+            if rep.condition in ("top", "meet"):
+                with pytest.raises(NotMeetClosed) as exc:
+                    sloc_core(fr, mask)
+                assert exc.value.witness == rep.witness, (fr, mask)
+            else:
+                assert sloc_core(fr, mask).mask == brute_sloc_core(fr, mask), (fr, mask)
+
+
+def test_sub_join_mask_matches_least_containing():
+    """Joins of families of 0 to 3 sublocales, repeats allowed, on every
+    corpus-4 frame."""
+    for fr in CORPUS4 + FIXTURES:
+        sl = enumerate_sublocales(fr, limit=fr.n)
+        for k in range(4):
+            for family in combinations_with_replacement(sl.masks, k):
+                union = 0
+                for m in family:
+                    union |= m
+                assert sub_join_mask(fr, family) == _least_containing(sl, union), (fr, family)
 
 
 def test_points_match_assignment_scan():
@@ -411,14 +470,10 @@ def test_from_order_matches_lattice_scan():
 
 
 def test_downset_frames_match_inclusion_scan():
-    # order rows read off the covers of the down-sets, and arrow masks
-    # gathered while the arrows are found, on every poset up to 5 points
+    # order rows read off the covers of the down-sets, on every poset up to 5 points
     for poset in CORPUS5_POSETS:
         fr, want = downset_frame(poset), brute_downset_order(poset)
         assert (fr.labels, fr.up, fr.dn) == (want.labels, want.up, want.dn), poset.up
-        assert fr.arrows_into == brute_arrows_into(fr), poset.up
-    for fr in FIXTURES:
-        assert fr.arrows_into == brute_arrows_into(fr)
 
 
 def _relabeled(poset, perm):

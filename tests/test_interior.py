@@ -17,11 +17,14 @@ from localelab.interior import (
     InteriorOperator,
     _Batch,
     _continuity_gaps,
+    _lift,
+    _nonzero,
     _preimages,
     check_composition,
     check_interior,
     check_open_preimage,
     check_universal_property,
+    closure_dual,
     discrete_op,
     initial_interior,
     initial_lift,
@@ -560,6 +563,15 @@ def interior_tables(sl):
     return all_interior_tables(sl)
 
 
+@cache
+def packed_tables(sl):
+    """Every interior table of sl, one lane each, as a _Batch."""
+    tables, width = interior_tables(sl), sl.host.n + 1
+    masks = [sum(sl.points[tab[i]] << j * width for j, tab in enumerate(tables))
+             for i in range(sl.n)]
+    return _Batch.of(masks, len(tables), width)
+
+
 def test_interior_table_enumerator_counts():
     """1, 4 and 125 interior operators on S_l with 1, 2 and 3 points; at 3
     points, 29 of them are idempotent and keep binary meets, the interiors of
@@ -589,16 +601,11 @@ def test_continuous_iff_above_the_initial_lift():
     pairs against the source's 1, 4 or 125 operators each. The test is
     bounded by packing every op_L of a source lattice into one lane each, so
     a (map, op_M) pair takes one _continuity_gaps pass and one order pass."""
-    batches, pairs = {}, 0
+    pairs = 0
     for f in corpus_maps(8):
         t = transfer_of(f)
         sl, tl = t.source_lattice, t.target_lattice
-        if sl not in batches:
-            tables, width = interior_tables(sl), sl.host.n + 1
-            masks = [sum(sl.points[tab[i]] << j * width for j, tab in enumerate(tables))
-                     for i in range(sl.n)]
-            batches[sl] = _Batch.of(masks, len(tables), width), set(tables)
-        b, tables = batches[sl]
+        b, tables = packed_tables(sl), interior_tables(sl)
         for table in interior_tables(tl):
             op_m = InteriorOperator(tl, table)
             lift = initial_lift(f, op_m)
@@ -612,6 +619,47 @@ def test_continuous_iff_above_the_initial_lift():
             assert discontinuous == below, f.describe()
             pairs += 1
     assert pairs == 50_885
+
+
+def test_paper_lift_failure_sets_are_the_gap_predicates():
+    """Over every op_M of every corpus-3 map, the S where the paper's
+    operator S |-> f_-1[i_M(f[S])] breaks contraction are exactly the unit
+    gaps, and the T where f breaks continuity for it are exactly the counit
+    gaps with f_-1[T] not the bottom. The counit-gap set alone is the
+    continuity-failure set on only 86 of the 476 maps."""
+    maps, counit_only = corpus_maps(8), 0
+    for f in maps:
+        t = transfer_of(f)
+        b = packed_tables(t.target_lattice)
+        _, (gaps, _, _), continuity = _lift(t, b.masks, b.ones)
+        unit, counit = t.adjunction_gaps
+        nonbottom = _nonzero(k != t.source_lattice.bottom for k in t.preimage_table)
+        assert _nonzero(gaps) == unit, f.describe()
+        assert _nonzero(continuity) == counit & nonbottom, f.describe()
+        counit_only += _nonzero(continuity) == counit
+    assert (len(maps), counit_only) == (476, 86)
+
+
+def test_closure_dual_is_an_involution():
+    for _, fr in corpus_frames(3):
+        sl = enumerate_sublocales(fr)
+        for table in interior_tables(sl):
+            op = InteriorOperator(sl, table)
+            assert closure_dual(closure_dual(op)).table == table
+        assert closure_dual(discrete_op(sl)).table == discrete_op(sl).table
+
+
+def test_initial_lift_is_the_dual_of_the_initial_closure():
+    """not i_f(not S) = f_-1[c_M(f[S])] with c_M = closure_dual(op_M), for
+    the discrete, the trivial and one drawn op_M on every corpus-3 map."""
+    rng = seeded("closure-dual")
+    for f in corpus_maps(8):
+        t = transfer_of(f)
+        tl, img, pre = t.target_lattice, t.image_table, t.preimage_table
+        for op_m in (discrete_op(tl), trivial_op(tl), random_op(tl, rng)):
+            c_m = closure_dual(op_m)
+            want = tuple(pre[c_m(img[s])] for s in range(t.source_lattice.n))
+            assert closure_dual(initial_lift(f, op_m)).table == want, f.describe()
 
 
 def _source_lift(ms, ops):
