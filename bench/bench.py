@@ -279,9 +279,8 @@ def operator_timings():
 
     def lifts(tables_for, op_type):
         def tables(idx, f):
-            by_points = ctx.sl(f.target).by_points
             for b in tables_for(ctx, f, idx):
-                yield from ([by_points[p] for p in b.lane(j)] for j in range(b.lanes))
+                yield from (b.lane(j) for j in range(b.lanes))
 
         return [(f, op_type(ctx.sl(f.target), table)) for idx, f in maps for table in tables(idx, f)]
 

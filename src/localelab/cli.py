@@ -69,8 +69,7 @@ def cmd_sublocales(args) -> int:
             tags.append("open")
         if sl.is_closed(i):
             tags.append("closed")
-        if sl.complement(i) is not None:
-            tags.append("complemented")
+        tags.append("complemented")
         print(f"  {sl.label(i):24s} {' '.join(tags)}")
     if args.json:
         save_json(args.json, sublocales_to_json(sl))

@@ -59,14 +59,12 @@ def sublocales_dot(sl: SublocaleLattice) -> str:
             color = "palegreen"
         elif is_c:
             color = "lightblue"
-        elif sl.complement(i) is not None:
-            color = "khaki"
         else:
-            color = "white"
+            color = "khaki"
         return f' [style=filled, fillcolor={color}]'
 
     # S_l(L) is the powerset of the points: a cover adds one point, and the
     # height of a sublocale is its number of points
     covers = sorted((i, j) for j, lower in enumerate(sl.lower_covers) for i in lower)
-    heights = [p.bit_count() for p in sl.points]
+    heights = [i.bit_count() for i in range(sl.n)]
     return _hasse_lines(sl.labels, covers, heights, attrs)

@@ -71,12 +71,12 @@ class HOperator(InteriorOperator):
     @cached_property
     def core(self) -> InteriorOperator:
         """S |-> S cap h(S), the operator the interior kernels check."""
-        return InteriorOperator._of_points(self.lattice, _core(self.lattice, self.points))
+        return InteriorOperator._of_points(self.lattice, _core(self.lattice, self.table))
 
 
 def _core(sl: SublocaleLattice, xs, ones=1) -> list:
-    """The point masks of the cores S cap h(S) of the packed tables xs."""
-    return [p * ones & x for p, x in zip(sl.points, xs)]
+    """The cores S cap h(S) of the packed tables xs."""
+    return [i * ones & x for i, x in zip(range(sl.n), xs)]
 
 
 _H_AXIOMS = ("h1", "h2", "h3")
@@ -84,7 +84,7 @@ _H_AXIOMS = ("h1", "h2", "h3")
 
 def check_h(op: HOperator) -> AxiomReport:
     """h1, h2, h3 as I1, I2, I3 of the core; h1 is vacuous but still run."""
-    return _axioms(op.lattice, _core(op.lattice, op.points), _H_AXIOMS, ("h1",))
+    return _axioms(op.lattice, _core(op.lattice, op.table), _H_AXIOMS, ("h1",))
 
 
 def h_from_interior(op: InteriorOperator) -> HOperator:
@@ -143,8 +143,7 @@ class HInitialReport(InitialReport):
         """The cores f_-1[T ^ h_M(T)] = f_-1[T] ^ f_-1[h_M(T)] (preimages are set
         preimages of points) and S ^ f_-1[h_M(f[S])]."""
         t, (lhs, vals) = self.transfer, super()._checked()
-        sp = t.source_lattice.points
-        return [sp[k] & q for k, q in zip(t.preimage_table, lhs)], _core(t.source_lattice, vals)
+        return [k & q for k, q in zip(t.preimage_table, lhs)], _core(t.source_lattice, vals)
 
 
 def initial_h(f: LocalicMap, h_m: HOperator) -> HInitialReport:
@@ -159,8 +158,8 @@ def initial_h(f: LocalicMap, h_m: HOperator) -> HInitialReport:
     case; only the first continuity gap is kept.
     """
     t = _target_transfer(f, h_m)
-    _, *gaps = _lift(t, h_m.core.points)
-    return HInitialReport._of_lane(t, (_preimages(t, h_m.points), *gaps))
+    _, *gaps = _lift(t, h_m.core.table)
+    return HInitialReport._of_lane(t, (_preimages(t, h_m.table), *gaps))
 
 
 def check_h_universal(f: LocalicMap, h_m: HOperator, g: LocalicMap,
@@ -173,6 +172,6 @@ def check_h_universal(f: LocalicMap, h_m: HOperator, g: LocalicMap,
     """
     t = _target_transfer(f, h_m)
     _target_transfer(g, None, h_n)
-    return _universal_report(t, g, _core(t.source_lattice, _candidate(t, h_m.points)),
-                             _core(h_m.lattice, h_m.points), _core(h_n.lattice, h_n.points),
+    return _universal_report(t, g, _core(t.source_lattice, _candidate(t, h_m.table)),
+                             _core(h_m.lattice, h_m.table), _core(h_n.lattice, h_n.table),
                              "f-h-continuity-gap-at-witness")

@@ -3,8 +3,10 @@ localic maps, initial operators, and open sublocales.
 
 An interior operator is contractive (I1), monotone (I2), and fixes the top
 (I3). Idempotence is deliberately not an axiom. Operators are plain tables
-over the enumerated sublocale lattice, so every law check is exhaustive. The
-draw, axiom and lift kernels take many tables at once, packed as _lanes says.
+over the enumerated sublocale lattice, so every law check is exhaustive. A
+sublocale's index is its point mask, so a table is also the list of its
+values' point masks, and the draw, axiom and lift kernels read tables as
+bit vectors. They take many tables at once, packed as _lanes says.
 """
 from __future__ import annotations
 
@@ -36,20 +38,14 @@ class InteriorOperator:
 
     @classmethod
     def _of_points(cls, sl: SublocaleLattice, masks):
-        """The operator with point masks `masks`: by_points gives a total table, unscanned."""
+        """The operator with table `masks`, trusted to be total and not scanned."""
         op = object.__new__(cls)
         object.__setattr__(op, "lattice", sl)
-        object.__setattr__(op, "table", tuple([sl.by_points[p] for p in masks]))
+        object.__setattr__(op, "table", tuple(masks))
         return op
 
     def __call__(self, i: int) -> int:
         return self.table[i]
-
-    @property
-    def points(self) -> list:
-        """The point mask of every entry: the one-lane batch of this table."""
-        pts = self.lattice.points
-        return [pts[v] for v in self.table]
 
     def describe(self) -> dict:
         sl = self.lattice
@@ -78,11 +74,11 @@ def _lanes(count: int, width: int) -> tuple:
     """(ones, fill, guard) of count lanes of width bits: bit 0 of each lane,
     the bits below each guard bit, and the guard bits.
 
-    A batch of tables is a list whose entry i packs table j's point mask of
-    entry i into lane j, bits j * width up. width exceeds the hosts' sizes,
-    so each lane's top bit is a guard bit that stays zero, and (x + fill) &
-    guard has the guard bit set in each nonzero lane of x. With one lane, a
-    batch is a table's list of point masks."""
+    A batch of tables is a list whose entry i packs table j's entry i, a
+    point mask, into lane j, bits j * width up. width exceeds the hosts'
+    point counts, so each lane's top bit is a guard bit that stays zero, and
+    (x + fill) & guard has the guard bit set in each nonzero lane of x. With
+    one lane, a batch is a table."""
     ones = ((1 << count * width) - 1) // ((1 << width) - 1)
     guard = ones << width - 1
     return ones, guard - ones, guard
@@ -104,7 +100,7 @@ class _Batch(NamedTuple):
         return cls(masks, lanes, width, *_lanes(lanes, width))
 
     def lane(self, j: int) -> list:
-        """Table j's point masks."""
+        """Table j."""
         return [x >> j * self.width & (1 << self.width) - 1 for x in self.masks]
 
     def shifted(self, first) -> list:
@@ -133,38 +129,38 @@ def _axiom_gaps(sl: SublocaleLattice, vals, ones=1) -> tuple:
     (top). One pass over lower covers: the order is generated by its cover
     pairs, so monotonicity holds iff it holds on them."""
     gaps, bad = [], 0
-    for p, v, covers in zip(sl.points, vals, sl.lower_covers):
-        gaps.append(v & ~(p * ones))
+    for i, v, covers in zip(range(sl.n), vals, sl.lower_covers):
+        gaps.append(v & ~(i * ones))
         for k in covers:
             bad |= vals[k] & ~v
-    return gaps, bad, vals[sl.top] ^ sl.points[sl.top] * ones
+    return gaps, bad, vals[sl.top] ^ sl.top * ones
 
 
 def _axioms(sl: SublocaleLattice, vals, names=("I1", "I2", "I3"), vacuous=()) -> AxiomReport:
     """The AxiomReport of a one-lane _axiom_gaps, I1 to I3; a failure of I2
     takes an all-pairs scan for the lex-first witness."""
-    pts, labels, by_points, top = sl.points, sl.labels, sl.by_points, sl.top
+    labels = sl.labels
     gaps, bad, top_gap = _axiom_gaps(sl, vals)
     i = _first(gaps)
     i1, i2, i3 = names
     witnesses = {}
     if i is not None:
-        witnesses[i1] = (labels[i], labels[by_points[vals[i]]])
+        witnesses[i1] = (labels[i], labels[vals[i]])
     if bad:
         witnesses[i2] = next(
             (labels[i], labels[j])
             for i in range(sl.n)
             for j in range(sl.n)
-            if not pts[i] & ~pts[j] and vals[i] & ~vals[j]
+            if not i & ~j and vals[i] & ~vals[j]
         )
     if top_gap:
-        witnesses[i3] = (labels[by_points[vals[top]]],)
+        witnesses[i3] = (labels[vals[sl.top]],)
     return AxiomReport({i1: i is None, i2: not bad, i3: not top_gap}, witnesses, vacuous)
 
 
 def check_interior(op: InteriorOperator) -> AxiomReport:
     """Evaluate I1 (contraction), I2 (monotonicity), I3 (top) exhaustively."""
-    return _axioms(op.lattice, op.points)
+    return _axioms(op.lattice, op.table)
 
 
 def discrete_op(sl: SublocaleLattice) -> InteriorOperator:
@@ -193,9 +189,9 @@ def _pointwise(family, combine, name) -> InteriorOperator:
     if not ops:
         raise EmptyFamily(f"{name} of an empty operator family")
     sl = _same_lattice(ops)
-    acc = ops[0].points
+    acc = ops[0].table
     for op in ops[1:]:
-        acc = [combine(p, q) for p, q in zip(acc, op.points)]
+        acc = [combine(p, q) for p, q in zip(acc, op.table)]
     return type(ops[0])._of_points(sl, acc)
 
 
@@ -216,7 +212,7 @@ def op_le(a: InteriorOperator, b: InteriorOperator) -> bool:
 def op_le_gap(a: InteriorOperator, b: InteriorOperator):
     """First sublocale label where a exceeds b, or None when a <= b."""
     sl = _same_lattice([a, b])
-    i = _first(x & ~y for x, y in zip(a.points, b.points))
+    i = _first(x & ~y for x, y in zip(a.table, b.table))
     return None if i is None else sl.labels[i]
 
 
@@ -237,18 +233,18 @@ def _closed_draw(sl: SublocaleLattice, rng, base=None, ones=1, drawn=1) -> list:
 
     S_l is the powerset of the points, so a uniform seed below i is one fair
     bit per point of i: seed[i] keeps the bits of one getrandbits word that
-    lie on points[i] in a drawn lane. One pass in index order draws and
-    closes: index order is a linear extension, so each lower cover of i is
-    final before i.
+    lie on the points of i in a drawn lane. One pass in index order draws
+    and closes: index order is a linear extension, so each lower cover of i
+    is final before i.
     """
     getrandbits, acc = rng.getrandbits, []
-    for p, b, covers in zip(sl.points, base or [0] * sl.n, sl.lower_covers):
-        m = p * drawn
+    for i, b, covers in zip(range(sl.n), base or [0] * sl.n, sl.lower_covers):
+        m = i * drawn
         x = getrandbits(m.bit_length()) & m | b
         for c in covers:
             x |= acc[c]
         acc.append(x)
-    acc[sl.top] = sl.points[sl.top] * ones
+    acc[sl.top] = sl.top * ones
     return acc
 
 
@@ -297,16 +293,15 @@ def _continuity(t: SublocaleTransfer, lhs, rhs) -> ContinuityReport:
     gap = _first_gap(t.preimage_table, lhs, rhs)
     if gap is None:
         return ContinuityReport(True, len(lhs))
-    (j, p, q), labels, by_points = gap, t.source_lattice.labels, t.source_lattice.by_points
-    return ContinuityReport(False, j + 1, (t.target_lattice.labels[j], labels[by_points[p]],
-                                           labels[by_points[q]]), j)
+    (j, p, q), labels = gap, t.source_lattice.labels
+    return ContinuityReport(False, j + 1, (t.target_lattice.labels[j], labels[p], labels[q]), j)
 
 
 def is_I_continuous(f: LocalicMap, op_l: InteriorOperator,
                     op_m: InteriorOperator) -> ContinuityReport:
     """Check f_-1[i_M(T)] <= i_L(f_-1[T]) for every sublocale T of the target."""
     t = _target_transfer(f, op_m, op_l)
-    return _continuity(t, _preimages(t, op_m.points), op_l.points)
+    return _continuity(t, _preimages(t, op_m.table), op_l.table)
 
 
 @dataclass(frozen=True)
@@ -344,12 +339,12 @@ def check_composition(f: LocalicMap, g: LocalicMap, op_l: InteriorOperator,
     reported, not raised.
     """
     return _composition(_target_transfer(f, op_m, op_l), _target_transfer(g, op_n, op_m),
-                        op_l.points, op_m.points, op_n.points)
+                        op_l.table, op_m.table, op_n.table)
 
 
 def _composition(tf: SublocaleTransfer, tg: SublocaleTransfer, l, m, n) -> CompositionReport:
-    """check_composition on the point masks l, m and n of operators on L, M
-    and N, for the transfers tf of f: L -> M and tg of g: M -> N."""
+    """check_composition on the tables l, m and n of operators on L, M and
+    N, for the transfers tf of f: L -> M and tg of g: M -> N."""
     f_ok = _first_gap(tf.preimage_table, _preimages(tf, m), l) is None
     g_ok = _first_gap(tg.preimage_table, _preimages(tg, n), m) is None
     if not (f_ok and g_ok):
@@ -454,22 +449,19 @@ def initial_interior(f: LocalicMap, op_m: InteriorOperator) -> InitialReport:
     Unconfirmed anomalies would mean an implementation bug.
     """
     t = _target_transfer(f, op_m)
-    return InitialReport._of_lane(t, _lift(t, op_m.points))
+    return InitialReport._of_lane(t, _lift(t, op_m.table))
 
 
 def _preimages(t: SublocaleTransfer, xs, ones=1) -> list:
     """f_-1 of each entry of the batch xs, all lanes at once: target point q
-    pulls back to its fibre, the source points f sends to q, as
-    ((x >> q) & ones) * fibre. One lane is read off the preimage table; bits
-    of x that are not points pull back to nothing either way."""
+    pulls back to its fibre pre[1 << q], the source points f sends to q, as
+    ((x >> q) & ones) * fibre. One lane is read off the preimage table."""
+    pre = t.preimage_table
     if ones == 1:
-        sp, pre, tl = t.source_lattice.points, t.preimage_table, t.target_lattice
-        index, points = tl.by_points, tl.host.primes
-        return [sp[pre[index[x & points]]] for x in xs]
-    fibres = {}
-    for p, q in zip(t.map.source.prime_list, t.map.points):
-        fibres[q] = fibres.get(q, 0) | 1 << p
-    fibres, out = fibres.items(), []
+        return [pre[x] for x in xs]
+    fibres = [(q, fibre) for q in range(t.target_lattice.top.bit_length())
+              if (fibre := pre[1 << q])]
+    out = []
     for x in xs:
         p = 0
         for q, fibre in fibres:
@@ -488,15 +480,15 @@ def _lift(t: SublocaleTransfer, xs, ones=1) -> tuple:
 
 
 def _candidate(t: SublocaleTransfer, xs) -> list:
-    """The point masks of the induced operator S |-> f_-1[op_M(f[S])] of the
+    """The table of the induced operator S |-> f_-1[op_M(f[S])] of the
     one-lane table xs: the lift's image gather."""
     pulled = _preimages(t, xs)
     return [pulled[x] for x in t.image_table]
 
 
 def _initial_lift(t: SublocaleTransfer, xs) -> list:
-    """The point masks of the initial lift of the one-lane table xs: entry S
-    is f_-1[op_M(forall_f S)], the preimages gathered by forall_table."""
+    """The table of the initial lift of the one-lane table xs: entry S is
+    f_-1[op_M(forall_f S)], the preimages gathered by forall_table."""
     pulled = _preimages(t, xs)
     return [pulled[k] for k in t.forall_table]
 
@@ -512,13 +504,13 @@ def initial_lift(f: LocalicMap, op_m: InteriorOperator) -> InteriorOperator:
     `op_join([initial_lift(f, op) for f, op in zip(maps, ops)])`.
     """
     t = _target_transfer(f, op_m)
-    return InteriorOperator._of_points(t.source_lattice, _initial_lift(t, op_m.points))
+    return InteriorOperator._of_points(t.source_lattice, _initial_lift(t, op_m.table))
 
 
 def closure_dual(op: InteriorOperator) -> InteriorOperator:
     """The dual S |-> not op(not S) of op, as a table on the same lattice:
     S_l is the Boolean algebra of point sets, so not is `sl.complement`, an
-    XOR with the full point mask. It is an involution, and the initial lift
+    XOR with the top's point mask. It is an involution, and the initial lift
     is the dual of the initial closure: not i_f(not S) = f_-1[c_M(f[S])]
     with c_M = closure_dual(op_M)."""
     sl = op.lattice
@@ -571,13 +563,13 @@ def check_universal_property(f: LocalicMap, op_m: InteriorOperator, g: LocalicMa
     """
     t = _target_transfer(f, op_m)
     _target_transfer(g, None, op_n)
-    return _universal_report(t, g, _candidate(t, op_m.points), op_m.points, op_n.points,
+    return _universal_report(t, g, _candidate(t, op_m.table), op_m.table, op_n.table,
                              "f-continuity-gap-at-witness")
 
 
 def _universal_report(t: SublocaleTransfer, g: LocalicMap, cand, m, n, predicate) -> UniversalReport:
-    """Both sides of the lifting equivalence for the point masks cand on L,
-    m on M and n on N of interior operators, f: L -> M the map of the
+    """Both sides of the lifting equivalence for the tables cand on L, m on
+    M and n on N of interior operators, f: L -> M the map of the
     transfer t, with any disagreement classified."""
     f, bound = t.map, t.target_lattice.bound
     if g.target != f.source:
@@ -619,21 +611,21 @@ class OpenPreimageReport:
 def check_open_preimage(f: LocalicMap, op_l: InteriorOperator,
                         op_m: InteriorOperator) -> OpenPreimageReport:
     """Preimages of open (fixpoint) sublocales are open when f is continuous."""
-    return _open_preimage(_target_transfer(f, op_m, op_l), op_l.points, op_m.points)
+    return _open_preimage(_target_transfer(f, op_m, op_l), op_l.table, op_m.table)
 
 
 def _open_preimage(t: SublocaleTransfer, l, m) -> OpenPreimageReport:
-    """check_open_preimage for the point masks l on the source and m on the
-    target of t: a fixpoint is a mask equality."""
+    """check_open_preimage for the tables l on the source and m on the
+    target of t: a fixpoint is an index equality."""
     pre, sl, tl = t.preimage_table, t.source_lattice, t.target_lattice
     if _first_gap(pre, _preimages(t, m), l) is not None:
         return OpenPreimageReport("precondition-unmet", 0)
     checked = 0
-    for j, (q, v) in enumerate(zip(tl.points, m)):
-        if q == v:
+    for j, v in enumerate(m):
+        if j == v:
             checked += 1
             s = pre[j]
-            if l[s] != sl.points[s]:
+            if l[s] != s:
                 return OpenPreimageReport("fail", checked, (tl.labels[j], sl.labels[s]))
     return OpenPreimageReport("pass", checked)
 
@@ -645,9 +637,9 @@ def make_continuous_op(f: LocalicMap, op_m: InteriorOperator, rng) -> InteriorOp
     initial lift of op_m joined with a random contractive seed and closed
     monotonely, so it lies above the lift and keeps contraction."""
     t = _target_transfer(f, op_m)
-    return InteriorOperator._of_points(t.source_lattice, _continuous_draw(t, op_m.points, rng))
+    return InteriorOperator._of_points(t.source_lattice, _continuous_draw(t, op_m.table, rng))
 
 
 def _continuous_draw(t: SublocaleTransfer, xs, rng) -> list:
-    """make_continuous_op's draw for the point masks xs of op_M."""
+    """make_continuous_op's draw for the table xs of op_M."""
     return _closed_draw(t.source_lattice, rng, _initial_lift(t, xs))

@@ -6,11 +6,12 @@ over element indices throughout.
 
 For a finite frame S_l(L) is the powerset of the points, which are the primes
 (`Frame.primes`): the sublocale of a set X of primes is the meet-closure of
-X with the top, and its primes are exactly X. S_l is built that way, and its
-order, meets, joins, complements, images and preimages are bitwise operations
-on point masks. Joins, `sloc_core` and `is_sublocale` read a subset's points
-through one closure kernel, `_generated`. The subset-scan definition survives
-as a test oracle.
+X with the top, and its primes are exactly X. S_l is built that way, and a
+sublocale's index is its point mask, bit b standing for `prime_list[b]`, so
+its order, meets, joins, complements, images and preimages are bitwise
+operations on indices. Joins, `sloc_core` and `is_sublocale` read a subset's
+points through one closure kernel, `_generated`. The subset-scan definition
+survives as a test oracle.
 """
 from __future__ import annotations
 
@@ -190,26 +191,25 @@ def open_sub(frame: Frame, a: int) -> Sublocale:
 
 
 class SublocaleLattice:
-    """The coframe S_l(L), every sublocale indexed in (cardinality, bit pattern) order.
+    """The coframe S_l(L), every sublocale indexed by its point mask.
 
-    Index i carries its element mask `masks[i]` and its point mask
-    `points[i]` (the primes it contains, as an element mask). Since S_l(L)
-    is the powerset of the points, le, meet, join and complement are single
-    bitwise operations on point masks, looked up in `by_points`. `bound` is
-    the enumeration bound the lattice was built under (None when built
-    directly); operator kernels build transfers under their operators' bound.
+    Bit b of index i stands for the prime `host.prime_list[b]`, and `masks[i]`
+    is the sublocale's element mask. Since S_l(L) is the powerset of the
+    points, index order is a linear extension, the bottom is 0, the top is
+    n - 1, and le, meet, join and complement are single bitwise operations
+    on indices. `bound` is the enumeration bound the lattice was built under
+    (None when built directly); operator kernels build transfers under their
+    operators' bound.
     """
 
     def __init__(self, host: Frame, masks, bound: int | None = None):
         self.host = host
         self.bound = bound
-        self.masks = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+        self.masks = tuple(masks)
         self.n = len(self.masks)
         self.index = {m: i for i, m in enumerate(self.masks)}
-        self.points = tuple(m & host.primes for m in self.masks)
-        self.by_points = {p: i for i, p in enumerate(self.points)}
-        self.bottom = self.index[1 << host.top]
-        self.top = self.index[host.full_mask]
+        self.bottom = 0
+        self.top = self.n - 1
         self.open_index = {}
         self.closed_index = {}
         for a in range(host.n):
@@ -224,15 +224,7 @@ class SublocaleLattice:
     @cached_property
     def lower_covers(self) -> tuple:
         """The lower covers of each sublocale: its point mask less one point."""
-        return tuple(tuple(self.by_points[p & ~(1 << x)] for x in bits(p)) for p in self.points)
-
-    @cached_property
-    def peel(self) -> tuple:
-        """For each sublocale S but the bottom (index 0), the index of S less
-        its lowest point, which comes earlier, and that point."""
-        by_points = self.by_points
-        return tuple([(by_points[p & p - 1], (p & -p).bit_length() - 1)
-                      for p in self.points[1:]])
+        return tuple(tuple(i & ~(1 << x) for x in bits(i)) for i in range(self.n))
 
     @cached_property
     def open_closed_joins(self) -> frozenset:
@@ -248,23 +240,23 @@ class SublocaleLattice:
         return self.labels[i]
 
     def le(self, i: int, j: int) -> bool:
-        return not self.points[i] & ~self.points[j]
+        return not i & ~j
 
     def meet(self, i: int, j: int) -> int:
-        return self.by_points[self.points[i] & self.points[j]]
+        return i & j
 
     def join(self, i: int, j: int) -> int:
-        return self.by_points[self.points[i] | self.points[j]]
+        return i | j
 
     def meet_many(self, idxs) -> int:
-        p = self.host.primes
+        p = self.top
         for i in idxs:
-            p &= self.points[i]
-        return self.by_points[p]
+            p &= i
+        return p
 
-    def complement(self, i: int):
-        """Index of the unique complement, or None."""
-        return self.by_points.get(self.host.primes & ~self.points[i])
+    def complement(self, i: int) -> int:
+        """Index of the unique complement: the other points."""
+        return self.top ^ i
 
     def is_open(self, i: int) -> bool:
         return i in self.open_index
@@ -283,8 +275,8 @@ def _enumerate(host: Frame, bound: int) -> SublocaleLattice:
             f"|L| = {host.n} exceeds the sublocale enumeration bound {bound}",
             witness=(host.n, bound),
         )
-    # the meet-closure of each subset of primes with the top; adding a prime
-    # p to a subset adds p ^ c for every c already in its closure
+    # the meet-closure of each subset of primes with the top, in point-mask
+    # order; adding a prime p adds p ^ c for every c already in the closure
     closures = [1 << host.top]
     for p in bits(host.primes):
         row = host.meet_table[p]
@@ -354,16 +346,15 @@ def adjunction_report(t: SublocaleTransfer) -> AdjReport:
     are all pairs scanned, for the lex-first witness.
     """
     sl, tl, img, pre = t.source_lattice, t.target_lattice, t.image_table, t.preimage_table
-    sp, tp = sl.points, tl.points
-    img_pts, pre_pts, gaps = [tp[k] for k in img], [sp[k] for k in pre], 0
-    for pts, k, covers, i_pts in zip(sp, img, sl.lower_covers, img_pts):
-        gaps |= pts & ~pre_pts[k]
+    gaps = 0
+    for i, k, covers in zip(range(sl.n), img, sl.lower_covers):
+        gaps |= i & ~pre[k]
         for c in covers:
-            gaps |= img_pts[c] & ~i_pts
-    for pts, k, covers, p_pts in zip(tp, pre, tl.lower_covers, pre_pts):
-        gaps |= img_pts[k] & ~pts
+            gaps |= img[c] & ~k
+    for j, k, covers in zip(range(tl.n), pre, tl.lower_covers):
+        gaps |= img[k] & ~j
         for c in covers:
-            gaps |= pre_pts[c] & ~p_pts
+            gaps |= pre[c] & ~k
     if not gaps:
         return AdjReport(True, sl.n * tl.n)
     pairs = 0
@@ -415,19 +406,19 @@ class SublocaleTransfer:
 
         f[S] is the sublocale of the images `f.points` of the points of S,
         and f_-1[T] is the sublocale of the points that f sends into T. Both
-        tables follow each lattice's `peel` in index order: the image of S is
-        that of S less its lowest point, plus the image of that point, and
-        the preimage of T is that of T less its lowest point, plus its fibre.
+        are built in index order: the image of S is that of S less its
+        lowest point, plus the image of that point, and the preimage of T is
+        that of T less its lowest point, plus that point's fibre.
         """
         src, tgt = f.source, f.target
         sl = enumerate_sublocales(src, limit)
         tl = enumerate_sublocales(tgt, limit)
-        image_bit, fibre = [0] * src.n, [0] * tgt.n
-        for p, v in zip(src.prime_list, f.points):
-            image_bit[p] = 1 << v
-            fibre[v] |= 1 << p
-        return SublocaleTransfer(f, sl, tl, _point_tables(sl.peel, image_bit, tl.by_points),
-                                 _point_tables(tl.peel, fibre, sl.by_points))
+        image_bit, fibre = [], [0] * len(tgt.prime_list)
+        for b, v in enumerate(f.points):
+            q = (tgt.primes & (1 << v) - 1).bit_count()  # v is prime_list[q]
+            image_bit.append(1 << q)
+            fibre[q] |= 1 << b
+        return SublocaleTransfer(f, sl, tl, _point_tables(image_bit), _point_tables(fibre))
 
     @cached_property
     def adjunction_gaps(self) -> tuple:
@@ -443,18 +434,18 @@ class SublocaleTransfer:
         """For each source index S, the index of the largest T with
         f_-1[T] <= S, the right adjoint of preimage: S_l is the Boolean
         algebra of point sets, so it is the complement of f[complement S]."""
-        sl, tl, img = self.source_lattice, self.target_lattice, self.image_table
-        fs, ft = sl.host.primes, tl.host.primes
-        return tuple([tl.by_points[ft ^ tl.points[img[sl.by_points[fs ^ p]]]] for p in sl.points])
+        img, fs, ft = self.image_table, self.source_lattice.top, self.target_lattice.top
+        return tuple([ft ^ img[fs ^ i] for i in range(fs + 1)])
 
 
-def _point_tables(peel, point_value, index) -> tuple:
-    """For each sublocale of a lattice with that `peel`, index[the union of
-    point_value[p] over its points p], built up from the bottom's empty union."""
+def _point_tables(point_value) -> tuple:
+    """For each point mask i of len(point_value) points, the union of
+    point_value[b] over the bits b of i: entry i is entry i & i - 1, i less
+    its lowest bit, ORed with the value of that bit."""
     value = [0]
-    for rest, low in peel:
-        value.append(value[rest] | point_value[low])
-    return tuple([index[v] for v in value])
+    for i in range(1, 1 << len(point_value)):
+        value.append(value[i & i - 1] | point_value[(i & -i).bit_length() - 1])
+    return tuple(value)
 
 
 @lru_cache(maxsize=None)

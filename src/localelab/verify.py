@@ -72,7 +72,7 @@ from .sublocales import (
 )
 
 ARTIFACT = "localelab-verification"
-ARTIFACT_VERSION = 5
+ARTIFACT_VERSION = 6
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
 
@@ -280,9 +280,9 @@ class _Ctx:
         self.bound = max(self.map_bound, 1 << config.max_poset_size)
         self.posets = list(corpus_posets(config.max_poset_size))
         self.frames = list(corpus_frames(config.max_poset_size))
-        # the frames maps run between, and a lane width that fits all of them
+        # the frames maps run between, and a lane width that fits their points
         self.usable = [(k, fr) for k, fr in self.frames if fr.n <= self.map_bound]
-        self.bank_width = max((fr.n for _, fr in self.usable), default=0) + 1
+        self.bank_width = max((len(fr.prime_list) for _, fr in self.usable), default=0) + 1
         self.counts = {
             "posets": len(self.posets),
             "frames": len(self.frames),
@@ -317,7 +317,7 @@ class _Ctx:
     def batches(self, sl, rng, draws, width, named=False):
         """Tables on sl as _Batches of at most LANES lanes of width bits: the
         discrete and trivial tables first when named, then `draws` draws."""
-        base, lanes = (list(sl.points), 2) if named else (None, 0)
+        base, lanes = (list(range(sl.n)), 2) if named else (None, 0)
         while draws or lanes:
             count = min(LANES - lanes, draws)
             named_ones, ones = _lanes(lanes, width)[0], _lanes(lanes + count, width)[0]
@@ -383,7 +383,7 @@ class _Ctx:
     @cached_property
     def chains(self):
         """The first 250 composable (f, g) as (transfer of f, transfer of g,
-        l, m, n): the point masks of constructed continuous operators. The
+        l, m, n): the tables of constructed continuous operators. The
         samples of composition-interior and, through their cores, of
         composition-h."""
         out = []
@@ -398,7 +398,7 @@ class _Ctx:
     @cached_property
     def configs(self):
         """The first 240 (transfer of f, g, m, n, candidate), g: N -> L
-        feeding f: L -> M, with the point masks m of the discrete, trivial or
+        feeding f: L -> M, with the tables m of the discrete, trivial or
         a drawn operator on M, n of a drawn one on N, and the lift's candidate
         _candidate(t, m). The samples of universal-property-interior and,
         through their cores, of universal-property-h."""
@@ -493,15 +493,18 @@ def _check_heyting_identities(ctx):
 
 
 def _check_complement_laws(ctx):
+    """Each sublocale and its complement, read at the element level: their
+    meet is their intersection, their join the sublocale their union
+    generates."""
     pairs = 0
     for key, fr in ctx.frames:
         sl = ctx.sl(fr)
+        masks = sl.masks
         for i in range(sl.n):
             j = sl.complement(i)
-            if j is None:
-                continue
             pairs += 1
-            if sl.meet(i, j) != sl.bottom or sl.join(i, j) != sl.top:
+            if (masks[i] & masks[j] != masks[sl.bottom]
+                    or sub_join_mask(fr, (masks[i], masks[j])) != fr.full_mask):
                 return _fail({"pairs": pairs}, f"complement laws fail on {key} at {sl.label(i)}")
             if sl.complement(j) != i:
                 return _fail({"pairs": pairs},
@@ -604,7 +607,7 @@ def _check_interior_axioms(ctx):
             if not check_interior(op).ok:
                 return _fail({"generated": generated}, f"named operator invalid on {key}")
         prev = None  # the previous batch's last draw
-        for b in ctx.batches(sl, ctx.rng("interior-ops", key), k, fr.n + 1):
+        for b in ctx.batches(sl, ctx.rng("interior-ops", key), k, len(fr.prime_list) + 1):
             own = _invalid(sl, b.masks, b)
             # lane j of before is draw j - 1: a batch's first draw pairs with the
             # previous batch's last, and the frame's first with itself
@@ -631,16 +634,17 @@ def _check_h_axioms(ctx):
         for h in (d, t):
             if not check_h(h).ok:
                 return _fail({"generated": generated}, f"named h operator invalid on {key}")
-        # h1 to h3 are I1 to I3 of the core masks; h1 holds for every total table
+        # h1 to h3 are I1 to I3 of the core masks; h1 holds for every total
+        # table, and a getrandbits(k_pts) value is a point mask, so an index
         rng, k_pts = ctx.rng("h-ops", key), len(fr.prime_list)  # sl.n == 2 ** k_pts
         for _ in range(min(k, 25)):
-            table = tuple(rng.getrandbits(k_pts) for _ in range(sl.n))
+            table = [rng.getrandbits(k_pts) for _ in range(sl.n)]
             raw_tables += 1
-            if any(_axiom_gaps(sl, _core(sl, [sl.points[v] for v in table]))[0]):
+            if any(_axiom_gaps(sl, _core(sl, table))[0]):
                 return _fail({"raw_tables": raw_tables}, f"h1 fails on a raw table on {key}")
         # a draw is an interior operator, so trivial <= h <= discrete, and
         # trivial <= h is also trivial being the meet floor: t ^ h = t
-        for b in ctx.batches(sl, rng, k, fr.n + 1):
+        for b in ctx.batches(sl, rng, k, k_pts + 1):
             bad = _invalid(sl, b.masks, b) | _invalid(sl, _core(sl, b.masks, b.ones), b)
             if bad:
                 return _fail({"generated": generated + b.upto(bad)},
@@ -659,11 +663,10 @@ def _check_h_axioms(ctx):
 
 
 def _widened(sl, xs):
-    """The h operator S |-> i(S) v not-S of the point masks xs of an interior
+    """The h operator S |-> i(S) v not-S of the table xs of an interior
     operator i: not contractive, but its core is i, because S_l(L) is Boolean
     and i(S) <= S."""
-    full = sl.points[sl.top]
-    return [x | full & ~p for p, x in zip(sl.points, xs)]
+    return [x | sl.top ^ i for i, x in enumerate(xs)]
 
 
 def _check_contractive_equivalence(ctx):
@@ -812,7 +815,7 @@ def _check_initial(ctx, cid, tables_for, report, ids):
 
             def witnesses(confirmed):
                 """The anomaly witnesses of a one-lane batch, confirmed or not."""
-                op = report._OPERATOR(tl, [tl.by_points[p] for p in b.masks])
+                op = report._OPERATOR(tl, b.masks)
                 return [_anomaly_witness(f, op, a) for a in report._of_lane(t, lifted).anomalies
                         if a["confirmed"] == confirmed]
 
@@ -826,8 +829,7 @@ def _check_initial(ctx, cid, tables_for, report, ids):
                         w for w in witnesses(True) if w["anomaly"]["kind"] == kind), n)
     f_up = localic_map(two(), chain3(), (0, 2))
     t = transfer_of(f_up, ctx.bound)
-    tl = t.target_lattice
-    mandated_failed = bool(_lift(t, [tl.points[v] for v in trivial_op(tl).table])[1][2])
+    mandated_failed = bool(_lift(t, trivial_op(t.target_lattice).table)[1][2])
     if mandated_failed:
         ctx.reg_hit(ids["top-gap"])
     detail = {"checked": checked, "tallies": tallies,
@@ -895,8 +897,8 @@ def _check_coarseness(ctx):
 
 
 def _named(sl):
-    """The point masks of the discrete and the trivial operator on sl."""
-    return sl.points, [p if i == sl.top else 0 for i, p in enumerate(sl.points)]
+    """The tables of the discrete and the trivial operator on sl."""
+    return discrete_op(sl).table, trivial_op(sl).table
 
 
 def _universal_witness(f, g, opm, opn, anomaly):
@@ -951,7 +953,7 @@ def _check_open_preimage(ctx):
         if f.source.n > 5 or f.target.n > 5:
             continue
         t = transfer_of(f, ctx.bound)
-        pairs = [(t.source_lattice.points, m) for m in _named(t.target_lattice)]
+        pairs = [(range(t.source_lattice.n), m) for m in _named(t.target_lattice)]
         if ctx.sampling:
             rng = ctx.rng("open-pre", idx)
             for _ in range(3):
@@ -1048,7 +1050,14 @@ def run_verification(config: CorpusConfig, progress=None, kernels=None) -> dict:
 
 
 def replay(report: dict, witness_id: str) -> str:
-    """Re-execute the failure behind a check or registry id as a step trace."""
+    """Re-execute the failure behind a check or registry id as a step trace.
+
+    Witness operator tables are lattice indices, whose order a version may
+    change, so a report of another version is refused with ValueError.
+    """
+    if report.get("version") != ARTIFACT_VERSION:
+        raise ValueError(f"report version {report.get('version')} cannot be replayed by "
+                         f"version {ARTIFACT_VERSION}: its witness tables index another order")
     for row in report.get("checks", ()):
         if row["id"] == witness_id:
             if row["status"] == "pass":

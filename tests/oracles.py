@@ -16,6 +16,7 @@ from localelab.sublocales import (
     AdjReport,
     GenReport,
     SubReport,
+    as_mask,
     open_sub_mask,
     sub_join_mask,
     transfer_of,
@@ -51,6 +52,24 @@ def brute_point_order(source, target, points):
             if source.le(p, q) and not target.le(v, w):
                 return ("point-order", source.labels[p], source.labels[q])
     return None
+
+
+def table_from_labels(sl, values):
+    """The table on sl that sends the sublocale labelled s to the one
+    labelled values[s], each found through sl.index by its members."""
+    def at(label):
+        return sl.index[as_mask(sl.host, label.strip("{}").split(","))]
+    table = [None] * sl.n
+    for s, v in values.items():
+        table[at(s)] = at(v)
+    return tuple(table)
+
+
+# a valid interior operator on S_l(CHAIN4) whose lift along CHAIN3 -> CHAIN4,
+# (1, 2, 3), passes the axioms but not continuity
+CHAIN4_OP = {"{1}": "{1}", "{0,1}": "{1}", "{a,1}": "{1}", "{b,1}": "{1}",
+             "{0,a,1}": "{a,1}", "{0,b,1}": "{b,1}", "{a,b,1}": "{a,b,1}",
+             "{0,a,b,1}": "{0,a,b,1}"}
 
 
 def brute_sublocale_masks(host):
@@ -459,8 +478,10 @@ def _first_gap(n, le, value_le):
 
 
 def _points_of(lat, i):
-    """The points of sublocale i: the primes it contains, as an element mask."""
-    return lat.masks[i] & lat.host.primes
+    """The points of sublocale i, read off its element mask: the primes it
+    contains, bit b standing for `prime_list[b]`."""
+    m = lat.masks[i]
+    return sum(1 << b for b, p in enumerate(lat.host.prime_list) if m >> p & 1)
 
 
 def _seed(lat, i, word):
@@ -508,7 +529,8 @@ def all_interior_tables(sl):
     its lower covers (I1 and I2, which cover pairs decide), and the top is
     fixed (I3). Index order is a linear extension, so each lower cover's value
     is chosen before i."""
-    pts, by_points, top = sl.points, sl.by_points, sl.top
+    by_points = {_points_of(sl, i): i for i in range(sl.n)}
+    pts, top = [_points_of(sl, i) for i in range(sl.n)], sl.top
     out, vals = [], []
 
     def extend(i):
@@ -626,20 +648,24 @@ def brute_left_adjoint(source, target, table):
 
 def brute_transfer_tables(f, sl, tl):
     """(image table, preimage table) of f on the lattices sl and tl: for each
-    sublocale, the images of its points, and the points sent into it."""
+    sublocale, the images of its points, and the points sent into it, each
+    found among the sublocales by its primes."""
+    src, tgt = f.source.primes, f.target.primes
+    by_primes_l = {m & src: i for i, m in enumerate(sl.masks)}
+    by_primes_m = {m & tgt: j for j, m in enumerate(tl.masks)}
     img = []
-    for pts in sl.points:
+    for m in sl.masks:
         out = 0
-        for p in bits(pts):
+        for p in bits(m & src):
             out |= 1 << f(p)
-        img.append(tl.by_points[out])
+        img.append(by_primes_m[out])
     pre = []
-    for pts in tl.points:
+    for m in tl.masks:
         back = 0
-        for p in bits(f.source.primes):
-            if pts >> f(p) & 1:
+        for p in bits(src):
+            if m >> f(p) & 1:
                 back |= 1 << p
-        pre.append(sl.by_points[back])
+        pre.append(by_primes_l[back])
     return tuple(img), tuple(pre)
 
 

@@ -324,6 +324,16 @@ def test_replay_from_report_file(files, capsys):
     assert "unknown witness" in capsys.readouterr().err
 
 
+def test_replay_refuses_a_report_of_another_version(tmp_path, capsys):
+    report = run_verification(CorpusConfig())
+    report["version"] = 5
+    rpath = str(tmp_path / "v5.json")
+    save_json(rpath, report)
+    assert main(["replay", rpath, "initial-contraction"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid content: report version 5 cannot be replayed by version 6")
+
+
 def test_console_script_is_installed(files, subprocess_env):
     exe = shutil.which("localelab")
     if exe is None:

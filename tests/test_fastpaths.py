@@ -204,14 +204,16 @@ def test_sublocale_lattice_matches_subset_scan():
     frames = CORPUS4 + [fr for fr in CORPUS5 if fr.n <= 12] + FIXTURES
     for fr in frames:
         sl = enumerate_sublocales(fr, limit=fr.n)
-        assert list(sl.masks) == brute_sublocale_masks(fr), fr
+        assert sorted(sl.masks, key=lambda m: (m.bit_count(), m)) == brute_sublocale_masks(fr), fr
         for i in range(sl.n):
+            # index i is the point mask of sublocale i, bit b for prime_list[b]
+            assert sl.masks[i] & fr.primes == sum(
+                1 << p for b, p in enumerate(fr.prime_list) if i >> b & 1), fr
             assert sl.label(i) == sl.sub(i).label()
             below = sorted(j for j in range(sl.n) if not sl.masks[j] & ~sl.masks[i])
             # the sublocales below i are the subsets of its points, so a
             # uniform seed below i is one fair bit per point of i
-            p = sl.points[i]
-            assert sorted(sl.points[j] for j in below) == [q for q in range(p + 1) if not q & ~p]
+            assert below == [q for q in range(i + 1) if not q & ~i]
             for j in range(sl.n):
                 assert sl.le(i, j) == (not sl.masks[i] & ~sl.masks[j])
                 assert sl.masks[sl.meet(i, j)] == sl.masks[i] & sl.masks[j]
@@ -1040,8 +1042,8 @@ def test_operators_reject_tables_that_are_not_total():
 
 
 def _kernel_draw(sl, rng):
-    """The draw kernel's point masks read back as a table, as the harness reads them."""
-    return tuple(sl.by_points[p] for p in _closed_draw(sl, rng, [0] * sl.n))
+    """The draw kernel's one-lane batch, which is a table."""
+    return tuple(_closed_draw(sl, rng, [0] * sl.n))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -1133,24 +1135,24 @@ def test_draw_seeds_are_uniform_over_point_subsets(fr):
     points equally often; the named lanes keep their tables everywhere; and
     the top is forced in every lane. chain4 has three points."""
     sl = enumerate_sublocales(fr)
-    width = fr.n + 1
+    width = len(fr.prime_list) + 1
     ones, drawn = _lanes(4, width)[0], 1 | 1 << 2 * width
-    base = [p << width for p in sl.points]  # lane 1 discrete, lane 3 trivial
-    asked = [(p * drawn).bit_length() for p in sl.points]
-    full = sl.points[sl.top]
-    for i, p in enumerate(sl.points):
+    base = [i << width for i in range(sl.n)]  # lane 1 discrete, lane 3 trivial
+    asked = [(i * drawn).bit_length() for i in range(sl.n)]
+    full = sl.top
+    for i in range(sl.n):
         seen = Counter()
         for word in range(1 << asked[i]):
             rng = _Words(i, word)
             out = _closed_draw(sl, rng, base, ones, drawn)
             assert rng.asked == asked
             assert out[sl.top] == full * ones
-            for q, x in zip(sl.points[:-1], out[:-1]):
+            for q, x in zip(range(sl.top), out[:-1]):
                 assert (_lane(x, 1, width), _lane(x, 3, width)) == (q, 0)
             if i != sl.top:
                 seen[_lane(out[i], 0, width), _lane(out[i], 2, width)] += 1
         if i != sl.top:
-            subsets = [q for q in range(p + 1) if not q & ~p]
+            subsets = [q for q in range(i + 1) if not q & ~i]
             assert sorted(seen) == sorted(product(subsets, repeat=2))
             assert set(seen.values()) == {(1 << asked[i]) // len(subsets) ** 2}
 
@@ -1159,7 +1161,7 @@ def test_draw_seeds_are_uniform_over_point_subsets(fr):
 
 
 def _pack(lanes, width):
-    """Tables of point masks packed side by side, table j at bit j * width."""
+    """Tables packed side by side, table j at bit j * width."""
     return [sum(v << j * width for j, v in enumerate(vs)) for vs in zip(*lanes)]
 
 
@@ -1200,7 +1202,7 @@ def test_counted_gaps_match_materialized_anomalies():
                     lane = b.lane(j)
                     one = _lift(t, lane)
                     assert _lane_of_lift(batched, j, b.width) == one
-                    op = report._OPERATOR(tl, [tl.by_points[p] for p in lane])
+                    op = report._OPERATOR(tl, lane)
                     rep, mine = initial(f, op), report._of_lane(t, one)
                     assert (rep.transfer, rep.pulled, rep.gaps, rep.passed) == (
                         t, mine.pulled, mine.gaps, mine.passed)
@@ -1225,13 +1227,12 @@ def test_batched_draws_are_one_lane_draws(seed):
     and a batch of one drawn lane is a one-lane draw."""
     ctx = _Ctx(CorpusConfig())
     for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
-        width = sl.host.n + 1
+        width = len(sl.host.prime_list) + 1
         for count, named in ((1, False), (5, True), (LANES, False), (2 * LANES + 3, True),
                              (0, True)):
             fast, slow = random.Random(seed), random.Random(seed)
             batches = list(ctx.batches(sl, fast, count, width, named))
-            lanes = [tuple(sl.by_points[p] for p in b.lane(j))
-                     for b in batches for j in range(b.lanes)]
+            lanes = [tuple(b.lane(j)) for b in batches for j in range(b.lanes)]
             want, left, first = [], count, 2 * named
             while left or first:
                 drawn = min(LANES - first, left)
@@ -1276,7 +1277,7 @@ def test_bank_batches_are_the_oracle_draws_and_cores(banked):
     """Batch j of a bank holds the oracle's batch tables drawn from rng(tag,
     frame.key(), j): the discrete and trivial tables, then 10 draws for
     initial-interior; for initial-h, 6 draws and each table's core S cap h(S)."""
-    width = max(fr.n for _, fr in banked.frames if fr.n <= banked.map_bound) + 1
+    width = max(len(fr.prime_list) for _, fr in banked.frames if fr.n <= banked.map_bound) + 1
     for (tag, fr), bank in banked.banks.items():
         sl, draws = banked.sl(fr), {t: d for t, _, d in BANKS}[tag]
         for j, b in enumerate(bank):
@@ -1284,7 +1285,7 @@ def test_bank_batches_are_the_oracle_draws_and_cores(banked):
             want = brute_batch_tables(sl, banked.rng(tag, fr.key(), j), b.lanes, width, 2)
             if tag == "initial-h-ops":
                 want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in want]
-            assert [tuple(sl.by_points[p] for p in b.lane(k)) for k in range(b.lanes)] == want
+            assert [tuple(b.lane(k)) for k in range(b.lanes)] == want
 
 
 def test_h_bank_cores_non_contractive_draws_once_per_batch(monkeypatch):
@@ -1308,7 +1309,7 @@ def test_h_bank_cores_non_contractive_draws_once_per_batch(monkeypatch):
                                      ctx.bank_width, 2)
             raw = [t[::-1] for t in raw]
             want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in raw]
-            assert [tuple(sl.by_points[p] for p in b.lane(k)) for k in range(b.lanes)] == want
+            assert [tuple(b.lane(k)) for k in range(b.lanes)] == want
             moved += want != raw
     assert moved > len(targets)
 
@@ -1360,8 +1361,8 @@ EDGE_MAPS = maps_in_hom_order(((two(), chain4()), (chain4(), two()), (square(), 
 @pytest.mark.parametrize("k", range(len(EDGE_MAPS)),
                          ids=[f"{f.source.n}-to-{f.target.n}-{k}" for k, f in enumerate(EDGE_MAPS)])
 def test_lane_packing_edge_cases(k):
-    """Lanes as wide as the larger host, a lane of full masks (every bit below
-    the guard bit set), and batches of one lane: the batched core is the
+    """Lanes as wide as the larger host's points, a lane of the target's top
+    (every point bit set), and batches of one lane: the batched core is the
     core of each lane, each lane of the batched lifts of the tables and of
     their cores is the lift of its table alone, no guard bit is ever set,
     and the guard count of every packed gap counts the lanes where it is
@@ -1369,11 +1370,11 @@ def test_lane_packing_edge_cases(k):
     f = EDGE_MAPS[k]
     t = transfer_of(f)
     tl = t.target_lattice
-    width = max(f.source.n, f.target.n) + 1
-    full = [f.target.full_mask] * tl.n
+    width = max(len(f.source.prime_list), len(f.target.prime_list)) + 1
+    full = [tl.top] * tl.n
     rng = random.Random(k)
     drawn = [_closed_draw(tl, rng, [0] * tl.n) for _ in range(3)]
-    for lanes in ([full], [drawn[0]], [full, list(tl.points), full] + drawn):
+    for lanes in ([full], [drawn[0]], [full, list(range(tl.n)), full] + drawn):
         ones, fill, guard = _lanes(len(lanes), width)
         assert (ones, guard) == (sum(1 << j * width for j in range(len(lanes))), ones << width - 1)
         cores = [_core(tl, lane) for lane in lanes]
@@ -1392,9 +1393,9 @@ def test_lane_packing_edge_cases(k):
 
 
 def _perturbed(sl, vals, rng):
-    """vals with one entry replaced by a random sublocale's point mask."""
+    """vals with one entry replaced by a random sublocale."""
     out = list(vals)
-    out[rng.randrange(sl.n)] = sl.points[rng.randrange(sl.n)]
+    out[rng.randrange(sl.n)] = rng.randrange(sl.n)
     return out
 
 
@@ -1420,7 +1421,7 @@ def test_axiom_check_masks_match_operator_checks():
     failing = Counter()
     for key, fr in ctx.frames:
         sl = ctx.sl(fr)
-        pts, bent, width = sl.points, random.Random(key), fr.n + 1
+        pts, bent, width = range(sl.n), random.Random(key), len(fr.prime_list) + 1
         d, t = discrete_op(sl), trivial_op(sl)
         prev = None
         for b in ctx.batches(sl, ctx.rng("interior-ops", key), k, width):
@@ -1448,7 +1449,7 @@ def test_axiom_check_masks_match_operator_checks():
         rng = ctx.rng("h-ops", key)
         for _ in range(min(k, 25)):
             table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
-            h1 = not any(_axiom_gaps(sl, [p & pts[v] for p, v in zip(pts, table)])[0])
+            h1 = not any(_axiom_gaps(sl, [p & v for p, v in zip(pts, table)])[0])
             assert h1 == check_h(HOperator(sl, table)).passed["h1"]
         for b in ctx.batches(sl, rng, k, width):
             drawn = [b.lane(j) for j in range(b.lanes)]
@@ -1497,12 +1498,12 @@ def test_axiom_check_pairs_draws_across_batches(monkeypatch):
     ctx = _Ctx(config)
     for n, (key, fr) in enumerate(ctx.frames):
         sl, rng = ctx.sl(fr), ctx.rng("interior-ops", key)
-        draws = [b.lane(j) for b in ctx.batches(sl, rng, LANES + 1, fr.n + 1)
+        draws = [b.lane(j) for b in ctx.batches(sl, rng, LANES + 1, len(fr.prime_list) + 1)
                  for j in range(b.lanes)]
         joined = [x | y for x, y in zip(draws[-2], draws[-1])]
         if joined not in draws:
             break
-    real, width = verify._axiom_gaps, fr.n + 1
+    real, width = verify._axiom_gaps, len(fr.prime_list) + 1
 
     def kernel(lat, vals, ones=1):
         gaps, bad, top = real(lat, vals, ones)
@@ -1642,7 +1643,7 @@ def test_operator_check_kernels_match_oracles():
         t = transfer_of(f, ctx.bound)
         sl, tl, pre = t.source_lattice, t.target_lattice, brute_preimage_table(t)
         rng = ctx.rng("open-pre", idx)
-        pairs = [(sl.points, xs) for xs in verify._named(tl)]
+        pairs = [(range(sl.n), xs) for xs in verify._named(tl)]
         for _ in range(3):
             m = _closed_draw(tl, rng)
             pairs.append((_continuous_draw(t, m, rng), m))

@@ -45,7 +45,7 @@ from localelab.maps import (
     right_adjoint,
 )
 from localelab.sublocales import SublocaleLattice, enumerate_sublocales
-from oracles import brute_initial_h, gap_masks, maps_in_hom_order
+from oracles import CHAIN4_OP, brute_initial_h, gap_masks, maps_in_hom_order, table_from_labels
 
 @cache
 def corpus_maps(max_n):
@@ -486,7 +486,7 @@ def test_h_universal_initial_side_only_fixture():
 def test_h_universal_composite_side_only_fixture():
     f = localic_map(chain3(), chain4(), (1, 2, 3))
     sl4 = enumerate_sublocales(chain4())
-    hm = h_from_interior(InteriorOperator(sl4, (0, 0, 0, 0, 2, 3, 6, 7)))
+    hm = h_from_interior(InteriorOperator(sl4, table_from_labels(sl4, CHAIN4_OP)))
     sl3 = enumerate_sublocales(chain3())
     up = check_h_universal(f, hm, identity_localic(chain3()), trivial_h(sl3))
     assert not up.equivalent

@@ -45,7 +45,13 @@ from localelab.maps import (
     right_adjoint,
 )
 from localelab.sublocales import enumerate_sublocales, transfer_of
-from oracles import all_interior_tables, brute_initial_lift, maps_in_hom_order
+from oracles import (
+    CHAIN4_OP,
+    all_interior_tables,
+    brute_initial_lift,
+    maps_in_hom_order,
+    table_from_labels,
+)
 
 @cache
 def corpus_maps(max_n):
@@ -327,7 +333,7 @@ def test_initial_candidate_valid_but_not_continuous():
     # own candidate; the gap is a counit failure away from the top
     f = localic_map(chain3(), chain4(), (1, 2, 3))
     sl4 = enumerate_sublocales(chain4())
-    opm = InteriorOperator(sl4, (0, 0, 0, 0, 2, 3, 6, 7))
+    opm = InteriorOperator(sl4, table_from_labels(sl4, CHAIN4_OP))
     assert check_interior(opm).ok
     rep = initial_interior(f, opm)
     cand = rep.candidate
@@ -441,7 +447,7 @@ def test_universal_property_initial_side_only_fixture():
 def test_universal_property_composite_side_only_fixture():
     f = localic_map(chain3(), chain4(), (1, 2, 3))
     sl4, sl3 = enumerate_sublocales(chain4()), enumerate_sublocales(chain3())
-    opm = InteriorOperator(sl4, (0, 0, 0, 0, 2, 3, 6, 7))
+    opm = InteriorOperator(sl4, table_from_labels(sl4, CHAIN4_OP))
     up = check_universal_property(f, opm, identity_localic(chain3()), trivial_op(sl3))
     assert not up.equivalent
     assert up.initial_side.ok and not up.composite_side.ok
@@ -566,8 +572,8 @@ def interior_tables(sl):
 @cache
 def packed_tables(sl):
     """Every interior table of sl, one lane each, as a _Batch."""
-    tables, width = interior_tables(sl), sl.host.n + 1
-    masks = [sum(sl.points[tab[i]] << j * width for j, tab in enumerate(tables))
+    tables, width = interior_tables(sl), len(sl.host.prime_list) + 1
+    masks = [sum(tab[i] << j * width for j, tab in enumerate(tables))
              for i in range(sl.n)]
     return _Batch.of(masks, len(tables), width)
 
@@ -579,7 +585,7 @@ def test_interior_table_enumerator_counts():
     counts, topologies = {}, 0
     for _, fr in corpus_frames(3):
         sl = enumerate_sublocales(fr)
-        k = bin(sl.points[sl.top]).count("1")
+        k = len(fr.prime_list)
         tables = interior_tables(sl)
         assert len(set(tables)) == len(tables)
         assert all(check_interior(InteriorOperator(sl, t)).ok for t in tables)
@@ -610,11 +616,11 @@ def test_continuous_iff_above_the_initial_lift():
             op_m = InteriorOperator(tl, table)
             lift = initial_lift(f, op_m)
             assert lift.table in tables
-            lhs = [p * b.ones for p in _preimages(t, op_m.points)]
+            lhs = [p * b.ones for p in _preimages(t, op_m.table)]
             discontinuous = below = 0
             for gap in _continuity_gaps(t.preimage_table, lhs, b.masks):
                 discontinuous |= gap + b.fill & b.guard
-            for p, x in zip(lift.points, b.masks):
+            for p, x in zip(lift.table, b.masks):
                 below |= (p * b.ones & ~x) + b.fill & b.guard
             assert discontinuous == below, f.describe()
             pairs += 1

@@ -82,7 +82,7 @@ def test_check_order_is_stable():
 
 def test_default_run_all_pass(default_report):
     assert default_report["artifact"] == "localelab-verification"
-    assert default_report["version"] == 5
+    assert default_report["version"] == 6
     assert {r["id"]: r["status"] for r in default_report["checks"]} == {
         cid: "pass" for cid in ALL_CHECKS
     }
@@ -123,9 +123,9 @@ def test_registry_occurrence_counts_frozen(default_report):
     assert occ["sublocale-join-display-form"] == 20
     assert occ["discrete-h-not-largest"] == 24
     # seeded-sampling tallies, deterministic at the default config
-    assert occ["initial-contraction"] == 55460
-    assert occ["universal-interior-anomaly"] == 72
-    assert occ["universal-h-anomaly"] == 37
+    assert occ["initial-contraction"] == 59192
+    assert occ["universal-interior-anomaly"] == 71
+    assert occ["universal-h-anomaly"] == 36
 
 
 def test_config_echo(default_report):
@@ -144,13 +144,14 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), default_report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "66b8c3e94e78a916d492d17cb07e8ed6588c11726ff12b542dfff83dd8a8d075"
+    assert digest == "28147482035aea1faa5342e96f8ebe2ae8867f99aec320c3724a011ddec3cffb"
 
 
 def test_maps_sweep_report_bytes_pinned(tmp_path):
     # the bytes of `localelab verify --max-poset 4 --budget 10000000
     # --samples 0 --checks galois-adjunction --seed 42 --report ...`: the
-    # Galois check over the 5,217 maps that budget admits
+    # Galois check over the 5,217 maps that budget admits; it reads no draw,
+    # so it differs from the version-5 bytes (546487404494...) in "version" alone
     report = run_verification(CorpusConfig(
         max_poset_size=4, operator_samples_per_frame=0, map_budget=10_000_000,
         seed=42, checks=("galois-adjunction",)))
@@ -158,7 +159,7 @@ def test_maps_sweep_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "546487404494c23c8ca2ca45d0b4116b47c56d14931fd8cb3a896a3fa15e58fd"
+    assert digest == "8599cf1d41074370975f612d832badfd94d94bcb579f25b5eb508745094931c3"
 
 
 def test_max_poset_5_report_bytes_pinned(tmp_path):
@@ -169,7 +170,7 @@ def test_max_poset_5_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "665dcfde099757ee8bfac15c182cd2fef984ecd4096ceb487a343eeb58875065"
+    assert digest == "ca3983d2c448ed9f187eaf08ce7727ac249c8558a1127d8487998dea72147002"
 
 
 def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
@@ -285,6 +286,15 @@ def test_replay_survives_json_round_trip(default_report):
         assert replay(loaded, rid) == replay(default_report, rid)
 
 
+def test_replay_refuses_a_report_of_another_version(default_report):
+    """Witness op tables are lattice indices, whose order version 6 changed:
+    a version-5 report is refused, not replayed in the wrong order."""
+    old = copy.deepcopy(default_report)
+    old["version"] = 5
+    with pytest.raises(ValueError, match="report version 5 cannot be replayed by version 6"):
+        replay(old, "initial-contraction")
+
+
 def test_replay_passing_check_reports_no_failure(default_report):
     assert replay(default_report, "poset-counts") == "no failure recorded"
 
@@ -360,13 +370,14 @@ def test_initial_check_fails_on_an_unconfirmed_gap(monkeypatch, cid, module, lin
 def test_initial_check_walks_to_a_failing_middle_lane(monkeypatch):
     """Only lane 5 of a map's 12 tables breaks I2, in the batch and when its
     table is lifted alone: the walk stops at that table, after m * 12 + 6
-    tables, with the witness line of that map."""
+    tables, with the witness line of that map. The map is the first from
+    500 on whose lane 5 differs from its lanes 0 to 4."""
     ctx = verify._Ctx(CorpusConfig())
-    m = 500
-    f = ctx.maps[m]
-    (b,) = verify._ops_for_initial(ctx, f, m)
-    bent = b.lane(5)
-    assert b.lanes == 12 and bent not in [b.lane(j) for j in range(5)]
+    batches = ((m, *verify._ops_for_initial(ctx, ctx.maps[m], m))
+               for m in range(500, len(ctx.maps)))
+    m, b = next((m, b) for m, b in batches if b.lane(5) not in [b.lane(j) for j in range(5)])
+    f, bent = ctx.maps[m], b.lane(5)
+    assert b.lanes == 12
 
     def edit(lifted, ones, xs, t):
         pulled, (gaps, bad, top), cont = lifted
@@ -422,12 +433,12 @@ def test_contractive_equivalence_fails_where_the_widening_breaks(monkeypatch, ct
     real = verify._widened
 
     def widened(sl, xs):
-        if sl is bent.lattice and list(xs) == bent.points:
-            return [sl.points[sl.top]] * sl.n
+        if sl is bent.lattice and list(xs) == list(bent.table):
+            return [sl.top] * sl.n
         return real(sl, xs)
 
     def wide(op):
-        return HOperator._of_points(op.lattice, widened(op.lattice, op.points))
+        return HOperator._of_points(op.lattice, widened(op.lattice, op.table))
 
     checked, f = next((k, f) for k, (f, op_l, op_m) in enumerate(cases, 1)
                       if is_I_continuous(f, op_l, op_m).witness
@@ -461,7 +472,7 @@ def test_composition_fails_where_preimages_break(monkeypatch, ctx, cid, lift, ke
     chain's (the drawn operators are contractive, so their cores are the same
     tables)."""
     chains = list(_chains(ctx))
-    bent = [op.points for op in chains[len(chains) // 2][2:]]
+    bent = [list(op.table) for op in chains[len(chains) // 2][2:]]
 
     def bend(rep, tables):
         if tables != bent:
@@ -469,8 +480,8 @@ def test_composition_fails_where_preimages_break(monkeypatch, ctx, cid, lift, ke
         return dataclasses.replace(rep, preimage_functorial=False, functorial_witness=("bent",))
 
     triples, (f, g, *ops) = next((k, c) for k, c in enumerate(chains)
-                                 if [op.points for op in c[2:]] == bent)
-    rep = bend(kernel(f, g, *map(lift, ops)), [op.points for op in ops])
+                                 if [list(op.table) for op in c[2:]] == bent)
+    rep = bend(kernel(f, g, *map(lift, ops)), [list(op.table) for op in ops])
     assert 0 < triples < len(chains) - 1 and rep.status == "fail"
     real = verify._composition
     monkeypatch.setattr(verify, "_composition",
@@ -495,9 +506,9 @@ def test_coarseness_reports_an_unexplained_gap(monkeypatch, ctx):
     bent_f, bent_m, _ = next(c for c in cases[len(cases) // 2:] if c[0].source.prime_list)
 
     def bend(cand, f, masks):
-        if f == bent_f and masks == bent_m.points:
+        if f == bent_f and list(masks) == list(bent_m.table):
             sl = cand.lattice
-            cand = type(cand)._of_points(sl, [sl.points[sl.top]] + cand.points[1:])
+            cand = type(cand)._of_points(sl, (sl.top,) + cand.table[1:])
         return cand
 
     detail = {"checked": len(cases), "pointwise_violations": 0, "h_pointwise_violations": 0}
@@ -506,7 +517,7 @@ def test_coarseness_reports_an_unexplained_gap(monkeypatch, ctx):
         for lift, initial, key in ((lambda op: op, initial_interior, "pointwise_violations"),
                                    (h_from_interior, initial_h, "h_pointwise_violations")):
             m, l = lift(op_m), lift(op_l)
-            gap = op_le_gap(bend(initial(f, m).candidate, f, op_m.points), l)
+            gap = op_le_gap(bend(initial(f, m).candidate, f, op_m.table), l)
             if gap is None:
                 continue
             t = transfer_of(f, ctx.bound)
@@ -517,7 +528,7 @@ def test_coarseness_reports_an_unexplained_gap(monkeypatch, ctx):
     assert len(unexplained) == 2
     real = verify._candidate
     monkeypatch.setattr(verify, "_candidate", lambda t, xs: bend(
-        InteriorOperator._of_points(t.source_lattice, real(t, xs)), t.map, xs).points)
+        InteriorOperator._of_points(t.source_lattice, real(t, xs)), t.map, xs).table)
     row, payloads = _row("coarseness")
     assert row["status"] == "fail"
     assert row["detail"] == detail
@@ -542,7 +553,7 @@ def test_universal_reports_an_unexplained_disagreement(monkeypatch, ctx, cid, li
     f0, g0, m0, n0 = cases[len(cases) // 2]
 
     def bend(rep, f, g, m, n):
-        if (f, g, m, n) != (f0, g0, m0.points, n0.points):
+        if (f, g, m, n) != (f0, g0, list(m0.table), list(n0.table)):
             return rep
         anomaly = {"kind": "composite-side-only", "at": "bent", "predicate": "bent",
                    "confirmed": False}
@@ -551,7 +562,7 @@ def test_universal_reports_an_unexplained_disagreement(monkeypatch, ctx, cid, li
     disagreements, unexplained = 0, []
     for f, g, op_m, op_n in cases:
         m, n = lift(op_m), lift(op_n)
-        rep = bend(kernel(f, m, g, n), f, g, op_m.points, op_n.points)
+        rep = bend(kernel(f, m, g, n), f, g, list(op_m.table), list(op_n.table))
         disagreements += not rep.equivalent
         unexplained += [verify._universal_witness(f, g, m, n, a)
                         for a in rep.anomalies if not a["confirmed"]]
@@ -637,13 +648,13 @@ def test_open_preimage_fails_at_a_middle_triple(monkeypatch, ctx):
     f0, l0, m0 = triples[len(triples) // 2]
 
     def bend(rep, f, l, m):
-        if (f, l, m) == (f0, l0.points, m0.points):
+        if (f, l, m) == (f0, list(l0.table), list(m0.table)):
             return OpenPreimageReport("fail", 1, ("bent", "case"))
         return rep
 
     checked, f = next((k, f) for k, (f, op_l, op_m) in enumerate(triples, 1)
-                      if bend(check_open_preimage(f, op_l, op_m), f, op_l.points,
-                              op_m.points).status != "pass")
+                      if bend(check_open_preimage(f, op_l, op_m), f, list(op_l.table),
+                              list(op_m.table)).status != "pass")
     assert 1 < checked < len(triples)
     real = verify._open_preimage
     monkeypatch.setattr(verify, "_open_preimage",
@@ -820,4 +831,58 @@ def test_replay_of_every_default_id_pinned(default_report):
         e["id"] for e in default_report["registry"]]
     text = "\n\n".join(f"{i}\n{replay(default_report, i)}" for i in ids)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "4c7f75f1b521cb925f9a28bdc4b56d20157d37a3bab2060bbd5d2ca0247698a7"
+    assert digest == "5c7f687fd81aa4bb7e52861cab3b2ec7116ed81dc48b70ab036da5b0ba7cff10"
+
+
+def test_sampling_free_verdicts_pinned():
+    """At --samples 0 no check reads a draw, so its counts, each check's
+    status and detail and each registry entry's status and occurrences
+    depend on the frames and maps alone: pinned here, witnesses left out,
+    so that a change of index order or draw stream cannot move them."""
+    report = run_verification(CorpusConfig(operator_samples_per_frame=0))
+    assert report["counts"] == {
+        "posets": 24, "frames": 24, "maps": 1135, "hom_candidates": 197744,
+        "map_pairs_skipped": 390, "frames_beyond_map_bound": 1, "operators": 746,
+    }
+    skipped = {"reason": "operator sampling disabled"}
+    initial = {"checked": 2270, "mandated_top_counterexample": "fails-as-documented"}
+    assert [(r["id"], r["status"], r["detail"]) for r in report["checks"]] == [
+        ("poset-counts", "pass", {"sizes": {"1": 1, "2": 2, "3": 5, "4": 16},
+                                  "reference": {"1": 1, "2": 2, "3": 5, "4": 16}}),
+        ("heyting-adjunction", "pass", {"triples": 13978}),
+        ("heyting-identities", "pass", {"frames_checked": 17, "frames_skipped": 7,
+                                        "display_form_falsified_on": 17}),
+        ("complement-laws", "pass", {"pairs": 306}),
+        ("generation-property", "pass", {"sublocales": 106}),
+        ("sublocale-join-oracle", "pass", {"pairs": 2379, "frames_with_display_gap": 20}),
+        ("galois-adjunction", "pass", {"maps": 1135, "pairs_per_map": "all"}),
+        ("boolean-fragment", "pass", {"frames": 24}),
+        ("interior-axioms", "pass", {"generated": 0, "per_frame": 0}),
+        ("h-axioms", "pass", {"generated": 0, "raw_tables": 0}),
+        ("contractive-equivalence", "skip", skipped),
+        ("composition-interior", "skip", skipped),
+        ("composition-h", "skip", skipped),
+        ("initial-interior", "pass", {**initial, "tallies": {
+            "contraction-gap": 8764, "top-gap": 874, "continuity-gap": 874}}),
+        ("initial-h", "pass", {**initial, "tallies": {"top-gap": 874, "continuity-gap": 874}}),
+        ("coarseness", "skip", skipped),
+        ("universal-property-interior", "skip", skipped),
+        ("universal-property-h", "skip", skipped),
+        ("open-preimage", "pass", {"checked": 746}),
+        ("points-spatiality", "pass", {"frames": 24, "spatial": 24}),
+    ]
+    assert [(e["id"], e["status"], e["occurrences"]) for e in report["registry"]] == [
+        ("discrete-h-not-largest", "confirmed", 24),
+        ("initial-coarseness", "not-observed", 0),
+        ("initial-continuity", "confirmed", 874),
+        ("initial-contraction", "confirmed", 8764),
+        ("initial-h-coarseness", "not-observed", 0),
+        ("initial-h-continuity", "confirmed", 874),
+        ("initial-h-top", "confirmed", 875),
+        ("initial-top", "confirmed", 875),
+        ("sublocale-join-display-form", "confirmed", 20),
+        ("sup-arrow-display-form", "confirmed", 17),
+        ("universal-h-anomaly", "not-observed", 0),
+        ("universal-interior-anomaly", "not-observed", 0),
+    ]
+    assert report["unexplained"] == []
