@@ -194,18 +194,22 @@ class SublocaleLattice:
     """The coframe S_l(L), every sublocale indexed by its point mask.
 
     Bit b of index i stands for the prime `host.prime_list[b]`, and `masks[i]`
-    is the sublocale's element mask. Since S_l(L) is the powerset of the
-    points, index order is a linear extension, the bottom is 0, the top is
-    n - 1, and le, meet, join and complement are single bitwise operations
-    on indices. `bound` is the enumeration bound the lattice was built under
-    (None when built directly); operator kernels build transfers under their
-    operators' bound.
+    is the sublocale's element mask; masks in another order are refused with
+    ValueError. Since S_l(L) is the powerset of the points, index order is a
+    linear extension, the bottom is 0, the top is n - 1, and le, meet, join
+    and complement are single bitwise operations on indices. `bound` is the
+    enumeration bound the lattice was built under (None when built
+    directly); operator kernels build transfers under their operators' bound.
     """
 
     def __init__(self, host: Frame, masks, bound: int | None = None):
         self.host = host
         self.bound = bound
         self.masks = tuple(masks)
+        points = _point_tables([1 << p for p in host.prime_list])
+        if tuple([m & host.primes for m in self.masks]) != points:
+            raise ValueError(f"masks are not the {len(points)} sublocales of {host.key()} "
+                             "in point-mask order")
         self.n = len(self.masks)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.bottom = 0

@@ -16,6 +16,7 @@ from localelab.lattice import bits, build_frame, set_label
 from localelab.maps import enumerate_frame_homs, identity_localic, localic_map, right_adjoint
 from localelab.sublocales import (
     AdjReport,
+    SublocaleLattice,
     SublocaleTransfer,
     check_adjunction,
     closed_sub,
@@ -136,6 +137,18 @@ def test_enumerate_counts_and_canonical_order():
                    if not sl.masks[i] & ~sl.masks[j])
         assert sl.masks[0] == 1 << f.top and sl.masks[-1] == f.full_mask
         assert all(is_sublocale(f, m).ok for m in sl.masks)
+
+
+def test_lattice_refuses_masks_out_of_point_mask_order():
+    """Index i is the point mask of masks[i], so masks in any other order, or
+    too few, are refused rather than read with the wrong order."""
+    for f in (chain3(), square(), chain4()):
+        masks = enumerate_sublocales(f).masks
+        assert SublocaleLattice(f, masks).masks == masks
+        for bad in (masks[::-1], masks[:-1], sorted(masks, key=lambda m: (m.bit_count(), m))):
+            if list(bad) != list(masks):
+                with pytest.raises(ValueError, match="point-mask order"):
+                    SublocaleLattice(f, bad)
 
 
 def test_labels_built_on_first_read(monkeypatch):
