@@ -11,9 +11,11 @@ interpreters with the same `PYTHONPATH`. One entry records:
   `PYTHONDONTWRITEBYTECODE`;
 - the median wall time of N runs of default `verify` and of
   `verify --max-poset 5`, each in a fresh interpreter, in seconds and in
-  probe units (`median_probe_units`, and `runs_probe_units` per run): each
-  run's wall time divided by the median of PROBES `probe_kernel` runs timed
-  right before it, as the kernel groups below are timed;
+  probe units (`median_probe_units`, and `runs_probe_units` per run). Each
+  child times PROBES `probe_kernel` runs first, then the run from its
+  `import localelab.cli` on, so interpreter start-up is left out, and each
+  run's wall time is divided by the median of the probes its own child
+  timed: the probe shares the run's process and the speed phase it starts in;
 - the cold start: the median over 11 fresh interpreters of the time
   `import localelab.cli` takes, of the time the poset classes of sizes 1..5
   take after it (`poset_classes_5_s`), of the time `corpus_frames(5)` then
@@ -33,9 +35,12 @@ interpreters with the same `PYTHONPATH`. One entry records:
   point-map check and the meet extension compared with the table), the
   left adjoint `LocalicMap.adjoint` derives from the points and validates,
   `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
-  and `maps_build_s`, the harness's `_Ctx.maps` at the default config
+  `maps_build_s`, the harness's `_Ctx.maps` at the default config
   (1,135 maps) and at `map_budget=10**7` (5,217 maps), each pass on a
-  context built before it;
+  context built before it; and `galois_adjunction_s`, the galois-adjunction
+  check itself on those two map sets, each pass on a context whose maps are
+  built before it. Its contexts sample no operators, as maps-sweep's
+  `--samples 0` does, so that no pass reads transfers an earlier one cached;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, target table) pairs of the initial checks of default `verify`:
   `initial_interior` on its 13,620 lifts and `initial_h` on the 9,080
@@ -89,6 +94,7 @@ interpreters with the same `PYTHONPATH`. One entry records:
   timed right before that pass, so that a speed phase that starts inside a
   group is seen by the passes it hits. One run of about half a millisecond
   is too short to track the machine's speed; the median of PROBES is not.
+  The `verify` groups take their probes inside each child, as above.
 
 Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
 machine whose cores change speed; the child interpreters inherit the pin.
@@ -96,6 +102,7 @@ machine whose cores change speed; the child interpreters inherit the pin.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -123,6 +130,26 @@ for n in range(1, 6):
 classes = time.perf_counter()
 corpus_frames(5)
 print(imported - start, classes - imported, time.perf_counter() - classes)
+"""
+# one timed `localelab` run of _wall, after the source of probe_kernel and
+# run as `-c code PROBES ARGV...`: the median of PROBES probe_kernel runs,
+# then the CLI on ARGV, timed from its import on; prints the two times
+WALL_CHILD = """
+import os, sys, time
+probes = []
+for _ in range(int(sys.argv[1])):
+    t0 = time.perf_counter()
+    probe_kernel()
+    probes.append(time.perf_counter() - t0)
+start = time.perf_counter()
+with open(os.devnull, "w") as sys.stdout:
+    from localelab.cli import main
+    code = main(sys.argv[2:])
+wall = time.perf_counter() - start
+sys.stdout = sys.__stdout__
+if code:
+    raise SystemExit(code)
+print(wall, sorted(probes)[len(probes) // 2])
 """
 # S_l bound for the transfer build: the largest corpus-4 frame has 16 elements
 SL_LIMIT = 16
@@ -166,17 +193,17 @@ def _commit() -> str:
 
 def _wall(argv, runs):
     """The wall times of runs child `localelab` runs of argv, in seconds and
-    in probe units: each run's time divided by the _probe median timed right
-    before it."""
+    in probe units: each run's time divided by the median of the PROBES
+    probes its child timed right before it (WALL_CHILD)."""
     env = dict(os.environ, PYTHONPATH=SRC)
+    code = inspect.getsource(probe_kernel) + WALL_CHILD
     times, units = [], []
     for _ in range(runs):
-        probe = _probe()
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "localelab", *argv], env=env, check=True,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        times.append(time.perf_counter() - start)
-        units.append(times[-1] / probe)
+        out = subprocess.run([sys.executable, "-c", code, str(PROBES), *argv], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        wall, probe = (float(x) for x in out.split())
+        times.append(wall)
+        units.append(wall / probe)
     return {"median_s": round(statistics.median(times), 3), "runs_s": [round(t, 3) for t in times],
             "median_probe_units": round(statistics.median(units), 1),
             "runs_probe_units": [round(u, 1) for u in units]}
@@ -228,7 +255,7 @@ def kernel_timings():
         right_adjoint,
     )
     from localelab.sublocales import SublocaleTransfer, adjunction_report, enumerate_sublocales
-    from localelab.verify import CorpusConfig, _Ctx
+    from localelab.verify import CHECKS, CorpusConfig, _Ctx
 
     frames = [fr for _, fr in corpus_frames(4)]
     homs = [FrameHom(a, b, table) for a in frames for b in frames
@@ -259,6 +286,14 @@ def kernel_timings():
         # one fresh context per pass, built before the pass is timed
         contexts = [_Ctx(config) for _ in range(PASSES)]
         _median_time(out["maps_build_s"], name, lambda: contexts.pop().maps, [()])
+    out["galois_adjunction_s"] = {}
+    for name, budget in (("default", CorpusConfig().map_budget), ("map_budget_10000000", 10 ** 7)):
+        contexts = [_Ctx(CorpusConfig(map_budget=budget, operator_samples_per_frame=0))
+                    for _ in range(PASSES)]
+        for ctx in contexts:
+            ctx.maps
+        _median_time(out["galois_adjunction_s"], name,
+                     lambda: CHECKS["galois-adjunction"](contexts.pop()), [()])
     return out
 
 

@@ -336,8 +336,7 @@ class AdjReport:
 
 def check_adjunction(f: LocalicMap, limit: int | None = None) -> AdjReport:
     """Verify f[S] <= T iff S <= f_-1[T] over all sublocale pairs."""
-    # uncached: where no operator check reads the transfers again, caching the
-    # 5,217 of a 10M-budget galois-adjunction run cost ~7% peak RSS, no time
+    # uncached: galois-adjunction packs a frame pair's maps instead
     return adjunction_report(SublocaleTransfer.build(f, limit))
 
 
@@ -414,15 +413,10 @@ class SublocaleTransfer:
         lowest point, plus the image of that point, and the preimage of T is
         that of T less its lowest point, plus that point's fibre.
         """
-        src, tgt = f.source, f.target
-        sl = enumerate_sublocales(src, limit)
-        tl = enumerate_sublocales(tgt, limit)
-        image_bit, fibre = [], [0] * len(tgt.prime_list)
-        for b, v in enumerate(f.points):
-            q = (tgt.primes & (1 << v) - 1).bit_count()  # v is prime_list[q]
-            image_bit.append(1 << q)
-            fibre[q] |= 1 << b
-        return SublocaleTransfer(f, sl, tl, _point_tables(image_bit), _point_tables(fibre))
+        _, image_bit, fibre = _point_words([f])
+        return SublocaleTransfer(f, enumerate_sublocales(f.source, limit),
+                                 enumerate_sublocales(f.target, limit),
+                                 _point_tables(image_bit), _point_tables(fibre))
 
     @cached_property
     def adjunction_gaps(self) -> tuple:
@@ -440,6 +434,40 @@ class SublocaleTransfer:
         algebra of point sets, so it is the complement of f[complement S]."""
         img, fs, ft = self.image_table, self.source_lattice.top, self.target_lattice.top
         return tuple([ft ^ img[fs ^ i] for i in range(fs + 1)])
+
+
+def _point_words(maps) -> tuple:
+    """(width, image words, fibre words) of maps of one frame pair, map m's
+    bits in lane m of `width` bits, which exceeds both point counts: source
+    point b's word holds the bit of its image point, target point q's word
+    the fibre of q. `_point_tables` of the words are the packed image and
+    preimage tables."""
+    src, tgt = maps[0].source, maps[0].target
+    width = max(len(src.prime_list), len(tgt.prime_list)) + 1
+    image_bit, fibre = [0] * len(src.prime_list), [0] * len(tgt.prime_list)
+    for shift, f in zip(range(0, len(maps) * width, width), maps):
+        for b, v in enumerate(f.points):
+            q = (tgt.primes & (1 << v) - 1).bit_count()  # v is prime_list[q]
+            image_bit[b] |= 1 << q + shift
+            fibre[q] |= 1 << b + shift
+    return width, image_bit, fibre
+
+
+def _adjunction_lanes(img, pre) -> int:
+    """The mask of the lanes m of the packed image and preimage tables, two
+    `interior._Batch`es, where f[S] <= T iff S <= f_-1[T] fails at some pair
+    (S, T). The left side fails where img[S] meets the complement of T, the
+    right side where S leaves pre[T], and the guard bits of the two tests
+    differ exactly in the lanes where the sides disagree."""
+    ones, fill, top = img.ones, img.fill, len(pre.masks) - 1
+    # per T, its complement in every lane and the points outside pre[T]
+    tests = [((top ^ j) * ones, ~k) for j, k in enumerate(pre.masks)]
+    bad = 0
+    for i, k in enumerate(img.masks):
+        s = i * ones
+        for out, miss in tests:
+            bad |= (k & out) + fill ^ (s & miss) + fill
+    return sum(1 << m for m in range(img.lanes) if bad >> (m + 1) * img.width - 1 & 1)
 
 
 def _point_tables(point_value) -> tuple:

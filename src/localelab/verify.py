@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import groupby
 
 from .corpus import all_posets, chain3, child_seed, corpus_frames, corpus_posets, square, two
 from .errors import SizeLimit, UnknownWitness
@@ -60,10 +61,13 @@ from .maps import _adjoint_points, localic_map, localic_maps
 from .points import _sigma, _spatiality, points_of
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
+    SublocaleTransfer,
+    _adjunction_lanes,
     _least_containing,
+    _point_tables,
+    _point_words,
     _sup_form,
     adjunction_report,
-    check_adjunction,
     enumerate_sublocales,
     generation_check,
     size_limit,
@@ -553,20 +557,27 @@ def _check_sublocale_join_oracle(ctx):
 
 
 def _check_galois_adjunction(ctx):
-    """Per map, the sublocale adjunction on its transfer, then the frame
-    level: the left adjoint read off the points is a frame hom, and its
-    right adjoint gives the points back, so the map is localic. When the run
-    samples operators, their checks read the same transfers, so it is cached."""
-    for f in ctx.maps:
-        rep = (adjunction_report(transfer_of(f, ctx.bound)) if ctx.sampling
-               else check_adjunction(f, ctx.bound))
-        if not rep.ok:
-            line = f"adjunction fails for {f.describe()}: {rep.witness}"
-        elif _adjoint_points(f.target, f.source, f.adjoint.table) != f.points:
-            line = f"left adjoint round trip differs for {f.describe()}"
-        else:
-            continue
-        return _fail({"maps": len(ctx.maps)}, line)
+    """The sublocale adjunction of every map, then per map the frame level:
+    the left adjoint read off the points is a frame hom, and its right
+    adjoint gives the points back, so the map is localic. The maps of a frame
+    pair are decided in one pass, map m in lane m of packed image and
+    preimage tables (`_adjunction_lanes`); only a failing lane's tables are
+    read off, and `adjunction_report` gives their witness."""
+    for _, maps in groupby(ctx.maps, lambda f: (f.source, f.target)):
+        maps = list(maps)
+        width, *words = _point_words(maps)
+        img, pre = (_Batch.of(_point_tables(w), len(maps), width) for w in words)
+        bad = _adjunction_lanes(img, pre)
+        for m, f in enumerate(maps):
+            if bad >> m & 1:
+                t = SublocaleTransfer(f, ctx.sl(f.source), ctx.sl(f.target),
+                                      tuple(img.lane(m)), tuple(pre.lane(m)))
+                line = f"adjunction fails for {f.describe()}: {adjunction_report(t).witness}"
+            elif _adjoint_points(f.target, f.source, f.adjoint.table) != f.points:
+                line = f"left adjoint round trip differs for {f.describe()}"
+            else:
+                continue
+            return _fail({"maps": len(ctx.maps)}, line)
     return "pass", {"maps": len(ctx.maps), "pairs_per_map": "all"}, None
 
 

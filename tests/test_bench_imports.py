@@ -26,10 +26,13 @@ def _localelab_imports(tree):
 def test_every_name_bench_imports_from_localelab_exists():
     with open(BENCH) as fh:
         tree = ast.parse(fh.read())
-    # the child interpreters' code is a module-level string constant
-    (probe,) = [node.value.value for node in tree.body if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["COLD_PROBE"]]
-    found = [*_localelab_imports(tree), *_localelab_imports(ast.parse(probe))]
+    # the child interpreters' code is in module-level string constants
+    children = [node.value.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                in (["COLD_PROBE"], ["WALL_CHILD"])]
+    assert len(children) == 2
+    found = [*_localelab_imports(tree), *(name for code in children
+                                          for name in _localelab_imports(ast.parse(code)))]
     assert ("localelab.interior", "_lift") in found and ("localelab.cli", None) in found
     for module, name in found:
         imported = importlib.import_module(module)

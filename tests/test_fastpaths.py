@@ -4,7 +4,8 @@ S_l is built from primes, points are read off primes, localic maps are
 monotone maps of primes and frame homs their left adjoints, the point-order
 check visits comparable pairs, transfer tables are images of points built in
 one pass, I2 and h2 are decided on cover pairs, h-continuity on cores, the Galois
-adjunction of sublocales on unit, counit and covers, localic maps are point
+adjunction of sublocales on unit, counit and covers, and for all the maps of a
+frame pair in one lane-packed pass over all pairs, localic maps are point
 maps read off join-irreducibles and extended by meets, their left adjoints
 looked up by the primes above each element, the frame-hom law
 scans read table rows from locals, the operator samplers close over lower covers, the
@@ -19,7 +20,7 @@ poset, or on random tables.
 import copy
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 
 import pytest
 from hypothesis import given, settings
@@ -105,8 +106,11 @@ from localelab.maps import (
 from localelab.points import is_spatial, points_of, pt_space, sigma, spatialization
 from localelab.sublocales import (
     SublocaleTransfer,
+    _adjunction_lanes,
     _generated,
     _least_containing,
+    _point_tables,
+    _point_words,
     adjunction_report,
     enumerate_sublocales,
     generation_check,
@@ -117,6 +121,7 @@ from localelab.sublocales import (
 )
 from localelab.verify import (
     BANK,
+    CHECKS,
     LANES,
     CorpusConfig,
     _Ctx,
@@ -841,6 +846,109 @@ def transfers(draw):
 @settings(max_examples=300)
 def test_adjunction_report_matches_all_pairs_scan(t):
     assert adjunction_report(t) == brute_adjunction(t)
+
+
+# -- the Galois adjunction of a frame pair's maps, map m in lane m ----------------
+
+PAIR_MAPS = [maps for maps in (localic_maps(a, b) for a in CORPUS4 if a.n <= 12
+                               for b in CORPUS4 if b.n <= 12) if maps]
+
+
+def _packed(maps, words=None):
+    """The packed image and preimage tables of maps of one frame pair, from
+    their point words (by default `_point_words`'), as _Batches."""
+    width, *words = _point_words(maps) if words is None else words
+    return [_Batch.of(list(_point_tables(w)), len(maps), width) for w in words]
+
+
+def _lane_transfer(f, img, pre, m):
+    return SublocaleTransfer(f, enumerate_sublocales(f.source), enumerate_sublocales(f.target),
+                             tuple(img.lane(m)), tuple(pre.lane(m)))
+
+
+def _flip(maps, rng):
+    """The point words of maps with one random bit of one random word of
+    a random lane flipped, and that lane."""
+    m = rng.randrange(len(maps))
+    words = _point_words(maps)
+    # image words hold target points, fibre words source points
+    ws, points = rng.choice(list(zip(words[1:], (maps[0].target, maps[0].source))))
+    ws[rng.randrange(len(ws))] ^= 1 << m * words[0] + rng.randrange(len(points.prime_list))
+    return words, m
+
+
+def test_packed_lanes_are_each_maps_transfer_tables():
+    """On every corpus-4 map between frames within the default S_l bound,
+    lane m of its pair's packed tables is map m's transfer, and no lane fails."""
+    checked = 0
+    for maps in PAIR_MAPS:
+        img, pre = _packed(maps)
+        for m, f in enumerate(maps):
+            t = SublocaleTransfer.build(f)
+            tables = (t.image_table, t.preimage_table)
+            assert (tuple(img.lane(m)), tuple(pre.lane(m))) == tables, f.describe()
+            assert tables == brute_transfer_tables(f, t.source_lattice, t.target_lattice)
+            checked += 1
+        assert _adjunction_lanes(img, pre) == 0
+    assert checked == 14884
+
+
+@st.composite
+def packed_transfers(draw):
+    """Up to eight maps of one frame pair and their packed tables, with up to
+    two entries of chosen lanes overwritten by an arbitrary index or by
+    another entry of the same lane, as `transfers` overwrites one-lane tables."""
+    maps = draw(st.sampled_from(PAIR_MAPS))
+    start = draw(st.integers(0, len(maps) - 1))
+    maps = maps[start:start + 8]
+    img, pre = _packed(maps)
+    for _ in range(draw(st.integers(0, 2))):
+        b, values = draw(st.sampled_from(((img, len(pre.masks)), (pre, len(img.masks)))))
+        m = draw(st.integers(0, len(maps) - 1))
+        lane = b.lane(m)
+        k = st.integers(0, len(lane) - 1)
+        i, v = draw(k), draw(st.one_of(st.integers(0, values - 1), k.map(lane.__getitem__)))
+        b.masks[i] = b.masks[i] & ~((1 << b.width) - 1 << m * b.width) | v << m * b.width
+    return maps, img, pre
+
+
+@given(packed_transfers())
+@settings(max_examples=300)
+def test_failing_lanes_are_those_failing_the_all_pairs_scan(case):
+    maps, img, pre = case
+    want = sum(1 << m for m, f in enumerate(maps)
+               if not brute_adjunction(_lane_transfer(f, img, pre, m)).ok)
+    assert _adjunction_lanes(img, pre) == want
+
+
+def test_one_flipped_bit_fails_exactly_its_lane():
+    """On the maps of every corpus-4 frame pair within the default S_l bound,
+    a point word with one bit flipped in one lane: the kernel flags that lane
+    and no other."""
+    rng = random.Random(13)
+    for maps in PAIR_MAPS:
+        words, m = _flip(maps, rng)
+        img, pre = _packed(maps, words)
+        assert _adjunction_lanes(img, pre) == 1 << m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_galois_adjunction_fails_at_a_flipped_lanes_map(monkeypatch, seed):
+    """One bit flipped in one lane of one frame pair's point words fails
+    galois-adjunction at that lane's map, with the witness adjunction_report
+    gives for the lane's tables."""
+    ctx = _Ctx(CorpusConfig(operator_samples_per_frame=0, checks=("galois-adjunction",)))
+    rng = random.Random(seed)
+    groups = [list(g) for _, g in groupby(ctx.maps, lambda f: (f.source, f.target))]
+    maps = rng.choice([g for g in groups if len(g) > 1])
+    words, m = _flip(maps, rng)
+    img, pre = _packed(maps, words)
+    want = f"adjunction fails for {maps[m].describe()}: " \
+           f"{adjunction_report(_lane_transfer(maps[m], img, pre, m)).witness}"
+    monkeypatch.setattr(verify, "_point_words",
+                        lambda group: words if group == maps else _point_words(group))
+    status, _, witness = CHECKS["galois-adjunction"](ctx)
+    assert (status, witness["lines"]) == ("fail", [want])
 
 
 # -- I2 and h2 on cover pairs ----------------------------------------------------
