@@ -34,7 +34,8 @@ interpreters with the same `PYTHONPATH`. One entry records:
   it reads the points), `localic_map` on each map's element table (the
   point-map check and the meet extension compared with the table), the
   left adjoint `LocalicMap.adjoint` derives from the points and validates,
-  `SublocaleTransfer.build` and `adjunction_report` on the built transfers;
+  `SublocaleTransfer.build(f)`, uncached, on lattices enumerated before the
+  passes, and `adjunction_report` on the built transfers;
   `maps_build_s`, the harness's `_Ctx.maps` at the default config
   (1,135 maps) and at `map_budget=10**7` (5,217 maps), each pass on a
   context built before it; and `galois_adjunction_s`, the galois-adjunction
@@ -151,7 +152,8 @@ if code:
     raise SystemExit(code)
 print(wall, sorted(probes)[len(probes) // 2])
 """
-# S_l bound for the transfer build: the largest corpus-4 frame has 16 elements
+# S_l bound that admits the lattices the transfer builds read: the largest
+# corpus-4 frame has 16 elements
 SL_LIMIT = 16
 # the checks that read only the corpus frames and their S_l
 FRAME_CHECKS = ("heyting-adjunction", "heyting-identities", "complement-laws",
@@ -263,7 +265,7 @@ def kernel_timings():
     maps = [right_adjoint(h.source, h.target, h.table) for h in homs]
     for fr in frames:
         enumerate_sublocales(fr, SL_LIMIT)
-    transfers = [SublocaleTransfer.build(f, SL_LIMIT) for f in maps]
+    transfers = [SublocaleTransfer.build(f) for f in maps]
     adjoint = LocalicMap.adjoint.fget
     kernels = {
         "localic_maps": (localic_maps, [(a, b) for a in frames for b in frames]),
@@ -274,7 +276,7 @@ def kernel_timings():
         "right_adjoint": (right_adjoint, [(h.source, h.target, h.table) for h in homs]),
         "localic_map": (localic_map, [(f.source, f.target, f.table) for f in maps]),
         "adjoint": (adjoint, [(f,) for f in maps]),
-        "transfer_build": (SublocaleTransfer.build, [(f, SL_LIMIT) for f in maps]),
+        "transfer_build": (SublocaleTransfer.build, [(f,) for f in maps]),
         "adjunction_report": (adjunction_report, [(t,) for t in transfers]),
     }
     out = {"homs": len(homs)}

@@ -43,30 +43,14 @@ from .sublocales import SublocaleLattice
 
 @lru_cache(maxsize=None)
 def complemented_fragment(sl: SublocaleLattice) -> SublocaleLattice:
-    """The complemented sublocales of the host, which are all of them.
-
-    Returns sl itself; raises ValueError if some sublocale has no complement,
-    which a Boolean S_l(L) rules out.
-    """
-    for i in range(sl.n):
-        if sl.complement(i) is None:
-            raise ValueError(f"sublocale {sl.label(i)} of {sl.host.key()} has no complement")
+    """The complemented sublocales of the host: sl itself, since a
+    SublocaleLattice is the Boolean algebra of its host's points."""
     return sl
 
 
 @dataclass(frozen=True)
 class HOperator(InteriorOperator):
     """Table over sublocale indices; check_h is the validator."""
-
-    def __post_init__(self):
-        complemented_fragment(self.lattice)
-        super().__post_init__()
-
-    @classmethod
-    def _of_points(cls, sl: SublocaleLattice, masks):
-        # the trusted path skips the totality scan, not the Boolean guard
-        complemented_fragment(sl)
-        return super()._of_points(sl, masks)
 
     @cached_property
     def core(self) -> InteriorOperator:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import EmptyFamily, HostMismatch
 from .lattice import bits
 from .maps import LocalicMap, compose_localic
-from .sublocales import SublocaleLattice, SublocaleTransfer, transfer_of
+from .sublocales import SublocaleLattice, SublocaleTransfer, _admit, _transfer_cached
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def trivial_op(sl: SublocaleLattice) -> InteriorOperator:
 
 def _same_lattice(ops):
     first = ops[0].lattice
-    for op in ops[1:]:  # S_l of a frame has one index order under every bound
+    for op in ops[1:]:
         if op.lattice.host != first.host:
             raise HostMismatch(
                 "operators live on different sublocale lattices",
@@ -262,16 +262,18 @@ class ContinuityReport:
 
 
 def _target_transfer(f: LocalicMap, op_m, op_l=None) -> SublocaleTransfer:
-    """f's transfer, under the bound of op_m's lattice (op_l's when op_m is
-    None), once op_m, when given, is known to live on f's target, and op_l,
-    when given, on its source."""
+    """f's transfer, once op_m, when given, is known to live on f's target,
+    and op_l, when given, on its source. A frame given no operator is admitted
+    under the bound in force; one given an operator was admitted when its
+    lattice was enumerated."""
     if op_l is not None and op_l.lattice.host != f.source:
         raise HostMismatch("source operator does not live on the map's source frame",
                            witness=(op_l.lattice.host.key(), f.source.key()))
     if op_m is not None and op_m.lattice.host != f.target:
         raise HostMismatch("target operator does not live on the map's target frame",
                            witness=(op_m.lattice.host.key(), f.target.key()))
-    return transfer_of(f, (op_m or op_l).lattice.bound)
+    _admit(None, *[fr for fr, op in ((f.source, op_l), (f.target, op_m)) if op is None])
+    return _transfer_cached(f)
 
 
 def _continuity_gaps(pre, lhs, rhs) -> list:
@@ -349,7 +351,7 @@ def _composition(tf: SublocaleTransfer, tg: SublocaleTransfer, l, m, n) -> Compo
     g_ok = _first_gap(tg.preimage_table, _preimages(tg, n), m) is None
     if not (f_ok and g_ok):
         return CompositionReport(f_ok, g_ok, None, None)
-    t = transfer_of(compose_localic(tg.map, tf.map), tg.target_lattice.bound)
+    t = _transfer_cached(compose_localic(tg.map, tf.map))
     pf, pg = tf.preimage_table, tg.preimage_table
     j = _first(k != pf[i] for k, i in zip(t.preimage_table, pg))
     return CompositionReport(f_ok, g_ok, _continuity(t, _preimages(t, n), l), j is None,
@@ -571,11 +573,11 @@ def _universal_report(t: SublocaleTransfer, g: LocalicMap, cand, m, n, predicate
     """Both sides of the lifting equivalence for the tables cand on L, m on
     M and n on N of interior operators, f: L -> M the map of the
     transfer t, with any disagreement classified."""
-    f, bound = t.map, t.target_lattice.bound
+    f = t.map
     if g.target != f.source:
         raise HostMismatch("g must land in the source of f",
                            witness=(g.target.key(), f.source.key()))
-    tg, tfg = transfer_of(g, bound), transfer_of(compose_localic(f, g), bound)
+    tg, tfg = _transfer_cached(g), _transfer_cached(compose_localic(f, g))
     a = _continuity(tg, _preimages(tg, cand), n)
     b = _continuity(tfg, _preimages(tfg, m), n)
     if a.ok == b.ok:

@@ -197,14 +197,12 @@ class SublocaleLattice:
     is the sublocale's element mask; masks in another order are refused with
     ValueError. Since S_l(L) is the powerset of the points, index order is a
     linear extension, the bottom is 0, the top is n - 1, and le, meet, join
-    and complement are single bitwise operations on indices. `bound` is the
-    enumeration bound the lattice was built under (None when built
-    directly); operator kernels build transfers under their operators' bound.
+    and complement are single bitwise operations on indices. S_l(L) is
+    determined by L, so `enumerate_sublocales` gives one lattice per frame.
     """
 
-    def __init__(self, host: Frame, masks, bound: int | None = None):
+    def __init__(self, host: Frame, masks):
         self.host = host
-        self.bound = bound
         self.masks = tuple(masks)
         points = _point_tables([1 << p for p in host.prime_list])
         if tuple([m & host.primes for m in self.masks]) != points:
@@ -272,20 +270,24 @@ class SublocaleLattice:
         return self.n
 
 
+def _admit(limit: int | None, *hosts: Frame) -> None:
+    """SizeLimit at the first host past the bound of `enumerate_sublocales`."""
+    bound = size_limit() if limit is None else limit
+    for host in hosts:
+        if host.n > bound:
+            raise SizeLimit(f"|L| = {host.n} exceeds the sublocale enumeration bound {bound}",
+                            witness=(host.n, bound))
+
+
 @lru_cache(maxsize=None)
-def _enumerate(host: Frame, bound: int) -> SublocaleLattice:
-    if host.n > bound:
-        raise SizeLimit(
-            f"|L| = {host.n} exceeds the sublocale enumeration bound {bound}",
-            witness=(host.n, bound),
-        )
+def _enumerate(host: Frame) -> SublocaleLattice:
     # the meet-closure of each subset of primes with the top, in point-mask
     # order; adding a prime p adds p ^ c for every c already in the closure
     closures = [1 << host.top]
     for p in bits(host.primes):
         row = host.meet_table[p]
         closures += [c | mask_of(row[x] for x in bits(c)) for c in closures]
-    return SublocaleLattice(host, closures, bound)
+    return SublocaleLattice(host, closures)
 
 
 def enumerate_sublocales(host: Frame, limit: int | None = None) -> SublocaleLattice:
@@ -293,7 +295,8 @@ def enumerate_sublocales(host: Frame, limit: int | None = None) -> SublocaleLatt
 
     The bound is `limit` when given, else LOCALELAB_SIZE_LIMIT (default 12).
     """
-    return _enumerate(host, size_limit() if limit is None else limit)
+    _admit(limit, host)
+    return _enumerate(host)
 
 
 # -- images and preimages -----------------------------------------------------
@@ -336,8 +339,7 @@ class AdjReport:
 
 def check_adjunction(f: LocalicMap, limit: int | None = None) -> AdjReport:
     """Verify f[S] <= T iff S <= f_-1[T] over all sublocale pairs."""
-    # uncached: galois-adjunction packs a frame pair's maps instead
-    return adjunction_report(SublocaleTransfer.build(f, limit))
+    return adjunction_report(transfer_of(f, limit))
 
 
 def adjunction_report(t: SublocaleTransfer) -> AdjReport:
@@ -404,7 +406,7 @@ class SublocaleTransfer:
     preimage_table: tuple
 
     @staticmethod
-    def build(f: LocalicMap, limit: int | None = None) -> "SublocaleTransfer":
+    def build(f: LocalicMap) -> "SublocaleTransfer":
         """Images and preimages as forward and inverse images of points.
 
         f[S] is the sublocale of the images `f.points` of the points of S,
@@ -414,8 +416,7 @@ class SublocaleTransfer:
         that of T less its lowest point, plus that point's fibre.
         """
         _, image_bit, fibre = _point_words([f])
-        return SublocaleTransfer(f, enumerate_sublocales(f.source, limit),
-                                 enumerate_sublocales(f.target, limit),
+        return SublocaleTransfer(f, _enumerate(f.source), _enumerate(f.target),
                                  _point_tables(image_bit), _point_tables(fibre))
 
     @cached_property
@@ -481,13 +482,14 @@ def _point_tables(point_value) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _transfer_cached(f: LocalicMap, bound: int) -> SublocaleTransfer:
-    return SublocaleTransfer.build(f, bound)
+def _transfer_cached(f: LocalicMap) -> SublocaleTransfer:
+    return SublocaleTransfer.build(f)
 
 
 def transfer_of(f: LocalicMap, limit: int | None = None) -> SublocaleTransfer:
-    """Memoized SublocaleTransfer; operator checks call this in tight loops."""
-    return _transfer_cached(f, size_limit() if limit is None else limit)
+    """The memoized SublocaleTransfer of f, its frames admitted as by enumerate_sublocales."""
+    _admit(limit, f.source, f.target)
+    return _transfer_cached(f)
 
 
 # -- display-form cross-check -------------------------------------------------

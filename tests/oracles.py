@@ -370,7 +370,7 @@ def brute_forall_table(t):
 def brute_initial_lift(f, op_m):
     """The initial lift's table by its definition: at each source S, the join
     of f_-1[op_M(T)] over every target T with f_-1[T] <= S."""
-    t = transfer_of(f, op_m.lattice.bound)
+    t = transfer_of(f)
     sl, pre = t.source_lattice, t.preimage_table
     le, join = sl.le, sl.join
     pairs = [(pre[j], pre[v]) for j, v in enumerate(op_m.table)]

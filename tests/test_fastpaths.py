@@ -807,7 +807,7 @@ def test_left_adjoint_matches_method_scan(case):
 @settings(max_examples=300)
 def test_transfer_build_matches_per_sublocale_loops(case):
     f = case[1]
-    t = SublocaleTransfer.build(f, limit=16)
+    t = SublocaleTransfer.build(f)
     assert (t.image_table, t.preimage_table) == brute_transfer_tables(
         f, t.source_lattice, t.target_lattice)
 
@@ -815,7 +815,7 @@ def test_transfer_build_matches_per_sublocale_loops(case):
 def test_transfer_build_matches_per_sublocale_loops_on_every_run_map():
     ctx = _Ctx(CorpusConfig())
     for f in ctx.maps:
-        t = SublocaleTransfer.build(f, ctx.bound)
+        t = SublocaleTransfer.build(f)
         assert (t.image_table, t.preimage_table) == brute_transfer_tables(
             f, t.source_lattice, t.target_lattice), f.describe()
     assert len(ctx.maps) == 1135

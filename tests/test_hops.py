@@ -44,7 +44,7 @@ from localelab.maps import (
     localic_map,
     right_adjoint,
 )
-from localelab.sublocales import SublocaleLattice, enumerate_sublocales
+from localelab.sublocales import enumerate_sublocales
 from oracles import CHAIN4_OP, brute_initial_h, gap_masks, maps_in_hom_order, table_from_labels
 
 @cache
@@ -65,13 +65,6 @@ def f_dn():
     return right_adjoint(two(), chain3(), (0, 2))
 
 
-class _Uncomplemented(SublocaleLattice):
-    """S_l(CHAIN3) with the complement of {0,1} hidden, as if it had none."""
-
-    def complement(self, i):
-        return None if i == 1 else super().complement(i)
-
-
 def test_fragment_examples():
     sl = enumerate_sublocales(chain3())
     assert complemented_fragment(sl) is sl
@@ -80,14 +73,6 @@ def test_fragment_examples():
     assert sl.complement(0) == 3 and sl.complement(1) == 2
     assert sl.bottom == 0 and sl.top == 3
     assert complemented_fragment(enumerate_sublocales(square())).n == 4
-
-
-def test_fragment_guard_rejects_an_uncomplemented_sublocale():
-    bad = _Uncomplemented(chain3(), enumerate_sublocales(chain3()).masks)
-    with pytest.raises(ValueError, match="no complement"):
-        complemented_fragment(bad)
-    with pytest.raises(ValueError, match="no complement"):
-        HOperator(bad, (0, 1, 2, 3))
 
 
 def test_fragment_covers_every_corpus_lattice():

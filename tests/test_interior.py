@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from localelab.corpus import chain3, chain4, child_seed, corpus_frames, square, two
-from localelab.errors import EmptyFamily, HostMismatch
+from localelab.errors import EmptyFamily, HostMismatch, SizeLimit
 from localelab.interior import (
     InteriorOperator,
     _Batch,
@@ -44,7 +44,7 @@ from localelab.maps import (
     localic_map,
     right_adjoint,
 )
-from localelab.sublocales import enumerate_sublocales, transfer_of
+from localelab.sublocales import SublocaleLattice, enumerate_sublocales, transfer_of
 from oracles import (
     CHAIN4_OP,
     all_interior_tables,
@@ -154,12 +154,13 @@ def test_op_le_examples():
 
 
 def test_operator_lattice_compares_hosts_not_lattice_objects():
-    # S_l of one frame enumerated under two bounds is two lattice objects with
-    # one index order, so operators on them compare; other frames still raise
+    # S_l of one frame is one lattice object under every bound, and a lattice
+    # built directly compares by its host; other frames still raise
     wide = enumerate_sublocales(chain3(), limit=16)
     sl = enumerate_sublocales(chain3())
-    assert wide is not sl
-    t, d = trivial_op(wide), discrete_op(sl)
+    assert wide is sl
+    direct = SublocaleLattice(chain3(), sl.masks)
+    t, d = trivial_op(direct), discrete_op(sl)
     assert op_le(t, d) and not op_le(d, t)
     assert op_le_gap(d, t) == "{0,1}"
     assert op_join([t, d]).table == d.table
@@ -724,10 +725,24 @@ def test_source_lift_errors():
         initial_lift(f_up(), discrete_op(enumerate_sublocales(two())))
 
 
-def test_source_lift_under_the_operators_bound():
-    """Operators on the 16-element corpus-4 frame are built under a bound of
-    16, past the default 12; the lift, its members' continuity and the
-    universal property must read transfers under that bound."""
+def test_kernels_admit_only_the_frames_given_no_operator(monkeypatch):
+    """An operator's frame was admitted when its lattice was enumerated, so
+    under LOCALELAB_SIZE_LIMIT=3 a kernel given operators on both frames of
+    f: CHAIN4 -> CHAIN3 runs, and one given only op_M refuses CHAIN4."""
+    f = right_adjoint(chain3(), chain4(), (0, 2, 3))
+    op_l = trivial_op(enumerate_sublocales(chain4(), limit=4))
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "3")
+    op_m = trivial_op(enumerate_sublocales(chain3()))
+    assert is_I_continuous(f, op_l, op_m).ok
+    with pytest.raises(SizeLimit):
+        initial_interior(f, op_m)
+
+
+def test_source_lift_under_the_operators_bound(monkeypatch):
+    """Operators on the 16-element corpus-4 frame, past the default bound of
+    12: under LOCALELAB_SIZE_LIMIT=16 the lift, its members' continuity and
+    the universal property admit every frame they read."""
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "16")
     big = next(fr for _, fr in corpus_frames(4) if fr.n == 16)
     small = [fr for _, fr in corpus_frames(3)]
     maps = maps_in_hom_order((m, big) for m in small)

@@ -169,8 +169,8 @@ def long_chain(n):
 
 def test_size_limit_env_bounds_transfers_kernels_and_runs(monkeypatch):
     # the public functions read LOCALELAB_SIZE_LIMIT on every call; an operator
-    # kernel builds its transfer under the bound its operator's lattice was
-    # built under, and a verify run reads the bound once, when it starts
+    # kernel admits under it the frames it was given no operator on, and a
+    # verify run reads the bound once, when it starts
     from localelab.interior import initial_interior, trivial_op
     from localelab.verify import CorpusConfig, run_verification
 
@@ -180,11 +180,22 @@ def test_size_limit_env_bounds_transfers_kernels_and_runs(monkeypatch):
     with pytest.raises(SizeLimit):
         transfer_of(f)
     assert transfer_of(f, limit=4).source_lattice.n == 8
-    assert initial_interior(f, op).axioms.passed["I2"]
     with pytest.raises(SizeLimit):
-        initial_interior(f, trivial_op(enumerate_sublocales(chain3())))
+        initial_interior(f, op)
     report = run_verification(CorpusConfig(max_poset_size=2, checks=("poset-counts",)))
     assert report["counts"]["frames_beyond_map_bound"] == 1
+
+
+def test_one_lattice_and_one_transfer_per_frame_and_map():
+    """S_l(L) is determined by L: every bound that admits a frame gives the
+    one lattice of it, and every bound that admits a map's frames its one
+    transfer, which reads those lattices."""
+    f = right_adjoint(chain3(), chain4(), enumerate_frame_homs(chain3(), chain4())[0])
+    for fr in (chain3(), chain4(), square()):
+        assert enumerate_sublocales(fr, 12) is enumerate_sublocales(fr, 16)
+    assert transfer_of(f, 12) is transfer_of(f, 16) is transfer_of(f)
+    assert transfer_of(f).source_lattice is enumerate_sublocales(chain4(), 4)
+    assert transfer_of(f).target_lattice is enumerate_sublocales(chain3())
 
 
 def test_enumerate_size_limit(monkeypatch):

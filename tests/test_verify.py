@@ -620,7 +620,7 @@ def test_each_map_transfer_is_built_once(monkeypatch):
     builds = []
     build = SublocaleTransfer.build
     monkeypatch.setattr(SublocaleTransfer, "build",
-                        staticmethod(lambda f, limit=None: builds.append(f) or build(f, limit)))
+                        staticmethod(lambda f: builds.append(f) or build(f)))
     _transfer_cached.cache_clear()
     run_verification(CorpusConfig())
     assert len(builds) == _transfer_cached.cache_info().misses == len(built)
@@ -775,17 +775,23 @@ def test_sublocale_join_oracle_fails_on_a_wrong_join(monkeypatch, ctx):
                  f"join oracle mismatch on {key} at ({sl.label(i)}, {sl.label(j)})")
 
 
-def test_boolean_fragment_fails_where_the_fragment_raises(monkeypatch, ctx):
-    _, key, fr = _middle(ctx)
-    real = verify.complemented_fragment
+def test_boolean_fragment_fails_on_a_wrong_lattice_size(monkeypatch, ctx):
+    """The middle frame's lattice reports one sublocale too few."""
+    mid, key, fr = _middle(ctx)
+    real = verify.enumerate_sublocales
+    n, p = ctx.sl(fr).n - 1, ctx.posets[mid].n
 
-    def fragment(sl):
-        if sl.host is fr:
-            raise ValueError("bent")
-        return real(sl)
+    def enumerate_(host, limit=None):
+        sl = real(host, limit)
+        if host is not fr:
+            return sl
+        bent = copy.copy(sl)
+        bent.n = n
+        return bent
 
-    _static_fail(monkeypatch, "boolean-fragment", "complemented_fragment", fragment,
-                 {"frames": len(ctx.frames)}, f"S_l is not Boolean on {key}: bent")
+    _static_fail(monkeypatch, "boolean-fragment", "enumerate_sublocales", enumerate_,
+                 {"frames": len(ctx.frames)},
+                 f"S_l is not Boolean on {key}: {n} sublocales, poset size {p}")
 
 
 @pytest.mark.parametrize("own, line", [
