@@ -12,10 +12,11 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the median wall time of N runs of default `verify` and of
   `verify --max-poset 5`, each in a fresh interpreter, in seconds and in
   probe units (`median_probe_units`, and `runs_probe_units` per run). Each
-  child times PROBES `probe_kernel` runs first, then the run from its
-  `import localelab.cli` on, so interpreter start-up is left out, and each
-  run's wall time is divided by the median of the probes its own child
-  timed: the probe shares the run's process and the speed phase it starts in;
+  child times its run from its `import localelab.cli` on, so interpreter
+  start-up is left out. While it runs, this process, pinned to the child's
+  vCPU, times `probe_kernel` every PROBE_PERIOD_S, as `perfbench/run.py`
+  does, and the run's wall time is divided by the mean of those probes: they
+  span the run, so they see a speed phase that starts inside it;
 - the cold start: the median over 11 fresh interpreters of the time
   `import localelab.cli` takes, of the time the poset classes of sizes 1..5
   take after it (`poset_classes_5_s`), of the time `corpus_frames(5)` then
@@ -82,7 +83,9 @@ interpreters with the same `PYTHONPATH`. One entry records:
   (`sl_build_5_s`);
 - the median over five passes of `points_of`, `is_spatial` and
   `spatialization` over the 78 corpus-5 frames of at most 16 elements
-  (`points_5_s`); the three cache nothing, so every pass is cold;
+  (`points_5_s`); the three cache nothing, so every pass is cold. pt(L) has
+  no size bound, but the frames stay those the earlier point bound admitted,
+  so that entries stay comparable;
 - `probe_s`: the median time of `probe_kernel`, a fixed slice of pure-Python
   work (the probe of `perfbench/run.py`), run PROBES times before each of the
   timing groups above and once more after the last. It tracks the machine's
@@ -95,15 +98,15 @@ interpreters with the same `PYTHONPATH`. One entry records:
   timed right before that pass, so that a speed phase that starts inside a
   group is seen by the passes it hits. One run of about half a millisecond
   is too short to track the machine's speed; the median of PROBES is not.
-  The `verify` groups take their probes inside each child, as above.
+  The `verify` groups probe alongside each child, as above.
 
-Pin the run to one CPU (`taskset -c 1 python3 bench/bench.py`) on a
-machine whose cores change speed; the child interpreters inherit the pin.
+The script pins itself to one vCPU of those it may use, and the child
+interpreters inherit the pin; `taskset -c 1 python3 bench/bench.py` picks
+which one.
 """
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -132,26 +135,22 @@ classes = time.perf_counter()
 corpus_frames(5)
 print(imported - start, classes - imported, time.perf_counter() - classes)
 """
-# one timed `localelab` run of _wall, after the source of probe_kernel and
-# run as `-c code PROBES ARGV...`: the median of PROBES probe_kernel runs,
-# then the CLI on ARGV, timed from its import on; prints the two times
+# one timed `localelab` run of _wall, run as `-c code ARGV...`: the CLI on
+# ARGV, timed from its import on; prints the time
 WALL_CHILD = """
 import os, sys, time
-probes = []
-for _ in range(int(sys.argv[1])):
-    t0 = time.perf_counter()
-    probe_kernel()
-    probes.append(time.perf_counter() - t0)
 start = time.perf_counter()
 with open(os.devnull, "w") as sys.stdout:
     from localelab.cli import main
-    code = main(sys.argv[2:])
+    code = main(sys.argv[1:])
 wall = time.perf_counter() - start
 sys.stdout = sys.__stdout__
 if code:
     raise SystemExit(code)
-print(wall, sorted(probes)[len(probes) // 2])
+print(wall)
 """
+# how often _wall times probe_kernel while a child runs (perfbench/run.py's period)
+PROBE_PERIOD_S = 0.02
 # S_l bound that admits the lattices the transfer builds read: the largest
 # corpus-4 frame has 16 elements
 SL_LIMIT = 16
@@ -195,17 +194,28 @@ def _commit() -> str:
 
 def _wall(argv, runs):
     """The wall times of runs child `localelab` runs of argv, in seconds and
-    in probe units: each run's time divided by the median of the PROBES
-    probes its child timed right before it (WALL_CHILD)."""
+    in probe units: each run's time divided by the mean time of the
+    `probe_kernel` runs this process timed every PROBE_PERIOD_S, on the same
+    vCPU, while the child ran."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    code = inspect.getsource(probe_kernel) + WALL_CHILD
     times, units = [], []
     for _ in range(runs):
-        out = subprocess.run([sys.executable, "-c", code, str(PROBES), *argv], env=env,
-                             check=True, capture_output=True, text=True).stdout
-        wall, probe = (float(x) for x in out.split())
-        times.append(wall)
-        units.append(wall / probe)
+        proc = subprocess.Popen([sys.executable, "-c", WALL_CHILD, *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        probes = []
+        while True:
+            time.sleep(PROBE_PERIOD_S)
+            start = time.perf_counter()
+            probe_kernel()
+            probes.append(time.perf_counter() - start)
+            if proc.poll() is not None:
+                break
+        out = proc.stdout.read()
+        proc.stdout.close()
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, argv)
+        times.append(float(out))
+        units.append(times[-1] / statistics.mean(probes))
     return {"median_s": round(statistics.median(times), 3), "runs_s": [round(t, 3) for t in times],
             "median_probe_units": round(statistics.median(units), 1),
             "runs_probe_units": [round(u, 1) for u in units]}
@@ -404,6 +414,8 @@ def point_timings():
     from localelab.corpus import corpus_frames
     from localelab.points import is_spatial, points_of, spatialization
 
+    # the 78 frames the earlier point bound of 16 admitted, so that points_5_s
+    # stays comparable with entries taken under it
     frames = [(fr,) for _, fr in corpus_frames(5) if fr.n <= 16]
     out = {}
     for fn in (points_of, is_spatial, spatialization):
@@ -425,6 +437,9 @@ def main(argv=None):
         "cpus": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
     }
+    if hasattr(os, "sched_setaffinity"):
+        # children inherit this, so each verify run and _wall's probes share one vCPU
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     groups = {
         "verify_default": lambda: _wall(["verify"], args.runs),
         "verify_max_poset_5": lambda: _wall(["verify", "--max-poset", "5"], args.runs),

@@ -13,7 +13,7 @@ import sys
 
 from .corpus import _poset_classes, corpus_frames
 from .errors import BadConfig, LocaleLabError, SizeLimit, UnknownWitness
-from .hops import HOperator, check_h, complemented_fragment, initial_h
+from .hops import HOperator, check_h, initial_h
 from .interior import check_interior, initial_interior
 from .points import points_of, pt_space
 from .serialize import (
@@ -148,8 +148,7 @@ def cmd_verify(args) -> int:
         save_json(args.report, report)
         print(f"wrote {args.report}")
     if args.profile:  # wall time per check, the run's cache and operator-kernel counters
-        caches = (_poset_classes, corpus_frames, _enumerate, _transfer_cached,
-                  complemented_fragment)
+        caches = (_poset_classes, corpus_frames, _enumerate, _transfer_cached)
         save_json(args.profile, {"check_seconds": times, "caches": {
             fn.__name__: fn.cache_info()._asdict() for fn in caches},
             "operator_kernels": kernels})

@@ -12,12 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeLimit
 from .lattice import FiniteSpace, Frame, bits, frame_of_space
 from .maps import ContinuousMap, FrameHom
-from .sublocales import size_limit
-
-POINT_SIZE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -39,15 +35,9 @@ class Point:
         return {self.host.labels[a]: self.filter >> a & 1 for a in range(self.host.n)}
 
 
-def points_of(frame: Frame, limit=None) -> list:
+def points_of(frame: Frame) -> list:
     """All points of the frame, sorted by filter mask: one per prime p, sending
-    exactly the elements not below p to 1."""
-    bound = limit if limit is not None else size_limit(POINT_SIZE_LIMIT)
-    if frame.n > bound:
-        raise SizeLimit(
-            f"|L| = {frame.n} exceeds the point enumeration bound {bound}",
-            witness=(frame.n, bound),
-        )
+    exactly the elements not below p to 1; one pass, so no size bound applies."""
     filters = sorted(frame.full_mask & ~frame.dn[p] for p in bits(frame.primes))
     return [Point(frame, filt) for filt in filters]
 

@@ -26,11 +26,11 @@ from .maps import LocalicMap
 DEFAULT_SIZE_LIMIT = 12
 
 
-def size_limit(default: int = DEFAULT_SIZE_LIMIT) -> int:
-    """The enumeration bound: LOCALELAB_SIZE_LIMIT when set, else `default`."""
+def size_limit() -> int:
+    """The S_l enumeration bound: LOCALELAB_SIZE_LIMIT when set, else 12."""
     raw = os.environ.get("LOCALELAB_SIZE_LIMIT")
     if raw is None:
-        return default
+        return DEFAULT_SIZE_LIMIT
     try:
         return int(raw)
     except ValueError:

@@ -270,7 +270,7 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     assert sorted(profile["check_seconds"]) == ["initial-h", "initial-interior", "poset-counts"]
     assert all(s >= 0 for s in profile["check_seconds"].values())
     assert sorted(profile["caches"]) == ["_enumerate", "_poset_classes", "_transfer_cached",
-                                         "complemented_fragment", "corpus_frames"]
+                                         "corpus_frames"]
     for info in profile["caches"].values():
         assert sorted(info) == ["currsize", "hits", "maxsize", "misses"]
     assert profile["caches"]["_transfer_cached"]["hits"] > 0
@@ -383,27 +383,24 @@ def test_verify_small_corpus_shortfalls_have_witnesses(files, capsys):
 
 
 def test_verify_reads_the_size_bound_once(monkeypatch, capsys):
-    # the S_l bound is read when the run starts, never inside the kernels;
-    # the point bound is read by points_of alone, so neither count grows
-    # with the operator work
-    import localelab.points
+    # the S_l bound is read when the run starts, never inside the kernels, so
+    # the count does not grow with the operator work
     import localelab.sublocales
     import localelab.verify
 
     real = localelab.sublocales.size_limit
     reads = []
 
-    def counted(*args):
-        reads.append(args)
-        return real(*args)
+    def counted():
+        reads.append(real())
+        return reads[-1]
 
-    for module in (localelab.sublocales, localelab.verify, localelab.points):
+    for module in (localelab.sublocales, localelab.verify):
         monkeypatch.setattr(module, "size_limit", counted)
     counts = []
     for samples in ("0", "100"):
         reads.clear()
         assert main(["verify", "--max-poset", "3", "--samples", samples]) == 0
-        counts.append((reads.count(()), len(reads)))
+        counts.append(len(reads))
     capsys.readouterr()
-    assert counts[0] == counts[1]
-    assert counts[1][0] == 1
+    assert counts == [1, 1]

@@ -38,7 +38,7 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.errors import LocaleLabError, NotAPoset, NotLocalic, NotMeetClosed, SizeLimit
+from localelab.errors import LocaleLabError, NotAPoset, NotLocalic, NotMeetClosed
 from localelab import points, sublocales, verify
 from localelab.hops import (
     HInitialReport,
@@ -303,7 +303,7 @@ def test_trivial_frame_has_no_points():
 def test_sigma_pass_matches_point_calls():
     """pt_space, spatialization and is_spatial read sigma off one pass over
     the point filters; each agrees with the scans that call every point."""
-    for fr in [fr for fr in CORPUS5 if fr.n <= 16] + FIXTURES:
+    for fr in CORPUS5 + FIXTURES:
         pts = points_of(fr)
         sig = [brute_sigma(pts, a) for a in range(fr.n)]
         assert [sigma(fr, a, pts) for a in range(fr.n)] == sig, fr
@@ -323,22 +323,27 @@ def test_is_spatial_failures_match_point_calls(monkeypatch, fixture):
     scan's, in its row-major order."""
     fr = fixture()
     kept = points_of(fr)[1:]
-    monkeypatch.setattr(points, "points_of", lambda frame, limit=None: kept)
+    monkeypatch.setattr(points, "points_of", lambda frame: kept)
     rep, want = is_spatial(fr), brute_is_spatial(fr, kept)
     assert not rep.ok and rep.failures
     assert (rep.checked, rep.failures) == (want.checked, want.failures)
 
 
-def test_point_functions_raise_size_limit_above_the_bound(monkeypatch):
-    big = next(fr for fr in CORPUS5 if fr.n > 16)
-    kernels = (points_of, pt_space, spatialization, is_spatial)
-    for fn in kernels:
-        with pytest.raises(SizeLimit):
-            fn(big)
+def test_point_functions_ignore_the_sublocale_bound(monkeypatch):
+    # LOCALELAB_SIZE_LIMIT bounds S_l alone; pt(L) is one pass over the primes
     monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "2")
-    for fn in kernels:
-        with pytest.raises(SizeLimit):
-            fn(chain3())
+    assert len(points_of(chain3())) == 2
+    assert pt_space(chain3()).opens == (0, 2, 3)
+    assert spatialization(chain3()).table == (0, 1, 2)
+    assert is_spatial(chain3()).ok
+
+
+def test_every_corpus5_frame_has_one_point_per_poset_element():
+    # a frame of down-sets of P has one prime, so one point, per element of P
+    posets = [poset for n in range(1, 6) for poset in all_posets(n)]
+    assert len(posets) == len(CORPUS5) == 87
+    for poset, fr in zip(posets, CORPUS5):
+        assert len(points_of(fr)) == poset.n, fr
 
 
 # -- frame-level checks: each fact computed once per frame --------------------------

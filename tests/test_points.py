@@ -1,6 +1,4 @@
 """Points, the point space, spatialization, and sobrification."""
-import pytest
-
 from localelab.corpus import (
     chain3,
     chain4,
@@ -11,7 +9,6 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.errors import SizeLimit
 from localelab.lattice import FiniteSpace, build_frame, frame_of_space, order_iso
 from localelab.maps import check_frame_hom
 from localelab.points import (
@@ -44,12 +41,6 @@ def test_points_are_frame_homs_into_two():
         for p in points_of(fr):
             assert check_frame_hom(fr, two(), p.table).ok
             assert p(fr.top) == 1 and p(fr.bottom) == 0
-
-
-def test_points_size_limit():
-    fr = chain3()
-    with pytest.raises(SizeLimit):
-        points_of(fr, limit=2)
 
 
 def test_pt_space_fixtures():

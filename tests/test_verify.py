@@ -147,6 +147,16 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     assert digest == "28147482035aea1faa5342e96f8ebe2ae8867f99aec320c3724a011ddec3cffb"
 
 
+def test_exported_default_bound_leaves_the_report_bytes_alone(monkeypatch, tmp_path):
+    # LOCALELAB_SIZE_LIMIT bounds S_l alone, so exporting its default, 12,
+    # writes the pinned default bytes: pt(L) reads no bound
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "12")
+    path = tmp_path / "report.json"
+    save_json(str(path), run_verification(CorpusConfig()))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "28147482035aea1faa5342e96f8ebe2ae8867f99aec320c3724a011ddec3cffb"
+
+
 def test_maps_sweep_report_bytes_pinned(tmp_path):
     # the bytes of `localelab verify --max-poset 4 --budget 10000000
     # --samples 0 --checks galois-adjunction --seed 42 --report ...`: the
@@ -164,13 +174,16 @@ def test_maps_sweep_report_bytes_pinned(tmp_path):
 
 def test_max_poset_5_report_bytes_pinned(tmp_path):
     # the bytes of `localelab verify --max-poset 5 --report ...` (seed 42): the
-    # operator checks on the corpus-5 frames and maps
+    # operator checks on the corpus-5 frames and maps; pt(L) has no bound, so
+    # points-spatiality covers all 87 frames (ca3983d2c448... when it skipped)
     report = run_verification(CorpusConfig(max_poset_size=5))
     assert report["counts"]["frames"] == 87
+    row = next(r for r in report["checks"] if r["id"] == "points-spatiality")
+    assert (row["status"], row["detail"]) == ("pass", {"frames": 87, "spatial": 87})
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "ca3983d2c448ed9f187eaf08ce7727ac249c8558a1127d8487998dea72147002"
+    assert digest == "33feb4827ed53413dec6663c7a756829bd0ee79e8b3f952aab9e530906da5530"
 
 
 def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
