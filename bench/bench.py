@@ -366,7 +366,7 @@ def operator_timings():
     _median_time(out, "join_oracle_s", check, [("sublocale-join-oracle",)])
     _median_time(out, "join_oracle_5_s", check, [("sublocale-join-oracle",
                                                   _Ctx(CorpusConfig(max_poset_size=5)))])
-    transfers = [(idx, f, transfer_of(f, ctx.bound)) for idx, f in maps]
+    transfers = [(idx, f, transfer_of(f)) for idx, f in maps]
 
     def batches(tables_for, contexts):
         on = contexts.pop()

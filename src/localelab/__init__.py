@@ -74,7 +74,6 @@ from .lattice import (
     downset_frame,
     frame_of_space,
     heyting,
-    order_iso,
     pseudocomplement,
 )
 from .maps import (
@@ -110,7 +109,7 @@ __all__ = [
     "NotMeetClosed", "NotLocalic", "NotContinuous", "DomainMismatch", "HostMismatch",
     "EmptyFamily", "SizeLimit", "BadConfig", "UnknownWitness",
     "Poset", "Frame", "FiniteSpace", "build_frame", "heyting", "pseudocomplement",
-    "downset_frame", "frame_of_space", "order_iso",
+    "downset_frame", "frame_of_space",
     "two", "chain3", "chain4", "square", "sierpinski", "discrete_space",
     "indiscrete_space", "all_posets", "corpus_posets", "corpus_frames", "child_seed",
     "FrameHom", "LocalicMap", "ContinuousMap", "localic_map", "right_adjoint",

@@ -272,7 +272,7 @@ def _target_transfer(f: LocalicMap, op_m, op_l=None) -> SublocaleTransfer:
     if op_m is not None and op_m.lattice.host != f.target:
         raise HostMismatch("target operator does not live on the map's target frame",
                            witness=(op_m.lattice.host.key(), f.target.key()))
-    _admit(None, *[fr for fr, op in ((f.source, op_l), (f.target, op_m)) if op is None])
+    _admit(*[fr for fr, op in ((f.source, op_l), (f.target, op_m)) if op is None])
     return _transfer_cached(f)
 
 

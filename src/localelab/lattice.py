@@ -436,56 +436,6 @@ def frame_of_space(space: FiniteSpace) -> Frame:
     return Frame.from_order(Poset(labels, le))
 
 
-def order_iso(f: Frame, g: Frame):
-    """Find an order isomorphism f -> g as an index tuple, or None.
-
-    Backtracking with (|down-set|, |up-set|, height) invariants; meant for the
-    small frames used in tests and fixtures.
-    """
-    if f.n != g.n:
-        return None
-
-    def profile(fr):
-        h = fr.poset.heights()
-        return [
-            (fr.dn[i].bit_count(), fr.up[i].bit_count(), h[i]) for i in range(fr.n)
-        ]
-
-    pf, pg = profile(f), profile(g)
-    if sorted(pf) != sorted(pg):
-        return None
-    cands = [
-        [j for j in range(g.n) if pg[j] == pf[i]] for i in range(f.n)
-    ]
-    order = sorted(range(f.n), key=lambda i: len(cands[i]))
-    assign = [-1] * f.n
-    used = [False] * g.n
-
-    def back(k):
-        if k == f.n:
-            return True
-        i = order[k]
-        for j in cands[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in order[:k]:
-                j2 = assign[i2]
-                if f.le(i, i2) != g.le(j, j2) or f.le(i2, i) != g.le(j2, j):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if back(k + 1):
-                    return True
-                assign[i] = -1
-                used[j] = False
-        return False
-
-    return tuple(assign) if back(0) else None
-
-
 MAX_EXHAUSTIVE = 8  # the largest frame heyting_identity_report scans
 
 

@@ -13,7 +13,7 @@ from .hops import HOperator
 from .interior import InteriorOperator
 from .lattice import FiniteSpace, Frame, Poset, bits, build_frame, frame_of_space
 from .maps import ContinuousMap, LocalicMap, localic_map
-from .sublocales import SublocaleLattice, enumerate_sublocales
+from .sublocales import SublocaleLattice, as_mask, enumerate_sublocales
 
 
 def poset_to_json(poset: Poset) -> dict:
@@ -97,12 +97,9 @@ def sub_key(frame: Frame, mask: int) -> str:
 
 def sub_mask(frame: Frame, key: str) -> int:
     labels = json.loads(key) if key.startswith("[") else key.split(",")
-    mask = 0
-    for lab in labels:
-        if lab not in frame.index:
-            raise ValueError(f"unknown element {lab!r} in sublocale key {key!r}")
-        mask |= 1 << frame.index[lab]
-    return mask
+    if not all(isinstance(lab, str) for lab in labels):
+        raise ValueError(f"sublocale key {key!r} lists a member that is not a label")
+    return as_mask(frame, labels)
 
 
 def operator_to_json(op, frame_ref: str) -> dict:

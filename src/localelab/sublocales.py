@@ -41,14 +41,18 @@ def size_limit() -> int:
 
 
 def as_mask(frame: Frame, members) -> int:
-    """Coerce a member collection (bitmask, indices, or labels) to a bitmask."""
+    """Coerce a member collection (bitmask, indices, or labels) to a bitmask;
+    ValueError names a mask out of range or a member that is no element."""
     if isinstance(members, int):
         if not 0 <= members <= frame.full_mask:
             raise ValueError(f"mask {members:#x} out of range for |L|={frame.n}")
         return members
     m = 0
     for x in members:
-        m |= 1 << (frame.index[x] if isinstance(x, str) else int(x))
+        i = frame.index.get(x, -1) if isinstance(x, str) else int(x)
+        if not 0 <= i < frame.n:
+            raise ValueError(f"unknown element {x!r} for |L|={frame.n}")
+        m |= 1 << i
     return m
 
 
@@ -270,7 +274,7 @@ class SublocaleLattice:
         return self.n
 
 
-def _admit(limit: int | None, *hosts: Frame) -> None:
+def _admit(*hosts: Frame, limit: int | None = None) -> None:
     """SizeLimit at the first host past the bound of `enumerate_sublocales`."""
     bound = size_limit() if limit is None else limit
     for host in hosts:
@@ -295,7 +299,7 @@ def enumerate_sublocales(host: Frame, limit: int | None = None) -> SublocaleLatt
 
     The bound is `limit` when given, else LOCALELAB_SIZE_LIMIT (default 12).
     """
-    _admit(limit, host)
+    _admit(host, limit=limit)
     return _enumerate(host)
 
 
@@ -337,9 +341,9 @@ class AdjReport:
     to_json = asdict
 
 
-def check_adjunction(f: LocalicMap, limit: int | None = None) -> AdjReport:
+def check_adjunction(f: LocalicMap) -> AdjReport:
     """Verify f[S] <= T iff S <= f_-1[T] over all sublocale pairs."""
-    return adjunction_report(transfer_of(f, limit))
+    return adjunction_report(transfer_of(f))
 
 
 def adjunction_report(t: SublocaleTransfer) -> AdjReport:
@@ -486,9 +490,9 @@ def _transfer_cached(f: LocalicMap) -> SublocaleTransfer:
     return SublocaleTransfer.build(f)
 
 
-def transfer_of(f: LocalicMap, limit: int | None = None) -> SublocaleTransfer:
+def transfer_of(f: LocalicMap) -> SublocaleTransfer:
     """The memoized SublocaleTransfer of f, its frames admitted as by enumerate_sublocales."""
-    _admit(limit, f.source, f.target)
+    _admit(f.source, f.target)
     return _transfer_cached(f)
 
 

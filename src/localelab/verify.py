@@ -17,7 +17,7 @@ from functools import cached_property, partial
 from itertools import groupby
 
 from .corpus import all_posets, chain3, child_seed, corpus_frames, corpus_posets, square, two
-from .errors import SizeLimit, UnknownWitness
+from .errors import UnknownWitness
 from .hops import (
     HInitialReport,
     HOperator,
@@ -62,10 +62,12 @@ from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
     SublocaleTransfer,
     _adjunction_lanes,
+    _enumerate,
     _least_containing,
     _point_tables,
     _point_words,
     _sup_form,
+    _transfer_cached,
     adjunction_report,
     enumerate_sublocales,
     generation_check,
@@ -276,9 +278,8 @@ class _Ctx:
     def __init__(self, config: CorpusConfig, kernels=None):
         self.config = config
         # the S_l bound, read once, admits the frames that maps run between;
-        # `bound` raises it to admit the whole corpus
+        # every corpus frame's S_l is read from the per-frame cache
         self.map_bound = size_limit()
-        self.bound = max(self.map_bound, 1 << config.max_poset_size)
         self.posets = list(corpus_posets(config.max_poset_size))
         self.frames = list(corpus_frames(config.max_poset_size))
         # the frames maps run between, and a lane width that fits their points
@@ -309,7 +310,7 @@ class _Ctx:
         self.banks = {}
 
     def sl(self, frame):
-        return enumerate_sublocales(frame, self.bound)
+        return _enumerate(frame)
 
     def rng(self, *tag):
         return random.Random(child_seed(self.config.seed, *tag))
@@ -389,7 +390,7 @@ class _Ctx:
         out = []
         for idx, (f, g) in zip(range(250), self.composable_pairs(250)):
             rng = self.rng("compose", idx)
-            tf, tg = transfer_of(f, self.bound), transfer_of(g, self.bound)
+            tf, tg = _transfer_cached(f), _transfer_cached(g)
             n = _closed_draw(tg.target_lattice, rng)
             m = _continuous_draw(tg, n, rng)
             out.append((tf, tg, _continuous_draw(tf, m, rng), m, n))
@@ -407,7 +408,7 @@ class _Ctx:
         # frames are sampled too
         for idx, (g, f) in zip(range(80), self.composable_pairs(80)):
             rng = self.rng("universal", idx)
-            t = transfer_of(f, self.bound)
+            t = _transfer_cached(f)
             sln = self.sl(g.source)
             for m in (*_named(t.target_lattice), _closed_draw(t.target_lattice, rng)):
                 out.append((t, g, m, _closed_draw(sln, rng), _candidate(t, m)))
@@ -681,7 +682,7 @@ def _check_contractive_equivalence(ctx):
         if checked >= 400:
             break
         rng = ctx.rng("equiv", idx)
-        t = transfer_of(f, ctx.bound)
+        t = _transfer_cached(f)
         sll, slm, pre = t.source_lattice, t.target_lattice, t.preimage_table
         for _ in range(2):
             l, m = _closed_draw(sll, rng), _closed_draw(slm, rng)
@@ -789,7 +790,7 @@ def _check_initial(ctx, cid, tables_for, report, ids):
     checked = 0
     tallies = dict.fromkeys(ids, 0)
     for idx, f in enumerate(ctx.maps):
-        t = transfer_of(f, ctx.bound)
+        t = _transfer_cached(f)
         tl = t.target_lattice
         # the masks each gap kind is confirmed on; image_gap is f[L] != M
         unit, image_gap, counit = _confirmed(t, (-1, 1, -1))
@@ -831,7 +832,7 @@ def _check_initial(ctx, cid, tables_for, report, ids):
                     ctx.reg_hit(ids[kind], lambda: next(
                         w for w in witnesses(True) if w["anomaly"]["kind"] == kind), n)
     f_up = localic_map(two(), chain3(), (0, 2))
-    t = transfer_of(f_up, ctx.bound)
+    t = _transfer_cached(f_up)
     mandated_failed = bool(_lift(t, trivial_op(t.target_lattice).table)[1][2])
     if mandated_failed:
         ctx.reg_hit(ids["top-gap"])
@@ -878,7 +879,7 @@ def _check_coarseness(ctx):
         if checked >= 300:
             break
         rng = ctx.rng("coarse", idx)
-        t = transfer_of(f, ctx.bound)
+        t = _transfer_cached(f)
         sl, tl = t.source_lattice, t.target_lattice
         m = _closed_draw(tl, rng)
         l = _continuous_draw(t, m, rng)
@@ -955,7 +956,7 @@ def _check_open_preimage(ctx):
     for idx, f in enumerate(ctx.maps):
         if f.source.n > 5 or f.target.n > 5:
             continue
-        t = transfer_of(f, ctx.bound)
+        t = _transfer_cached(f)
         pairs = [(range(t.source_lattice.n), m) for m in _named(t.target_lattice)]
         if ctx.sampling:
             rng = ctx.rng("open-pre", idx)
@@ -1030,10 +1031,7 @@ def run_verification(config: CorpusConfig, progress=None, kernels=None) -> dict:
     rows = []
     for cid in config.selected():
         start = time.perf_counter()
-        try:
-            status, detail, witness = CHECKS[cid](ctx)
-        except SizeLimit as exc:
-            status, detail, witness = "skip", {"reason": str(exc)}, None
+        status, detail, witness = CHECKS[cid](ctx)
         rows.append({"id": cid, "status": status, "detail": detail, "witness": witness})
         if progress is not None:
             progress(rows[-1], time.perf_counter() - start)
@@ -1178,7 +1176,7 @@ def _trace_initial_h_top(w):
 
 def _trace_discrete_h_not_largest(w):
     fr = frame_from_json(w["frame"])
-    sl = enumerate_sublocales(fr, limit=fr.n)
+    sl = _enumerate(fr)
     const_top = HOperator(sl, (sl.top,) * sl.n)
     d = discrete_h(sl)
     rep = check_h(const_top)

@@ -1,4 +1,4 @@
-"""The names `bench/bench.py` imports from localelab.
+"""The names `bench/bench.py` imports from localelab, and the package's `__all__`.
 
 The bench script runs outside the Tier-1 suite and imports private kernels
 by name inside its timing functions, and its cold-start probe imports
@@ -7,7 +7,10 @@ only when it runs. Every import of localelab in it is checked here.
 """
 import ast
 import importlib
+import inspect
 import os
+
+import localelab
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench", "bench.py")
 
@@ -37,3 +40,12 @@ def test_every_name_bench_imports_from_localelab_exists():
     for module, name in found:
         imported = importlib.import_module(module)
         assert name is None or hasattr(imported, name), (module, name)
+
+
+def test_all_lists_exactly_the_public_names():
+    """Every name in `__all__` resolves, and every public name the package
+    binds, its submodules aside, is listed."""
+    assert all(hasattr(localelab, name) for name in localelab.__all__)
+    public = {name for name, value in vars(localelab).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public <= set(localelab.__all__)

@@ -1304,7 +1304,7 @@ def test_counted_gaps_match_materialized_anomalies():
     ctx = _Ctx(CorpusConfig())
     lifts = 0
     for idx, f in enumerate(ctx.maps):
-        t = transfer_of(f, ctx.bound)
+        t = transfer_of(f)
         tl = t.target_lattice
         for tables_for, report, initial, brute in (
                 (_ops_for_initial, InitialReport, initial_interior, brute_initial_interior),
@@ -1660,7 +1660,7 @@ def test_operator_check_kernels_match_oracles():
     stride = max(1, len(ctx.maps) // 200)
     for idx, f in enumerate(ctx.maps[::stride][:200:STRIDE]):
         rng = ctx.rng("equiv", idx * STRIDE)
-        t = transfer_of(f, ctx.bound)
+        t = transfer_of(f)
         sll, slm, pre = t.source_lattice, t.target_lattice, t.preimage_table
         for _ in range(2):
             l, m = _closed_draw(sll, rng), _closed_draw(slm, rng)
@@ -1704,7 +1704,7 @@ def test_operator_check_kernels_match_oracles():
         if idx % STRIDE:
             continue
         rng, slow = ctx.rng("coarse", idx), ctx.rng("coarse", idx)
-        t = transfer_of(f, ctx.bound)
+        t = transfer_of(f)
         sl, tl = t.source_lattice, t.target_lattice
         m = _closed_draw(tl, rng)
         l = _continuous_draw(t, m, rng)
@@ -1753,7 +1753,7 @@ def test_operator_check_kernels_match_oracles():
     for idx, f in enumerate(ctx.maps):
         if idx % STRIDE or f.source.n > 5 or f.target.n > 5:
             continue
-        t = transfer_of(f, ctx.bound)
+        t = transfer_of(f)
         sl, tl, pre = t.source_lattice, t.target_lattice, brute_preimage_table(t)
         rng = ctx.rng("open-pre", idx)
         pairs = [(range(sl.n), xs) for xs in verify._named(tl)]

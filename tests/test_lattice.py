@@ -21,7 +21,6 @@ from localelab import (
     downset_frame,
     frame_of_space,
     heyting,
-    order_iso,
     pseudocomplement,
 )
 from localelab.corpus import (
@@ -30,10 +29,13 @@ from localelab.corpus import (
     NO_LATTICE_LABELS,
     NO_LATTICE_PAIRS,
     all_posets,
+    canonical_poset_key,
     chain3,
     chain4,
+    corpus_frames,
     discrete_space,
     indiscrete_space,
+    posets_are_isomorphic,
     sierpinski,
     square,
     two,
@@ -43,6 +45,11 @@ from oracles import join_of, meet_of
 
 
 # -- oracles ------------------------------------------------------------
+
+def _iso(f, g) -> bool:
+    """Are the two frames order-isomorphic? Read off the canonical codes."""
+    return posets_are_isomorphic(f.poset, g.poset)
+
 
 def oracle_meet(frame, a, b):
     """Greatest lower bound computed from the order alone; None if absent."""
@@ -173,11 +180,11 @@ def count_downsets(p: Poset) -> int:
 
 def test_downset_frame_fixture_shapes():
     point = Poset.from_pairs(("p",), ())
-    assert order_iso(downset_frame(point), two()) is not None
+    assert _iso(downset_frame(point), two())
     c2 = Poset.from_pairs(("a", "b"), (("a", "b"),))
-    assert order_iso(downset_frame(c2), chain3()) is not None
+    assert _iso(downset_frame(c2), chain3())
     a2 = Poset.from_pairs(("a", "b"), ())
-    assert order_iso(downset_frame(a2), square()) is not None
+    assert _iso(downset_frame(a2), square())
 
 
 def test_downset_frame_element_counts():
@@ -201,9 +208,9 @@ def test_downset_frame_random_posets(n, data):
 # -- spaces ----------------------------------------------------------------
 
 def test_frame_of_space_fixtures():
-    assert order_iso(frame_of_space(sierpinski()), chain3()) is not None
-    assert order_iso(frame_of_space(discrete_space(2)), square()) is not None
-    assert order_iso(frame_of_space(indiscrete_space(2)), two()) is not None
+    assert _iso(frame_of_space(sierpinski()), chain3())
+    assert _iso(frame_of_space(discrete_space(2)), square())
+    assert _iso(frame_of_space(indiscrete_space(2)), two())
 
 
 def test_frame_of_space_ops_are_set_ops():
@@ -234,7 +241,7 @@ def test_downset_frame_roundtrips_through_space():
             if all(p.dn[i] & ~m == 0 for i in bits(m)):
                 opens.append(m)
         x = FiniteSpace(p.labels, opens)
-        assert order_iso(frame_of_space(x), f) is not None
+        assert _iso(frame_of_space(x), f)
 
 
 # -- complete Heyting identities -------------------------------------------
@@ -254,9 +261,14 @@ def test_sup_arrow_display_form_falsified_on_chain3():
     assert fal["witness"] == {"A": ["0", "m"], "b": "0", "lhs": "0", "rhs": "1"}
 
 
-def test_order_iso_rejects_nonisomorphic():
-    assert order_iso(chain4(), square()) is None
-    assert order_iso(two(), chain3()) is None
+def test_corpus_5_frames_are_pairwise_nonisomorphic():
+    # D(P) and D(Q) are isomorphic iff P and Q are, so distinct canonical
+    # keys of the frames' orders separate every pair of corpus frames
+    frames = [fr for _, fr in corpus_frames(5)]
+    assert len(frames) == 87
+    assert len({(fr.n, canonical_poset_key(fr.poset)) for fr in frames}) == 87
+    assert not _iso(chain4(), square())
+    assert not _iso(two(), chain3())
 
 
 def test_frame_equality_and_keys():

@@ -86,6 +86,8 @@ def test_sub_key_forms():
     assert key.startswith("[") and sub_mask(frd, key) == m
     with pytest.raises(ValueError):
         sub_mask(fr, "0,zz")
+    with pytest.raises(ValueError):
+        sub_mask(fr, "[0, 1]")
 
 
 def test_operator_file_round_trip(tmp_path):

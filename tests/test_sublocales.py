@@ -102,6 +102,17 @@ def test_sloc_core_examples():
         sloc_core(square(), ["0", "a"])
 
 
+def test_members_that_are_no_element_raise_value_error():
+    """An index past either end or an unknown label is refused by name, as an
+    out-of-range mask is, before any table is read."""
+    for members, bad in (([0, 2, 5], "5"), ([0, 2, -1], "-1"), (["0", "1", "zz"], "'zz'")):
+        for check in (is_sublocale, sloc_core, sublocale):
+            with pytest.raises(ValueError, match=f"unknown element {bad} "):
+                check(chain3(), members)
+    with pytest.raises(ValueError, match="mask 0x8 out of range"):
+        is_sublocale(chain3(), 8)
+
+
 def test_sloc_core_is_greatest_sublocale_inside():
     for f in small_frames(5):
         sl = enumerate_sublocales(f)
@@ -179,21 +190,24 @@ def test_size_limit_env_bounds_transfers_kernels_and_runs(monkeypatch):
     monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "3")
     with pytest.raises(SizeLimit):
         transfer_of(f)
-    assert transfer_of(f, limit=4).source_lattice.n == 8
     with pytest.raises(SizeLimit):
         initial_interior(f, op)
     report = run_verification(CorpusConfig(max_poset_size=2, checks=("poset-counts",)))
     assert report["counts"]["frames_beyond_map_bound"] == 1
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "4")
+    assert transfer_of(f).source_lattice.n == 8
 
 
-def test_one_lattice_and_one_transfer_per_frame_and_map():
+def test_one_lattice_and_one_transfer_per_frame_and_map(monkeypatch):
     """S_l(L) is determined by L: every bound that admits a frame gives the
     one lattice of it, and every bound that admits a map's frames its one
     transfer, which reads those lattices."""
     f = right_adjoint(chain3(), chain4(), enumerate_frame_homs(chain3(), chain4())[0])
     for fr in (chain3(), chain4(), square()):
         assert enumerate_sublocales(fr, 12) is enumerate_sublocales(fr, 16)
-    assert transfer_of(f, 12) is transfer_of(f, 16) is transfer_of(f)
+    t = transfer_of(f)
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", "16")
+    assert transfer_of(f) is t
     assert transfer_of(f).source_lattice is enumerate_sublocales(chain4(), 4)
     assert transfer_of(f).target_lattice is enumerate_sublocales(chain3())
 

@@ -533,7 +533,7 @@ def test_coarseness_reports_an_unexplained_gap(monkeypatch, ctx):
             gap = op_le_gap(bend(initial(f, m).candidate, f, op_m.table), l)
             if gap is None:
                 continue
-            t = transfer_of(f, ctx.bound)
+            t = transfer_of(f)
             if t.adjunction_gaps[0] >> t.source_lattice.labels.index(gap) & 1:
                 detail[key] += 1
             else:
@@ -748,11 +748,10 @@ def test_complement_laws_fail_on_a_wrong_complement(monkeypatch, ctx, at_top, li
     sl = ctx.sl(fr)
     at = sl.top if at_top else sl.bottom
     assert sl.bottom == 0
-    real = verify.enumerate_sublocales
+    real = verify._enumerate
     pairs = sum(ctx.sl(f).n for _, f in ctx.frames[:mid]) + 1
-    _static_fail(monkeypatch, "complement-laws", "enumerate_sublocales",
-                 lambda f, limit=None: _BentComplement(real(f, limit), at, at) if f is fr
-                 else real(f, limit),
+    _static_fail(monkeypatch, "complement-laws", "_enumerate",
+                 lambda f: _BentComplement(real(f), at, at) if f is fr else real(f),
                  {"pairs": pairs}, line.format(key=key, label=sl.label(sl.bottom)))
 
 
@@ -791,18 +790,18 @@ def test_sublocale_join_oracle_fails_on_a_wrong_join(monkeypatch, ctx):
 def test_boolean_fragment_fails_on_a_wrong_lattice_size(monkeypatch, ctx):
     """The middle frame's lattice reports one sublocale too few."""
     mid, key, fr = _middle(ctx)
-    real = verify.enumerate_sublocales
+    real = verify._enumerate
     n, p = ctx.sl(fr).n - 1, ctx.posets[mid].n
 
-    def enumerate_(host, limit=None):
-        sl = real(host, limit)
+    def enumerate_(host):
+        sl = real(host)
         if host is not fr:
             return sl
         bent = copy.copy(sl)
         bent.n = n
         return bent
 
-    _static_fail(monkeypatch, "boolean-fragment", "enumerate_sublocales", enumerate_,
+    _static_fail(monkeypatch, "boolean-fragment", "_enumerate", enumerate_,
                  {"frames": len(ctx.frames)},
                  f"S_l is not Boolean on {key}: {n} sublocales, poset size {p}")
 
