@@ -45,7 +45,7 @@ interpreters with the same `PYTHONPATH`. One entry records:
   `--samples 0` does, so that no pass reads transfers an earlier one cached;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, target table) pairs of the initial checks of default `verify`:
-  `initial_interior` on its 13,620 lifts and `initial_h` on the 9,080
+  `initial_interior` on its 54,480 lifts and `initial_h` on the 36,320
   lifts of initial-h, each on an operator built from the check's table
   beforehand. A lift returns its report with the candidate operator not
   yet built;
@@ -56,12 +56,12 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the median over five passes of the lane-packed kernels as the initial
   checks run them, one batch per map: `batched_draws_s` asks a fresh
   context for initial-interior's batch of every map, which draws its banks
-  (BANK batches per target frame, each of the discrete and trivial tables
-  and ten draws: 92 draw kernel calls over the 23 targets), and
-  `batched_draws_h_s` does the same for initial-h (six draws per batch,
+  (one batch per target frame, of the discrete and trivial tables and 46
+  draws: 23 draw kernel calls over the 23 targets), and
+  `batched_draws_h_s` does the same for initial-h (30 draws per bank,
   then their cores). `batched_lift_s` and
-  `batched_lift_h_s` lift each map's bank batch through its transfer with
-  the one lift kernel, `_lift` (13,620 tables, and the cores of 9,080),
+  `batched_lift_h_s` lift each map's bank through its transfer with
+  the one lift kernel, `_lift` (54,480 tables, and the cores of 36,320),
   next to the one-lane public lifts above;
 - the median over five passes of each of the seven per-object operator
   checks of default `verify` (contractive-equivalence, composition-interior,
@@ -322,14 +322,11 @@ def operator_timings():
     )
 
     ctx = _Ctx(CorpusConfig())
-    maps = list(enumerate(ctx.maps))
+    maps = ctx.maps
 
     def lifts(tables_for, op_type):
-        def tables(idx, f):
-            for b in tables_for(ctx, f, idx):
-                yield from (b.lane(j) for j in range(b.lanes))
-
-        return [(f, op_type(ctx.sl(f.target), table)) for idx, f in maps for table in tables(idx, f)]
+        return [(f, op_type(ctx.sl(f.target), b.lane(j)))
+                for f in maps for b in [tables_for(ctx, f)] for j in range(b.lanes)]
 
     def check(cid, on=ctx):
         CHECKS[cid](on)
@@ -366,15 +363,15 @@ def operator_timings():
     _median_time(out, "join_oracle_s", check, [("sublocale-join-oracle",)])
     _median_time(out, "join_oracle_5_s", check, [("sublocale-join-oracle",
                                                   _Ctx(CorpusConfig(max_poset_size=5)))])
-    transfers = [(idx, f, transfer_of(f)) for idx, f in maps]
+    transfers = [(f, transfer_of(f)) for f in maps]
 
     def batches(tables_for, contexts):
         on = contexts.pop()
-        for idx, f, _ in transfers:
-            list(tables_for(on, f, idx))
+        for f, _ in transfers:
+            tables_for(on, f)
 
     def batched_lifts(key, tables_for):
-        items = [(t, b.masks, b.ones) for idx, f, t in transfers for b in tables_for(ctx, f, idx)]
+        items = [(t, b.masks, b.ones) for f, t in transfers for b in [tables_for(ctx, f)]]
         _median_time(out, key, _lift, items)
 
     for key, tables_for in (("batched_draws_s", _ops_for_initial),

@@ -15,6 +15,7 @@ survives as a test oracle.
 """
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
@@ -49,7 +50,10 @@ def as_mask(frame: Frame, members) -> int:
         return members
     m = 0
     for x in members:
-        i = frame.index.get(x, -1) if isinstance(x, str) else int(x)
+        try:
+            i = frame.index.get(x, -1) if isinstance(x, str) else operator.index(x)
+        except TypeError:
+            i = -1
         if not 0 <= i < frame.n:
             raise ValueError(f"unknown element {x!r} for |L|={frame.n}")
         m |= 1 << i

@@ -56,7 +56,7 @@ from .interior import (
     trivial_op,
 )
 from .lattice import bits, heyting_identity_report, set_label
-from .maps import _adjoint_points, localic_map, localic_maps
+from .maps import _adjoint_points, _adjoint_table, check_frame_hom, localic_map, localic_maps
 from .points import _sigma, _spatiality, points_of
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
@@ -77,7 +77,7 @@ from .sublocales import (
 )
 
 ARTIFACT = "localelab-verification"
-ARTIFACT_VERSION = 6
+ARTIFACT_VERSION = 7
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
 
@@ -267,11 +267,9 @@ def _static_witnesses():
 # -- context --------------------------------------------------------------------
 
 # Tables per batch of the operator kernels. A fixed bound keeps the packed ints
-# short, so that the work grows linearly with the number of draws.
-LANES = 16
-# Batches per target frame and initial check, drawn once per run; map idx
-# lifts batch idx % BANK of its target's bank.
-BANK = 4
+# short, so that the work grows linearly with the number of draws; 64 holds a
+# whole initial-check bank (2 named tables and at most 46 draws) in one batch.
+LANES = 64
 
 
 class _Ctx:
@@ -329,15 +327,13 @@ class _Ctx:
             draws, base, lanes = draws - count, None, 0
 
     def bank(self, tag, frame, draws, core=False):
-        """The BANK batches of tag on frame, drawn on first ask: batch j holds
-        the discrete and trivial tables and `draws` draws from rng(tag,
-        frame.key(), j), their cores when core."""
+        """The batch of tag on frame, drawn on first ask: the discrete and
+        trivial tables and `draws` draws from rng(tag, frame.key()), their
+        cores when core."""
         if (tag, frame) not in self.banks:
             sl = self.sl(frame)
-            bank = [b for j in range(BANK) for b in self.batches(
-                sl, self.rng(tag, frame.key(), j), draws, self.bank_width, named=True)]
-            self.banks[tag, frame] = [b._replace(masks=_core(sl, b.masks, b.ones))
-                                      for b in bank] if core else bank
+            (b,) = self.batches(sl, self.rng(tag, frame.key()), draws, self.bank_width, named=True)
+            self.banks[tag, frame] = b._replace(masks=_core(sl, b.masks, b.ones)) if core else b
         return self.banks[tag, frame]
 
     def reg_hit(self, rid, build_witness=None, hits=1):
@@ -566,11 +562,15 @@ def _check_galois_adjunction(ctx):
         img, pre = (_Batch.of(_point_tables(w), len(maps), width) for w in words)
         bad = _adjunction_lanes(img, pre)
         for m, f in enumerate(maps):
+            adjoint = _adjoint_table(f)
+            hom = check_frame_hom(f.target, f.source, adjoint)
             if bad >> m & 1:
                 t = SublocaleTransfer(f, ctx.sl(f.source), ctx.sl(f.target),
                                       tuple(img.lane(m)), tuple(pre.lane(m)))
                 line = f"adjunction fails for {f.describe()}: {adjunction_report(t).witness}"
-            elif _adjoint_points(f.target, f.source, f.adjoint.table) != f.points:
+            elif not hom.ok:
+                line = f"left adjoint of {f.describe()} breaks the {hom.law} law at {hom.witness}"
+            elif _adjoint_points(f.target, f.source, adjoint) != f.points:
                 line = f"left adjoint round trip differs for {f.describe()}"
             else:
                 continue
@@ -736,17 +736,15 @@ def _verdict(ctx, cid, detail, problem=None):
     return "pass", detail, None
 
 
-def _ops_for_initial(ctx, f, idx):
-    k = ctx.config.operator_samples_per_frame
-    return (ctx.bank("initial-ops", f.target, min(10, k))[idx % BANK],)
+def _ops_for_initial(ctx, f):
+    return ctx.bank("initial-ops", f.target, min(46, ctx.config.operator_samples_per_frame))
 
 
-def _h_ops_for_initial(ctx, f, idx):
-    # one more than the h samples: an interior draw read as h is a random_h draw;
-    # the bank holds the cores, which initial-h lifts as interior tables
+def _h_ops_for_initial(ctx, f):
+    # interior draws read as h are random_h draws; the bank holds their cores,
+    # which initial-h lifts as interior tables
     k = ctx.config.operator_samples_per_frame
-    bank = ctx.bank("initial-h-ops", f.target, min(5, k) + 1 if k else 0, core=True)
-    return (bank[idx % BANK],)
+    return ctx.bank("initial-h-ops", f.target, min(30, k), core=True)
 
 
 def _anomaly_witness(f, op, anomaly):
@@ -776,61 +774,55 @@ def _tally(gaps, confirmed, first, b):
 
 
 def _check_initial(ctx, cid, tables_for, report, ids):
-    """_lift through every map's transfer of the batches tables_for gives.
+    """_lift through every map's transfer of the batch tables_for gives, its
+    target's bank.
 
     Monotonicity (the second of report._AXIOMS) must hold for every induced
     operator, and the top law (the third) must hold when f[L] = M; ids maps each
     anomaly kind to its registry entry, and the "top-gap" entry also records
     the mandated TWO -> CHAIN3 trivial counterexample. A batch adds its
     confirmed (lane, index) gaps to the tallies. One that holds a failure, an
-    unconfirmed gap or a registry entry's first witness is walked: split into
-    one-lane batches, in table order, whose operators and reports (of class
-    report) are built on demand.
+    unconfirmed gap or a registry entry's first witness is walked instead: one
+    lane at a time, in table order, each read off its report of class report.
     """
     checked = 0
     tallies = dict.fromkeys(ids, 0)
-    for idx, f in enumerate(ctx.maps):
+    for f in ctx.maps:
         t = _transfer_cached(f)
-        tl = t.target_lattice
         # the masks each gap kind is confirmed on; image_gap is f[L] != M
         unit, image_gap, counit = _confirmed(t, (-1, 1, -1))
-        todo = list(tables_for(ctx, f, idx))[::-1]
-        while todo:
-            b = todo.pop()
-            lifted = _lift(t, b.masks, b.ones)
-            (gaps, bad, top_gap), continuity = lifted[1:]
-            found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top_gap], image_gap, False),
-                     "continuity-gap": (continuity, counit, report._FIRST)}
-            hits = {kind: _tally(*found[kind], b) for kind in ids}
-            if b.lanes > 1 and (bad or top_gap and not image_gap or any(
-                    loose or n and ctx.registry[ids[kind]]["witness"] is None
-                    for kind, (n, loose) in hits.items())):
-                ctx.kernels["batches_walked"] += 1
-                todo += [_Batch.of(b.lane(j), 1, b.width) for j in reversed(range(b.lanes))]
-                continue
+        b = tables_for(ctx, f)
+        ctx.kernels["tables_lifted"] += b.lanes
+        (gaps, bad, top_gap), continuity = _lift(t, b.masks, b.ones)[1:]
+        found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top_gap], image_gap, False),
+                 "continuity-gap": (continuity, counit, report._FIRST)}
+        hits = {kind: _tally(*found[kind], b) for kind in ids}
+        if not (bad or top_gap and not image_gap or any(
+                loose or n and ctx.registry[ids[kind]]["witness"] is None
+                for kind, (n, loose) in hits.items())):
             checked += b.lanes
-            ctx.kernels["tables_lifted"] += b.lanes
-            if bad:
-                return _fail({"checked": checked}, f"{report._AXIOMS[1]} fails for an "
-                             f"induced operator on {f.describe()}")
-            if top_gap and not image_gap:
-                return _fail({"checked": checked}, f"{report._AXIOMS[2]} fails despite "
-                             f"f[L] = M for {f.describe()}")
-
-            def witnesses(confirmed):
-                """The anomaly witnesses of a one-lane batch, confirmed or not."""
-                op = report._OPERATOR(tl, b.masks)
-                return [_anomaly_witness(f, op, a) for a in report._of_lane(t, lifted).anomalies
-                        if a["confirmed"] == confirmed]
-
-            if any(loose for _, loose in hits.values()):
-                for w in witnesses(False):
-                    ctx.report_unexplained(cid, w)
             for kind, (n, _) in hits.items():
                 if n:
                     tallies[kind] += n
-                    ctx.reg_hit(ids[kind], lambda: next(
-                        w for w in witnesses(True) if w["anomaly"]["kind"] == kind), n)
+                    ctx.reg_hit(ids[kind], hits=n)
+            continue
+        ctx.kernels["batches_walked"] += 1
+        for j in range(b.lanes):
+            rep = report._of_lane(t, _lift(t, b.lane(j)))
+            checked += 1
+            if not rep.passed[report._AXIOMS[1]]:
+                return _fail({"checked": checked}, f"{report._AXIOMS[1]} fails for an "
+                             f"induced operator on {f.describe()}")
+            if rep.gaps[1] and not image_gap:
+                return _fail({"checked": checked}, f"{report._AXIOMS[2]} fails despite "
+                             f"f[L] = M for {f.describe()}")
+            op = report._OPERATOR(t.target_lattice, b.lane(j))
+            for a in rep.anomalies:
+                if not a["confirmed"]:
+                    ctx.report_unexplained(cid, _anomaly_witness(f, op, a))
+                else:
+                    tallies[a["kind"]] += 1
+                    ctx.reg_hit(ids[a["kind"]], partial(_anomaly_witness, f, op, a))
     f_up = localic_map(two(), chain3(), (0, 2))
     t = _transfer_cached(f_up)
     mandated_failed = bool(_lift(t, trivial_op(t.target_lattice).table)[1][2])

@@ -26,7 +26,7 @@ from localelab.serialize import (
     space_to_json,
 )
 from localelab.sublocales import enumerate_sublocales
-from localelab.verify import BANK, CorpusConfig, _Ctx, run_verification
+from localelab.verify import CorpusConfig, _Ctx, run_verification
 
 # h operator files spelled out by hand in the operator file format: the
 # "fragment" marker and sublocales keyed by their members; the second table
@@ -277,14 +277,14 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     # one class list per size up to --max-poset, one corpus per size asked for
     assert profile["caches"]["_poset_classes"]["currsize"] >= 3
     assert profile["caches"]["corpus_frames"]["currsize"] >= 1
-    # both initial checks lift 2 + 10 and 2 + 6 tables per map, one bank batch
-    # per map, and draw BANK batches each per target frame of the run's maps
+    # both initial checks lift 2 + 10 tables per map, its target's bank, and
+    # draw one bank batch each per target frame of the run's maps
     kernels = profile["operator_kernels"]
     assert sorted(kernels) == ["batches", "batches_walked", "tables_lifted", "widest_batch"]
     maps = json.loads(open(plain).read())["counts"]["maps"]
-    assert kernels["tables_lifted"] == 20 * maps
+    assert kernels["tables_lifted"] == 24 * maps
     ctx = _Ctx(CorpusConfig(max_poset_size=3, operator_samples_per_frame=10, seed=5))
-    assert kernels["batches"] == 2 * BANK * len({f.target for f in ctx.maps})
+    assert kernels["batches"] == 2 * len({f.target for f in ctx.maps})
     assert kernels["widest_batch"] == 12
     assert 0 < kernels["batches_walked"] < kernels["batches"]
 
@@ -331,7 +331,7 @@ def test_replay_refuses_a_report_of_another_version(tmp_path, capsys):
     save_json(rpath, report)
     assert main(["replay", rpath, "initial-contraction"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid content: report version 5 cannot be replayed by version 6")
+    assert err.startswith("invalid content: report version 5 cannot be replayed by version 7")
 
 
 def test_console_script_is_installed(files, subprocess_env):

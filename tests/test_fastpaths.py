@@ -120,7 +120,6 @@ from localelab.sublocales import (
     transfer_of,
 )
 from localelab.verify import (
-    BANK,
     CHECKS,
     LANES,
     CorpusConfig,
@@ -1295,41 +1294,48 @@ def _lane_of_lift(lifted, j, width):
 def test_counted_gaps_match_materialized_anomalies():
     """On every default-run map and every table both initial checks give it
     (cores, for initial-h): each lane of the batched lift equals the lift of
-    that lane's table alone;
-    the report built from it has the (pulled, gaps, passed) of the public
+    that lane's table alone. On every fourth map, which reaches every target
+    and so every table of every bank, the report built from each distinct
+    table's lift has the (pulled, gaps, passed) of the public
     initial_interior/initial_h report and the oracle's axiom verdicts and gap
     masks; and per kind, the confirmed count, the first confirmed anomaly
     (what a registry entry keeps as witness) and the unconfirmed anomalies
     equal those read off the oracle's anomaly dicts."""
     ctx = _Ctx(CorpusConfig())
-    lifts = 0
+    lifts, reached = 0, set()
     for idx, f in enumerate(ctx.maps):
         t = transfer_of(f)
         tl = t.target_lattice
         for tables_for, report, initial, brute in (
                 (_ops_for_initial, InitialReport, initial_interior, brute_initial_interior),
                 (_h_ops_for_initial, HInitialReport, initial_h, brute_initial_h)):
-            for b in tables_for(ctx, f, idx):
-                batched = _lift(t, b.masks, _lanes(b.lanes, b.width)[0])
-                for j in range(b.lanes):
-                    lane = b.lane(j)
-                    one = _lift(t, lane)
-                    assert _lane_of_lift(batched, j, b.width) == one
-                    op = report._OPERATOR(tl, lane)
-                    rep, mine = initial(f, op), report._of_lane(t, one)
-                    assert (rep.transfer, rep.pulled, rep.gaps, rep.passed) == (
-                        t, mine.pulled, mine.gaps, mine.passed)
-                    lifts += 1
-                    axioms, anomalies = brute(f, op)[1::2]
-                    assert (rep.passed, rep.gaps) == (axioms.passed, gap_masks(f, anomalies))
-                    for kind, confirmed in zip(GAP_KINDS, _confirmed(t, rep.gaps)):
-                        want = [a for a in anomalies if a["kind"] == kind and a["confirmed"]]
-                        assert confirmed.bit_count() == len(want)
-                        first = next((a for a in rep.anomalies
-                                      if a["kind"] == kind and a["confirmed"]), None)
-                        assert first == (want[0] if want else None)
-                    assert list(rep.unexplained) == [a for a in anomalies if not a["confirmed"]]
-    assert lifts == 1135 * 20
+            b = tables_for(ctx, f)
+            batched = _lift(t, b.masks, _lanes(b.lanes, b.width)[0])
+            lanes = {}
+            for j in range(b.lanes):
+                lane = b.lane(j)
+                lanes[tuple(lane)] = one = _lift(t, lane)
+                assert _lane_of_lift(batched, j, b.width) == one
+                lifts += 1
+            if idx % 4:
+                continue
+            reached.add(f.target)
+            for lane, one in lanes.items():
+                op = report._OPERATOR(tl, lane)
+                rep, mine = initial(f, op), report._of_lane(t, one)
+                assert (rep.transfer, rep.pulled, rep.gaps, rep.passed) == (
+                    t, mine.pulled, mine.gaps, mine.passed)
+                axioms, anomalies = brute(f, op)[1::2]
+                assert (rep.passed, rep.gaps) == (axioms.passed, gap_masks(f, anomalies))
+                for kind, confirmed in zip(GAP_KINDS, _confirmed(t, rep.gaps)):
+                    want = [a for a in anomalies if a["kind"] == kind and a["confirmed"]]
+                    assert confirmed.bit_count() == len(want)
+                    first = next((a for a in rep.anomalies
+                                  if a["kind"] == kind and a["confirmed"]), None)
+                    assert first == (want[0] if want else None)
+                assert list(rep.unexplained) == [a for a in anomalies if not a["confirmed"]]
+    assert lifts == 1135 * 80
+    assert reached == {f.target for f in ctx.maps}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1361,7 +1367,7 @@ def test_batched_draws_are_one_lane_draws(seed):
             assert fast.getrandbits(64) == slow.getrandbits(64)
 
 
-BANKS = (("initial-ops", _ops_for_initial, 10), ("initial-h-ops", _h_ops_for_initial, 6))
+BANKS = (("initial-ops", _ops_for_initial, 46), ("initial-h-ops", _h_ops_for_initial, 30))
 
 
 @pytest.fixture(scope="module")
@@ -1373,32 +1379,38 @@ def banked():
     return ctx
 
 
+def _bank_tables(ctx, tag, fr):
+    """The oracle's tables of the bank of tag on fr: the discrete and trivial
+    tables and the draws from rng(tag, fr.key()), for initial-h read as
+    their cores S cap h(S)."""
+    sl, draws = ctx.sl(fr), {t: d for t, _, d in BANKS}[tag]
+    want = brute_batch_tables(sl, ctx.rng(tag, fr.key()), 2 + draws, ctx.bank_width, 2)
+    if tag == "initial-h-ops":
+        want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in want]
+    return want
+
+
 def test_initial_accessors_yield_the_bank_batch_of_the_target(banked):
-    """Map idx gets batch idx % BANK of its target's bank, the same object
-    for every map into that target, and the run keeps one bank per target
-    frame and initial check."""
-    for idx, f in enumerate(banked.maps):
+    """Every map gets its target's bank, one batch and the same object for
+    every map into that target, and the run keeps one bank per target frame
+    and initial check."""
+    for f in banked.maps:
         for tag, tables_for, _ in BANKS:
-            (b,) = tables_for(banked, f, idx)
-            assert b is banked.banks[tag, f.target][idx % BANK]
+            assert tables_for(banked, f) is banked.banks[tag, f.target]
     targets = {f.target for f in banked.maps}
     assert set(banked.banks) == {(tag, fr) for tag, _, _ in BANKS for fr in targets}
-    assert all(len(bank) == BANK for bank in banked.banks.values())
 
 
 def test_bank_batches_are_the_oracle_draws_and_cores(banked):
-    """Batch j of a bank holds the oracle's batch tables drawn from rng(tag,
-    frame.key(), j): the discrete and trivial tables, then 10 draws for
-    initial-interior; for initial-h, 6 draws and each table's core S cap h(S)."""
+    """A bank holds, in one batch of at most LANES lanes, the oracle's batch
+    tables drawn from rng(tag, frame.key()): the discrete and trivial tables,
+    then 46 draws for initial-interior; for initial-h, 30 draws and each
+    table's core S cap h(S)."""
     width = max(len(fr.prime_list) for _, fr in banked.frames if fr.n <= banked.map_bound) + 1
-    for (tag, fr), bank in banked.banks.items():
-        sl, draws = banked.sl(fr), {t: d for t, _, d in BANKS}[tag]
-        for j, b in enumerate(bank):
-            assert (b.lanes, b.width) == (2 + draws, width)
-            want = brute_batch_tables(sl, banked.rng(tag, fr.key(), j), b.lanes, width, 2)
-            if tag == "initial-h-ops":
-                want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in want]
-            assert [tuple(b.lane(k)) for k in range(b.lanes)] == want
+    for (tag, fr), b in banked.banks.items():
+        draws = {t: d for t, _, d in BANKS}[tag]
+        assert (b.lanes, b.width) == (2 + draws, width) and b.lanes <= LANES
+        assert [tuple(b.lane(k)) for k in range(b.lanes)] == _bank_tables(banked, tag, fr)
 
 
 def test_h_bank_cores_non_contractive_draws_once_per_batch(monkeypatch):
@@ -1410,49 +1422,47 @@ def test_h_bank_cores_non_contractive_draws_once_per_batch(monkeypatch):
     real, calls = ctx.batches, []
     ctx.batches = lambda *args, **kw: (b._replace(masks=b.masks[::-1]) for b in real(*args, **kw))
     monkeypatch.setattr(verify, "_core", lambda *args: calls.append(args) or _core(*args))
-    for idx, f in enumerate(ctx.maps):
-        _h_ops_for_initial(ctx, f, idx)
+    for f in ctx.maps:
+        _h_ops_for_initial(ctx, f)
     targets = {f.target for f in ctx.maps}
-    assert len(calls) == BANK * len(targets)
+    assert len(calls) == len(targets)
     moved = 0
     for fr in targets:
-        sl = ctx.sl(fr)
-        for j, b in enumerate(ctx.banks["initial-h-ops", fr]):
-            raw = brute_batch_tables(sl, ctx.rng("initial-h-ops", fr.key(), j), b.lanes,
-                                     ctx.bank_width, 2)
-            raw = [t[::-1] for t in raw]
-            want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in raw]
-            assert [tuple(b.lane(k)) for k in range(b.lanes)] == want
-            moved += want != raw
-    assert moved > len(targets)
+        sl, b = ctx.sl(fr), ctx.banks["initial-h-ops", fr]
+        raw = brute_batch_tables(sl, ctx.rng("initial-h-ops", fr.key()), b.lanes,
+                                 ctx.bank_width, 2)
+        raw = [t[::-1] for t in raw]
+        want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in raw]
+        assert [tuple(b.lane(k)) for k in range(b.lanes)] == want
+        moved += want != raw
+    assert moved == len(targets)
 
 
-def test_maps_into_one_target_lift_one_grid(monkeypatch):
-    """Both initial checks lift, for two maps into one target whose idx agree
-    mod BANK, the same packed tables: map by map, the batches _lift sees
-    depend only on (target, idx % BANK)."""
+def test_every_map_lifts_every_table_of_its_targets_bank(monkeypatch):
+    """Both initial checks lift, for every map f: L -> M, every table of M's
+    bank, the oracle's draws: one packed lift per map and check, so two maps
+    into one target lift the same tables."""
     ctx = _Ctx(CorpusConfig())
     # transfers are cached by map equality, so t.map may be an equal map of
     # another run
-    index = {f: idx for idx, f in enumerate(ctx.maps)}
-    assert len(index) == len(ctx.maps)
-    seen = {}
+    lifted, banks = Counter(), {}
     real = verify._lift
 
     def spy(t, xs, ones=1):
         if ones != 1:
-            key = (cid, t.map.target, index[t.map] % BANK)
-            assert seen.setdefault(key, (xs, ones)) == (xs, ones)
+            lifted[cid, t.map] += 1
+            fr = t.map.target
+            if (tag, fr) not in banks:
+                banks[tag, fr] = _bank_tables(ctx, tag, fr)
+            assert [tuple(_lane(x, j, ctx.bank_width) for x in xs)
+                    for j in range(ones.bit_count())] == banks[tag, fr]
         return real(t, xs, ones)
 
     monkeypatch.setattr(verify, "_lift", spy)
-    for cid in ("initial-interior", "initial-h"):
+    for cid, tag in (("initial-interior", "initial-ops"), ("initial-h", "initial-h-ops")):
         assert verify.CHECKS[cid](ctx)[0] == "pass"
-    targets = {f.target for f in ctx.maps}
-    assert len(seen) == 2 * BANK * len(targets)
-    # the grid is the point: most targets receive more than BANK maps
-    per_target = Counter(f.target for f in ctx.maps)
-    assert sum(n > BANK for n in per_target.values()) > len(targets) // 2
+    assert lifted == Counter({(cid, f): 1 for cid in ("initial-interior", "initial-h")
+                              for f in ctx.maps})
 
 
 def test_banks_survive_a_full_run(banked):
@@ -1460,9 +1470,9 @@ def test_banks_survive_a_full_run(banked):
     kernel writes into a bank's shared masks lists."""
     fresh = _Ctx(CorpusConfig())
     vars(fresh)["maps"] = banked.maps
-    for idx, f in enumerate(fresh.maps):
+    for f in fresh.maps:
         for _, tables_for, _ in BANKS:
-            tables_for(fresh, f, idx)
+            tables_for(fresh, f)
     assert fresh.banks == banked.banks
 
 

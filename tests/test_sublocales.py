@@ -103,9 +103,11 @@ def test_sloc_core_examples():
 
 
 def test_members_that_are_no_element_raise_value_error():
-    """An index past either end or an unknown label is refused by name, as an
-    out-of-range mask is, before any table is read."""
-    for members, bad in (([0, 2, 5], "5"), ([0, 2, -1], "-1"), (["0", "1", "zz"], "'zz'")):
+    """An index past either end, a member that is no integer (even one int()
+    would truncate to an element) or an unknown label is refused by name, as
+    an out-of-range mask is, before any table is read."""
+    for members, bad in (([0, 2, 5], "5"), ([0, 2, -1], "-1"), (["0", "1", "zz"], "'zz'"),
+                         ([0, 2.7], "2.7"), ([0, 2.0], "2.0"), ([0, None], "None")):
         for check in (is_sublocale, sloc_core, sublocale):
             with pytest.raises(ValueError, match=f"unknown element {bad} "):
                 check(chain3(), members)

@@ -82,7 +82,7 @@ def test_check_order_is_stable():
 
 def test_default_run_all_pass(default_report):
     assert default_report["artifact"] == "localelab-verification"
-    assert default_report["version"] == 6
+    assert default_report["version"] == 7
     assert {r["id"]: r["status"] for r in default_report["checks"]} == {
         cid: "pass" for cid in ALL_CHECKS
     }
@@ -123,7 +123,7 @@ def test_registry_occurrence_counts_frozen(default_report):
     assert occ["sublocale-join-display-form"] == 20
     assert occ["discrete-h-not-largest"] == 24
     # seeded-sampling tallies, deterministic at the default config
-    assert occ["initial-contraction"] == 59192
+    assert occ["initial-contraction"] == 233846
     assert occ["universal-interior-anomaly"] == 71
     assert occ["universal-h-anomaly"] == 36
 
@@ -144,7 +144,7 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), default_report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "28147482035aea1faa5342e96f8ebe2ae8867f99aec320c3724a011ddec3cffb"
+    assert digest == "b3ec21dfedecc6587e34010e089ebde9c5c6bfc05774c958c0a1ea6c5d207add"
 
 
 def test_exported_default_bound_leaves_the_report_bytes_alone(monkeypatch, tmp_path):
@@ -154,14 +154,14 @@ def test_exported_default_bound_leaves_the_report_bytes_alone(monkeypatch, tmp_p
     path = tmp_path / "report.json"
     save_json(str(path), run_verification(CorpusConfig()))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "28147482035aea1faa5342e96f8ebe2ae8867f99aec320c3724a011ddec3cffb"
+    assert digest == "b3ec21dfedecc6587e34010e089ebde9c5c6bfc05774c958c0a1ea6c5d207add"
 
 
 def test_maps_sweep_report_bytes_pinned(tmp_path):
     # the bytes of `localelab verify --max-poset 4 --budget 10000000
     # --samples 0 --checks galois-adjunction --seed 42 --report ...`: the
     # Galois check over the 5,217 maps that budget admits; it reads no draw,
-    # so it differs from the version-5 bytes (546487404494...) in "version" alone
+    # so it differs from the version-6 bytes (8599cf1d4107...) in "version" alone
     report = run_verification(CorpusConfig(
         max_poset_size=4, operator_samples_per_frame=0, map_budget=10_000_000,
         seed=42, checks=("galois-adjunction",)))
@@ -169,7 +169,7 @@ def test_maps_sweep_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "8599cf1d41074370975f612d832badfd94d94bcb579f25b5eb508745094931c3"
+    assert digest == "07df16780160a3b8a32ae66224ee69ebcf965181d1be64363a2ac5c4b1ec9486"
 
 
 def test_max_poset_5_report_bytes_pinned(tmp_path):
@@ -183,7 +183,7 @@ def test_max_poset_5_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "33feb4827ed53413dec6663c7a756829bd0ee79e8b3f952aab9e530906da5530"
+    assert digest == "6a49ad760f70f92d8d2fd0ea14fd84d60088da4f33e60c3b39604d4a8213c9f4"
 
 
 def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
@@ -204,17 +204,36 @@ def test_galois_adjunction_fails_on_a_wrong_adjoint(monkeypatch):
     # a left adjoint that is a frame hom, but the lex-first one rather than
     # the map's own, does not give the point map back
     from localelab import verify
-    from localelab.maps import FrameHom, LocalicMap, enumerate_frame_homs
+    from localelab.maps import enumerate_frame_homs
 
     ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
     assert ctx.maps
-    # taken before the patch: enumerate_frame_homs reads homs off `adjoint`
     first = {(f.target, f.source): enumerate_frame_homs(f.target, f.source)[0] for f in ctx.maps}
-    monkeypatch.setattr(LocalicMap, "adjoint", property(
-        lambda f: FrameHom(f.target, f.source, first[f.target, f.source])))
+    monkeypatch.setattr(verify, "_adjoint_table", lambda f: first[f.target, f.source])
     status, _, witness = verify.CHECKS["galois-adjunction"](ctx)
     assert status == "fail"
     assert witness["lines"][0].startswith("left adjoint round trip differs for {")
+
+
+def test_galois_adjunction_fails_on_an_adjoint_that_is_no_frame_hom(monkeypatch):
+    # a left adjoint that sends the top to the bottom breaks the top law:
+    # the check fails with the law and its witness instead of raising
+    from localelab import verify
+    from localelab.maps import _adjoint_table
+
+    def broken(f):
+        table = list(_adjoint_table(f))
+        table[f.target.top] = f.source.bottom
+        return tuple(table)
+
+    monkeypatch.setattr(verify, "_adjoint_table", broken)
+    report = run_verification(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
+    (row,) = report["checks"]
+    maps = verify._Ctx(CorpusConfig(max_poset_size=2)).maps
+    f = maps[0]
+    assert (row["status"], row["detail"]) == ("fail", {"maps": len(maps)})
+    assert row["witness"]["lines"] == [f"left adjoint of {f.describe()} breaks the top law "
+                                       f"at ('{f.target.labels[f.target.top]}',)"]
 
 
 def test_reports_are_byte_identical_for_equal_configs():
@@ -300,11 +319,11 @@ def test_replay_survives_json_round_trip(default_report):
 
 
 def test_replay_refuses_a_report_of_another_version(default_report):
-    """Witness op tables are lattice indices, whose order version 6 changed:
-    a version-5 report is refused, not replayed in the wrong order."""
+    """Witness op tables are lattice indices, whose order a version may
+    change: a version-6 report is refused, not replayed in the wrong order."""
     old = copy.deepcopy(default_report)
-    old["version"] = 5
-    with pytest.raises(ValueError, match="report version 5 cannot be replayed by version 6"):
+    old["version"] = 6
+    with pytest.raises(ValueError, match="report version 6 cannot be replayed by version 7"):
         replay(old, "initial-contraction")
 
 
@@ -381,16 +400,15 @@ def test_initial_check_fails_on_an_unconfirmed_gap(monkeypatch, cid, module, lin
 
 
 def test_initial_check_walks_to_a_failing_middle_lane(monkeypatch):
-    """Only lane 5 of a map's 12 tables breaks I2, in the batch and when its
-    table is lifted alone: the walk stops at that table, after m * 12 + 6
+    """Only lane 5 of a map's 48 tables breaks I2, in the batch and when its
+    table is lifted alone: the walk stops at that table, after m * 48 + 6
     tables, with the witness line of that map. The map is the first from
     500 on whose lane 5 differs from its lanes 0 to 4."""
     ctx = verify._Ctx(CorpusConfig())
-    batches = ((m, *verify._ops_for_initial(ctx, ctx.maps[m], m))
-               for m in range(500, len(ctx.maps)))
+    batches = ((m, verify._ops_for_initial(ctx, ctx.maps[m])) for m in range(500, len(ctx.maps)))
     m, b = next((m, b) for m, b in batches if b.lane(5) not in [b.lane(j) for j in range(5)])
     f, bent = ctx.maps[m], b.lane(5)
-    assert b.lanes == 12
+    assert b.lanes == 48
 
     def edit(lifted, ones, xs, t):
         pulled, (gaps, bad, top), cont = lifted
@@ -405,7 +423,7 @@ def test_initial_check_walks_to_a_failing_middle_lane(monkeypatch):
     report = run_verification(CorpusConfig(checks=("initial-interior",)))
     (row,) = report["checks"]
     assert row["status"] == "fail"
-    assert row["detail"] == {"checked": m * 12 + 6}
+    assert row["detail"] == {"checked": m * 48 + 6}
     assert row["witness"] == {"kind": "static", "lines": [
         f"I2 fails for an induced operator on {f.describe()}"]}
 
