@@ -1294,15 +1294,16 @@ def _lane_of_lift(lifted, j, width):
 def test_counted_gaps_match_materialized_anomalies():
     """On every default-run map and every table both initial checks give it
     (cores, for initial-h): each lane of the batched lift equals the lift of
-    that lane's table alone. On every fourth map, which reaches every target
-    and so every table of every bank, the report built from each distinct
-    table's lift has the (pulled, gaps, passed) of the public
-    initial_interior/initial_h report and the oracle's axiom verdicts and gap
-    masks; and per kind, the confirmed count, the first confirmed anomaly
-    (what a registry entry keeps as witness) and the unconfirmed anomalies
-    equal those read off the oracle's anomaly dicts."""
+    that lane's table alone. On every map, for the lanes j with
+    j % 4 == idx % 4 (20 of its 80), and on the first map into each target, for
+    every lane of the target's bank, the report built from that lift has the
+    (pulled, gaps, passed) of the public initial_interior/initial_h report and
+    the oracle's axiom verdicts and gap masks; and per kind, the confirmed
+    count, the first confirmed anomaly (what a registry entry keeps as
+    witness) and the unconfirmed anomalies equal those read off the oracle's
+    anomaly dicts."""
     ctx = _Ctx(CorpusConfig())
-    lifts, reached = 0, set()
+    lifts, oracled, reached = 0, 0, set()
     for idx, f in enumerate(ctx.maps):
         t = transfer_of(f)
         tl = t.target_lattice
@@ -1311,16 +1312,16 @@ def test_counted_gaps_match_materialized_anomalies():
                 (_h_ops_for_initial, HInitialReport, initial_h, brute_initial_h)):
             b = tables_for(ctx, f)
             batched = _lift(t, b.masks, _lanes(b.lanes, b.width)[0])
-            lanes = {}
+            whole = (f.target, report, 0) not in reached
             for j in range(b.lanes):
                 lane = b.lane(j)
-                lanes[tuple(lane)] = one = _lift(t, lane)
+                one = _lift(t, lane)
                 assert _lane_of_lift(batched, j, b.width) == one
                 lifts += 1
-            if idx % 4:
-                continue
-            reached.add(f.target)
-            for lane, one in lanes.items():
+                if j % 4 != idx % 4 and not whole:
+                    continue
+                reached.add((f.target, report, j))
+                oracled += 1
                 op = report._OPERATOR(tl, lane)
                 rep, mine = initial(f, op), report._of_lane(t, one)
                 assert (rep.transfer, rep.pulled, rep.gaps, rep.passed) == (
@@ -1334,8 +1335,10 @@ def test_counted_gaps_match_materialized_anomalies():
                                   if a["kind"] == kind and a["confirmed"]), None)
                     assert first == (want[0] if want else None)
                 assert list(rep.unexplained) == [a for a in anomalies if not a["confirmed"]]
+    targets = {f.target for f in ctx.maps}
     assert lifts == 1135 * 80
-    assert reached == {f.target for f in ctx.maps}
+    assert len(reached) == len(targets) * 80
+    assert oracled == 1135 * 20 + len(targets) * 60
 
 
 @pytest.mark.parametrize("seed", range(3))
