@@ -2,7 +2,10 @@
 
 Same engine as `localelab verify`, called as a library. The run is seeded
 and byte-deterministic; the replay turns a recorded registry witness back
-into the step trace that falsifies the displayed top law.
+into the step trace that falsifies the displayed top law. That witness is
+the top gap initial-interior records on the TWO -> CHAIN3 map with the
+trivial operator, so the replay is its anomaly trace: the image gap
+f[L] != M, then "anomaly reproduced".
 """
 import json
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import EmptyFamily, HostMismatch
 from .lattice import bits
-from .maps import LocalicMap, compose_localic
+from .maps import LocalicMap, _is_total, compose_localic
 from .sublocales import SublocaleLattice, SublocaleTransfer, _admit, _transfer_cached
 
 
@@ -33,7 +33,7 @@ class InteriorOperator:
         table = tuple(self.table)
         object.__setattr__(self, "table", table)
         n = self.lattice.n
-        if len(table) != n or min(table) < 0 or max(table) >= n:
+        if not _is_total(table, n, n):
             raise ValueError("table is not total over the sublocale lattice")
 
     @classmethod

@@ -2,6 +2,7 @@
 continuous point maps with their open-preimage homs."""
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -18,6 +19,15 @@ class HomReport:
     to_json = asdict
 
 
+def _is_total(t: tuple, n: int, m: int) -> bool:
+    """Whether t has n entries, each an integer in range(m): an entry with
+    no __index__, such as 2.5 or 1.0, is refused as operator.index refuses it."""
+    try:
+        return len(t) == n and min(map(operator.index, t)) >= 0 and max(t) < m
+    except TypeError:
+        return False
+
+
 def check_frame_hom(source: Frame, target: Frame, table) -> HomReport:
     """Does table: source -> target preserve top, bottom, binary meets, binary joins?
 
@@ -26,7 +36,7 @@ def check_frame_hom(source: Frame, target: Frame, table) -> HomReport:
     law before the join law at each pair.
     """
     t = tuple(table)
-    if len(t) != source.n or min(t) < 0 or max(t) >= target.n:
+    if not _is_total(t, source.n, target.n):
         return HomReport(False, "totality", (len(t),))
     if t[source.top] != target.top:
         return HomReport(False, "top", (source.labels[source.top],))
@@ -180,7 +190,7 @@ def localic_map(source: Frame, target: Frame, table) -> LocalicMap:
     order ("totality",), the point map's, ("point-table", x, f(x)) at the
     first element x the table gets wrong."""
     table = tuple(table)
-    if len(table) != source.n or min(table) < 0 or max(table) >= target.n:
+    if not _is_total(table, source.n, target.n):
         raise NotLocalic("table is not a total map into the target", witness=("totality",))
     f = LocalicMap(source, target, tuple([table[p] for p in source.prime_list]))
     if f.table != table:

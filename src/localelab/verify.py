@@ -77,7 +77,7 @@ from .sublocales import (
 )
 
 ARTIFACT = "localelab-verification"
-ARTIFACT_VERSION = 7
+ARTIFACT_VERSION = 8
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
 
@@ -142,11 +142,8 @@ def _rebuild_map(payload):
 
 
 def _rebuild_op(payload, frame):
-    sl = enumerate_sublocales(frame)
-    table = payload["table"]
-    if isinstance(table, str):
-        table = {"discrete": discrete_op, "trivial": trivial_op}[table](sl).table
-    return (HOperator if payload.get("fragment") else InteriorOperator)(sl, tuple(table))
+    op = HOperator if payload.get("fragment") else InteriorOperator
+    return op(enumerate_sublocales(frame), tuple(payload["table"]))
 
 
 # -- registry -------------------------------------------------------------------
@@ -235,35 +232,6 @@ _REGISTRY_SEED = (
 )
 
 
-def _static_witnesses():
-    """Precomputed falsification payloads for the text-discrepancy entries."""
-    hey = heyting_identity_report(chain3())
-    sup_arrow = dict(hey["sup_arrow_display_form"]["witness"])
-    sup_arrow["kind"] = "heyting-sup-arrow"
-    sup_arrow["frame"] = frame_to_json(chain3())
-
-    join_form = {
-        "kind": "sublocale-join-form",
-        "frame": frame_to_json(square()),
-        "left": ["a", "1"],
-        "right": ["b", "1"],
-    }
-
-    f_up = {"source": frame_to_json(two()), "target": frame_to_json(chain3()),
-            "table": [0, 2]}
-    initial_top = {"kind": "initial-top", "map": f_up, "op": "trivial"}
-    initial_h_top = {"kind": "initial-h-top", "map": f_up, "op": "trivial"}
-
-    disc_h = {"kind": "discrete-h-not-largest", "frame": frame_to_json(chain3())}
-    return {
-        "sup-arrow-display-form": sup_arrow,
-        "sublocale-join-display-form": join_form,
-        "initial-top": initial_top,
-        "initial-h-top": initial_h_top,
-        "discrete-h-not-largest": disc_h,
-    }
-
-
 # -- context --------------------------------------------------------------------
 
 # Tables per batch of the operator kernels. A fixed bound keeps the packed ints
@@ -294,14 +262,9 @@ class _Ctx:
         }
         self.sampling = config.operator_samples_per_frame > 0
         self.unexplained = []
-        statics = _static_witnesses()
-        self.registry = {}
-        for entry in _REGISTRY_SEED:
-            e = dict(entry)
-            e["witness"] = statics.get(e["id"])
-            e["status"] = "confirmed" if e["witness"] is not None else "not-observed"
-            e["occurrences"] = 0
-            self.registry[e["id"]] = e
+        # an entry is confirmed, and its witness recorded, by the check that observes it
+        self.registry = {e["id"]: dict(e, witness=None, status="not-observed", occurrences=0)
+                         for e in _REGISTRY_SEED}
         # operator-kernel counters for the profile sidecar, never in the report
         self.kernels = {} if kernels is None else kernels
         self.kernels.update(tables_lifted=0, batches=0, widest_batch=0, batches_walked=0)
@@ -481,9 +444,11 @@ def _check_heyting_identities(ctx):
         checked += 1
         if rep["status"] != "pass":
             return _fail({"frame": key}, str(rep))
-        if rep["sup_arrow_display_form"]["status"] == "falsified":
+        form = rep["sup_arrow_display_form"]
+        if form["status"] == "falsified":
             falsified += 1
-            ctx.reg_hit("sup-arrow-display-form")
+            ctx.reg_hit("sup-arrow-display-form", lambda: {
+                **form["witness"], "kind": "heyting-sup-arrow", "frame": frame_to_json(fr)})
     detail = {"frames_checked": checked, "frames_skipped": skipped,
               "display_form_falsified_on": falsified}
     return "pass", detail, None
@@ -529,7 +494,7 @@ def _check_sublocale_join_oracle(ctx):
     frames_with_display_gap = 0
     for key, fr in ctx.frames:
         sl = ctx.sl(fr)
-        display_gap = False
+        display_gap = None  # the frame's first pair whose join the display form misses
         for i in range(sl.n):
             for j in range(i, sl.n):
                 pairs += 1
@@ -540,11 +505,14 @@ def _check_sublocale_join_oracle(ctx):
                     return _fail({"pairs": pairs}, f"join oracle mismatch on {key} at "
                                                    f"({sl.label(i)}, {sl.label(j)})")
                 # the report counts frames, so a frame's first display gap settles it
-                if not display_gap:
-                    display_gap = _sup_form(fr, union, least)[2] is not None
+                if display_gap is None and _sup_form(fr, union, least)[2] is not None:
+                    display_gap = sl.masks[i], sl.masks[j]
         if display_gap:
             frames_with_display_gap += 1
-            ctx.reg_hit("sublocale-join-display-form")
+            ctx.reg_hit("sublocale-join-display-form", lambda: {
+                "kind": "sublocale-join-form", "frame": frame_to_json(fr),
+                "left": [fr.labels[x] for x in bits(display_gap[0])],
+                "right": [fr.labels[x] for x in bits(display_gap[1])]})
     detail = {"pairs": pairs, "frames_with_display_gap": frames_with_display_gap}
     return "pass", detail, None
 
@@ -657,7 +625,8 @@ def _check_h_axioms(ctx):
         # the constant-top table is a valid h operator strictly above discrete
         const_top = HOperator(sl, (sl.top,) * sl.n)
         if check_h(const_top).ok and op_le(d, const_top) and not op_le(const_top, d):
-            ctx.reg_hit("discrete-h-not-largest")
+            ctx.reg_hit("discrete-h-not-largest", lambda: {
+                "kind": "discrete-h-not-largest", "frame": frame_to_json(fr)})
         else:
             return _fail({"generated": generated},
                          f"constant-top h operator not above discrete on {key}")
@@ -677,10 +646,7 @@ def _check_contractive_equivalence(ctx):
     if not ctx.sampling:
         return "skip", {"reason": "operator sampling disabled"}, None
     checked = disagreements = 0
-    stride = max(1, len(ctx.maps) // 200)
-    for idx, f in enumerate(ctx.maps[::stride]):
-        if checked >= 400:
-            break
+    for idx, f in enumerate(ctx.maps[::max(1, len(ctx.maps) // 200)][:200]):
         rng = ctx.rng("equiv", idx)
         t = _transfer_cached(f)
         sll, slm, pre = t.source_lattice, t.target_lattice, t.preimage_table
@@ -779,12 +745,20 @@ def _check_initial(ctx, cid, tables_for, report, ids):
 
     Monotonicity (the second of report._AXIOMS) must hold for every induced
     operator, and the top law (the third) must hold when f[L] = M; ids maps each
-    anomaly kind to its registry entry, and the "top-gap" entry also records
-    the mandated TWO -> CHAIN3 trivial counterexample. A batch adds its
+    anomaly kind to its registry entry. The mandated TWO -> CHAIN3 trivial
+    counterexample is lifted first, and its top gap is the "top-gap" entry's
+    witness and one more occurrence, outside the tallies. A batch adds its
     confirmed (lane, index) gaps to the tallies. One that holds a failure, an
     unconfirmed gap or a registry entry's first witness is walked instead: one
     lane at a time, in table order, each read off its report of class report.
     """
+    f_up = localic_map(two(), chain3(), (0, 2))
+    t = _transfer_cached(f_up)
+    op = report._OPERATOR(t.target_lattice, trivial_op(t.target_lattice).table)
+    rep = report._of_lane(t, _lift(t, op.table))
+    mandated = [a for a in rep.anomalies if a["kind"] == "top-gap"]
+    if mandated:
+        ctx.reg_hit(ids["top-gap"], partial(_anomaly_witness, f_up, op, mandated[0]))
     checked = 0
     tallies = dict.fromkeys(ids, 0)
     for f in ctx.maps:
@@ -823,14 +797,9 @@ def _check_initial(ctx, cid, tables_for, report, ids):
                 else:
                     tallies[a["kind"]] += 1
                     ctx.reg_hit(ids[a["kind"]], partial(_anomaly_witness, f, op, a))
-    f_up = localic_map(two(), chain3(), (0, 2))
-    t = _transfer_cached(f_up)
-    mandated_failed = bool(_lift(t, trivial_op(t.target_lattice).table)[1][2])
-    if mandated_failed:
-        ctx.reg_hit(ids["top-gap"])
     detail = {"checked": checked, "tallies": tallies,
-              "mandated_top_counterexample": "fails-as-documented" if mandated_failed else "unexpected-pass"}
-    return _verdict(ctx, cid, detail, None if mandated_failed else f"{report._AXIOMS[2]} "
+              "mandated_top_counterexample": "fails-as-documented" if mandated else "unexpected-pass"}
+    return _verdict(ctx, cid, detail, None if mandated else f"{report._AXIOMS[2]} "
                     "holds on the mandated TWO -> CHAIN3 trivial counterexample")
 
 
@@ -866,10 +835,7 @@ def _check_coarseness(ctx):
              (HOperator, "initial-h-coarseness", "h_pointwise_violations"))
     checked = 0
     violations = {key: 0 for *_, key in sides}
-    stride = max(1, len(ctx.maps) // 300)
-    for idx, f in enumerate(ctx.maps[::stride]):
-        if checked >= 300:
-            break
+    for idx, f in enumerate(ctx.maps[::max(1, len(ctx.maps) // 300)][:300]):
         rng = ctx.rng("coarse", idx)
         t = _transfer_cached(f)
         sl, tl = t.source_lattice, t.target_lattice
@@ -1120,52 +1086,6 @@ def _trace_sublocale_join_form(w):
     return lines
 
 
-def _trace_initial_top(w):
-    f = _rebuild_map(w["map"])
-    t = transfer_of(f)
-    sl, tl = t.source_lattice, t.target_lattice
-    op = _rebuild_op({"table": w["op"], "fragment": False}, f.target)
-    lines = [f"induced operator top law for f: {f.source.key()} -> {f.target.key()}, "
-             f"op_M = {w['op']}"]
-    raw = 0
-    for x in bits(sl.masks[sl.top]):
-        raw |= 1 << f(x)
-    img = t.image_table[sl.top]
-    lines.append(f"step 1: elementwise image of L is {set_label(f.target.labels, raw)}")
-    suffix = " (already a sublocale)" if raw == tl.masks[img] else " (closed up)"
-    lines.append(f"        sloc-core gives f[L] = {tl.label(img)}{suffix}")
-    m_idx = op(img)
-    lines.append(f"step 2: i_M(f[L]) = {tl.label(m_idx)}")
-    rawpre = 0
-    for x in range(f.source.n):
-        if tl.masks[m_idx] >> f(x) & 1:
-            rawpre |= 1 << x
-    pre = t.preimage_table[m_idx]
-    lines.append(f"step 3: set preimage is {set_label(f.source.labels, rawpre)}; "
-                 f"sloc-core gives {sl.label(pre)}")
-    rel = "≠" if pre != sl.top else "="
-    lines.append(f"i_{{L_f}}(L) = {sl.label(pre)} {rel} L")
-    return lines
-
-
-def _trace_initial_h_top(w):
-    f = _rebuild_map(w["map"])
-    t = transfer_of(f)
-    sl, tl = t.source_lattice, t.target_lattice
-    h = _rebuild_op({"table": w["op"], "fragment": True}, f.target)
-    lines = [f"induced h operator top law for f: {f.source.key()} -> {f.target.key()}, "
-             f"h_M = {w['op']}"]
-    img = t.image_table[sl.top]
-    lines.append(f"step 1: f[L] = {tl.label(img)}")
-    core = h.core(img)
-    lines.append(f"step 2: f[L] ^ h_M(f[L]) = {tl.label(core)}")
-    pre = t.preimage_table[core]
-    lines.append(f"step 3: preimage gives {sl.label(pre)}")
-    rel = "≠" if pre != sl.top else "="
-    lines.append(f"h_{{L_f}}(L) = {sl.label(pre)} {rel} L")
-    return lines
-
-
 def _trace_discrete_h_not_largest(w):
     fr = frame_from_json(w["frame"])
     sl = _enumerate(fr)
@@ -1272,8 +1192,6 @@ def _trace_static(w):
 _REPLAYERS = {
     "heyting-sup-arrow": _trace_heyting_sup_arrow,
     "sublocale-join-form": _trace_sublocale_join_form,
-    "initial-top": _trace_initial_top,
-    "initial-h-top": _trace_initial_h_top,
     "discrete-h-not-largest": _trace_discrete_h_not_largest,
     "initial-anomaly": _trace_initial_anomaly,
     "coarseness-anomaly": _trace_coarseness,

@@ -318,8 +318,13 @@ def test_replay_from_report_file(files, capsys):
     )
     capsys.readouterr()
     assert main(["replay", rpath, "initial-top"]) == 0
-    out = capsys.readouterr().out
-    assert out.rstrip().splitlines()[-1] == "i_{L_f}(L) = {1} ≠ L"
+    assert capsys.readouterr().out.rstrip().splitlines()[-1] == "anomaly reproduced"
+    # the witness is the mandated TWO -> CHAIN3 map with the trivial table
+    with open(rpath) as fh:
+        w = next(e["witness"] for e in json.load(fh)["registry"] if e["id"] == "initial-top")
+    assert w["map"] == {"source": frame_to_json(two()), "target": frame_to_json(chain3()),
+                        "table": [0, 2]}
+    assert w["op"]["table"] == list(trivial_op(enumerate_sublocales(chain3())).table)
     assert main(["replay", rpath, "definitely-not-recorded"]) == 1
     assert "unknown witness" in capsys.readouterr().err
 
@@ -331,7 +336,7 @@ def test_replay_refuses_a_report_of_another_version(tmp_path, capsys):
     save_json(rpath, report)
     assert main(["replay", rpath, "initial-contraction"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid content: report version 5 cannot be replayed by version 7")
+    assert err.startswith("invalid content: report version 5 cannot be replayed by version 8")
 
 
 def test_console_script_is_installed(files, subprocess_env):

@@ -107,6 +107,8 @@ def test_h_table_must_be_total():
         HOperator(fr, (0, 1, 2))
     with pytest.raises(ValueError):
         HOperator(fr, (0, 1, 2, 7))
+    with pytest.raises(ValueError, match="not total"):
+        HOperator(fr, (0, 1, 2, 2.5))
 
 
 def test_h2_failure_has_witness():

@@ -94,6 +94,10 @@ def test_operator_table_must_be_total():
         InteriorOperator(sl, (0, 1, 2))
     with pytest.raises(ValueError):
         InteriorOperator(sl, (0, 1, 2, 9))
+    # an entry that is no integer is refused, not built and failed on later
+    for bad in ((0, 1, 2, 2.5), (0, 1, 2, 3.0), (0, 1, 2, None)):
+        with pytest.raises(ValueError, match="not total"):
+            InteriorOperator(sl, bad)
 
 
 def test_discrete_trivial_values():

@@ -22,6 +22,7 @@ from localelab.lattice import FiniteSpace, bits, frame_of_space
 from localelab.maps import (
     ContinuousMap,
     FrameHom,
+    HomReport,
     LocalicMap,
     check_frame_hom,
     compose_localic,
@@ -71,6 +72,11 @@ def test_check_frame_hom_examples():
     # non-total tables are rejected, not crashed on
     assert not check_frame_hom(c3, t2, (0, 1)).ok
     assert not check_frame_hom(c3, t2, (0, 5, 1)).ok
+    # so are entries that are no integers, even integral floats
+    for table in ((0, 0.5, 1), (0, 1.0, 1), (0, "1", 1)):
+        assert check_frame_hom(c3, t2, table) == HomReport(False, "totality", (3,))
+        with pytest.raises(ValueError, match="totality law fails"):
+            FrameHom(c3, t2, table)
 
 
 def test_frame_hom_constructor_validates():
@@ -156,6 +162,11 @@ def test_localic_map_rejects_tables_off_their_point_map():
     with pytest.raises(NotLocalic) as exc:
         localic_map(chain3(), two(), (0, 1))
     assert exc.value.witness == ("totality",)
+    # an entry that is no integer is refused, not read as the integer it equals
+    for table in ((0, 2.0), (0, 1.5)):
+        with pytest.raises(NotLocalic) as exc:
+            localic_map(two(), chain3(), table)
+        assert exc.value.witness == ("totality",)
 
 
 def test_left_adjoint_matches_order_oracle():

@@ -41,8 +41,13 @@ from localelab.interior import (
     trivial_op,
 )
 from localelab.maps import compose_localic, localic_map
-from localelab.serialize import save_json
-from localelab.sublocales import SublocaleTransfer, _transfer_cached, transfer_of
+from localelab.serialize import frame_to_json, save_json
+from localelab.sublocales import (
+    SublocaleTransfer,
+    _transfer_cached,
+    enumerate_sublocales,
+    transfer_of,
+)
 from localelab.verify import CHECK_ORDER, CorpusConfig, run_verification, replay
 
 ALL_CHECKS = [
@@ -82,7 +87,7 @@ def test_check_order_is_stable():
 
 def test_default_run_all_pass(default_report):
     assert default_report["artifact"] == "localelab-verification"
-    assert default_report["version"] == 7
+    assert default_report["version"] == 8
     assert {r["id"]: r["status"] for r in default_report["checks"]} == {
         cid: "pass" for cid in ALL_CHECKS
     }
@@ -106,7 +111,8 @@ def test_registry_every_entry_confirmed(default_report):
     assert [e["id"] for e in entries] == REGISTRY_IDS
     for e in entries:
         assert e["status"] == "confirmed", e["id"]
-        assert e["occurrences"] > 0 or e["witness"] is not None, e["id"]
+        # the check that confirms an entry records its first occurrence as the witness
+        assert e["occurrences"] > 0 and e["witness"] is not None, e["id"]
         assert e["kind"] in ("text-discrepancy", "expected-fail")
         assert e["claim"]
     kinds = {e["id"]: e["kind"] for e in entries}
@@ -144,7 +150,7 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), default_report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "b3ec21dfedecc6587e34010e089ebde9c5c6bfc05774c958c0a1ea6c5d207add"
+    assert digest == "eea361fbd95afb484bfd33f0f1e97efc7a19497a650f46c5bfc1a6951f0f4752"
 
 
 def test_exported_default_bound_leaves_the_report_bytes_alone(monkeypatch, tmp_path):
@@ -154,22 +160,23 @@ def test_exported_default_bound_leaves_the_report_bytes_alone(monkeypatch, tmp_p
     path = tmp_path / "report.json"
     save_json(str(path), run_verification(CorpusConfig()))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "b3ec21dfedecc6587e34010e089ebde9c5c6bfc05774c958c0a1ea6c5d207add"
+    assert digest == "eea361fbd95afb484bfd33f0f1e97efc7a19497a650f46c5bfc1a6951f0f4752"
 
 
 def test_maps_sweep_report_bytes_pinned(tmp_path):
     # the bytes of `localelab verify --max-poset 4 --budget 10000000
     # --samples 0 --checks galois-adjunction --seed 42 --report ...`: the
     # Galois check over the 5,217 maps that budget admits; it reads no draw,
-    # so it differs from the version-6 bytes (8599cf1d4107...) in "version" alone
+    # and it confirms no registry entry, so all twelve stay not-observed
     report = run_verification(CorpusConfig(
         max_poset_size=4, operator_samples_per_frame=0, map_budget=10_000_000,
         seed=42, checks=("galois-adjunction",)))
     assert report["counts"]["maps"] == 5217
+    assert {e["status"] for e in report["registry"]} == {"not-observed"}
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "07df16780160a3b8a32ae66224ee69ebcf965181d1be64363a2ac5c4b1ec9486"
+    assert digest == "12e5cd68b55cb76bfa330ef90725e92c2209278e00941de555a6332e01f644c7"
 
 
 def test_max_poset_5_report_bytes_pinned(tmp_path):
@@ -183,7 +190,7 @@ def test_max_poset_5_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "6a49ad760f70f92d8d2fd0ea14fd84d60088da4f33e60c3b39604d4a8213c9f4"
+    assert digest == "a937b882302ddcf900ed256251cc03f9e89081df71deefce7de7e5b160f82657"
 
 
 def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
@@ -277,16 +284,41 @@ def test_config_validation():
         CorpusConfig(checks=("poset-counts", "bogus"))
 
 
+def _assert_mandated_top_witness(report, rid, fragment):
+    """The witness of rid is the top gap of the mandated TWO -> CHAIN3 map
+    with the trivial table, and its replay reproduces it."""
+    w = next(e["witness"] for e in report["registry"] if e["id"] == rid)
+    assert w["kind"] == "initial-anomaly"
+    assert w["map"] == {"source": frame_to_json(two()), "target": frame_to_json(chain3()),
+                        "table": [0, 2]}
+    trivial = trivial_op(enumerate_sublocales(chain3())).table
+    assert w["op"] == {"fragment": fragment, "table": list(trivial)}
+    assert w["anomaly"]["kind"] == "top-gap"
+    trace = replay(report, rid).splitlines()
+    assert trace[-2] == "image gap: f[L] = {0,1} != {0,m,1}"
+    assert trace[-1] == "anomaly reproduced"
+
+
 def test_replay_mandated_top_counterexample(default_report):
-    trace = replay(default_report, "initial-top")
-    lines = trace.splitlines()
-    assert lines[-1] == "i_{L_f}(L) = {1} ≠ L"
-    assert any("trivial" in ln for ln in lines)
+    _assert_mandated_top_witness(default_report, "initial-top", False)
 
 
 def test_replay_mandated_h_top_counterexample(default_report):
-    trace = replay(default_report, "initial-h-top")
-    assert trace.splitlines()[-1] == "h_{L_f}(L) = {1} ≠ L"
+    _assert_mandated_top_witness(default_report, "initial-h-top", True)
+
+
+def test_registry_witnesses_come_from_the_checks_that_confirm_them():
+    """A run whose checks observe no anomaly confirms no entry and records
+    no witness; heyting-identities confirms its own entry alone."""
+    report = run_verification(CorpusConfig(checks=("poset-counts",)))
+    assert [(e["id"], e["status"], e["witness"], e["occurrences"])
+            for e in report["registry"]] == [
+        (rid, "not-observed", None, 0) for rid in REGISTRY_IDS]
+    report = run_verification(CorpusConfig(checks=("heyting-identities",)))
+    confirmed = {e["id"]: e for e in report["registry"] if e["status"] == "confirmed"}
+    assert list(confirmed) == ["sup-arrow-display-form"]
+    assert confirmed["sup-arrow-display-form"]["occurrences"] == 17
+    assert replay(report, "sup-arrow-display-form").endswith("display form falsified")
 
 
 def test_replay_text_discrepancies(default_report):
@@ -300,6 +332,7 @@ def test_replay_text_discrepancies(default_report):
 
 
 DYNAMIC_IDS = [
+    "initial-top", "initial-h-top",
     "initial-contraction", "initial-continuity", "initial-coarseness",
     "initial-h-coarseness", "initial-h-continuity",
     "universal-interior-anomaly", "universal-h-anomaly",
@@ -320,10 +353,10 @@ def test_replay_survives_json_round_trip(default_report):
 
 def test_replay_refuses_a_report_of_another_version(default_report):
     """Witness op tables are lattice indices, whose order a version may
-    change: a version-6 report is refused, not replayed in the wrong order."""
+    change: a version-7 report is refused, not replayed in the wrong order."""
     old = copy.deepcopy(default_report)
-    old["version"] = 6
-    with pytest.raises(ValueError, match="report version 6 cannot be replayed by version 7"):
+    old["version"] = 7
+    with pytest.raises(ValueError, match="report version 7 cannot be replayed by version 8"):
         replay(old, "initial-contraction")
 
 
@@ -869,7 +902,7 @@ def test_replay_of_every_default_id_pinned(default_report):
         e["id"] for e in default_report["registry"]]
     text = "\n\n".join(f"{i}\n{replay(default_report, i)}" for i in ids)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "5c7f687fd81aa4bb7e52861cab3b2ec7116ed81dc48b70ab036da5b0ba7cff10"
+    assert digest == "4bcca456293138094f1d05b7b35aaedeadd4c4c451a5d164ec68c86679976cea"
 
 
 def test_sampling_free_verdicts_pinned():
