@@ -52,7 +52,9 @@ interpreters with the same `PYTHONPATH`. One entry records:
 - the median over five passes of the interior-axioms and h-axioms checks
   of default `verify` (`interior_axioms_s`, `h_axioms_s`): each one's work
   over its 100 draws per corpus frame (2,400 draws), with the named
-  operators and, for h, the raw tables included;
+  operators and, for h, the raw tables included; and the same two checks
+  at 10,000 draws per frame (`interior_axioms_10k_s`, `h_axioms_10k_s`),
+  which show how the draw kernels scale with the draw count;
 - the median over five passes of the lane-packed kernels as the initial
   checks run them, one batch per map: `batched_draws_s` asks a fresh
   context for initial-interior's batch of every map, which draws its banks
@@ -343,6 +345,9 @@ def operator_timings():
     _median_time(out, "initial_h_s", initial_h, h_lifts)
     _median_time(out, "interior_axioms_s", check, [("interior-axioms",)])
     _median_time(out, "h_axioms_s", check, [("h-axioms",)])
+    wide = _Ctx(CorpusConfig(operator_samples_per_frame=10_000))
+    _median_time(out, "interior_axioms_10k_s", check, [("interior-axioms", wide)])
+    _median_time(out, "h_axioms_10k_s", check, [("h-axioms", wide)])
 
     def fresh():
         """A context that has drawn nothing yet and shares the warm one's maps."""

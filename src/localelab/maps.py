@@ -99,7 +99,11 @@ class LocalicMap:
             raise NotLocalic(f"{len(pts)} values for {len(src.prime_list)} points",
                              witness=("point-count", len(pts)))
         for p, v in zip(src.prime_list, pts):
-            if not (0 <= v < tgt.n and tgt.primes >> v & 1):
+            try:
+                point = 0 <= v < tgt.n and tgt.primes >> v & 1
+            except TypeError:  # v has no __index__, such as 1.0 or "0"
+                point = False
+            if not point:
                 raise NotLocalic(
                     f"sends the point {src.labels[p]} to {v}, not a point of the target",
                     witness=("point-not-prime", src.labels[p], v),

@@ -10,6 +10,7 @@ are routed to the known-anomaly registry; anything else lands in
 """
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -93,12 +94,16 @@ class CorpusConfig:
     checks: tuple = ()
 
     def __post_init__(self):
-        if self.max_poset_size < 1:
-            raise ValueError("max_poset_size must be at least 1")
-        if self.operator_samples_per_frame < 0:
-            raise ValueError("operator_samples_per_frame must not be negative")
-        if self.map_budget < 0:
-            raise ValueError("map_budget must not be negative")
+        # counts are read as operator.index reads them, so 2.0, 2.5, inf and None are refused
+        for name, least in (("max_poset_size", 1), ("operator_samples_per_frame", 0),
+                            ("map_budget", 0)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                value = None
+            if value is None or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "checks", tuple(self.checks))
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
@@ -234,12 +239,6 @@ _REGISTRY_SEED = (
 
 # -- context --------------------------------------------------------------------
 
-# Tables per batch of the operator kernels. A fixed bound keeps the packed ints
-# short, so that the work grows linearly with the number of draws; 64 holds a
-# whole initial-check bank (2 named tables and at most 46 draws) in one batch.
-LANES = 64
-
-
 class _Ctx:
     def __init__(self, config: CorpusConfig, kernels=None):
         self.config = config
@@ -267,7 +266,7 @@ class _Ctx:
                          for e in _REGISTRY_SEED}
         # operator-kernel counters for the profile sidecar, never in the report
         self.kernels = {} if kernels is None else kernels
-        self.kernels.update(tables_lifted=0, batches=0, widest_batch=0, batches_walked=0)
+        self.kernels.update(tables_lifted=0, batches=0, batches_walked=0)
         self.banks = {}
 
     def sl(self, frame):
@@ -276,18 +275,13 @@ class _Ctx:
     def rng(self, *tag):
         return random.Random(child_seed(self.config.seed, *tag))
 
-    def batches(self, sl, rng, draws, width, named=False):
-        """Tables on sl as _Batches of at most LANES lanes of width bits: the
-        discrete and trivial tables first when named, then `draws` draws."""
-        base, lanes = (list(range(sl.n)), 2) if named else (None, 0)
-        while draws or lanes:
-            count = min(LANES - lanes, draws)
-            named_ones, ones = _lanes(lanes, width)[0], _lanes(lanes + count, width)[0]
-            lanes += count
-            self.kernels["batches"] += 1
-            self.kernels["widest_batch"] = max(self.kernels["widest_batch"], lanes)
-            yield _Batch.of(_closed_draw(sl, rng, base, ones, ones ^ named_ones), lanes, width)
-            draws, base, lanes = draws - count, None, 0
+    def batch(self, sl, rng, draws, width, named=False):
+        """Tables on sl as one _Batch of lanes of width bits: the discrete and
+        trivial tables first when named, then `draws` draws."""
+        base, first = (list(range(sl.n)), 2) if named else (None, 0)
+        named_ones, ones = _lanes(first, width)[0], _lanes(first + draws, width)[0]
+        self.kernels["batches"] += 1
+        return _Batch.of(_closed_draw(sl, rng, base, ones, ones ^ named_ones), first + draws, width)
 
     def bank(self, tag, frame, draws, core=False):
         """The batch of tag on frame, drawn on first ask: the discrete and
@@ -295,7 +289,7 @@ class _Ctx:
         cores when core."""
         if (tag, frame) not in self.banks:
             sl = self.sl(frame)
-            (b,) = self.batches(sl, self.rng(tag, frame.key()), draws, self.bank_width, named=True)
+            b = self.batch(sl, self.rng(tag, frame.key()), draws, self.bank_width, named=True)
             self.banks[tag, frame] = b._replace(masks=_core(sl, b.masks, b.ones)) if core else b
         return self.banks[tag, frame]
 
@@ -578,21 +572,18 @@ def _check_interior_axioms(ctx):
         for op in (d, t, op_join([d, t]), op_meet([d, t])):
             if not check_interior(op).ok:
                 return _fail({"generated": generated}, f"named operator invalid on {key}")
-        prev = None  # the previous batch's last draw
-        for b in ctx.batches(sl, ctx.rng("interior-ops", key), k, len(fr.prime_list) + 1):
-            own = _invalid(sl, b.masks, b)
-            # lane j of before is draw j - 1: a batch's first draw pairs with the
-            # previous batch's last, and the frame's first with itself
-            before = b.shifted(prev or b.lane(0))
-            pairs = (_invalid(sl, [x | y for x, y in zip(before, b.masks)], b)
-                     | _invalid(sl, [x & y for x, y in zip(before, b.masks)], b))
-            if own | pairs:
-                j = b.upto(own | pairs)
-                line = ("generated operator breaks the axioms or bounds on"
-                        if b.upto(own) == j else "operator lattice op invalid on")
-                return _fail({"generated": generated + j}, f"{line} {key}")
-            generated += b.lanes
-            prev = b.lane(b.lanes - 1)
+        b = ctx.batch(sl, ctx.rng("interior-ops", key), k, len(fr.prime_list) + 1)
+        own = _invalid(sl, b.masks, b)
+        # lane j of before is draw j - 1, and the first draw pairs with itself
+        before = b.shifted(b.lane(0))
+        pairs = (_invalid(sl, [x | y for x, y in zip(before, b.masks)], b)
+                 | _invalid(sl, [x & y for x, y in zip(before, b.masks)], b))
+        if own | pairs:
+            j = b.upto(own | pairs)
+            line = ("generated operator breaks the axioms or bounds on"
+                     if b.upto(own) == j else "operator lattice op invalid on")
+            return _fail({"generated": generated + j}, f"{line} {key}")
+        generated += b.lanes
     ctx.counts["operators"] += generated
     return "pass", {"generated": generated, "per_frame": k}, None
 
@@ -616,12 +607,12 @@ def _check_h_axioms(ctx):
                 return _fail({"raw_tables": raw_tables}, f"h1 fails on a raw table on {key}")
         # a draw is an interior operator, so trivial <= h <= discrete, and
         # trivial <= h is also trivial being the meet floor: t ^ h = t
-        for b in ctx.batches(sl, rng, k, k_pts + 1):
-            bad = _invalid(sl, b.masks, b) | _invalid(sl, _core(sl, b.masks, b.ones), b)
-            if bad:
-                return _fail({"generated": generated + b.upto(bad)},
-                             f"generated h operator invalid on {key}")
-            generated += b.lanes
+        b = ctx.batch(sl, rng, k, k_pts + 1)
+        bad = _invalid(sl, b.masks, b) | _invalid(sl, _core(sl, b.masks, b.ones), b)
+        if bad:
+            return _fail({"generated": generated + b.upto(bad)},
+                         f"generated h operator invalid on {key}")
+        generated += b.lanes
         # the constant-top table is a valid h operator strictly above discrete
         const_top = HOperator(sl, (sl.top,) * sl.n)
         if check_h(const_top).ok and op_le(d, const_top) and not op_le(const_top, d):
@@ -1159,10 +1150,8 @@ def _trace_coarseness(w):
     i = sl.labels.index(gap)
     lines.append(f"candidate({gap}) = {sl.label(cand(i))} exceeds "
                  f"op_L({gap}) = {sl.label(opl(i))}")
-    back = t.preimage_table[t.image_table[i]]
-    lines.append(f"unit gap: f_-1[f[{gap}]] = {sl.label(back)} != {gap}")
-    lines.append("anomaly reproduced")
-    return lines
+    return lines + _predicate_lines(t, {"at": gap, "predicate": "unit-gap"}) + [
+        "anomaly reproduced"]
 
 
 def _trace_universal_anomaly(w):

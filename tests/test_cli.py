@@ -280,12 +280,11 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     # both initial checks lift 2 + 10 tables per map, its target's bank, and
     # draw one bank batch each per target frame of the run's maps
     kernels = profile["operator_kernels"]
-    assert sorted(kernels) == ["batches", "batches_walked", "tables_lifted", "widest_batch"]
+    assert sorted(kernels) == ["batches", "batches_walked", "tables_lifted"]
     maps = json.loads(open(plain).read())["counts"]["maps"]
     assert kernels["tables_lifted"] == 24 * maps
     ctx = _Ctx(CorpusConfig(max_poset_size=3, operator_samples_per_frame=10, seed=5))
     assert kernels["batches"] == 2 * len({f.target for f in ctx.maps})
-    assert kernels["widest_batch"] == 12
     assert 0 < kernels["batches_walked"] < kernels["batches"]
 
 

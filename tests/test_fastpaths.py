@@ -121,7 +121,6 @@ from localelab.sublocales import (
 )
 from localelab.verify import (
     CHECKS,
-    LANES,
     CorpusConfig,
     _Ctx,
     _h_ops_for_initial,
@@ -1343,31 +1342,36 @@ def test_counted_gaps_match_materialized_anomalies():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_draws_are_one_lane_draws(seed):
-    """Drawn in batches of at most LANES lanes, count draws are the oracle's
-    batch tables, one word per index per batch, and leave the rng where the
-    oracle leaves it; named batches lead with the discrete and trivial tables,
-    and a batch of one drawn lane is a one-lane draw."""
+    """count draws are one batch of the oracle's tables, one word per index,
+    and leave the rng where the oracle leaves it; a named batch leads with
+    the discrete and trivial tables, and a batch of one drawn lane is a
+    one-lane draw."""
     ctx = _Ctx(CorpusConfig())
     for sl in (enumerate_sublocales(fr, limit=fr.n) for fr in CORPUS4):
         width = len(sl.host.prime_list) + 1
-        for count, named in ((1, False), (5, True), (LANES, False), (2 * LANES + 3, True),
-                             (0, True)):
+        for count, named in ((0, True), (1, False), (5, True), (64, False), (131, True),
+                             (1000, False)):
             fast, slow = random.Random(seed), random.Random(seed)
-            batches = list(ctx.batches(sl, fast, count, width, named))
-            lanes = [tuple(b.lane(j)) for b in batches for j in range(b.lanes)]
-            want, left, first = [], count, 2 * named
-            while left or first:
-                drawn = min(LANES - first, left)
-                want += brute_batch_tables(sl, slow, first + drawn, width, first)
-                left, first = left - drawn, 0
-            assert lanes == want
+            b = ctx.batch(sl, fast, count, width, named)
+            assert (b.lanes, b.width) == (2 * named + count, width)
+            lanes = [tuple(b.lane(j)) for j in range(b.lanes)]
+            assert lanes == brute_batch_tables(sl, slow, b.lanes, width, 2 * named)
             if named:
                 assert lanes[:2] == [discrete_op(sl).table, trivial_op(sl).table]
             if count == 1:
-                assert batches[0].masks == _closed_draw(sl, random.Random(seed))
-            assert [b.lanes for b in batches[:-1]] == [LANES] * (len(batches) - 1)
-            assert 0 < batches[-1].lanes <= LANES
+                assert b.masks == _closed_draw(sl, random.Random(seed))
             assert fast.getrandbits(64) == slow.getrandbits(64)
+
+
+def test_axiom_checks_draw_one_batch_per_frame():
+    """However many samples, interior-axioms and h-axioms each draw every
+    frame's tables as one batch."""
+    kernels = {}
+    config = CorpusConfig(max_poset_size=3, operator_samples_per_frame=1000,
+                          checks=("interior-axioms", "h-axioms"))
+    report = run_verification(config, kernels=kernels)
+    assert [row["status"] for row in report["checks"]] == ["pass", "pass"]
+    assert kernels["batches"] == 2 * len(corpus_frames(3))
 
 
 BANKS = (("initial-ops", _ops_for_initial, 46), ("initial-h-ops", _h_ops_for_initial, 30))
@@ -1405,14 +1409,14 @@ def test_initial_accessors_yield_the_bank_batch_of_the_target(banked):
 
 
 def test_bank_batches_are_the_oracle_draws_and_cores(banked):
-    """A bank holds, in one batch of at most LANES lanes, the oracle's batch
-    tables drawn from rng(tag, frame.key()): the discrete and trivial tables,
-    then 46 draws for initial-interior; for initial-h, 30 draws and each
-    table's core S cap h(S)."""
+    """A bank holds, in one batch, the oracle's batch tables drawn from
+    rng(tag, frame.key()): the discrete and trivial tables, then 46 draws
+    for initial-interior; for initial-h, 30 draws and each table's core
+    S cap h(S)."""
     width = max(len(fr.prime_list) for _, fr in banked.frames if fr.n <= banked.map_bound) + 1
     for (tag, fr), b in banked.banks.items():
         draws = {t: d for t, _, d in BANKS}[tag]
-        assert (b.lanes, b.width) == (2 + draws, width) and b.lanes <= LANES
+        assert (b.lanes, b.width) == (2 + draws, width)
         assert [tuple(b.lane(k)) for k in range(b.lanes)] == _bank_tables(banked, tag, fr)
 
 
@@ -1422,8 +1426,8 @@ def test_h_bank_cores_non_contractive_draws_once_per_batch(monkeypatch):
     entry n - 1 - i's value), initial-h's bank still holds S cap h(S), and
     _core runs once per bank batch, not once per map."""
     ctx = _Ctx(CorpusConfig())
-    real, calls = ctx.batches, []
-    ctx.batches = lambda *args, **kw: (b._replace(masks=b.masks[::-1]) for b in real(*args, **kw))
+    real, calls = ctx.batch, []
+    ctx.batch = lambda *args, **kw: (b := real(*args, **kw))._replace(masks=b.masks[::-1])
     monkeypatch.setattr(verify, "_core", lambda *args: calls.append(args) or _core(*args))
     for f in ctx.maps:
         _h_ops_for_initial(ctx, f)
@@ -1537,7 +1541,7 @@ def _verdicts(sl, lanes, width):
 
 def test_axiom_check_masks_match_operator_checks():
     """On the seed-42 streams of both axiom checks on every corpus-4 frame,
-    batch by batch, and on each batch with one entry of every lane
+    one batch each, and on each batch with one entry of every lane
     overwritten (so that verdicts vary), the lane verdicts of the packed masks
     equal check_interior / check_h, op_le, op_join and op_meet on each lane's
     table, the joins and meets taken with the draw before; a valid lane lies
@@ -1549,49 +1553,47 @@ def test_axiom_check_masks_match_operator_checks():
         sl = ctx.sl(fr)
         pts, bent, width = range(sl.n), random.Random(key), len(fr.prime_list) + 1
         d, t = discrete_op(sl), trivial_op(sl)
-        prev = None
-        for b in ctx.batches(sl, ctx.rng("interior-ops", key), k, width):
-            drawn = [b.lane(j) for j in range(b.lanes)]
-            for lanes in (drawn, [_perturbed(sl, vals, bent) for vals in drawn]):
-                _, invalid, i1 = _verdicts(sl, lanes, width)
-                before = [prev or lanes[0]] + lanes[:-1]
-                joins = _verdicts(sl, [[x | y for x, y in zip(a, c)]
-                                       for a, c in zip(before, lanes)], width)[1]
-                meets = _verdicts(sl, [[x & y for x, y in zip(a, c)]
-                                       for a, c in zip(before, lanes)], width)[1]
-                for j, (masks, other) in enumerate(zip(lanes, before)):
-                    bit = 1 << (j + 1) * width - 1
-                    op = InteriorOperator._of_points(sl, masks)
-                    assert (not invalid & bit) == check_interior(op).ok
-                    assert (not i1 & bit) == op_le(op, d)
-                    if not invalid & bit:
-                        assert op_le(t, op)
-                    other = InteriorOperator._of_points(sl, other)
-                    assert (not joins & bit) == check_interior(op_join([other, op])).ok
-                    assert (not meets & bit) == check_interior(op_meet([other, op])).ok
-                    failing["interior"] += bool(invalid & bit)
-            prev = drawn[-1]
+        b = ctx.batch(sl, ctx.rng("interior-ops", key), k, width)
+        drawn = [b.lane(j) for j in range(b.lanes)]
+        for lanes in (drawn, [_perturbed(sl, vals, bent) for vals in drawn]):
+            _, invalid, i1 = _verdicts(sl, lanes, width)
+            before = lanes[:1] + lanes[:-1]
+            joins = _verdicts(sl, [[x | y for x, y in zip(a, c)]
+                                   for a, c in zip(before, lanes)], width)[1]
+            meets = _verdicts(sl, [[x & y for x, y in zip(a, c)]
+                                   for a, c in zip(before, lanes)], width)[1]
+            for j, (masks, other) in enumerate(zip(lanes, before)):
+                bit = 1 << (j + 1) * width - 1
+                op = InteriorOperator._of_points(sl, masks)
+                assert (not invalid & bit) == check_interior(op).ok
+                assert (not i1 & bit) == op_le(op, d)
+                if not invalid & bit:
+                    assert op_le(t, op)
+                other = InteriorOperator._of_points(sl, other)
+                assert (not joins & bit) == check_interior(op_join([other, op])).ok
+                assert (not meets & bit) == check_interior(op_meet([other, op])).ok
+                failing["interior"] += bool(invalid & bit)
         dh, th = discrete_h(sl), trivial_h(sl)
         rng = ctx.rng("h-ops", key)
         for _ in range(min(k, 25)):
             table = tuple(rng.randrange(sl.n) for _ in range(sl.n))
             h1 = not any(_axiom_gaps(sl, [p & v for p, v in zip(pts, table)])[0])
             assert h1 == check_h(HOperator(sl, table)).passed["h1"]
-        for b in ctx.batches(sl, rng, k, width):
-            drawn = [b.lane(j) for j in range(b.lanes)]
-            for lanes in (drawn, [_perturbed(sl, vals, bent) for vals in drawn]):
-                core = [[p & v for p, v in zip(pts, vals)] for vals in lanes]
-                _, invalid, _ = _verdicts(sl, core, width)
-                _, draw_invalid, i1 = _verdicts(sl, lanes, width)
-                for j, masks in enumerate(lanes):
-                    bit = 1 << (j + 1) * width - 1
-                    h = HOperator._of_points(sl, masks)
-                    assert (not invalid & bit) == check_h(h).ok
-                    assert (not i1 & bit) == op_le(h, dh)
-                    assert (not draw_invalid & bit) == check_interior(h).ok
-                    if not draw_invalid & bit:
-                        assert op_le(th, h) and op_meet([th, h]).table == th.table
-                    failing["h"] += bool(invalid & bit)
+        b = ctx.batch(sl, rng, k, width)
+        drawn = [b.lane(j) for j in range(b.lanes)]
+        for lanes in (drawn, [_perturbed(sl, vals, bent) for vals in drawn]):
+            core = [[p & v for p, v in zip(pts, vals)] for vals in lanes]
+            _, invalid, _ = _verdicts(sl, core, width)
+            _, draw_invalid, i1 = _verdicts(sl, lanes, width)
+            for j, masks in enumerate(lanes):
+                bit = 1 << (j + 1) * width - 1
+                h = HOperator._of_points(sl, masks)
+                assert (not invalid & bit) == check_h(h).ok
+                assert (not i1 & bit) == op_le(h, dh)
+                assert (not draw_invalid & bit) == check_interior(h).ok
+                if not draw_invalid & bit:
+                    assert op_le(th, h) and op_meet([th, h]).table == th.table
+                failing["h"] += bool(invalid & bit)
     assert failing["interior"] and failing["h"], failing
 
 
@@ -1616,31 +1618,32 @@ def test_axiom_check_fails_on_a_broken_kernel(monkeypatch, cid, broken, line):
     assert row["witness"] == {"kind": "static", "lines": [line + "D[1:1]"]}
 
 
-def test_axiom_check_pairs_draws_across_batches(monkeypatch):
-    """A kernel that breaks only the join of the last draw of one batch with
-    the first draw of the next makes interior-axioms fail at that draw."""
-    config = CorpusConfig(max_poset_size=3, operator_samples_per_frame=LANES + 1,
+def test_axiom_check_pairs_each_draw_with_the_one_before(monkeypatch):
+    """A kernel that breaks only the join of draws 64 and 65 of a frame makes
+    interior-axioms fail at draw 65."""
+    config = CorpusConfig(max_poset_size=3, operator_samples_per_frame=65,
                           checks=("interior-axioms",))
     ctx = _Ctx(config)
     for n, (key, fr) in enumerate(ctx.frames):
-        sl, rng = ctx.sl(fr), ctx.rng("interior-ops", key)
-        draws = [b.lane(j) for b in ctx.batches(sl, rng, LANES + 1, len(fr.prime_list) + 1)
-                 for j in range(b.lanes)]
-        joined = [x | y for x, y in zip(draws[-2], draws[-1])]
-        if joined not in draws:
+        sl, width = ctx.sl(fr), len(fr.prime_list) + 1
+        b = ctx.batch(sl, ctx.rng("interior-ops", key), 65, width)
+        draws = [b.lane(j) for j in range(b.lanes)]
+        # a join that is not draw 65 is what lane 64 of the joins alone holds
+        joined = [x | y for x, y in zip(draws[63], draws[64])]
+        if joined != draws[64]:
             break
-    real, width = verify._axiom_gaps, len(fr.prime_list) + 1
+    real = verify._axiom_gaps
 
     def kernel(lat, vals, ones=1):
         gaps, bad, top = real(lat, vals, ones)
-        if lat is sl and [_lane(x, 0, width) for x in vals] == joined:
-            bad |= 1  # lane 0 breaks I2
+        if lat is sl and [_lane(x, 64, width) for x in vals] == joined:
+            bad |= 1 << 64 * width  # lane 64 breaks I2
         return gaps, bad, top
 
     monkeypatch.setattr(verify, "_axiom_gaps", kernel)
     (row,) = run_verification(config)["checks"]
     assert row["status"] == "fail"
-    assert row["detail"] == {"generated": (n + 1) * (LANES + 1)}
+    assert row["detail"] == {"generated": (n + 1) * 65}
     assert row["witness"] == {"kind": "static", "lines": [f"operator lattice op invalid on {key}"]}
 
 

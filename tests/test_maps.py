@@ -341,6 +341,10 @@ def test_localic_map_checks_its_point_map():
     with pytest.raises(NotLocalic) as exc:
         LocalicMap(c3, c3, (0,))
     assert exc.value.witness == ("point-count", 1)
+    for v in (1.0, "0", None):  # no integer names a point
+        with pytest.raises(NotLocalic) as exc:
+            LocalicMap(two(), c3, (v,))
+        assert exc.value.witness == ("point-not-prime", "0", v)
     # the point map (0, 0) extends by meets to the table (0, 0, 2), whose
     # left adjoint sends m to the top
     f = LocalicMap(c3, c3, (0, 0))

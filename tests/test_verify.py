@@ -282,6 +282,11 @@ def test_config_validation():
         CorpusConfig(map_budget=-5)
     with pytest.raises(ValueError):
         CorpusConfig(checks=("poset-counts", "bogus"))
+    # counts are integers: 2.0, 2.5, inf and None are refused, naming the field
+    for name in ("max_poset_size", "operator_samples_per_frame", "map_budget"):
+        for value in (2.5, 2.0, float("inf"), None):
+            with pytest.raises(ValueError, match=name):
+                CorpusConfig(**{name: value})
 
 
 def _assert_mandated_top_witness(report, rid, fragment):
