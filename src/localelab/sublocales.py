@@ -479,6 +479,31 @@ def _adjunction_lanes(img, pre) -> int:
     return sum(1 << m for m in range(img.lanes) if bad >> (m + 1) * img.width - 1 & 1)
 
 
+def _adjoint_lanes(source: Frame, tl: SublocaleLattice, words, img) -> int:
+    """The mask of the lanes m where h_m, the left adjoint of map m of img,
+    is no frame hom or its right adjoint is not map m. Entry a of words is
+    the preimage table's entry at the closed index of a, so its lane m holds
+    the primes above h_m(a), which determine h_m(a): the top's word must be
+    empty, the bottom's full, each word up-closed, meets must go to unions
+    and joins to intersections, and bit b of the word of each
+    join-irreducible q must say whether b's image is above q."""
+    target, w, ones, width = tl.host, words.masks, img.ones, img.width
+    bad = w[target.top] | w[target.bottom] ^ (len(img.masks) - 1) * ones
+    for b, up in enumerate(map(mask_of, source.primes_above)):
+        for x in w:
+            bad |= (x >> b & ones) * up & ~x
+    for a, (x, meet, join) in enumerate(zip(w, target.meet_table, target.join_table)):
+        for y, ab, a_b in zip(w[a + 1:], meet[a + 1:], join[a + 1:]):
+            bad |= w[ab] ^ (x | y) | w[a_b] ^ (x & y)
+    points = [img.masks[1 << b] for b in range(len(source.prime_list))]
+    for q in target.irreducible_list:
+        above = tl.index[target.up[q]] * ones
+        for b, k in enumerate(points):  # the guard bit of k & above, moved to bit 0
+            bad |= ((k & above) + img.fill >> width - 1 ^ w[q] >> b) & ones
+    bad = bad + img.fill & img.guard
+    return sum(1 << m for m in range(img.lanes) if bad >> (m + 1) * width - 1 & 1)
+
+
 def _point_tables(point_value) -> tuple:
     """For each point mask i of len(point_value) points, the union of
     point_value[b] over the bits b of i: entry i is entry i & i - 1, i less

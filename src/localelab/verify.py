@@ -57,11 +57,12 @@ from .interior import (
     trivial_op,
 )
 from .lattice import bits, heyting_identity_report, set_label
-from .maps import _adjoint_points, _adjoint_table, check_frame_hom, localic_map, localic_maps
+from .maps import check_frame_hom, localic_map, localic_maps
 from .points import _sigma, _spatiality, points_of
 from .serialize import frame_from_json, frame_to_json
 from .sublocales import (
     SublocaleTransfer,
+    _adjoint_lanes,
     _adjunction_lanes,
     _enumerate,
     _least_containing,
@@ -94,14 +95,14 @@ class CorpusConfig:
     checks: tuple = ()
 
     def __post_init__(self):
-        # counts are read as operator.index reads them, so 2.0, 2.5, inf and None are refused
+        # counts and the seed are read as operator.index reads them: 2.0, 2.5, inf, None refused
         for name, least in (("max_poset_size", 1), ("operator_samples_per_frame", 0),
-                            ("map_budget", 0)):
+                            ("map_budget", 0), ("seed", None)):
             try:
                 value = operator.index(getattr(self, name))
             except TypeError:
-                value = None
-            if value is None or value < least:
+                raise ValueError(f"{name} must be an integer") from None
+            if least is not None and value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "checks", tuple(self.checks))
@@ -512,31 +513,34 @@ def _check_sublocale_join_oracle(ctx):
 
 
 def _check_galois_adjunction(ctx):
-    """The sublocale adjunction of every map, then per map the frame level:
-    the left adjoint read off the points is a frame hom, and its right
-    adjoint gives the points back, so the map is localic. The maps of a frame
-    pair are decided in one pass, map m in lane m of packed image and
-    preimage tables (`_adjunction_lanes`); only a failing lane's tables are
-    read off, and `adjunction_report` gives their witness."""
-    for _, maps in groupby(ctx.maps, lambda f: (f.source, f.target)):
+    """The sublocale adjunction of every map, then the frame level: the left
+    adjoint read off the points is a frame hom, and its right adjoint gives
+    the points back, so the map is localic. The maps of a frame pair are
+    decided in one pass, map m in lane m of packed image and preimage
+    tables (`_adjunction_lanes`) and of the prime sets of the adjoints
+    (`_adjoint_lanes`); only a failing lane is read off, and
+    `adjunction_report` or `check_frame_hom` gives its witness."""
+    for (source, target), maps in groupby(ctx.maps, lambda f: (f.source, f.target)):
         maps = list(maps)
         width, *words = _point_words(maps)
         img, pre = (_Batch.of(_point_tables(w), len(maps), width) for w in words)
-        bad = _adjunction_lanes(img, pre)
-        for m, f in enumerate(maps):
-            adjoint = _adjoint_table(f)
-            hom = check_frame_hom(f.target, f.source, adjoint)
-            if bad >> m & 1:
-                t = SublocaleTransfer(f, ctx.sl(f.source), ctx.sl(f.target),
-                                      tuple(img.lane(m)), tuple(pre.lane(m)))
-                line = f"adjunction fails for {f.describe()}: {adjunction_report(t).witness}"
-            elif not hom.ok:
-                line = f"left adjoint of {f.describe()} breaks the {hom.law} law at {hom.witness}"
-            elif _adjoint_points(f.target, f.source, adjoint) != f.points:
-                line = f"left adjoint round trip differs for {f.describe()}"
-            else:
-                continue
-            return _fail({"maps": len(ctx.maps)}, line)
+        tl, adjunction = ctx.sl(target), _adjunction_lanes(img, pre)
+        adjoints = pre._replace(masks=[pre.masks[tl.index[u]] for u in target.up])
+        bad = adjunction | _adjoint_lanes(source, tl, adjoints, img)
+        if not bad:
+            continue
+        m = (bad & -bad).bit_length() - 1
+        f, sl = maps[m], ctx.sl(source)
+        if adjunction >> m & 1:
+            t = SublocaleTransfer(f, sl, tl, tuple(img.lane(m)), tuple(pre.lane(m)))
+            line = f"adjunction fails for {f.describe()}: {adjunction_report(t).witness}"
+        else:
+            # a word that is no up-closed prime set is no element: a totality failure
+            hom = check_frame_hom(target, source, [source.by_primes.get(sl.masks[x] & source.primes)
+                                                   for x in adjoints.lane(m)])
+            line = (f"left adjoint of {f.describe()} breaks the {hom.law} law at {hom.witness}"
+                    if not hom.ok else f"left adjoint round trip differs for {f.describe()}")
+        return _fail({"maps": len(ctx.maps)}, line)
     return "pass", {"maps": len(ctx.maps), "pairs_per_map": "all"}, None
 
 

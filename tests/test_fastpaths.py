@@ -21,6 +21,7 @@ import copy
 import random
 from collections import Counter
 from itertools import combinations_with_replacement, groupby, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -92,10 +93,13 @@ from localelab.lattice import (
     downset_frame,
     frame_of_space,
     heyting_identity_report,
+    mask_of,
 )
 from localelab.maps import (
     FrameHom,
     LocalicMap,
+    _adjoint_points,
+    _adjoint_table,
     check_frame_hom,
     compose_localic,
     enumerate_frame_homs,
@@ -106,6 +110,7 @@ from localelab.maps import (
 from localelab.points import is_spatial, points_of, pt_space, sigma, spatialization
 from localelab.sublocales import (
     SublocaleTransfer,
+    _adjoint_lanes,
     _adjunction_lanes,
     _generated,
     _least_containing,
@@ -880,38 +885,101 @@ def _flip(maps, rng):
     return words, m
 
 
+def _adjoint_words(target, pre):
+    """pre's entries at the point masks of the primes above each element of
+    target: lane m of entry a holds the primes above h_m(a)."""
+    return pre._replace(masks=[pre.masks[mask_of(q for q, p in enumerate(target.prime_list)
+                                                 if target.up[a] >> p & 1)]
+                               for a in range(target.n)])
+
+
+def _failing_lanes(maps, img, pre, words=None):
+    """The combined mask galois-adjunction reads: the adjunction's failing
+    lanes and those of the adjoints' laws and round trip, on words or by
+    default on the adjoint words of pre."""
+    source, target = maps[0].source, maps[0].target
+    words = _adjoint_words(target, pre) if words is None else words
+    return _adjunction_lanes(img, pre) | _adjoint_lanes(source, enumerate_sublocales(target),
+                                                        words, img)
+
+
+def _read_off(source, words, m):
+    """Lane m's left adjoint table: the element whose primes are each word's
+    points, or None where they are not up-closed."""
+    return tuple(source.by_primes.get(mask_of(source.prime_list[b] for b in bits(x)))
+                 for x in words.lane(m))
+
+
+def _lane_fails(f, img, pre, words, m):
+    """Whether lane m's own tables fail the adjunction scan, the frame-hom
+    laws of its adjoint read off words (a word that is not up-closed is a
+    totality failure), or the round trip: the right adjoint of that adjoint
+    sends each source point to the point lane m's image table gives it."""
+    if not brute_adjunction(_lane_transfer(f, img, pre, m)).ok:
+        return True
+    adjoint = _read_off(f.source, words, m)
+    if not check_frame_hom(f.target, f.source, adjoint).ok:
+        return True
+    images = img.lane(m)
+    return [1 << v for v in _adjoint_points(f.target, f.source, adjoint)] != \
+        [mask_of(f.target.prime_list[q] for q in bits(images[1 << b]))
+         for b in range(len(f.source.prime_list))]
+
+
 def test_packed_lanes_are_each_maps_transfer_tables():
     """On every corpus-4 map between frames within the default S_l bound,
-    lane m of its pair's packed tables is map m's transfer, and no lane fails."""
+    lane m of its pair's packed tables is map m's transfer, lane m of the
+    adjoint words reads off map m's left adjoint, and no lane fails."""
     checked = 0
     for maps in PAIR_MAPS:
         img, pre = _packed(maps)
+        words = _adjoint_words(maps[0].target, pre)
         for m, f in enumerate(maps):
             t = SublocaleTransfer.build(f)
             tables = (t.image_table, t.preimage_table)
             assert (tuple(img.lane(m)), tuple(pre.lane(m))) == tables, f.describe()
             assert tables == brute_transfer_tables(f, t.source_lattice, t.target_lattice)
+            assert _read_off(f.source, words, m) == _adjoint_table(f), f.describe()
             checked += 1
         assert _adjunction_lanes(img, pre) == 0
+        assert _failing_lanes(maps, img, pre) == 0
     assert checked == 14884
+
+
+def _overwrite_lane(draw, b, values):
+    """Overwrite one entry of a drawn lane of the batch b by an index below
+    values or by another entry of the same lane."""
+    m = draw(st.integers(0, b.lanes - 1))
+    lane = b.lane(m)
+    k = st.integers(0, len(lane) - 1)
+    i, v = draw(k), draw(st.one_of(st.integers(0, values - 1), k.map(lane.__getitem__)))
+    b.masks[i] = b.masks[i] & ~((1 << b.width) - 1 << m * b.width) | v << m * b.width
+
+
+def _pair_maps(draw):
+    maps = draw(st.sampled_from(PAIR_MAPS))
+    start = draw(st.integers(0, len(maps) - 1))
+    return maps[start:start + 8]
 
 
 @st.composite
 def packed_transfers(draw):
     """Up to eight maps of one frame pair and their packed tables, with up to
     two entries of chosen lanes overwritten by an arbitrary index or by
-    another entry of the same lane, as `transfers` overwrites one-lane tables."""
-    maps = draw(st.sampled_from(PAIR_MAPS))
-    start = draw(st.integers(0, len(maps) - 1))
-    maps = maps[start:start + 8]
-    img, pre = _packed(maps)
+    another entry of the same lane, as `transfers` overwrites one-lane tables.
+    Half the time one lane first packs an arbitrary function of the points,
+    monotone or not, whose tables are adjoint."""
+    maps = _pair_maps(draw)
+    lanes = list(maps)
+    if draw(st.booleans()):
+        m, (source, target) = draw(st.integers(0, len(maps) - 1)), (maps[0].source, maps[0].target)
+        points = draw(st.lists(st.sampled_from(target.prime_list), min_size=len(source.prime_list),
+                               max_size=len(source.prime_list)))
+        lanes[m] = SimpleNamespace(source=source, target=target, points=points)
+    img, pre = _packed(maps, _point_words(lanes))
     for _ in range(draw(st.integers(0, 2))):
         b, values = draw(st.sampled_from(((img, len(pre.masks)), (pre, len(img.masks)))))
-        m = draw(st.integers(0, len(maps) - 1))
-        lane = b.lane(m)
-        k = st.integers(0, len(lane) - 1)
-        i, v = draw(k), draw(st.one_of(st.integers(0, values - 1), k.map(lane.__getitem__)))
-        b.masks[i] = b.masks[i] & ~((1 << b.width) - 1 << m * b.width) | v << m * b.width
+        _overwrite_lane(draw, b, values)
     return maps, img, pre
 
 
@@ -922,17 +990,44 @@ def test_failing_lanes_are_those_failing_the_all_pairs_scan(case):
     want = sum(1 << m for m, f in enumerate(maps)
                if not brute_adjunction(_lane_transfer(f, img, pre, m)).ok)
     assert _adjunction_lanes(img, pre) == want
+    words = _adjoint_words(maps[0].target, pre)
+    assert _failing_lanes(maps, img, pre) == sum(1 << m for m, f in enumerate(maps)
+                                                 if _lane_fails(f, img, pre, words, m))
+
+
+@st.composite
+def adjoint_words(draw):
+    """Up to eight maps of one frame pair, their packed tables and their
+    adjoint words, with up to two entries of chosen lanes of the words
+    overwritten by an arbitrary point mask or another entry of the lane."""
+    maps = _pair_maps(draw)
+    img, pre = _packed(maps)
+    words = _adjoint_words(maps[0].target, pre)
+    for _ in range(draw(st.integers(0, 2))):
+        _overwrite_lane(draw, words, len(img.masks))
+    return maps, img, pre, words
+
+
+@given(adjoint_words())
+@settings(max_examples=300)
+def test_failing_adjoint_lanes_are_those_failing_the_hom_scan(case):
+    """The adjunction holds in every lane, so a lane fails exactly when its
+    words read off no frame hom or one whose right adjoint is another map."""
+    maps, img, pre, words = case
+    assert _failing_lanes(maps, img, pre, words) == sum(
+        1 << m for m, f in enumerate(maps) if _lane_fails(f, img, pre, words, m))
 
 
 def test_one_flipped_bit_fails_exactly_its_lane():
     """On the maps of every corpus-4 frame pair within the default S_l bound,
-    a point word with one bit flipped in one lane: the kernel flags that lane
+    a point word with one bit flipped in one lane: the kernels flag that lane
     and no other."""
     rng = random.Random(13)
     for maps in PAIR_MAPS:
         words, m = _flip(maps, rng)
         img, pre = _packed(maps, words)
         assert _adjunction_lanes(img, pre) == 1 << m
+        assert _failing_lanes(maps, img, pre) == 1 << m
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+from itertools import groupby
 
 import pytest
 
@@ -193,54 +194,95 @@ def test_max_poset_5_report_bytes_pinned(tmp_path):
     assert digest == "a937b882302ddcf900ed256251cc03f9e89081df71deefce7de7e5b160f82657"
 
 
-def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
-    # the frame-level half of the check can still fail: a right adjoint that
-    # loses the point map is reported with the map it lost
-    from localelab import verify
-    from localelab.maps import identity_localic
+def _inject_adjoint(monkeypatch, ctx, f, lane_words):
+    """Make galois-adjunction's `_adjoint_lanes` and its read-off see
+    lane_words(words), a list of lane values, in the lane of f of the
+    adjoint words of f's frame pair, where words holds the pair's own."""
+    groups = [list(g) for _, g in groupby(ctx.maps, lambda g: (g.source, g.target))]
+    k = next(k for k, g in enumerate(groups) if f in g)
+    m, calls, real = groups[k].index(f), iter(range(len(groups))), verify._adjoint_lanes
 
+    def lanes(source, tl, words, img):
+        if next(calls) == k:
+            lane, shift = (1 << words.width) - 1 << m * words.width, m * words.width
+            words.masks[:] = [x & ~lane | v << shift for x, v in zip(words.masks, lane_words(words))]
+        return real(source, tl, words, img)
+
+    monkeypatch.setattr(verify, "_adjoint_lanes", lanes)
+    return m
+
+
+def _hom_words(hom, source):
+    """The adjoint words of a frame hom table into source: for each element,
+    the mask of the positions of the primes above its value."""
+    return [sum(1 << b for b, p in enumerate(source.prime_list) if source.up[v] >> p & 1)
+            for v in hom]
+
+
+def test_galois_adjunction_fails_on_a_broken_round_trip(monkeypatch):
+    # the frame-level half of the check can still fail: a lane whose adjoint
+    # words are those of another map of its pair, a frame hom whose right
+    # adjoint loses the lane's point map, is reported with the map it lost
     ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
-    assert ctx.maps
-    monkeypatch.setattr(verify, "_adjoint_points", lambda s, t, table: identity_localic(t).points)
+    pairs = [list(g) for _, g in groupby(ctx.maps, lambda g: (g.source, g.target))]
+    f = next(maps for maps in pairs if len(maps) > 1)[0]
+    _inject_adjoint(monkeypatch, ctx, f, lambda words: words.lane(1))
     status, _, witness = verify.CHECKS["galois-adjunction"](ctx)
-    assert status == "fail"
-    assert witness["lines"][0].startswith("left adjoint round trip differs for {")
+    assert (status, witness["lines"]) == ("fail", [f"left adjoint round trip differs for "
+                                                   f"{f.describe()}"])
 
 
 def test_galois_adjunction_fails_on_a_wrong_adjoint(monkeypatch):
     # a left adjoint that is a frame hom, but the lex-first one rather than
     # the map's own, does not give the point map back
-    from localelab import verify
-    from localelab.maps import enumerate_frame_homs
+    from localelab.maps import _adjoint_table, enumerate_frame_homs
 
     ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
-    assert ctx.maps
-    first = {(f.target, f.source): enumerate_frame_homs(f.target, f.source)[0] for f in ctx.maps}
-    monkeypatch.setattr(verify, "_adjoint_table", lambda f: first[f.target, f.source])
+    first = {f: enumerate_frame_homs(f.target, f.source)[0] for f in ctx.maps}
+    f = next(f for f in ctx.maps if _adjoint_table(f) != first[f])
+    _inject_adjoint(monkeypatch, ctx, f, lambda words: _hom_words(first[f], f.source))
     status, _, witness = verify.CHECKS["galois-adjunction"](ctx)
-    assert status == "fail"
-    assert witness["lines"][0].startswith("left adjoint round trip differs for {")
+    assert (status, witness["lines"]) == ("fail", [f"left adjoint round trip differs for "
+                                                   f"{f.describe()}"])
 
 
 def test_galois_adjunction_fails_on_an_adjoint_that_is_no_frame_hom(monkeypatch):
     # a left adjoint that sends the top to the bottom breaks the top law:
     # the check fails with the law and its witness instead of raising
-    from localelab import verify
-    from localelab.maps import _adjoint_table
-
-    def broken(f):
-        table = list(_adjoint_table(f))
-        table[f.target.top] = f.source.bottom
-        return tuple(table)
-
-    monkeypatch.setattr(verify, "_adjoint_table", broken)
-    report = run_verification(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
-    (row,) = report["checks"]
     maps = verify._Ctx(CorpusConfig(max_poset_size=2)).maps
     f = maps[0]
+
+    def broken(words):
+        lane = words.lane(m)
+        lane[f.target.top] = lane[f.target.bottom]
+        return lane
+
+    ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
+    m = _inject_adjoint(monkeypatch, ctx, f, broken)
+    report = run_verification(ctx.config)
+    (row,) = report["checks"]
     assert (row["status"], row["detail"]) == ("fail", {"maps": len(maps)})
     assert row["witness"]["lines"] == [f"left adjoint of {f.describe()} breaks the top law "
                                        f"at ('{f.target.labels[f.target.top]}',)"]
+
+
+def test_galois_adjunction_fails_on_an_adjoint_word_that_is_no_element(monkeypatch):
+    # a word that is not up-closed in the source's primes names no element:
+    # the read-off adjoint breaks the totality law
+    ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
+    pairs = [list(g) for _, g in groupby(ctx.maps, lambda g: (g.source, g.target))]
+    f = next(g for maps in pairs for g in maps[1:] if any(g.source.primes_above))
+    b = next(b for b, above in enumerate(f.source.primes_above) if above)
+
+    def broken(words):
+        lane = words.lane(m)
+        lane[f.target.top] = 1 << b  # the top's word, less every prime above b
+        return lane
+
+    m = _inject_adjoint(monkeypatch, ctx, f, broken)
+    status, _, witness = verify.CHECKS["galois-adjunction"](ctx)
+    assert (status, witness["lines"]) == ("fail", [f"left adjoint of {f.describe()} breaks the "
+                                                   f"totality law at ({f.target.n},)"])
 
 
 def test_reports_are_byte_identical_for_equal_configs():
@@ -287,6 +329,34 @@ def test_config_validation():
         for value in (2.5, 2.0, float("inf"), None):
             with pytest.raises(ValueError, match=name):
                 CorpusConfig(**{name: value})
+    # so is the seed: inf would reach the report as Infinity, and 1.0 would
+    # derive other streams than 1 does
+    for value in (float("inf"), 2.5, None, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            CorpusConfig(seed=value)
+
+
+class _Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_seeds_read_as_before(tmp_path):
+    # an int seed is kept as it is, and a seed with __index__ is read as its int
+    for seed in (42, 7, -3):
+        config = CorpusConfig(max_poset_size=2, seed=seed)
+        assert config.seed == seed and type(config.seed) is int
+        assert CorpusConfig(max_poset_size=2, seed=_Index(seed)) == config
+    # the bytes of the seed-7 report at --max-poset 2, as before seeds were validated
+    report = run_verification(CorpusConfig(max_poset_size=2, seed=7))
+    assert report == run_verification(CorpusConfig(max_poset_size=2, seed=_Index(7)))
+    path = tmp_path / "report.json"
+    save_json(str(path), report)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "fad6bb2cb2d08d73baea7b5bf818052e82e2372d867ce9ead175ecc18b7a074c"
 
 
 def _assert_mandated_top_witness(report, rid, fragment):
