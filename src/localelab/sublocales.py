@@ -487,7 +487,7 @@ def _adjoint_lanes(source: Frame, tl: SublocaleLattice, words, img) -> int:
     empty, the bottom's full, each word up-closed, meets must go to unions
     and joins to intersections, and bit b of the word of each
     join-irreducible q must say whether b's image is above q."""
-    target, w, ones, width = tl.host, words.masks, img.ones, img.width
+    target, w, ones, fill, width = tl.host, words.masks, img.ones, img.fill, img.width
     bad = w[target.top] | w[target.bottom] ^ (len(img.masks) - 1) * ones
     for b, up in enumerate(map(mask_of, source.primes_above)):
         for x in w:
@@ -499,8 +499,8 @@ def _adjoint_lanes(source: Frame, tl: SublocaleLattice, words, img) -> int:
     for q in target.irreducible_list:
         above = tl.index[target.up[q]] * ones
         for b, k in enumerate(points):  # the guard bit of k & above, moved to bit 0
-            bad |= ((k & above) + img.fill >> width - 1 ^ w[q] >> b) & ones
-    bad = bad + img.fill & img.guard
+            bad |= ((k & above) + fill >> width - 1 ^ w[q] >> b) & ones
+    bad = bad + fill & img.guard
     return sum(1 << m for m in range(img.lanes) if bad >> (m + 1) * width - 1 & 1)
 
 

@@ -5,7 +5,8 @@ monotone maps of primes and frame homs their left adjoints, the point-order
 check visits comparable pairs, transfer tables are images of points built in
 one pass, I2 and h2 are decided on cover pairs, h-continuity on cores, the Galois
 adjunction of sublocales on unit, counit and covers, and for all the maps of a
-frame pair in one lane-packed pass over all pairs, localic maps are point
+frame pair in one lane-packed pass over all pairs, as are their left adjoints'
+frame-hom laws and round trip on the packed prime sets, localic maps are point
 maps read off join-irreducibles and extended by meets, their left adjoints
 looked up by the primes above each element, the frame-hom law
 scans read table rows from locals, the operator samplers close over lower covers, the

@@ -195,9 +195,10 @@ def test_max_poset_5_report_bytes_pinned(tmp_path):
 
 
 def _inject_adjoint(monkeypatch, ctx, f, lane_words):
-    """Make galois-adjunction's `_adjoint_lanes` and its read-off see
-    lane_words(words), a list of lane values, in the lane of f of the
-    adjoint words of f's frame pair, where words holds the pair's own."""
+    """Make galois-adjunction's `_adjoint_lanes`, and the read-off after it,
+    see lane_words(words) in f's lane of the adjoint words of f's frame
+    pair: words holds the pair's own, and lane_words gives one value per
+    element. Returns f's lane."""
     groups = [list(g) for _, g in groupby(ctx.maps, lambda g: (g.source, g.target))]
     k = next(k for k, g in enumerate(groups) if f in g)
     m, calls, real = groups[k].index(f), iter(range(len(groups))), verify._adjoint_lanes
@@ -249,19 +250,18 @@ def test_galois_adjunction_fails_on_a_wrong_adjoint(monkeypatch):
 def test_galois_adjunction_fails_on_an_adjoint_that_is_no_frame_hom(monkeypatch):
     # a left adjoint that sends the top to the bottom breaks the top law:
     # the check fails with the law and its witness instead of raising
-    maps = verify._Ctx(CorpusConfig(max_poset_size=2)).maps
-    f = maps[0]
+    ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
+    f = ctx.maps[0]
 
     def broken(words):
         lane = words.lane(m)
         lane[f.target.top] = lane[f.target.bottom]
         return lane
 
-    ctx = verify._Ctx(CorpusConfig(max_poset_size=2, checks=("galois-adjunction",)))
     m = _inject_adjoint(monkeypatch, ctx, f, broken)
     report = run_verification(ctx.config)
     (row,) = report["checks"]
-    assert (row["status"], row["detail"]) == ("fail", {"maps": len(maps)})
+    assert (row["status"], row["detail"]) == ("fail", {"maps": len(ctx.maps)})
     assert row["witness"]["lines"] == [f"left adjoint of {f.describe()} breaks the top law "
                                        f"at ('{f.target.labels[f.target.top]}',)"]
 
@@ -276,7 +276,7 @@ def test_galois_adjunction_fails_on_an_adjoint_word_that_is_no_element(monkeypat
 
     def broken(words):
         lane = words.lane(m)
-        lane[f.target.top] = 1 << b  # the top's word, less every prime above b
+        lane[f.target.top] = 1 << b  # b without the primes above it
         return lane
 
     m = _inject_adjoint(monkeypatch, ctx, f, broken)
