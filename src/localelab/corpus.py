@@ -7,6 +7,7 @@ encoding over all relabelings), together with their downset frames.
 from __future__ import annotations
 
 import hashlib
+import operator
 from functools import lru_cache
 
 from .errors import SizeLimit
@@ -120,8 +121,7 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     Representatives are labeled "0".."n-1" along a linear extension and
     sorted by canonical key. SizeLimit past MAX_POSET_SIZE.
     """
-    _admit(n)
-    return tuple(poset for _, poset in _poset_classes(n))
+    return tuple(poset for _, poset in _poset_classes(_admit(n)))
 
 
 @lru_cache(maxsize=None)
@@ -176,12 +176,17 @@ def _linear_extensions(dn, rest):
                 yield (x,) + tail
 
 
-def _admit(size: int) -> None:
-    if size > MAX_POSET_SIZE:
+def _admit(size) -> int:
+    """size as operator.index reads it; ValueError below 0, SizeLimit past the maximum."""
+    n = operator.index(size) if hasattr(type(size), "__index__") else -1
+    if n < 0:
+        raise ValueError(f"poset size must be a natural number, not {size!r}")
+    if n > MAX_POSET_SIZE:
         raise SizeLimit(
-            f"posets of size {size} exceed the supported maximum {MAX_POSET_SIZE}",
-            witness=(size, MAX_POSET_SIZE),
+            f"posets of size {n} exceed the supported maximum {MAX_POSET_SIZE}",
+            witness=(n, MAX_POSET_SIZE),
         )
+    return n
 
 
 def corpus_posets(max_size: int) -> tuple[Poset, ...]:
@@ -189,9 +194,8 @@ def corpus_posets(max_size: int) -> tuple[Poset, ...]:
 
     SizeLimit past MAX_POSET_SIZE, before any poset is built.
     """
-    _admit(max_size)
     out = []
-    for n in range(1, max_size + 1):
+    for n in range(1, _admit(max_size) + 1):
         out.extend(all_posets(n))
     return tuple(out)
 
@@ -203,9 +207,8 @@ def corpus_frames(max_size: int) -> tuple[tuple[str, Frame], ...]:
     The key records the poset size and its canonical encoding, so reports
     refer to frames stably across runs.
     """
-    _admit(max_size)
     return tuple(
         (f"D[{n}:{key:x}]", downset_frame(poset))
-        for n in range(1, max_size + 1)
+        for n in range(1, _admit(max_size) + 1)
         for key, poset in _poset_classes(n)
     )

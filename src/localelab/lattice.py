@@ -3,7 +3,8 @@
 Elements are canonical indices 0..n-1. Subsets of a frame (and of a poset)
 are int bitmasks: bit i set means element i belongs to the subset. All
 tables are validated eagerly at construction, so a Frame that exists is a
-frame.
+frame: `Poset(labels, le)` and `Poset.from_pairs` run `Poset.validate`, and
+only `Poset.from_rows`, for orders valid by construction, skips it.
 """
 from __future__ import annotations
 
@@ -36,7 +37,8 @@ def set_label(labels, mask: int) -> str:
 
 
 class Poset:
-    """A finite poset: labels plus reflexive, transitive, antisymmetric bitmask rows."""
+    """A finite poset: labels plus reflexive, transitive, antisymmetric bitmask
+    rows, validated by every constructor but `from_rows`."""
 
     def __init__(self, labels, le):
         """`le` is an n x n matrix whose truthy entries mark the pairs i <= j."""
@@ -44,6 +46,7 @@ class Poset:
         if len(le) != len(labels) or any(len(row) != len(labels) for row in le):
             raise ValueError("le matrix shape does not match label count")
         self._set_rows(labels, [mask_of(j for j, x in enumerate(row) if x) for row in le])
+        self.validate()
 
     @classmethod
     def from_rows(cls, labels, up) -> "Poset":
@@ -70,41 +73,32 @@ class Poset:
         self._le_bytes = bytes(r >> j & 1 for r in up for j in range(n))
         self._hash = hash((self.labels, self._le_bytes))
 
-    @staticmethod
-    def from_pairs(labels, pairs) -> "Poset":
+    @classmethod
+    def from_pairs(cls, labels, pairs) -> "Poset":
         """Build from generating <=-pairs of labels; closes reflexively and transitively.
 
-        Raises NotAPoset with the offending pair when the closure has a cycle.
+        Raises NotAPoset, as validate() does, when the closure has a cycle.
         """
         labels = tuple(str(x) for x in labels)
         index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise ValueError("duplicate labels")
-        n = len(labels)
-        rows = [1 << i for i in range(n)]
+        rows = [1 << i for i in range(len(labels))]
         for a, b in pairs:
             if str(a) not in index or str(b) not in index:
                 raise ValueError(f"unknown label in pair ({a!r}, {b!r})")
             rows[index[str(a)]] |= 1 << index[str(b)]
         # transitive closure, Warshall on bitmask rows
-        for k in range(n):
-            rk = rows[k]
-            for i in range(n):
-                if rows[i] >> k & 1:
-                    rows[i] |= rk
-        for i in range(n):
-            for j in bits(rows[i]):
-                if i != j and rows[j] >> i & 1:
-                    raise NotAPoset(
-                        f"cycle: {labels[i]} <= {labels[j]} and {labels[j]} <= {labels[i]}",
-                        witness=(labels[i], labels[j]),
-                    )
-        return Poset.from_rows(labels, rows)
+        for k, rk in enumerate(rows):
+            for i, r in enumerate(rows):
+                if r >> k & 1:
+                    rows[i] = r | rk
+        poset = cls.from_rows(labels, rows)
+        poset.validate()
+        return poset
 
     def validate(self) -> None:
-        """Re-check reflexivity/antisymmetry/transitivity (for matrices built directly).
+        """Check reflexivity, antisymmetry and transitivity, in that order.
 
-        Each law reports its row-major first failing pair.
+        Each law raises NotAPoset with its row-major first failing pair.
         """
         up, dn, labels = self.up, self.dn, self.labels
         for i, r in enumerate(up):
@@ -431,9 +425,8 @@ class FiniteSpace:
 
 def frame_of_space(space: FiniteSpace) -> Frame:
     """Open-set frame of a finite space; meet/join coincide with set operations."""
-    labels = [space.open_label(m) for m in space.opens]
-    le = [[mi & ~mj == 0 for mj in space.opens] for mi in space.opens]
-    return Frame.from_order(Poset(labels, le))
+    up = [mask_of(j for j, v in enumerate(space.opens) if not u & ~v) for u in space.opens]
+    return Frame.from_order(Poset.from_rows([space.open_label(u) for u in space.opens], up))
 
 
 MAX_EXHAUSTIVE = 8  # the largest frame heyting_identity_report scans

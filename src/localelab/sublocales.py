@@ -454,9 +454,10 @@ def _point_words(maps) -> tuple:
     src, tgt = maps[0].source, maps[0].target
     width = max(len(src.prime_list), len(tgt.prime_list)) + 1
     image_bit, fibre = [0] * len(src.prime_list), [0] * len(tgt.prime_list)
+    at = {v: q for q, v in enumerate(tgt.prime_list)}
     for shift, f in zip(range(0, len(maps) * width, width), maps):
         for b, v in enumerate(f.points):
-            q = (tgt.primes & (1 << v) - 1).bit_count()  # v is prime_list[q]
+            q = at[v]
             image_bit[b] |= 1 << q + shift
             fibre[q] |= 1 << b + shift
     return width, image_bit, fibre

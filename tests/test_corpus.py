@@ -183,6 +183,17 @@ def test_posets_are_isomorphic_on_relabelings():
     assert canonical_poset_key(p) == canonical_poset_key(q)
 
 
+def test_sizes_that_are_no_natural_number_are_refused():
+    # sizes are read as operator.index reads them: negatives and non-integers
+    # are refused before any recursion, shift or range sees them
+    for build in (all_posets, corpus_posets, corpus_frames):
+        for size in (-1, 2.0, 2.5, None, "3"):
+            with pytest.raises(ValueError, match=f"natural number, not {size!r}"):
+                build(size)
+    assert all_posets(0) == corpus_posets(0) == corpus_frames(0) == ()
+    assert all_posets(True) == all_posets(1)
+
+
 def test_posets_past_the_supported_size_are_refused():
     assert MAX_POSET_SIZE == 5
     for build in (all_posets, corpus_posets, corpus_frames):

@@ -543,15 +543,22 @@ def relations(draw):
 @given(relations())
 @settings(max_examples=300)
 def test_validate_matches_matrix_scan(le):
+    # from_rows keeps the relation unchecked, so validate() meets every
+    # matrix; the matrix constructor validates and raises the same
     labels = [f"e{i}" for i in range(len(le))]
-    poset = Poset(labels, le)
+    rows = tuple(sum(bool(x) << j for j, x in enumerate(row)) for row in le)
+    poset = Poset.from_rows(labels, rows)
     try:
         poset.validate()
         got = None
     except NotAPoset as exc:
         got = str(exc), exc.witness
     assert got == brute_validate(labels, le)
-    assert poset.up == tuple(sum(bool(x) << j for j, x in enumerate(row)) for row in le)
+    try:
+        built = Poset(labels, le).up
+    except NotAPoset as exc:
+        built = str(exc), exc.witness
+    assert built == (rows if got is None else got)
 
 
 def test_poset_rejects_bad_shapes_and_duplicate_labels():
@@ -1785,7 +1792,7 @@ def test_operator_check_kernels_match_oracles():
                 f, HOperator._of_points(sll, wide_l), HOperator._of_points(slm, wide_m))))
             assert mine == brute
             seen["equiv", gap is None] += 1
-    for idx, (tf, tg, l, m, n) in enumerate(ctx.chains):
+    for idx, (tf, tg, l, m, n, _) in enumerate(ctx.chains):
         if idx % STRIDE:
             continue
         f, g = tf.map, tg.map

@@ -131,9 +131,27 @@ def test_heyting_adjunction_exhaustive():
 
 
 def test_cycle_raises_not_a_poset():
+    # from_pairs closes its pairs and validates: the first pair related both ways
     with pytest.raises(NotAPoset) as e:
         build_frame(("a", "b", "c"), (("a", "b"), ("b", "a"), ("b", "c")))
-    assert set(e.value.witness) == {"a", "b"}
+    assert e.value.witness == ("a", "b")
+    assert str(e.value) == "cycle: a <= b and back"
+    with pytest.raises(NotAPoset) as e:
+        build_frame(("a", "b", "c"), (("c", "a"), ("b", "c"), ("a", "b")))
+    assert e.value.witness == ("a", "b")
+
+
+@pytest.mark.parametrize("le, message, witness", [
+    ([[1, 1], [1, 1]], "cycle: a <= b and back", ("a", "b")),
+    ([[1, 1], [0, 0]], "not reflexive at b", ("b",)),
+    ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], "not transitive: a .. c", ("a", "c")),
+])
+def test_matrix_poset_validates(le, message, witness):
+    # a cyclic, irreflexive or non-transitive matrix is refused as validate()
+    # refuses it, before any frame can be built on it
+    with pytest.raises(NotAPoset) as e:
+        Poset("abc"[:len(le)], le)
+    assert (str(e.value), e.value.witness) == (message, witness)
 
 
 def test_missing_bounds_raise_no_meet_or_join():

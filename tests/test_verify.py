@@ -14,11 +14,13 @@ from itertools import groupby
 
 import pytest
 
+from localelab import interior as interior_module
 from localelab import verify
 from localelab.corpus import chain3, two
 from localelab.errors import UnknownWitness
 from localelab.hops import (
     HOperator,
+    _core,
     check_h_composition,
     check_h_universal,
     h_from_interior,
@@ -334,6 +336,20 @@ def test_config_validation():
     for value in (float("inf"), 2.5, None, 1.0):
         with pytest.raises(ValueError, match="seed"):
             CorpusConfig(seed=value)
+    # checks is a tuple or list of ids: a bare string, None and non-string
+    # members are refused, naming the field
+    for value in ("poset-counts", None, ("poset-counts", 3), [None], 7):
+        with pytest.raises(ValueError, match="checks"):
+            CorpusConfig(checks=value)
+
+
+def test_checks_as_tuple_or_list_give_the_same_rows(default_report):
+    ids = ("poset-counts", "boolean-fragment")
+    rows = [r for r in default_report["checks"] if r["id"] in ids]
+    for checks in (ids, list(ids), list(reversed(ids))):
+        config = CorpusConfig(checks=checks)
+        assert config.checks == tuple(checks)
+        assert run_verification(config)["checks"] == rows
 
 
 class _Index:
@@ -716,16 +732,20 @@ def test_universal_reports_an_unexplained_disagreement(monkeypatch, ctx, cid, li
     assert payloads == unexplained
 
 
-@pytest.mark.parametrize("interior, h", [
-    ("composition-interior", "composition-h"),
-    ("universal-property-interior", "universal-property-h"),
+@pytest.mark.parametrize("interior, h, shared", [
+    ("composition-interior", "composition-h",
+     ((verify, "_composition"), (interior_module, "compose_localic"))),
+    ("universal-property-interior", "universal-property-h", ()),
 ])
-def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, interior, h):
+def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, interior, h,
+                                                 shared):
     """Run after its interior twin on one context, an h check makes no draw,
-    seeds no generator and gathers no candidate; run alone, it draws the same
-    samples and gives the row of the default report."""
+    seeds no generator and gathers no candidate, and composition-h builds no
+    report and no composite map: it reads its twin's reports. Run alone, it
+    draws the same samples and gives the row of the default report."""
     ctx = verify._Ctx(CorpusConfig())
-    calls = dict.fromkeys(("_closed_draw", "_continuous_draw", "_candidate", "rng"), 0)
+    kernels = [(verify, name) for name in ("_closed_draw", "_continuous_draw", "_candidate")]
+    calls = dict.fromkeys([name for _, name in kernels + list(shared)] + ["rng"], 0)
 
     def counted(name, fn):
         def call(*args):
@@ -733,11 +753,12 @@ def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, in
             return fn(*args)
         return call
 
-    for name in ("_closed_draw", "_continuous_draw", "_candidate"):
-        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    for module, name in kernels + list(shared):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(ctx, "rng", counted("rng", ctx.rng))
     verify.CHECKS[interior](ctx)
     assert calls["_closed_draw"] and calls["rng"]
+    assert all(calls[name] for _, name in shared)
     calls.update(dict.fromkeys(calls, 0))
     verify.CHECKS[h](ctx)
     assert calls == dict.fromkeys(calls, 0)
@@ -950,6 +971,65 @@ def test_interior_axioms_fail_at_a_middle_lane(monkeypatch, ctx, own, line):
 
     _static_fail(monkeypatch, "interior-axioms", "_invalid", invalid,
                  {"generated": 100 * mid + 4}, f"{line} {key}")
+
+
+def test_default_chains_are_their_own_cores(ctx):
+    """The chain tables are contractive draws, so reading them as h operators,
+    through their cores, changes nothing: one report serves both composition
+    checks."""
+    assert len(ctx.chains) == 250
+    for tf, tg, *tables, _ in ctx.chains:
+        for sl, xs in zip((tf.source_lattice, tg.source_lattice, tg.target_lattice), tables):
+            assert _core(sl, xs) == xs
+
+
+def _bent_batches(bend):
+    """A context class whose batches hold the masks bend(sl, batch)."""
+    class Bent(verify._Ctx):
+        def batch(self, sl, *args, **kwargs):
+            b = super().batch(sl, *args, **kwargs)
+            return b._replace(masks=bend(sl, b))
+    return Bent
+
+
+def test_h_axioms_pass_on_widened_draws(monkeypatch, default_report):
+    """Each draw widened into the h operator S |-> i(S) v not-S, which is not
+    contractive but has the draw as its core, gives the default row: h-axioms
+    decides h1 to h3 on cores, and contraction is no h axiom."""
+    contractive = []
+
+    def widened(sl, b):
+        masks = [x | (sl.top ^ i) * b.ones for i, x in enumerate(b.masks)]
+        contractive.append(not verify._invalid(sl, masks, b))
+        return masks
+
+    monkeypatch.setattr(verify, "_Ctx", _bent_batches(widened))
+    row, _ = _row("h-axioms")
+    assert row == next(r for r in default_report["checks"] if r["id"] == "h-axioms")
+    assert contractive and not all(contractive)
+
+
+def test_h_axioms_fail_where_a_core_breaks_h2(monkeypatch, ctx):
+    """Lane 3 of the first batch of the middle frame with three points or
+    more gains point 0 at index 1 and loses it at index 3: its core is no
+    longer monotone, and the check stops after 4 of the frame's draws."""
+    mid, key, fr = _middle(ctx, lambda fr: len(fr.prime_list) >= 3)
+    host, seen = ctx.sl(fr), []
+
+    def bent(sl, b):
+        masks, bit = list(b.masks), 1 << 3 * b.width
+        if sl is host and not seen:
+            masks[1] |= bit
+            masks[3] &= ~bit
+            seen.append((b, masks))
+        return masks
+
+    _static_fail(monkeypatch, "h-axioms", "_Ctx", _bent_batches(bent),
+                 {"generated": 100 * mid + 4}, f"generated h operator invalid on {key}")
+    ((b, masks),) = seen
+    lane = (1 << b.width) - 1 << 3 * b.width
+    gaps, bad, top = verify._axiom_gaps(host, _core(host, masks, b.ones), b.ones)
+    assert bad & lane and not top & lane and not any(g & lane for g in gaps)
 
 
 def test_h_axioms_fail_where_constant_top_is_not_above_discrete(monkeypatch, ctx):
