@@ -732,17 +732,17 @@ def test_universal_reports_an_unexplained_disagreement(monkeypatch, ctx, cid, li
     assert payloads == unexplained
 
 
-@pytest.mark.parametrize("interior, h, shared", [
-    ("composition-interior", "composition-h",
-     ((verify, "_composition"), (interior_module, "compose_localic"))),
-    ("universal-property-interior", "universal-property-h", ()),
+@pytest.mark.parametrize("interior, h", [
+    ("composition-interior", "composition-h"),
+    ("universal-property-interior", "universal-property-h"),
 ])
-def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, interior, h,
-                                                 shared):
+def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, interior, h):
     """Run after its interior twin on one context, an h check makes no draw,
     seeds no generator and gathers no candidate, and composition-h builds no
     report and no composite map: it reads its twin's reports. Run alone, it
     draws the same samples and gives the row of the default report."""
+    shared = ((verify, "_composition"), (interior_module, "compose_localic")) \
+        if h == "composition-h" else ()
     ctx = verify._Ctx(CorpusConfig())
     kernels = [(verify, name) for name in ("_closed_draw", "_continuous_draw", "_candidate")]
     calls = dict.fromkeys([name for _, name in kernels + list(shared)] + ["rng"], 0)
