@@ -44,27 +44,24 @@ interpreters with the same `PYTHONPATH`. One entry records:
   built before it. Its contexts sample no operators, as maps-sweep's
   `--samples 0` does, so that no pass reads transfers an earlier one cached;
 - the median over five passes of each operator-layer kernel, timed over
-  the (map, target table) pairs of the initial checks of default `verify`:
-  `initial_interior` on its 54,480 lifts and `initial_h` on the 36,320
-  lifts of initial-h, each on an operator built from the check's table
-  beforehand. A lift returns its report with the candidate operator not
-  yet built;
+  the (map, target table) pairs of the initial checks of default `verify`,
+  which both lift one bank per target frame: `initial_interior` and
+  `initial_h` each on the 54,480 lifts, each on an operator built from the
+  bank table beforehand. A lift returns its report with the candidate
+  operator not yet built;
 - the median over five passes of the interior-axioms and h-axioms checks
   of default `verify` (`interior_axioms_s`, `h_axioms_s`): each one's work
   over its 100 draws per corpus frame (2,400 draws), with the named
-  operators and, for h, the raw tables included; and the same two checks
-  at 10,000 draws per frame (`interior_axioms_10k_s`, `h_axioms_10k_s`),
-  which show how the draw kernels scale with the draw count;
+  operators included; and the same two checks at 10,000 draws per frame
+  (`interior_axioms_10k_s`, `h_axioms_10k_s`), which show how the draw
+  kernels scale with the draw count;
 - the median over five passes of the lane-packed kernels as the initial
   checks run them, one batch per map: `batched_draws_s` asks a fresh
-  context for initial-interior's batch of every map, which draws its banks
-  (one batch per target frame, of the discrete and trivial tables and 46
-  draws: 23 draw kernel calls over the 23 targets), and
-  `batched_draws_h_s` does the same for initial-h (30 draws per bank,
-  then their cores). `batched_lift_s` and
-  `batched_lift_h_s` lift each map's bank through its transfer with
-  the one lift kernel, `_lift` (54,480 tables, and the cores of 36,320),
-  next to the one-lane public lifts above;
+  context for the batch of every map, which draws its banks (one batch per
+  target frame, of the discrete and trivial tables and 46 draws: 23 draw
+  kernel calls over the 23 targets), and `batched_lift_s` lifts each map's
+  bank through its transfer with the one lift kernel, `_lift` (54,480
+  tables), next to the one-lane public lifts above;
 - the median over five passes of each of the seven per-object operator
   checks of default `verify` (contractive-equivalence, composition-interior,
   composition-h, coarseness, universal-property-interior,
@@ -315,26 +312,19 @@ def operator_timings():
     from localelab.hops import HOperator, initial_h
     from localelab.interior import InteriorOperator, _lift, initial_interior
     from localelab.sublocales import transfer_of
-    from localelab.verify import (
-        CHECKS,
-        CorpusConfig,
-        _Ctx,
-        _h_ops_for_initial,
-        _ops_for_initial,
-    )
+    from localelab.verify import CHECKS, CorpusConfig, _Ctx, _ops_for_initial
 
     ctx = _Ctx(CorpusConfig())
     maps = ctx.maps
 
-    def lifts(tables_for, op_type):
+    def lifts(op_type):
         return [(f, op_type(ctx.sl(f.target), b.lane(j)))
-                for f in maps for b in [tables_for(ctx, f)] for j in range(b.lanes)]
+                for f in maps for b in [_ops_for_initial(ctx, f)] for j in range(b.lanes)]
 
     def check(cid, on=ctx):
         CHECKS[cid](on)
 
-    interior_lifts = lifts(_ops_for_initial, InteriorOperator)
-    h_lifts = lifts(_h_ops_for_initial, HOperator)
+    interior_lifts, h_lifts = lifts(InteriorOperator), lifts(HOperator)
     out = {
         "maps": len(maps),
         "initial_interior_lifts": len(interior_lifts),
@@ -370,21 +360,15 @@ def operator_timings():
                                                   _Ctx(CorpusConfig(max_poset_size=5)))])
     transfers = [(f, transfer_of(f)) for f in maps]
 
-    def batches(tables_for, contexts):
+    def batches(contexts):
         on = contexts.pop()
         for f, _ in transfers:
-            tables_for(on, f)
+            _ops_for_initial(on, f)
 
-    def batched_lifts(key, tables_for):
-        items = [(t, b.masks, b.ones) for f, t in transfers for b in [tables_for(ctx, f)]]
-        _median_time(out, key, _lift, items)
-
-    for key, tables_for in (("batched_draws_s", _ops_for_initial),
-                            ("batched_draws_h_s", _h_ops_for_initial)):
-        # one fresh context per pass, built before the pass is timed
-        _median_time(out, key, batches, [(tables_for, [fresh() for _ in range(PASSES)])])
-    batched_lifts("batched_lift_s", _ops_for_initial)
-    batched_lifts("batched_lift_h_s", _h_ops_for_initial)
+    # one fresh context per pass, built before the pass is timed
+    _median_time(out, "batched_draws_s", batches, [([fresh() for _ in range(PASSES)],)])
+    items = [(t, b.masks, b.ones) for f, t in transfers for b in [_ops_for_initial(ctx, f)]]
+    _median_time(out, "batched_lift_s", _lift, items)
     return out
 
 

@@ -2,8 +2,8 @@
 
 Exit codes are scriptable: 0 pass, 1 law violation (with the first witness),
 2 I/O, parse or config trouble, 3 enumeration bound exceeded. The enumeration
-bound itself comes from LOCALELAB_SIZE_LIMIT when set; a value that is not an
-integer is config trouble.
+bound itself comes from LOCALELAB_SIZE_LIMIT when set; a value that is not a
+non-negative integer is config trouble.
 """
 from __future__ import annotations
 

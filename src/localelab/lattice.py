@@ -386,6 +386,10 @@ class FiniteSpace:
 
     def validate(self) -> None:
         opens = set(self.opens)
+        for u in self.opens:
+            if not 0 <= u <= self.full:
+                raise NotASpace(f"open mask {u} is outside 0..{self.full}",
+                                witness=(u,))
         if 0 not in opens:
             raise NotASpace("empty set is not open", witness=())
         if self.full not in opens:

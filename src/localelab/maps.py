@@ -23,7 +23,7 @@ def _is_total(t: tuple, n: int, m: int) -> bool:
     """Whether t has n entries, each an integer in range(m): an entry with
     no __index__, such as 2.5 or 1.0, is refused as operator.index refuses it."""
     try:
-        return len(t) == n and min(map(operator.index, t)) >= 0 and max(t) < m
+        return len(t) == n and (not t or min(map(operator.index, t)) >= 0 and max(t) < m)
     except TypeError:
         return False
 
@@ -267,10 +267,7 @@ class ContinuousMap:
 
     def __post_init__(self):
         object.__setattr__(self, "point_table", tuple(self.point_table))
-        t = self.point_table
-        if len(t) != self.source.n_points or any(
-            not 0 <= v < self.target.n_points for v in t
-        ):
+        if not _is_total(self.point_table, self.source.n_points, self.target.n_points):
             raise ValueError("point table is not a total map into the target")
         opens = set(self.source.opens)
         for v in self.target.opens:

@@ -33,12 +33,25 @@ def size_limit() -> int:
     if raw is None:
         return DEFAULT_SIZE_LIMIT
     try:
-        return int(raw)
+        return _bound(int(raw))
     except ValueError:
         raise BadConfig(
-            f"LOCALELAB_SIZE_LIMIT must be an integer, got {raw!r}",
+            f"LOCALELAB_SIZE_LIMIT must be a non-negative integer, got {raw!r}",
             witness=("LOCALELAB_SIZE_LIMIT", raw),
         ) from None
+
+
+def _bound(limit) -> int:
+    """limit read as operator.index reads it; ValueError unless it is a
+    non-negative integer (2.5 and True included)."""
+    try:
+        bound = -1 if isinstance(limit, bool) else operator.index(limit)
+    except TypeError:
+        bound = -1
+    if bound < 0:
+        raise ValueError(f"the sublocale enumeration bound must be a non-negative "
+                         f"integer, got {limit!r}")
+    return bound
 
 
 def as_mask(frame: Frame, members) -> int:
@@ -280,7 +293,7 @@ class SublocaleLattice:
 
 def _admit(*hosts: Frame, limit: int | None = None) -> None:
     """SizeLimit at the first host past the bound of `enumerate_sublocales`."""
-    bound = size_limit() if limit is None else limit
+    bound = size_limit() if limit is None else _bound(limit)
     for host in hosts:
         if host.n > bound:
             raise SizeLimit(f"|L| = {host.n} exceeds the sublocale enumeration bound {bound}",

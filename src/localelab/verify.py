@@ -79,7 +79,7 @@ from .sublocales import (
 )
 
 ARTIFACT = "localelab-verification"
-ARTIFACT_VERSION = 8
+ARTIFACT_VERSION = 9
 
 KNOWN_POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16}
 
@@ -288,14 +288,12 @@ class _Ctx:
         self.kernels["batches"] += 1
         return _Batch.of(_closed_draw(sl, rng, base, ones, ones ^ named_ones), first + draws, width)
 
-    def bank(self, tag, frame, draws, core=False):
+    def bank(self, tag, frame, draws):
         """The batch of tag on frame, drawn on first ask: the discrete and
-        trivial tables and `draws` draws from rng(tag, frame.key()), their
-        cores when core."""
+        trivial tables and `draws` draws from rng(tag, frame.key())."""
         if (tag, frame) not in self.banks:
-            sl = self.sl(frame)
-            b = self.batch(sl, self.rng(tag, frame.key()), draws, self.bank_width, named=True)
-            self.banks[tag, frame] = b._replace(masks=_core(sl, b.masks, b.ones)) if core else b
+            self.banks[tag, frame] = self.batch(self.sl(frame), self.rng(tag, frame.key()),
+                                                draws, self.bank_width, named=True)
         return self.banks[tag, frame]
 
     def reg_hit(self, rid, build_witness=None, hits=1):
@@ -599,23 +597,16 @@ def _check_interior_axioms(ctx):
 
 def _check_h_axioms(ctx):
     k = ctx.config.operator_samples_per_frame
-    generated = raw_tables = 0
+    generated = 0
     for key, fr in ctx.frames:
         sl = ctx.sl(fr)
         d, t = discrete_h(sl), trivial_h(sl)
         for h in (d, t):
             if not check_h(h).ok:
                 return _fail({"generated": generated}, f"named h operator invalid on {key}")
-        # h1 to h3 are I1 to I3 of the core masks; h1 holds for every total
-        # table, and a getrandbits(k_pts) value is a point mask, so an index
-        rng, k_pts = ctx.rng("h-ops", key), len(fr.prime_list)  # sl.n == 2 ** k_pts
-        for _ in range(min(k, 25)):
-            table = [rng.getrandbits(k_pts) for _ in range(sl.n)]
-            raw_tables += 1
-            if any(_axiom_gaps(sl, _core(sl, table))[0]):
-                return _fail({"raw_tables": raw_tables}, f"h1 fails on a raw table on {key}")
-        # each draw is decided once, on its core; I1 of a core always holds
-        b = ctx.batch(sl, rng, k, k_pts + 1)
+        # h1 to h3 are I1 to I3 of the core masks, so each draw is decided
+        # once, on its core; I1 of a core always holds
+        b = ctx.batch(sl, ctx.rng("h-ops", key), k, len(fr.prime_list) + 1)
         bad = _invalid(sl, _core(sl, b.masks, b.ones), b)
         if bad:
             return _fail({"generated": generated + b.upto(bad)},
@@ -630,8 +621,7 @@ def _check_h_axioms(ctx):
             return _fail({"generated": generated},
                          f"constant-top h operator not above discrete on {key}")
     ctx.counts["operators"] += generated
-    detail = {"generated": generated, "raw_tables": raw_tables}
-    return "pass", detail, None
+    return "pass", {"generated": generated}, None
 
 
 def _widened(sl, xs):
@@ -700,13 +690,6 @@ def _ops_for_initial(ctx, f):
     return ctx.bank("initial-ops", f.target, min(46, ctx.config.operator_samples_per_frame))
 
 
-def _h_ops_for_initial(ctx, f):
-    # interior draws read as h are random_h draws; the bank holds their cores,
-    # which initial-h lifts as interior tables
-    k = ctx.config.operator_samples_per_frame
-    return ctx.bank("initial-h-ops", f.target, min(30, k), core=True)
-
-
 def _anomaly_witness(f, op, anomaly):
     return {
         "kind": "initial-anomaly",
@@ -733,9 +716,14 @@ def _tally(gaps, confirmed, first, b):
     return hits, loose
 
 
-def _check_initial(ctx, cid, tables_for, report, ids):
-    """_lift through every map's transfer of the batch tables_for gives, its
-    target's bank.
+def _check_initial(ctx, report):
+    """_lift through every map's transfer of its target's bank, the batch
+    _ops_for_initial gives, for the operators of class report's _OPERATOR.
+
+    The bank tables are lifted as given: initial-h lifts them as the cores
+    of h_M, so the bank must hold its own cores. Its draws are contractive,
+    and initial-h decides on cores, so any h_M whose core is a bank table
+    gives that table's verdicts.
 
     Monotonicity (the second of report._AXIOMS) must hold for every induced
     operator, and the top law (the third) must hold when f[L] = M; ids maps each
@@ -746,6 +734,11 @@ def _check_initial(ctx, cid, tables_for, report, ids):
     unconfirmed gap or a registry entry's first witness is walked instead: one
     lane at a time, in table order, each read off its report of class report.
     """
+    h = report is HInitialReport
+    cid = "initial-h" if h else "initial-interior"
+    ids = {"top-gap": "initial-h-top", "continuity-gap": "initial-h-continuity"} if h else {
+        "contraction-gap": "initial-contraction", "top-gap": "initial-top",
+        "continuity-gap": "initial-continuity"}
     f_up = localic_map(two(), chain3(), (0, 2))
     t = _transfer_cached(f_up)
     op = report._OPERATOR(t.target_lattice, trivial_op(t.target_lattice).table)
@@ -759,7 +752,7 @@ def _check_initial(ctx, cid, tables_for, report, ids):
         t = _transfer_cached(f)
         # the masks each gap kind is confirmed on; image_gap is f[L] != M
         unit, image_gap, counit = _confirmed(t, (-1, 1, -1))
-        b = tables_for(ctx, f)
+        b = _ops_for_initial(ctx, f)
         ctx.kernels["tables_lifted"] += b.lanes
         (gaps, bad, top_gap), continuity = _lift(t, b.masks, b.ones)[1:]
         found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top_gap], image_gap, False),
@@ -795,17 +788,6 @@ def _check_initial(ctx, cid, tables_for, report, ids):
               "mandated_top_counterexample": "fails-as-documented" if mandated else "unexpected-pass"}
     return _verdict(ctx, cid, detail, None if mandated else f"{report._AXIOMS[2]} "
                     "holds on the mandated TWO -> CHAIN3 trivial counterexample")
-
-
-def _check_initial_interior(ctx):
-    ids = {"contraction-gap": "initial-contraction", "top-gap": "initial-top",
-           "continuity-gap": "initial-continuity"}
-    return _check_initial(ctx, "initial-interior", _ops_for_initial, InitialReport, ids)
-
-
-def _check_initial_h(ctx):
-    ids = {"top-gap": "initial-h-top", "continuity-gap": "initial-h-continuity"}
-    return _check_initial(ctx, "initial-h", _h_ops_for_initial, HInitialReport, ids)
 
 
 def _coarseness_witness(f, op_m, op_l, at):
@@ -963,8 +945,8 @@ CHECK_ORDER = (
     ("contractive-equivalence", _check_contractive_equivalence),
     ("composition-interior", _check_composition),
     ("composition-h", _check_composition),
-    ("initial-interior", _check_initial_interior),
-    ("initial-h", _check_initial_h),
+    ("initial-interior", partial(_check_initial, report=InitialReport)),
+    ("initial-h", partial(_check_initial, report=HInitialReport)),
     ("coarseness", _check_coarseness),
     ("universal-property-interior", partial(_check_universal, op=InteriorOperator)),
     ("universal-property-h", partial(_check_universal, op=HOperator)),

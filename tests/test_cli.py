@@ -233,6 +233,16 @@ def test_bad_size_limit_env_is_exit_2(monkeypatch, capsys):
     assert "LOCALELAB_SIZE_LIMIT" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("raw", ["-1", "2.5"])
+def test_size_limit_env_that_is_no_natural_number_is_exit_2(monkeypatch, capsys, raw):
+    # a negative bound would admit no frame: the run would find no maps and
+    # fail its sampling checks instead of naming the setting
+    monkeypatch.setenv("LOCALELAB_SIZE_LIMIT", raw)
+    assert main(["verify", "--max-poset", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"bad config: LOCALELAB_SIZE_LIMIT must be a non-negative integer, got {raw!r}\n"
+
+
 def test_verify_max_poset_6_fails_fast(capsys):
     start = time.perf_counter()
     assert main(["verify", "--max-poset", "6"]) == 3
@@ -278,13 +288,13 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     assert profile["caches"]["_poset_classes"]["currsize"] >= 3
     assert profile["caches"]["corpus_frames"]["currsize"] >= 1
     # both initial checks lift 2 + 10 tables per map, its target's bank, and
-    # draw one bank batch each per target frame of the run's maps
+    # share one bank batch per target frame of the run's maps
     kernels = profile["operator_kernels"]
     assert sorted(kernels) == ["batches", "batches_walked", "tables_lifted"]
     maps = json.loads(open(plain).read())["counts"]["maps"]
     assert kernels["tables_lifted"] == 24 * maps
     ctx = _Ctx(CorpusConfig(max_poset_size=3, operator_samples_per_frame=10, seed=5))
-    assert kernels["batches"] == 2 * len({f.target for f in ctx.maps})
+    assert kernels["batches"] == len({f.target for f in ctx.maps})
     assert 0 < kernels["batches_walked"] < kernels["batches"]
 
 
@@ -335,7 +345,7 @@ def test_replay_refuses_a_report_of_another_version(tmp_path, capsys):
     save_json(rpath, report)
     assert main(["replay", rpath, "initial-contraction"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid content: report version 5 cannot be replayed by version 8")
+    assert err.startswith("invalid content: report version 5 cannot be replayed by version 9")
 
 
 def test_console_script_is_installed(files, subprocess_env):

@@ -129,7 +129,6 @@ from localelab.verify import (
     CHECKS,
     CorpusConfig,
     _Ctx,
-    _h_ops_for_initial,
     _invalid,
     _ops_for_initial,
     run_verification,
@@ -1394,35 +1393,35 @@ def _lane_of_lift(lifted, j, width):
 
 
 def test_counted_gaps_match_materialized_anomalies():
-    """On every default-run map and every table both initial checks give it
-    (cores, for initial-h): each lane of the batched lift equals the lift of
-    that lane's table alone. On every map, for the lanes j with
-    j % 4 == idx % 4 (20 of its 80), and on the first map into each target, for
-    every lane of the target's bank, the report built from that lift has the
-    (pulled, gaps, passed) of the public initial_interior/initial_h report and
-    the oracle's axiom verdicts and gap masks; and per kind, the confirmed
-    count, the first confirmed anomaly (what a registry entry keeps as
-    witness) and the unconfirmed anomalies equal those read off the oracle's
-    anomaly dicts."""
+    """On every default-run map and every table of its target's bank, which
+    both initial checks lift: each lane of the batched lift equals the lift
+    of that lane's table alone. On every map, for the lanes j with
+    j % 4 == idx % 4 (12 of its 48), and on the first map into each target,
+    for every lane of the target's bank, the report built from that lift,
+    for each of the two checks, has the (pulled, gaps, passed) of the public
+    initial_interior/initial_h report and the oracle's axiom verdicts and gap
+    masks; and per kind, the confirmed count, the first confirmed anomaly
+    (what a registry entry keeps as witness) and the unconfirmed anomalies
+    equal those read off the oracle's anomaly dicts."""
     ctx = _Ctx(CorpusConfig())
     lifts, oracled, reached = 0, 0, set()
     for idx, f in enumerate(ctx.maps):
         t = transfer_of(f)
         tl = t.target_lattice
-        for tables_for, report, initial, brute in (
-                (_ops_for_initial, InitialReport, initial_interior, brute_initial_interior),
-                (_h_ops_for_initial, HInitialReport, initial_h, brute_initial_h)):
-            b = tables_for(ctx, f)
-            batched = _lift(t, b.masks, _lanes(b.lanes, b.width)[0])
-            whole = (f.target, report, 0) not in reached
-            for j in range(b.lanes):
-                lane = b.lane(j)
-                one = _lift(t, lane)
-                assert _lane_of_lift(batched, j, b.width) == one
-                lifts += 1
-                if j % 4 != idx % 4 and not whole:
-                    continue
-                reached.add((f.target, report, j))
+        b = _ops_for_initial(ctx, f)
+        batched = _lift(t, b.masks, _lanes(b.lanes, b.width)[0])
+        whole = (f.target, 0) not in reached
+        for j in range(b.lanes):
+            lane = b.lane(j)
+            one = _lift(t, lane)
+            assert _lane_of_lift(batched, j, b.width) == one
+            lifts += 1
+            if j % 4 != idx % 4 and not whole:
+                continue
+            reached.add((f.target, j))
+            for report, initial, brute in (
+                    (InitialReport, initial_interior, brute_initial_interior),
+                    (HInitialReport, initial_h, brute_initial_h)):
                 oracled += 1
                 op = report._OPERATOR(tl, lane)
                 rep, mine = initial(f, op), report._of_lane(t, one)
@@ -1438,9 +1437,9 @@ def test_counted_gaps_match_materialized_anomalies():
                     assert first == (want[0] if want else None)
                 assert list(rep.unexplained) == [a for a in anomalies if not a["confirmed"]]
     targets = {f.target for f in ctx.maps}
-    assert lifts == 1135 * 80
-    assert len(reached) == len(targets) * 80
-    assert oracled == 1135 * 20 + len(targets) * 60
+    assert lifts == 1135 * 48
+    assert len(reached) == len(targets) * 48
+    assert oracled == 2 * (1135 * 12 + len(targets) * 36)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1477,9 +1476,6 @@ def test_axiom_checks_draw_one_batch_per_frame():
     assert kernels["batches"] == 2 * len(corpus_frames(3))
 
 
-BANKS = (("initial-ops", _ops_for_initial, 46), ("initial-h-ops", _h_ops_for_initial, 30))
-
-
 @pytest.fixture(scope="module")
 def banked():
     """A default-run context after every check of the run, in run order."""
@@ -1489,69 +1485,40 @@ def banked():
     return ctx
 
 
-def _bank_tables(ctx, tag, fr):
-    """The oracle's tables of the bank of tag on fr: the discrete and trivial
-    tables and the draws from rng(tag, fr.key()), for initial-h read as
-    their cores S cap h(S)."""
-    sl, draws = ctx.sl(fr), {t: d for t, _, d in BANKS}[tag]
-    want = brute_batch_tables(sl, ctx.rng(tag, fr.key()), 2 + draws, ctx.bank_width, 2)
-    if tag == "initial-h-ops":
-        want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in want]
-    return want
+def _bank_tables(ctx, fr):
+    """The oracle's tables of the bank on fr: the discrete and trivial tables
+    and 46 draws from rng("initial-ops", fr.key())."""
+    return brute_batch_tables(ctx.sl(fr), ctx.rng("initial-ops", fr.key()), 48,
+                              ctx.bank_width, 2)
 
 
 def test_initial_accessors_yield_the_bank_batch_of_the_target(banked):
     """Every map gets its target's bank, one batch and the same object for
-    every map into that target, and the run keeps one bank per target frame
-    and initial check."""
+    every map into that target, and the run keeps one bank per target frame,
+    which both initial checks read."""
     for f in banked.maps:
-        for tag, tables_for, _ in BANKS:
-            assert tables_for(banked, f) is banked.banks[tag, f.target]
+        assert _ops_for_initial(banked, f) is banked.banks["initial-ops", f.target]
     targets = {f.target for f in banked.maps}
-    assert set(banked.banks) == {(tag, fr) for tag, _, _ in BANKS for fr in targets}
+    assert set(banked.banks) == {("initial-ops", fr) for fr in targets}
 
 
 def test_bank_batches_are_the_oracle_draws_and_cores(banked):
     """A bank holds, in one batch, the oracle's batch tables drawn from
-    rng(tag, frame.key()): the discrete and trivial tables, then 46 draws
-    for initial-interior; for initial-h, 30 draws and each table's core
-    S cap h(S)."""
+    rng("initial-ops", frame.key()): the discrete and trivial tables, then 46
+    draws. Each table is its own core S cap h(S), so initial-h, which lifts
+    the tables as cores, decides every h operator with that core."""
     width = max(len(fr.prime_list) for _, fr in banked.frames if fr.n <= banked.map_bound) + 1
-    for (tag, fr), b in banked.banks.items():
-        draws = {t: d for t, _, d in BANKS}[tag]
-        assert (b.lanes, b.width) == (2 + draws, width)
-        assert [tuple(b.lane(k)) for k in range(b.lanes)] == _bank_tables(banked, tag, fr)
-
-
-def test_h_bank_cores_non_contractive_draws_once_per_batch(monkeypatch):
-    """The drawn tables are contractive, so their cores are themselves; fed
-    non-contractive tables (each lane's draw read backwards: entry i takes
-    entry n - 1 - i's value), initial-h's bank still holds S cap h(S), and
-    _core runs once per bank batch, not once per map."""
-    ctx = _Ctx(CorpusConfig())
-    real, calls = ctx.batch, []
-    ctx.batch = lambda *args, **kw: (b := real(*args, **kw))._replace(masks=b.masks[::-1])
-    monkeypatch.setattr(verify, "_core", lambda *args: calls.append(args) or _core(*args))
-    for f in ctx.maps:
-        _h_ops_for_initial(ctx, f)
-    targets = {f.target for f in ctx.maps}
-    assert len(calls) == len(targets)
-    moved = 0
-    for fr in targets:
-        sl, b = ctx.sl(fr), ctx.banks["initial-h-ops", fr]
-        raw = brute_batch_tables(sl, ctx.rng("initial-h-ops", fr.key()), b.lanes,
-                                 ctx.bank_width, 2)
-        raw = [t[::-1] for t in raw]
-        want = [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in raw]
+    for (_, fr), b in banked.banks.items():
+        sl, want = banked.sl(fr), _bank_tables(banked, fr)
+        assert (b.lanes, b.width) == (48, width)
         assert [tuple(b.lane(k)) for k in range(b.lanes)] == want
-        moved += want != raw
-    assert moved == len(targets)
+        assert want == [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in want]
 
 
 def test_every_map_lifts_every_table_of_its_targets_bank(monkeypatch):
     """Both initial checks lift, for every map f: L -> M, every table of M's
     bank, the oracle's draws: one packed lift per map and check, so two maps
-    into one target lift the same tables."""
+    into one target, and the two checks, lift the same tables."""
     ctx = _Ctx(CorpusConfig())
     # transfers are cached by map equality, so t.map may be an equal map of
     # another run
@@ -1562,14 +1529,14 @@ def test_every_map_lifts_every_table_of_its_targets_bank(monkeypatch):
         if ones != 1:
             lifted[cid, t.map] += 1
             fr = t.map.target
-            if (tag, fr) not in banks:
-                banks[tag, fr] = _bank_tables(ctx, tag, fr)
+            if fr not in banks:
+                banks[fr] = _bank_tables(ctx, fr)
             assert [tuple(_lane(x, j, ctx.bank_width) for x in xs)
-                    for j in range(ones.bit_count())] == banks[tag, fr]
+                    for j in range(ones.bit_count())] == banks[fr]
         return real(t, xs, ones)
 
     monkeypatch.setattr(verify, "_lift", spy)
-    for cid, tag in (("initial-interior", "initial-ops"), ("initial-h", "initial-h-ops")):
+    for cid in ("initial-interior", "initial-h"):
         assert verify.CHECKS[cid](ctx)[0] == "pass"
     assert lifted == Counter({(cid, f): 1 for cid in ("initial-interior", "initial-h")
                               for f in ctx.maps})
@@ -1581,8 +1548,7 @@ def test_banks_survive_a_full_run(banked):
     fresh = _Ctx(CorpusConfig())
     vars(fresh)["maps"] = banked.maps
     for f in fresh.maps:
-        for _, tables_for, _ in BANKS:
-            tables_for(fresh, f)
+        _ops_for_initial(fresh, f)
     assert fresh.banks == banked.banks
 
 
@@ -1707,8 +1673,8 @@ def test_axiom_check_masks_match_operator_checks():
 @pytest.mark.parametrize("cid, broken, line", [
     ("interior-axioms", lambda gaps, ones: (gaps[0], ones, gaps[2]),
      "generated operator breaks the axioms or bounds on "),
-    ("h-axioms", lambda gaps, ones: ([ones] + gaps[0][1:],) + gaps[1:],
-     "h1 fails on a raw table on "),
+    ("h-axioms", lambda gaps, ones: (gaps[0], ones, gaps[2]),
+     "generated h operator invalid on "),
 ])
 def test_axiom_check_fails_on_a_broken_kernel(monkeypatch, cid, broken, line):
     real = verify._axiom_gaps

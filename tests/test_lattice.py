@@ -249,6 +249,16 @@ def test_space_validation():
         FiniteSpace.from_sets(("x", "y", "z"), ((), ("x",), ("y",), ("x", "y", "z")))  # no union
 
 
+@pytest.mark.parametrize("mask", [2, 3, -1, -2])
+def test_space_refuses_opens_outside_its_points(mask):
+    # a mask with a bit past the last point, or a negative one, names no set
+    # of points: refused by name before the closure scan reads it
+    with pytest.raises(NotASpace, match=f"open mask {mask} is outside 0..1") as e:
+        FiniteSpace(["x"], [0, 1, mask])
+    assert e.value.witness == (mask,)
+    assert FiniteSpace(["x"], [0, 1]).opens == (0, 1)
+
+
 def test_downset_frame_roundtrips_through_space():
     # view the downset family as a space on the poset's points, take its
     # open-set frame, and compare orders

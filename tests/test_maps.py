@@ -282,6 +282,19 @@ def test_continuous_map_validation():
         ContinuousMap(s, s, (0,))
 
 
+@pytest.mark.parametrize("table", [(0.0, 1), (2.5, 1), ("0", 1), (0,), (0, 2), (-1, 0)])
+def test_continuous_map_refuses_a_table_that_is_not_total(table):
+    # the point table is read as operator.index reads it, the test localic_map
+    # and InteriorOperator share: a float or string entry is no point index
+    with pytest.raises(ValueError, match="^point table is not a total map into the target$"):
+        ContinuousMap(sierpinski(), sierpinski(), table)
+
+
+def test_continuous_map_from_the_empty_space():
+    empty = FiniteSpace([], [0])
+    assert ContinuousMap(empty, sierpinski(), ()).preimage_mask(1) == 0
+
+
 def test_omega_fixtures():
     s = sierpinski()
     om_id = omega_of_map(ContinuousMap(s, s, (0, 1)))

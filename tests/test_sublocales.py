@@ -226,6 +226,22 @@ def test_enumerate_size_limit(monkeypatch):
     assert enumerate_sublocales(chain4(), limit=4).n == 8
 
 
+@pytest.mark.parametrize("limit", [-3, -1, 2.5, 2.0, True, "3"])
+def test_enumerate_refuses_a_bound_that_is_not_a_non_negative_integer(limit):
+    with pytest.raises(ValueError, match="bound must be a non-negative integer"):
+        enumerate_sublocales(two(), limit=limit)
+
+
+def test_enumerate_reads_an_index_bound():
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert enumerate_sublocales(two(), limit=Two()).n == 2
+    with pytest.raises(SizeLimit):
+        enumerate_sublocales(two(), limit=0)
+
+
 def test_sub_join_examples():
     c3 = chain3()
     assert sub_join(c3, [sublocale(c3, ["0", "1"]), sublocale(c3, ["m", "1"])]).mask == c3.full_mask

@@ -90,7 +90,7 @@ def test_check_order_is_stable():
 
 def test_default_run_all_pass(default_report):
     assert default_report["artifact"] == "localelab-verification"
-    assert default_report["version"] == 8
+    assert default_report["version"] == 9
     assert {r["id"]: r["status"] for r in default_report["checks"]} == {
         cid: "pass" for cid in ALL_CHECKS
     }
@@ -135,6 +135,10 @@ def test_registry_occurrence_counts_frozen(default_report):
     assert occ["initial-contraction"] == 233846
     assert occ["universal-interior-anomaly"] == 71
     assert occ["universal-h-anomaly"] == 36
+    # both initial checks lift one bank, and a contractive table is its own
+    # core, so the top gaps of the two agree by construction
+    assert occ["initial-h-top"] == occ["initial-top"] == 19530
+    assert occ["initial-h-continuity"] == 25571
 
 
 def test_config_echo(default_report):
@@ -153,7 +157,7 @@ def test_default_report_bytes_pinned(default_report, tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), default_report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "eea361fbd95afb484bfd33f0f1e97efc7a19497a650f46c5bfc1a6951f0f4752"
+    assert digest == "c49af294092fd82dc68a70f531b5d939e1d1fca86863653c24f01fcda73eadbf"
 
 
 def test_exported_default_bound_leaves_the_report_bytes_alone(monkeypatch, tmp_path):
@@ -163,7 +167,7 @@ def test_exported_default_bound_leaves_the_report_bytes_alone(monkeypatch, tmp_p
     path = tmp_path / "report.json"
     save_json(str(path), run_verification(CorpusConfig()))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "eea361fbd95afb484bfd33f0f1e97efc7a19497a650f46c5bfc1a6951f0f4752"
+    assert digest == "c49af294092fd82dc68a70f531b5d939e1d1fca86863653c24f01fcda73eadbf"
 
 
 def test_maps_sweep_report_bytes_pinned(tmp_path):
@@ -179,7 +183,7 @@ def test_maps_sweep_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "12e5cd68b55cb76bfa330ef90725e92c2209278e00941de555a6332e01f644c7"
+    assert digest == "a8d8b5557798a64683caf5a761f0c6b71818e507734b55b429c4b06790cc065b"
 
 
 def test_max_poset_5_report_bytes_pinned(tmp_path):
@@ -193,7 +197,7 @@ def test_max_poset_5_report_bytes_pinned(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "a937b882302ddcf900ed256251cc03f9e89081df71deefce7de7e5b160f82657"
+    assert digest == "124a718ee437db286ef5ba150faec1b264942aa74f8844cd4dd9c7244d775bcf"
 
 
 def _inject_adjoint(monkeypatch, ctx, f, lane_words):
@@ -372,7 +376,7 @@ def test_integer_seeds_read_as_before(tmp_path):
     path = tmp_path / "report.json"
     save_json(str(path), report)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "fad6bb2cb2d08d73baea7b5bf818052e82e2372d867ce9ead175ecc18b7a074c"
+    assert digest == "9a1a33adde1e3c8eaef7a8cea8a0dbeaa244e6ae08de3c05c53edec1541c99d8"
 
 
 def _assert_mandated_top_witness(report, rid, fragment):
@@ -447,7 +451,7 @@ def test_replay_refuses_a_report_of_another_version(default_report):
     change: a version-7 report is refused, not replayed in the wrong order."""
     old = copy.deepcopy(default_report)
     old["version"] = 7
-    with pytest.raises(ValueError, match="report version 7 cannot be replayed by version 8"):
+    with pytest.raises(ValueError, match="report version 7 cannot be replayed by version 9"):
         replay(old, "initial-contraction")
 
 
@@ -735,12 +739,14 @@ def test_universal_reports_an_unexplained_disagreement(monkeypatch, ctx, cid, li
 @pytest.mark.parametrize("interior, h", [
     ("composition-interior", "composition-h"),
     ("universal-property-interior", "universal-property-h"),
+    ("initial-interior", "initial-h"),
 ])
 def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, interior, h):
     """Run after its interior twin on one context, an h check makes no draw,
     seeds no generator and gathers no candidate, and composition-h builds no
-    report and no composite map: it reads its twin's reports. Run alone, it
-    draws the same samples and gives the row of the default report."""
+    report and no composite map: it reads its twin's reports, and initial-h
+    its twin's banks. Run alone, it draws the same samples and gives the row
+    of the default report."""
     shared = ((verify, "_composition"), (interior_module, "compose_localic")) \
         if h == "composition-h" else ()
     ctx = verify._Ctx(CorpusConfig())
@@ -983,6 +989,15 @@ def test_default_chains_are_their_own_cores(ctx):
             assert _core(sl, xs) == xs
 
 
+def test_default_banks_are_their_own_cores(ctx):
+    """initial-h lifts initial-interior's bank tables as given, as the cores
+    of h_M; the draws are contractive, so each table is its own core."""
+    for f in ctx.maps:
+        verify._ops_for_initial(ctx, f)
+    for (_, fr), b in ctx.banks.items():
+        assert b.lanes == 48 and _core(ctx.sl(fr), b.masks, b.ones) == b.masks
+
+
 def _bent_batches(bend):
     """A context class whose batches hold the masks bend(sl, batch)."""
     class Bent(verify._Ctx):
@@ -1084,7 +1099,7 @@ def test_sampling_free_verdicts_pinned():
         ("galois-adjunction", "pass", {"maps": 1135, "pairs_per_map": "all"}),
         ("boolean-fragment", "pass", {"frames": 24}),
         ("interior-axioms", "pass", {"generated": 0, "per_frame": 0}),
-        ("h-axioms", "pass", {"generated": 0, "raw_tables": 0}),
+        ("h-axioms", "pass", {"generated": 0}),
         ("contractive-equivalence", "skip", skipped),
         ("composition-interior", "skip", skipped),
         ("composition-h", "skip", skipped),
