@@ -42,12 +42,10 @@ def size_limit() -> int:
 
 
 def _bound(limit) -> int:
-    """limit read as operator.index reads it; ValueError unless it is a
-    non-negative integer (2.5 and True included)."""
-    try:
-        bound = -1 if isinstance(limit, bool) else operator.index(limit)
-    except TypeError:
-        bound = -1
+    """limit as operator.index reads it; ValueError unless it is a
+    non-negative integer and no bool."""
+    indexed = hasattr(type(limit), "__index__") and not isinstance(limit, bool)
+    bound = operator.index(limit) if indexed else -1
     if bound < 0:
         raise ValueError(f"the sublocale enumeration bound must be a non-negative "
                          f"integer, got {limit!r}")
