@@ -45,10 +45,11 @@ interpreters with the same `PYTHONPATH`. One entry records:
   `--samples 0` does, so that no pass reads transfers an earlier one cached;
 - the median over five passes of each operator-layer kernel, timed over
   the (map, target table) pairs of the initial checks of default `verify`,
-  which both lift one bank per target frame: `initial_interior` and
-  `initial_h` each on the 54,480 lifts, each on an operator built from the
-  bank table beforehand. A lift returns its report with the candidate
-  operator not yet built;
+  which read one bank per target frame: `initial_interior` and `initial_h`
+  each on the 54,480 lifts, each on an operator built from the bank table
+  beforehand. A lift returns its report with the candidate operator not
+  yet built. These are the public one-lane lifts, which the checks
+  themselves run only for the mandated table and for first witnesses;
 - the median over five passes of the interior-axioms and h-axioms checks
   of default `verify` (`interior_axioms_s`, `h_axioms_s`): each one's work
   over its 100 draws per corpus frame (2,400 draws), with the named
@@ -62,6 +63,11 @@ interpreters with the same `PYTHONPATH`. One entry records:
   kernel calls over the 23 targets), and `batched_lift_s` lifts each map's
   bank through its transfer with the one lift kernel, `_lift` (54,480
   tables), next to the one-lane public lifts above;
+- the median over five passes of initial-interior and of initial-h, the two
+  checks themselves, timed one after the other in run order on a fresh
+  context per pass that shares the warm one's maps (`initial_checks_s`, per
+  check). Both rows come from one pass over the maps, which initial-interior
+  runs and initial-h reads, so initial-h's time is that of the read;
 - the median over five passes of each of the seven per-object operator
   checks of default `verify` (contractive-equivalence, composition-interior,
   composition-h, coarseness, universal-property-interior,
@@ -345,16 +351,20 @@ def operator_timings():
         vars(on)["maps"] = ctx.maps
         return on
 
-    passes = {cid: [] for cid in OPERATOR_CHECKS}
-    for _ in range(PASSES):
-        on = fresh()
-        for cid in OPERATOR_CHECKS:
-            start = time.perf_counter()
-            CHECKS[cid](on)
-            passes[cid].append(time.perf_counter() - start)
-    seven = {cid: round(statistics.median(ts), 4) for cid, ts in passes.items()}
-    out["operator_checks_s"] = seven
+    def in_order(cids):
+        """The median over PASSES of each check of cids, run in order on a fresh context."""
+        passes = {cid: [] for cid in cids}
+        for _ in range(PASSES):
+            on = fresh()
+            for cid in cids:
+                start = time.perf_counter()
+                CHECKS[cid](on)
+                passes[cid].append(time.perf_counter() - start)
+        return {cid: round(statistics.median(ts), 4) for cid, ts in passes.items()}
+
+    out["operator_checks_s"] = seven = in_order(OPERATOR_CHECKS)
     out["operator_checks_total_s"] = round(sum(seven.values()), 4)
+    out["initial_checks_s"] = in_order(("initial-interior", "initial-h"))
     _median_time(out, "join_oracle_s", check, [("sublocale-join-oracle",)])
     _median_time(out, "join_oracle_5_s", check, [("sublocale-join-oracle",
                                                   _Ctx(CorpusConfig(max_poset_size=5)))])

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .corpus import _poset_classes, corpus_frames
-from .errors import BadConfig, LocaleLabError, SizeLimit, UnknownWitness
+from .errors import BadConfig, BadInput, LocaleLabError, SizeLimit, UnknownWitness
 from .hops import HOperator, check_h, initial_h
 from .interior import check_interior, initial_interior
 from .points import points_of, pt_space
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, KeyError) as exc:
+    except (OSError, KeyError, BadInput) as exc:
         print(f"cannot read input: {exc!r}", file=sys.stderr)
         return 2
     except LocaleLabError as exc:

@@ -54,6 +54,10 @@ class EmptyFamily(LocaleLabError):
     """Lattice operation applied to an empty family of operators."""
 
 
+class BadInput(LocaleLabError):
+    """An input file's JSON has the wrong shape, such as a list where an object belongs."""
+
+
 class BadConfig(LocaleLabError):
     """A setting, such as LOCALELAB_SIZE_LIMIT, has a value that cannot be used."""
 

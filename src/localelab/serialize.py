@@ -9,11 +9,31 @@ from __future__ import annotations
 import json
 import os
 
+from .errors import BadInput
 from .hops import HOperator
 from .interior import InteriorOperator
 from .lattice import FiniteSpace, Frame, Poset, bits, build_frame, frame_of_space
 from .maps import ContinuousMap, LocalicMap, localic_map
 from .sublocales import SublocaleLattice, as_mask, enumerate_sublocales
+
+
+_JSON_TYPES = {list: "array", dict: "object", str: "string"}
+
+
+def _field(data: dict, key: str, kind: type, member: type = object):
+    """data[key] (KeyError when it is missing), refused with BadInput unless
+    it is a kind whose members (an object's values) are each a member."""
+    value = data[key]
+    members = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or not all(isinstance(x, member) for x in members):
+        of = "" if member is object else f" of {_JSON_TYPES[member]}s"
+        raise BadInput(f"{key!r} must be a JSON {_JSON_TYPES[kind]}{of}", witness=(key,))
+    return value
+
+
+def _order(data: dict) -> tuple:
+    """The labels and generating <=-pairs of a poset or frame file."""
+    return _field(data, "elements", list), _field(data, "le", list, list)
 
 
 def poset_to_json(poset: Poset) -> dict:
@@ -22,7 +42,7 @@ def poset_to_json(poset: Poset) -> dict:
 
 
 def poset_from_json(data: dict) -> Poset:
-    return Poset.from_pairs(data["elements"], data["le"])
+    return Poset.from_pairs(*_order(data))
 
 
 def frame_to_json(frame: Frame) -> dict:
@@ -30,7 +50,7 @@ def frame_to_json(frame: Frame) -> dict:
 
 
 def frame_from_json(data: dict) -> Frame:
-    return build_frame(data["elements"], data["le"])
+    return build_frame(*_order(data))
 
 
 def space_to_json(space: FiniteSpace) -> dict:
@@ -41,7 +61,7 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(data: dict) -> FiniteSpace:
-    return FiniteSpace.from_sets(data["points"], data["opens"])
+    return FiniteSpace.from_sets(_field(data, "points", list), _field(data, "opens", list, list))
 
 
 def localic_map_to_json(f: LocalicMap, from_ref: str, to_ref: str) -> dict:
@@ -66,7 +86,7 @@ def _label_table(labels: dict, source_index: dict, target_index: dict, what: str
 
 
 def localic_map_from_json(data: dict, source: Frame, target: Frame) -> LocalicMap:
-    table = _label_table(data["map"], source.index, target.index, "element")
+    table = _label_table(_field(data, "map", dict, str), source.index, target.index, "element")
     return localic_map(source, target, table)
 
 
@@ -78,7 +98,8 @@ def point_map_to_json(c: ContinuousMap, from_ref: str, to_ref: str) -> dict:
 
 
 def point_map_from_json(data: dict, source: FiniteSpace, target: FiniteSpace) -> ContinuousMap:
-    table = _label_table(data["map"], source.point_index, target.point_index, "point")
+    table = _label_table(_field(data, "map", dict, str), source.point_index,
+                         target.point_index, "point")
     return ContinuousMap(source, target, table)
 
 
@@ -125,7 +146,7 @@ def operator_from_json(data: dict, frame: Frame):
 
     table = [0] * sl.n
     seen = set()
-    for k, v in data["table"].items():
+    for k, v in _field(data, "table", dict, str).items():
         i = to_index(k)
         table[i] = to_index(v)
         seen.add(i)
@@ -159,8 +180,12 @@ def save_json(path: str, data: dict) -> None:
 
 
 def _load(path: str) -> dict:
+    """The JSON object in the file at path; BadInput when it holds another value."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise BadInput(f"{path} must hold a JSON object")
+    return data
 
 
 def _resolve(base_file: str, ref: str) -> str:
@@ -187,19 +212,19 @@ def load_structure(path: str):
 
 def load_localic_map(path: str) -> LocalicMap:
     data = _load(path)
-    source = load_frame(_resolve(path, data["from"]))
-    target = load_frame(_resolve(path, data["to"]))
+    source = load_frame(_resolve(path, _field(data, "from", str)))
+    target = load_frame(_resolve(path, _field(data, "to", str)))
     return localic_map_from_json(data, source, target)
 
 
 def load_point_map(path: str) -> ContinuousMap:
     data = _load(path)
-    source = load_space(_resolve(path, data["from"]))
-    target = load_space(_resolve(path, data["to"]))
+    source = load_space(_resolve(path, _field(data, "from", str)))
+    target = load_space(_resolve(path, _field(data, "to", str)))
     return point_map_from_json(data, source, target)
 
 
 def load_operator(path: str):
     data = _load(path)
-    frame = load_frame(_resolve(path, data["frame"]))
+    frame = load_frame(_resolve(path, _field(data, "frame", str)))
     return operator_from_json(data, frame)

@@ -271,7 +271,7 @@ class _Ctx:
                          for e in _REGISTRY_SEED}
         # operator-kernel counters for the profile sidecar, never in the report
         self.kernels = {} if kernels is None else kernels
-        self.kernels.update(tables_lifted=0, batches=0, batches_walked=0)
+        self.kernels.update(tables_lifted=0, batches=0, lanes_lifted_alone=0)
         self.banks = {}
 
     def sl(self, frame):
@@ -353,13 +353,16 @@ class _Ctx:
             out.append((tf, tg, l, m, n, _composition(tf, tg, l, m, n)))
         return out
 
+    # the rows of the selected initial checks, from the one pass both read
+    initial = cached_property(lambda self: _initial_rows(self))
+
     @cached_property
     def configs(self):
         """The first 240 (transfer of f, g, m, n, candidate), g: N -> L
         feeding f: L -> M, with the tables m of the discrete, trivial or
         a drawn operator on M, n of a drawn one on N, and the lift's candidate
-        _candidate(t, m). The samples of universal-property-interior and,
-        through their cores, of universal-property-h."""
+        _candidate(t, m). The samples of universal-property-interior and of
+        universal-property-h; m and n are contractive, each its own core."""
         out = []
         # three per pair, striding across all composable pairs so that large
         # frames are sampled too
@@ -699,95 +702,107 @@ def _anomaly_witness(f, op, anomaly):
     }
 
 
-def _tally(gaps, confirmed, first, b):
-    """(confirmed (lane, index) gaps in gaps, guard bits of the lanes with an
-    unconfirmed one): confirmed masks the confirmed indices, first keeps each
-    lane's first gap only, and b gives the layout."""
-    hits = loose = seen = 0
+# each initial report class's check id and the registry id of each gap kind it counts
+_INITIAL = {
+    InitialReport: ("initial-interior", {"contraction-gap": "initial-contraction",
+                    "top-gap": "initial-top", "continuity-gap": "initial-continuity"}),
+    HInitialReport: ("initial-h", {"top-gap": "initial-h-top",
+                                   "continuity-gap": "initial-h-continuity"})}
+
+
+def _tally(gaps, confirmed, first, fill, guard):
+    """(confirmed (lane, index) gaps in gaps, guard bits of the lanes with a
+    confirmed one, and with an unconfirmed one) in the lanes of guard: confirmed
+    masks the confirmed indices, and first keeps each lane's first gap only."""
+    hits = found = loose = seen = 0
     for i, g in enumerate(gaps):
         if g:
-            g = (g + b.fill) & b.guard & ~seen
+            g = (g + fill) & guard & ~seen
             if first:
                 seen |= g
             if confirmed >> i & 1:
                 hits += g.bit_count()
+                found |= g
             else:
                 loose |= g
-    return hits, loose
+    return hits, found, loose
 
 
-def _check_initial(ctx, report):
-    """_lift through every map's transfer of its target's bank, the batch
-    _ops_for_initial gives, for the operators of class report's _OPERATOR.
+def _initial_rows(ctx):
+    """The rows, by check id, of the selected initial checks, read for their
+    report classes off one packed _lift per map of its target's bank, the
+    batch _ops_for_initial gives. The bank tables are lifted as given, as
+    the cores of h_M too, so the bank must hold its own cores; its draws are
+    contractive, and any h_M whose core is a bank table gets its verdicts.
 
-    The bank tables are lifted as given: initial-h lifts them as the cores
-    of h_M, so the bank must hold its own cores. Its draws are contractive,
-    and initial-h decides on cores, so any h_M whose core is a bank table
-    gives that table's verdicts.
+    The mandated TWO -> CHAIN3 trivial counterexample's top gap is the
+    "top-gap" entry's witness and one more occurrence, outside the tallies.
+    The first lane that breaks monotonicity (the second of _AXIOMS), or the
+    top law (the third) though f[L] = M, fails both checks; the lanes before
+    it add their confirmed (lane, index) gaps to the tallies. A lane is lifted
+    alone only for a registry entry's first witness or an unconfirmed gap."""
+    reports = [(r, cid, ids) for r, (cid, ids) in _INITIAL.items() if cid in ctx.config.selected()]
 
-    Monotonicity (the second of report._AXIOMS) must hold for every induced
-    operator, and the top law (the third) must hold when f[L] = M; ids maps each
-    anomaly kind to its registry entry. The mandated TWO -> CHAIN3 trivial
-    counterexample is lifted first, and its top gap is the "top-gap" entry's
-    witness and one more occurrence, outside the tallies. A batch adds its
-    confirmed (lane, index) gaps to the tallies. One that holds a failure, an
-    unconfirmed gap or a registry entry's first witness is walked instead: one
-    lane at a time, in table order, each read off its report of class report.
-    """
-    h = report is HInitialReport
-    cid = "initial-h" if h else "initial-interior"
-    ids = {"top-gap": "initial-h-top", "continuity-gap": "initial-h-continuity"} if h else {
-        "contraction-gap": "initial-contraction", "top-gap": "initial-top",
-        "continuity-gap": "initial-continuity"}
+    def alone(report, t, table):
+        ctx.kernels["lanes_lifted_alone"] += 1
+        return report._OPERATOR(t.target_lattice, table), report._of_lane(t, _lift(t, table))
+
     f_up = localic_map(two(), chain3(), (0, 2))
     t = _transfer_cached(f_up)
-    op = report._OPERATOR(t.target_lattice, trivial_op(t.target_lattice).table)
-    rep = report._of_lane(t, _lift(t, op.table))
-    mandated = [a for a in rep.anomalies if a["kind"] == "top-gap"]
-    if mandated:
-        ctx.reg_hit(ids["top-gap"], partial(_anomaly_witness, f_up, op, mandated[0]))
-    checked = 0
-    tallies = dict.fromkeys(ids, 0)
+    mandated, tallies, payloads = {}, {}, {}
+    for report, _, ids in reports:
+        op, rep = alone(report, t, trivial_op(t.target_lattice).table)
+        mandated[report] = [a for a in rep.anomalies if a["kind"] == "top-gap"][:1]
+        for a in mandated[report]:
+            ctx.reg_hit(ids["top-gap"], partial(_anomaly_witness, f_up, op, a))
+        tallies[report], payloads[report] = dict.fromkeys(ids, 0), []
+    checked = stop = 0
     for f in ctx.maps:
         t = _transfer_cached(f)
         # the masks each gap kind is confirmed on; image_gap is f[L] != M
         unit, image_gap, counit = _confirmed(t, (-1, 1, -1))
         b = _ops_for_initial(ctx, f)
         ctx.kernels["tables_lifted"] += b.lanes
-        (gaps, bad, top_gap), continuity = _lift(t, b.masks, b.ones)[1:]
-        found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top_gap], image_gap, False),
-                 "continuity-gap": (continuity, counit, report._FIRST)}
-        hits = {kind: _tally(*found[kind], b) for kind in ids}
-        if not (bad or top_gap and not image_gap or any(
-                loose or n and ctx.registry[ids[kind]]["witness"] is None
-                for kind, (n, loose) in hits.items())):
-            checked += b.lanes
-            for kind, (n, _) in hits.items():
-                if n:
-                    tallies[kind] += n
-                    ctx.reg_hit(ids[kind], hits=n)
-            continue
-        ctx.kernels["batches_walked"] += 1
-        for j in range(b.lanes):
-            rep = report._of_lane(t, _lift(t, b.lane(j)))
-            checked += 1
-            if not rep.passed[report._AXIOMS[1]]:
-                return _fail({"checked": checked}, f"{report._AXIOMS[1]} fails for an "
-                             f"induced operator on {f.describe()}")
-            if rep.gaps[1] and not image_gap:
-                return _fail({"checked": checked}, f"{report._AXIOMS[2]} fails despite "
-                             f"f[L] = M for {f.describe()}")
-            op = report._OPERATOR(t.target_lattice, b.lane(j))
-            for a in rep.anomalies:
-                if not a["confirmed"]:
-                    ctx.report_unexplained(cid, _anomaly_witness(f, op, a))
-                else:
-                    tallies[a["kind"]] += 1
-                    ctx.reg_hit(ids[a["kind"]], partial(_anomaly_witness, f, op, a))
-    detail = {"checked": checked, "tallies": tallies,
-              "mandated_top_counterexample": "fails-as-documented" if mandated else "unexpected-pass"}
-    return _verdict(ctx, cid, detail, None if mandated else f"{report._AXIOMS[2]} "
-                    "holds on the mandated TWO -> CHAIN3 trivial counterexample")
+        (gaps, bad, top), continuity = _lift(t, b.masks, b.ones)[1:]
+        # the guard bits of the lanes that break monotonicity, or the top law though f[L] = M
+        bad = (bad + b.fill) & b.guard
+        stop = bad | (0 if image_gap else (top + b.fill) & b.guard)
+        checked += b.upto(stop) if stop else b.lanes
+        guard = b.guard & (stop & -stop) - 1  # the lanes before the first in stop
+        for report, _, ids in reports:
+            found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top], image_gap, False),
+                     "continuity-gap": (continuity, counit, report._FIRST)}
+            read = 0  # the guard bits of the lanes to lift alone
+            for kind, rid in ids.items():
+                hits, hit, loose = _tally(*found[kind], b.fill, guard)
+                read |= loose | (hit & -hit if ctx.registry[rid]["witness"] is None else 0)
+                if hits:
+                    tallies[report][kind] += hits
+                    ctx.reg_hit(rid, hits=hits)
+            for p in bits(read):
+                op, rep = alone(report, t, b.lane(p // b.width))
+                for a in rep.anomalies:
+                    if not a["confirmed"]:
+                        payloads[report].append(_anomaly_witness(f, op, a))
+                    else:
+                        ctx.reg_hit(ids[a["kind"]], partial(_anomaly_witness, f, op, a), 0)
+        if stop:
+            break
+    rows = {}
+    for report, cid, _ in reports:
+        for payload in payloads[report]:
+            ctx.report_unexplained(cid, payload)
+        if stop:
+            rows[cid] = _fail({"checked": checked}, f"{report._AXIOMS[1]} fails for an induced "
+                              f"operator on {f.describe()}" if stop & -stop & bad else
+                              f"{report._AXIOMS[2]} fails despite f[L] = M for {f.describe()}")
+        else:
+            rows[cid] = _verdict(ctx, cid, {
+                "checked": checked, "tallies": tallies[report], "mandated_top_counterexample":
+                "fails-as-documented" if mandated[report] else "unexpected-pass"},
+                None if mandated[report] else
+                f"{report._AXIOMS[2]} holds on the mandated TWO -> CHAIN3 trivial counterexample")
+    return rows
 
 
 def _coarseness_witness(f, op_m, op_l, at):
@@ -853,9 +868,9 @@ def _universal_witness(f, g, opm, opn, anomaly):
 
 def _check_universal(ctx, op):
     """_universal_report on the configurations of ctx.configs, the operators
-    of type op; h operators are read through the cores of the interior
-    candidate, of h_M and of h_N, on the same draws as their interior twins.
-    Every confirmed disagreement is an occurrence of rid."""
+    of type op; h operators are read through their cores, on the same draws
+    as their interior twins: m and n are contractive, each its own core, so
+    only the candidate is cut. Every confirmed disagreement is an occurrence of rid."""
     if not ctx.sampling:
         return "skip", {"reason": "operator sampling disabled"}, None
     h = op is HOperator
@@ -865,10 +880,9 @@ def _check_universal(ctx, op):
     checked = disagreements = 0
     for t, g, m, n, cand in ctx.configs:
         sl, tl, nl = t.source_lattice, t.target_lattice, ctx.sl(g.source)
-        read_m, read_n = m, n
         if h:
-            cand, read_m, read_n = _core(sl, cand), _core(tl, m), _core(nl, n)
-        rep = _universal_report(t, g, cand, read_m, read_n, predicate)
+            cand = _core(sl, cand)
+        rep = _universal_report(t, g, cand, m, n, predicate)
         checked += 1
         if not rep.equivalent:
             disagreements += 1
@@ -945,8 +959,8 @@ CHECK_ORDER = (
     ("contractive-equivalence", _check_contractive_equivalence),
     ("composition-interior", _check_composition),
     ("composition-h", _check_composition),
-    ("initial-interior", partial(_check_initial, report=InitialReport)),
-    ("initial-h", partial(_check_initial, report=HInitialReport)),
+    ("initial-interior", lambda ctx: ctx.initial["initial-interior"]),
+    ("initial-h", lambda ctx: ctx.initial["initial-h"]),
     ("coarseness", _check_coarseness),
     ("universal-property-interior", partial(_check_universal, op=InteriorOperator)),
     ("universal-property-h", partial(_check_universal, op=HOperator)),

@@ -129,6 +129,35 @@ def test_missing_file_is_exit_2(files, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+# wrong-shape JSON per command: the argv, with {bad} for the file written
+# from the data and {chain3} and {op} for the fixture files, and the data
+WRONG_SHAPES = {
+    "check-top-level-list": (["check", "{bad}"], [1, 2]),
+    "check-le-number": (["check", "{bad}"], {"elements": ["0", "1"], "le": 5}),
+    "check-map-list": (["check", "{bad}"], {"from": "two.json", "to": "chain3.json",
+                                           "map": [["0", "0"], ["1", "1"]]}),
+    "sublocales-le-number": (["sublocales", "{bad}"], {"elements": ["0", "1"], "le": 5}),
+    "points-le-number": (["points", "{bad}"], {"elements": ["0", "1"], "le": 5}),
+    "op-check-table-list": (["op-check", "{chain3}", "{bad}"],
+                            {"frame": "chain3.json", "table": ["0,1", "1", "1", "1"]}),
+    "initial-map-list": (["initial", "{chain3}", "{bad}", "{op}"],
+                         {"from": "two.json", "to": "chain3.json", "map": [["0", "0"]]}),
+    "replay-top-level-list": (["replay", "{bad}", "initial-top"], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPES)
+def test_wrong_shape_input_is_exit_2(files, capsys, case):
+    """JSON of the wrong shape is refused where it is loaded: one stderr line
+    and exit 2, as for a missing field, and no traceback."""
+    argv, data = WRONG_SHAPES[case]
+    bad = str(files["dir"] / f"shape-{case}.json")
+    save_json(bad, data)
+    assert main([a.format(bad=bad, **files) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("cannot read input: BadInput(") and err.count("\n") == 1
+
+
 def test_sublocales_listing_and_artifacts(files, capsys):
     jpath = str(files["dir"] / "subs.json")
     dpath = str(files["dir"] / "subs.dot")
@@ -287,15 +316,18 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     # one class list per size up to --max-poset, one corpus per size asked for
     assert profile["caches"]["_poset_classes"]["currsize"] >= 3
     assert profile["caches"]["corpus_frames"]["currsize"] >= 1
-    # both initial checks lift 2 + 10 tables per map, its target's bank, and
-    # share one bank batch per target frame of the run's maps
+    # the one pass of both initial checks lifts 2 + 10 tables per map, its
+    # target's bank, drawn once per target frame of the run's maps; it lifts
+    # alone the mandated table, once per check, and each first witness
     kernels = profile["operator_kernels"]
-    assert sorted(kernels) == ["batches", "batches_walked", "tables_lifted"]
-    maps = json.loads(open(plain).read())["counts"]["maps"]
-    assert kernels["tables_lifted"] == 24 * maps
+    assert sorted(kernels) == ["batches", "lanes_lifted_alone", "tables_lifted"]
+    report = json.loads(open(plain).read())
+    assert kernels["tables_lifted"] == 12 * report["counts"]["maps"]
     ctx = _Ctx(CorpusConfig(max_poset_size=3, operator_samples_per_frame=10, seed=5))
     assert kernels["batches"] == len({f.target for f in ctx.maps})
-    assert 0 < kernels["batches_walked"] < kernels["batches"]
+    assert kernels["lanes_lifted_alone"] == 2 + sum(e["id"] in (
+        "initial-contraction", "initial-continuity", "initial-h-continuity")
+        and e["witness"] is not None for e in report["registry"]) == 5
 
 
 def test_verify_progress_lines_go_to_stderr_only(files, capsys):

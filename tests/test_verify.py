@@ -556,6 +556,83 @@ def test_initial_check_walks_to_a_failing_middle_lane(monkeypatch):
         f"I2 fails for an induced operator on {f.describe()}"]}
 
 
+def test_both_initial_checks_list_their_payloads_in_run_order(monkeypatch):
+    """With both initial checks selected, one pass fills both rows, and the
+    unexplained list is initial-interior's payloads followed by initial-h's,
+    each as its check gives them run alone."""
+    _patch_lift(monkeypatch, "interior", lambda r, ones: r[:2] + ([ones] * len(r[2]),))
+    alone = [_initial_row(cid) for cid, *_ in INITIAL_CHECKS]
+    report = run_verification(CorpusConfig(
+        max_poset_size=2, operator_samples_per_frame=2, checks=("initial-interior", "initial-h")))
+    assert report["checks"] == [row for row, _ in alone]
+    assert all(r["unexplained"] for _, r in alone)
+    assert report["unexplained"] == [u for _, r in alone for u in r["unexplained"]]
+
+
+def test_an_initial_failure_counts_only_the_lanes_before_it(monkeypatch):
+    """A middle lane of a middle map that breaks I2 ends the pass: the
+    registry counts the confirmed gaps of the tables before it, as the
+    public one-table lifts give them, and of no table after it."""
+    config = CorpusConfig(max_poset_size=2, operator_samples_per_frame=2,
+                          checks=("initial-interior", "initial-h"))
+    ctx = verify._Ctx(config)
+    batches = ((m, verify._ops_for_initial(ctx, ctx.maps[m]))
+               for m in range(len(ctx.maps) // 2, len(ctx.maps)))
+    m, b = next((m, b) for m, b in batches if b.lane(2) not in (b.lane(0), b.lane(1)))
+    f, bent = ctx.maps[m], b.lane(2)
+
+    def edit(lifted, ones, xs, t):
+        pulled, (gaps, bad, top), cont = lifted
+        for j in range(ones.bit_count() if t.map == f else 0):
+            if [x >> j * b.width & (1 << b.width) - 1 for x in xs] == bent:
+                bad |= 1 << j * b.width
+        return pulled, (gaps, bad, top), cont
+
+    real = verify._lift
+    monkeypatch.setattr(verify, "_lift",
+                        lambda t, xs, ones=1: edit(real(t, xs, ones), ones, xs, t))
+    report = run_verification(config)
+    assert [r["detail"] for r in report["checks"]] == [{"checked": m * b.lanes + 3}] * 2
+    want = {rid: 0 for _, ids in verify._INITIAL.values() for rid in ids.values()}
+    want["initial-top"] = want["initial-h-top"] = 1  # the mandated counterexample
+    for k, g in enumerate(ctx.maps[:m + 1]):
+        bank = verify._ops_for_initial(ctx, g)
+        for j in range(bank.lanes if k < m else 2):
+            for lift, op in ((initial_interior, InteriorOperator), (initial_h, HOperator)):
+                rep = lift(g, op(ctx.sl(g.target), bank.lane(j)))
+                for a in rep.anomalies:
+                    want[verify._INITIAL[type(rep)][1][a["kind"]]] += a["confirmed"]
+    assert {e["id"]: e["occurrences"] for e in report["registry"] if e["id"] in want} == want
+    assert report["unexplained"] == []
+
+
+def test_initial_checks_lift_alone_only_the_mandated_table_and_first_witnesses(monkeypatch):
+    """At the defaults the initial checks lift one table at a time only for
+    the mandated TWO -> CHAIN3 trivial counterexample, once per check, and
+    for the first witness of each registry entry found on the maps, which is
+    the table lifted; the profile counter counts those lifts."""
+    alone = []
+    real = verify._lift
+
+    def spy(t, xs, ones=1):
+        if ones == 1:
+            alone.append(json.dumps([verify._map_payload(t.map), list(xs)]))
+        return real(t, xs, ones)
+
+    monkeypatch.setattr(verify, "_lift", spy)
+    kernels = {}
+    report = run_verification(CorpusConfig(checks=("initial-interior", "initial-h")),
+                              kernels=kernels)
+    mandated = json.dumps([verify._map_payload(localic_map(two(), chain3(), (0, 2))),
+                           list(trivial_op(enumerate_sublocales(chain3())).table)])
+    found = [json.dumps([e["witness"]["map"], e["witness"]["op"]["table"]])
+             for e in report["registry"] if e["id"] in (
+                 "initial-contraction", "initial-continuity", "initial-h-continuity")]
+    assert alone[:2] == [mandated] * 2 and sorted(alone[2:]) == sorted(found)
+    assert kernels["lanes_lifted_alone"] == len(alone) == 5
+    assert kernels["tables_lifted"] == 48 * report["counts"]["maps"] == 54_480
+
+
 # -- failure paths of the seven per-object operator checks: each patches the
 # mask kernel a check reads, where it reads it, to break the cases whose tables
 # equal one middle case's; the expected row is what a loop over the same cases,
@@ -743,12 +820,13 @@ def test_universal_reports_an_unexplained_disagreement(monkeypatch, ctx, cid, li
 ])
 def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, interior, h):
     """Run after its interior twin on one context, an h check makes no draw,
-    seeds no generator and gathers no candidate, and composition-h builds no
-    report and no composite map: it reads its twin's reports, and initial-h
-    its twin's banks. Run alone, it draws the same samples and gives the row
-    of the default report."""
-    shared = ((verify, "_composition"), (interior_module, "compose_localic")) \
-        if h == "composition-h" else ()
+    seeds no generator and gathers no candidate, composition-h builds no
+    report and no composite map, and initial-h lifts nothing: each reads its
+    twin's reports, and initial-h the row of the pass its twin ran. Run
+    alone, it draws the same samples and gives the row of the default
+    report."""
+    shared = {"composition-h": ((verify, "_composition"), (interior_module, "compose_localic")),
+              "initial-h": ((verify, "_lift"),)}.get(h, ())
     ctx = verify._Ctx(CorpusConfig())
     kernels = [(verify, name) for name in ("_closed_draw", "_continuous_draw", "_candidate")]
     calls = dict.fromkeys([name for _, name in kernels + list(shared)] + ["rng"], 0)
@@ -987,6 +1065,16 @@ def test_default_chains_are_their_own_cores(ctx):
     for tf, tg, *tables, _ in ctx.chains:
         for sl, xs in zip((tf.source_lattice, tg.source_lattice, tg.target_lattice), tables):
             assert _core(sl, xs) == xs
+
+
+def test_default_configs_are_their_own_cores(ctx):
+    """The configurations' m (discrete, trivial or drawn) and n (drawn) are
+    contractive, so universal-property-h reads them as their own cores and
+    cuts only the candidate to its core."""
+    assert len(ctx.configs) == 240
+    for t, g, m, n, _ in ctx.configs:
+        assert _core(t.target_lattice, m) == list(m)
+        assert _core(ctx.sl(g.source), n) == list(n)
 
 
 def test_default_banks_are_their_own_cores(ctx):
