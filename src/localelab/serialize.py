@@ -33,7 +33,10 @@ def _field(data: dict, key: str, kind: type, member: type = object):
 
 def _order(data: dict) -> tuple:
     """The labels and generating <=-pairs of a poset or frame file."""
-    return _field(data, "elements", list), _field(data, "le", list, list)
+    le = _field(data, "le", list, list)
+    if any(len(pair) != 2 for pair in le):
+        raise BadInput("'le' must be a JSON array of pairs", witness=("le",))
+    return _field(data, "elements", list), le
 
 
 def poset_to_json(poset: Poset) -> dict:

@@ -134,6 +134,7 @@ def test_missing_file_is_exit_2(files, capsys):
 WRONG_SHAPES = {
     "check-top-level-list": (["check", "{bad}"], [1, 2]),
     "check-le-number": (["check", "{bad}"], {"elements": ["0", "1"], "le": 5}),
+    "check-le-triple": (["check", "{bad}"], {"elements": ["0", "1"], "le": [["0", "1", "1"]]}),
     "check-map-list": (["check", "{bad}"], {"from": "two.json", "to": "chain3.json",
                                            "map": [["0", "0"], ["1", "1"]]}),
     "sublocales-le-number": (["sublocales", "{bad}"], {"elements": ["0", "1"], "le": 5}),
