@@ -7,11 +7,12 @@ naive "close the union under joins" reading is falsified here on SQUARE.
 """
 from localelab.corpus import square
 from localelab.dot import sublocales_dot
+from localelab.lattice import set_label
 from localelab.sublocales import (
+    as_mask,
     enumerate_sublocales,
     is_sublocale,
     join_formula_report,
-    sublocale,
 )
 
 
@@ -29,10 +30,11 @@ def main():
             tags.append("complemented")
         print(f"  {sl.label(i):12s} {' '.join(tags)}")
 
-    left = sublocale(fr, ("a", "1"))
-    right = sublocale(fr, ("b", "1"))
+    # sublocales are passed as element masks
+    left, right = as_mask(fr, ("a", "1")), as_mask(fr, ("b", "1"))
+    assert is_sublocale(fr, left).ok and is_sublocale(fr, right).ok
     rep = join_formula_report(fr, (left, right))
-    print(f"\njoin of {left.label()} and {right.label()}:")
+    print(f"\njoin of {set_label(fr.labels, left)} and {set_label(fr.labels, right)}:")
     print(f"  meet form (implemented): {rep['meet_form']}")
     print(f"  least containing oracle: {rep['least_containing']}")
     for name, reading in rep["readings"].items():

@@ -33,7 +33,6 @@ from .errors import (
     NotContinuous,
     NotDistributive,
     NotLocalic,
-    NotMeetClosed,
     SizeLimit,
     UnknownWitness,
 )
@@ -87,18 +86,10 @@ from .maps import (
 )
 from .points import is_spatial, points_of, pt_space, sobrification, spatialization
 from .sublocales import (
-    Sublocale,
     SublocaleLattice,
     check_adjunction,
-    closed_sub,
     enumerate_sublocales,
-    image,
     is_sublocale,
-    open_sub,
-    preimage,
-    sloc_core,
-    sub_join,
-    sublocale,
     transfer_of,
 )
 from .verify import CorpusConfig, replay, run_verification
@@ -106,7 +97,7 @@ from .verify import CorpusConfig, replay, run_verification
 __all__ = [
     "__version__",
     "LocaleLabError", "NotAPoset", "NoMeetOrJoin", "NotDistributive", "NotASpace",
-    "NotMeetClosed", "NotLocalic", "NotContinuous", "DomainMismatch", "HostMismatch",
+    "NotLocalic", "NotContinuous", "DomainMismatch", "HostMismatch",
     "EmptyFamily", "SizeLimit", "BadConfig", "UnknownWitness",
     "Poset", "Frame", "FiniteSpace", "build_frame", "heyting", "pseudocomplement",
     "downset_frame", "frame_of_space",
@@ -114,9 +105,8 @@ __all__ = [
     "indiscrete_space", "all_posets", "corpus_posets", "corpus_frames", "child_seed",
     "FrameHom", "LocalicMap", "ContinuousMap", "localic_map", "right_adjoint",
     "enumerate_frame_homs", "localic_maps",
-    "Sublocale", "SublocaleLattice", "sublocale", "is_sublocale", "sloc_core",
-    "enumerate_sublocales", "closed_sub", "open_sub", "sub_join", "image",
-    "preimage", "check_adjunction", "transfer_of",
+    "SublocaleLattice", "is_sublocale", "enumerate_sublocales", "check_adjunction",
+    "transfer_of",
     "InteriorOperator", "check_interior", "discrete_op", "trivial_op", "random_op",
     "is_I_continuous", "check_composition", "initial_interior", "initial_lift", "closure_dual",
     "check_universal_property", "check_open_preimage", "make_continuous_op",

@@ -30,10 +30,6 @@ class NotASpace(LocaleLabError):
     """Open-set family is not closed under the required operations."""
 
 
-class NotMeetClosed(LocaleLabError):
-    """Subset is not closed under binary meets (or misses the top)."""
-
-
 class NotLocalic(LocaleLabError):
     """Not localic: a bad point map, or a table off the meet extension of its points."""
 

@@ -596,9 +596,9 @@ def _universal_report(t: SublocaleTransfer, g: LocalicMap, cand, m, n, predicate
 
 # -- open sublocales ----------------------------------------------------------
 
-def open_fixpoints(op: InteriorOperator):
-    """All sublocales with i(S) = S (the equality reading)."""
-    return [op.lattice.sub(i) for i in range(op.lattice.n) if op(i) == i]
+def open_fixpoints(op: InteriorOperator) -> list:
+    """The indices of all sublocales with i(S) = S (the equality reading)."""
+    return [i for i in range(op.lattice.n) if op(i) == i]
 
 
 @dataclass(frozen=True)

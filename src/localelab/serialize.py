@@ -17,14 +17,15 @@ from .maps import ContinuousMap, LocalicMap, localic_map
 from .sublocales import SublocaleLattice, as_mask, enumerate_sublocales
 
 
-_JSON_TYPES = {list: "array", dict: "object", str: "string"}
+_JSON_TYPES = {list: "array", dict: "object", str: "string", (dict, type(None)): "object or null"}
 
 
-def _field(data: dict, key: str, kind: type, member: type = object):
+def _field(data: dict, key: str, kind, member: type = object):
     """data[key] (KeyError when it is missing), refused with BadInput unless
-    it is a kind whose members (an object's values) are each a member."""
+    it is a kind (a type or a tuple of types) whose members (an object's
+    values) are each a member."""
     value = data[key]
-    members = value.values() if isinstance(value, dict) else value
+    members = () if member is object else value.values() if isinstance(value, dict) else value
     if not isinstance(value, kind) or not all(isinstance(x, member) for x in members):
         of = "" if member is object else f" of {_JSON_TYPES[member]}s"
         raise BadInput(f"{key!r} must be a JSON {_JSON_TYPES[kind]}{of}", witness=(key,))

@@ -9,9 +9,10 @@ For a finite frame S_l(L) is the powerset of the points, which are the primes
 X with the top, and its primes are exactly X. S_l is built that way, and a
 sublocale's index is its point mask, bit b standing for `prime_list[b]`, so
 its order, meets, joins, complements, images and preimages are bitwise
-operations on indices. Joins, `sloc_core` and `is_sublocale` read a subset's
-points through one closure kernel, `_generated`. The subset-scan definition
-survives as a test oracle.
+operations on indices. A sublocale is passed as its index in the lattice or
+as its element mask. Joins and `is_sublocale` read a subset's points through
+one closure kernel, `_generated`. The subset-scan definition survives as a
+test oracle.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import os
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
-from .errors import BadConfig, HostMismatch, NotMeetClosed, SizeLimit
+from .errors import BadConfig, SizeLimit
 from .lattice import Frame, bits, mask_of, set_label
 from .maps import LocalicMap
 
@@ -88,24 +89,15 @@ def is_sublocale(frame: Frame, members) -> SubReport:
         return SubReport(False, "top", (labels[frame.top],))
     if _generated(frame.meet_table, mask & frame.primes, 1 << frame.top) == mask:
         return SubReport(True)
-    pair = _meet_escape(frame, mask)
-    if pair is not None:
-        return SubReport(False, "meet", tuple(labels[x] for x in pair))
-    for s in bits(mask):
+    mem = list(bits(mask))
+    for k, a in enumerate(mem):  # the first member pair, a <= b by index, whose meet escapes
+        for b in mem[k:]:
+            if not mask >> frame.meet_table[a][b] & 1:
+                return SubReport(False, "meet", (labels[a], labels[b]))
+    for s in mem:
         for x in range(frame.n):
             if not mask >> imp[x][s] & 1:
                 return SubReport(False, "arrow", (labels[x], labels[s], labels[imp[x][s]]))
-
-
-def _meet_escape(frame: Frame, mask: int):
-    """The first member pair (a, b), a <= b by index, whose meet escapes mask, or None."""
-    mem = list(bits(mask))
-    for i, a in enumerate(mem):
-        row = frame.meet_table[a]
-        for b in mem[i:]:
-            if not mask >> row[b] & 1:
-                return a, b
-    return None
 
 
 def _generated(table, mask: int, acc: int = 0) -> int:
@@ -127,55 +119,6 @@ def _generated(table, mask: int, acc: int = 0) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class Sublocale:
-    host: Frame
-    mask: int
-
-    def __post_init__(self):
-        rep = is_sublocale(self.host, self.mask)
-        if not rep.ok:
-            raise ValueError(f"not a sublocale: {rep.condition} fails at {rep.witness}")
-
-    @property
-    def members(self) -> tuple:
-        return tuple(bits(self.mask))
-
-    def member_labels(self) -> list:
-        return [self.host.labels[i] for i in self.members]
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __le__(self, other: "Sublocale") -> bool:
-        return self.host == other.host and not self.mask & ~other.mask
-
-    def label(self) -> str:
-        return set_label(self.host.labels, self.mask)
-
-
-def sublocale(frame: Frame, members) -> Sublocale:
-    return Sublocale(frame, as_mask(frame, members))
-
-
-def sloc_core(frame: Frame, members) -> Sublocale:
-    """Largest sublocale inside a meet-closed, top-containing subset: the
-    meet-closure of the subset's points with the top."""
-    mask = as_mask(frame, members)
-    if not mask >> frame.top & 1:
-        raise NotMeetClosed(
-            "input does not contain the top element", witness=(frame.labels[frame.top],)
-        )
-    pair = _meet_escape(frame, mask)
-    if pair is not None:
-        a, b = (frame.labels[x] for x in pair)
-        raise NotMeetClosed(f"meet of ({a}, {b}) escapes the input", witness=(a, b))
-    return Sublocale(frame, _generated(frame.meet_table, mask & frame.primes, 1 << frame.top))
-
-
 def sub_join_mask(frame: Frame, masks) -> int:
     """Meet-closure of the points of a union of sublocale masks, and the top."""
     union = 0
@@ -184,29 +127,8 @@ def sub_join_mask(frame: Frame, masks) -> int:
     return _generated(frame.meet_table, union & frame.primes, 1 << frame.top)
 
 
-def sub_join(frame: Frame, family) -> Sublocale:
-    """Join in S_l(L): the meet-closure of the union of the family."""
-    for s in family:
-        if s.host != frame:
-            raise HostMismatch(
-                f"sublocale of {s.host.key()} joined inside {frame.key()}",
-                witness=(s.host.key(), frame.key()),
-            )
-    return Sublocale(frame, sub_join_mask(frame, [s.mask for s in family]))
-
-
-def closed_sub(frame: Frame, a: int) -> Sublocale:
-    """The closed sublocale: the up-set of a."""
-    return Sublocale(frame, frame.up[a])
-
-
 def open_sub_mask(frame: Frame, a: int) -> int:
     return mask_of(frame.imp_table[a])
-
-
-def open_sub(frame: Frame, a: int) -> Sublocale:
-    """The open sublocale: all arrows out of a."""
-    return Sublocale(frame, open_sub_mask(frame, a))
 
 
 class SublocaleLattice:
@@ -254,9 +176,6 @@ class SublocaleLattice:
         return frozenset(sub_join_mask(host, (open_sub_mask(host, x), host.up[y]))
                          for x in range(host.n) for y in range(host.n))
 
-    def sub(self, i: int) -> Sublocale:
-        return Sublocale(self.host, self.masks[i])
-
     def label(self, i: int) -> str:
         return self.labels[i]
 
@@ -268,12 +187,6 @@ class SublocaleLattice:
 
     def join(self, i: int, j: int) -> int:
         return i | j
-
-    def meet_many(self, idxs) -> int:
-        p = self.top
-        for i in idxs:
-            p &= i
-        return p
 
     def complement(self, i: int) -> int:
         """Index of the unique complement: the other points."""
@@ -316,35 +229,6 @@ def enumerate_sublocales(host: Frame, limit: int | None = None) -> SublocaleLatt
     """
     _admit(host, limit=limit)
     return _enumerate(host)
-
-
-# -- images and preimages -----------------------------------------------------
-
-def image(f: LocalicMap, s: Sublocale) -> Sublocale:
-    """Pointwise image f[S]; the result is asserted to be a sublocale."""
-    if s.host != f.source:
-        raise HostMismatch(
-            "sublocale does not live in the map's source frame",
-            witness=(s.host.key(), f.source.key()),
-        )
-    m = 0
-    for x in bits(s.mask):
-        m |= 1 << f(x)
-    return Sublocale(f.target, m)
-
-
-def preimage(f: LocalicMap, t: Sublocale) -> Sublocale:
-    """Largest sublocale inside the set preimage f^-1[T]."""
-    if t.host != f.target:
-        raise HostMismatch(
-            "sublocale does not live in the map's target frame",
-            witness=(t.host.key(), f.target.key()),
-        )
-    m = 0
-    for x in range(f.source.n):
-        if f(x) in t:
-            m |= 1 << x
-    return sloc_core(f.source, m)
 
 
 @dataclass(frozen=True)
@@ -401,17 +285,18 @@ class GenReport:
     to_json = asdict
 
 
-def generation_check(sl: SublocaleLattice, s: Sublocale) -> GenReport:
-    """Is S the intersection of the open-join-closed sublocales above it?
+def generation_check(sl: SublocaleLattice, i: int) -> GenReport:
+    """Is sublocale i the intersection of the open-join-closed sublocales above it?
 
-    Computes the meet of every o(x) v c(y) containing S.
+    Computes the meet of every o(x) v c(y) containing it.
     """
+    mask, labels = sl.masks[i], sl.host.labels
     acc = sl.host.full_mask
     for j in sl.open_closed_joins:
-        if not s.mask & ~j:
+        if not mask & ~j:
             acc &= j
-    return GenReport(acc == s.mask, tuple(s.member_labels()),
-                     tuple(sl.host.labels[i] for i in bits(acc)))
+    return GenReport(acc == mask, tuple(labels[x] for x in bits(mask)),
+                     tuple(labels[x] for x in bits(acc)))
 
 
 @dataclass(frozen=True)
@@ -558,8 +443,9 @@ def _sup_form(frame: Frame, start: int, least: int) -> tuple:
     return cur, rep, "not-a-sublocale" if not rep.ok else "not-the-least" if cur != least else None
 
 
-def join_formula_report(frame: Frame, family) -> dict:
-    """Compare the implemented meet-form join against the sup-form readings.
+def join_formula_report(frame: Frame, masks) -> dict:
+    """Compare the implemented meet-form join of the sublocales with these
+    element masks against the sup-form readings.
 
     The meet-form must equal the least sublocale containing the union
     (computed here against enumerate_sublocales as the oracle). Each sup-form
@@ -567,9 +453,9 @@ def join_formula_report(frame: Frame, family) -> dict:
     holding or falsified with the reason.
     """
     union = 0
-    for s in family:
-        union |= s.mask
-    meet_form = sub_join_mask(frame, [s.mask for s in family])
+    for m in masks:
+        union |= m
+    meet_form = sub_join_mask(frame, (union,))
     least = _least_containing(enumerate_sublocales(frame), union)
     assert meet_form == least
     out = {

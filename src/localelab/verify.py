@@ -59,7 +59,7 @@ from .interior import (
 from .lattice import bits, heyting_identity_report, set_label
 from .maps import check_frame_hom, localic_map, localic_maps
 from .points import _sigma, _spatiality, points_of
-from .serialize import frame_from_json, frame_to_json
+from .serialize import _field, frame_from_json, frame_to_json
 from .sublocales import (
     SublocaleTransfer,
     _adjoint_lanes,
@@ -145,13 +145,17 @@ def _op_payload(op):
     return {"fragment": isinstance(op, HOperator), "table": list(op.table)}
 
 
-def _rebuild_map(payload):
+def _rebuild_map(w, key):
+    """The localic map of witness w's object field key."""
+    payload = _field(w, key, dict)
     src = frame_from_json(payload["source"])
     tgt = frame_from_json(payload["target"])
     return localic_map(src, tgt, tuple(payload["table"]))
 
 
-def _rebuild_op(payload, frame):
+def _rebuild_op(w, key, frame):
+    """The operator on frame's S_l of witness w's object field key."""
+    payload = _field(w, key, dict)
     op = HOperator if payload.get("fragment") else InteriorOperator
     return op(enumerate_sublocales(frame), tuple(payload["table"]))
 
@@ -483,7 +487,7 @@ def _check_generation_property(ctx):
         sl = ctx.sl(fr)
         for i in range(sl.n):
             checked += 1
-            rep = generation_check(sl, sl.sub(i))
+            rep = generation_check(sl, i)
             if not rep.ok:
                 return _fail({"sublocales": checked},
                              f"generation fails on {key} at {sl.label(i)}: {rep.to_json()}")
@@ -1007,26 +1011,25 @@ def replay(report: dict, witness_id: str) -> str:
     if report.get("version") != ARTIFACT_VERSION:
         raise ValueError(f"report version {report.get('version')} cannot be replayed by "
                          f"version {ARTIFACT_VERSION}: its witness tables index another order")
-    for row in report.get("checks", ()):
-        if row["id"] == witness_id:
+    for row in _field(report, "checks", list, dict):
+        if _field(row, "id", str) == witness_id:
             if row["status"] == "pass":
                 return "no failure recorded"
             if row["status"] == "skip":
-                return f"skipped: {row['detail'].get('reason', '')}"
-            if row["witness"] is None:
-                return "no failure recorded"
-            return _replay_witness(row["witness"])
-    for entry in report.get("registry", ()):
-        if entry["id"] == witness_id:
-            if entry["witness"] is None:
-                return "no failure recorded"
-            return _replay_witness(entry["witness"])
+                return f"skipped: {_field(row, 'detail', dict).get('reason', '')}"
+            return _replay_witness(_field(row, "witness", (dict, type(None))))
+    for entry in _field(report, "registry", list, dict):
+        if _field(entry, "id", str) == witness_id:
+            return _replay_witness(_field(entry, "witness", (dict, type(None))))
     raise UnknownWitness(
         f"no check or registry entry named {witness_id!r}", witness=(witness_id,)
     )
 
 
-def _replay_witness(w: dict) -> str:
+def _replay_witness(w) -> str:
+    """The trace of witness w, or "no failure recorded" when it is None."""
+    if w is None:
+        return "no failure recorded"
     kind = w.get("kind")
     fn = _REPLAYERS.get(kind)
     if fn is None:
@@ -1035,7 +1038,7 @@ def _replay_witness(w: dict) -> str:
 
 
 def _trace_heyting_sup_arrow(w):
-    fr = frame_from_json(w["frame"])
+    fr = frame_from_json(_field(w, "frame", dict))
     a_idx = [fr.index[x] for x in w["A"]]
     b = fr.index[w["b"]]
     join_a = fr.bottom
@@ -1056,7 +1059,7 @@ def _trace_heyting_sup_arrow(w):
 
 
 def _trace_sublocale_join_form(w):
-    fr = frame_from_json(w["frame"])
+    fr = frame_from_json(_field(w, "frame", dict))
     left = sum(1 << fr.index[x] for x in w["left"])
     right = sum(1 << fr.index[x] for x in w["right"])
     union = left | right
@@ -1077,7 +1080,7 @@ def _trace_sublocale_join_form(w):
 
 
 def _trace_discrete_h_not_largest(w):
-    fr = frame_from_json(w["frame"])
+    fr = frame_from_json(_field(w, "frame", dict))
     sl = _enumerate(fr)
     const_top = HOperator(sl, (sl.top,) * sl.n)
     d = discrete_h(sl)
@@ -1124,19 +1127,19 @@ def _reproduced(lines, anomalies, want, explain):
 
 
 def _trace_initial_anomaly(w):
-    f = _rebuild_map(w["map"])
-    op = _rebuild_op(w["op"], f.target)
+    f = _rebuild_map(w, "map")
+    op = _rebuild_op(w, "op", f.target)
     rep = (initial_h if isinstance(op, HOperator) else initial_interior)(f, op)
-    want = w["anomaly"]
+    want = _field(w, "anomaly", dict)
     lines = [f"induced operator anomaly for f: {f.source.key()} -> {f.target.key()}",
              f"looking for {want['kind']} at {want['at']} ({want['predicate']})"]
     return _reproduced(lines, rep.anomalies, want, partial(_predicate_lines, transfer_of(f)))
 
 
 def _trace_coarseness(w):
-    f = _rebuild_map(w["map"])
-    opm = _rebuild_op(w["op_m"], f.target)
-    opl = _rebuild_op(w["op_l"], f.source)
+    f = _rebuild_map(w, "map")
+    opm = _rebuild_op(w, "op_m", f.target)
+    opl = _rebuild_op(w, "op_l", f.source)
     t = transfer_of(f)
     sl = t.source_lattice
     lines = [f"coarseness of the induced operator under f: {f.source.key()} -> "
@@ -1154,10 +1157,10 @@ def _trace_coarseness(w):
 
 
 def _trace_universal_anomaly(w):
-    f = _rebuild_map(w["f"])
-    g = _rebuild_map(w["g"])
-    opm = _rebuild_op(w["op_m"], f.target)
-    opn = _rebuild_op(w["op_n"], g.source)
+    f = _rebuild_map(w, "f")
+    g = _rebuild_map(w, "g")
+    opm = _rebuild_op(w, "op_m", f.target)
+    opn = _rebuild_op(w, "op_n", g.source)
     rep = (check_h_universal if w["fragment"] else check_universal_property)(f, opm, g, opn)
     lines = [
         f"lifting equivalence for g: {g.source.key()} -> {g.target.key()} into "
@@ -1170,7 +1173,7 @@ def _trace_universal_anomaly(w):
         side = rep.initial_side if a["kind"] == "initial-side-only" else rep.composite_side
         return [f"failing side witness: {side.witness}", f"predicate: {a['predicate']}"]
 
-    return _reproduced(lines, rep.anomalies, w["anomaly"], explain)
+    return _reproduced(lines, rep.anomalies, _field(w, "anomaly", dict), explain)
 
 
 def _trace_static(w):

@@ -760,18 +760,18 @@ def brute_heyting_identity_report(frame, max_exhaustive=8):
     }
 
 
-def brute_generation_check(sl, s):
-    """generation_check with the n^2 joins o(x) v c(y) rebuilt for this S."""
-    host = sl.host
+def brute_generation_check(sl, i):
+    """generation_check with the n^2 joins o(x) v c(y) rebuilt for sublocale i."""
+    host, mask = sl.host, sl.masks[i]
     acc = host.full_mask
     for x in range(host.n):
         ox = open_sub_mask(host, x)
         for y in range(host.n):
             j = sub_join_mask(host, (ox, host.up[y]))
-            if not s.mask & ~j:
+            if not mask & ~j:
                 acc &= j
-    return GenReport(acc == s.mask, tuple(s.member_labels()),
-                     tuple(host.labels[i] for i in bits(acc)))
+    return GenReport(acc == mask, tuple(host.labels[a] for a in bits(mask)),
+                     tuple(host.labels[a] for a in bits(acc)))
 
 # -- the poset scans: matrix entries, one at a time ------------------------------------
 

@@ -187,7 +187,7 @@ def test_criterion_2_frame_and_sublocale_laws(capsys):
         sl = enumerate_sublocales(fr, limit=fr.n)
         if fr.n <= 6:
             for i in range(sl.n):
-                if not generation_check(sl, sl.sub(i)).ok:
+                if not generation_check(sl, i).ok:
                     generation += 1
         for i in range(sl.n):
             for j in range(sl.n):

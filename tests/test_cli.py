@@ -26,7 +26,7 @@ from localelab.serialize import (
     space_to_json,
 )
 from localelab.sublocales import enumerate_sublocales
-from localelab.verify import CorpusConfig, _Ctx, run_verification
+from localelab.verify import ARTIFACT_VERSION, CorpusConfig, _Ctx, run_verification
 
 # h operator files spelled out by hand in the operator file format: the
 # "fragment" marker and sublocales keyed by their members; the second table
@@ -144,6 +144,19 @@ WRONG_SHAPES = {
     "initial-map-list": (["initial", "{chain3}", "{bad}", "{op}"],
                          {"from": "two.json", "to": "chain3.json", "map": [["0", "0"]]}),
     "replay-top-level-list": (["replay", "{bad}", "initial-top"], [1, 2]),
+    "replay-checks-number": (["replay", "{bad}", "initial-top"],
+                             {"version": ARTIFACT_VERSION, "checks": 5, "registry": []}),
+    "replay-checks-of-numbers": (["replay", "{bad}", "initial-top"],
+                                 {"version": ARTIFACT_VERSION, "checks": [5], "registry": []}),
+    "replay-witness-list": (["replay", "{bad}", "gap"],
+                            {"version": ARTIFACT_VERSION, "checks": [],
+                             "registry": [{"id": "gap", "witness": [1]}]}),
+    "replay-witness-map-number": (["replay", "{bad}", "gap"], {
+        "version": ARTIFACT_VERSION, "checks": [],
+        "registry": [{"id": "gap", "witness": {"kind": "initial-anomaly", "map": 3}}]}),
+    "replay-witness-frame-number": (["replay", "{bad}", "gap"], {
+        "version": ARTIFACT_VERSION, "checks": [],
+        "registry": [{"id": "gap", "witness": {"kind": "heyting-sup-arrow", "frame": 3}}]}),
 }
 
 

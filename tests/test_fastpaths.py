@@ -40,7 +40,7 @@ from localelab.corpus import (
     square,
     two,
 )
-from localelab.errors import LocaleLabError, NotAPoset, NotLocalic, NotMeetClosed
+from localelab.errors import LocaleLabError, NotAPoset, NotLocalic
 from localelab import points, sublocales, verify
 from localelab.hops import (
     HInitialReport,
@@ -95,6 +95,7 @@ from localelab.lattice import (
     frame_of_space,
     heyting_identity_report,
     mask_of,
+    set_label,
 )
 from localelab.maps import (
     FrameHom,
@@ -121,7 +122,6 @@ from localelab.sublocales import (
     enumerate_sublocales,
     generation_check,
     is_sublocale,
-    sloc_core,
     sub_join_mask,
     transfer_of,
 )
@@ -217,7 +217,7 @@ def test_sublocale_lattice_matches_subset_scan():
             # index i is the point mask of sublocale i, bit b for prime_list[b]
             assert sl.masks[i] & fr.primes == sum(
                 1 << p for b, p in enumerate(fr.prime_list) if i >> b & 1), fr
-            assert sl.label(i) == sl.sub(i).label()
+            assert sl.label(i) == set_label(fr.labels, sl.masks[i])
             below = sorted(j for j in range(sl.n) if not sl.masks[j] & ~sl.masks[i])
             # the sublocales below i are the subsets of its points, so a
             # uniform seed below i is one fair bit per point of i
@@ -262,17 +262,16 @@ def test_is_sublocale_matches_first_violation_scan():
 
 
 def test_sloc_core_matches_greatest_fixpoint():
-    """sloc_core raises on the first top or meet violation with the scan's
-    witness, else gives the greatest fixpoint of the arrow condition."""
+    """On a meet-closed subset with the top, the meet-closure of its points
+    with the top is a sublocale and the greatest fixpoint of the arrow
+    condition."""
     for fr in [fr for fr in CORPUS4 if fr.n <= 10] + FIXTURES:
         for mask in range(1 << fr.n):
-            rep = brute_is_sublocale(fr, mask)
-            if rep.condition in ("top", "meet"):
-                with pytest.raises(NotMeetClosed) as exc:
-                    sloc_core(fr, mask)
-                assert exc.value.witness == rep.witness, (fr, mask)
-            else:
-                assert sloc_core(fr, mask).mask == brute_sloc_core(fr, mask), (fr, mask)
+            if brute_is_sublocale(fr, mask).condition in ("top", "meet"):
+                continue
+            core = _generated(fr.meet_table, mask & fr.primes, 1 << fr.top)
+            assert core == brute_sloc_core(fr, mask), (fr, mask)
+            assert is_sublocale(fr, core).ok, (fr, mask)
 
 
 def test_sub_join_mask_matches_least_containing():
@@ -422,7 +421,7 @@ def test_generation_check_matches_per_call_joins(monkeypatch):
     for fr in frames:
         sl = enumerate_sublocales(fr)
         for i in range(sl.n):
-            assert generation_check(sl, sl.sub(i)) == brute_generation_check(sl, sl.sub(i))
+            assert generation_check(sl, i) == brute_generation_check(sl, i)
     calls = Counter()
     join = sublocales.sub_join_mask
     monkeypatch.setattr(sublocales, "sub_join_mask",
@@ -432,6 +431,19 @@ def test_generation_check_matches_per_call_joins(monkeypatch):
         vars(ctx.sl(fr)).pop("open_closed_joins", None)
     assert verify.CHECKS["generation-property"](ctx)[0] == "pass"
     assert calls == {fr: fr.n ** 2 for _, fr in ctx.frames if fr.n <= 6}
+
+
+def test_generation_property_validates_no_sublocale(monkeypatch):
+    """generation-property reads each enumerated sublocale by its index and
+    re-checks none of them: in a default verify run is_sublocale is left to
+    the sup-form readings."""
+    calls = []
+    real = sublocales.is_sublocale
+    monkeypatch.setattr(sublocales, "is_sublocale",
+                        lambda frame, members: calls.append(members) or real(frame, members))
+    ctx = _Ctx(CorpusConfig())
+    assert verify.CHECKS["generation-property"](ctx)[0] == "pass"
+    assert calls == []
 
 
 # -- posets on bitmask rows ----------------------------------------------------------

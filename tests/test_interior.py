@@ -497,17 +497,14 @@ def test_universal_property_random_scan():
 def test_open_fixpoints_examples():
     sl = enumerate_sublocales(chain3())
     assert len(open_fixpoints(discrete_op(sl))) == sl.n
-    assert [s.label() for s in open_fixpoints(trivial_op(sl))] == ["{1}", "{0,m,1}"]
+    assert [sl.label(i) for i in open_fixpoints(trivial_op(sl))] == ["{1}", "{0,m,1}"]
     rng = seeded("fixpoints")
     for fr in (chain3(), square()):
         slf = enumerate_sublocales(fr)
         for _ in range(20):
             a, b = random_op(slf, rng), random_op(slf, rng)
-            joint = {s.mask for s in open_fixpoints(op_join([a, b]))}
-            common = {s.mask for s in open_fixpoints(a)} & {
-                s.mask for s in open_fixpoints(b)
-            }
-            assert common <= joint
+            common = set(open_fixpoints(a)) & set(open_fixpoints(b))
+            assert common <= set(open_fixpoints(op_join([a, b])))
 
 
 def test_open_preimage_fixtures():

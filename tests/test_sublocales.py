@@ -3,14 +3,14 @@
 The definition oracle below recomputes meets and Heyting arrows from the
 order relation alone, so it shares no tables with the implementation.
 """
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from localelab.corpus import chain3, chain4, corpus_frames, square, two
-from localelab.errors import HostMismatch, NotMeetClosed, SizeLimit
+from localelab.errors import SizeLimit
 from localelab import sublocales
 from localelab.lattice import bits, build_frame, set_label
 from localelab.maps import enumerate_frame_homs, identity_localic, localic_map, right_adjoint
@@ -18,18 +18,15 @@ from localelab.sublocales import (
     AdjReport,
     SublocaleLattice,
     SublocaleTransfer,
+    _generated,
+    as_mask,
     check_adjunction,
-    closed_sub,
     enumerate_sublocales,
     generation_check,
-    image,
     is_sublocale,
     join_formula_report,
-    open_sub,
-    preimage,
-    sloc_core,
-    sub_join,
-    sublocale,
+    open_sub_mask,
+    sub_join_mask,
     transfer_of,
 )
 from oracles import maps_in_hom_order
@@ -90,16 +87,17 @@ def test_is_sublocale_matches_definition_oracle():
             )
 
 
+def core(f, members):
+    """The largest sublocale inside a meet-closed subset with the top: the
+    meet-closure of its points with the top."""
+    return _generated(f.meet_table, as_mask(f, members) & f.primes, 1 << f.top)
+
+
 def test_sloc_core_examples():
-    assert sloc_core(square(), ["0", "1"]).member_labels() == ["1"]
-    assert sloc_core(chain3(), ["0", "1"]).member_labels() == ["0", "1"]
+    assert set_label(square().labels, core(square(), ["0", "1"])) == "{1}"
+    assert set_label(chain3().labels, core(chain3(), ["0", "1"])) == "{0,1}"
     for f in FIXTURES():
-        assert sloc_core(f, f.full_mask).mask == f.full_mask
-    with pytest.raises(NotMeetClosed) as exc:
-        sloc_core(square(), ["a", "b", "1"])
-    assert exc.value.witness == ("a", "b")
-    with pytest.raises(NotMeetClosed):
-        sloc_core(square(), ["0", "a"])
+        assert core(f, f.full_mask) == f.full_mask
 
 
 def test_members_that_are_no_element_raise_value_error():
@@ -108,7 +106,7 @@ def test_members_that_are_no_element_raise_value_error():
     an out-of-range mask is, before any table is read."""
     for members, bad in (([0, 2, 5], "5"), ([0, 2, -1], "-1"), (["0", "1", "zz"], "'zz'"),
                          ([0, 2.7], "2.7"), ([0, 2.0], "2.0"), ([0, None], "None")):
-        for check in (is_sublocale, sloc_core, sublocale):
+        for check in (is_sublocale, as_mask):
             with pytest.raises(ValueError, match=f"unknown element {bad} "):
                 check(chain3(), members)
     with pytest.raises(ValueError, match="mask 0x8 out of range"):
@@ -124,12 +122,12 @@ def test_sloc_core_is_greatest_sublocale_inside():
             mem = list(bits(mask))
             if any(not mask >> f.meet(a, b) & 1 for a, b in combinations(mem, 2)):
                 continue
-            core = sloc_core(f, mask)
-            assert not core.mask & ~mask
-            assert is_sublocale(f, core.mask).ok
+            inside = core(f, mask)
+            assert not inside & ~mask
+            assert is_sublocale(f, inside).ok
             for sub_mask in sl.masks:
                 if not sub_mask & ~mask:
-                    assert not sub_mask & ~core.mask
+                    assert not sub_mask & ~inside
 
 
 def test_enumerate_counts_and_canonical_order():
@@ -244,17 +242,15 @@ def test_enumerate_reads_an_index_bound():
 
 def test_sub_join_examples():
     c3 = chain3()
-    assert sub_join(c3, [sublocale(c3, ["0", "1"]), sublocale(c3, ["m", "1"])]).mask == c3.full_mask
+    halves = [as_mask(c3, ["0", "1"]), as_mask(c3, ["m", "1"])]
+    assert sub_join_mask(c3, halves) == c3.full_mask
     sq = square()
-    assert sub_join(sq, [sublocale(sq, ["a", "1"]), sublocale(sq, ["b", "1"])]).mask == sq.full_mask
+    assert sub_join_mask(sq, [as_mask(sq, ["a", "1"]), as_mask(sq, ["b", "1"])]) == sq.full_mask
     for f in FIXTURES():
         sl = enumerate_sublocales(f)
-        bot = sublocale(f, [f.top])
         for m in sl.masks:
-            assert sub_join(f, [sl.sub(sl.index[m]), bot]).mask == m
-    assert sub_join(c3, []).member_labels() == ["1"]
-    with pytest.raises(HostMismatch):
-        sub_join(c3, [sublocale(sq, ["a", "1"])])
+            assert sub_join_mask(f, [m, 1 << f.top]) == m
+    assert set_label(c3.labels, sub_join_mask(c3, [])) == "{1}"
 
 
 def test_sub_join_matches_least_containing_oracle():
@@ -273,25 +269,24 @@ def test_closed_and_open_examples():
     c3 = chain3()
     m = c3.index["m"]
     for f in FIXTURES():
-        assert closed_sub(f, f.bottom).mask == f.full_mask
-        assert closed_sub(f, f.top).member_labels() == ["1"]
-        assert open_sub(f, f.bottom).member_labels() == ["1"]
-        assert open_sub(f, f.top).mask == f.full_mask
-    assert closed_sub(c3, m).member_labels() == ["m", "1"]
-    assert open_sub(c3, m).member_labels() == ["0", "1"]
+        assert f.up[f.bottom] == f.full_mask
+        assert set_label(f.labels, f.up[f.top]) == "{1}"
+        assert set_label(f.labels, open_sub_mask(f, f.bottom)) == "{1}"
+        assert open_sub_mask(f, f.top) == f.full_mask
+    assert set_label(c3.labels, c3.up[m]) == "{m,1}"
+    assert set_label(c3.labels, open_sub_mask(c3, m)) == "{0,1}"
 
 
 def test_open_closed_are_complementary_sublocales():
     for _, f in corpus_frames(3):
         sl = enumerate_sublocales(f)
         for a in range(f.n):
-            o, c = open_sub(f, a), closed_sub(f, a)
-            oi, ci = sl.index[o.mask], sl.index[c.mask]
+            oi, ci = sl.index[open_sub_mask(f, a)], sl.index[f.up[a]]
             assert sl.complement(ci) == oi and sl.complement(oi) == ci
             assert sl.is_open(oi) and sl.is_closed(ci)
     sl3 = enumerate_sublocales(chain3())
-    zero_one = sl3.index[sublocale(chain3(), ["0", "1"]).mask]
-    m_one = sl3.index[sublocale(chain3(), ["m", "1"]).mask]
+    zero_one = sl3.index[as_mask(chain3(), ["0", "1"])]
+    m_one = sl3.index[as_mask(chain3(), ["m", "1"])]
     assert sl3.is_open(zero_one) and not sl3.is_closed(zero_one)
     assert sl3.is_closed(m_one) and not sl3.is_open(m_one)
 
@@ -299,12 +294,12 @@ def test_open_closed_are_complementary_sublocales():
 def test_complement_examples_and_uniqueness():
     c3 = chain3()
     sl = enumerate_sublocales(c3)
-    cm = sl.index[closed_sub(c3, c3.index["m"]).mask]
+    cm = sl.index[c3.up[c3.index["m"]]]
     assert sl.label(sl.complement(cm)) == "{0,1}"
     assert sl.complement(sl.bottom) == sl.top
     sq = square()
     slq = enumerate_sublocales(sq)
-    ai = slq.index[sublocale(sq, ["a", "1"]).mask]
+    ai = slq.index[as_mask(sq, ["a", "1"])]
     assert slq.label(slq.complement(ai)) == "{b,1}"
     # on these hosts every sublocale has exactly one complement
     for lattice in (sl, slq):
@@ -344,8 +339,8 @@ def test_coframe_law_for_sampled_families(data):
     sl = enumerate_sublocales(f)
     fam = data.draw(st.lists(st.integers(0, sl.n - 1), min_size=1, max_size=5))
     b = data.draw(st.integers(0, sl.n - 1))
-    lhs = sl.join(sl.meet_many(fam), b)
-    rhs = sl.meet_many(sl.join(a, b) for a in fam)
+    lhs = sl.join(reduce(sl.meet, fam), b)
+    rhs = reduce(sl.meet, (sl.join(a, b) for a in fam))
     assert lhs == rhs
 
 
@@ -363,36 +358,31 @@ def test_generation_check():
     c3 = chain3()
     sl = enumerate_sublocales(c3)
     for i in range(sl.n):
-        assert generation_check(sl, sl.sub(i)).ok
+        assert generation_check(sl, i).ok
     sq = square()
     slq = enumerate_sublocales(sq)
-    rep = generation_check(slq, sublocale(sq, ["a", "1"]))
-    assert rep.ok and rep.computed == ("a", "1")
+    rep = generation_check(slq, slq.index[as_mask(sq, ["a", "1"])])
+    assert rep.ok and rep.expected == rep.computed == ("a", "1")
     for f in [fr for _, fr in corpus_frames(3) if fr.n <= 6]:
         lat = enumerate_sublocales(f)
         for i in range(lat.n):
-            assert generation_check(lat, lat.sub(i)).ok
+            assert generation_check(lat, i).ok
 
 
 def test_image_preimage_fixtures():
     c3, t2 = chain3(), two()
-    ident = identity_localic(c3)
-    sl = enumerate_sublocales(c3)
-    for i in range(sl.n):
-        assert image(ident, sl.sub(i)).mask == sl.masks[i]
-        assert preimage(ident, sl.sub(i)).mask == sl.masks[i]
+    t = transfer_of(identity_localic(c3))
+    sl = t.source_lattice
+    assert t.image_table == t.preimage_table == tuple(range(sl.n))
 
-    f = localic_map(t2, c3, (0, 2))
-    full_two = sublocale(t2, t2.full_mask)
-    assert image(f, full_two).member_labels() == ["0", "1"]
-    assert image(f, full_two).mask == open_sub(c3, c3.index["m"]).mask
-    assert image(f, sublocale(t2, ["1"])).member_labels() == ["1"]
-    assert preimage(f, closed_sub(c3, c3.index["m"])).member_labels() == ["1"]
-    assert preimage(f, sublocale(c3, c3.full_mask)).mask == t2.full_mask
-    with pytest.raises(HostMismatch):
-        image(f, sublocale(c3, ["1"]))
-    with pytest.raises(HostMismatch):
-        preimage(f, sublocale(t2, ["1"]))
+    t = transfer_of(localic_map(t2, c3, (0, 2)))
+    sl, tl = t.source_lattice, t.target_lattice
+    img, pre = t.image_table, t.preimage_table
+    assert tl.label(img[sl.top]) == "{0,1}"
+    assert tl.masks[img[sl.top]] == open_sub_mask(c3, c3.index["m"])
+    assert tl.label(img[sl.bottom]) == "{1}"
+    assert sl.label(pre[tl.index[c3.up[c3.index["m"]]]]) == "{1}"
+    assert pre[tl.top] == sl.top
 
 
 def corpus_localic_maps(max_n=5):
@@ -426,7 +416,7 @@ def test_transfer_tables_fixture():
 
 def test_join_formula_display_readings_frozen():
     sq = square()
-    rep = join_formula_report(sq, [sublocale(sq, ["a", "1"]), sublocale(sq, ["b", "1"])])
+    rep = join_formula_report(sq, [as_mask(sq, ["a", "1"]), as_mask(sq, ["b", "1"])])
     assert rep["meet_form"] == "{0,a,b,1}"
     sup = rep["readings"]["sup-form"]
     assert sup["status"] == "falsified" and sup["reason"] == "not-a-sublocale"
@@ -434,7 +424,7 @@ def test_join_formula_display_readings_frozen():
     assert rep["readings"]["sup-form-with-empty-join"]["status"] == "holds"
 
     c4 = chain4()
-    rep = join_formula_report(c4, [sublocale(c4, ["a", "1"]), sublocale(c4, ["b", "1"])])
+    rep = join_formula_report(c4, [as_mask(c4, ["a", "1"]), as_mask(c4, ["b", "1"])])
     assert rep["meet_form"] == "{a,b,1}"
     assert rep["readings"]["sup-form"]["status"] == "holds"
     empty = rep["readings"]["sup-form-with-empty-join"]

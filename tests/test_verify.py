@@ -991,11 +991,11 @@ def test_generation_property_fails_on_a_failing_report(monkeypatch, ctx):
     sl = ctx.sl(fr)
     i = sl.n // 2
     real = verify.generation_check
-    rep = real(sl, sl.sub(i))
+    rep = real(sl, i)
     checked = sum(ctx.sl(f).n for _, f in ctx.frames[:mid] if f.n <= 6) + i + 1
     _static_fail(monkeypatch, "generation-property", "generation_check",
-                 lambda s, sub: dataclasses.replace(real(s, sub), ok=False)
-                 if s is sl and sub.mask == sl.masks[i] else real(s, sub),
+                 lambda s, j: dataclasses.replace(real(s, j), ok=False)
+                 if s is sl and j == i else real(s, j),
                  {"sublocales": checked},
                  f"generation fails on {key} at {sl.label(i)}: {{'ok': False, "
                  f"'expected': {rep.expected!r}, 'computed': {rep.computed!r}}}")
