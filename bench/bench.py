@@ -36,7 +36,10 @@ interpreters with the same `PYTHONPATH`. One entry records:
   point-map check and the meet extension compared with the table), the
   left adjoint `LocalicMap.adjoint` derives from the points and validates,
   `SublocaleTransfer.build(f)`, uncached, on lattices enumerated before the
-  passes, and `adjunction_report` on the built transfers;
+  passes and on the image and preimage tables it reads from their cache,
+  warm, `_class_tables` itself, uncached, on every map's target point count
+  and point function (the build of its tables), and `adjunction_report` on
+  the built transfers;
   `maps_build_s`, the harness's `_Ctx.maps` at the default config
   (1,135 maps) and at `map_budget=10**7` (5,217 maps), each pass on a
   context built before it; and `galois_adjunction_s`, the galois-adjunction
@@ -271,7 +274,12 @@ def kernel_timings():
         localic_maps,
         right_adjoint,
     )
-    from localelab.sublocales import SublocaleTransfer, adjunction_report, enumerate_sublocales
+    from localelab.sublocales import (
+        SublocaleTransfer,
+        _class_tables,
+        adjunction_report,
+        enumerate_sublocales,
+    )
     from localelab.verify import CHECKS, CorpusConfig, _Ctx
 
     frames = [fr for _, fr in corpus_frames(4)]
@@ -292,6 +300,9 @@ def kernel_timings():
         "localic_map": (localic_map, [(f.source, f.target, f.table) for f in maps]),
         "adjoint": (adjoint, [(f,) for f in maps]),
         "transfer_build": (SublocaleTransfer.build, [(f,) for f in maps]),
+        "class_tables": (_class_tables.__wrapped__, [
+            (len(f.target.prime_list), tuple(map(f.target.prime_list.index, f.points)))
+            for f in maps]),
         "adjunction_report": (adjunction_report, [(t,) for t in transfers]),
     }
     out = {"homs": len(homs)}

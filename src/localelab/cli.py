@@ -26,7 +26,7 @@ from .serialize import (
     space_to_json,
     sublocales_to_json,
 )
-from .sublocales import _enumerate, _transfer_cached, enumerate_sublocales
+from .sublocales import _class_tables, _enumerate, _transfer_cached, enumerate_sublocales
 from .dot import sublocales_dot
 from .verify import CorpusConfig, replay, run_verification
 
@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
         save_json(args.report, report)
         print(f"wrote {args.report}")
     if args.profile:  # wall time per check, the run's cache and operator-kernel counters
-        caches = (_poset_classes, corpus_frames, _enumerate, _transfer_cached)
+        caches = (_poset_classes, corpus_frames, _enumerate, _class_tables, _transfer_cached)
         save_json(args.profile, {"check_seconds": times, "caches": {
             fn.__name__: fn.cache_info()._asdict() for fn in caches},
             "operator_kernels": kernels})

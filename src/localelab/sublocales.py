@@ -301,7 +301,9 @@ def generation_check(sl: SublocaleLattice, i: int) -> GenReport:
 
 @dataclass(frozen=True)
 class SublocaleTransfer:
-    """A localic map with both sublocale lattices and its image/preimage tables."""
+    """A localic map with both sublocale lattices and its image/preimage
+    tables, which every map with its target point count and point function
+    shares (`_class_tables`)."""
 
     map: LocalicMap
     source_lattice: SublocaleLattice
@@ -311,17 +313,12 @@ class SublocaleTransfer:
 
     @staticmethod
     def build(f: LocalicMap) -> "SublocaleTransfer":
-        """Images and preimages as forward and inverse images of points.
-
-        f[S] is the sublocale of the images `f.points` of the points of S,
-        and f_-1[T] is the sublocale of the points that f sends into T. Both
-        are built in index order: the image of S is that of S less its
-        lowest point, plus the image of that point, and the preimage of T is
-        that of T less its lowest point, plus that point's fibre.
-        """
-        _, image_bit, fibre = _point_words([f])
+        """f's view of the tables of its point function, the position in the
+        target's `prime_list` of the image of each source point."""
+        primes = f.target.primes
+        phi = tuple([(primes & (1 << v) - 1).bit_count() for v in f.points])
         return SublocaleTransfer(f, _enumerate(f.source), _enumerate(f.target),
-                                 _point_tables(image_bit), _point_tables(fibre))
+                                 *_class_tables(len(f.target.prime_list), phi))
 
     @cached_property
     def adjunction_gaps(self) -> tuple:
@@ -409,6 +406,21 @@ def _point_tables(point_value) -> tuple:
     for i in range(1, 1 << len(point_value)):
         value.append(value[i & i - 1] | point_value[(i & -i).bit_length() - 1])
     return tuple(value)
+
+
+@lru_cache(maxsize=None)
+def _class_tables(k: int, phi: tuple) -> tuple:
+    """(image table, preimage table) of the maps into a frame of k points
+    with point function phi, source point b to target point phi[b]: S_l is
+    the Boolean algebra of point sets, so f[S] is the forward image of S and
+    f_-1[T] the inverse image of T, whatever the frames' orders. Both are
+    built in index order: the image of S is that of S less its lowest point,
+    plus the image of that point, and the preimage of T is that of T less
+    its lowest point, plus that point's fibre."""
+    fibre = [0] * k
+    for b, q in enumerate(phi):
+        fibre[q] |= 1 << b
+    return _point_tables([1 << q for q in phi]), _point_tables(fibre)
 
 
 @lru_cache(maxsize=None)

@@ -275,7 +275,7 @@ class _Ctx:
                          for e in _REGISTRY_SEED}
         # operator-kernel counters for the profile sidecar, never in the report
         self.kernels = {} if kernels is None else kernels
-        self.kernels.update(tables_lifted=0, batches=0, lanes_lifted_alone=0)
+        self.kernels.update(tables_lifted=0, batches=0, lanes_lifted_alone=0, point_classes=0)
         self.banks = {}
 
     def sl(self, frame):
@@ -714,6 +714,12 @@ _INITIAL = {
                                    "continuity-gap": "initial-h-continuity"})}
 
 
+def _point_class(f):
+    """The initial pass's key for f: its target, whose bank f lifts, and its
+    point function, which fixes f's transfer tables."""
+    return f.target, f.points
+
+
 def _tally(gaps, confirmed, first, fill, guard):
     """(confirmed (lane, index) gaps in gaps, guard bits of the lanes with a
     confirmed one, and with an unconfirmed one) in the lanes of guard: confirmed
@@ -734,57 +740,82 @@ def _tally(gaps, confirmed, first, fill, guard):
 
 def _initial_rows(ctx):
     """The rows, by check id, of the selected initial checks, read for their
-    report classes off one packed _lift per map of its target's bank, the
-    batch _ops_for_initial gives. The bank tables are lifted as given, as
-    the cores of h_M too, so the bank must hold its own cores; its draws are
-    contractive, and any h_M whose core is a bank table gets its verdicts.
+    report classes off one packed _lift of its target's bank, the batch
+    _ops_for_initial gives, per class of maps with one target and one point
+    function. The bank tables are lifted as given, as the cores of h_M too,
+    so the bank must hold its own cores; its draws are contractive, and any
+    h_M whose core is a bank table gets its verdicts.
 
     The mandated TWO -> CHAIN3 trivial counterexample's top gap is the
     "top-gap" entry's witness and one more occurrence, outside the tallies.
     The first lane that breaks monotonicity (the second of _AXIOMS), or the
     top law (the third) though f[L] = M, fails both checks; the lanes before
     it add their confirmed (lane, index) gaps to the tallies. A lane is lifted
-    alone only for a registry entry's first witness or an unconfirmed gap."""
+    alone, through its map's own transfer for the witness labels, only for a
+    registry entry's first witness or an unconfirmed gap."""
     reports = [(r, cid, ids) for r, (cid, ids) in _INITIAL.items() if cid in ctx.config.selected()]
 
-    def alone(report, t, table):
+    def alone(report, f, table):
         ctx.kernels["lanes_lifted_alone"] += 1
+        t = _transfer_cached(f)
         return report._OPERATOR(t.target_lattice, table), report._of_lane(t, _lift(t, table))
 
-    f_up = localic_map(two(), chain3(), (0, 2))
-    t = _transfer_cached(f_up)
-    mandated, tallies, payloads = {}, {}, {}
-    for report, _, ids in reports:
-        op, rep = alone(report, t, trivial_op(t.target_lattice).table)
-        mandated[report] = [a for a in rep.anomalies if a["kind"] == "top-gap"][:1]
-        for a in mandated[report]:
-            ctx.reg_hit(ids["top-gap"], partial(_anomaly_witness, f_up, op, a))
-        tallies[report], payloads[report] = dict.fromkeys(ids, 0), []
-    checked = stop = 0
-    for f in ctx.maps:
+    def decide(f, b):
+        """A flat tuple of what the pass reads off the lift of b through f:
+        the guard bits of the stop lanes and of the first of them if it
+        breaks monotonicity, the lanes checked, then per report the guard
+        bits of its lanes with an unconfirmed gap, and per gap kind the
+        confirmed count and the guard bit of the first lane with one."""
         t = _transfer_cached(f)
         # the masks each gap kind is confirmed on; image_gap is f[L] != M
         unit, image_gap, counit = _confirmed(t, (-1, 1, -1))
-        b = _ops_for_initial(ctx, f)
-        ctx.kernels["tables_lifted"] += b.lanes
         (gaps, bad, top), continuity = _lift(t, b.masks, b.ones)[1:]
         # the guard bits of the lanes that break monotonicity, or the top law though f[L] = M
         bad = (bad + b.fill) & b.guard
         stop = bad | (0 if image_gap else (top + b.fill) & b.guard)
-        checked += b.upto(stop) if stop else b.lanes
         guard = b.guard & (stop & -stop) - 1  # the lanes before the first in stop
+        entry = [stop, stop & -stop & bad, b.upto(stop) if stop else b.lanes]
         for report, _, ids in reports:
             found = {"contraction-gap": (gaps, unit, False), "top-gap": ([top], image_gap, False),
                      "continuity-gap": (continuity, counit, report._FIRST)}
-            read = 0  # the guard bits of the lanes to lift alone
+            loose, tallied = 0, []
+            for kind in ids:
+                hits, hit, unconfirmed = _tally(*found[kind], b.fill, guard)
+                loose |= unconfirmed
+                tallied += (hits, hit & -hit)
+            entry += (loose, *tallied)
+        return tuple(entry)
+
+    mandated, tallies, payloads = {}, {}, {}
+    f_up = localic_map(two(), chain3(), (0, 2))
+    for report, _, ids in reports:
+        op, rep = alone(report, f_up, trivial_op(ctx.sl(f_up.target)).table)
+        mandated[report] = [a for a in rep.anomalies if a["kind"] == "top-gap"][:1]
+        for a in mandated[report]:
+            ctx.reg_hit(ids["top-gap"], partial(_anomaly_witness, f_up, op, a))
+        tallies[report], payloads[report] = dict.fromkeys(ids, 0), []
+    # S_l is the Boolean algebra of point sets, so the lift, the gaps and the
+    # tallies of a map depend only on its _point_class, decided once
+    classes, checked, stop = {}, 0, 0
+    for f in ctx.maps:
+        b = _ops_for_initial(ctx, f)
+        ctx.kernels["tables_lifted"] += b.lanes
+        key = _point_class(f)
+        if key not in classes:
+            classes[key] = decide(f, b)
+        stop, bad, lanes, *tallied = classes[key]
+        checked += lanes
+        tallied = iter(tallied)
+        for report, _, ids in reports:
+            read = next(tallied)  # the guard bits of the lanes to lift alone
             for kind, rid in ids.items():
-                hits, hit, loose = _tally(*found[kind], b.fill, guard)
-                read |= loose | (hit & -hit if ctx.registry[rid]["witness"] is None else 0)
+                hits, first = next(tallied), next(tallied)
+                read |= first if ctx.registry[rid]["witness"] is None else 0
                 if hits:
                     tallies[report][kind] += hits
                     ctx.reg_hit(rid, hits=hits)
             for p in bits(read):
-                op, rep = alone(report, t, b.lane(p // b.width))
+                op, rep = alone(report, f, b.lane(p // b.width))
                 for a in rep.anomalies:
                     if not a["confirmed"]:
                         payloads[report].append(_anomaly_witness(f, op, a))
@@ -792,13 +823,14 @@ def _initial_rows(ctx):
                         ctx.reg_hit(ids[a["kind"]], partial(_anomaly_witness, f, op, a), 0)
         if stop:
             break
+    ctx.kernels["point_classes"] = len(classes)
     rows = {}
     for report, cid, _ in reports:
         for payload in payloads[report]:
             ctx.report_unexplained(cid, payload)
         if stop:
             rows[cid] = _fail({"checked": checked}, f"{report._AXIOMS[1]} fails for an induced "
-                              f"operator on {f.describe()}" if stop & -stop & bad else
+                              f"operator on {f.describe()}" if bad else
                               f"{report._AXIOMS[2]} fails despite f[L] = M for {f.describe()}")
         else:
             rows[cid] = _verdict(ctx, cid, {

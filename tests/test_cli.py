@@ -322,23 +322,31 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     profile = json.loads(sidecar.read_text())
     assert sorted(profile["check_seconds"]) == ["initial-h", "initial-interior", "poset-counts"]
     assert all(s >= 0 for s in profile["check_seconds"].values())
-    assert sorted(profile["caches"]) == ["_enumerate", "_poset_classes", "_transfer_cached",
-                                         "corpus_frames"]
+    assert sorted(profile["caches"]) == ["_class_tables", "_enumerate", "_poset_classes",
+                                         "_transfer_cached", "corpus_frames"]
     for info in profile["caches"].values():
         assert sorted(info) == ["currsize", "hits", "maxsize", "misses"]
     assert profile["caches"]["_transfer_cached"]["hits"] > 0
     # one class list per size up to --max-poset, one corpus per size asked for
     assert profile["caches"]["_poset_classes"]["currsize"] >= 3
     assert profile["caches"]["corpus_frames"]["currsize"] >= 1
-    # the one pass of both initial checks lifts 2 + 10 tables per map, its
-    # target's bank, drawn once per target frame of the run's maps; it lifts
-    # alone the mandated table, once per check, and each first witness
+    # the one pass of both initial checks decides 2 + 10 tables per map, its
+    # target's bank, drawn once per target frame of the run's maps, in one
+    # packed lift per (target, point function) class; it lifts alone the
+    # mandated table, once per check, and each first witness
     kernels = profile["operator_kernels"]
-    assert sorted(kernels) == ["batches", "lanes_lifted_alone", "tables_lifted"]
+    assert sorted(kernels) == ["batches", "lanes_lifted_alone", "point_classes", "tables_lifted"]
     report = json.loads(open(plain).read())
     assert kernels["tables_lifted"] == 12 * report["counts"]["maps"]
     ctx = _Ctx(CorpusConfig(max_poset_size=3, operator_samples_per_frame=10, seed=5))
     assert kernels["batches"] == len({f.target for f in ctx.maps})
+    assert kernels["point_classes"] == len({(f.target, f.points) for f in ctx.maps})
+    assert kernels["point_classes"] < report["counts"]["maps"]
+    # a pair of image and preimage tables per target point count and point
+    # function by positions, held in a process-wide cache
+    assert profile["caches"]["_class_tables"]["currsize"] >= len(
+        {(len(f.target.prime_list), tuple(map(f.target.prime_list.index, f.points)))
+             for f in ctx.maps})
     assert kernels["lanes_lifted_alone"] == 2 + sum(e["id"] in (
         "initial-contraction", "initial-continuity", "initial-h-continuity")
         and e["witness"] is not None for e in report["registry"]) == 5

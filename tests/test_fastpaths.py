@@ -1527,11 +1527,12 @@ def test_bank_batches_are_the_oracle_draws_and_cores(banked):
         assert want == [tuple(sl.meet(i, v) for i, v in enumerate(t)) for t in want]
 
 
-def test_every_map_lifts_every_table_of_its_targets_bank(monkeypatch):
-    """The initial checks lift, for every map f: L -> M, every table of M's
-    bank, the oracle's draws, in one packed lift per map, whether both
-    checks run or either runs alone: two maps into one target, and the two
-    checks, lift the same tables."""
+def test_every_point_class_lifts_every_table_of_its_targets_bank(monkeypatch):
+    """The initial checks lift, for the first map f: L -> M of each
+    (target, point function) class, every table of M's bank, the oracle's
+    draws, in one packed lift per class and none for the other maps of the
+    class, whether both checks run or either runs alone: two maps into one
+    target, and the two checks, lift the same tables."""
     # transfers are cached by map equality, so t.map may be an equal map of
     # another run
     lifted, banks = Counter(), {}
@@ -1553,7 +1554,47 @@ def test_every_map_lifts_every_table_of_its_targets_bank(monkeypatch):
         lifted.clear()
         for cid in cids:
             assert verify.CHECKS[cid](ctx)[0] == "pass"
-        assert lifted == Counter(dict.fromkeys(ctx.maps, 1))
+        first = {}
+        for f in ctx.maps:
+            first.setdefault((f.target, f.points), f)
+        assert lifted == Counter(dict.fromkeys(first.values(), 1))
+        assert len(lifted) == 510
+
+
+@pytest.fixture(scope="module")
+def every_corpus4_map():
+    """A context whose maps are every localic map between corpus-4 frames,
+    and per map its (image, preimage) tables as the per-sublocale scan finds
+    them on the map's own frames."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LOCALELAB_SIZE_LIMIT", "16")
+        ctx = _Ctx(CorpusConfig(map_budget=10 ** 24))
+        assert len(ctx.maps) == 19_702
+    return ctx, [brute_transfer_tables(f, ctx.sl(f.source), ctx.sl(f.target)) for f in ctx.maps]
+
+
+def test_class_tables_are_each_maps_brute_tables(every_corpus4_map):
+    """On every corpus-4 map, the image and preimage tables a transfer reads
+    from the cache keyed by target point count and point function are those
+    the per-sublocale scan finds on the map's own frames."""
+    ctx, brute = every_corpus4_map
+    for f, tables in zip(ctx.maps, brute):
+        t = SublocaleTransfer.build(f)
+        assert (t.image_table, t.preimage_table) == tables, f.describe()
+
+
+def test_maps_of_one_point_class_have_one_lift(every_corpus4_map):
+    """The theorem the initial pass's memo rests on: on every corpus-4 map,
+    the confirmed gap masks and the packed lift of its target's bank, read
+    through the tables the per-sublocale scan builds on the map's own
+    frames, equal those of every other map with its `_point_class`."""
+    (ctx, brute), decided = every_corpus4_map, {}
+    for f, tables in zip(ctx.maps, brute):
+        t = SublocaleTransfer(f, ctx.sl(f.source), ctx.sl(f.target), *tables)
+        b = _ops_for_initial(ctx, f)
+        got = _confirmed(t, (-1, 1, -1)), _lift(t, b.masks, b.ones)
+        assert decided.setdefault(verify._point_class(f), got) == got, f.describe()
+    assert len(decided) == 6_104
 
 
 def test_banks_survive_a_full_run(banked):

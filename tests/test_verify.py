@@ -47,6 +47,7 @@ from localelab.maps import compose_localic, localic_map
 from localelab.serialize import frame_to_json, save_json
 from localelab.sublocales import (
     SublocaleTransfer,
+    _class_tables,
     _transfer_cached,
     enumerate_sublocales,
     transfer_of,
@@ -569,6 +570,26 @@ def test_both_initial_checks_list_their_payloads_in_run_order(monkeypatch):
     assert report["unexplained"] == [u for _, r in alone for u in r["unexplained"]]
 
 
+@pytest.mark.parametrize("config, gapped", [
+    (CorpusConfig(checks=("initial-interior", "initial-h")), False),
+    (CorpusConfig(max_poset_size=3, operator_samples_per_frame=2,
+                  checks=("initial-interior", "initial-h")), True),
+], ids=["default", "unconfirmed-gaps"])
+def test_the_point_class_memo_leaves_the_initial_rows_alone(monkeypatch, config, gapped):
+    """The initial pass that decides each (target, point function) class once
+    gives the report of the pass that decides every map on its own, also
+    when every map has unconfirmed gaps, whose lanes each map lifts alone."""
+    if gapped:
+        _patch_lift(monkeypatch, "interior", lambda r, ones: r[:2] + ([ones] * len(r[2]),))
+    memo, each = {}, {}
+    report = run_verification(config, kernels=memo)
+    monkeypatch.setattr(verify, "_point_class", lambda f: f)
+    assert run_verification(config, kernels=each) == report
+    assert bool(report["unexplained"]) == gapped
+    assert each["point_classes"] == report["counts"]["maps"] > memo["point_classes"]
+    assert each["lanes_lifted_alone"] == memo["lanes_lifted_alone"]
+
+
 def test_an_initial_failure_counts_only_the_lanes_before_it(monkeypatch):
     """A middle lane of a middle map that breaks I2 ends the pass: the
     registry counts the confirmed gaps of the tables before it, as the
@@ -851,31 +872,43 @@ def test_h_twin_reads_its_interior_twins_samples(monkeypatch, default_report, in
     assert row == next(r for r in default_report["checks"] if r["id"] == h)
 
 
-def test_each_map_transfer_is_built_once(monkeypatch):
-    """A sampling run builds each transfer once, in the cache the operator
-    checks read; galois-adjunction alone builds none, since it decides its
-    maps on packed tables. The run's transfers are those of its maps, of the
-    composites its chains and configurations build, and of the mandated
-    TWO -> CHAIN3 map."""
+def test_each_transfer_is_built_at_most_once(monkeypatch):
+    """A sampling run builds each transfer at most once, in the cache the
+    operator checks read, and each pair of image and preimage tables once
+    per target point count and point function, in the cache the transfers
+    read; galois-adjunction alone builds neither, since it decides its maps
+    on packed tables. The run's transfers are those of the first map of
+    each class the initial pass decides, of the maps the other checks read,
+    of the composites its chains and configurations build, and of the
+    mandated TWO -> CHAIN3 map."""
     ctx = verify._Ctx(CorpusConfig())
-    built = {*ctx.maps, localic_map(two(), chain3(), (0, 2))}
-    built |= {compose_localic(tg.map, tf.map) for tf, tg, *_ in ctx.chains}
-    built |= {compose_localic(t.map, g) for t, g, *_ in ctx.configs}
+    allowed = {*ctx.maps, localic_map(two(), chain3(), (0, 2))}
+    allowed |= {compose_localic(tg.map, tf.map) for tf, tg, *_ in ctx.chains}
+    allowed |= {compose_localic(t.map, g) for t, g, *_ in ctx.configs}
+    first = {}
+    for f in ctx.maps:
+        first.setdefault(verify._point_class(f), f)
     builds = []
     build = SublocaleTransfer.build
     monkeypatch.setattr(SublocaleTransfer, "build",
                         staticmethod(lambda f: builds.append(f) or build(f)))
     _transfer_cached.cache_clear()
+    _class_tables.cache_clear()
     run_verification(CorpusConfig())
-    assert len(builds) == _transfer_cached.cache_info().misses == len(built)
-    assert set(builds) == built
+    assert len(builds) == len(set(builds)) == _transfer_cached.cache_info().misses
+    assert set(first.values()) <= set(builds) <= allowed
+    classes = {(len(f.target.prime_list), tuple(map(f.target.prime_list.index, f.points)))
+               for f in builds}
+    info = _class_tables.cache_info()
+    assert info.misses == info.currsize == len(classes) < len(builds)
     builds.clear()
     _transfer_cached.cache_clear()
+    _class_tables.cache_clear()
     report = run_verification(CorpusConfig(operator_samples_per_frame=0,
                                            checks=("galois-adjunction",)))
     assert report["counts"]["maps"] == 1135
     assert builds == []
-    assert _transfer_cached.cache_info().currsize == 0
+    assert _transfer_cached.cache_info().currsize == _class_tables.cache_info().currsize == 0
 
 
 def test_open_preimage_fails_at_a_middle_triple(monkeypatch, ctx):
