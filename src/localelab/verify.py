@@ -740,11 +740,11 @@ def _tally(gaps, confirmed, first, fill, guard):
 
 def _initial_rows(ctx):
     """The rows, by check id, of the selected initial checks, read for their
-    report classes off one packed _lift of its target's bank, the batch
-    _ops_for_initial gives, per class of maps with one target and one point
-    function. The bank tables are lifted as given, as the cores of h_M too,
-    so the bank must hold its own cores; its draws are contractive, and any
-    h_M whose core is a bank table gets its verdicts.
+    report classes off one packed _lift per `_point_class` of maps: of the
+    target's bank, the batch _ops_for_initial gives, through the transfer
+    of the class's first map. The bank tables are lifted as given, as the
+    cores of h_M too, so the bank must hold its own cores; its draws are
+    contractive, and any h_M whose core is a bank table gets its verdicts.
 
     The mandated TWO -> CHAIN3 trivial counterexample's top gap is the
     "top-gap" entry's witness and one more occurrence, outside the tallies.

@@ -346,7 +346,7 @@ def test_verify_profile_sidecar_leaves_the_report_alone(files, capsys):
     # function by positions, held in a process-wide cache
     assert profile["caches"]["_class_tables"]["currsize"] >= len(
         {(len(f.target.prime_list), tuple(map(f.target.prime_list.index, f.points)))
-             for f in ctx.maps})
+         for f in ctx.maps})
     assert kernels["lanes_lifted_alone"] == 2 + sum(e["id"] in (
         "initial-contraction", "initial-continuity", "initial-h-continuity")
         and e["witness"] is not None for e in report["registry"]) == 5

@@ -839,13 +839,26 @@ def test_transfer_build_matches_per_sublocale_loops(case):
         f, t.source_lattice, t.target_lattice)
 
 
-def test_transfer_build_matches_per_sublocale_loops_on_every_run_map():
-    ctx = _Ctx(CorpusConfig())
-    for f in ctx.maps:
+@pytest.fixture(scope="module")
+def every_corpus4_map():
+    """A context whose maps are every localic map between corpus-4 frames,
+    and per map its (image, preimage) tables as the per-sublocale scan finds
+    them on the map's own frames."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LOCALELAB_SIZE_LIMIT", "16")
+        ctx = _Ctx(CorpusConfig(map_budget=10 ** 24))
+        assert len(ctx.maps) == 19_702
+    return ctx, [brute_transfer_tables(f, ctx.sl(f.source), ctx.sl(f.target)) for f in ctx.maps]
+
+
+def test_transfer_build_matches_per_sublocale_loops_on_every_run_map(every_corpus4_map):
+    """On every corpus-4 map, the image and preimage tables a transfer reads
+    from the cache keyed by target point count and point function are those
+    the per-sublocale scan finds on the map's own frames."""
+    ctx, brute = every_corpus4_map
+    for f, tables in zip(ctx.maps, brute):
         t = SublocaleTransfer.build(f)
-        assert (t.image_table, t.preimage_table) == brute_transfer_tables(
-            f, t.source_lattice, t.target_lattice), f.describe()
-    assert len(ctx.maps) == 1135
+        assert (t.image_table, t.preimage_table) == tables, f.describe()
 
 
 # -- the Galois adjunction on unit, counit and covers --------------------------------
@@ -1559,28 +1572,6 @@ def test_every_point_class_lifts_every_table_of_its_targets_bank(monkeypatch):
             first.setdefault((f.target, f.points), f)
         assert lifted == Counter(dict.fromkeys(first.values(), 1))
         assert len(lifted) == 510
-
-
-@pytest.fixture(scope="module")
-def every_corpus4_map():
-    """A context whose maps are every localic map between corpus-4 frames,
-    and per map its (image, preimage) tables as the per-sublocale scan finds
-    them on the map's own frames."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("LOCALELAB_SIZE_LIMIT", "16")
-        ctx = _Ctx(CorpusConfig(map_budget=10 ** 24))
-        assert len(ctx.maps) == 19_702
-    return ctx, [brute_transfer_tables(f, ctx.sl(f.source), ctx.sl(f.target)) for f in ctx.maps]
-
-
-def test_class_tables_are_each_maps_brute_tables(every_corpus4_map):
-    """On every corpus-4 map, the image and preimage tables a transfer reads
-    from the cache keyed by target point count and point function are those
-    the per-sublocale scan finds on the map's own frames."""
-    ctx, brute = every_corpus4_map
-    for f, tables in zip(ctx.maps, brute):
-        t = SublocaleTransfer.build(f)
-        assert (t.image_table, t.preimage_table) == tables, f.describe()
 
 
 def test_maps_of_one_point_class_have_one_lift(every_corpus4_map):
